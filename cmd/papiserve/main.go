@@ -35,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -158,8 +159,14 @@ func serve(o options) error {
 	if err != nil {
 		return err
 	}
+	if o.requests < 1 {
+		return fmt.Errorf("-requests %d must be ≥ 1", o.requests)
+	}
+	if !(o.sloMS >= 0) || math.IsInf(o.sloMS, 1) {
+		return fmt.Errorf("-slo %g must be finite and ≥ 0 (0 = unbounded)", o.sloMS)
+	}
 	slo := workload.SLO{TokenLatency: units.Milliseconds(o.sloMS)}
-	if o.classes < 0 || o.classes > 1 {
+	if !(o.classes >= 0 && o.classes <= 1) {
 		return fmt.Errorf("-classes %g outside [0, 1]", o.classes)
 	}
 
@@ -191,6 +198,9 @@ func serve(o options) error {
 	if o.scenario != "" && o.traceIn != "" {
 		return fmt.Errorf("-scenario and -trace are mutually exclusive")
 	}
+	if o.scenario == "" && o.traceIn == "" && !(o.rate > 0 && !math.IsInf(o.rate, 1)) {
+		return fmt.Errorf("-rate %g must be a finite arrival rate > 0", o.rate)
+	}
 
 	rt, err := cluster.RouterByName(o.routerName)
 	if err != nil {
@@ -218,9 +228,15 @@ func serve(o options) error {
 	opt.Seed = o.seed
 	if o.kvBlocks > 0 {
 		opt.KV = &kv.Options{BlockTokens: o.kvBlocks, Sharing: true, ColdFactor: o.kvCold}
+		if err := opt.KV.Validate(); err != nil {
+			return fmt.Errorf("-kv-cold: %w", err)
+		}
 	}
 	if o.shards < 1 {
 		return fmt.Errorf("-shards %d must be ≥ 1", o.shards)
+	}
+	if !(o.timeoutS >= 0) || math.IsInf(o.timeoutS, 1) {
+		return fmt.Errorf("-timeout %g must be finite and ≥ 0 (0 = none)", o.timeoutS)
 	}
 	copt := cluster.Options{
 		Replicas:  o.replicas,
@@ -414,7 +430,7 @@ func parseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
 			return nil, fmt.Errorf("invalid sweep rate %q", part)
 		}
 		rates = append(rates, v)

@@ -309,7 +309,9 @@ func (s *scaler) tick(now units.Seconds) {
 		s.record(sig)
 		s.lastAction = now
 		r.kernel.At(rep.liveAt, func(liveNow units.Seconds) {
-			if r.err != nil {
+			// A replica that crashed while warming stays dead: it never
+			// goes live, so no arrival can reach its failed stepper.
+			if r.err != nil || rep.state != repWarming {
 				return
 			}
 			rep.state = repActive

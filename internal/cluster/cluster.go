@@ -130,11 +130,11 @@ func (o Options) validate() error {
 	if o.Retries < 0 {
 		return fmt.Errorf("cluster: retry bound %d must be ≥ 0", o.Retries)
 	}
-	if o.RetryBackoff < 0 {
-		return fmt.Errorf("cluster: retry backoff %v must be ≥ 0", o.RetryBackoff)
+	if !finiteNonNeg(o.RetryBackoff) {
+		return fmt.Errorf("cluster: retry backoff %v must be finite and ≥ 0", o.RetryBackoff)
 	}
-	if o.Timeout < 0 {
-		return fmt.Errorf("cluster: request timeout %v must be ≥ 0", o.Timeout)
+	if !finiteNonNeg(o.Timeout) {
+		return fmt.Errorf("cluster: request timeout %v must be finite and ≥ 0", o.Timeout)
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("cluster: shard count %d must be ≥ 0", o.Shards)
@@ -145,6 +145,12 @@ func (o Options) validate() error {
 		}
 	}
 	return nil
+}
+
+// finiteNonNeg reports whether d is a finite, non-negative duration; NaN
+// fails every comparison, so it is rejected too.
+func finiteNonNeg(d units.Seconds) bool {
+	return d >= 0 && !math.IsInf(d.Seconds(), 1)
 }
 
 // resilienceActive reports whether the run needs the failure machinery at
@@ -1084,8 +1090,28 @@ func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, er
 
 	total := 0
 	lastAt := units.Seconds(math.Inf(-1))
-	var schedule func(req workload.Request)
-	schedule = func(req workload.Request) {
+	var schedule func(req workload.Request, pulls bool)
+	// pull runs before the newest scheduled arrival routes, so the horizon
+	// and the barrier schedule always cover the next arrival. It schedules
+	// every successor sharing the arrival's instant, then the first later
+	// one, which pulls in turn: like Run, which schedules every arrival up
+	// front, a same-instant burst then routes whole before any replica step
+	// its routing arms at that instant.
+	pull := func(now units.Seconds) {
+		for r.err == nil {
+			follow, more := next()
+			if !more {
+				nextArrival = units.Seconds(math.Inf(1))
+				return
+			}
+			later := follow.Arrival > now
+			schedule(follow, later)
+			if later {
+				return
+			}
+		}
+	}
+	schedule = func(req workload.Request, pulls bool) {
 		at := req.Arrival
 		if at < 0 {
 			at = 0
@@ -1099,12 +1125,8 @@ func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, er
 		total++
 		nextArrival = at
 		r.kernel.At(at, func(now units.Seconds) {
-			// Pull the successor before routing, so the horizon and the
-			// barrier schedule always cover the next arrival.
-			if follow, more := next(); more {
-				schedule(follow)
-			} else {
-				nextArrival = units.Seconds(math.Inf(1))
+			if pulls {
+				pull(now)
 			}
 			if r.err != nil {
 				return
@@ -1116,10 +1138,10 @@ func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, er
 	if !ok {
 		return nil, fmt.Errorf("cluster: empty request stream")
 	}
-	schedule(first)
+	schedule(first, true)
 
-	// The stream keeps growing while the kernel drains (each arrival pulls
-	// its successor), so the ledger total is only known afterwards.
+	// The stream keeps growing while the kernel drains (the newest arrival
+	// pulls its successors), so the ledger total is only known afterwards.
 	r.drain()
 	if r.err != nil {
 		return nil, r.err

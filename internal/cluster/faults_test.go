@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -382,12 +383,61 @@ func TestCrashDuringDrainAndReplacement(t *testing.T) {
 	}
 }
 
+// Crash-during-warm-up: a replica booted by ScaleUp crashes before its
+// live instant. It must stay dead — its activation event is skipped, so it
+// never rejoins the eligible set and no arrival is routed into its failed
+// stepper — and the ledger stays exact, serial and sharded alike.
+func TestCrashDuringWarmUp(t *testing.T) {
+	reqs := workload.GeneralQA().Poisson(400, 80, 9)
+	slo := workload.SLO{TokenLatency: units.Milliseconds(12)}
+	run := func(shards int) *FleetResult {
+		opt := testOptions(1, LeastOutstanding())
+		opt.Shards = shards
+		opt.Autoscale = &AutoscaleOptions{
+			Min: 1, Max: 4, Interval: units.Seconds(0.25),
+			WarmUp: units.Seconds(0.5), CoolDown: units.Seconds(0.25),
+			SLO: slo, UpTPOTFactor: 0.75, UpQueue: 4, UpArrivalRate: 1e9, DownQueue: 1,
+		}
+		// ScaleUp boots replica 1 at 250 ms; it would go live at 750 ms.
+		opt.Faults = &faults.Plan{Name: "warm-up crash", Faults: []faults.Fault{
+			{Kind: faults.KindCrash, Replica: 1, At: 0.5},
+		}}
+		opt.Retries = 2
+		return mustRunOpts(t, opt, reqs)
+	}
+	f := run(1)
+	auditLedger(t, f, len(reqs))
+	if f.Faults != 1 {
+		t.Fatalf("Faults = %d, want 1", f.Faults)
+	}
+	if f.Routed[1] != 0 {
+		t.Fatalf("replica 1 crashed while warming but was routed %d requests", f.Routed[1])
+	}
+	booted := false
+	for _, ev := range f.ScaleEvents {
+		switch {
+		case ev.Action == ScaleUp && ev.Replica == 1:
+			booted = ev.At < 0.5
+		case ev.Action == ScaleLive && ev.Replica == 1:
+			t.Fatalf("replica 1 crashed while warming but went live at %v", ev.At)
+		}
+	}
+	if !booted {
+		t.Fatal("replica 1 was not booted before the crash — the pin is vacuous")
+	}
+	diffFleet(t, "warm-up crash", f, run(2))
+}
+
 // Options validation rejects malformed resilience settings.
 func TestResilienceOptionsValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Options){
 		"negative retries": func(o *Options) { o.Retries = -1 },
 		"negative backoff": func(o *Options) { o.RetryBackoff = -units.Seconds(1) },
 		"negative timeout": func(o *Options) { o.Timeout = -units.Seconds(1) },
+		"NaN timeout":      func(o *Options) { o.Timeout = units.Seconds(math.NaN()) },
+		"infinite timeout": func(o *Options) { o.Timeout = units.Seconds(math.Inf(1)) },
+		"NaN backoff":      func(o *Options) { o.RetryBackoff = units.Seconds(math.NaN()) },
+		"infinite backoff": func(o *Options) { o.RetryBackoff = units.Seconds(math.Inf(1)) },
 		"invalid plan": func(o *Options) {
 			o.Faults = &faults.Plan{Name: "bad", Faults: []faults.Fault{{Kind: "meteor", At: 1}}}
 		},

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -199,36 +200,53 @@ func TestRunPlanRejectsShards(t *testing.T) {
 	}
 }
 
-// TestRunSeqMatchesRun: the lazy one-lookahead stream driver is the same
-// simulation as the up-front slice driver, serial and sharded.
+// TestRunSeqMatchesRun: the lazy driver reproduces the slice-driven one bit
+// for bit, serial and sharded. The burst stream packs six arrivals onto each
+// of three instants: every arrival of a burst must route before any replica
+// step at that instant, as Run (which schedules every arrival up front)
+// routes it, under both routers.
 func TestRunSeqMatchesRun(t *testing.T) {
-	reqs := tieredStream(t, 96, 29)
-	build := func(shards int) *Cluster {
-		opt := testOptions(3, LeastOutstanding())
-		opt.Shards = shards
-		c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	burst := workload.GeneralQA().Poisson(48, 40, 3)
+	for i := 0; i < 18; i++ {
+		burst[i].Arrival = units.Seconds(0.25 * float64(i/6))
 	}
-	want, err := build(1).Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 4} {
-		i := 0
-		got, err := build(shards).RunSeq(func() (workload.Request, bool) {
-			if i >= len(reqs) {
-				return workload.Request{}, false
+	for _, tc := range []struct {
+		name   string
+		reqs   []workload.Request
+		router func() Router
+		shards []int
+	}{
+		{"tiered", tieredStream(t, 96, 29), LeastOutstanding, []int{1, 4}},
+		{"burst/round-robin", burst, RoundRobin, []int{1, 2}},
+		{"burst/least-outstanding", burst, LeastOutstanding, []int{1, 2}},
+	} {
+		build := func(shards int) *Cluster {
+			opt := testOptions(3, tc.router())
+			opt.Shards = shards
+			c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			i++
-			return reqs[i-1], true
-		})
+			return c
+		}
+		want, err := build(1).Run(tc.reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffFleet(t, "runseq", want, got)
+		for _, shards := range tc.shards {
+			i := 0
+			got, err := build(shards).RunSeq(func() (workload.Request, bool) {
+				if i >= len(tc.reqs) {
+					return workload.Request{}, false
+				}
+				i++
+				return tc.reqs[i-1], true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffFleet(t, fmt.Sprintf("%s runseq shards=%d", tc.name, shards), want, got)
+		}
 	}
 }
 

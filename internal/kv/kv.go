@@ -39,16 +39,14 @@
 // free/referenced exclusion) are exported through CheckInvariants and pinned
 // by randomized property tests and FuzzBlockStore.
 //
-// With Options.Sharing false the store runs in shadow mode: the same block
-// ledger is maintained (so the invariants stay checkable), but nothing is
-// indexed, parked blocks are discarded, and no transfers are charged — the
-// serving results are bit-identical to the pre-block length-counter engine,
-// which the fastpath equivalence tests pin.
+// A store always shares: the serving engine builds one only when
+// Options.Sharing is set, and keeps its per-request byte ledger otherwise.
 package kv
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/papi-sim/papi/internal/interconnect"
 	"github.com/papi-sim/papi/internal/units"
@@ -101,13 +99,13 @@ type Options struct {
 	// vLLM-style default: coarse enough that block bookkeeping is noise,
 	// fine enough that partial-tail waste stays small).
 	BlockTokens int
-	// Sharing enables the prefix index and the cold tier. False runs the
-	// store in shadow mode (see the package comment): block accounting
-	// without behaviour change.
+	// Sharing enables block-level KV management: the prefix index and the
+	// cold tier. NewStore requires it; without it the serving engine keeps
+	// its per-request byte ledger and builds no store.
 	Sharing bool
 	// ColdFactor sizes the cold tier as a multiple of the hot tier's block
 	// count; 0 selects 4. Negative disables the cold tier (evictions and
-	// parks then discard).
+	// parks then discard). It must be finite.
 	ColdFactor float64
 	// Link prices hot↔cold transfers; the zero value selects the CXL2 host
 	// link (the design-layer LinkSpec preset for host-attached capacity).
@@ -147,6 +145,9 @@ func (o Options) Validate() error {
 	if o.BlockTokens < 0 {
 		return fmt.Errorf("kv: block size %d tokens must be positive", o.BlockTokens)
 	}
+	if math.IsNaN(o.ColdFactor) || math.IsInf(o.ColdFactor, 0) {
+		return fmt.Errorf("kv: cold-tier factor %v must be finite", o.ColdFactor)
+	}
 	if o.Policy != PolicyLRU && o.Policy != PolicyRefAware {
 		return fmt.Errorf("kv: unknown eviction policy %d", int(o.Policy))
 	}
@@ -175,7 +176,7 @@ type block struct {
 	refs   int32
 	tier   int8
 	shared bool   // ever adopted by a second lease (PolicyRefAware signal)
-	hash   uint64 // sealed chain identity; 0 for unsealed tails and shadow mode
+	hash   uint64 // sealed chain identity; 0 for unsealed tails
 	stamp  int64  // logical instant the block last became idle
 	prev   int32
 	next   int32
@@ -256,9 +257,13 @@ type Store struct {
 
 // NewStore builds a store of hotBlocks hot slots (the attention pool's
 // capacity divided by the block footprint) with blockBytes bytes per block.
+// The options must enable sharing.
 func NewStore(opt Options, hotBlocks int, blockBytes units.Bytes) (*Store, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
+	}
+	if !opt.Sharing {
+		return nil, fmt.Errorf("kv: a block store needs Sharing; without it serving keeps the byte ledger")
 	}
 	opt = opt.withDefaults()
 	if hotBlocks < 1 {
@@ -267,10 +272,13 @@ func NewStore(opt Options, hotBlocks int, blockBytes units.Bytes) (*Store, error
 	if blockBytes <= 0 {
 		return nil, fmt.Errorf("kv: block footprint %v must be positive", blockBytes)
 	}
-	coldCap := 0
-	if opt.Sharing {
-		coldCap = int(opt.ColdFactor * float64(hotBlocks))
+	// Block IDs are int32, which bounds the slab both tiers share.
+	cold := opt.ColdFactor * float64(hotBlocks)
+	if float64(hotBlocks)+cold > math.MaxInt32 {
+		return nil, fmt.Errorf("kv: %d hot blocks with cold-tier factor %v exceed the int32 block-ID space",
+			hotBlocks, opt.ColdFactor)
 	}
+	coldCap := int(cold)
 	total := hotBlocks + coldCap
 	s := &Store{
 		opt:        opt,
@@ -295,9 +303,6 @@ func NewStore(opt Options, hotBlocks int, blockBytes units.Bytes) (*Store, error
 
 // BlockTokens reports the store's block granularity.
 func (s *Store) BlockTokens() int { return s.opt.BlockTokens }
-
-// Sharing reports whether the prefix index and cold tier are live.
-func (s *Store) Sharing() bool { return s.opt.Sharing }
 
 // HotBlocks reports the hot tier's capacity in blocks.
 func (s *Store) HotBlocks() int { return s.hotCap }
@@ -451,7 +456,7 @@ func (s *Store) evictHotIdle(demote bool, c *Cost) bool {
 		return false
 	}
 	b := &s.blocks[id]
-	if demote && s.opt.Sharing && s.coldUsed < s.coldCap {
+	if demote && s.coldUsed < s.coldCap {
 		b.tier = tierCold
 		s.hotUsed--
 		s.coldUsed++

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"math"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/units"
@@ -63,16 +64,27 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{Policy: Policy(9)}).Validate(); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Options{ColdFactor: f}).Validate(); err == nil {
+			t.Fatalf("cold-tier factor %v accepted", f)
+		}
+		if _, err := NewStore(Options{Sharing: true, ColdFactor: f}, 4, blockMiB); err == nil {
+			t.Fatalf("NewStore accepted cold-tier factor %v", f)
+		}
+	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero options rejected: %v", err)
 	}
 }
 
 func TestNewStoreErrors(t *testing.T) {
-	if _, err := NewStore(Options{}, 0, blockMiB); err == nil {
+	if _, err := NewStore(Options{Sharing: true}, 0, blockMiB); err == nil {
 		t.Fatal("zero hot blocks accepted")
 	}
-	if _, err := NewStore(Options{}, 4, 0); err == nil {
+	if _, err := NewStore(Options{Sharing: true, ColdFactor: 1e30}, 4, blockMiB); err == nil {
+		t.Fatal("cold tier past the int32 block-ID space accepted")
+	}
+	if _, err := NewStore(Options{Sharing: true}, 4, 0); err == nil {
 		t.Fatal("zero block footprint accepted")
 	}
 }
@@ -201,34 +213,21 @@ func TestEvictionRespectsRefs(t *testing.T) {
 	checkInv(t, s, b)
 }
 
-// TestShadowMode: with sharing off the store keeps its ledger but never
-// indexes, transfers, or retains — the behavioural surface of the
-// pre-block engine.
-func TestShadowMode(t *testing.T) {
-	s := testStore(t, Options{BlockTokens: 8})
-	a := s.NewLease(7, 1, 16, 24, true)
-	ca := mustAdmit(t, s, a, 24)
-	if ca.SharedTokens != 0 {
-		t.Fatal("shadow mode shared tokens")
+// TestNewStoreRequiresSharing: every store shares — with sharing off the
+// serving engine keeps its byte ledger and builds no store — so NewStore
+// refuses sharing-off options that are otherwise valid.
+func TestNewStoreRequiresSharing(t *testing.T) {
+	off := shareOpt()
+	off.Sharing = false
+	if err := off.Validate(); err != nil {
+		t.Fatalf("sharing-off options rejected by Validate: %v", err)
 	}
-	s.Commit(a)
-	b := s.NewLease(7, 2, 16, 24, true)
-	if p := s.PlanAdmit(b, 24); p.Run != 0 {
-		t.Fatal("shadow mode index hit")
+	if _, err := NewStore(off, 8, blockMiB); err == nil {
+		t.Fatal("NewStore built a store with sharing off")
 	}
-	mustAdmit(t, s, b, 24)
-	if pc := s.Park(b); pc.TransferBytes != 0 || pc.DemotedBlocks != 0 {
-		t.Fatal("shadow mode park paid a transfer")
+	if _, err := NewStore(shareOpt(), 8, blockMiB); err != nil {
+		t.Fatalf("NewStore rejected sharing-on options: %v", err)
 	}
-	hot, cold := s.TierBytes()
-	if hot != 0 || cold != 0 {
-		t.Fatalf("shadow mode retained state: hot %v cold %v", hot, cold)
-	}
-	st := s.Stats()
-	if st.Lookups != 0 || st.Hits != 0 || st.TransferBytes != 0 {
-		t.Fatalf("shadow mode stats moved: %+v", st)
-	}
-	checkInv(t, s)
 }
 
 // TestPolicies: ref-aware eviction retires never-shared idle blocks before

@@ -157,21 +157,19 @@ func (s *Store) PlanAdmit(l *Lease, ctx int) Plan {
 	full := ctx / s.opt.BlockTokens
 	p.Blocks = ceilDiv(ctx, s.opt.BlockTokens)
 	p.Growth = ceilDiv(l.max, s.opt.BlockTokens) - p.Blocks
-	if s.opt.Sharing {
-		l.ensureChain(full)
-		for i := 0; i < full; i++ {
-			id, ok := s.index[l.chain[i]]
-			if !ok {
-				break
-			}
-			b := &s.blocks[id]
-			if b.tier == tierCold {
-				p.Promote++
-			} else if b.refs == 0 {
-				p.AdoptIdle++
-			}
-			p.Run++
+	l.ensureChain(full)
+	for i := 0; i < full; i++ {
+		id, ok := s.index[l.chain[i]]
+		if !ok {
+			break
 		}
+		b := &s.blocks[id]
+		if b.tier == tierCold {
+			p.Promote++
+		} else if b.refs == 0 {
+			p.AdoptIdle++
+		}
+		p.Run++
 	}
 	p.New = p.Blocks - p.Run
 	p.SharedTokens = p.Run * s.opt.BlockTokens
@@ -220,41 +218,39 @@ func (s *Store) Admit(l *Lease, ctx int) (Cost, error) {
 	l.blocks = l.blocks[:0]
 
 	run := 0
-	if s.opt.Sharing {
-		l.ensureChain(full)
-		for i := 0; i < full; i++ {
-			s.stats.Lookups++
-			id, ok := s.index[l.chain[i]]
-			if !ok {
-				break
-			}
-			b := &s.blocks[id]
-			if b.tier == tierCold {
-				// All cold blocks are idle (refs>0 forces hot).
-				s.listRemove(&s.coldIdle[idleClass(b)], id)
-				if err := s.promote(id, &c); err != nil {
-					s.pushIdle(id)
-					return c, err
-				}
-				c.PromotedBlocks++
-			} else if b.refs == 0 {
-				s.listRemove(&s.hotIdle[idleClass(b)], id)
-				c.ReusedBlocks++
-				s.stats.ReusedBlocks++
-			} else {
-				c.ReusedBlocks++
-				s.stats.ReusedBlocks++
-			}
-			if b.refs == 0 {
-				s.refHot++
-			}
-			b.refs++
-			b.shared = true
-			s.stats.Hits++
-			l.blocks = l.blocks[:i+1]
-			l.blocks[i] = id
-			run++
+	l.ensureChain(full)
+	for i := 0; i < full; i++ {
+		s.stats.Lookups++
+		id, ok := s.index[l.chain[i]]
+		if !ok {
+			break
 		}
+		b := &s.blocks[id]
+		if b.tier == tierCold {
+			// All cold blocks are idle (refs>0 forces hot).
+			s.listRemove(&s.coldIdle[idleClass(b)], id)
+			if err := s.promote(id, &c); err != nil {
+				s.pushIdle(id)
+				return c, err
+			}
+			c.PromotedBlocks++
+		} else if b.refs == 0 {
+			s.listRemove(&s.hotIdle[idleClass(b)], id)
+			c.ReusedBlocks++
+			s.stats.ReusedBlocks++
+		} else {
+			c.ReusedBlocks++
+			s.stats.ReusedBlocks++
+		}
+		if b.refs == 0 {
+			s.refHot++
+		}
+		b.refs++
+		b.shared = true
+		s.stats.Hits++
+		l.blocks = l.blocks[:i+1]
+		l.blocks[i] = id
+		run++
 	}
 
 	for i := run; i < need; i++ {
@@ -262,7 +258,7 @@ func (s *Store) Admit(l *Lease, ctx int) (Cost, error) {
 		if err != nil {
 			return c, err
 		}
-		if s.opt.Sharing && i < full {
+		if i < full {
 			s.seal(l, i, id)
 		}
 		c.NewBlocks++
@@ -313,7 +309,7 @@ func (s *Store) Extend(l *Lease, ctx int) error {
 	need := ceilDiv(ctx, s.opt.BlockTokens)
 
 	// The previous partial tail may have filled: seal it in place.
-	if s.opt.Sharing && len(l.blocks) > oldFull && newFull > oldFull {
+	if len(l.blocks) > oldFull && newFull > oldFull {
 		s.seal(l, oldFull, l.blocks[oldFull])
 	}
 
@@ -325,7 +321,7 @@ func (s *Store) Extend(l *Lease, ctx int) error {
 		}
 		l.reserve--
 		s.reserve--
-		if s.opt.Sharing && i < newFull {
+		if i < newFull {
 			s.seal(l, i, id)
 		}
 		l.blocks = l.blocks[:i+1]
@@ -352,8 +348,7 @@ func (s *Store) decref(id int32) bool {
 // newly idle sealed blocks are written back to the cold tier over the link —
 // evicting cold idle state for room, or dropping outright when no cold tier
 // exists. The lease keeps its chain so Admit can later re-adopt whatever
-// survives. With sharing off everything is simply discarded, matching the
-// pre-block preemption semantics.
+// survives.
 func (s *Store) Park(l *Lease) Cost {
 	var c Cost
 	if !l.active {
@@ -365,8 +360,8 @@ func (s *Store) Park(l *Lease) Cost {
 		if !s.decref(id) {
 			continue
 		}
-		if !s.opt.Sharing || i >= full {
-			// Shadow mode, or the unsealed private tail: state gone.
+		if i >= full {
+			// The unsealed private tail: state gone.
 			s.freeBlock(id)
 			continue
 		}
@@ -400,8 +395,7 @@ func (s *Store) Park(l *Lease) Cost {
 // Commit retires a finished lease. Canonical sealed blocks stay resident and
 // indexed — they are the prefix cache future group members hit — moving to
 // the idle queues where eviction policy governs their lifetime. Private
-// blocks (and everything in shadow mode) are freed: no future request can
-// ever re-find them.
+// blocks are freed: no future request can ever re-find them.
 func (s *Store) Commit(l *Lease) {
 	if !l.active {
 		// A parked lease holds no references; its surviving blocks age
@@ -417,7 +411,7 @@ func (s *Store) Commit(l *Lease) {
 			continue
 		}
 		b := &s.blocks[id]
-		if s.opt.Sharing && i < full && l.canonical(i) && b.hash != 0 {
+		if i < full && l.canonical(i) && b.hash != 0 {
 			s.pushIdle(id)
 			continue
 		}
@@ -481,7 +475,7 @@ func (s *Store) ParkGain(l *Lease) int {
 // context from fleet KV-demand signals: those tokens will be adopted, not
 // re-prefilled, so counting their bytes again would double-bill headroom.
 func (s *Store) ResidentChainTokens(group int64, prefixTokens int) int {
-	if !s.opt.Sharing || group == 0 {
+	if group == 0 {
 		return 0
 	}
 	seed := seedCanonical(group)

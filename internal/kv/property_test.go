@@ -39,15 +39,14 @@ func driveBlockStore(t *testing.T, data []byte) Stats {
 	g2, _ := r.next()
 	g3, _ := r.next()
 	g4, _ := r.next()
-	g5, _ := r.next()
 
 	opt := Options{
 		BlockTokens: 2 + int(g1)%15,
-		Sharing:     g2%2 == 0,
-		ColdFactor:  []float64{-1, 0, 1, 2}[int(g3)%4],
-		Policy:      []Policy{PolicyLRU, PolicyRefAware}[int(g4)%2],
+		Sharing:     true,
+		ColdFactor:  []float64{-1, 0, 1, 2}[int(g2)%4],
+		Policy:      []Policy{PolicyLRU, PolicyRefAware}[int(g3)%2],
 	}
-	hot := 2 + int(g5)%24
+	hot := 2 + int(g4)%24
 	s, err := NewStore(opt, hot, units.Bytes(units.MiB))
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
@@ -190,8 +189,8 @@ func TestBlockStoreProperties(t *testing.T) {
 }
 
 // FuzzBlockStore lets the fuzzer search for operation sequences that break
-// the conservation laws; the seed corpus covers both policies, both sharing
-// modes, and the park/resume/cancel paths.
+// the conservation laws; the seed corpus covers both policies and the
+// park/resume/cancel paths.
 func FuzzBlockStore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 0, 2, 0, 6, 0, 1, 200, 30, 0, 2, 100, 16, 1, 0, 0, 2, 0, 0, 3, 0, 0, 0})

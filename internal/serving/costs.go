@@ -91,7 +91,8 @@ type draftPrice struct {
 // (including per-layer kernel overheads), its energy, the throttle flag, and
 // the per-iteration Q/K/V + context traffic on the attention fabric. It is a
 // pure function of (TLP, ΣkvLen, RLP) — the incremental key of
-// model.AttentionKernelSum — which is what makes memoizing it exact.
+// model.AttentionKernelSum — which is what lets the fast path price it in
+// closed form from the stepper's running ΣkvLen.
 type attnCost struct {
 	time       units.Seconds
 	energy     units.Joules
@@ -281,39 +282,45 @@ func (e *Engine) fcPricePIM(n int) fcCost {
 	return c
 }
 
-// attnAllLayers scales the per-layer attention kernel to the whole model and
-// caps the participating devices (one PIM device per head per request, up to
-// the pool).
-func (e *Engine) attnAllLayers(attnLayer model.Kernel, rlp int) (pim.Kernel, int) {
+// priceFresh is the reference path's pricing: it rebuilds the attention
+// kernel from a freshly allocated per-request KV-length slice and re-prices
+// the FC and draft kernels from scratch on every call. Attention runs on the
+// disaggregated pool with one PIM device per head per request (up to the
+// pool), plus, per layer, the Q/K/V vectors to the attention devices and the
+// context back (§6.3's byte-level traffic).
+func (e *Engine) priceFresh(active []*request, onPU bool) (fcCost, attnCost, draftPrice) {
+	rlp := len(active)
+	kvLens := make([]int, rlp)
+	for i, r := range active {
+		kvLens[i] = r.contextLen()
+	}
+	attnLayer := e.Cfg.AttentionKernel(e.Opt.TLP, kvLens)
 	layers := float64(e.Cfg.Layers)
-	attnAll := pim.Kernel{
+	a := e.Sys.AttnPIM.Execute(pim.Kernel{
 		Name:        "attention",
 		Class:       pim.ClassAttention,
 		Flops:       attnLayer.Flops.Scale(layers),
 		UniqueBytes: attnLayer.KVBytes.Scale(layers),
-	}
-	activeDev := rlp * e.Cfg.Heads
-	if activeDev > e.Sys.AttnPIM.Count {
-		activeDev = e.Sys.AttnPIM.Count
-	}
-	return attnAll, activeDev
-}
-
-// attnPriceFresh prices the attention phase from its per-layer kernel: the
-// disaggregated-pool execution plus, per layer, the Q/K/V vectors to the
-// attention devices and the context back (§6.3's byte-level traffic).
-func (e *Engine) attnPriceFresh(attnLayer model.Kernel, rlp int) attnCost {
-	layers := float64(e.Cfg.Layers)
-	attnAll, activeDev := e.attnAllLayers(attnLayer, rlp)
-	a := e.Sys.AttnPIM.Execute(attnAll, activeDev)
+	}, min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
 	tr := e.Sys.AttnLink.Send(attnLayer.ActivationBytes)
-	return attnCost{
+	attn := attnCost{
 		time:       a.Time + e.Sys.AttnPIM.KernelOverhead.Scale(layers-1),
 		energy:     a.Energy.Total(),
 		throttled:  a.Throttled,
 		commTime:   tr.Time.Scale(layers),
 		commEnergy: tr.Energy.Scale(layers),
 	}
+	var fc fcCost
+	if n := rlp * e.Opt.TLP; onPU {
+		fc = e.fcPricePU(n)
+	} else {
+		fc = e.fcPricePIM(n)
+	}
+	var draft draftPrice
+	if e.Opt.TLP > 1 {
+		draft = e.draftPriceFresh()
+	}
+	return fc, attn, draft
 }
 
 // draftPriceFresh prices one draft-model FC iteration (§2.2.2) on whichever

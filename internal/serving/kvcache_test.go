@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -12,13 +13,12 @@ import (
 )
 
 // This file pins the block-level KV cache's serving contract from both
-// sides. With sharing off the store is a pure shadow: every Result it
-// produces must be bit-identical to the engine run with no store at all, for
-// every evaluated system, both batching modes, both TLP regimes and both
-// decode paths — so turning the feature off really is the pre-block engine.
-// With sharing on the fast path must still agree bit-for-bit with the
-// reference path, and the prefix index must measurably convert re-prefill
-// work into block adoption.
+// sides. With sharing off the engine builds no store: every Result must be
+// bit-identical to the engine run with KV = nil, for every evaluated system,
+// both batching modes, both TLP regimes and both decode paths — so turning
+// the feature off really is the byte-ledger engine. With sharing on the fast
+// path must still agree bit-for-bit with the reference path, and the prefix
+// index must measurably convert re-prefill work into block adoption.
 
 // kvWorkload draws a stream whose members share prefixes: half the requests
 // are dealt across four prefix groups, the rest are private.
@@ -56,14 +56,14 @@ func runKV(t *testing.T, newSys func() *core.System, tlp int, mode FastPathMode,
 	return res
 }
 
-// TestKVShadowEquivalence is the sharing-off pin: a shadow block store must
-// not move a single bit of the Result relative to the storeless engine,
+// TestKVSharingOffEquivalence is the sharing-off pin: KV options with
+// sharing off must not move a single bit of the Result relative to KV = nil,
 // across every system, mode, TLP and decode path — including on
-// prefix-tagged streams, whose tags the shadow must ignore.
-func TestKVShadowEquivalence(t *testing.T) {
+// prefix-tagged streams, whose tags the byte ledger must ignore.
+func TestKVSharingOffEquivalence(t *testing.T) {
 	static := kvWorkload(10, 0, 7)
 	stream := kvWorkload(12, 25, 11)
-	shadow := &kv.Options{BlockTokens: 32, Sharing: false}
+	off := &kv.Options{BlockTokens: 32, Sharing: false}
 	for name, newSys := range fastpathSystems() {
 		for _, tlp := range []int{1, 4} {
 			for _, mode := range []FastPathMode{FastPathOn, FastPathOff} {
@@ -73,13 +73,38 @@ func TestKVShadowEquivalence(t *testing.T) {
 						reqs = static
 					}
 					bare := runKV(t, newSys, tlp, mode, nil, isStatic, reqs)
-					shad := runKV(t, newSys, tlp, mode, shadow, isStatic, reqs)
-					if !reflect.DeepEqual(bare, shad) {
-						t.Errorf("%s tlp=%d fastpath=%v static=%v: shadow store changed the Result\n bare: %+v\n shad: %+v",
-							name, tlp, mode, isStatic, bare, shad)
+					unshared := runKV(t, newSys, tlp, mode, off, isStatic, reqs)
+					if !reflect.DeepEqual(bare, unshared) {
+						t.Errorf("%s tlp=%d fastpath=%v static=%v: sharing-off KV options changed the Result\n bare: %+v\n  off: %+v",
+							name, tlp, mode, isStatic, bare, unshared)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestKVOptionsValidatedWithoutSharing: sharing off builds no store, but the
+// options are still checked, so a bad configuration errors instead of being
+// ignored because nothing reads it.
+func TestKVOptionsValidatedWithoutSharing(t *testing.T) {
+	reqs := workload.GeneralQA().Generate(2, 1)
+	for _, kvo := range []kv.Options{
+		{BlockTokens: -1},
+		{ColdFactor: math.NaN()},
+		{Policy: kv.Policy(9)},
+	} {
+		opt := DefaultOptions(1)
+		opt.KV = &kvo
+		eng, err := New(core.NewPAPI(0), model.OPT30B(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.NewStreamStepper(nil, 4); err == nil {
+			t.Errorf("stream stepper accepted sharing-off KV options %+v", kvo)
+		}
+		if _, err := eng.RunBatch(reqs); err == nil {
+			t.Errorf("static batch accepted sharing-off KV options %+v", kvo)
 		}
 	}
 }
@@ -350,6 +375,6 @@ func TestKVDemandDiscount(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := stOff.KVDemand(), engOff.Cfg.KVBytes(follow.SeqLen()); got != want {
-		t.Fatalf("shadow-mode push added %v, want the undiscounted %v", got, want)
+		t.Fatalf("sharing-off push added %v, want the undiscounted %v", got, want)
 	}
 }

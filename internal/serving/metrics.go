@@ -114,36 +114,22 @@ func (m *metricsTracker) entry(r *request, ttft units.Seconds) *RequestMetrics {
 	return rm
 }
 
-// observe records one iteration's outcome for a request: committed tokens at
-// the iteration ending at clock, measured against the request's start epoch.
-func (m *metricsTracker) observe(r *request, committed int, clock, epoch units.Seconds) {
-	if committed <= 0 {
+// observe records n tokens committed to a request over a window of
+// iterations, the first ending at first and the last at last, measured
+// against the request's start epoch. A window is equivalent to one observe
+// per iteration: the interior Completion writes would be overwritten, so
+// only the first iteration (which fixes TTFT for a fresh request) and the
+// last (which fixes Completion) are observable.
+func (m *metricsTracker) observe(r *request, n int, first, last, epoch units.Seconds) {
+	if n <= 0 {
 		return
 	}
 	rm := r.rm
 	if rm == nil {
-		rm = m.entry(r, clock-epoch)
+		rm = m.entry(r, first-epoch)
 	}
-	rm.OutputTokens += committed
-	rm.Completion = clock - epoch
-}
-
-// observeRun records a macro-stepped window for a request: run committed
-// tokens, one per iteration, the first landing at firstClock and the last at
-// lastClock. It is equivalent to run successive observe calls — the interior
-// Completion writes are overwritten, so only the first iteration (which
-// fixes TTFT for a fresh request) and the last (which fixes Completion)
-// are observable.
-func (m *metricsTracker) observeRun(r *request, run int, firstClock, lastClock, epoch units.Seconds) {
-	if run <= 0 {
-		return
-	}
-	rm := r.rm
-	if rm == nil {
-		rm = m.entry(r, firstClock-epoch)
-	}
-	rm.OutputTokens += run
-	rm.Completion = lastClock - epoch
+	rm.OutputTokens += n
+	rm.Completion = last - epoch
 }
 
 // finalize computes TPOTs and returns the metrics in request-ID order

@@ -69,11 +69,10 @@ type Options struct {
 	// KV selects block-level KV-cache management (internal/kv): fixed-size
 	// refcounted blocks, a prefix index that lets requests adopt committed
 	// blocks instead of re-prefilling, and a hot/cold tier pair whose
-	// promotion/demotion pays explicit transfer cost. Nil keeps the legacy
-	// per-request length-counter accounting. With KV set but KV.Sharing
-	// false the store runs in shadow mode: the block ledger is maintained
-	// (and auditable) but every Result stays bit-identical to KV = nil,
-	// which the equivalence tests pin.
+	// promotion/demotion pays explicit transfer cost. Nil keeps the
+	// per-request byte ledger. The options are validated either way, but
+	// the engine builds a block store only when KV.Sharing is set: with
+	// sharing off it runs the byte ledger, exactly as with KV = nil.
 	KV *kv.Options
 }
 
@@ -168,8 +167,7 @@ type Result struct {
 	Requests []RequestMetrics
 
 	// KV is the block store's cumulative activity (hit rate, shared tokens,
-	// tier transfers); set only when Options.KV enables sharing, so
-	// sharing-off Results stay deep-equal to the legacy engine's.
+	// tier transfers); set only when Options.KV enables sharing.
 	KV *kv.Stats `json:",omitempty"`
 }
 
@@ -207,12 +205,12 @@ type Engine struct {
 	// assertion per iteration; both are constants of the engine).
 	otherBase units.Seconds
 
-	// Constants of the fused fast-path iteration (runIterationFast), hoisted
-	// at construction. Every one is a product of integer-valued floats far
+	// Constants of the fused iteration (runIteration), hoisted at
+	// construction. Every one is a product of integer-valued floats far
 	// below 2⁵³, so folding them does not change any result bit: layersF is
 	// the layer count, attnOvh the per-iteration attention kernel overheads,
-	// attnFlopsCoef/attnActTerm the per-ΣkvLen / per-request attention-kernel
-	// coefficients, and *W the idle/standby power products.
+	// attnFlopsCoef/attnActTerm the fast path's per-ΣkvLen / per-request
+	// attention-kernel coefficients, and *W the idle/standby power products.
 	layersF       float64
 	attnOvh       units.Seconds
 	attnFlopsCoef float64
@@ -293,11 +291,11 @@ type request struct {
 	// rm caches this request's metrics entry so the per-iteration observe
 	// path skips the tracker's by-ID map (see metricsTracker.entry).
 	rm *RequestMetrics
-	// lease is the request's hold on the block store (nil without
-	// Options.KV); kvBytes is its cached worst-case KV footprint — the
-	// demand-signal contribution, fixed at creation (with the resident
-	// shared prefix already discounted when sharing is on) so every
-	// incremental ± returns the running sums to zero exactly.
+	// lease is the request's hold on the block store (nil without one);
+	// kvBytes is its cached worst-case KV footprint — the demand-signal
+	// contribution, fixed at creation (with the resident shared prefix
+	// already discounted under a store) so every incremental ± returns the
+	// running sums to zero exactly.
 	lease   *kv.Lease
 	kvBytes units.Bytes
 }
@@ -363,99 +361,104 @@ func (e *Engine) runPrefill(inputs []int, res *Result) units.Seconds {
 	return p.Time
 }
 
-// runIteration executes one decoding iteration for the live requests and
-// returns its stats — the reference path: the attention kernel is derived
-// from a freshly-built KV-length slice and the FC and draft kernels are
-// re-priced from scratch. Iteration structure (per layer, serialised):
-// FC(QKV) → link to Attn-PIM → attention → link back → FC(projection+FFN);
-// all-layer work is aggregated into closed forms since layers are identical.
-func (e *Engine) runIteration(liveReqs []*request, ev sched.Event, res *Result) IterationStat {
-	rlp := len(liveReqs)
-	kvLens := make([]int, rlp)
-	for i, r := range liveReqs {
-		kvLens[i] = r.InputLen + r.generated
-	}
-	attnLayer := e.Cfg.AttentionKernel(e.Opt.TLP, kvLens)
-	return e.priceIteration(rlp, e.attnPriceFresh(attnLayer, rlp), ev, res)
-}
-
-// runIterationFast is the fast path: one fused, allocation-free decoding
-// iteration. The attention kernel comes from the incremental ΣkvLen the
-// stepper maintains (the closed form of model.AttentionKernelSum, with the
-// engine-hoisted coefficients), priced through pim.ExecuteAttention; the FC
-// and draft kernels are served from the memoized cost tables. Every
-// floating-point value equals the reference path's (priceIteration) —
-// memoized pricing is pure, and the folded coefficients are exact-integer
-// products — which the equivalence tests pin per system, mode and TLP.
+// runIteration prices and charges one decoding iteration of the active batch
+// and returns its trace entry; the caller fills Tokens from the committed
+// count. Iteration structure (per layer, serialised): FC(QKV) → link to
+// Attn-PIM → attention → link back → FC(projection+FFN); all-layer work is
+// aggregated into closed forms since layers are identical.
+//
+// The fast path prices from memoized inputs: the FC and draft kernels from
+// the cost tables, and the attention kernel in closed form from the
+// incremental ΣkvLen the stepper maintains (model.AttentionKernelSum against
+// the engine-hoisted coefficients), priced through pim.ExecuteAttention. The
+// reference path re-derives all three from scratch (priceFresh). Every
+// floating-point value agrees — memoized pricing is pure, and the folded
+// coefficients are exact-integer products — which the equivalence tests pin
+// per system, mode and TLP. The charging below is shared by both.
 //
 //papivet:noalloc
-func (e *Engine) runIterationFast(rlp, kvSum int, ev sched.Event, res *Result) IterationStat {
-	n := rlp * e.Opt.TLP
-
-	// --- FC phase, from the cost tables.
-	var fcTime units.Seconds
-	gpuBusy := units.Seconds(0)
-	if ev.Placement == sched.PlacePU && e.Sys.HasGPU() {
-		c := e.fcCostPU(n)
-		fcTime = c.time
-		gpuBusy = fcTime
-		res.Energy.AddSlot(energy.SlotGPUActive, c.energy)
+func (e *Engine) runIteration(active []*request, kvSum int, ev sched.Event, res *Result) IterationStat {
+	rlp := len(active)
+	onPU := ev.Placement == sched.PlacePU && e.Sys.HasGPU()
+	var fc fcCost
+	var attn attnCost
+	var draft draftPrice
+	if e.fastPath {
+		if n := rlp * e.Opt.TLP; onPU {
+			fc = e.fcCostPU(n)
+		} else {
+			fc = e.fcCostPIM(n)
+		}
+		h := float64(e.Cfg.Hidden)
+		l := float64(kvSum)
+		attnFlops := e.attnFlopsCoef * l * h
+		attnKV := 4 * l * h
+		at, aEnergy, aThrottled := e.Sys.AttnPIM.ExecuteAttention(
+			units.FLOPs(attnFlops*e.layersF), units.Bytes(attnKV*e.layersF),
+			min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
+		tr := e.Sys.AttnLink.Send(units.Bytes(float64(rlp) * e.attnActTerm))
+		attn = attnCost{
+			time:       at + e.attnOvh,
+			energy:     aEnergy,
+			throttled:  aThrottled,
+			commTime:   tr.Time.Scale(e.layersF),
+			commEnergy: tr.Energy.Scale(e.layersF),
+		}
+		if e.Opt.TLP > 1 {
+			draft = e.draftMemoized()
+		}
 	} else {
-		c := e.fcCostPIM(n)
-		res.Throttled = res.Throttled || c.throttled
-		fcTime = c.time
-		res.Energy.AddSlot(energy.SlotFCPIM, c.energy)
-		res.Energy.AddSlot(energy.SlotInterconnect, c.linkEnergy)
+		fc, attn, draft = e.priceFresh(active, onPU)
 	}
 
-	// --- Attention phase, closed-form from ΣkvLen (AttentionKernelSum
-	// inlined against the hoisted coefficients, all-layer scaling fused).
-	h := float64(e.Cfg.Hidden)
-	l := float64(kvSum)
-	attnFlops := e.attnFlopsCoef * l * h
-	attnKV := 4 * l * h
-	activeDev := rlp * e.Cfg.Heads
-	if activeDev > e.Sys.AttnPIM.Count {
-		activeDev = e.Sys.AttnPIM.Count
+	// --- FC phase (QKV + projection + FFN over all layers).
+	gpuBusy := units.Seconds(0)
+	if onPU {
+		gpuBusy = fc.time
+		res.Energy.AddSlot(energy.SlotGPUActive, fc.energy)
+	} else {
+		res.Throttled = res.Throttled || fc.throttled
+		res.Energy.AddSlot(energy.SlotFCPIM, fc.energy)
+		// Activations cross the PU fabric to reach the FC-PIM stacks.
+		res.Energy.AddSlot(energy.SlotInterconnect, fc.linkEnergy)
 	}
-	at, aEnergy, aThrottled := e.Sys.AttnPIM.ExecuteAttention(
-		units.FLOPs(attnFlops*e.layersF), units.Bytes(attnKV*e.layersF), activeDev)
-	res.Throttled = res.Throttled || aThrottled
-	attnTime := at + e.attnOvh
-	res.Energy.AddSlot(energy.SlotAttnPIM, aEnergy)
 
-	// --- Communication, per layer across the attention fabric.
-	tr := e.Sys.AttnLink.Send(units.Bytes(float64(rlp) * e.attnActTerm))
-	commTime := tr.Time.Scale(e.layersF)
-	res.Energy.AddSlot(energy.SlotInterconnect, tr.Energy.Scale(e.layersF))
+	// --- Attention phase on the attention PIM pool (always), then the
+	// communication: per layer, Q/K/V vectors to the disaggregated attention
+	// devices and the context back (§6.3's byte-level traffic).
+	res.Throttled = res.Throttled || attn.throttled
+	res.Energy.AddSlot(energy.SlotAttnPIM, attn.energy)
+	res.Energy.AddSlot(energy.SlotInterconnect, attn.commEnergy)
 
-	// --- Other: fixed overheads plus (under speculation) the memoized draft.
+	// --- Other: draft-model drafting (§2.2.2) plus sampling/gather and the
+	// policy's decision latency (otherBase).
 	otherTime := e.otherBase
 	if e.Opt.TLP > 1 {
-		otherTime += e.chargeDraft(e.draftMemoized(), res)
+		otherTime += e.chargeDraft(draft, res)
 	}
 
-	iterTime := fcTime + attnTime + commTime + otherTime
+	iterTime := fc.time + attn.time + attn.commTime + otherTime
 
-	// --- Idle and standby energy, against the hoisted power products.
+	// Idle energy: GPUs idle whenever they are not running FC; PIM pools
+	// draw standby power across the whole iteration outside their busy window.
 	if e.Sys.HasGPU() {
 		if idle := iterTime - gpuBusy; idle > 0 {
 			res.Energy.AddSlot(energy.SlotGPUIdle, e.gpuIdleW.Energy(idle))
 		}
 	}
 	if e.Sys.FCPIM != nil {
-		if idle := iterTime - fcTime; idle > 0 {
+		if idle := iterTime - fc.time; idle > 0 {
 			res.Energy.AddSlot(energy.SlotFCPIM, e.fcStandbyW.Energy(idle))
 		}
 	}
-	if idle := iterTime - attnTime; idle > 0 {
+	if idle := iterTime - attn.time; idle > 0 {
 		res.Energy.AddSlot(energy.SlotAttnPIM, e.attnStandbyW.Energy(idle))
 	}
 
 	res.DecodeTime += iterTime
-	res.Breakdown.FC += fcTime
-	res.Breakdown.Attention += attnTime
-	res.Breakdown.Communication += commTime
+	res.Breakdown.FC += fc.time
+	res.Breakdown.Attention += attn.time
+	res.Breakdown.Communication += attn.commTime
 	res.Breakdown.Other += otherTime
 
 	return IterationStat{
@@ -464,73 +467,6 @@ func (e *Engine) runIterationFast(rlp, kvSum int, ev sched.Event, res *Result) I
 		TLP:       e.Opt.TLP,
 		Placement: ev.Placement,
 		Time:      iterTime,
-	}
-}
-
-// priceIteration executes one decoding iteration given the priced attention
-// phase, charging time and energy to res — the reference path's core, which
-// re-prices the FC and draft kernels from scratch every call.
-func (e *Engine) priceIteration(rlp int, attn attnCost, ev sched.Event, res *Result) IterationStat {
-	n := rlp * e.Opt.TLP
-
-	// --- FC phase (QKV + projection + FFN over all layers).
-	var fcTime units.Seconds
-	gpuBusy := units.Seconds(0)
-	if ev.Placement == sched.PlacePU && e.Sys.HasGPU() {
-		c := e.fcPricePU(n)
-		fcTime = c.time
-		gpuBusy = fcTime
-		res.Energy.Add(energy.GPUActive, c.energy)
-	} else {
-		c := e.fcPricePIM(n)
-		res.Throttled = res.Throttled || c.throttled
-		fcTime = c.time
-		res.Energy.Add(energy.FCPIM, c.energy)
-		// Activations cross the PU fabric to reach the FC-PIM stacks.
-		res.Energy.Add(energy.Interconnect, c.linkEnergy)
-	}
-
-	// --- Attention phase on the attention PIM pool (always).
-	res.Throttled = res.Throttled || attn.throttled
-	attnTime := attn.time
-	res.Energy.Add(energy.AttnPIM, attn.energy)
-
-	// --- Communication: per layer, Q/K/V vectors to the disaggregated
-	// attention devices and the context back (§6.3's byte-level traffic).
-	commTime := attn.commTime
-	res.Energy.Add(energy.Interconnect, attn.commEnergy)
-
-	// --- Other: draft-model drafting (§2.2.2) plus sampling/gather and the
-	// policy's decision latency (otherBase).
-	otherTime := e.otherBase
-	if e.Opt.TLP > 1 {
-		otherTime += e.chargeDraft(e.draftPriceFresh(), res)
-	}
-
-	iterTime := fcTime + attnTime + commTime + otherTime
-
-	// Idle energy: GPUs idle whenever they are not running FC; PIM pools
-	// draw standby power across the whole iteration outside their busy window.
-	if e.Sys.HasGPU() {
-		if idle := iterTime - gpuBusy; idle > 0 {
-			res.Energy.Add(energy.GPUIdle, e.Sys.GPU.IdleEnergy(idle))
-		}
-	}
-	e.chargePIMStandby(iterTime, fcTime, attnTime, res)
-
-	res.DecodeTime += iterTime
-	res.Breakdown.FC += fcTime
-	res.Breakdown.Attention += attnTime
-	res.Breakdown.Communication += commTime
-	res.Breakdown.Other += otherTime
-
-	return IterationStat{
-		Index:     ev.Iteration,
-		RLP:       rlp,
-		TLP:       e.Opt.TLP,
-		Placement: ev.Placement,
-		Time:      iterTime,
-		// Tokens is filled by Stepper.Step from the committed count.
 	}
 }
 
@@ -539,9 +475,9 @@ func (e *Engine) priceIteration(rlp int, attn attnCost, ev sched.Event, res *Res
 // pool runs it.
 func (e *Engine) chargeDraft(d draftPrice, res *Result) units.Seconds {
 	if d.onGPU {
-		res.Energy.Add(energy.GPUActive, d.energy)
+		res.Energy.AddSlot(energy.SlotGPUActive, d.energy)
 	} else {
-		res.Energy.Add(energy.FCPIM, d.energy)
+		res.Energy.AddSlot(energy.SlotFCPIM, d.energy)
 	}
 	serial := d.per.Seconds() * float64(e.Opt.TLP)
 	return units.Seconds(serial * (1 - e.Opt.DraftOverlap))
@@ -551,25 +487,9 @@ func (e *Engine) chargeDraft(d draftPrice, res *Result) units.Seconds {
 // prefill, when PIM is idle).
 func (e *Engine) chargePIMIdle(span units.Seconds, res *Result) {
 	if e.Sys.FCPIM != nil {
-		res.Energy.Add(energy.FCPIM, standby(e.Sys.FCPIM, span))
+		res.Energy.AddSlot(energy.SlotFCPIM, e.fcStandbyW.Energy(span))
 	}
-	res.Energy.Add(energy.AttnPIM, standby(e.Sys.AttnPIM, span))
-}
-
-// chargePIMStandby charges PIM standby power outside each pool's busy window.
-func (e *Engine) chargePIMStandby(iter, fcBusy, attnBusy units.Seconds, res *Result) {
-	if e.Sys.FCPIM != nil {
-		if idle := iter - fcBusy; idle > 0 {
-			res.Energy.Add(energy.FCPIM, standby(e.Sys.FCPIM, idle))
-		}
-	}
-	if idle := iter - attnBusy; idle > 0 {
-		res.Energy.Add(energy.AttnPIM, standby(e.Sys.AttnPIM, idle))
-	}
-}
-
-func standby(d *pim.Device, span units.Seconds) units.Joules {
-	return d.Energy.StaticW.Scale(float64(d.Count)).Energy(span)
+	res.Energy.AddSlot(energy.SlotAttnPIM, e.attnStandbyW.Energy(span))
 }
 
 // commitTokens applies one iteration's outcome to a request: with TLP = 1 a

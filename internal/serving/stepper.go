@@ -85,7 +85,8 @@ type Stepper struct {
 	// Outstanding-per-class counters (pending + active), maintained on push,
 	// finish and — pending-only — admit/evict. A stream is "tiered" while
 	// both classes are outstanding: admission is then priority-aware and
-	// macro-stepping falls back to single-iteration stepping (see Step).
+	// windows end at the earliest class-boundary event (see
+	// macroArrivalBound).
 	pendInteractive, pendBatch int
 	actInteractive, actBatch   int
 
@@ -96,14 +97,11 @@ type Stepper struct {
 	// rescanning a deep ready batch backlog on every iteration boundary.
 	intHint int
 
-	// kvStore is the block-level KV cache (nil without Options.KV); kvShare
-	// is true when its prefix index and cold tier are live — admission then
-	// runs on block commitments (see kvFits) instead of the byte ledger,
-	// and preemption parks leases instead of discarding their state. With
-	// kvShare false the store shadows the byte ledger without changing any
-	// decision, keeping Results bit-identical to kvStore = nil.
+	// kvStore is the block-level KV cache with prefix sharing, nil unless
+	// Options.KV enables sharing. With a store, admission runs on block
+	// commitments (see kvFits) instead of the byte ledger, and preemption
+	// parks leases instead of discarding their state.
 	kvStore *kv.Store
-	kvShare bool
 
 	// horizon bounds fast-path macro-stepping (see SetHorizon); +Inf when the
 	// stepper owns its whole timeline.
@@ -160,10 +158,10 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 		s.kvSum += r.InputLen
 		s.kvDemandAll += rr.kvBytes
 		s.kvDemandActive += rr.kvBytes
-		// A static batch is admitted whole under the legacy byte check
-		// (already enforced above), so the shadow/sharing store is sized
-		// never to refuse it; sharing may still shorten prefill when batch
-		// members share a prefix.
+		// A static batch is admitted whole under the byte check (already
+		// enforced above), so the store is sized never to refuse it;
+		// sharing may still shorten prefill when batch members share a
+		// prefix.
 		shared := 0
 		if s.kvStore != nil {
 			c, err := s.kvStore.Admit(rr.lease, r.InputLen)
@@ -237,59 +235,54 @@ func (e *Engine) NewStreamStepper(reqs []workload.Request, maxBatch int) (*Stepp
 	return s, nil
 }
 
-// initKV builds the block store when Options.KV asks for one. A sharing
-// store's hot tier is the attention pool's capacity in whole blocks — the
-// real constraint block admission enforces. A shadow store (sharing off),
-// or any static batch (whose admission must stay the legacy whole-batch
-// byte check), instead gets the byte capacity rounded up plus one block of
-// partial-tail slack per concurrent request, so block bookkeeping can never
-// refuse an admission the byte ledger granted. staticN is the batch size
-// for a static stepper, 0 for a stream.
+// initKV validates Options.KV and builds the block store when it enables
+// sharing; without sharing the engine keeps the byte ledger and builds no
+// store. A stream's hot tier is the attention pool's capacity in whole
+// blocks — the real constraint block admission enforces. A static batch,
+// whose admission must stay the whole-batch byte check, instead gets the
+// byte capacity rounded up plus one block of partial-tail slack per request,
+// so block bookkeeping can never refuse an admission the byte check granted.
+// staticN is the batch size for a static stepper, 0 for a stream.
 func (s *Stepper) initKV(staticN int) error {
 	if s.eng.Opt.KV == nil {
 		return nil
 	}
-	opt := s.eng.Opt.KV.Resolved()
-	if err := opt.Validate(); err != nil {
+	if err := s.eng.Opt.KV.Validate(); err != nil {
 		return err
+	}
+	opt := s.eng.Opt.KV.Resolved()
+	if !opt.Sharing {
+		return nil
 	}
 	blockBytes := s.eng.Cfg.KVBytes(opt.BlockTokens)
 	capBytes := s.eng.Sys.KVCapacity()
-	var hot int
-	if opt.Sharing && staticN == 0 {
-		hot = int(capBytes.Bytes() / blockBytes.Bytes())
-		if hot < 1 {
-			return fmt.Errorf("serving: attention pool %v holds no %d-token KV block (%v)",
-				capBytes, opt.BlockTokens, blockBytes)
-		}
-	} else {
-		slack := staticN
-		if slack == 0 {
-			slack = s.maxBatch
-		}
-		hot = int(math.Ceil(capBytes.Bytes()/blockBytes.Bytes())) + slack
+	hot := int(capBytes.Bytes() / blockBytes.Bytes())
+	if staticN > 0 {
+		hot = int(math.Ceil(capBytes.Bytes()/blockBytes.Bytes())) + staticN
+	} else if hot < 1 {
+		return fmt.Errorf("serving: attention pool %v holds no %d-token KV block (%v)",
+			capBytes, opt.BlockTokens, blockBytes)
 	}
 	store, err := kv.NewStore(opt, hot, blockBytes)
 	if err != nil {
 		return err
 	}
 	s.kvStore = store
-	s.kvShare = opt.Sharing
 	return nil
 }
 
 // newRequest wraps an incoming request with its lease and cached KV
 // footprint. The footprint is the worst-case byte demand the request adds
-// to the fleet signal; with sharing on, the part of its declared prefix
-// already resident in the store is discounted at this instant — those
-// tokens will be adopted, not recomputed, and counting them again would
-// double-bill headroom (the chat-multiturn routing fix this PR pins).
+// to the fleet signal; the part of its declared prefix already resident in
+// the block store is discounted at this instant — those tokens will be
+// adopted, not recomputed, and counting them again would double-bill
+// headroom when routing multi-turn chat.
 func (s *Stepper) newRequest(r workload.Request) *request {
 	rr := &request{Request: r, readyAt: r.Arrival}
 	rr.kvBytes = s.eng.Cfg.KVBytes(r.SeqLen())
 	if s.kvStore != nil {
 		rr.lease = s.kvStore.NewLease(r.PrefixGroup, int64(r.ID), r.PrefixLen, r.SeqLen(), r.Turn > 0)
-		if s.kvShare && r.PrefixGroup != 0 {
+		if r.PrefixGroup != 0 {
 			if resident := s.kvStore.ResidentChainTokens(r.PrefixGroup, r.PrefixLen); resident > 0 {
 				rr.kvBytes -= s.eng.Cfg.KVBytes(resident)
 			}
@@ -625,13 +618,12 @@ func (s *Stepper) admit() error {
 }
 
 // kvFits reports whether cand can be admitted right now under the KV
-// regime in force: block commitments when sharing is live (every block the
+// regime in force: block commitments with a store (every block the
 // admission would commit — adopted, promoted, fresh, plus growth reserve —
 // must fit the hot tier next to the blocks already committed), the byte
-// ledger otherwise. Bit-for-bit the legacy comparison when sharing is off:
-// cand.kvBytes is exactly Cfg.KVBytes(cand.SeqLen()) then.
+// ledger otherwise, where cand.kvBytes is exactly Cfg.KVBytes(cand.SeqLen()).
 func (s *Stepper) kvFits(cand *request) bool {
-	if s.kvShare {
+	if s.kvStore != nil {
 		return s.kvStore.CanAdmit(s.kvStore.PlanAdmit(cand.lease, cand.contextLen()))
 	}
 	return s.kvDemandActive+cand.kvBytes <= s.eng.Sys.KVCapacity()
@@ -655,7 +647,7 @@ func (s *Stepper) kvFits(cand *request) bool {
 // of the candidate's blocks are adoptable — nothing is evicted. Reports
 // whether the candidate now fits.
 func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules) (bool, error) {
-	if s.kvShare {
+	if s.kvStore != nil {
 		b := s.kvStore.BlockTokens()
 		worst := (cand.SeqLen() + b - 1) / b
 		gain := 0
@@ -704,19 +696,19 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 }
 
 // Step advances the engine by one unit of progress: admit any arrived
-// requests, then either run decoding work (decide → iterate → commit), jump
-// the clock to the next arrival if nothing is runnable, or report the
-// stepper drained.
+// requests, then either run a window of decoding iterations (decide →
+// iterate → commit, see window), jump the clock to the next arrival if
+// nothing is runnable, or report the stepper drained.
 //
-// On the fast path, one Step may macro-step a whole run of iterations (see
-// macroStep and macroStepSpec); the stepper accounts for every arrival
-// already in its pending queue, so RunBatch/RunContinuous-style drivers are
-// unaffected. A caller that instead injects arrivals incrementally with
-// Push between Step calls must bound each call with SetHorizon(t) — t being
-// the earliest instant it might push — or build the engine with
-// FastPathOff; otherwise a macro-step can overshoot the instant the caller
-// meant to inject at, admitting the request later than single-stepping
-// would. internal/cluster does exactly this with its event-kernel horizon.
+// On the fast path one Step may run a whole window of iterations; the
+// stepper accounts for every arrival already in its pending queue, so
+// RunBatch/RunContinuous-style drivers are unaffected. A caller that instead
+// injects arrivals incrementally with Push between Step calls must bound each
+// call with SetHorizon(t) — t being the earliest instant it might push — or
+// build the engine with FastPathOff; otherwise a window can overshoot the
+// instant the caller meant to inject at, admitting the request later than
+// single-stepping would. internal/cluster does exactly this with its
+// event-kernel horizon.
 func (s *Stepper) Step() (StepInfo, error) {
 	if s.failed {
 		return StepInfo{Kind: StepDrained}, nil
@@ -743,7 +735,7 @@ func (s *Stepper) Step() (StepInfo, error) {
 				if r.readyAt > s.clock {
 					break
 				}
-				if s.kvShare {
+				if s.kvStore != nil {
 					if !s.kvStore.FitsAlone(r.SeqLen()) {
 						blocked = r
 						break
@@ -763,98 +755,183 @@ func (s *Stepper) Step() (StepInfo, error) {
 
 	s.ensureTraces()
 
-	// The fast path fast-forwards whole runs of identical-RLP iterations.
-	// macroArrivalBound computes the earliest instant an admission or
+	// The fast path fast-forwards whole runs of identical-RLP iterations,
+	// bounded by macroArrivalBound: the earliest instant an admission or
 	// preemption could change the active batch — queue-head arrival for a
-	// single class, the earliest class-boundary event for tiered streams —
-	// and the window never crosses it, so macro-stepping covers priority
-	// streams too. TLP = 1 commits are deterministic (one token per request
-	// per iteration), so the window's interior needs no commit walk at all
-	// (macroStep); speculative decoding (TLP > 1) keeps the per-iteration
-	// acceptance sampling and commit walk but skips the per-iteration
-	// decide/admit work and lets the caller run the window in one event
-	// (macroStepSpec). Perturbed steppers (straggler/brownout windows)
-	// single-step: the stretch is priced per iteration, and a window edge
-	// may land on any iteration boundary. So does the one regime where no
-	// sound window bound exists — see macroArrivalBound's ok = false.
+	// single class, the earliest class-boundary event for tiered streams.
+	// Everything else runs one-iteration windows: the reference path, whose
+	// fresh pricing reads per-request lengths that a TLP = 1 window updates
+	// only at its end; perturbed steppers (straggler/brownout windows), whose
+	// stretch is priced per iteration and whose window edge may land on any
+	// iteration boundary; and the one regime with no sound bound (see
+	// macroArrivalBound's ok = false).
+	bound, limit := units.Seconds(math.Inf(1)), 1
 	if s.eng.fastPath && !s.perturbed {
-		if bound, ok := s.macroArrivalBound(); ok {
-			if s.eng.Opt.TLP == 1 {
-				return s.macroStep(bound)
-			}
-			return s.macroStepSpec(bound)
+		if b, ok := s.macroArrivalBound(); ok {
+			bound, limit = b, math.MaxInt
 		}
 	}
+	return s.window(bound, limit)
+}
 
+// window runs up to limit decoding iterations at the current RLP inside one
+// Step call. It ends early at the first finish (the iterations after it run
+// at a smaller RLP), once the clock reaches the admission bound, and at the
+// horizon. RLP and TLP are frozen inside a window, so every interior Decide
+// would reach the same placement with no reschedule: one Decide covers the
+// window and the scheduler is advanced in bulk (Repeat) at its end. Every
+// trace entry, energy charge and clock value is bit-identical to running
+// the window's iterations one Step at a time, and to the caller — the
+// cluster driver above all — the window is one event.
+//
+// Commits depend on the regime. With TLP = 1 every live request commits one
+// deterministic token per iteration, so the window is cut at the earliest
+// finish and its per-request bookkeeping is applied once, in bulk, at the
+// end; the interior only walks the attention term's arithmetic series in
+// ΣkvLen. With speculation (TLP > 1) commits are stochastic: every iteration
+// replays the per-request acceptance sampling walk in active order, because
+// the RNG draw order is part of the bit-identical contract.
+func (s *Stepper) window(bound units.Seconds, limit int) (StepInfo, error) {
+	rlp := len(s.active)
+	spec := s.eng.Opt.TLP > 1
+	if !spec {
+		for _, r := range s.active {
+			if rem := r.OutputLen - r.generated; rem < limit {
+				limit = rem
+			}
+		}
+	}
 	ev := s.scheduler.Decide()
-	var pre TimeBreakdown
-	if s.perturbed {
-		pre = s.res.Breakdown
-	}
-	var it IterationStat
-	if s.eng.fastPath {
-		it = s.eng.runIterationFast(len(s.active), s.kvSum, ev, &s.res)
-	} else {
-		it = s.eng.runIteration(s.active, ev, &s.res)
-	}
-	if s.perturbed {
-		s.stretch(&it, pre)
-	}
-	s.res.Iterations++
-	if len(s.res.RLPTrace) < traceCap {
-		s.res.RLPTrace = append(s.res.RLPTrace, len(s.active))
-	}
-	if s.static {
-		// Recompute rather than accumulate so the clock matches the summed
-		// phase times bit-for-bit.
-		s.clock = s.res.PrefillTime + s.res.DecodeTime
-	} else {
-		s.clock += it.Time
-	}
-
-	// Commit tokens and count <|eos|> (§5.2.2 steps 1–2).
 	info := StepInfo{Kind: StepIteration}
-	eos := 0
-	for _, r := range s.active {
-		committed := s.eng.commitTokens(r)
-		s.res.Tokens += committed
-		it.Tokens += committed
-		s.kvSum += committed
-		if s.kvStore != nil {
-			if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-				return StepInfo{}, err
+	run, eos := 0, 0
+	var first units.Seconds
+	for {
+		var pre TimeBreakdown
+		if s.perturbed {
+			pre = s.res.Breakdown
+		}
+		it := s.eng.runIteration(s.active, s.kvSum, ev, &s.res)
+		if s.perturbed {
+			s.stretch(&it, pre)
+		}
+		s.res.Iterations++
+		if len(s.res.RLPTrace) < traceCap {
+			s.res.RLPTrace = append(s.res.RLPTrace, rlp)
+		}
+		if s.static {
+			// Recompute rather than accumulate so the clock matches the
+			// summed phase times bit-for-bit.
+			s.clock = s.res.PrefillTime + s.res.DecodeTime
+		} else {
+			s.clock += it.Time
+		}
+		run++
+		if run == 1 {
+			first = s.clock
+		}
+		if !spec {
+			it.Tokens = rlp
+			s.kvSum += rlp // every live request grew by its committed token
+		} else {
+			// Commit tokens and count <|eos|> (§5.2.2 steps 1–2).
+			for _, r := range s.active {
+				committed := s.eng.commitTokens(r)
+				s.res.Tokens += committed
+				it.Tokens += committed
+				s.kvSum += committed
+				if s.kvStore != nil {
+					if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
+						return StepInfo{}, err
+					}
+				}
+				epoch := r.Arrival
+				if s.static {
+					epoch = 0
+				}
+				s.tracker.observe(r, committed, s.clock, s.clock, epoch)
+				if r.done {
+					eos++
+					info.Finished = append(info.Finished, r.Request)
+					s.finish(r)
+				}
 			}
 		}
-		epoch := units.Seconds(0)
-		if !s.static {
-			epoch = r.Arrival
+		if len(s.res.IterStats) < traceCap {
+			s.res.IterStats = append(s.res.IterStats, it)
 		}
-		s.tracker.observe(r, committed, s.clock, epoch)
-		if r.done {
-			eos++
-			info.Finished = append(info.Finished, r.Request)
-			s.kvSum -= r.InputLen + r.generated
-			s.kvDemandAll -= r.kvBytes
-			s.kvDemandActive -= r.kvBytes
-			s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
+		info.Iteration = it
+		if run == limit || eos > 0 || bound <= s.clock || s.clock >= s.horizon {
+			break
+		}
+		ev.Iteration++
+	}
+	s.scheduler.Repeat(run - 1)
+
+	if !spec {
+		// Bulk-commit the window: each request gained one token per
+		// iteration; only the final iteration can have finished requests
+		// (those whose remaining output equalled the window length).
+		s.res.Tokens += run * rlp
+		// Lease growth replays the per-iteration allocator schedule in two
+		// phases. Interior iterations free nothing, so their per-lease block
+		// allocations all draw on the same monotonically shrinking hot tier
+		// — any order pops the same idle blocks, and one bulk Extend per
+		// lease to the penultimate context reproduces the state exactly. The
+		// final iteration interleaves each lease's growth with finished
+		// leases' Commits, whose freed blocks are allocatable to the leases
+		// after them, so it is replayed in active order below.
+		if s.kvStore != nil && run > 1 {
+			for _, r := range s.active {
+				if err := s.kvStore.Extend(r.lease, r.contextLen()+run-1); err != nil {
+					return StepInfo{}, err
+				}
+			}
+		}
+		for _, r := range s.active {
+			r.iterations += run
+			r.generated += run
 			if s.kvStore != nil {
-				s.kvStore.Commit(r.lease)
+				if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
+					return StepInfo{}, err
+				}
+			}
+			epoch := r.Arrival
+			if s.static {
+				epoch = 0
+			}
+			s.tracker.observe(r, run, first, s.clock, epoch)
+			if r.generated >= r.OutputLen {
+				r.done = true
+				eos++
+				info.Finished = append(info.Finished, r.Request)
+				s.finish(r)
 			}
 		}
 	}
-	if len(s.res.IterStats) < traceCap {
-		s.res.IterStats = append(s.res.IterStats, it)
-	}
+	// Interior iterations had no completions, so one ObserveEOS at the
+	// window's end is equivalent to one per iteration.
 	if err := s.scheduler.ObserveEOS(eos); err != nil {
 		return StepInfo{}, err
 	}
-	info.Iteration = it
 	info.Completed = eos
 	// Drop finished requests from the active set to release KV capacity.
 	if eos > 0 {
 		s.active = live(s.active)
 	}
 	return info, nil
+}
+
+// finish releases a request that reached <|eos|>: its share of the running
+// KV sums and class counters, and its lease (committed blocks stay resident
+// for future prefix hits).
+func (s *Stepper) finish(r *request) {
+	s.kvSum -= r.InputLen + r.generated
+	s.kvDemandAll -= r.kvBytes
+	s.kvDemandActive -= r.kvBytes
+	s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
+	if s.kvStore != nil {
+		s.kvStore.Commit(r.lease)
+	}
 }
 
 // ensureTraces pre-sizes the per-iteration traces — the decode loop's only
@@ -886,7 +963,7 @@ func (s *Stepper) ensureTraces() {
 // admit for real — so every bound here may be conservative; the invariant
 // is only that the window never fast-forwards past a boundary the
 // reference path would have acted on. ok = false means no sound bound
-// exists and the caller must single-step.
+// exists and the caller must run a one-iteration window.
 //
 // Single-class streams keep PR 3's head-of-line rule: the window pauses
 // once the queue head is admissible (from its arrival onward every
@@ -916,7 +993,7 @@ func (s *Stepper) macroArrivalBound() (units.Seconds, bool) {
 		}
 		return inf, true
 	}
-	if s.kvShare {
+	if s.kvStore != nil {
 		return 0, false
 	}
 	// Tiered, byte ledger. With the batch full, neither admission phase nor
@@ -969,211 +1046,6 @@ func (s *Stepper) preemptFeasible(cand *request) bool {
 	return s.kvDemandActive-evictable+cand.kvBytes <= s.eng.Sys.KVCapacity()
 }
 
-// macroStep is the fast path's TLP = 1 macro-stepping: it fast-forwards a
-// run of identical-RLP iterations inside one Step call, bounded by the
-// earliest finish, the caller-computed admission bound (macroArrivalBound),
-// and the horizon. With one deterministic token committed per request per
-// iteration, nothing the scheduler or the admission logic observes can
-// change inside the window — so the window's interior needs no per-request
-// commit walk, only the closed-form-per-iteration pricing (the attention
-// term grows linearly in ΣkvLen, an arithmetic series walked with the exact
-// float operations of the reference path so every trace entry, energy
-// charge and clock value stays bit-identical to K single Steps).
-// Per-request bookkeeping is applied once, in bulk, at the window's end.
-func (s *Stepper) macroStep(nextArrival units.Seconds) (StepInfo, error) {
-	rlp := len(s.active)
-	// Iterations until the earliest finish: the window's hard bound, so
-	// completions (and the StepInfo.Finished hook) land on their exact
-	// iteration.
-	k := math.MaxInt
-	for _, r := range s.active {
-		if rem := r.OutputLen - r.generated; rem < k {
-			k = rem
-		}
-	}
-
-	// One Decide covers the whole window: with RLP and TLP frozen, every
-	// interior iteration would reach the same placement with no reschedule,
-	// so the scheduler is advanced in bulk (Repeat) when the window closes.
-	ev := s.scheduler.Decide()
-	run := 0
-	var firstClock units.Seconds
-	var last IterationStat
-	for {
-		it := s.eng.runIterationFast(rlp, s.kvSum, ev, &s.res)
-		s.res.Iterations++
-		if len(s.res.RLPTrace) < traceCap {
-			s.res.RLPTrace = append(s.res.RLPTrace, rlp)
-		}
-		if s.static {
-			s.clock = s.res.PrefillTime + s.res.DecodeTime
-		} else {
-			s.clock += it.Time
-		}
-		run++
-		s.kvSum += rlp // every live request grew by its committed token
-		it.Tokens = rlp
-		if run == 1 {
-			firstClock = s.clock
-		}
-		if len(s.res.IterStats) < traceCap {
-			s.res.IterStats = append(s.res.IterStats, it)
-		}
-		last = it
-		if run == k || nextArrival <= s.clock || s.clock >= s.horizon {
-			break
-		}
-		ev.Iteration++
-	}
-	s.scheduler.Repeat(run - 1)
-
-	// Bulk-commit the window: each request gained one token per iteration;
-	// only the final iteration can have finished requests (those whose
-	// remaining output equalled the window length).
-	info := StepInfo{Kind: StepIteration, Iteration: last}
-	s.res.Tokens += run * rlp
-	eos := 0
-	// Lease growth replays the reference path's allocator schedule in two
-	// phases. Interior iterations free nothing (commits only land on the
-	// final iteration), so their per-step, per-lease block allocations all
-	// draw on the same monotonically shrinking hot tier — any order pops
-	// the same idle blocks, and one bulk Extend per lease to the
-	// penultimate context reproduces the state exactly. The final
-	// iteration is different: the reference loop interleaves each lease's
-	// growth with finished leases' Commits, whose freed blocks are
-	// allocatable to the leases after them, so it must be replayed in
-	// active order below, not folded into the bulk phase.
-	if s.kvStore != nil && run > 1 {
-		for _, r := range s.active {
-			if err := s.kvStore.Extend(r.lease, r.contextLen()+run-1); err != nil {
-				return StepInfo{}, err
-			}
-		}
-	}
-	for _, r := range s.active {
-		r.iterations += run
-		r.generated += run
-		if s.kvStore != nil {
-			if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-				return StepInfo{}, err
-			}
-		}
-		epoch := units.Seconds(0)
-		if !s.static {
-			epoch = r.Arrival
-		}
-		s.tracker.observeRun(r, run, firstClock, s.clock, epoch)
-		if r.generated >= r.OutputLen {
-			r.done = true
-			eos++
-			info.Finished = append(info.Finished, r.Request)
-			s.kvSum -= r.InputLen + r.generated
-			s.kvDemandAll -= r.kvBytes
-			s.kvDemandActive -= r.kvBytes
-			s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-			if s.kvStore != nil {
-				s.kvStore.Commit(r.lease)
-			}
-		}
-	}
-	if err := s.scheduler.ObserveEOS(eos); err != nil {
-		return StepInfo{}, err
-	}
-	info.Completed = eos
-	if eos > 0 {
-		s.active = live(s.active)
-	}
-	return info, nil
-}
-
-// macroStepSpec is macroStep's speculative-decoding (TLP > 1) counterpart:
-// it fast-forwards a run of identical-RLP iterations inside one Step call,
-// bounded by the first finish, the caller-computed admission bound
-// (macroArrivalBound), and the horizon. Unlike TLP = 1, commits are
-// stochastic — each iteration draws per-request acceptance samples from the
-// engine's RNG — so the interior cannot be bulk-committed: the reference
-// path's commit walk runs every iteration, in active order, replaying the
-// exact draw sequence. What the window saves is everything around it: one
-// Decide plus a bulk Repeat instead of per-iteration scheduling (RLP and
-// TLP are frozen, so every interior Decide would reach the same placement),
-// no per-iteration admission scan, and — decisively for the cluster driver
-// — one event-kernel step per window instead of per iteration. A finish
-// ends the window immediately because the iterations after it would run at
-// a smaller RLP.
-func (s *Stepper) macroStepSpec(nextArrival units.Seconds) (StepInfo, error) {
-	rlp := len(s.active)
-	ev := s.scheduler.Decide()
-	run := 0
-	info := StepInfo{Kind: StepIteration}
-	eos := 0
-	for {
-		it := s.eng.runIterationFast(rlp, s.kvSum, ev, &s.res)
-		s.res.Iterations++
-		if len(s.res.RLPTrace) < traceCap {
-			s.res.RLPTrace = append(s.res.RLPTrace, rlp)
-		}
-		if s.static {
-			// Recompute rather than accumulate so the clock matches the
-			// summed phase times bit-for-bit.
-			s.clock = s.res.PrefillTime + s.res.DecodeTime
-		} else {
-			s.clock += it.Time
-		}
-		run++
-
-		// The reference path's per-iteration commit walk, verbatim: the RNG
-		// draw order (active order, one burst per request) is part of the
-		// bit-identical contract.
-		for _, r := range s.active {
-			committed := s.eng.commitTokens(r)
-			s.res.Tokens += committed
-			it.Tokens += committed
-			s.kvSum += committed
-			if s.kvStore != nil {
-				if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-					return StepInfo{}, err
-				}
-			}
-			epoch := units.Seconds(0)
-			if !s.static {
-				epoch = r.Arrival
-			}
-			s.tracker.observe(r, committed, s.clock, epoch)
-			if r.done {
-				eos++
-				info.Finished = append(info.Finished, r.Request)
-				s.kvSum -= r.InputLen + r.generated
-				s.kvDemandAll -= r.kvBytes
-				s.kvDemandActive -= r.kvBytes
-				s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-				if s.kvStore != nil {
-					s.kvStore.Commit(r.lease)
-				}
-			}
-		}
-		if len(s.res.IterStats) < traceCap {
-			s.res.IterStats = append(s.res.IterStats, it)
-		}
-		info.Iteration = it
-		if eos > 0 || nextArrival <= s.clock || s.clock >= s.horizon {
-			break
-		}
-		ev.Iteration++
-	}
-	s.scheduler.Repeat(run - 1)
-	// Interior iterations had no completions, so their reference-path
-	// ObserveEOS(0) calls were no-ops; one call at the window's end is
-	// equivalent.
-	if err := s.scheduler.ObserveEOS(eos); err != nil {
-		return StepInfo{}, err
-	}
-	info.Completed = eos
-	if eos > 0 {
-		s.active = live(s.active)
-	}
-	return info, nil
-}
-
 // Finalize closes the run and returns the accumulated Result: per-request
 // metrics in input order, scheduler activity, and host-CPU energy over the
 // makespan. Further Finalize calls return the same Result.
@@ -1198,10 +1070,9 @@ func (s *Stepper) Finalize() Result {
 	}
 	// Host CPU draws power for the whole run.
 	s.res.Energy.Add(energy.HostCPU, s.eng.Sys.HostPower.Energy(s.res.TotalTime()))
-	// Block-cache counters are part of the Result only when sharing was live;
-	// a shadow store's ledger is an implementation detail, and attaching it
-	// would break the sharing-off ≡ legacy Result equivalence.
-	if s.kvShare {
+	// Block-cache counters are part of the Result only when sharing was live,
+	// so sharing-off Results stay deep-equal to KV = nil ones.
+	if s.kvStore != nil {
 		st := s.kvStore.Stats()
 		s.res.KV = &st
 	}
