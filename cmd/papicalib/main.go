@@ -8,7 +8,7 @@ import (
 	"flag"
 	"fmt"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/pim"
 	"github.com/papi-sim/papi/internal/sched"
@@ -19,7 +19,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print the full sweep tables")
 	flag.Parse()
 
-	sys := core.NewPAPI(0)
+	sys := design.MustBuild(design.PAPI(0))
 	levels := []int{1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 48, 64, 96, 128}
 
 	summary := stats.NewTable("Offline α calibration (GPU PUs vs FC-PIM, one decoding iteration of FC)",
@@ -37,7 +37,7 @@ func main() {
 		}
 	}
 	fmt.Println(summary.String())
-	fmt.Printf("configured default: α = %d\n\n", core.DefaultAlpha)
+	fmt.Printf("configured default: α = %d\n\n", design.DefaultAlpha)
 
 	// §6.1–6.2: derive the hybrid PIM devices from the area and power
 	// constraints (FC reuse ≥ 4 at the evaluated parallelism; attention

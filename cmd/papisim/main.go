@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/workload"
@@ -43,17 +43,17 @@ func main() {
 	}
 }
 
-func run(design, modelName, dataset string, batch, spec int, seed int64, alpha float64,
+func run(designName, modelName, dataset string, batch, spec int, seed int64, alpha float64,
 	continuous bool, rate float64, requests, maxBatch int, trace bool) error {
-	var sys *core.System
-	var err error
-	if design == "PAPI" && alpha > 0 {
-		sys = core.NewPAPI(alpha)
-	} else {
-		sys, err = core.ByName(design)
-		if err != nil {
-			return err
-		}
+	sysSpec, err := design.ByName(designName)
+	if err != nil {
+		return err
+	}
+	// Only α can make a registry design fail to build.
+	sysSpec.Policy.Alpha = alpha
+	sys, err := sysSpec.Build()
+	if err != nil {
+		return fmt.Errorf("-alpha %v: %w", alpha, err)
 	}
 	cfg, err := model.ByName(modelName)
 	if err != nil {

@@ -56,7 +56,6 @@ func DefaultFacadeConfig() FacadeConfig {
 			{"/internal/cluster", "RouterByName", 0, "routers"},
 			{"/internal/cluster", "NewByName", 0, "designs"},
 			{"/internal/design", "ByName", 0, "designs"},
-			{"/internal/core", "ByName", 0, "designs"},
 			{"/internal/model", "ByName", 0, "models"},
 			{"github.com/papi-sim/papi", "SystemByName", 0, "designs"},
 			{"github.com/papi-sim/papi", "DesignByName", 0, "designs"},

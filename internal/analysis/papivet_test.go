@@ -1,6 +1,8 @@
 package analysis_test
 
 import (
+	"os/exec"
+	"strings"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/analysis"
@@ -41,6 +43,37 @@ func TestSuiteShape(t *testing.T) {
 	for i := range want {
 		if names[i] != want[i] {
 			t.Fatalf("analyzers %v, want %v", names, want)
+		}
+	}
+}
+
+// TestConfiguredPackagesExist: every package path the suite is configured
+// with names a package of this module, so deleting or renaming a package
+// cannot leave a stale entry that silently checks nothing.
+func TestConfiguredPackagesExist(t *testing.T) {
+	cmd := exec.Command("go", "list", "-e", "./...")
+	cmd.Dir = "../.."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	paths := strings.Fields(string(out))
+	cfg := analysis.DefaultFacadeConfig()
+	specs := append(append([]string(nil), analysis.UnitSafePackages...), analysis.DeterministicPackages...)
+	for _, lk := range cfg.Lookups {
+		specs = append(specs, lk.Pkg)
+	}
+	for _, reg := range cfg.Registries {
+		specs = append(specs, reg.Pkg)
+	}
+	for _, spec := range specs {
+		found := false
+		for _, p := range paths {
+			// A "/suffix" spec matches by suffix, anything else exactly.
+			found = found || p == spec || strings.HasPrefix(spec, "/") && strings.HasSuffix(p, spec)
+		}
+		if !found {
+			t.Errorf("configured package %q matches no package in the module", spec)
 		}
 	}
 }

@@ -23,7 +23,6 @@ var UnitSafePackages = []string{
 	"/internal/experiments",
 	"/internal/design",
 	"/internal/stats",
-	"/internal/core",
 	"github.com/papi-sim/papi",
 }
 

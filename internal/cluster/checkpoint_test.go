@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/units"
@@ -16,7 +15,7 @@ import (
 // a "segment" of a longer run split across processes.
 func runSegment(t *testing.T, reqs []workload.Request) *FleetResult {
 	t.Helper()
-	c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), Options{
+	c, err := New(newPAPI, model.LLaMA65B(), Options{
 		Replicas: 2,
 		MaxBatch: 8,
 		Router:   LeastOutstanding(),
@@ -174,7 +173,7 @@ func TestImportCheckpointRejectsCorrupt(t *testing.T) {
 // byte-stable re-export round trip.
 func FuzzCheckpointImport(f *testing.F) {
 	seedRun := func(n int, seed int64) []byte {
-		c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), Options{
+		c, err := New(newPAPI, model.LLaMA65B(), Options{
 			Replicas: 2, MaxBatch: 8, Serving: serving.DefaultOptions(1)})
 		if err != nil {
 			f.Fatal(err)

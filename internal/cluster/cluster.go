@@ -12,13 +12,14 @@
 // among simultaneous events, so a fixed seed reproduces the same fleet
 // trace run-to-run.
 //
-// Two entry points drive a fleet: Run consumes an open-loop request stream
-// (pre-generated arrivals — Poisson, bursty, diurnal, or a replayed
-// workload.Trace), while RunPlan consumes a closed-loop multi-turn
-// conversation plan in which each follow-up arrives think-time after the
-// previous answer completes and carries the grown context back to the same
-// replica. Both produce a FleetResult whose Stream field records the
-// realised arrivals for byte-stable trace export.
+// One arrival feed drives a fleet behind three entry points: Run consumes a
+// pre-generated open-loop request stream (Poisson, bursty, diurnal, or a
+// replayed workload.Trace), RunSeq a lazily generated one, and RunPlan a
+// closed-loop multi-turn conversation plan, whose first turns go through
+// the feed while each follow-up arrives think-time after the previous
+// answer completes and carries the grown context back to the same replica.
+// All three produce a FleetResult whose Stream field records the realised
+// arrivals for byte-stable trace export.
 //
 // Fleets need not be homogeneous: NewFromSpecs takes a list of declarative
 // design specs and provisions replicas toward the list's design ratio (a
@@ -37,7 +38,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/model"
@@ -292,7 +292,7 @@ func (r *Replica) Routed() int { return r.routed }
 // than one per fleet.
 type blueprint struct {
 	name   string
-	newSys func() (*core.System, error)
+	newSys func() (*design.System, error)
 	costs  *serving.CostTable
 }
 
@@ -309,11 +309,11 @@ type Cluster struct {
 
 // New validates and builds a cluster of identical replicas. newSys is
 // called once per replica so each engine owns its system instance.
-func New(newSys func() *core.System, cfg model.Config, opt Options) (*Cluster, error) {
+func New(newSys func() *design.System, cfg model.Config, opt Options) (*Cluster, error) {
 	if newSys == nil {
 		return nil, fmt.Errorf("cluster: nil system factory")
 	}
-	return newCluster([]func() (*core.System, error){func() (*core.System, error) {
+	return newCluster([]func() (*design.System, error){func() (*design.System, error) {
 		sys := newSys()
 		if sys == nil {
 			return nil, fmt.Errorf("cluster: system factory returned nil")
@@ -344,7 +344,7 @@ func NewFromSpecs(specs []design.Spec, cfg model.Config, opt Options) (*Cluster,
 	// Run and at autoscale scale-ups), so without a snapshot the caller
 	// could mutate a design after construction, bypassing the up-front
 	// validation and the same-name conflict guard.
-	factories := make([]func() (*core.System, error), len(specs))
+	factories := make([]func() (*design.System, error), len(specs))
 	for i, spec := range specs {
 		data, err := spec.Export()
 		if err != nil {
@@ -376,15 +376,15 @@ func NewByName(name string, cfg model.Config, opt Options) (*Cluster, error) {
 // PAPI table). The per-design metrics split keys on the display name, so
 // two *different* designs sharing a name are rejected here rather than
 // silently merged.
-func newCluster(factories []func() (*core.System, error), cfg model.Config, opt Options) (*Cluster, error) {
+func newCluster(factories []func() (*design.System, error), cfg model.Config, opt Options) (*Cluster, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if opt.Router == nil {
 		opt.Router = RoundRobin()
 	}
-	probes := make([]*core.System, len(factories))
-	firstByName := map[string]*core.System{}
+	probes := make([]*design.System, len(factories))
+	firstByName := map[string]*design.System{}
 	var names []string
 	for i, factory := range factories {
 		probe, err := factory()
@@ -476,16 +476,23 @@ type fleetRun struct {
 	// a replica's own stepping can interact with it — the bound a replica's
 	// fast-path macro-stepping must not cross (see Stepper.SetHorizon). The
 	// default bounds by the kernel's next pending event, which is always
-	// safe: new events are only scheduled at or after it. Run tightens this
-	// to the next unfired arrival (and, when autoscaling, the next control
-	// tick), since open-loop step events never touch other replicas.
+	// safe: new events are only scheduled at or after it. An open-loop run
+	// (Run and RunSeq) without the failure machinery tightens this to the
+	// arrival feed's lookahead arrival (and, when autoscaling, the next
+	// control tick), since its step events never touch other replicas;
+	// RunPlan keeps the default.
 	horizon func() units.Seconds
 	// sharded moves replica step events off the kernel: between kernel
 	// events (the fleet-level synchronization barriers) every armed replica
-	// is driven in parallel on up to shards goroutines, with identical
-	// results to the serial schedule (see Options.Shards).
+	// is driven in parallel on up to Options.Shards goroutines, with
+	// identical results to the serial schedule. Only open-loop runs shard;
+	// RunSeq arms it before the first arrival. The failure machinery shards
+	// too: fault edges, timeout deadlines, and retry re-injections are
+	// kernel events, so every resilience mutation runs in exact kernel
+	// order between parallel phases, and the one ledger write a step itself
+	// performs is buffered replica-locally and flushed at the barrier (see
+	// Replica.finishedIDs).
 	sharded bool
-	shards  int
 	// due is the barrier driver's scratch list of armed replicas, reused
 	// across barriers so the hot loop does not allocate.
 	due []*Replica
@@ -528,22 +535,6 @@ func (c *Cluster) newFleetRun() (*fleetRun, error) {
 		r.kernel.At(r.nextTick, r.scaler.tick)
 	}
 	return r, nil
-}
-
-// shard arms the parallel barrier driver when the run qualifies: Shards > 1
-// on an open-loop run. The failure machinery shards too: fault edges,
-// timeout deadlines, and retry re-injections are ordinary kernel events, so
-// they are fleet-level barriers like arrivals — every resilience mutation
-// (crash, cancel, re-route, perturbation change) runs in exact kernel order
-// between parallel phases, and the one ledger write a step itself performs
-// (marking a completion done) is buffered replica-locally and flushed at
-// the barrier (see Replica.finishedIDs). Callers must shard before the
-// first arrival is scheduled.
-func (r *fleetRun) shard() {
-	if r.c.opt.Shards > 1 {
-		r.sharded = true
-		r.shards = r.c.opt.Shards
-	}
 }
 
 // nextBlueprint picks the design to provision next: the design most
@@ -792,15 +783,6 @@ func (r *fleetRun) route(req workload.Request, now units.Seconds) *Replica {
 	return rep
 }
 
-// finish drains the run and aggregates fleet metrics over want requests.
-func (r *fleetRun) finish(want int) (*FleetResult, error) {
-	r.drain()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return aggregate(r, want)
-}
-
 // drain runs the simulation to completion. Serial runs simply drain the
 // kernel — replica steps are kernel events. Sharded runs alternate: every
 // kernel event (arrival, control tick, replica activation, fault edge,
@@ -856,7 +838,7 @@ func (r *fleetRun) advanceShards(barrier units.Seconds) {
 			r.driveReplica(r.due[0], barrier)
 		} else {
 			if r.pool == nil {
-				r.pool = newShardPool(r.shards, func(rep *Replica) { r.driveReplica(rep, r.barrier) })
+				r.pool = newShardPool(r.c.opt.Shards, func(rep *Replica) { r.driveReplica(rep, r.barrier) })
 			}
 			r.pool.dispatch(r.due)
 		}
@@ -985,80 +967,36 @@ func (p *shardPool) dispatch(reps []*Replica) {
 // close retires the workers (idempotent is not needed: drain calls it once).
 func (p *shardPool) close() { close(p.jobs) }
 
-// Run consumes the request stream to completion and returns fleet metrics.
-// It may be called once per Cluster.
+// Run consumes the request stream to completion and returns fleet metrics:
+// it is RunSeq over a copy stably sorted by arrival, so simultaneous
+// arrivals route in stream order. It may be called once per Cluster.
 func (c *Cluster) Run(reqs []workload.Request) (*FleetResult, error) {
-	if c.ran {
-		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
-	}
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("cluster: empty request stream")
-	}
-	c.ran = true
-
-	r, err := c.newFleetRun()
-	if err != nil {
-		return nil, err
-	}
-	r.shard()
-
-	// Arrivals are scheduled up front in stream order, so simultaneous
-	// arrivals route in a deterministic order and always precede step
-	// events at the same instant.
 	stream := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Arrival < stream[j].Arrival })
-
-	// Open-loop runs only interact across replicas at arrivals (the router
-	// reads fleet state, the chosen replica gains a request) and — when
-	// autoscaling — at control ticks (the scaler reads every replica's
-	// signals), and both kinds of instant are known ahead — so a replica may
-	// macro-step up to the earlier of the next unfired arrival and the next
-	// tick, not merely the kernel's next event, which would throttle
-	// fast-forwarding to the other replicas' step cadence.
-	arrivals := make([]units.Seconds, len(stream))
-	fired := 0
-	if r.resil == nil {
-		// With the failure machinery armed this tightening is unsound:
-		// fault edges, timeouts, and retry re-injections are kernel events
-		// between arrivals, so macro-stepping must stay bounded by the
-		// kernel's next pending event (the default horizon).
-		r.horizon = func() units.Seconds {
-			h := r.nextTick
-			if fired < len(arrivals) && arrivals[fired] < h {
-				h = arrivals[fired]
-			}
-			return h
+	sort.SliceStable(stream, func(i, j int) bool { return arrivesBefore(stream[i].Arrival, stream[j].Arrival) })
+	i := 0
+	return c.RunSeq(func() (workload.Request, bool) {
+		if i == len(stream) {
+			return workload.Request{}, false
 		}
-	}
-	for i := range stream {
-		req := stream[i]
-		// A negative arrival means "already waiting at start", as in the
-		// single-engine path; the kernel cannot schedule before time zero.
-		at := req.Arrival
-		if at < 0 {
-			at = 0
-		}
-		arrivals[i] = at
-		r.kernel.At(at, func(now units.Seconds) {
-			fired++
-			if r.err != nil {
-				return
-			}
-			r.route(req, now)
-		})
-	}
+		i++
+		return stream[i-1], true
+	})
+}
 
-	return r.finish(len(reqs))
+// arrivesBefore orders the feed's stable sorts with NaN last, where the feed
+// rejects it; compared in place, a NaN would leave its neighbours unsorted.
+func arrivesBefore(a, b units.Seconds) bool {
+	return a < b || math.IsNaN(b.Seconds()) && !math.IsNaN(a.Seconds())
 }
 
 // RunSeq consumes a lazily generated open-loop request stream to
-// completion: next is called once per request, in arrival order
-// (non-decreasing arrivals; a negative arrival clamps to 0, as in Run),
-// until it reports no more. Only one lookahead arrival is ever buffered, so
-// a million-request run pays no per-request memory up front — the fleet
-// companion to workload.Scenario.Each. RunSeq shares Run's semantics,
-// including the sharded barrier driver, and may be called once per
-// Cluster, in place of Run.
+// completion: next is called once per request, in arrival order (finite,
+// non-decreasing arrivals; a negative arrival means "already waiting at
+// start" and clamps to 0), until it reports no more, and never after. Only
+// the arrivals up to the next later instant are ever buffered, so a
+// million-request run pays no per-request memory up front — the fleet
+// companion to workload.Scenario.Each. RunSeq may be called once per
+// Cluster, in place of Run; an empty stream does not consume the cluster.
 func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, error) {
 	if c.ran {
 		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
@@ -1066,87 +1004,129 @@ func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, er
 	if next == nil {
 		return nil, fmt.Errorf("cluster: nil request source")
 	}
+	first, ok := next()
+	if !ok {
+		return nil, fmt.Errorf("cluster: empty request stream")
+	}
 	c.ran = true
 
 	r, err := c.newFleetRun()
 	if err != nil {
 		return nil, err
 	}
-	r.shard()
-
-	// The macro-stepping horizon mirrors Run's: open-loop replicas interact
-	// only at arrivals and control ticks, and with one lookahead arrival
-	// buffered the next arrival instant is always known.
-	nextArrival := units.Seconds(math.Inf(1))
+	r.sharded = c.opt.Shards > 1
+	f := r.newFeed(next, nil)
 	if r.resil == nil {
-		r.horizon = func() units.Seconds {
-			h := r.nextTick
-			if nextArrival < h {
-				h = nextArrival
-			}
-			return h
-		}
+		// Open-loop replicas interact only at arrivals and control ticks,
+		// both known ahead, so a replica may macro-step up to the earlier of
+		// the feed's lookahead arrival and the next tick. Armed failure
+		// machinery puts fault edges, timeouts and retries between arrivals,
+		// so it keeps the default kernel horizon.
+		r.horizon = func() units.Seconds { return min(r.nextTick, f.lookahead) }
 	}
-
-	total := 0
-	lastAt := units.Seconds(math.Inf(-1))
-	var schedule func(req workload.Request, pulls bool)
-	// pull runs before the newest scheduled arrival routes, so the horizon
-	// and the barrier schedule always cover the next arrival. It schedules
-	// every successor sharing the arrival's instant, then the first later
-	// one, which pulls in turn: like Run, which schedules every arrival up
-	// front, a same-instant burst then routes whole before any replica step
-	// its routing arms at that instant.
-	pull := func(now units.Seconds) {
-		for r.err == nil {
-			follow, more := next()
-			if !more {
-				nextArrival = units.Seconds(math.Inf(1))
-				return
-			}
-			later := follow.Arrival > now
-			schedule(follow, later)
-			if later {
-				return
-			}
-		}
-	}
-	schedule = func(req workload.Request, pulls bool) {
-		at := req.Arrival
-		if at < 0 {
-			at = 0
-		}
-		if at < lastAt {
-			r.err = fmt.Errorf("cluster: request %d arrives at %v, before its predecessor at %v; RunSeq needs arrival order",
-				req.ID, at, lastAt)
-			return
-		}
-		lastAt = at
-		total++
-		nextArrival = at
-		r.kernel.At(at, func(now units.Seconds) {
-			if pulls {
-				pull(now)
-			}
-			if r.err != nil {
-				return
-			}
-			r.route(req, now)
-		})
-	}
-	first, ok := next()
-	if !ok {
-		return nil, fmt.Errorf("cluster: empty request stream")
-	}
-	schedule(first, true)
-
-	// The stream keeps growing while the kernel drains (the newest arrival
-	// pulls its successors), so the ledger total is only known afterwards.
-	r.drain()
-	if r.err != nil {
-		return nil, r.err
+	total, err := f.run(first)
+	if err != nil {
+		return nil, err
 	}
 	return aggregate(r, total)
+}
+
+// arrivalFeed is the one open-loop arrival path, behind Run, RunSeq and
+// RunPlan's first turns: it pulls requests from next as the run reaches them
+// and puts each on the kernel at its arrival instant. Arrivals are scheduled
+// at non-decreasing instants and fire in (at, seq) order, hence in the order
+// they were scheduled, so the feed keeps them in a FIFO (queue[head:]) and
+// re-posts one reusable kernel event, allocating nothing per request.
+type arrivalFeed struct {
+	r     *fleetRun
+	next  func() (workload.Request, bool)
+	done  bool // next reported no more; it is never called again
+	queue []workload.Request
+	head  int
+	// lastAt is the newest scheduled instant (0 before the first, which
+	// clamps to ≥ 0); lookahead is the same, or +Inf once next is done —
+	// the open-loop horizon's arrival bound.
+	lastAt, lookahead units.Seconds
+	total             int // requests scheduled
+	event             sim.Event
+	// routed, when set, sees where each arrival landed (nil when shed or
+	// stranded); RunPlan pins its conversations there.
+	routed func(req workload.Request, rep *Replica)
+}
+
+func (r *fleetRun) newFeed(next func() (workload.Request, bool), routed func(workload.Request, *Replica)) *arrivalFeed {
+	f := &arrivalFeed{r: r, next: next, routed: routed, lookahead: units.Seconds(math.Inf(1))}
+	f.event = f.fire
+	return f
+}
+
+// run schedules the first request, drains the fleet, and returns how many
+// requests the feed scheduled (known only once the stream is exhausted).
+func (f *arrivalFeed) run(first workload.Request) (int, error) {
+	f.schedule(first)
+	f.r.drain()
+	return f.total, f.r.err
+}
+
+// schedule puts one request on the kernel at its arrival instant, after
+// checking that the instant is finite and not before its predecessor's.
+func (f *arrivalFeed) schedule(req workload.Request) {
+	at := req.Arrival
+	if math.IsNaN(at.Seconds()) || math.IsInf(at.Seconds(), 0) {
+		f.r.err = fmt.Errorf("cluster: request %d has non-finite arrival %v", req.ID, at)
+		return
+	}
+	// A negative arrival means "already waiting at start", as in the
+	// single-engine path; the kernel cannot schedule before time zero.
+	if at < 0 {
+		at = 0
+	}
+	if at < f.lastAt {
+		f.r.err = fmt.Errorf("cluster: request %d arrives at %v, before its predecessor at %v; RunSeq needs arrival order",
+			req.ID, at, f.lastAt)
+		return
+	}
+	f.lastAt, f.lookahead = at, at
+	f.total++
+	f.queue = append(f.queue, req)
+	f.r.kernel.At(at, f.event)
+}
+
+// fire routes the earliest scheduled arrival. When that was the newest one,
+// the feed first pulls its successors — every request sharing its instant,
+// then the first later one — so the horizon and the barrier schedule always
+// cover the next arrival, and a same-instant burst routes whole before any
+// replica step its routing arms at that instant.
+func (f *arrivalFeed) fire(now units.Seconds) {
+	req := f.queue[f.head]
+	f.head++
+	if f.head == len(f.queue) {
+		f.queue, f.head = f.queue[:0], 0
+		f.pull(now)
+	}
+	if f.r.err != nil {
+		return
+	}
+	rep := f.r.route(req, now)
+	if f.routed != nil {
+		f.routed(req, rep)
+	}
+}
+
+// pull schedules the successors of the arrival firing at now (see fire).
+func (f *arrivalFeed) pull(now units.Seconds) {
+	for !f.done && f.r.err == nil {
+		req, more := f.next()
+		if !more {
+			f.done = true
+			f.lookahead = units.Seconds(math.Inf(1))
+			return
+		}
+		f.schedule(req)
+		if req.Arrival > now {
+			return
+		}
+	}
 }
 
 // convState tracks one closed-loop conversation through a fleet run: which
@@ -1174,8 +1154,9 @@ type convState struct {
 // conversation adopts those blocks instead of re-prefilling them, and the
 // carried bytes are not double-counted against the replica's KV headroom;
 // without it, the full history is re-prefilled each turn — an upper bound
-// docs/SCENARIOS.md records. RunPlan may be called once per Cluster, in
-// place of Run.
+// docs/SCENARIOS.md records. Conversation IDs must be distinct (each keys
+// its own prefix group) and think times finite and ≥ 0. RunPlan may be
+// called once per Cluster, in place of Run.
 func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 	if c.ran {
 		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
@@ -1183,9 +1164,19 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 	if len(convs) == 0 {
 		return nil, fmt.Errorf("cluster: empty conversation plan")
 	}
+	seen := make(map[int]bool, len(convs))
 	for _, conv := range convs {
 		if len(conv.Turns) == 0 {
 			return nil, fmt.Errorf("cluster: conversation %d has no turns", conv.ID)
+		}
+		if seen[conv.ID] {
+			return nil, fmt.Errorf("cluster: conversation ID %d repeats; two histories would share a prefix group", conv.ID)
+		}
+		seen[conv.ID] = true
+		for k, turn := range conv.Turns {
+			if !finiteNonNeg(turn.Think) {
+				return nil, fmt.Errorf("cluster: conversation %d turn %d think time %v must be finite and ≥ 0", conv.ID, k+1, turn.Think)
+			}
 		}
 	}
 	if c.opt.Shards > 1 {
@@ -1206,7 +1197,8 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 	byReq := make(map[int]*convState)
 	nextID := 0
 	for i, conv := range convs {
-		states[i] = &convState{conv: conv, baseID: nextID}
+		states[i] = &convState{conv: conv, baseID: nextID, next: 1}
+		byReq[nextID] = states[i]
 		nextID += len(conv.Turns)
 	}
 
@@ -1285,21 +1277,18 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 		})
 	}
 
-	// First turns are open-loop arrivals, scheduled up front in plan order.
-	order := make([]int, len(states))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return states[order[a]].conv.Arrival < states[order[b]].conv.Arrival
-	})
-	for _, i := range order {
-		st := states[i]
-		at := st.conv.Arrival
-		if at < 0 {
-			at = 0
+	// The feed routes the first turns in plan order, stably sorted by
+	// arrival, and pins each conversation where its first turn lands. The
+	// default horizon stays: a completion can launch a follow-up any time.
+	sort.SliceStable(states, func(a, b int) bool { return arrivesBefore(states[a].conv.Arrival, states[b].conv.Arrival) })
+	k := 0
+	next := func() (workload.Request, bool) {
+		if k == len(states) {
+			return workload.Request{}, false
 		}
-		first := workload.Request{
+		st := states[k]
+		k++
+		return workload.Request{
 			ID:           st.baseID,
 			InputLen:     st.conv.Turns[0].Input,
 			OutputLen:    st.conv.Turns[0].Output,
@@ -1307,19 +1296,16 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 			Conversation: st.conv.ID,
 			Turn:         1,
 			PrefixGroup:  -(int64(st.conv.ID) + 1),
-		}
-		st.next = 1
-		byReq[first.ID] = st
-		r.kernel.At(at, func(now units.Seconds) {
-			if r.err != nil {
-				return
-			}
-			st.rep = r.route(first, now)
-			if st.rep != nil {
-				st.rep.holds++
-			}
-		})
+		}, true
 	}
-
-	return r.finish(workload.TotalTurns(convs))
+	f := r.newFeed(next, func(req workload.Request, rep *Replica) {
+		if byReq[req.ID].rep = rep; rep != nil {
+			rep.holds++
+		}
+	})
+	first, _ := next()
+	if _, err := f.run(first); err != nil {
+		return nil, err
+	}
+	return aggregate(r, workload.TotalTurns(convs))
 }

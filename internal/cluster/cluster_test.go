@@ -4,12 +4,15 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
+
+// newPAPI builds a fresh PAPI system: each replica owns its instance.
+func newPAPI() *design.System { return design.MustBuild(design.PAPI(0)) }
 
 func testOptions(replicas int, router Router) Options {
 	return Options{
@@ -27,7 +30,7 @@ func testOptions(replicas int, router Router) Options {
 
 func mustRun(t *testing.T, router Router, replicas int, reqs []workload.Request) *FleetResult {
 	t.Helper()
-	c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), testOptions(replicas, router))
+	c, err := New(newPAPI, model.LLaMA65B(), testOptions(replicas, router))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestSingleReplicaMatchesRunContinuous(t *testing.T) {
 	cfg := model.LLaMA65B()
 	reqs := workload.GeneralQA().Poisson(20, 30, 17)
 
-	eng, err := serving.New(core.NewPAPI(0), cfg, serving.DefaultOptions(1))
+	eng, err := serving.New(newPAPI(), cfg, serving.DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,7 @@ func TestClusterAttainment(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	cfg := model.LLaMA65B()
-	sys := func() *core.System { return core.NewPAPI(0) }
+	sys := newPAPI
 	if _, err := New(nil, cfg, testOptions(2, nil)); err == nil {
 		t.Error("nil factory should fail")
 	}

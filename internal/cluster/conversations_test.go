@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
@@ -12,7 +12,7 @@ import (
 
 func mustRunPlan(t *testing.T, router Router, replicas int, convs []workload.Conversation) *FleetResult {
 	t.Helper()
-	c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), testOptions(replicas, router))
+	c, err := New(newPAPI, model.LLaMA65B(), testOptions(replicas, router))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRunPlanStreamReplays(t *testing.T) {
 
 func TestRunPlanValidation(t *testing.T) {
 	cfg := model.LLaMA65B()
-	sys := func() *core.System { return core.NewPAPI(0) }
+	sys := newPAPI
 	c, err := New(sys, cfg, testOptions(2, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +153,30 @@ func TestRunPlanValidation(t *testing.T) {
 	}
 	if _, err := c.RunPlan([]workload.Conversation{{ID: 0}}); err == nil {
 		t.Error("turnless conversation should fail")
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(convs []workload.Conversation)
+	}{
+		{"negative think time", func(convs []workload.Conversation) { convs[0].Turns[1].Think = -5 }},
+		{"NaN think time", func(convs []workload.Conversation) { convs[0].Turns[1].Think = units.Seconds(math.NaN()) }},
+		{"infinite think time", func(convs []workload.Conversation) { convs[0].Turns[1].Think = units.Seconds(math.Inf(1)) }},
+		{"repeated conversation ID", func(convs []workload.Conversation) { convs[1].ID = convs[0].ID }},
+	} {
+		convs := chatPlan(t, 6, 3)
+		if len(convs[0].Turns) < 2 {
+			t.Fatalf("%s: conversation 0 needs a follow-up turn", tc.name)
+		}
+		tc.mutate(convs)
+		fresh, err := New(sys, cfg, testOptions(2, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.RunPlan(convs); err == nil {
+			t.Errorf("%s: RunPlan accepted the plan", tc.name)
+		} else if _, err := fresh.RunPlan(chatPlan(t, 2, 1)); err != nil {
+			t.Errorf("%s: the rejection consumed the cluster: %v", tc.name, err)
+		}
 	}
 	// Validation failures must not consume the single-use cluster.
 	if _, err := c.RunPlan(chatPlan(t, 2, 1)); err != nil {

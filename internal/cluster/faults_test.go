@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
@@ -16,7 +15,7 @@ import (
 
 func mustRunOpts(t *testing.T, opt Options, reqs []workload.Request) *FleetResult {
 	t.Helper()
-	c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt)
+	c, err := New(newPAPI, model.LLaMA65B(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +333,7 @@ func TestConversationFailoverRepins(t *testing.T) {
 	}}
 	opt.Retries = 2
 	opt.RetryBackoff = units.Milliseconds(50)
-	c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt)
+	c, err := New(newPAPI, model.LLaMA65B(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +443,7 @@ func TestResilienceOptionsValidation(t *testing.T) {
 	} {
 		opt := testOptions(1, RoundRobin())
 		mutate(&opt)
-		if _, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt); err == nil {
+		if _, err := New(newPAPI, model.LLaMA65B(), opt); err == nil {
 			t.Errorf("%s: want validation error", name)
 		}
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
@@ -20,7 +19,7 @@ import (
 func TestFollowUpHeadroomDiscount(t *testing.T) {
 	opt := serving.DefaultOptions(1)
 	opt.KV = &kv.Options{BlockTokens: 16, Sharing: true}
-	eng, err := serving.New(core.NewPAPI(0), model.LLaMA65B(), opt)
+	eng, err := serving.New(newPAPI(), model.LLaMA65B(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestRunPlanSharingCutsReprefill(t *testing.T) {
 		t.Helper()
 		opt := testOptions(2, KVHeadroom())
 		opt.Serving.KV = kvo
-		c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt)
+		c, err := New(newPAPI, model.LLaMA65B(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

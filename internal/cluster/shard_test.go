@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
@@ -148,7 +148,7 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(shards int) *FleetResult {
-				cl, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), Options{
+				cl, err := New(newPAPI, model.LLaMA65B(), Options{
 					Replicas:       3,
 					MaxBatch:       8,
 					Router:         LeastOutstanding(),
@@ -186,7 +186,7 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 func TestRunPlanRejectsShards(t *testing.T) {
 	opt := testOptions(2, LeastOutstanding())
 	opt.Shards = 4
-	c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt)
+	c, err := New(newPAPI, model.LLaMA65B(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,15 +200,35 @@ func TestRunPlanRejectsShards(t *testing.T) {
 	}
 }
 
-// TestRunSeqMatchesRun: the lazy driver reproduces the slice-driven one bit
-// for bit, serial and sharded. The burst stream packs six arrivals onto each
-// of three instants: every arrival of a burst must route before any replica
-// step at that instant, as Run (which schedules every arrival up front)
-// routes it, under both routers.
+// rotate cuts reqs at the first instant boundary from the middle and swaps
+// the halves: same-instant arrivals stay in order, so only a stable sort by
+// arrival restores the original stream.
+func rotate(t *testing.T, reqs []workload.Request) []workload.Request {
+	t.Helper()
+	cut := len(reqs) / 2
+	for cut < len(reqs) && reqs[cut].Arrival == reqs[cut-1].Arrival {
+		cut++
+	}
+	if cut == len(reqs) {
+		t.Fatal("no instant boundary past the middle of the stream")
+	}
+	return append(append([]workload.Request(nil), reqs[cut:]...), reqs[:cut]...)
+}
+
+// TestRunSeqMatchesRun: the lazy driver over an ordered stream reproduces
+// Run over a rotated copy of it bit for bit, serial and sharded, which pins
+// Run's stable sort. The burst stream packs six arrivals onto each of three
+// instants: every arrival of a burst must route before any replica step at
+// that instant, and in stream order, under both routers. The tail-burst
+// stream ends on a burst, after which the source must not be pulled again.
 func TestRunSeqMatchesRun(t *testing.T) {
 	burst := workload.GeneralQA().Poisson(48, 40, 3)
 	for i := 0; i < 18; i++ {
 		burst[i].Arrival = units.Seconds(0.25 * float64(i/6))
+	}
+	tail := workload.GeneralQA().Poisson(16, 40, 5)
+	for i := 12; i < len(tail); i++ {
+		tail[i].Arrival = tail[11].Arrival
 	}
 	for _, tc := range []struct {
 		name   string
@@ -219,29 +239,23 @@ func TestRunSeqMatchesRun(t *testing.T) {
 		{"tiered", tieredStream(t, 96, 29), LeastOutstanding, []int{1, 4}},
 		{"burst/round-robin", burst, RoundRobin, []int{1, 2}},
 		{"burst/least-outstanding", burst, LeastOutstanding, []int{1, 2}},
+		{"tail-burst", tail, RoundRobin, []int{1, 2}},
 	} {
 		build := func(shards int) *Cluster {
 			opt := testOptions(3, tc.router())
 			opt.Shards = shards
-			c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt)
+			c, err := New(newPAPI, model.LLaMA65B(), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}
-		want, err := build(1).Run(tc.reqs)
+		want, err := build(1).Run(rotate(t, tc.reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range tc.shards {
-			i := 0
-			got, err := build(shards).RunSeq(func() (workload.Request, bool) {
-				if i >= len(tc.reqs) {
-					return workload.Request{}, false
-				}
-				i++
-				return tc.reqs[i-1], true
-			})
+			got, err := build(shards).RunSeq(seqOf(t, tc.reqs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,11 +264,28 @@ func TestRunSeqMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunSeqValidation: a nil source, an empty stream, and an out-of-order
-// arrival are errors, and the arrival-order error does not hang the drain.
+// seqOf returns a source over reqs that fails the test if it is pulled
+// again after reporting no more.
+func seqOf(t *testing.T, reqs []workload.Request) func() (workload.Request, bool) {
+	i := 0
+	return func() (workload.Request, bool) {
+		if i > len(reqs) {
+			t.Error("source pulled after it reported no more")
+		}
+		i++
+		if i > len(reqs) {
+			return workload.Request{}, false
+		}
+		return reqs[i-1], true
+	}
+}
+
+// TestRunSeqValidation: a nil source, an empty stream, an out-of-order
+// arrival, and a NaN or infinite arrival are errors, and none hangs the
+// drain.
 func TestRunSeqValidation(t *testing.T) {
 	build := func() *Cluster {
-		c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), testOptions(2, nil))
+		c, err := New(newPAPI, model.LLaMA65B(), testOptions(2, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,6 +312,32 @@ func TestRunSeqValidation(t *testing.T) {
 	if err == nil {
 		t.Error("out-of-order arrivals should fail")
 	}
+
+	// A non-finite arrival is rejected by all three entry points, wherever
+	// it sits in the stream.
+	for _, tc := range []struct {
+		name string
+		at   int
+		val  float64
+	}{
+		{"NaN", 5, math.NaN()},
+		{"+Inf", 11, math.Inf(1)},
+		{"-Inf", 0, math.Inf(-1)},
+	} {
+		reqs := workload.GeneralQA().Poisson(12, 40, 3)
+		reqs[tc.at].Arrival = units.Seconds(tc.val)
+		if _, err := build().Run(reqs); err == nil {
+			t.Errorf("Run accepted a %s arrival", tc.name)
+		}
+		if _, err := build().RunSeq(seqOf(t, reqs)); err == nil {
+			t.Errorf("RunSeq accepted a %s arrival", tc.name)
+		}
+		convs := chatPlan(t, 6, 3)
+		convs[tc.at%len(convs)].Arrival = units.Seconds(tc.val)
+		if _, err := build().RunPlan(convs); err == nil {
+			t.Errorf("RunPlan accepted a %s first-turn arrival", tc.name)
+		}
+	}
 }
 
 // TestConstantMemoryDefaults pins the new retention contract: without opting
@@ -290,7 +347,7 @@ func TestRunSeqValidation(t *testing.T) {
 func TestConstantMemoryDefaults(t *testing.T) {
 	reqs := tieredStream(t, 64, 17)
 	run := func(retain bool) *FleetResult {
-		c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), Options{
+		c, err := New(newPAPI, model.LLaMA65B(), Options{
 			Replicas:       2,
 			MaxBatch:       8,
 			Router:         LeastOutstanding(),
@@ -430,7 +487,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 			if elastic {
 				opt.Autoscale = DefaultAutoscale(reps, reps+2, workload.SLO{TokenLatency: units.Milliseconds(8)})
 			}
-			c, err := New(func() *core.System { return core.NewPAPI(0) }, model.OPT30B(), opt)
+			c, err := New(newPAPI, model.OPT30B(), opt)
 			if err != nil {
 				t.Fatal(err)
 			}

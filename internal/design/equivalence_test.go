@@ -13,7 +13,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/gpu"
 	"github.com/papi-sim/papi/internal/hbm"
@@ -25,9 +24,9 @@ import (
 	"github.com/papi-sim/papi/internal/workload"
 )
 
-// Legacy constructors, copied verbatim from internal/core/core.go as it
-// stood before the declarative design layer (PR 4 state). Do not "fix" or
-// modernise these: they are the reference the registry is pinned against.
+// Legacy constructors, copied verbatim from the system constructors as they
+// stood before the declarative design layer. Do not "fix" or modernise
+// these: they are the reference the registry is pinned against.
 
 func legacyAttnPool(stack hbm.Stack, count int) *pim.Device {
 	d := pim.New(stack, count)
@@ -148,18 +147,14 @@ func TestRegistryBitIdenticalToLegacyConstructors(t *testing.T) {
 		if want := legacy(); !reflect.DeepEqual(built, want) {
 			t.Errorf("%s: registry build differs from the pre-refactor constructor\n built: %+v\nlegacy: %+v", name, built, want)
 		}
-		// The core facade must route through the same spec.
-		viaCore, err := core.ByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(viaCore, built) {
-			t.Errorf("%s: core.ByName diverged from the registry build", name)
+		// The must-build path the simulator uses must match too.
+		if !reflect.DeepEqual(design.MustBuild(spec), built) {
+			t.Errorf("%s: design.MustBuild diverged from the registry build", name)
 		}
 	}
 	// The alpha parameter must thread through unchanged.
-	if !reflect.DeepEqual(core.NewPAPI(64), legacyNewPAPI(64)) {
-		t.Error("core.NewPAPI(64) differs from the legacy constructor")
+	if !reflect.DeepEqual(design.MustBuild(design.PAPI(64)), legacyNewPAPI(64)) {
+		t.Error("design.PAPI(64) differs from the legacy constructor")
 	}
 }
 

@@ -86,6 +86,22 @@ func PIMOnlyPAPI() Spec {
 	}
 }
 
+// MustBuild assembles a spec the program writes itself — a registry entry or
+// a variant of one — whose failure to build is a programming error, not bad
+// input. A spec or α from a caller goes through Build, which reports it.
+func MustBuild(spec Spec) *System {
+	sys, err := spec.Build()
+	if err != nil {
+		panic(fmt.Sprintf("design: program-written spec failed to build: %v", err))
+	}
+	return sys
+}
+
+// Fig8Systems builds the four systems of Fig. 8, in presentation order.
+func Fig8Systems() []*System {
+	return []*System{MustBuild(A100AttAcc()), MustBuild(A100HBMPIM()), MustBuild(AttAccOnly()), MustBuild(PAPI(0))}
+}
+
 // Registry returns every named design spec, in presentation order. Each call
 // builds fresh values, so callers may not corrupt the registry.
 func Registry() []Spec {

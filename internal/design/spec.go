@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -235,8 +236,9 @@ const (
 // PolicySpec names the FC placement policy.
 type PolicySpec struct {
 	Kind string `json:"kind"`
-	// Alpha is the dynamic policy's memory-boundedness threshold; 0 selects
-	// the calibrated DefaultAlpha. Ignored by the static policies.
+	// Alpha is the dynamic policy's memory-boundedness threshold: 0 selects
+	// the calibrated DefaultAlpha, anything else must be finite and
+	// positive. Ignored by the static policies.
 	Alpha float64 `json:"alpha,omitempty"`
 }
 
@@ -245,8 +247,13 @@ func (p PolicySpec) build() (sched.Policy, error) {
 	switch p.Kind {
 	case PolicyDynamic:
 		alpha := p.Alpha
-		if alpha <= 0 {
+		if alpha == 0 {
 			alpha = DefaultAlpha
+		}
+		// NaN fails the comparison too.
+		if !(alpha > 0) || math.IsInf(alpha, 1) {
+			return nil, fmt.Errorf("dynamic policy α %v must be finite and positive (0 selects the default %d)",
+				p.Alpha, DefaultAlpha)
 		}
 		return sched.Dynamic{Alpha: alpha}, nil
 	case PolicyStaticPU:

@@ -2,6 +2,7 @@ package design
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -204,6 +205,10 @@ func TestSpecValidation(t *testing.T) {
 		{"negative host power", func(s *Spec) { s.HostPowerW = -1 }},
 		{"bad FC efficiency", func(s *Spec) { s.AttnPIM.FCComputeEff = 1.5 }},
 		{"dead link", func(s *Spec) { s.AttnLink = &LinkSpec{Name: "dead", GBps: 0, MaxDevices: 64} }},
+		{"negative alpha", func(s *Spec) { s.Policy.Alpha = -5 }},
+		{"NaN alpha", func(s *Spec) { s.Policy.Alpha = math.NaN() }},
+		{"infinite alpha", func(s *Spec) { s.Policy.Alpha = math.Inf(1) }},
+		{"negative infinite alpha", func(s *Spec) { s.Policy.Alpha = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		spec := PAPI(0)

@@ -14,9 +14,8 @@
 // (experiments.DSE) sweeps generated specs, and internal/cluster builds
 // heterogeneous fleets from per-replica specs.
 //
-// internal/core re-exports the System type and the legacy constructors as
-// thin wrappers over the registry specs, so the rest of the simulator is
-// untouched by the layering.
+// The rest of the simulator builds its systems here: MustBuild for the specs
+// the program writes itself, Spec.Build for every spec or α a caller supplies.
 package design
 
 import (

@@ -1,4 +1,4 @@
-package core
+package design
 
 import (
 	"testing"
@@ -8,8 +8,13 @@ import (
 	"github.com/papi-sim/papi/internal/units"
 )
 
+// evaluatedSystems builds the Fig. 8 systems plus the §7.4 PIM-only PAPI.
+func evaluatedSystems() []*System {
+	return append(Fig8Systems(), MustBuild(PIMOnlyPAPI()))
+}
+
 func TestAllDesignsValid(t *testing.T) {
-	for _, s := range append(Designs(), NewPIMOnlyPAPI()) {
+	for _, s := range evaluatedSystems() {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}
@@ -18,9 +23,14 @@ func TestAllDesignsValid(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"PAPI", "A100+AttAcc", "A100+HBM-PIM", "AttAcc-only", "PIM-only PAPI"} {
-		s, err := ByName(name)
+		spec, err := ByName(name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", name, err)
+			continue
+		}
+		s, err := spec.Build()
 		if err != nil || s.Name != name {
-			t.Errorf("ByName(%q) = %v, %v", name, s, err)
+			t.Errorf("ByName(%q).Build() = %v, %v", name, s, err)
 		}
 	}
 	if _, err := ByName("TPU-pod"); err == nil {
@@ -29,7 +39,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestDesignShapes(t *testing.T) {
-	papi := NewPAPI(0)
+	papi := MustBuild(PAPI(0))
 	if !papi.HasGPU() || papi.FCPIM == nil {
 		t.Fatal("PAPI needs both GPU and FC-PIM")
 	}
@@ -43,7 +53,7 @@ func TestDesignShapes(t *testing.T) {
 		t.Fatal("PAPI must use the dynamic policy")
 	}
 
-	aa := NewA100AttAcc()
+	aa := MustBuild(A100AttAcc())
 	if aa.FCPIM != nil {
 		t.Fatal("A100+AttAcc FC runs only on the GPU")
 	}
@@ -51,7 +61,7 @@ func TestDesignShapes(t *testing.T) {
 		t.Fatalf("AttAcc attention config = %s, want 1P1B", aa.AttnPIM.Stack.Config)
 	}
 
-	ao := NewAttAccOnly()
+	ao := MustBuild(AttAccOnly())
 	if ao.HasGPU() {
 		t.Fatal("AttAcc-only has no GPU")
 	}
@@ -63,7 +73,7 @@ func TestDesignShapes(t *testing.T) {
 func TestDeviceCounts(t *testing.T) {
 	// §7.1: "each of the computing systems has 90 HBM devices, 30 for
 	// storing the weight parameters of FC kernels and 60 for attention".
-	for _, s := range append(Designs(), NewPIMOnlyPAPI()) {
+	for _, s := range evaluatedSystems() {
 		if s.AttnPIM.Count != 60 {
 			t.Errorf("%s: %d attention devices, want 60", s.Name, s.AttnPIM.Count)
 		}
@@ -77,12 +87,12 @@ func TestGPT175BFitsEveryDesign(t *testing.T) {
 	// §7.1: GPT-3 175B needs 350 GB; PAPI's weight pool is 30 × 12 GB =
 	// 360 GB (the reason six 60 GB GPUs are needed).
 	cfg := model.GPT3_175B()
-	for _, s := range Designs() {
+	for _, s := range Fig8Systems() {
 		if err := s.FitsModel(cfg); err != nil {
 			t.Errorf("%v", err)
 		}
 	}
-	papi := NewPAPI(0)
+	papi := MustBuild(PAPI(0))
 	gib := float64(papi.WeightCapacity()) / units.GiB
 	if gib != 360 {
 		t.Errorf("PAPI weight capacity = %.0f GiB, want 360", gib)
@@ -90,32 +100,32 @@ func TestGPT175BFitsEveryDesign(t *testing.T) {
 }
 
 func TestValidateCatchesBrokenSystems(t *testing.T) {
-	s := NewPAPI(0)
+	s := MustBuild(PAPI(0))
 	s.GPU = nil
 	s.FCPIM = nil
 	if err := s.Validate(); err == nil {
 		t.Error("no FC engine should fail")
 	}
 
-	s = NewPAPI(0)
+	s = MustBuild(PAPI(0))
 	s.AttnPIM = nil
 	if err := s.Validate(); err == nil {
 		t.Error("no attention engine should fail")
 	}
 
-	s = NewPAPI(0)
+	s = MustBuild(PAPI(0))
 	s.Policy = nil
 	if err := s.Validate(); err == nil {
 		t.Error("no policy should fail")
 	}
 
-	s = NewPAPI(0)
+	s = MustBuild(PAPI(0))
 	s.PrefillOnGPU = false
 	if err := s.Validate(); err == nil {
 		t.Error("GPU present but prefill on PIM should fail")
 	}
 
-	s = NewPAPI(0)
+	s = MustBuild(PAPI(0))
 	s.AttnLink.MaxDevices = 10
 	if err := s.Validate(); err == nil {
 		t.Error("fabric too small for 60 devices should fail")
@@ -124,7 +134,7 @@ func TestValidateCatchesBrokenSystems(t *testing.T) {
 
 func TestMaxBatchForKV(t *testing.T) {
 	// §3.2(b)-style capacity limit: longer sequences allow fewer requests.
-	s := NewPAPI(0)
+	s := MustBuild(PAPI(0))
 	cfg := model.GPT3_175B()
 	short := s.MaxBatchForKV(cfg, 256)
 	long := s.MaxBatchForKV(cfg, 4096)
@@ -144,7 +154,7 @@ func TestMaxBatchForKV(t *testing.T) {
 func TestAttnFabricIsCXL(t *testing.T) {
 	// 60 disaggregated devices exceed PCIe's 32-device limit; §6.3 says CXL
 	// scales to 4096 — the builder must have picked it.
-	s := NewPAPI(0)
+	s := MustBuild(PAPI(0))
 	if s.AttnLink.Name != "CXL2" {
 		t.Fatalf("attention fabric = %s, want CXL2", s.AttnLink.Name)
 	}
@@ -153,7 +163,7 @@ func TestAttnFabricIsCXL(t *testing.T) {
 func TestDefaultAlphaNearCalibration(t *testing.T) {
 	// The constant must stay consistent with the offline calibration for the
 	// largest model (if hardware constants change, this catches drift).
-	papi := NewPAPI(0)
+	papi := MustBuild(PAPI(0))
 	got := sched.Calibrate(model.GPT3_175B(), papi.GPU, papi.FCPIM)
 	if got < DefaultAlpha/2 || got > DefaultAlpha*2 {
 		t.Fatalf("calibrated α = %v diverged from DefaultAlpha %v", got, DefaultAlpha)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/hbm"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/pim"
@@ -39,10 +39,10 @@ func AblationAlpha() AlphaSweepResult {
 	cfg := model.LLaMA65B()
 	reqs := workload.CreativeWriting().Generate(32, Seed)
 	var out AlphaSweepResult
-	out.Calibrated = core.DefaultAlpha
+	out.Calibrated = design.DefaultAlpha
 	best := 0.0
 	for _, alpha := range []float64{4, 8, 16, 24, 28, 32, 48, 64, 96, 128} {
-		eng, err := serving.New(core.NewPAPI(alpha), cfg, serving.DefaultOptions(1))
+		eng, err := serving.New(design.MustBuild(design.PAPI(alpha)), cfg, serving.DefaultOptions(1))
 		if err != nil {
 			panic(err)
 		}
@@ -94,16 +94,16 @@ func AblationHybridPIM() HybridPIMResult {
 	cfg := model.LLaMA65B()
 	ds := workload.CreativeWriting()
 
-	uniform := core.NewPIMOnlyPAPI()
+	uniform := design.MustBuild(design.PIMOnlyPAPI())
 	uniform.Name = "uniform-1P1B"
-	uniform.FCPIM = pim.New(hbm.AttAccStack(), core.WeightDevices)
-	uniform.AttnPIM = core.AttentionSpecializedPool(hbm.AttAccStack(), core.AttnDevices)
+	uniform.FCPIM = pim.New(hbm.AttAccStack(), design.WeightDevices)
+	uniform.AttnPIM = design.AttentionSpecializedPool(hbm.AttAccStack(), design.AttnDevices)
 
 	var out HybridPIMResult
 	var xs []float64
 	for _, c := range Fig8Grid() {
 		u := runOne(uniform, cfg, ds, c)
-		h := runOne(core.NewPIMOnlyPAPI(), cfg, ds, c)
+		h := runOne(design.MustBuild(design.PIMOnlyPAPI()), cfg, ds, c)
 		s := units.Ratio(u.DecodeTime, h.DecodeTime)
 		out.Rows = append(out.Rows, struct {
 			Config
@@ -140,14 +140,14 @@ type DynamicVsStaticResult struct {
 
 // AblationDynamicVsStatic runs the three policies on the stock PAPI design.
 func AblationDynamicVsStatic() (DynamicVsStaticResult, error) {
-	return ablationDynamicVsStatic(func() *core.System { return core.NewPAPI(0) })
+	return ablationDynamicVsStatic(func() *design.System { return design.MustBuild(design.PAPI(0)) })
 }
 
 // ablationDynamicVsStatic runs the three policies on fresh systems from
 // newSys. An engine that fails to build or run under any policy fails the
 // whole ablation — a partial table would silently compare policies across
 // different hardware.
-func ablationDynamicVsStatic(newSys func() *core.System) (DynamicVsStaticResult, error) {
+func ablationDynamicVsStatic(newSys func() *design.System) (DynamicVsStaticResult, error) {
 	cfg := model.LLaMA65B()
 	reqs := workload.CreativeWriting().Generate(48, Seed)
 	run := func(p sched.Policy) (float64, int, error) {
@@ -165,7 +165,7 @@ func ablationDynamicVsStatic(newSys func() *core.System) (DynamicVsStaticResult,
 	}
 	var out DynamicVsStaticResult
 	var err error
-	if out.DynamicMS, out.Reschedules, err = run(sched.Dynamic{Alpha: core.DefaultAlpha}); err != nil {
+	if out.DynamicMS, out.Reschedules, err = run(sched.Dynamic{Alpha: design.DefaultAlpha}); err != nil {
 		return DynamicVsStaticResult{}, err
 	}
 	if out.StaticPUMS, _, err = run(sched.AlwaysPU()); err != nil {
@@ -204,7 +204,7 @@ func AblationBatching() BatchingResult {
 	cfg := model.LLaMA65B()
 	reqs := workload.GeneralQA().Poisson(48, 8, Seed)
 
-	cont, err := serving.New(core.NewPAPI(0), cfg, serving.DefaultOptions(1))
+	cont, err := serving.New(design.MustBuild(design.PAPI(0)), cfg, serving.DefaultOptions(1))
 	if err != nil {
 		panic(err)
 	}
@@ -215,7 +215,7 @@ func AblationBatching() BatchingResult {
 
 	// Static: batches of 16 started only when full — the makespan includes
 	// waiting for each batch's last arrival.
-	stat, err := serving.New(core.NewPAPI(0), cfg, serving.DefaultOptions(1))
+	stat, err := serving.New(design.MustBuild(design.PAPI(0)), cfg, serving.DefaultOptions(1))
 	if err != nil {
 		panic(err)
 	}
@@ -271,7 +271,7 @@ func AblationSchedulingCost() SchedulingCostResult {
 	cfg := model.LLaMA65B()
 	reqs := workload.CreativeWriting().Generate(16, Seed)
 	run := func(cost units.Seconds) float64 {
-		sys := core.NewPAPI(0)
+		sys := design.MustBuild(design.PAPI(0))
 		if cost > 0 {
 			sys.Policy = sched.Costed{Policy: sys.Policy, Cost: cost}
 		}

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"github.com/papi-sim/papi/internal/cluster"
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/stats"
@@ -17,16 +17,16 @@ import (
 // factory (each replica owns its instance).
 type CapacitySystem struct {
 	Name string
-	New  func() *core.System
+	New  func() *design.System
 }
 
 // CapacitySystems returns the capacity-sweep comparison set: PAPI against
 // the strongest heterogeneous baseline and the GPU-less PAPI variant.
 func CapacitySystems() []CapacitySystem {
 	return []CapacitySystem{
-		{Name: "PAPI", New: func() *core.System { return core.NewPAPI(0) }},
-		{Name: "A100+AttAcc", New: core.NewA100AttAcc},
-		{Name: "PIM-only PAPI", New: core.NewPIMOnlyPAPI},
+		{Name: "PAPI", New: func() *design.System { return design.MustBuild(design.PAPI(0)) }},
+		{Name: "A100+AttAcc", New: func() *design.System { return design.MustBuild(design.A100AttAcc()) }},
+		{Name: "PIM-only PAPI", New: func() *design.System { return design.MustBuild(design.PIMOnlyPAPI()) }},
 	}
 }
 

@@ -15,7 +15,7 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/workload"
@@ -46,7 +46,7 @@ func Fig8Grid() []Config {
 
 // runOne executes one batch on one design and fails loudly on configuration
 // errors (the sweeps only use known-good configurations).
-func runOne(sys *core.System, cfg model.Config, ds workload.Dataset, c Config) serving.Result {
+func runOne(sys *design.System, cfg model.Config, ds workload.Dataset, c Config) serving.Result {
 	reqs := ds.Generate(c.Batch, Seed)
 	eng, err := serving.New(sys, cfg, serving.DefaultOptions(c.Spec))
 	if err != nil {

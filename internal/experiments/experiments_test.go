@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/hbm"
 	"github.com/papi-sim/papi/internal/kernels"
 	"github.com/papi-sim/papi/internal/pim"
@@ -194,8 +194,8 @@ func TestAblationDynamicVsStaticPropagatesErrors(t *testing.T) {
 	// A weight pool far too small for LLaMA-65B: serving.New must reject the
 	// design, and the ablation must surface that error instead of panicking
 	// or returning a partial comparison table.
-	_, err := ablationDynamicVsStatic(func() *core.System {
-		sys := core.NewPAPI(0)
+	_, err := ablationDynamicVsStatic(func() *design.System {
+		sys := design.MustBuild(design.PAPI(0))
 		sys.FCPIM = pim.New(hbm.AttAccStack(), 1)
 		return sys
 	})

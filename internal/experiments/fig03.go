@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -25,7 +25,7 @@ type Fig3Result struct {
 // iteration counts. The RLP dynamics are hardware-independent; the
 // A100+AttAcc baseline is used as the vehicle.
 func Fig3(batch int) Fig3Result {
-	res := runOne(core.NewA100AttAcc(), model.LLaMA65B(), workload.CreativeWriting(),
+	res := runOne(design.MustBuild(design.A100AttAcc()), model.LLaMA65B(), workload.CreativeWriting(),
 		Config{Batch: batch, Spec: 1})
 	iters := append([]int(nil), res.PerRequestIterations...)
 	sort.Sort(sort.Reverse(sort.IntSlice(iters)))

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/gpu"
 	"github.com/papi-sim/papi/internal/hbm"
 	"github.com/papi-sim/papi/internal/model"
@@ -35,8 +35,8 @@ type Fig4Result struct {
 func Fig4() Fig4Result {
 	cfg := model.GPT3_66B()
 	node := gpu.DefaultNode()
-	hbmpim := core.AttentionSpecializedPool(hbm.HBMPIMStack(), core.WeightDevices)
-	attacc := core.AttentionSpecializedPool(hbm.AttAccStack(), core.WeightDevices)
+	hbmpim := design.AttentionSpecializedPool(hbm.HBMPIMStack(), design.WeightDevices)
+	attacc := design.AttentionSpecializedPool(hbm.AttAccStack(), design.WeightDevices)
 
 	fc := func(d *pim.Device, p int) units.Seconds {
 		k := cfg.FCIterationKernel(p)

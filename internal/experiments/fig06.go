@@ -5,7 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/stats"
 )
@@ -42,8 +42,8 @@ func Fig6() Fig6Result {
 			measured := model.ExactFCAI(rlp*tlp, cfg.Hidden)
 			estimated := model.EstimatedAI(rlp, tlp)
 			rel := math.Abs(estimated-measured) / measured
-			flip := (measured >= core.DefaultAlpha) != (estimated >= core.DefaultAlpha) &&
-				math.Abs(measured-core.DefaultAlpha)/core.DefaultAlpha > 0.05
+			flip := (measured >= design.DefaultAlpha) != (estimated >= design.DefaultAlpha) &&
+				math.Abs(measured-design.DefaultAlpha)/design.DefaultAlpha > 0.05
 			out.Rows = append(out.Rows, Fig6Row{
 				RLP: rlp, TLP: tlp,
 				Measured: measured, Estimated: estimated,

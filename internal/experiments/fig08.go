@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/stats"
 	"github.com/papi-sim/papi/internal/workload"
@@ -37,18 +37,15 @@ type Fig8Result struct {
 	PAPIEnergyVsBase float64
 }
 
-// fig8Designs are the four evaluated systems, freshly built per call.
-func fig8Designs() []*core.System { return core.Designs() }
-
 // Fig8 runs the full grid: three models × the batch/spec grid × four designs.
 func Fig8() Fig8Result {
 	return fig8Like(workload.CreativeWriting(),
 		[]model.Config{model.LLaMA65B(), model.GPT3_66B(), model.GPT3_175B()},
-		fig8Designs())
+		design.Fig8Systems())
 }
 
 // fig8Like is shared by Fig8 and Fig9.
-func fig8Like(ds workload.Dataset, cfgs []model.Config, designs []*core.System) Fig8Result {
+func fig8Like(ds workload.Dataset, cfgs []model.Config, designs []*design.System) Fig8Result {
 	out := Fig8Result{
 		Dataset:       ds.Name,
 		GeoSpeedup:    map[string]float64{},

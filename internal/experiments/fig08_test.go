@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -69,7 +69,7 @@ func TestFig9Headlines(t *testing.T) {
 	// stay within a common band of each other.
 	cw := fig8Like(workload.CreativeWriting(),
 		[]model.Config{model.GPT3_175B()},
-		[]*core.System{core.NewA100AttAcc(), core.NewAttAccOnly(), core.NewPAPI(0)})
+		[]*design.System{design.MustBuild(design.A100AttAcc()), design.MustBuild(design.AttAccOnly()), design.MustBuild(design.PAPI(0))})
 	if ratio := r.PAPIvsA100AttAcc / cw.PAPIvsA100AttAcc; ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("general-qa speedup (%.2f) diverged from creative-writing (%.2f) beyond ±25%%",
 			r.PAPIvsA100AttAcc, cw.PAPIvsA100AttAcc)

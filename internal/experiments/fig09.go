@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -14,5 +14,5 @@ import (
 func Fig9() Fig8Result {
 	return fig8Like(workload.GeneralQA(),
 		[]model.Config{model.GPT3_175B()},
-		[]*core.System{core.NewA100AttAcc(), core.NewAttAccOnly(), core.NewPAPI(0)})
+		[]*design.System{design.MustBuild(design.A100AttAcc()), design.MustBuild(design.AttAccOnly()), design.MustBuild(design.PAPI(0))})
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/stats"
 	"github.com/papi-sim/papi/internal/units"
@@ -36,9 +36,9 @@ func Fig10() Fig10Result {
 	cfg := model.LLaMA65B()
 	ds := workload.CreativeWriting()
 	row := func(c Config) Fig10Row {
-		base := runOne(core.NewA100AttAcc(), cfg, ds, c)
-		ao := runOne(core.NewAttAccOnly(), cfg, ds, c)
-		papi := runOne(core.NewPAPI(0), cfg, ds, c)
+		base := runOne(design.MustBuild(design.A100AttAcc()), cfg, ds, c)
+		ao := runOne(design.MustBuild(design.AttAccOnly()), cfg, ds, c)
+		papi := runOne(design.MustBuild(design.PAPI(0)), cfg, ds, c)
 		return Fig10Row{
 			Config:     c,
 			AttAccOnly: units.Ratio(base.TotalTime(), ao.TotalTime()),

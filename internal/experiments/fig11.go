@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/stats"
 	"github.com/papi-sim/papi/internal/units"
@@ -37,8 +37,8 @@ func Fig11() Fig11Result {
 	var out Fig11Result
 	var xs []float64
 	for _, c := range Fig8Grid() {
-		ao := runOne(core.NewAttAccOnly(), cfg, ds, c)
-		pp := runOne(core.NewPIMOnlyPAPI(), cfg, ds, c)
+		ao := runOne(design.MustBuild(design.AttAccOnly()), cfg, ds, c)
+		pp := runOne(design.MustBuild(design.PIMOnlyPAPI()), cfg, ds, c)
 		s := units.Ratio(ao.DecodeTime, pp.DecodeTime)
 		out.Rows = append(out.Rows, Fig11Row{Config: c, Speedup: s})
 		xs = append(xs, s)

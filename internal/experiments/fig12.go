@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/stats"
 	"github.com/papi-sim/papi/internal/workload"
@@ -41,7 +41,7 @@ func Fig12() Fig12Result {
 	ds := workload.CreativeWriting()
 	c := Config{Batch: 4, Spec: 4}
 
-	bar := func(sys *core.System) Fig12Bar {
+	bar := func(sys *design.System) Fig12Bar {
 		r := runOne(sys, cfg, ds, c)
 		tok := float64(r.Tokens)
 		total := r.DecodeTime.Seconds()
@@ -55,8 +55,8 @@ func Fig12() Fig12Result {
 			CommShare:   r.Breakdown.Communication.Seconds() / total,
 		}
 	}
-	ao := bar(core.NewAttAccOnly())
-	pp := bar(core.NewPIMOnlyPAPI())
+	ao := bar(design.MustBuild(design.AttAccOnly()))
+	pp := bar(design.MustBuild(design.PIMOnlyPAPI()))
 	return Fig12Result{
 		Bars:              []Fig12Bar{ao, pp},
 		FCSpeedup:         ao.FCMS / pp.FCMS,

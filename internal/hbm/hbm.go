@@ -200,7 +200,7 @@ func (s Stack) DieArea() float64 {
 
 // Validate checks the stack against the physical constraints. It reports an
 // error naming the violated constraint, used by failure-injection tests and
-// by the design solver in internal/core.
+// by the design layer in internal/design.
 func (s Stack) Validate() error {
 	if s.BanksPerDie <= 0 {
 		return fmt.Errorf("hbm: %s stack has no banks", s.Config)

@@ -4,14 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
 
 func TestContinuousCompletesAll(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := workload.GeneralQA().Poisson(24, 50, 3)
 	res, err := e.RunContinuous(reqs, 8)
 	if err != nil {
@@ -30,7 +29,7 @@ func TestContinuousCompletesAll(t *testing.T) {
 }
 
 func TestContinuousRespectsMaxBatch(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := workload.GeneralQA().Generate(32, 5) // all arrive at t=0
 	res, err := e.RunContinuous(reqs, 4)
 	if err != nil {
@@ -45,7 +44,7 @@ func TestContinuousRespectsMaxBatch(t *testing.T) {
 
 func TestContinuousRLPGrowsAndShrinks(t *testing.T) {
 	// The §3.2 dynamics: admissions raise runtime RLP, completions lower it.
-	e := mustEngine(t, core.NewPAPI(0), model.GPT3_66B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.GPT3_66B(), DefaultOptions(1))
 	reqs := workload.GeneralQA().Poisson(30, 20, 7)
 	res, err := e.RunContinuous(reqs, 16)
 	if err != nil {
@@ -67,7 +66,7 @@ func TestContinuousRLPGrowsAndShrinks(t *testing.T) {
 
 func TestContinuousIdleTime(t *testing.T) {
 	// Requests far apart in time leave the system idle between them.
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := []workload.Request{
 		{ID: 0, InputLen: 32, OutputLen: 4, Arrival: 0},
 		{ID: 1, InputLen: 32, OutputLen: 4, Arrival: units.Seconds(100)},
@@ -85,7 +84,7 @@ func TestContinuousIdleTime(t *testing.T) {
 }
 
 func TestContinuousValidation(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	if _, err := e.RunContinuous(nil, 4); err == nil {
 		t.Fatal("empty stream should fail")
 	}
@@ -97,7 +96,7 @@ func TestContinuousValidation(t *testing.T) {
 func TestContinuousOversizedRequestErrors(t *testing.T) {
 	// A single request whose KV exceeds the whole pool can never be admitted;
 	// the engine must fail loudly instead of spinning.
-	e := mustEngine(t, core.NewPAPI(0), model.GPT3_175B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.GPT3_175B(), DefaultOptions(1))
 	huge := []workload.Request{{ID: 0, InputLen: 200000, OutputLen: 200000}}
 	_, err := e.RunContinuous(huge, 4)
 	if err == nil || !strings.Contains(err.Error(), "KV footprint") {
@@ -110,8 +109,8 @@ func TestContinuousVsStaticThroughput(t *testing.T) {
 	// ready batch its behaviour degrades to static batching.
 	cfg := model.LLaMA65B()
 	reqs := workload.GeneralQA().Generate(8, 11)
-	cont := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(1))
-	stat := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(1))
+	cont := mustEngine(t, newPAPI(), cfg, DefaultOptions(1))
+	stat := mustEngine(t, newPAPI(), cfg, DefaultOptions(1))
 	rc, err := cont.RunContinuous(reqs, 8)
 	if err != nil {
 		t.Fatal(err)

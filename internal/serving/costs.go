@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/pim"
 	"github.com/papi-sim/papi/internal/units"
@@ -145,7 +145,7 @@ func (t *CostTable) bind(key string) error {
 // sweeps build engines by the dozen.
 //
 //papivet:allow unitsafety — the fingerprint serializes raw base-unit coefficients for cache identity; strconv.AppendFloat needs the bare float64s
-func costFingerprint(sys *core.System, cfg, draft model.Config) string {
+func costFingerprint(sys *design.System, cfg, draft model.Config) string {
 	b := make([]byte, 0, 256)
 	num := func(f float64) {
 		b = strconv.AppendFloat(b, f, 'g', -1, 64)

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/workload"
@@ -29,7 +28,7 @@ func driveToDrain(t *testing.T, s *Stepper) Result {
 func TestPerturbationInertIsNoOp(t *testing.T) {
 	reqs := workload.GeneralQA().Poisson(12, 30, 5)
 	run := func(p Perturbation, set bool) Result {
-		e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+		e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 		st, err := e.NewStreamStepper(reqs, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +54,7 @@ func TestPerturbationFastMatchesReference(t *testing.T) {
 	run := func(mode FastPathMode, p Perturbation) Result {
 		opt := DefaultOptions(1)
 		opt.FastPath = mode
-		e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), opt)
+		e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
 		st, err := e.NewStreamStepper(reqs, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +85,7 @@ func TestPerturbationFastMatchesReference(t *testing.T) {
 func TestFailSurrendersOutstanding(t *testing.T) {
 	opt := DefaultOptions(1)
 	opt.KV = &kv.Options{BlockTokens: 32, Sharing: true}
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), opt)
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
 	reqs := workload.GeneralQA().Poisson(12, 20, 7)
 	st, err := e.NewStreamStepper(reqs, 4)
 	if err != nil {
@@ -146,7 +145,7 @@ func TestCancelPendingAndActive(t *testing.T) {
 	// (not macro-stepped to completion) at the cancel instants.
 	opt := DefaultOptions(1)
 	opt.FastPath = FastPathOff
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), opt)
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
 	st, err := e.NewStreamStepper(nil, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestCancelPendingAndActive(t *testing.T) {
 func TestFinalizeDedupesRetriedID(t *testing.T) {
 	opt := DefaultOptions(1)
 	opt.FastPath = FastPathOff
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), opt)
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
 	st, err := e.NewStreamStepper(nil, 2)
 	if err != nil {
 		t.Fatal(err)

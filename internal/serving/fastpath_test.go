@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
@@ -18,17 +18,17 @@ import (
 
 // fastpathSystems returns every evaluated design (Fig. 8's four plus the
 // §7.4 PIM-only PAPI variant).
-func fastpathSystems() map[string]func() *core.System {
-	return map[string]func() *core.System{
-		"PAPI":          func() *core.System { return core.NewPAPI(0) },
-		"A100+AttAcc":   core.NewA100AttAcc,
-		"A100+HBM-PIM":  core.NewA100HBMPIM,
-		"AttAcc-only":   core.NewAttAccOnly,
-		"PIM-only PAPI": core.NewPIMOnlyPAPI,
+func fastpathSystems() map[string]func() *design.System {
+	return map[string]func() *design.System{
+		"PAPI":          newPAPI,
+		"A100+AttAcc":   newA100AttAcc,
+		"A100+HBM-PIM":  newA100HBMPIM,
+		"AttAcc-only":   newAttAccOnly,
+		"PIM-only PAPI": newPIMOnlyPAPI,
 	}
 }
 
-func runBoth(t *testing.T, newSys func() *core.System, tlp int,
+func runBoth(t *testing.T, newSys func() *design.System, tlp int,
 	drive func(e *Engine) (Result, error)) (fast, ref Result) {
 	t.Helper()
 	for _, mode := range []FastPathMode{FastPathOn, FastPathOff} {
@@ -120,7 +120,7 @@ func TestFastPathEquivalenceTiered(t *testing.T) {
 		for _, mode := range []FastPathMode{FastPathOn, FastPathOff} {
 			opt := DefaultOptions(tlp)
 			opt.FastPath = mode
-			eng, err := New(core.NewPAPI(0), model.GPT3_175B(), opt)
+			eng, err := New(newPAPI(), model.GPT3_175B(), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func FuzzMacroEquivalence(f *testing.F) {
 			opt := DefaultOptions(tlp)
 			opt.Seed = seed
 			opt.FastPath = mode
-			eng, err := New(core.NewPAPI(0), model.OPT30B(), opt)
+			eng, err := New(newPAPI(), model.OPT30B(), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func TestFastPathEquivalenceSharedTable(t *testing.T) {
 		opt := DefaultOptions(1)
 		opt.FastPath = FastPathOn
 		opt.Costs = table
-		eng, err := New(core.NewPAPI(0), model.OPT30B(), opt)
+		eng, err := New(newPAPI(), model.OPT30B(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,13 +249,13 @@ func TestCostTableRejectsRebinding(t *testing.T) {
 	table := NewCostTable()
 	opt := DefaultOptions(1)
 	opt.Costs = table
-	if _, err := New(core.NewPAPI(0), model.OPT30B(), opt); err != nil {
+	if _, err := New(newPAPI(), model.OPT30B(), opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(core.NewA100AttAcc(), model.OPT30B(), opt); err == nil {
+	if _, err := New(newA100AttAcc(), model.OPT30B(), opt); err == nil {
 		t.Fatal("cost table accepted a second system design")
 	}
-	if _, err := New(core.NewPAPI(0), model.LLaMA65B(), opt); err == nil {
+	if _, err := New(newPAPI(), model.LLaMA65B(), opt); err == nil {
 		t.Fatal("cost table accepted a second model")
 	}
 }
@@ -269,7 +269,7 @@ func TestStepAllocations(t *testing.T) {
 	measure := func(mode FastPathMode) float64 {
 		opt := DefaultOptions(1)
 		opt.FastPath = mode
-		eng, err := New(core.NewPAPI(0), model.OPT30B(), opt)
+		eng, err := New(newPAPI(), model.OPT30B(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestStepAllocations(t *testing.T) {
 // the outstanding requests as the batch admits, decodes and drains.
 func TestKVDemandIncremental(t *testing.T) {
 	opt := DefaultOptions(1)
-	eng, err := New(core.NewPAPI(0), model.OPT30B(), opt)
+	eng, err := New(newPAPI(), model.OPT30B(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

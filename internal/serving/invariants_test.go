@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
@@ -41,11 +41,11 @@ type invariantCase struct {
 	seed      int64
 }
 
-func invariantSystems() []func() *core.System {
-	return []func() *core.System{
-		func() *core.System { return core.NewPAPI(0) },
-		core.NewA100AttAcc,
-		core.NewPIMOnlyPAPI,
+func invariantSystems() []func() *design.System {
+	return []func() *design.System{
+		newPAPI,
+		newA100AttAcc,
+		newPIMOnlyPAPI,
 	}
 }
 
@@ -271,7 +271,7 @@ func TestStepperInvariantsUnderPreemption(t *testing.T) {
 	run := func(mode FastPathMode) Result {
 		opt := DefaultOptions(1)
 		opt.FastPath = mode
-		eng, err := New(core.NewPAPI(0), model.GPT3_175B(), opt)
+		eng, err := New(newPAPI(), model.GPT3_175B(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
@@ -34,7 +34,7 @@ func kvWorkload(n int, rate float64, seed int64) []workload.Request {
 }
 
 // runKV drives one full run with the given KV options (nil = no store).
-func runKV(t *testing.T, newSys func() *core.System, tlp int, mode FastPathMode,
+func runKV(t *testing.T, newSys func() *design.System, tlp int, mode FastPathMode,
 	kvo *kv.Options, static bool, reqs []workload.Request) Result {
 	t.Helper()
 	opt := DefaultOptions(tlp)
@@ -96,7 +96,7 @@ func TestKVOptionsValidatedWithoutSharing(t *testing.T) {
 	} {
 		opt := DefaultOptions(1)
 		opt.KV = &kvo
-		eng, err := New(core.NewPAPI(0), model.OPT30B(), opt)
+		eng, err := New(newPAPI(), model.OPT30B(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,9 +116,9 @@ func TestKVSharingFastPathEquivalence(t *testing.T) {
 	static := kvWorkload(10, 0, 3)
 	stream := kvWorkload(14, 30, 5)
 	share := &kv.Options{BlockTokens: 32, Sharing: true}
-	for _, newSys := range []func() *core.System{
-		func() *core.System { return core.NewPAPI(0) },
-		core.NewA100AttAcc,
+	for _, newSys := range []func() *design.System{
+		newPAPI,
+		newA100AttAcc,
 	} {
 		for _, tlp := range []int{1, 4} {
 			for _, isStatic := range []bool{true, false} {
@@ -144,7 +144,7 @@ func TestKVSharingFastPathEquivalence(t *testing.T) {
 // sharing off.
 func TestKVSharingReducesPrefill(t *testing.T) {
 	reqs := kvWorkload(24, 30, 13)
-	sys := func() *core.System { return core.NewPAPI(0) }
+	sys := newPAPI
 	off := runKV(t, sys, 1, FastPathOn, &kv.Options{BlockTokens: 32, Sharing: false}, false, reqs)
 	on := runKV(t, sys, 1, FastPathOn, &kv.Options{BlockTokens: 32, Sharing: true}, false, reqs)
 
@@ -181,7 +181,7 @@ func TestKVConversationResume(t *testing.T) {
 
 	opt := DefaultOptions(1)
 	opt.KV = &kv.Options{BlockTokens: 16, Sharing: true}
-	eng, err := New(core.NewPAPI(0), model.OPT30B(), opt)
+	eng, err := New(newPAPI(), model.OPT30B(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestKVParkResume(t *testing.T) {
 	run := func(kvo *kv.Options) Result {
 		opt := DefaultOptions(1)
 		opt.KV = kvo
-		eng, err := New(core.NewPAPI(0), model.GPT3_175B(), opt)
+		eng, err := New(newPAPI(), model.GPT3_175B(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestKVStepperInvariants(t *testing.T) {
 			opt := DefaultOptions(1)
 			opt.FastPath = mode
 			opt.KV = &kv.Options{BlockTokens: 32, Sharing: true, ColdFactor: 2}
-			eng, err := New(core.NewPAPI(0), sc.model, opt)
+			eng, err := New(newPAPI(), sc.model, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +330,7 @@ func TestKVStepperInvariants(t *testing.T) {
 func TestKVDemandDiscount(t *testing.T) {
 	opt := DefaultOptions(1)
 	opt.KV = &kv.Options{BlockTokens: 16, Sharing: true}
-	eng, err := New(core.NewPAPI(0), model.OPT30B(), opt)
+	eng, err := New(newPAPI(), model.OPT30B(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestKVDemandDiscount(t *testing.T) {
 	// Without sharing there is no discount: the same push counts in full.
 	optOff := DefaultOptions(1)
 	optOff.KV = &kv.Options{BlockTokens: 16, Sharing: false}
-	engOff, err := New(core.NewPAPI(0), model.OPT30B(), optOff)
+	engOff, err := New(newPAPI(), model.OPT30B(), optOff)
 	if err != nil {
 		t.Fatal(err)
 	}

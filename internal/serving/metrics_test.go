@@ -3,14 +3,13 @@ package serving
 import (
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
 
 func TestBatchRequestMetrics(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := fixedBatch(4, 64, 32)
 	res, err := e.RunBatch(reqs)
 	if err != nil {
@@ -48,7 +47,7 @@ func TestBatchRequestMetrics(t *testing.T) {
 func TestBatchTPOTMatchesIterationTime(t *testing.T) {
 	// With TLP=1 each live request gets one token per iteration, so TPOT ≈
 	// average iteration time while the batch is full.
-	e := mustEngine(t, core.NewA100AttAcc(), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newA100AttAcc(), model.LLaMA65B(), DefaultOptions(1))
 	res, err := e.RunBatch(fixedBatch(4, 64, 32))
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +60,7 @@ func TestBatchTPOTMatchesIterationTime(t *testing.T) {
 }
 
 func TestContinuousMetricsRelativeToArrival(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := []workload.Request{
 		{ID: 0, InputLen: 32, OutputLen: 8, Arrival: 0},
 		{ID: 1, InputLen: 32, OutputLen: 8, Arrival: units.Seconds(5)},
@@ -115,7 +114,7 @@ func TestSLOAttainmentSingleToken(t *testing.T) {
 func TestSingleTokenTPOT(t *testing.T) {
 	// A one-token request has no inter-token gap; its TPOT is 0 by
 	// definition and its SLO experience is judged by completion time.
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	res, err := e.RunBatch([]workload.Request{{ID: 0, InputLen: 16, OutputLen: 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/energy"
 	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
@@ -184,7 +184,7 @@ func (r Result) TimePerToken() units.Seconds {
 
 // Engine runs batches on one system/model pair.
 type Engine struct {
-	Sys *core.System
+	Sys *design.System
 	Cfg model.Config
 	Opt Options
 
@@ -224,7 +224,7 @@ type Engine struct {
 const traceCap = 4096
 
 // New validates and builds an engine.
-func New(sys *core.System, cfg model.Config, opt Options) (*Engine, error) {
+func New(sys *design.System, cfg model.Config, opt Options) (*Engine, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/energy"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/sched"
@@ -22,7 +22,14 @@ func fixedBatch(b, in, out int) []workload.Request {
 	return reqs
 }
 
-func mustEngine(t *testing.T, sys *core.System, cfg model.Config, opt Options) *Engine {
+// Fresh registry systems: each engine owns its instance.
+func newPAPI() *design.System        { return design.MustBuild(design.PAPI(0)) }
+func newA100AttAcc() *design.System  { return design.MustBuild(design.A100AttAcc()) }
+func newA100HBMPIM() *design.System  { return design.MustBuild(design.A100HBMPIM()) }
+func newAttAccOnly() *design.System  { return design.MustBuild(design.AttAccOnly()) }
+func newPIMOnlyPAPI() *design.System { return design.MustBuild(design.PIMOnlyPAPI()) }
+
+func mustEngine(t *testing.T, sys *design.System, cfg model.Config, opt Options) *Engine {
 	t.Helper()
 	e, err := New(sys, cfg, opt)
 	if err != nil {
@@ -32,16 +39,16 @@ func mustEngine(t *testing.T, sys *core.System, cfg model.Config, opt Options) *
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(core.NewPAPI(0), model.LLaMA65B(), Options{TLP: 0}); err == nil {
+	if _, err := New(newPAPI(), model.LLaMA65B(), Options{TLP: 0}); err == nil {
 		t.Error("TLP 0 should fail")
 	}
-	if _, err := New(core.NewPAPI(0), model.LLaMA65B(), Options{TLP: 1, AcceptanceRate: 1.5}); err == nil {
+	if _, err := New(newPAPI(), model.LLaMA65B(), Options{TLP: 1, AcceptanceRate: 1.5}); err == nil {
 		t.Error("acceptance > 1 should fail")
 	}
-	if _, err := New(core.NewPAPI(0), model.LLaMA65B(), Options{TLP: 1, DraftOverlap: 2}); err == nil {
+	if _, err := New(newPAPI(), model.LLaMA65B(), Options{TLP: 1, DraftOverlap: 2}); err == nil {
 		t.Error("overlap > 1 should fail")
 	}
-	bad := core.NewPAPI(0)
+	bad := newPAPI()
 	bad.Policy = nil
 	if _, err := New(bad, model.LLaMA65B(), DefaultOptions(1)); err == nil {
 		t.Error("invalid system should fail")
@@ -49,7 +56,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRunBatchBasics(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	res, err := e.RunBatch(fixedBatch(4, 64, 32))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +82,7 @@ func TestRunBatchBasics(t *testing.T) {
 }
 
 func TestEmptyBatchRejected(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	if _, err := e.RunBatch(nil); err == nil {
 		t.Fatal("empty batch should fail")
 	}
@@ -85,7 +92,7 @@ func TestEmptyBatchRejected(t *testing.T) {
 }
 
 func TestKVCapacityEnforced(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.GPT3_175B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.GPT3_175B(), DefaultOptions(1))
 	// 960 GiB pool / 9.66 GB per 2048-token request ⇒ a 256-deep batch of
 	// 2048+2048 requests cannot fit.
 	_, err := e.RunBatch(fixedBatch(256, 2048, 2048))
@@ -97,7 +104,7 @@ func TestKVCapacityEnforced(t *testing.T) {
 func TestRLPDecaysWithVariedOutputs(t *testing.T) {
 	// Fig. 3: requests with different output lengths finish at different
 	// iterations, so RLP decays monotonically under static batching.
-	e := mustEngine(t, core.NewA100AttAcc(), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newA100AttAcc(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := workload.CreativeWriting().Generate(16, 9)
 	res, err := e.RunBatch(reqs)
 	if err != nil {
@@ -131,7 +138,7 @@ func TestRLPDecaysWithVariedOutputs(t *testing.T) {
 }
 
 func TestSpeculationReducesIterations(t *testing.T) {
-	sys := core.NewA100AttAcc()
+	sys := newA100AttAcc()
 	out := 128
 	plain := mustEngine(t, sys, model.GPT3_66B(), DefaultOptions(1))
 	spec := mustEngine(t, sys, model.GPT3_66B(), DefaultOptions(4))
@@ -155,7 +162,7 @@ func TestSpeculationReducesIterations(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Result {
-		e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(4))
+		e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(4))
 		res, err := e.RunBatch(fixedBatch(8, 64, 64))
 		if err != nil {
 			t.Fatal(err)
@@ -172,7 +179,7 @@ func TestPAPIReschedulesOnRLPDecay(t *testing.T) {
 	// Start above α (batch 32 ⇒ AI estimate 32 > 24): FC on the PUs. As
 	// requests finish, RLP falls below α and PAPI reschedules FC to FC-PIM —
 	// the Fig. 5(d) behaviour.
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := workload.CreativeWriting().Generate(32, 4)
 	res, err := e.RunBatch(reqs)
 	if err != nil {
@@ -195,7 +202,7 @@ func TestPAPIReschedulesOnRLPDecay(t *testing.T) {
 }
 
 func TestStaticBaselinesNeverReschedule(t *testing.T) {
-	for _, sys := range []*core.System{core.NewA100AttAcc(), core.NewAttAccOnly()} {
+	for _, sys := range []*design.System{newA100AttAcc(), newAttAccOnly()} {
 		e := mustEngine(t, sys, model.LLaMA65B(), DefaultOptions(1))
 		res, err := e.RunBatch(workload.CreativeWriting().Generate(32, 4))
 		if err != nil {
@@ -212,8 +219,8 @@ func TestPAPIBeatsBaselineAtLowParallelism(t *testing.T) {
 	// clearly beat A100+AttAcc, which streams all weights through the GPU.
 	cfg := model.LLaMA65B()
 	reqs := fixedBatch(4, 64, 32)
-	papi := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(1))
-	base := mustEngine(t, core.NewA100AttAcc(), cfg, DefaultOptions(1))
+	papi := mustEngine(t, newPAPI(), cfg, DefaultOptions(1))
+	base := mustEngine(t, newA100AttAcc(), cfg, DefaultOptions(1))
 	rp, err := papi.RunBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +240,8 @@ func TestPAPIConvergesToBaselineAtHighParallelism(t *testing.T) {
 	// A100+AttAcc (modulo the attention-device difference).
 	cfg := model.LLaMA65B()
 	reqs := fixedBatch(64, 64, 32)
-	papi := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(4))
-	base := mustEngine(t, core.NewA100AttAcc(), cfg, DefaultOptions(4))
+	papi := mustEngine(t, newPAPI(), cfg, DefaultOptions(4))
+	base := mustEngine(t, newA100AttAcc(), cfg, DefaultOptions(4))
 	rp, _ := papi.RunBatch(reqs)
 	rb, _ := base.RunBatch(reqs)
 	ratio := float64(rb.TotalTime()) / float64(rp.TotalTime())
@@ -248,8 +255,8 @@ func TestAttAccOnlyPaysForPrefill(t *testing.T) {
 	// dramatically slower than on the GPU designs.
 	cfg := model.LLaMA65B()
 	reqs := fixedBatch(16, 256, 16)
-	pimOnly := mustEngine(t, core.NewAttAccOnly(), cfg, DefaultOptions(1))
-	hetero := mustEngine(t, core.NewA100AttAcc(), cfg, DefaultOptions(1))
+	pimOnly := mustEngine(t, newAttAccOnly(), cfg, DefaultOptions(1))
+	hetero := mustEngine(t, newA100AttAcc(), cfg, DefaultOptions(1))
 	rp, _ := pimOnly.RunBatch(reqs)
 	rh, _ := hetero.RunBatch(reqs)
 	if float64(rp.PrefillTime) < 5*float64(rh.PrefillTime) {
@@ -261,7 +268,7 @@ func TestEnergyComponentsMatchDesign(t *testing.T) {
 	cfg := model.LLaMA65B()
 	reqs := fixedBatch(4, 64, 16)
 
-	papi := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(1))
+	papi := mustEngine(t, newPAPI(), cfg, DefaultOptions(1))
 	rp, _ := papi.RunBatch(reqs)
 	if rp.Energy.Get(energy.FCPIM) <= 0 {
 		t.Error("PAPI at batch 4 should charge FC-PIM energy")
@@ -270,7 +277,7 @@ func TestEnergyComponentsMatchDesign(t *testing.T) {
 		t.Error("PAPI at batch 4 should charge GPU idle energy")
 	}
 
-	base := mustEngine(t, core.NewA100AttAcc(), cfg, DefaultOptions(1))
+	base := mustEngine(t, newA100AttAcc(), cfg, DefaultOptions(1))
 	rb, _ := base.RunBatch(reqs)
 	if rb.Energy.Get(energy.FCPIM) != 0 {
 		t.Error("A100+AttAcc has no FC-PIM to charge")
@@ -279,7 +286,7 @@ func TestEnergyComponentsMatchDesign(t *testing.T) {
 		t.Error("A100+AttAcc must charge GPU active energy")
 	}
 
-	ao := mustEngine(t, core.NewAttAccOnly(), cfg, DefaultOptions(1))
+	ao := mustEngine(t, newAttAccOnly(), cfg, DefaultOptions(1))
 	ra, _ := ao.RunBatch(reqs)
 	if ra.Energy.Get(energy.GPUActive) != 0 || ra.Energy.Get(energy.GPUIdle) != 0 {
 		t.Error("AttAcc-only has no GPU energy")
@@ -289,7 +296,7 @@ func TestEnergyComponentsMatchDesign(t *testing.T) {
 func TestThrottleReported(t *testing.T) {
 	// AttAcc's 1P1B devices exceed the power budget on FC with no reuse;
 	// the governor throttles and the result must say so.
-	e := mustEngine(t, core.NewAttAccOnly(), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newAttAccOnly(), model.LLaMA65B(), DefaultOptions(1))
 	res, err := e.RunBatch(fixedBatch(1, 32, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +307,7 @@ func TestThrottleReported(t *testing.T) {
 }
 
 func TestTimePerToken(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	res, _ := e.RunBatch(fixedBatch(4, 64, 32))
 	want := float64(res.DecodeTime) / float64(res.Tokens)
 	if math.Abs(float64(res.TimePerToken())-want) > 1e-15 {
@@ -315,7 +322,7 @@ func TestTimePerToken(t *testing.T) {
 // Property: total tokens always equals the sum of requested output lengths
 // (commit clamping is exact), for any acceptance rate and TLP.
 func TestTokenConservationProperty(t *testing.T) {
-	sys := core.NewPAPI(0)
+	sys := newPAPI()
 	cfg := model.LLaMA65B()
 	f := func(tlpRaw, accRaw, outRaw uint8, seed int64) bool {
 		opt := DefaultOptions(int(tlpRaw)%6 + 1)

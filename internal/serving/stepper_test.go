@@ -3,7 +3,6 @@ package serving
 import (
 	"testing"
 
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
@@ -22,7 +21,7 @@ func TestIterStatsTokensSumBatch(t *testing.T) {
 	// Regression: IterationStat.Tokens used to stay 0 in both batch modes.
 	// With fewer iterations than the trace cap, the per-iteration counts
 	// must account for every generated token.
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(4))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(4))
 	res, err := e.RunBatch(fixedBatch(8, 64, 48))
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +35,7 @@ func TestIterStatsTokensSumBatch(t *testing.T) {
 }
 
 func TestIterStatsTokensSumContinuous(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	res, err := e.RunContinuous(workload.GeneralQA().Poisson(24, 50, 3), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -51,13 +50,13 @@ func TestBatchStepperMatchesRunBatch(t *testing.T) {
 	cfg := model.LLaMA65B()
 	reqs := workload.CreativeWriting().Generate(8, 9)
 
-	ref := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(4))
+	ref := mustEngine(t, newPAPI(), cfg, DefaultOptions(4))
 	want, err := ref.RunBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(4))
+	e := mustEngine(t, newPAPI(), cfg, DefaultOptions(4))
 	st, err := e.NewBatchStepper(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -98,13 +97,13 @@ func TestStreamStepperMatchesRunContinuous(t *testing.T) {
 	cfg := model.LLaMA65B()
 	reqs := workload.GeneralQA().Poisson(24, 40, 7)
 
-	ref := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(1))
+	ref := mustEngine(t, newPAPI(), cfg, DefaultOptions(1))
 	want, err := ref.RunContinuous(reqs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	e := mustEngine(t, core.NewPAPI(0), cfg, DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), cfg, DefaultOptions(1))
 	st, err := e.NewStreamStepper(reqs, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestStreamStepperMatchesRunContinuous(t *testing.T) {
 func TestStreamStepperPush(t *testing.T) {
 	// Cluster-style use: an empty stream stepper fed by Push at arrival
 	// instants, idling via AdvanceTo between them.
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	st, err := e.NewStreamStepper(nil, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +174,7 @@ func TestStreamStepperPush(t *testing.T) {
 }
 
 func TestStepperMisuse(t *testing.T) {
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	if _, err := e.NewStreamStepper(nil, 0); err == nil {
 		t.Error("non-positive max batch should fail")
 	}
@@ -199,7 +198,7 @@ func TestStepInfoFinishedReportsCompletions(t *testing.T) {
 	// StepInfo.Finished is the completion hook closed-loop arrival owners
 	// build on: every request must appear exactly once, in the step whose
 	// Completed count it contributes to.
-	e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), DefaultOptions(1))
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := workload.GeneralQA().Poisson(12, 50, 5)
 	s, err := e.NewStreamStepper(reqs, 8)
 	if err != nil {

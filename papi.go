@@ -38,7 +38,6 @@ import (
 	"fmt"
 
 	"github.com/papi-sim/papi/internal/cluster"
-	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/kv"
@@ -54,39 +53,47 @@ import (
 // Systems (§4, §7.1).
 
 // System is one complete evaluated computing system.
-type System = core.System
+type System = design.System
 
 // NewPAPI builds the full PAPI system with the calibrated α threshold.
-func NewPAPI() *System { return core.NewPAPI(0) }
+func NewPAPI() *System { return design.MustBuild(design.PAPI(0)) }
 
-// NewPAPIWithAlpha builds PAPI with a custom memory-boundedness threshold.
-func NewPAPIWithAlpha(alpha float64) *System { return core.NewPAPI(alpha) }
+// NewPAPIWithAlpha builds PAPI with a custom memory-boundedness threshold:
+// 0 selects the calibrated default, anything else must be finite and
+// positive.
+func NewPAPIWithAlpha(alpha float64) (*System, error) { return design.PAPI(alpha).Build() }
 
 // NewA100AttAcc builds the A100+AttAcc baseline.
-func NewA100AttAcc() *System { return core.NewA100AttAcc() }
+func NewA100AttAcc() *System { return design.MustBuild(design.A100AttAcc()) }
 
 // NewA100HBMPIM builds the A100+HBM-PIM baseline.
-func NewA100HBMPIM() *System { return core.NewA100HBMPIM() }
+func NewA100HBMPIM() *System { return design.MustBuild(design.A100HBMPIM()) }
 
 // NewAttAccOnly builds the PIM-only AttAcc baseline.
-func NewAttAccOnly() *System { return core.NewAttAccOnly() }
+func NewAttAccOnly() *System { return design.MustBuild(design.AttAccOnly()) }
 
 // NewPIMOnlyPAPI builds the §7.4 GPU-less PAPI variant.
-func NewPIMOnlyPAPI() *System { return core.NewPIMOnlyPAPI() }
+func NewPIMOnlyPAPI() *System { return design.MustBuild(design.PIMOnlyPAPI()) }
 
 // Designs returns the four systems of Fig. 8 in presentation order.
-func Designs() []*System { return core.Designs() }
+func Designs() []*System { return design.Fig8Systems() }
 
 // SystemByName builds a system from its display name.
-func SystemByName(name string) (*System, error) { return core.ByName(name) }
+func SystemByName(name string) (*System, error) {
+	spec, err := design.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Build()
+}
 
 // DefaultAlpha is the calibrated scheduling threshold (§5.2.1).
-const DefaultAlpha = core.DefaultAlpha
+const DefaultAlpha = design.DefaultAlpha
 
 // Declarative hardware design layer (see docs/DESIGNS.md): every system is
 // described by a serializable spec — GPU node, PIM pools, links, policy —
 // with byte-stable JSON export/import, and the five evaluated systems are
-// registry entries pinned bit-identical to the constructors above.
+// the registry entries the constructors above build.
 
 // DesignSpec is one complete hardware design, declaratively; DesignSpec.Build
 // assembles and validates the System it describes.
@@ -495,7 +502,7 @@ func CompareFCPlacement(sys *System, k Kernel) (pu, fcpim Seconds, err error) {
 // Simulate is the one-call convenience API: build the named design, generate
 // a batch from the named dataset, and run it.
 func Simulate(design, modelName, dataset string, batch, spec int, seed int64) (Result, error) {
-	sys, err := core.ByName(design)
+	sys, err := SystemByName(design)
 	if err != nil {
 		return Result{}, err
 	}

@@ -40,8 +40,15 @@ func TestSimulateErrors(t *testing.T) {
 }
 
 func TestFacadeConstructors(t *testing.T) {
+	tuned, err := NewPAPIWithAlpha(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPAPIWithAlpha(-1); err == nil {
+		t.Error("NewPAPIWithAlpha accepted a negative α")
+	}
 	for _, sys := range []*System{
-		NewPAPI(), NewPAPIWithAlpha(32), NewA100AttAcc(), NewA100HBMPIM(),
+		NewPAPI(), tuned, NewA100AttAcc(), NewA100HBMPIM(),
 		NewAttAccOnly(), NewPIMOnlyPAPI(),
 	} {
 		if err := sys.Validate(); err != nil {
