@@ -79,7 +79,7 @@ func main() {
 		faultsIn  = flag.String("faults", "", "inject a fault plan .json (crashes, stragglers, brownouts; see docs/RESILIENCE.md)")
 		retries   = flag.Int("retries", 2, "bounded failover: retry a request lost to a crash or timeout at most this many times")
 		timeoutS  = flag.Float64("timeout", 0, "per-attempt request timeout in seconds (0 = none); timed-out attempts cancel and retry under -retries")
-		shards    = flag.Int("shards", 1, "drive independent replicas on up to this many goroutines between fleet sync points; results are bit-identical to serial (open-loop streams only, see docs/SCALE.md)")
+		shards    = flag.Int("shards", 1, "drive the replicas on up to this many goroutines between fleet sync points; results are bit-identical at every count (see docs/SCALE.md)")
 		checkpt   = flag.String("checkpoint", "", "merge this run's mergeable fleet snapshot into the named .json (created if absent), so long runs split across invocations")
 		retain    = flag.Bool("retain-requests", false, "keep every per-request metrics record (FleetResult.Requests); off by default so large runs stay constant-memory")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")

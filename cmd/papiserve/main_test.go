@@ -47,6 +47,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(testOptions()); err != nil {
 		t.Fatalf("good options rejected: %v", err)
 	}
+	// Closed-loop plans run under the same barrier driver as open-loop
+	// streams, so they shard too.
+	plan := testOptions()
+	plan.scenario, plan.replicas, plan.shards = "chat-multiturn", 2, 2
+	if err := run(plan); err != nil {
+		t.Fatalf("sharded plan scenario rejected: %v", err)
+	}
 }
 
 // testOptions mirrors the flag defaults on a small fleet and stream.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/papi-sim/papi/internal/serving"
@@ -165,10 +164,10 @@ type scaler struct {
 
 // observeStep harvests completion signals from one replica step: interactive
 // TPOT samples for the latency window, and the moment a draining replica
-// runs empty (it powers off right there, not at the next tick). Window
-// samples buffer on the replica — the sharded parallel phase may run this
-// for distinct replicas concurrently, so nothing shared is written here —
-// and the control tick merges the buffers in replica order.
+// runs empty (it powers off at that instant, not at the next tick). It runs
+// mid-phase, so nothing shared is written here: window samples buffer on
+// the replica (the control tick merges them in replica order), and the
+// power-off decision parks on it until the barrier replays it.
 func (s *scaler) observeStep(rep *Replica, info serving.StepInfo) {
 	for _, req := range info.Finished {
 		if req.Class != workload.ClassInteractive {
@@ -179,14 +178,8 @@ func (s *scaler) observeStep(rep *Replica, info serving.StepInfo) {
 		}
 	}
 	if rep.state == repDraining && info.Completed > 0 && rep.stepper.Outstanding() == 0 {
-		if s.run.sharded {
-			// Mid-phase the event log is shared state: park the decision on
-			// the replica and let the next barrier replay it.
-			rep.pendingStop = true
-			rep.pendStopAt = rep.stepper.Now()
-			return
-		}
-		s.stop(rep, rep.stepper.Now())
+		rep.pendingStop = true
+		rep.pendStopAt = rep.stepper.Now()
 	}
 }
 
@@ -197,9 +190,9 @@ func (s *scaler) stop(rep *Replica, at units.Seconds) {
 	s.record(ScaleEvent{At: at, Action: ScaleStop, Replica: rep.ID, Active: len(s.run.eligible)})
 }
 
-// flushStops replays the power-off decisions a sharded parallel phase
-// deferred, ordered by power-off instant (ties by replica ID) — the order
-// the serial schedule's step events would have recorded them in.
+// flushStops replays the power-off decisions a phase deferred, ordered by
+// power-off instant (ties by replica ID) — the time order of the steps
+// that made them.
 func (s *scaler) flushStops() {
 	var due []*Replica
 	for _, rep := range s.run.reps {
@@ -360,14 +353,11 @@ func (s *scaler) tick(now units.Seconds) {
 		}
 	}
 
-	// Reset the window and re-arm. Sharded replica steps live outside the
-	// kernel, so the liveness check must count them too.
+	// Reset the window and re-arm. Replica steps live outside the kernel,
+	// so the liveness check must count them too.
 	s.arrivals = 0
 	s.tpots = s.tpots[:0]
 	if r.kernel.Pending() > 0 || r.stepsPending() {
-		r.nextTick = now + s.opt.Interval
-		r.kernel.At(r.nextTick, s.tick)
-	} else {
-		r.nextTick = units.Seconds(math.Inf(1))
+		r.kernel.At(now+s.opt.Interval, s.tick)
 	}
 }

@@ -6,11 +6,14 @@
 // memory-compute units, so throughput, tail latency, and SLO attainment
 // depend on how arrivals are spread as much as on each replica's scheduler.
 //
-// Replicas advance iteration-by-iteration through serving.Stepper and are
-// interleaved deterministically on the internal/sim event kernel: arrivals
-// and replica steps are events on one shared timeline, with FIFO ordering
-// among simultaneous events, so a fixed seed reproduces the same fleet
-// trace run-to-run.
+// Replicas advance through serving.Stepper under one barrier driver. The
+// internal/sim event kernel holds only fleet events — arrivals, follow-up
+// turns, autoscaler ticks, activations, fault edges, timeout deadlines and
+// retries — and each one is a barrier: before it fires, every replica with
+// work steps on its own up to the barrier instant, on up to Options.Shards
+// goroutines. Same-instant kernel events fire FIFO and before any replica
+// step at that instant, so a fixed seed reproduces the same fleet trace
+// run-to-run and at every shard count.
 //
 // One arrival feed drives a fleet behind three entry points: Run consumes a
 // pre-generated open-loop request stream (Poisson, bursty, diurnal, or a
@@ -99,15 +102,15 @@ type Options struct {
 	// replayable trace. Off by default for the same memory reason.
 	RetainStream bool
 
-	// Shards > 1 lets independent replicas advance in parallel between
-	// fleet-level synchronization points (arrival routing, autoscaler
-	// ticks, fault edges, timeout deadlines, retry re-injections), on up to
-	// Shards goroutines. Results are bit-identical to the serial schedule —
-	// replica steps never interact between barriers, and everything
-	// cross-replica still fires in kernel order — which the equivalence
-	// tests pin on both decode paths, with and without a fault plan armed.
-	// Open-loop Run (and RunSeq) only: closed-loop plans couple replicas
-	// through follow-ups, so RunPlan rejects Shards > 1. 0 or 1 is serial.
+	// Shards > 1 lets the replicas advance in parallel between fleet-level
+	// synchronization points (the kernel events listed in the package
+	// comment), on up to Shards goroutines; 0 or 1 drives them inline, in
+	// replica order. Run, RunSeq and RunPlan share the one barrier driver,
+	// so results are bit-identical at every shard count — replica steps
+	// never interact between barriers, and everything cross-replica fires
+	// in kernel order — which the equivalence tests pin against a
+	// time-order reference, with and without faults, for open-loop streams
+	// and conversation plans.
 	Shards int
 }
 
@@ -210,43 +213,39 @@ type Replica struct {
 	engine  *serving.Engine
 	stepper *serving.Stepper
 
-	// scheduled says a step event for this replica is already armed (in the
-	// event queue, or — sharded — recorded in nextStep), so arrivals must
-	// not double-schedule it.
+	// scheduled says the replica has work and its next step is armed at
+	// nextStep. Steps never go on the kernel: the barrier driver advances
+	// every armed replica up to each barrier instead.
 	scheduled bool
-	// stepEvent is this replica's kernel step callback, built once on first
-	// schedule and re-armed for every subsequent step: a million-step run
-	// re-posts one closure instead of allocating one per step.
-	stepEvent sim.Event
-	// nextStep is the armed step instant when the run is sharded: sharded
-	// replicas keep their step cadence out of the kernel and are driven in
-	// parallel up to each barrier instead.
-	nextStep units.Seconds
+	nextStep  units.Seconds
 	// routed counts requests this replica received.
 	routed int
 	// agg streams this replica's completion latencies (fed by
 	// fleetRun.harvest); fleet and per-design aggregates merge these in
 	// replica order.
 	agg *FleetAggregate
-	// winTPOT buffers the autoscaler window's interactive TPOT samples.
-	// Kept per replica so the sharded parallel phase appends race-free; the
+	// A step writes only replica-local state, so distinct replicas step
+	// concurrently; what it has to say to the fleet waits here until the
+	// driver settles the replica (see fleetRun.settle).
+	//
+	// winTPOT buffers the autoscaler window's interactive TPOT samples; the
 	// control tick merges the buffers in replica order.
 	winTPOT []float64
-	// err holds a step failure until the driver folds it into the run error
-	// (sharded replicas cannot write shared state mid-phase).
+	// err holds a step failure until it is folded into the run error.
 	err error
-	// pendingStop defers a draining replica's power-off decision made
-	// inside a sharded parallel phase; the next barrier replays it through
-	// the scaler (pendStopAt is the drained instant).
+	// pendingStop defers a draining replica's power-off decision to the
+	// scaler (pendStopAt is the drained instant).
 	pendingStop bool
 	pendStopAt  units.Seconds
-	// finishedIDs buffers the phase's completions for the failure ledger
-	// when the run is sharded: marking a request done is a cross-replica
-	// write (the ledger is shared), so it is deferred to the barrier, which
-	// flushes the buffers in replica order. Distinct requests' ledger
-	// entries are independent and a request is outstanding on at most one
-	// replica, so flush order between replicas cannot change any entry.
+	// finishedIDs buffers completions for the failure ledger: the ledger is
+	// shared, but distinct requests' entries are independent and a request
+	// is outstanding on at most one replica, so the order in which
+	// replicas flush cannot change any entry.
 	finishedIDs []int
+	// followUps buffers the closed-loop follow-up turns this replica's
+	// completions launched; the replica does not step at or past the
+	// earliest of them until they are on the kernel (see horizon).
+	followUps []followUp
 
 	// Elastic lifecycle (see replicaState). bootAt is the instant the
 	// replica powered on (0 for the initial fleet), liveAt when it started
@@ -441,7 +440,7 @@ func (c *Cluster) mixed() bool {
 
 // fleetRun is the live state of one cluster simulation: the replicas, the
 // shared event kernel, the realised arrival stream (for trace export), and
-// the optional completion hook closed-loop scenarios couple follow-ups to.
+// the closed-loop plan, if any.
 type fleetRun struct {
 	c      *Cluster
 	reps   []*Replica
@@ -452,54 +451,23 @@ type fleetRun struct {
 	eligible []*Replica
 	// scaler is the elastic control loop; nil for static fleets.
 	scaler *scaler
-	// nextTick is the next autoscaler control instant (+Inf when none) —
-	// part of the open-loop macro-stepping horizon, since a control tick
-	// reads every replica's signals.
-	nextTick units.Seconds
 	// stream records every request actually injected, in injection order —
 	// the realised arrivals a Trace replays.
 	stream []workload.Request
-	// onFinish, when set, fires once per completed request on the replica
-	// that served it, at the replica's completion instant.
-	onFinish func(rep *Replica, req workload.Request)
+	// plan is RunPlan's conversation state; nil for open-loop runs.
+	plan *convPlan
 	// resil is the failure machinery (crash failover, timeouts, bounded
 	// retries, degradation windows); nil unless Options arm it, so
 	// fault-free runs take exactly the pre-fault code paths.
 	resil *resilience
-	// onCrash and onRequeue let RunPlan keep its conversation pins honest
-	// under failover: onCrash un-pins every conversation homed on the dead
-	// replica, onRequeue re-pins a conversation to the survivor its retried
-	// turn landed on.
-	onCrash   func(rep *Replica, now units.Seconds)
-	onRequeue func(id int, rep *Replica)
-	// horizon returns the earliest future instant at which an event outside
-	// a replica's own stepping can interact with it — the bound a replica's
-	// fast-path macro-stepping must not cross (see Stepper.SetHorizon). The
-	// default bounds by the kernel's next pending event, which is always
-	// safe: new events are only scheduled at or after it. An open-loop run
-	// (Run and RunSeq) without the failure machinery tightens this to the
-	// arrival feed's lookahead arrival (and, when autoscaling, the next
-	// control tick), since its step events never touch other replicas;
-	// RunPlan keeps the default.
-	horizon func() units.Seconds
-	// sharded moves replica step events off the kernel: between kernel
-	// events (the fleet-level synchronization barriers) every armed replica
-	// is driven in parallel on up to Options.Shards goroutines, with
-	// identical results to the serial schedule. Only open-loop runs shard;
-	// RunSeq arms it before the first arrival. The failure machinery shards
-	// too: fault edges, timeout deadlines, and retry re-injections are
-	// kernel events, so every resilience mutation runs in exact kernel
-	// order between parallel phases, and the one ledger write a step itself
-	// performs is buffered replica-locally and flushed at the barrier (see
-	// Replica.finishedIDs).
-	sharded bool
 	// due is the barrier driver's scratch list of armed replicas, reused
 	// across barriers so the hot loop does not allocate.
 	due []*Replica
 	// pool is the driver's persistent worker pool, started lazily on the
-	// first multi-replica phase and retired when the drain finishes. barrier
-	// carries the phase's synchronization instant to the workers; it is
-	// written before the phase's job sends, which happen-before the reads.
+	// first multi-replica phase of a run with Shards > 1 and retired when
+	// the drain finishes. barrier carries the phase's synchronization
+	// instant to the workers; it is written before the phase's job sends,
+	// which happen-before the reads.
 	pool    *shardPool
 	barrier units.Seconds
 }
@@ -509,20 +477,13 @@ type fleetRun struct {
 // parallelism) kernel is priced once for the whole fleet); a mixed fleet
 // prices per design.
 func (c *Cluster) newFleetRun() (*fleetRun, error) {
-	r := &fleetRun{c: c, kernel: sim.New(),
-		nextTick: units.Seconds(math.Inf(1))}
+	r := &fleetRun{c: c, kernel: sim.New()}
 	for i := 0; i < c.opt.Replicas; i++ {
 		if _, err := r.addReplica(0, 0, repActive); err != nil {
 			return nil, err
 		}
 	}
 	r.rebuildEligible()
-	r.horizon = func() units.Seconds {
-		if t, ok := r.kernel.NextAt(); ok {
-			return t
-		}
-		return units.Seconds(math.Inf(1))
-	}
 	if c.opt.resilienceActive() {
 		r.resil = newResilience(r)
 		r.resil.schedulePlan()
@@ -531,8 +492,7 @@ func (c *Cluster) newFleetRun() (*fleetRun, error) {
 		opt := c.opt.Autoscale.withDefaults(c.opt.MaxBatch)
 		r.scaler = &scaler{opt: opt, run: r, peak: c.opt.Replicas,
 			lastAction: units.Seconds(math.Inf(-1))}
-		r.nextTick = opt.Interval
-		r.kernel.At(r.nextTick, r.scaler.tick)
+		r.kernel.At(opt.Interval, r.scaler.tick)
 	}
 	return r, nil
 }
@@ -634,45 +594,20 @@ func (r *fleetRun) rebuildEligible() {
 	}
 }
 
-// schedule arms a replica's step event at its next work instant. Serial
-// runs put the step on the shared kernel; sharded runs record it on the
-// replica, whose steps the barrier driver advances in parallel. Pushes
-// re-arm idle replicas.
-func (r *fleetRun) schedule(rep *Replica, at units.Seconds) {
-	rep.scheduled = true
-	if r.sharded {
-		rep.nextStep = at
-		return
-	}
-	if rep.stepEvent == nil {
-		rep.stepEvent = func(now units.Seconds) {
-			rep.scheduled = false
-			if r.err != nil {
-				return
-			}
-			r.stepReplica(rep, now)
-			if rep.err != nil && r.err == nil {
-				r.err = rep.err
-			}
-		}
-	}
-	r.kernel.At(at, rep.stepEvent)
-}
-
-// stepReplica advances one replica iteration at `now`: it absorbs any idle
-// gap, steps the engine, feeds the observers and the streaming aggregate,
-// and re-arms the next step while work remains. It writes only
-// replica-local state (rep.err, not r.err), so the sharded driver may run
-// it for distinct replicas concurrently; the serial path folds rep.err
-// into the run error at its kernel event.
-func (r *fleetRun) stepReplica(rep *Replica, now units.Seconds) {
+// stepReplica advances one replica by one Step at its armed instant, its
+// window bounded by horizon: it absorbs any idle gap, steps the engine,
+// feeds the observers and the streaming aggregate, and re-arms the next
+// step while work remains. It writes only replica-local state, buffering
+// everything the fleet must hear on the replica (see fleetRun.settle), so
+// distinct replicas step concurrently.
+func (r *fleetRun) stepReplica(rep *Replica, horizon units.Seconds) {
 	// A step armed before a crash must not touch the dead engine: its
 	// clock is frozen at the failure instant.
 	if rep.state == repFailed {
 		return
 	}
-	rep.stepper.AdvanceTo(now)
-	rep.stepper.SetHorizon(r.horizon())
+	rep.stepper.AdvanceTo(rep.nextStep)
+	rep.stepper.SetHorizon(horizon)
 	info, err := rep.stepper.Step()
 	if err != nil {
 		rep.err = err
@@ -682,28 +617,20 @@ func (r *fleetRun) stepReplica(rep *Replica, now units.Seconds) {
 		r.scaler.observeStep(rep, info)
 	}
 	if r.resil != nil {
-		if r.sharded {
-			// The ledger is shared fleet state; a parallel-phase step only
-			// buffers, and the barrier flushes (see advanceShards).
-			for _, req := range info.Finished {
-				rep.finishedIDs = append(rep.finishedIDs, req.ID)
-			}
-		} else {
-			for _, req := range info.Finished {
-				r.resil.finished(req.ID)
-			}
+		for _, req := range info.Finished {
+			rep.finishedIDs = append(rep.finishedIDs, req.ID)
 		}
 	}
-	if r.onFinish != nil {
+	if r.plan != nil {
 		for _, req := range info.Finished {
-			r.onFinish(rep, req)
+			r.plan.finished(r, rep, req)
 		}
 	}
 	r.harvest(rep, info)
 	if info.Kind == serving.StepDrained {
 		return
 	}
-	r.schedule(rep, rep.stepper.Now())
+	rep.scheduled, rep.nextStep = true, rep.stepper.Now()
 }
 
 // harvest folds the step's completions into the replica's streaming
@@ -718,7 +645,7 @@ func (r *fleetRun) harvest(rep *Replica, info serving.StepInfo) {
 	}
 }
 
-// push delivers a request to a replica and re-arms its step event, without
+// push delivers a request to a replica and re-arms its steps, without
 // recording a stream arrival — the failover path's re-injection, where the
 // request's original arrival is already on record.
 func (r *fleetRun) push(rep *Replica, req workload.Request, now units.Seconds) bool {
@@ -734,14 +661,10 @@ func (r *fleetRun) push(rep *Replica, req workload.Request, now units.Seconds) b
 		r.resil.noteInject(rep, req, now)
 	}
 	if !rep.scheduled {
-		at := now
 		// An idle replica's clock may lead the fleet clock (it committed
 		// its last iteration past this arrival); it can only take new work
 		// at its own boundary.
-		if t := rep.Now(); t > at {
-			at = t
-		}
-		r.schedule(rep, at)
+		rep.scheduled, rep.nextStep = true, max(now, rep.Now())
 	}
 	return true
 }
@@ -783,19 +706,34 @@ func (r *fleetRun) route(req workload.Request, now units.Seconds) *Replica {
 	return rep
 }
 
-// drain runs the simulation to completion. Serial runs simply drain the
-// kernel — replica steps are kernel events. Sharded runs alternate: every
-// kernel event (arrival, control tick, replica activation, fault edge,
-// timeout deadline, retry re-injection) is a barrier,
-// and between barriers the armed replicas advance in parallel, each
-// strictly below the barrier instant, so everything cross-replica still
-// fires in exact kernel order and the result is bit-identical to the
-// serial schedule.
+// drain is the fleet driver: it runs the simulation to completion, the
+// same way for Run, RunSeq and RunPlan. Every kernel event is a barrier.
+// Before it fires, every armed replica advances alone up to the barrier
+// instant (steps strictly below it: events at the barrier instant belong
+// to the kernel and fire first), inline in replica order or, with
+// Shards > 1, on the worker pool. The replicas are then settled in replica
+// order, and the event fires.
+//
+// Two arguments make the phase sound, so that the result equals a
+// one-step-at-a-time walk in time order:
+//
+//   - Pinned replica. Between barriers a replica can interact only with
+//     itself: arrivals, ticks, activations, fault edges, deadlines and
+//     retries are all kernel events, at or after the barrier. The one
+//     event a step itself creates is a closed-loop follow-up turn, and it
+//     can touch only the replica its conversation is pinned to — the one
+//     that finished the previous turn (nothing can unpin it before the
+//     barrier, and a replica holding a conversation is never drained). So
+//     that replica alone stops at its earliest buffered follow-up (see
+//     horizon), the follow-ups go on the kernel when the replica settles,
+//     and the next pass takes any that land before the barrier first; the
+//     other replicas, already past them, cannot tell.
+//   - Deadline. With Timeout > 0, a request that finishes inside a phase
+//     was outstanding when the phase began, so its own deadline was still
+//     pending: at or after the barrier. Its follow-up arrives no earlier
+//     than it was injected, so the follow-up's deadline, and any retry the
+//     follow-up causes, land at or after the barrier too.
 func (r *fleetRun) drain() {
-	if !r.sharded {
-		r.kernel.Run()
-		return
-	}
 	defer func() {
 		if r.pool != nil {
 			r.pool.close()
@@ -803,88 +741,100 @@ func (r *fleetRun) drain() {
 		}
 	}()
 	for r.err == nil {
-		if t, ok := r.kernel.NextAt(); ok {
-			r.advanceShards(t)
-			if r.err != nil {
+		barrier, ok := r.kernel.NextAt()
+		if !ok {
+			if !r.stepsPending() {
 				return
 			}
+			// No kernel events left: the remaining replicas run dry.
+			barrier = units.Seconds(math.Inf(1))
+		}
+		r.advance(barrier)
+		// Settling may have put follow-ups on the kernel before the
+		// barrier; then the next pass takes them first.
+		if t, ok := r.kernel.NextAt(); ok && t == barrier && r.err == nil {
 			r.kernel.Step()
-			continue
 		}
-		if !r.stepsPending() {
-			return
-		}
-		// No kernel events left: the surviving step cadences run dry
-		// unbounded.
-		r.advanceShards(units.Seconds(math.Inf(1)))
 	}
 }
 
-// advanceShards drives every armed replica up to (strictly below) the
-// barrier, in parallel, then replays the phase's deferred power-off
-// decisions in deterministic order. Replica errors fold into the run error
-// in replica order.
-func (r *fleetRun) advanceShards(barrier units.Seconds) {
+// advance drives every armed replica below the barrier, then settles them
+// in replica order and replays the phase's power-off decisions.
+func (r *fleetRun) advance(barrier units.Seconds) {
 	r.due = r.due[:0]
 	for _, rep := range r.reps {
 		if rep.scheduled && rep.nextStep < barrier {
 			r.due = append(r.due, rep)
 		}
 	}
-	if len(r.due) > 0 {
-		r.barrier = barrier
-		if len(r.due) == 1 {
-			// One replica due: the pool's signaling costs more than it buys.
-			r.driveReplica(r.due[0], barrier)
-		} else {
-			if r.pool == nil {
-				r.pool = newShardPool(r.c.opt.Shards, func(rep *Replica) { r.driveReplica(rep, r.barrier) })
-			}
-			r.pool.dispatch(r.due)
-		}
+	if len(r.due) == 0 {
+		return
+	}
+	if len(r.due) == 1 || r.c.opt.Shards <= 1 {
 		for _, rep := range r.due {
-			if rep.err != nil && r.err == nil {
-				r.err = rep.err
-			}
-			if len(rep.finishedIDs) > 0 {
-				// Ledger completions deferred from the parallel phase land
-				// before the barrier's kernel event, exactly where the
-				// serial schedule (steps strictly below the event) puts
-				// them; a stale timeout at the barrier then sees the
-				// request done, as it would serially.
-				for _, id := range rep.finishedIDs {
-					r.resil.finished(id)
-				}
-				rep.finishedIDs = rep.finishedIDs[:0]
-			}
+			r.driveReplica(rep, barrier)
 		}
+	} else {
+		r.barrier = barrier
+		if r.pool == nil {
+			r.pool = newShardPool(r.c.opt.Shards, func(rep *Replica) { r.driveReplica(rep, r.barrier) })
+		}
+		r.pool.dispatch(r.due)
+	}
+	for _, rep := range r.due {
+		r.settle(rep)
 	}
 	if r.scaler != nil {
 		r.scaler.flushStops()
 	}
 }
 
-// driveReplica advances one replica's armed steps, in order, strictly below
-// the barrier: events at the barrier instant belong to the kernel and fire
-// first, exactly as the serial schedule orders simultaneous arrivals before
-// steps. The replica parks drained, errored, or re-armed at/after the
-// barrier. Only replica-local state is written (see stepReplica), so
-// distinct replicas drive concurrently.
+// driveReplica advances one replica's armed steps, in order, up to its
+// horizon. The replica parks drained, errored, or re-armed at or after it.
 func (r *fleetRun) driveReplica(rep *Replica, barrier units.Seconds) {
-	for rep.err == nil && rep.scheduled && rep.nextStep < barrier {
-		now := rep.nextStep
+	for rep.err == nil && rep.scheduled {
+		h := rep.horizon(barrier)
+		if rep.nextStep >= h {
+			return
+		}
 		rep.scheduled = false
-		r.stepReplica(rep, now)
+		r.stepReplica(rep, h)
 	}
 }
 
-// stepsPending reports whether any sharded replica still has an armed step.
-// Sharded steps live outside the kernel, so the drain loop and the
-// autoscaler's re-arm check must ask here as well as kernel.Pending.
-func (r *fleetRun) stepsPending() bool {
-	if !r.sharded {
-		return false
+// horizon is the instant the replica must not step at or past before the
+// barrier fires: the barrier, capped by its own earliest buffered
+// follow-up, which is not on the kernel yet.
+func (rep *Replica) horizon(barrier units.Seconds) units.Seconds {
+	for _, fu := range rep.followUps {
+		barrier = min(barrier, fu.at)
 	}
+	return barrier
+}
+
+// settle hands the fleet what the replica's steps buffered, in the order a
+// one-step-at-a-time walk would have produced it: the step error, the
+// ledger completions (before the barrier event, so a stale timeout at the
+// barrier sees the request done), and the follow-up turns, one kernel
+// event each.
+func (r *fleetRun) settle(rep *Replica) {
+	if rep.err != nil && r.err == nil {
+		r.err = rep.err
+	}
+	for _, id := range rep.finishedIDs {
+		r.resil.finished(id)
+	}
+	rep.finishedIDs = rep.finishedIDs[:0]
+	for _, fu := range rep.followUps {
+		r.kernel.At(fu.at, fu.fire)
+	}
+	rep.followUps = rep.followUps[:0]
+}
+
+// stepsPending reports whether any replica still has an armed step. Steps
+// live outside the kernel, so the drain loop and the autoscaler's re-arm
+// check must ask here as well as kernel.Pending.
+func (r *fleetRun) stepsPending() bool {
 	for _, rep := range r.reps {
 		if rep.scheduled {
 			return true
@@ -893,7 +843,7 @@ func (r *fleetRun) stepsPending() bool {
 	return false
 }
 
-// shardPool is the sharded driver's persistent worker pool: barriers arrive
+// shardPool is the barrier driver's persistent worker pool: barriers arrive
 // at arrival cadence (a million times per million-request run), so the
 // workers outlive the barriers instead of being spawned per phase. fn must
 // write only replica-local state, so the outcome is independent of goroutine
@@ -971,16 +921,22 @@ func (p *shardPool) close() { close(p.jobs) }
 // it is RunSeq over a copy stably sorted by arrival, so simultaneous
 // arrivals route in stream order. It may be called once per Cluster.
 func (c *Cluster) Run(reqs []workload.Request) (*FleetResult, error) {
+	return c.RunSeq(sortedSource(reqs))
+}
+
+// sortedSource is Run's request source: a copy of reqs stably sorted by
+// arrival, handed out in order.
+func sortedSource(reqs []workload.Request) func() (workload.Request, bool) {
 	stream := append([]workload.Request(nil), reqs...)
 	sort.SliceStable(stream, func(i, j int) bool { return arrivesBefore(stream[i].Arrival, stream[j].Arrival) })
 	i := 0
-	return c.RunSeq(func() (workload.Request, bool) {
+	return func() (workload.Request, bool) {
 		if i == len(stream) {
 			return workload.Request{}, false
 		}
 		i++
 		return stream[i-1], true
-	})
+	}
 }
 
 // arrivesBefore orders the feed's stable sorts with NaN last, where the feed
@@ -998,11 +954,19 @@ func arrivesBefore(a, b units.Seconds) bool {
 // companion to workload.Scenario.Each. RunSeq may be called once per
 // Cluster, in place of Run; an empty stream does not consume the cluster.
 func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, error) {
-	if c.ran {
-		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
-	}
 	if next == nil {
 		return nil, fmt.Errorf("cluster: nil request source")
+	}
+	return c.run(next, nil, (*fleetRun).drain)
+}
+
+// run is the body Run, RunSeq and RunPlan share: it feeds next — an
+// open-loop source, or a plan's first turns — through the arrival feed and
+// lets drive run the fleet to completion. drive is always fleetRun.drain outside the
+// equivalence tests, which pass their time-order reference instead.
+func (c *Cluster) run(next func() (workload.Request, bool), plan *convPlan, drive func(*fleetRun)) (*FleetResult, error) {
+	if c.ran {
+		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
 	}
 	first, ok := next()
 	if !ok {
@@ -1014,21 +978,18 @@ func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, er
 	if err != nil {
 		return nil, err
 	}
-	r.sharded = c.opt.Shards > 1
-	f := r.newFeed(next, nil)
-	if r.resil == nil {
-		// Open-loop replicas interact only at arrivals and control ticks,
-		// both known ahead, so a replica may macro-step up to the earlier of
-		// the feed's lookahead arrival and the next tick. Armed failure
-		// machinery puts fault edges, timeouts and retries between arrivals,
-		// so it keeps the default kernel horizon.
-		r.horizon = func() units.Seconds { return min(r.nextTick, f.lookahead) }
+	r.plan = plan
+	f := r.newFeed(next)
+	f.schedule(first)
+	drive(r)
+	if r.err != nil {
+		return nil, r.err
 	}
-	total, err := f.run(first)
-	if err != nil {
-		return nil, err
+	want := f.total
+	if plan != nil {
+		want = plan.turns
 	}
-	return aggregate(r, total)
+	return aggregate(r, want)
 }
 
 // arrivalFeed is the one open-loop arrival path, behind Run, RunSeq and
@@ -1044,28 +1005,16 @@ type arrivalFeed struct {
 	queue []workload.Request
 	head  int
 	// lastAt is the newest scheduled instant (0 before the first, which
-	// clamps to ≥ 0); lookahead is the same, or +Inf once next is done —
-	// the open-loop horizon's arrival bound.
-	lastAt, lookahead units.Seconds
-	total             int // requests scheduled
-	event             sim.Event
-	// routed, when set, sees where each arrival landed (nil when shed or
-	// stranded); RunPlan pins its conversations there.
-	routed func(req workload.Request, rep *Replica)
+	// clamps to ≥ 0).
+	lastAt units.Seconds
+	total  int // requests scheduled
+	event  sim.Event
 }
 
-func (r *fleetRun) newFeed(next func() (workload.Request, bool), routed func(workload.Request, *Replica)) *arrivalFeed {
-	f := &arrivalFeed{r: r, next: next, routed: routed, lookahead: units.Seconds(math.Inf(1))}
+func (r *fleetRun) newFeed(next func() (workload.Request, bool)) *arrivalFeed {
+	f := &arrivalFeed{r: r, next: next}
 	f.event = f.fire
 	return f
-}
-
-// run schedules the first request, drains the fleet, and returns how many
-// requests the feed scheduled (known only once the stream is exhausted).
-func (f *arrivalFeed) run(first workload.Request) (int, error) {
-	f.schedule(first)
-	f.r.drain()
-	return f.total, f.r.err
 }
 
 // schedule puts one request on the kernel at its arrival instant, after
@@ -1086,7 +1035,7 @@ func (f *arrivalFeed) schedule(req workload.Request) {
 			req.ID, at, f.lastAt)
 		return
 	}
-	f.lastAt, f.lookahead = at, at
+	f.lastAt = at
 	f.total++
 	f.queue = append(f.queue, req)
 	f.r.kernel.At(at, f.event)
@@ -1094,9 +1043,9 @@ func (f *arrivalFeed) schedule(req workload.Request) {
 
 // fire routes the earliest scheduled arrival. When that was the newest one,
 // the feed first pulls its successors — every request sharing its instant,
-// then the first later one — so the horizon and the barrier schedule always
-// cover the next arrival, and a same-instant burst routes whole before any
-// replica step its routing arms at that instant.
+// then the first later one — so the kernel always holds the next arrival as
+// a barrier, and a same-instant burst routes whole before any replica step
+// its routing arms at that instant.
 func (f *arrivalFeed) fire(now units.Seconds) {
 	req := f.queue[f.head]
 	f.head++
@@ -1108,8 +1057,8 @@ func (f *arrivalFeed) fire(now units.Seconds) {
 		return
 	}
 	rep := f.r.route(req, now)
-	if f.routed != nil {
-		f.routed(req, rep)
+	if f.r.plan != nil {
+		f.r.plan.routed(req, rep)
 	}
 }
 
@@ -1119,7 +1068,6 @@ func (f *arrivalFeed) pull(now units.Seconds) {
 		req, more := f.next()
 		if !more {
 			f.done = true
-			f.lookahead = units.Seconds(math.Inf(1))
 			return
 		}
 		f.schedule(req)
@@ -1127,18 +1075,6 @@ func (f *arrivalFeed) pull(now units.Seconds) {
 			return
 		}
 	}
-}
-
-// convState tracks one closed-loop conversation through a fleet run: which
-// turn is next, how large the context has grown, and which replica holds the
-// conversation's KV state (follow-ups stick to it).
-type convState struct {
-	conv workload.Conversation
-	// baseID is the request ID of turn 0; turn k gets baseID + k, so IDs are
-	// assigned deterministically up front regardless of completion order.
-	baseID int
-	next   int // index of the next turn to launch
-	rep    *Replica
 }
 
 // RunPlan consumes a closed-loop conversation plan to completion: each
@@ -1154,13 +1090,12 @@ type convState struct {
 // conversation adopts those blocks instead of re-prefilling them, and the
 // carried bytes are not double-counted against the replica's KV headroom;
 // without it, the full history is re-prefilled each turn — an upper bound
-// docs/SCENARIOS.md records. Conversation IDs must be distinct (each keys
-// its own prefix group) and think times finite and ≥ 0. RunPlan may be
-// called once per Cluster, in place of Run.
+// docs/SCENARIOS.md records. A turn that terminally fails abandons the
+// rest of its conversation: the later turns are accounted as failed with
+// Reason "abandoned". Conversation IDs must be distinct (each keys its own
+// prefix group) and think times finite and ≥ 0. RunPlan may be called
+// once per Cluster, in place of Run.
 func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
-	if c.ran {
-		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
-	}
 	if len(convs) == 0 {
 		return nil, fmt.Errorf("cluster: empty conversation plan")
 	}
@@ -1179,133 +1114,174 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 			}
 		}
 	}
-	if c.opt.Shards > 1 {
-		// Closed-loop runs couple replicas between arrivals: a completion on
-		// one replica launches a follow-up whose arrival instant the barrier
-		// schedule cannot know ahead, so the parallel drive has no sound
-		// synchronization points.
-		return nil, fmt.Errorf("cluster: sharded execution needs an open-loop stream; RunPlan requires Shards ≤ 1")
-	}
-	c.ran = true
+	p := newConvPlan(convs)
+	return c.run(p.nextFirst, p, (*fleetRun).drain)
+}
 
-	r, err := c.newFleetRun()
-	if err != nil {
-		return nil, err
-	}
+// convPlan is a closed-loop conversation plan's state in one fleet run.
+type convPlan struct {
+	// states lists the conversations stably sorted by first-turn arrival;
+	// fed counts the first turns handed to the arrival feed.
+	states []*convState
+	fed    int
+	// byBase finds a turn's conversation by the ID of its first turn (see
+	// of), so follow-ups add no entries.
+	byBase map[int]*convState
+	turns  int // turns in the whole plan
+}
 
-	states := make([]*convState, len(convs))
-	byReq := make(map[int]*convState)
-	nextID := 0
+// convState tracks one closed-loop conversation through a fleet run: which
+// turn is next, how large the context has grown, and which replica holds the
+// conversation's KV state (follow-ups stick to it).
+type convState struct {
+	conv workload.Conversation
+	// baseID is the request ID of turn 1; turn k gets baseID + k - 1, so IDs
+	// are assigned deterministically up front regardless of completion
+	// order.
+	baseID int
+	next   int // index of the next turn to launch
+	rep    *Replica
+}
+
+// followUp is a closed-loop follow-up turn buffered on the replica that
+// launched it, with the kernel event that injects it at `at`.
+type followUp struct {
+	at   units.Seconds
+	fire sim.Event
+}
+
+func newConvPlan(convs []workload.Conversation) *convPlan {
+	p := &convPlan{states: make([]*convState, len(convs)), byBase: make(map[int]*convState, len(convs))}
 	for i, conv := range convs {
-		states[i] = &convState{conv: conv, baseID: nextID, next: 1}
-		byReq[nextID] = states[i]
-		nextID += len(conv.Turns)
+		st := &convState{conv: conv, baseID: p.turns, next: 1}
+		p.states[i] = st
+		p.byBase[st.baseID] = st
+		p.turns += len(conv.Turns)
 	}
+	sort.SliceStable(p.states, func(a, b int) bool {
+		return arrivesBefore(p.states[a].conv.Arrival, p.states[b].conv.Arrival)
+	})
+	return p
+}
 
-	// Failover keeps the conversation pins honest: a crash orphans every
-	// conversation homed on the dead replica (its KV state is gone), and a
-	// retried turn re-pins its conversation to the survivor it lands on,
-	// which re-prefills the carried context.
-	r.onCrash = func(rep *Replica, now units.Seconds) {
-		for _, st := range states {
-			if st.rep == rep {
-				st.rep = nil
-			}
-		}
+// of returns the conversation a turn belongs to.
+func (p *convPlan) of(req workload.Request) *convState { return p.byBase[req.ID-(req.Turn-1)] }
+
+// nextFirst is the arrival feed's source: the first turns in plan order,
+// stably sorted by arrival.
+func (p *convPlan) nextFirst() (workload.Request, bool) {
+	if p.fed == len(p.states) {
+		return workload.Request{}, false
 	}
-	r.onRequeue = func(id int, rep *Replica) {
-		st, ok := byReq[id]
-		if !ok || st.rep == rep {
-			return
-		}
-		if st.rep != nil {
-			st.rep.holds--
-		}
-		st.rep = rep
+	st := p.states[p.fed]
+	p.fed++
+	return workload.Request{
+		ID:           st.baseID,
+		InputLen:     st.conv.Turns[0].Input,
+		OutputLen:    st.conv.Turns[0].Output,
+		Arrival:      st.conv.Arrival,
+		Conversation: st.conv.ID,
+		Turn:         1,
+		PrefixGroup:  -(int64(st.conv.ID) + 1),
+	}, true
+}
+
+// routed pins a conversation where its first turn landed (nil when it was
+// stranded).
+func (p *convPlan) routed(req workload.Request, rep *Replica) {
+	if p.of(req).rep = rep; rep != nil {
 		rep.holds++
-		if r.resil != nil {
-			r.resil.repins++
+	}
+}
+
+// crashed orphans every conversation homed on a dead replica: its KV state
+// is gone, and the next turn re-pins wherever it lands.
+func (p *convPlan) crashed(rep *Replica) {
+	for _, st := range p.states {
+		if st.rep == rep {
+			st.rep = nil
 		}
 	}
+}
 
-	// A completed turn launches the conversation's next turn think-time
-	// later, on the same replica. A finished conversation releases its hold
-	// on the replica, making it drainable again.
-	r.onFinish = func(rep *Replica, req workload.Request) {
-		st, ok := byReq[req.ID]
-		if !ok {
-			return
-		}
-		if st.next >= len(st.conv.Turns) {
-			rep.holds--
-			return
-		}
-		turn := st.conv.Turns[st.next]
-		follow := workload.Request{
-			ID: st.baseID + st.next,
-			// The follow-up's prompt is the grown context: everything said
-			// so far plus the newly typed tokens.
-			InputLen:     req.SeqLen() + turn.Input,
-			OutputLen:    turn.Output,
-			Arrival:      rep.stepper.Now() + turn.Think,
-			Conversation: st.conv.ID,
-			Turn:         st.next + 1,
-			PrefixGroup:  -(int64(st.conv.ID) + 1),
-			PrefixLen:    req.SeqLen(),
-		}
-		st.next++
-		byReq[follow.ID] = st
-		r.kernel.At(follow.Arrival, func(now units.Seconds) {
-			if r.err != nil {
-				return
-			}
-			rep := st.rep
-			if rep == nil || rep.state == repFailed || rep.state == repStopped {
-				// The pinned replica died between turns: route the
-				// follow-up like a fresh arrival and re-pin the
-				// conversation to wherever it lands.
-				if nrep := r.route(follow, now); nrep != nil {
-					st.rep = nrep
-					nrep.holds++
-					if r.resil != nil {
-						r.resil.repins++
-					}
-				}
-				return
-			}
-			r.inject(rep, follow, now)
+// requeued re-pins a conversation to the survivor its retried turn landed
+// on, which re-prefills the carried context.
+func (p *convPlan) requeued(z *resilience, req workload.Request, rep *Replica) {
+	st := p.of(req)
+	if st.rep == rep {
+		return
+	}
+	if st.rep != nil {
+		st.rep.holds--
+	}
+	st.rep = rep
+	rep.holds++
+	z.repins++
+}
+
+// failed abandons the rest of a conversation whose turn terminally failed:
+// each turn not yet launched is accounted once as failed ("abandoned",
+// never attempted) at the failure instant, and the conversation releases
+// its hold on its replica, which becomes drainable again.
+func (p *convPlan) failed(z *resilience, req workload.Request, at units.Seconds) {
+	st := p.of(req)
+	for ; st.next < len(st.conv.Turns); st.next++ {
+		z.failures = append(z.failures, FailedRequest{
+			ID: st.baseID + st.next, Class: req.Class, Reason: "abandoned", At: at,
 		})
 	}
+	if st.rep != nil {
+		st.rep.holds--
+		st.rep = nil
+	}
+}
 
-	// The feed routes the first turns in plan order, stably sorted by
-	// arrival, and pins each conversation where its first turn lands. The
-	// default horizon stays: a completion can launch a follow-up any time.
-	sort.SliceStable(states, func(a, b int) bool { return arrivesBefore(states[a].conv.Arrival, states[b].conv.Arrival) })
-	k := 0
-	next := func() (workload.Request, bool) {
-		if k == len(states) {
-			return workload.Request{}, false
-		}
-		st := states[k]
-		k++
-		return workload.Request{
-			ID:           st.baseID,
-			InputLen:     st.conv.Turns[0].Input,
-			OutputLen:    st.conv.Turns[0].Output,
-			Arrival:      st.conv.Arrival,
-			Conversation: st.conv.ID,
-			Turn:         1,
-			PrefixGroup:  -(int64(st.conv.ID) + 1),
-		}, true
+// finished runs on the replica that completed a turn, mid-phase, so it
+// writes only that replica and the conversation pinned to it. It buffers
+// the conversation's next turn on the replica, think-time after the
+// completion; a finished conversation releases its hold instead.
+func (p *convPlan) finished(r *fleetRun, rep *Replica, req workload.Request) {
+	st := p.of(req)
+	if st.next >= len(st.conv.Turns) {
+		rep.holds--
+		return
 	}
-	f := r.newFeed(next, func(req workload.Request, rep *Replica) {
-		if byReq[req.ID].rep = rep; rep != nil {
-			rep.holds++
-		}
-	})
-	first, _ := next()
-	if _, err := f.run(first); err != nil {
-		return nil, err
+	turn := st.conv.Turns[st.next]
+	follow := workload.Request{
+		ID: st.baseID + st.next,
+		// The follow-up's prompt is the grown context: everything said so
+		// far plus the newly typed tokens.
+		InputLen:     req.SeqLen() + turn.Input,
+		OutputLen:    turn.Output,
+		Arrival:      rep.stepper.Now() + turn.Think,
+		Conversation: st.conv.ID,
+		Turn:         st.next + 1,
+		PrefixGroup:  -(int64(st.conv.ID) + 1),
+		PrefixLen:    req.SeqLen(),
 	}
-	return aggregate(r, workload.TotalTurns(convs))
+	st.next++
+	rep.followUps = append(rep.followUps, followUp{at: follow.Arrival, fire: func(now units.Seconds) {
+		p.launch(r, st, follow, now)
+	}})
+}
+
+// launch injects a follow-up turn on its conversation's replica. When the
+// pinned replica died between turns, the turn is routed like a fresh
+// arrival and the conversation re-pins to wherever it lands.
+func (p *convPlan) launch(r *fleetRun, st *convState, follow workload.Request, now units.Seconds) {
+	if r.err != nil {
+		return
+	}
+	rep := st.rep
+	if rep == nil || rep.state == repFailed || rep.state == repStopped {
+		if nrep := r.route(follow, now); nrep != nil {
+			st.rep = nrep
+			nrep.holds++
+			if r.resil != nil {
+				r.resil.repins++
+			}
+		}
+		return
+	}
+	r.inject(rep, follow, now)
 }

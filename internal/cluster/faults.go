@@ -137,8 +137,8 @@ func (z *resilience) crash(idx int, now units.Seconds) {
 	for _, c := range rep.stepper.Fail() {
 		z.handleCasualty(c, now, "crash")
 	}
-	if r.onCrash != nil {
-		r.onCrash(rep, now)
+	if r.plan != nil {
+		r.plan.crashed(rep)
 	}
 }
 
@@ -290,9 +290,8 @@ func (z *resilience) checkTimeout(id, attempt int, now units.Seconds) {
 	z.handleCasualty(c, now, "timeout")
 }
 
-// finished marks a request's ledger entry complete. Sharded runs call it
-// only at barriers (completions buffer on the finishing replica mid-phase),
-// serial runs at the step itself.
+// finished marks a request's ledger entry complete. The driver calls it
+// when it settles the finishing replica, before the next kernel event.
 func (z *resilience) finished(id int) {
 	if t := z.track[id]; t != nil {
 		t.done = true
@@ -372,8 +371,8 @@ func (z *resilience) dispatch(t *reqTrack, now units.Seconds) {
 	} else {
 		r.push(rep, t.cur, now)
 	}
-	if r.onRequeue != nil {
-		r.onRequeue(t.cur.ID, rep)
+	if r.plan != nil {
+		r.plan.requeued(z, t.cur, rep)
 	}
 }
 
@@ -394,13 +393,17 @@ func (z *resilience) flushWaiting(now units.Seconds) {
 	}
 }
 
-// fail closes a request's ledger entry as terminally failed.
+// fail closes a request's ledger entry as terminally failed; a failed
+// conversation turn abandons the rest of its conversation.
 func (z *resilience) fail(t *reqTrack, req workload.Request, reason string, at units.Seconds) {
 	t.failed = true
 	t.rep = nil
 	z.failures = append(z.failures, FailedRequest{
 		ID: req.ID, Class: req.Class, Attempts: t.attempts, Reason: reason, At: at,
 	})
+	if z.run.plan != nil {
+		z.run.plan.failed(z, req, at)
+	}
 }
 
 // closeLedger terminally fails anything still stranded when the kernel

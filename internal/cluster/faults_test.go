@@ -350,6 +350,63 @@ func TestConversationFailoverRepins(t *testing.T) {
 	}
 }
 
+// TestRunPlanAbandonsFailedConversation: a turn that fails for good — lost
+// to a crash or a timeout with no retries left — abandons its
+// conversation's later turns, each accounted exactly once as failed
+// ("abandoned", never attempted, at the failure instant), and the
+// conversation releases its hold on its replica.
+func TestRunPlanAbandonsFailedConversation(t *testing.T) {
+	convs := []workload.Conversation{{ID: 0, Turns: []workload.Turn{
+		{Input: 64, Output: 400},
+		{Input: 16, Output: 8, Think: units.Seconds(0.1)},
+	}}}
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		arm      func(o *Options)
+		reason   string
+		at       units.Seconds
+	}{
+		{"crash", 1, func(o *Options) {
+			o.Faults = &faults.Plan{Name: "crash", Faults: []faults.Fault{{Kind: faults.KindCrash, Replica: 0, At: 0.5}}}
+		}, "crash", 0.5},
+		{"timeout", 2, func(o *Options) { o.Timeout = units.Seconds(0.2) }, "timeout", 0.2},
+	} {
+		opt := testOptions(tc.replicas, RoundRobin())
+		tc.arm(&opt)
+		build := func() *Cluster {
+			c, err := New(newPAPI, model.LLaMA65B(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		f, err := build().RunPlan(convs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		auditLedger(t, f, 2)
+		want := []FailedRequest{
+			{ID: 0, Attempts: 1, Reason: tc.reason, At: tc.at},
+			{ID: 1, Attempts: 0, Reason: "abandoned", At: tc.at},
+		}
+		if !reflect.DeepEqual(f.FailedRequests, want) {
+			t.Errorf("%s: failed requests %+v, want %+v", tc.name, f.FailedRequests, want)
+		}
+		// The hold is released during the run, not only at its end.
+		if _, err := runDriven(build(), nil, convs, func(r *fleetRun) {
+			r.drain()
+			for _, rep := range r.reps {
+				if rep.holds != 0 {
+					t.Errorf("%s: replica %d still holds %d conversations", tc.name, rep.ID, rep.holds)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // Crash-during-drain: the autoscaler is mid-drain on one replica when
 // another crashes. The drained replica still completes its in-flight work,
 // the crash's casualties fail over, and — with headroom freed by the dead

@@ -111,9 +111,10 @@ type FleetResult struct {
 
 // FailedRequest records one request the fleet terminally failed: it ran
 // out of retry budget (Reason "crash" or "timeout" names the final straw),
-// or no replica survived to serve it ("no-replicas" when failing fast,
+// no replica survived to serve it ("no-replicas" when failing fast,
 // "unserved" when it was still waiting for a replacement boot at the end of
-// the run).
+// the run), or it is a later conversation turn that never launched because
+// an earlier one failed ("abandoned", with zero attempts).
 type FailedRequest struct {
 	ID       int
 	Class    workload.Class

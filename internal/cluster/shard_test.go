@@ -13,34 +13,72 @@ import (
 	"github.com/papi-sim/papi/internal/workload"
 )
 
-// runTiered drives one tiered-diurnal fleet run with the given shard count and
-// decode path, retaining everything so DeepEqual compares the full result.
-func runTiered(t *testing.T, shards int, mode serving.FastPathMode, autoscale *AutoscaleOptions, n int, seed int64) *FleetResult {
+// referenceDrive is the time-order oracle the barrier driver is pinned
+// against, reached through the drive parameter of the run body: it steps
+// one replica at a time, one iteration per step, in (instant, replica ID)
+// order; kernel events fire first at equal instants; and each step's
+// deferred writes — the step error, ledger completions, power-off decisions
+// and follow-up turns — apply right after it.
+func referenceDrive(r *fleetRun) {
+	for r.err == nil {
+		var rep *Replica
+		for _, x := range r.reps {
+			if x.scheduled && (rep == nil || x.nextStep < rep.nextStep) {
+				rep = x
+			}
+		}
+		if at, ok := r.kernel.NextAt(); ok && (rep == nil || at <= rep.nextStep) {
+			r.kernel.Step()
+			continue
+		}
+		if rep == nil {
+			return
+		}
+		rep.scheduled = false
+		// A horizon at the step instant ends the window after one iteration.
+		r.stepReplica(rep, rep.nextStep)
+		r.settle(rep)
+		if r.scaler != nil {
+			r.scaler.flushStops()
+		}
+	}
+}
+
+// runDriven runs an open-loop stream (reqs, in Run's order) or a
+// conversation plan (convs) on c under the given driver.
+func runDriven(c *Cluster, reqs []workload.Request, convs []workload.Conversation, drive func(*fleetRun)) (*FleetResult, error) {
+	if convs != nil {
+		p := newConvPlan(convs)
+		return c.run(p.nextFirst, p, drive)
+	}
+	return c.run(sortedSource(reqs), nil, drive)
+}
+
+// matchDrivers runs one fleet under the time-order reference and under the
+// barrier driver — through Run or RunPlan — at Shards 1 and at each of
+// shards, and fails unless every result deep-equals the reference. build
+// must return a fresh cluster, with a fresh router, on every call: routers
+// keep per-run state. It returns the reference result.
+func matchDrivers(t *testing.T, label string, build func(shards int) *Cluster,
+	reqs []workload.Request, convs []workload.Conversation, shards ...int) *FleetResult {
 	t.Helper()
-	opt := serving.DefaultOptions(1)
-	opt.FastPath = mode
-	replicas := 3
-	if autoscale != nil {
-		replicas = autoscale.Min
-	}
-	cl, err := NewByName("PAPI", model.OPT30B(), Options{
-		Replicas:       replicas,
-		MaxBatch:       6,
-		Router:         LeastOutstanding(),
-		Serving:        opt,
-		Autoscale:      autoscale,
-		Shards:         shards,
-		RetainRequests: true,
-		RetainStream:   true,
-	})
+	want, err := runDriven(build(1), reqs, convs, referenceDrive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := cl.Run(tieredStream(t, n, seed))
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range append([]int{1}, shards...) {
+		var got *FleetResult
+		if convs != nil {
+			got, err = build(n).RunPlan(convs)
+		} else {
+			got, err = build(n).Run(reqs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffFleet(t, fmt.Sprintf("%s shards=%d", label, n), want, got)
 	}
-	return f
+	return want
 }
 
 // diffFleet pinpoints the first diverging exported field so an equivalence
@@ -57,7 +95,7 @@ func diffFleet(t *testing.T, label string, a, b *FleetResult) {
 			continue
 		}
 		if !reflect.DeepEqual(av.Field(i).Interface(), bv.Field(i).Interface()) {
-			t.Errorf("%s: field %s diverged:\n serial:  %+v\n sharded: %+v",
+			t.Errorf("%s: field %s diverged:\n want: %+v\n got:  %+v",
 				label, f.Name, av.Field(i).Interface(), bv.Field(i).Interface())
 		}
 	}
@@ -66,28 +104,92 @@ func diffFleet(t *testing.T, label string, a, b *FleetResult) {
 	}
 }
 
-// TestShardedMatchesSerial pins the tentpole equivalence claim: the parallel
-// barrier driver is bit-identical to the serial kernel schedule — every
-// exported field, per-request record, realised stream, and energy ledger —
-// for static and elastic fleets, on both decode paths.
+// samePlan returns n copies of one conversation under distinct IDs, all
+// arriving at the same instant: on a fleet of identical replicas their
+// timelines coincide exactly, so completions, follow-ups and deadlines on
+// different replicas tie.
+func samePlan(t *testing.T, n int) []workload.Conversation {
+	t.Helper()
+	base := chatPlan(t, 1, 5)[0]
+	convs := make([]workload.Conversation, n)
+	for i := range convs {
+		convs[i] = base
+		convs[i].ID = i
+	}
+	return convs
+}
+
+// zeroThink returns the plan with every think time zero: each follow-up
+// arrives at the instant its previous turn completed.
+func zeroThink(convs []workload.Conversation) []workload.Conversation {
+	for i := range convs {
+		turns := append([]workload.Turn(nil), convs[i].Turns...)
+		for k := range turns {
+			turns[k].Think = 0
+		}
+		convs[i].Turns = turns
+	}
+	return convs
+}
+
+// TestShardedMatchesSerial pins the driver equivalence claim: the barrier
+// driver, inline and on several shards, is bit-identical to the time-order
+// reference — every exported field, per-request record, realised stream,
+// and energy ledger — for static and elastic fleets on both decode paths,
+// open-loop and closed-loop.
 func TestShardedMatchesSerial(t *testing.T) {
 	slo := workload.SLO{TokenLatency: units.Milliseconds(8)}
 	for _, tc := range []struct {
 		name      string
 		mode      serving.FastPathMode
 		autoscale *AutoscaleOptions
+		convs     func(t *testing.T) []workload.Conversation
 	}{
-		{"static/fastpath-on", serving.FastPathOn, nil},
-		{"static/fastpath-off", serving.FastPathOff, nil},
-		{"autoscaled/fastpath-on", serving.FastPathOn, DefaultAutoscale(1, 4, slo)},
-		{"autoscaled/fastpath-off", serving.FastPathOff, DefaultAutoscale(1, 4, slo)},
+		{"static/fastpath-on", serving.FastPathOn, nil, nil},
+		{"static/fastpath-off", serving.FastPathOff, nil, nil},
+		{"autoscaled/fastpath-on", serving.FastPathOn, DefaultAutoscale(1, 4, slo), nil},
+		{"autoscaled/fastpath-off", serving.FastPathOff, DefaultAutoscale(1, 4, slo), nil},
+		{"plan/static", serving.FastPathOn, nil,
+			func(t *testing.T) []workload.Conversation { return chatPlan(t, 16, 23) }},
+		{"plan/fastpath-off", serving.FastPathOff, nil,
+			func(t *testing.T) []workload.Conversation { return chatPlan(t, 12, 29) }},
+		{"plan/autoscaled", serving.FastPathOn, DefaultAutoscale(1, 4, slo),
+			func(t *testing.T) []workload.Conversation { return chatPlan(t, 16, 23) }},
+		{"plan/zero-think", serving.FastPathOn, nil,
+			func(t *testing.T) []workload.Conversation { return zeroThink(chatPlan(t, 16, 31)) }},
+		{"plan/same-instant", serving.FastPathOn, nil,
+			func(t *testing.T) []workload.Conversation { return samePlan(t, 6) }},
+		{"plan/same-instant-zero-think", serving.FastPathOn, nil,
+			func(t *testing.T) []workload.Conversation { return zeroThink(samePlan(t, 6)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := runTiered(t, 1, tc.mode, tc.autoscale, 96, 23)
-			for _, shards := range []int{2, 4} {
-				sharded := runTiered(t, shards, tc.mode, tc.autoscale, 96, 23)
-				diffFleet(t, tc.name, serial, sharded)
+			build := func(shards int) *Cluster {
+				opt := serving.DefaultOptions(1)
+				opt.FastPath = tc.mode
+				replicas := 3
+				if tc.autoscale != nil {
+					replicas = tc.autoscale.Min
+				}
+				cl, err := NewByName("PAPI", model.OPT30B(), Options{
+					Replicas:       replicas,
+					MaxBatch:       6,
+					Router:         LeastOutstanding(),
+					Serving:        opt,
+					Autoscale:      tc.autoscale,
+					Shards:         shards,
+					RetainRequests: true,
+					RetainStream:   true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cl
 			}
+			if tc.convs != nil {
+				matchDrivers(t, tc.name, build, nil, tc.convs(t), 2, 4)
+				return
+			}
+			matchDrivers(t, tc.name, build, tieredStream(t, 96, 23), nil, 2, 4)
 		})
 	}
 }
@@ -95,7 +197,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 // TestShardedMixedFleetMatchesSerial extends the equivalence pin to a mixed
 // PAPI+baseline fleet, whose per-design split merges the replica aggregates.
 func TestShardedMixedFleetMatchesSerial(t *testing.T) {
-	run := func(shards int) *FleetResult {
+	build := func(shards int) *Cluster {
 		cl, err := NewFromSpecs(mixedSpecs(t), model.OPT30B(), Options{
 			Replicas:       4,
 			MaxBatch:       6,
@@ -108,20 +210,17 @@ func TestShardedMixedFleetMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := cl.Run(tieredStream(t, 64, 41))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+		return cl
 	}
-	diffFleet(t, "mixed", run(1), run(4))
+	matchDrivers(t, "mixed", build, tieredStream(t, 64, 41), nil, 4)
+	matchDrivers(t, "mixed plan", build, nil, chatPlan(t, 16, 41), 4)
 }
 
 // TestShardedFaultsMatchSerial extends the equivalence pin to fault-injected
 // fleets: fault edges, timeout deadlines, and retry re-injections are kernel
-// events, so the sharded driver treats them as barriers and must reproduce
-// the serial failure trace — casualties, retries, failures, lost tokens —
-// bit-for-bit. (Before PR 10 these runs fell back to the serial schedule.)
+// events, so the barrier driver treats them as barriers and must reproduce
+// the reference failure trace — casualties, retries, failures, lost tokens,
+// abandoned turns — bit-for-bit, open-loop and closed-loop.
 func TestShardedFaultsMatchSerial(t *testing.T) {
 	crashPlan := &faults.Plan{Name: "crash", Faults: []faults.Fault{
 		{Kind: faults.KindCrash, Replica: 0, At: 0.8},
@@ -131,23 +230,52 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 		{Kind: faults.KindBrownout, At: 0.7, Factor: 1.8, Duration: 0.4},
 		{Kind: faults.KindCrash, Replica: 2, At: 1.1},
 	}}
+	// The plan rows stretch the windows over the conversations' follow-ups.
+	planWindows := &faults.Plan{Name: "plan-windows", Faults: []faults.Fault{
+		{Kind: faults.KindStraggler, Replica: 1, At: 0.4, Factor: 2.5, Duration: 3},
+		{Kind: faults.KindBrownout, At: 2.5, Factor: 1.8, Duration: 2},
+		{Kind: faults.KindCrash, Replica: 2, At: 3.5},
+	}}
 	for _, tc := range []struct {
 		name    string
 		plan    *faults.Plan
 		timeout units.Seconds
 		stream  func(t *testing.T) []workload.Request
+		convs   func(t *testing.T) []workload.Conversation
 	}{
 		// Crash + bounded retries on a single-class stream.
 		{"crash-retry", crashPlan, 0,
-			func(t *testing.T) []workload.Request { return workload.GeneralQA().Poisson(48, 60, 31) }},
+			func(t *testing.T) []workload.Request { return workload.GeneralQA().Poisson(48, 60, 31) }, nil},
 		// Straggler and brownout windows plus a crash on the tiered stream
 		// (brownouts shed batch-class arrivals), with per-attempt timeouts
 		// arming deadline events between arrivals.
 		{"windows-tiered", windowPlan, units.Seconds(2),
-			func(t *testing.T) []workload.Request { return tieredStream(t, 64, 31) }},
+			func(t *testing.T) []workload.Request { return tieredStream(t, 64, 31) }, nil},
+		// A crash with pinned conversations: casualties retry on survivors
+		// and their conversations re-pin.
+		{"plan/crash-retry", crashPlan, 0, nil,
+			func(t *testing.T) []workload.Conversation { return chatPlan(t, 12, 31) }},
+		// Windows, a crash and tight timeouts on a plan: turns time out,
+		// retry, and — out of retries — abandon their conversations.
+		{"plan/windows-timeout", planWindows, units.Seconds(0.6), nil,
+			func(t *testing.T) []workload.Conversation { return chatPlan(t, 12, 37) }},
+		// Zero think time and tied replicas under the same windows.
+		{"plan/same-instant-timeout", planWindows, units.Seconds(0.8), nil,
+			func(t *testing.T) []workload.Conversation { return zeroThink(samePlan(t, 6)) }},
+		// Two conversations on two replicas tie through their first turns,
+		// so their different second turns arrive, time out and retry at the
+		// same instants, and where each retry lands depends on the order
+		// the follow-ups went on the kernel.
+		{"plan/tied-timeouts", nil, units.Seconds(0.5), nil,
+			func(t *testing.T) []workload.Conversation {
+				return []workload.Conversation{
+					{ID: 0, Arrival: 0.1, Turns: []workload.Turn{{Input: 32, Output: 8}, {Input: 16, Output: 400, Think: 0.5}}},
+					{ID: 1, Arrival: 0.1, Turns: []workload.Turn{{Input: 32, Output: 8}, {Input: 64, Output: 300, Think: 0.5}}},
+				}
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(shards int) *FleetResult {
+			build := func(shards int) *Cluster {
 				cl, err := New(newPAPI, model.LLaMA65B(), Options{
 					Replicas:       3,
 					MaxBatch:       8,
@@ -164,39 +292,23 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f, err := cl.Run(tc.stream(t))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return f
+				return cl
 			}
-			serial := run(1)
-			if serial.Faults == 0 {
+			var reqs []workload.Request
+			var convs []workload.Conversation
+			if tc.convs != nil {
+				convs = tc.convs(t)
+			} else {
+				reqs = tc.stream(t)
+			}
+			ref := matchDrivers(t, tc.name, build, reqs, convs, 2, 4)
+			if tc.plan != nil && ref.Faults == 0 {
 				t.Fatalf("fault plan never fired: the equivalence pin is vacuous")
 			}
-			for _, shards := range []int{2, 4} {
-				diffFleet(t, tc.name, serial, run(shards))
+			if ref.Faults+ref.Retries == 0 {
+				t.Fatalf("no fault fired and nothing retried: the equivalence pin is vacuous")
 			}
 		})
-	}
-}
-
-// TestRunPlanRejectsShards: closed-loop plans couple replicas through
-// follow-ups, so sharding them is an error, not a silent serial fallback.
-func TestRunPlanRejectsShards(t *testing.T) {
-	opt := testOptions(2, LeastOutstanding())
-	opt.Shards = 4
-	c, err := New(newPAPI, model.LLaMA65B(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := []workload.Conversation{{ID: 0, Turns: []workload.Turn{{Input: 32, Output: 8}}}}
-	if _, err := c.RunPlan(plan); err == nil {
-		t.Fatal("RunPlan accepted a sharded run")
-	}
-	// The rejection must not consume the single-use cluster.
-	if _, err := c.Run(workload.GeneralQA().Generate(4, 1)); err != nil {
-		t.Fatalf("run after rejected sharded plan: %v", err)
 	}
 }
 
@@ -427,19 +539,25 @@ func TestVacuousScores(t *testing.T) {
 	}
 }
 
-// FuzzShardedEquivalence drives random small fleets through both schedules —
-// the CI fuzz target backing the equivalence pin with adversarial shapes,
-// including fault-injected ones: a randomized crash (replica and instant), a
-// degradation window, and per-attempt timeouts, so barrier-scheduled failure
-// events are fuzzed against the serial failure trace.
+// FuzzShardedEquivalence drives random small fleets through the time-order
+// reference and the barrier driver at Shards 1 and N — the CI fuzz target
+// backing the driver equivalence pin with adversarial shapes, open-loop
+// streams and conversation plans alike, including fault-injected ones: a
+// randomized crash (replica and instant), a degradation window, and
+// per-attempt timeouts, so barrier-scheduled failure events are fuzzed
+// against the reference failure trace.
 func FuzzShardedEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(2), uint8(2), false, uint8(0), uint8(0), false)
-	f.Add(int64(7), uint8(40), uint8(3), uint8(4), true, uint8(0), uint8(0), false)
-	f.Add(int64(23), uint8(8), uint8(1), uint8(3), false, uint8(0), uint8(0), false)
-	f.Add(int64(31), uint8(48), uint8(3), uint8(4), false, uint8(3), uint8(40), true)
-	f.Add(int64(11), uint8(32), uint8(2), uint8(2), true, uint8(7), uint8(90), false)
+	f.Add(int64(1), uint8(16), uint8(2), uint8(2), false, uint8(0), uint8(0), false, false)
+	f.Add(int64(7), uint8(40), uint8(3), uint8(4), true, uint8(0), uint8(0), false, false)
+	f.Add(int64(23), uint8(8), uint8(1), uint8(3), false, uint8(0), uint8(0), false, false)
+	f.Add(int64(31), uint8(48), uint8(3), uint8(4), false, uint8(3), uint8(40), true, false)
+	f.Add(int64(11), uint8(32), uint8(2), uint8(2), true, uint8(7), uint8(90), false, false)
+	f.Add(int64(5), uint8(24), uint8(2), uint8(2), false, uint8(0), uint8(0), false, true)
+	f.Add(int64(13), uint8(40), uint8(3), uint8(3), true, uint8(1), uint8(60), false, true)
+	f.Add(int64(17), uint8(32), uint8(3), uint8(4), false, uint8(6), uint8(20), true, true)
+	f.Add(int64(19), uint8(20), uint8(2), uint8(2), true, uint8(3), uint8(75), true, true)
 	f.Fuzz(func(t *testing.T, seed int64, n, replicas, shards uint8, elastic bool,
-		fault, faultAt uint8, timeout bool) {
+		fault, faultAt uint8, timeout, plan bool) {
 
 		nreq := int(n%64) + 1
 		reps := int(replicas%4) + 1
@@ -448,36 +566,44 @@ func FuzzShardedEquivalence(f *testing.F) {
 		// 3 crash+brownout. faultAt places the crash inside the stream's
 		// ~[0, 2s] arrival span so it can land before, between, or after
 		// most arrivals.
-		var plan *faults.Plan
+		var faultPlan *faults.Plan
 		at := units.Seconds(float64(faultAt%100) / 50)
 		switch fault % 4 {
 		case 1:
-			plan = &faults.Plan{Name: "f1", Faults: []faults.Fault{
+			faultPlan = &faults.Plan{Name: "f1", Faults: []faults.Fault{
 				{Kind: faults.KindCrash, Replica: int(fault) % reps, At: float64(at)},
 			}}
 		case 2:
-			plan = &faults.Plan{Name: "f2", Faults: []faults.Fault{
+			faultPlan = &faults.Plan{Name: "f2", Faults: []faults.Fault{
 				{Kind: faults.KindStraggler, Replica: int(fault) % reps, At: float64(at), Factor: 3, Duration: 0.5},
 				{Kind: faults.KindCrash, Replica: int(fault+1) % reps, At: float64(at) + 0.2},
 			}}
 		case 3:
-			plan = &faults.Plan{Name: "f3", Faults: []faults.Fault{
+			faultPlan = &faults.Plan{Name: "f3", Faults: []faults.Fault{
 				{Kind: faults.KindBrownout, At: float64(at), Factor: 2, Duration: 0.6},
 				{Kind: faults.KindCrash, Replica: int(fault) % reps, At: float64(at) + 0.3},
 			}}
 		}
-		run := func(s int) *FleetResult {
+		// A plan holds about nreq turns: chat conversations average 3.5.
+		var reqs []workload.Request
+		var convs []workload.Conversation
+		if plan {
+			convs = chatPlan(t, nreq/4+1, seed)
+		} else {
+			reqs = workload.GeneralQA().Poisson(nreq, 50, seed)
+		}
+		build := func(s int) *Cluster {
 			opt := Options{
 				Replicas:       reps,
 				MaxBatch:       4,
 				Router:         LeastOutstanding(),
 				Serving:        serving.DefaultOptions(1),
-				Faults:         plan,
+				Faults:         faultPlan,
 				Shards:         s,
 				RetainRequests: true,
 				RetainStream:   true,
 			}
-			if plan != nil {
+			if faultPlan != nil {
 				opt.Retries = 1
 				opt.RetryBackoff = units.Seconds(0.05)
 			}
@@ -491,17 +617,9 @@ func FuzzShardedEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := c.Run(workload.GeneralQA().Poisson(nreq, 50, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
+			return c
 		}
-		serial, sharded := run(1), run(nshards)
-		if !reflect.DeepEqual(serial, sharded) {
-			diffFleet(t, "fuzz", serial, sharded)
-			t.Fatalf("sharded run diverged (seed=%d n=%d replicas=%d shards=%d elastic=%v fault=%d at=%v timeout=%v)",
-				seed, nreq, reps, nshards, elastic, fault%4, at, timeout)
-		}
+		matchDrivers(t, fmt.Sprintf("fuzz (seed=%d n=%d replicas=%d shards=%d elastic=%v fault=%d at=%v timeout=%v plan=%v)",
+			seed, nreq, reps, nshards, elastic, fault%4, at, timeout, plan), build, reqs, convs, nshards)
 	})
 }

@@ -13,12 +13,12 @@ import (
 )
 
 // ScaleCell is one execution strategy's run over the identical tiered-diurnal
-// stream: the serial kernel, the sharded barrier driver, or a checkpointed
+// stream: the barrier driver inline or on parallel shards, or a checkpointed
 // split across segments — the scaling machinery measured on the same traffic.
 type ScaleCell struct {
 	// Config names the strategy: "serial", "shards-N", or "segments-N".
 	Config string
-	// Shards is the parallel-drive width (1 = serial kernel); Segments how
+	// Shards is the parallel-drive width (1 = inline); Segments how
 	// many checkpointed sub-runs the stream was split into (1 = unsplit).
 	Shards   int
 	Segments int
@@ -48,8 +48,8 @@ type ScaleCell struct {
 }
 
 // ScaleResult is the scale sweep: one tiered-diurnal stream served by each
-// execution strategy of the million-request machinery — the serial kernel as
-// the oracle, the sharded parallel driver that must match it bit-for-bit,
+// execution strategy of the million-request machinery — the inline drive as
+// the oracle, the parallel drive on shards that must match it bit-for-bit,
 // and a checkpointed split whose merged ledger must conserve every request.
 // The stream deliberately exceeds the sketches' exact regime, so the figure
 // also pins the approximate-regime digests deterministically.
@@ -111,7 +111,7 @@ func ScaleSweep(cfg model.Config, replicas, requests, maxBatch int, slo workload
 		return cl
 	}
 
-	// The serial kernel is the oracle every other strategy is judged against.
+	// The inline drive is the oracle every other strategy is judged against.
 	serial, err := newFleet(1).Run(stream)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: scale serial: %v", err))

@@ -1,7 +1,7 @@
 // Package sched implements PAPI's dynamic parallelism-aware task scheduling
 // (§5): the RLP×TLP arithmetic-intensity estimator, the memory-boundedness
 // threshold α, initial and runtime token-level scheduling with <|eos|>
-// counting, the TLP register, and the offline α calibration procedure.
+// counting, and the offline α calibration procedure.
 //
 // It also provides the static placement policies of the baselines
 // (A100+AttAcc, A100+HBM-PIM, AttAcc-only), so the serving engine is
@@ -85,7 +85,7 @@ func (d Dynamic) PlaceFC(rlp, tlp int) Placement {
 
 // Runtime scheduler ------------------------------------------------------------
 
-// Event records one scheduling step, for traces like Fig. 5(d).
+// Event records one scheduling decision, the unit of traces like Fig. 5(d).
 type Event struct {
 	Iteration   int
 	RLP, TLP    int
@@ -95,8 +95,9 @@ type Event struct {
 }
 
 // Scheduler is the runtime incarnation of §5.2: it owns the RLP counter
-// (updated by counting <|eos|> tokens after each decoding), the TLP register
-// (written by the host CPU), and emits a placement per iteration.
+// (updated by counting <|eos|> tokens after each decoding) and the TLP (the
+// system speculation length, fixed for the run), and emits a placement per
+// iteration.
 type Scheduler struct {
 	policy Policy
 
@@ -107,8 +108,6 @@ type Scheduler struct {
 	last        Placement
 	hasLast     bool
 	reschedules int
-	trace       []Event
-	traceCap    int
 }
 
 // NewScheduler builds a runtime scheduler around a policy with the initial
@@ -118,7 +117,7 @@ func NewScheduler(p Policy, rlp, tlp int) (*Scheduler, error) {
 	if rlp <= 0 || tlp <= 0 {
 		return nil, fmt.Errorf("sched: initial RLP %d / TLP %d must be positive", rlp, tlp)
 	}
-	return &Scheduler{policy: p, rlp: rlp, tlp: tlp, traceCap: 4096}, nil
+	return &Scheduler{policy: p, rlp: rlp, tlp: tlp}, nil
 }
 
 // RLP returns the current request-level parallelism.
@@ -130,55 +129,16 @@ func (s *Scheduler) TLP() int { return s.tlp }
 // Reschedules returns how many placement changes have occurred.
 func (s *Scheduler) Reschedules() int { return s.reschedules }
 
-// Trace returns the recorded scheduling events (capped).
-func (s *Scheduler) Trace() []Event { return s.trace }
-
-// SetTraceCap bounds the recorded scheduling trace; 0 disables recording.
-// The serving engine disables it — the trace duplicates what Result already
-// carries (RLPTrace, IterStats) and would otherwise grow per iteration on
-// the decode hot path.
-func (s *Scheduler) SetTraceCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.traceCap = n
-}
-
 // Repeat advances the scheduler over k further iterations whose scheduling
 // inputs are unchanged — the serving fast path's macro-stepping, where RLP
 // and TLP are frozen between scheduling events, so every interior iteration
 // would Decide the same placement with no reschedule. It must follow a
-// Decide call; the iteration counter, trace (when enabled) and reschedule
-// count end up exactly as k Decide calls would leave them.
+// Decide call; the iteration counter and reschedule count end up exactly as
+// k Decide calls would leave them.
 func (s *Scheduler) Repeat(k int) {
-	if k <= 0 {
-		return
-	}
-	if len(s.trace) >= s.traceCap {
+	if k > 0 {
 		s.iteration += k
-		return
 	}
-	for ; k > 0; k-- {
-		if len(s.trace) < s.traceCap {
-			s.trace = append(s.trace, Event{
-				Iteration:   s.iteration,
-				RLP:         s.rlp,
-				TLP:         s.tlp,
-				EstimatedAI: model.EstimatedAI(s.rlp, s.tlp),
-				Placement:   s.last,
-			})
-		}
-		s.iteration++
-	}
-}
-
-// SetTLP models the host CPU writing the dedicated TLP register (§5.2.2).
-func (s *Scheduler) SetTLP(tlp int) error {
-	if tlp <= 0 {
-		return fmt.Errorf("sched: TLP %d must be positive", tlp)
-	}
-	s.tlp = tlp
-	return nil
 }
 
 // ObserveEOS counts <|eos|> tokens in the gathered output vector of the last
@@ -237,9 +197,6 @@ func (s *Scheduler) Decide() Event {
 	}
 	s.last, s.hasLast = p, true
 	s.iteration++
-	if len(s.trace) < s.traceCap {
-		s.trace = append(s.trace, ev)
-	}
 	return ev
 }
 

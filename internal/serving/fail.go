@@ -22,9 +22,12 @@ func (p Perturbation) active() bool { return p.Slow > 1 || p.Attn > 1 }
 
 // SetPerturbation installs (or, with the zero value, clears) the engine's
 // latency perturbation. The cluster fault injector calls this at window
-// edges; while a perturbation is active the stepper runs one-iteration
-// windows so the stretch lands on the exact iterations inside the fault
-// window.
+// edges. Every iteration is stretched by the perturbation in force when it
+// starts, and a macro window keeps one perturbation throughout, so a
+// caller that changes the perturbation between Step calls must bound each
+// call with SetHorizon at the change instant, as with Push: the window
+// then ends at the first iteration boundary at or after it, and the next
+// iteration runs under the new factors, exactly as single-stepping would.
 func (s *Stepper) SetPerturbation(p Perturbation) {
 	s.perturb = p
 	s.perturbed = p.active()

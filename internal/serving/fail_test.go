@@ -1,11 +1,13 @@
 package serving
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
+	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
 
@@ -23,8 +25,8 @@ func driveToDrain(t *testing.T, s *Stepper) Result {
 }
 
 // An inert perturbation (factors at or below 1, or the zero value) must be
-// byte-for-byte invisible: the macro-stepping gate stays open and no stretch
-// is priced.
+// byte-for-byte invisible: it prices no stretch and leaves the Result
+// identical.
 func TestPerturbationInertIsNoOp(t *testing.T) {
 	reqs := workload.GeneralQA().Poisson(12, 30, 5)
 	run := func(p Perturbation, set bool) Result {
@@ -77,6 +79,67 @@ func TestPerturbationFastMatchesReference(t *testing.T) {
 	}
 	if fast.Breakdown.Other <= base.Breakdown.Other {
 		t.Fatal("straggler surcharge not booked under Breakdown.Other")
+	}
+}
+
+// A perturbation that changes mid-run, at instants the caller fences with
+// SetHorizon (as the cluster's fault edges are barriers), prices
+// identically on both decode paths: a macro window ends at the first
+// iteration boundary at or after each edge, the iteration single-stepping
+// prices under the old factors. And the perturbed stretches macro-step:
+// they take fewer Step calls than single-stepping.
+func TestPerturbationChangeFastMatchesReference(t *testing.T) {
+	reqs := workload.GeneralQA().Poisson(16, 30, 9)
+	edges := []struct {
+		at units.Seconds
+		p  Perturbation
+	}{
+		{0.3, Perturbation{Slow: 2}},
+		{0.7, Perturbation{Slow: 1.5, Attn: 1.8}},
+		{1.1, Perturbation{Attn: 2.5}},
+		{1.6, Perturbation{}},
+	}
+	run := func(mode FastPathMode) (Result, int) {
+		opt := DefaultOptions(1)
+		opt.FastPath = mode
+		e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
+		st, err := e.NewStreamStepper(reqs, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, perturbedSteps := 0, 0
+		for {
+			for next < len(edges) && st.Now() >= edges[next].at {
+				st.SetPerturbation(edges[next].p)
+				next++
+			}
+			horizon := units.Seconds(math.Inf(1))
+			if next < len(edges) {
+				horizon = edges[next].at
+			}
+			st.SetHorizon(horizon)
+			if next > 0 && next < len(edges) {
+				perturbedSteps++
+			}
+			info, err := st.Step()
+			if err != nil {
+				t.Fatalf("step: %v", err)
+			}
+			if info.Kind == StepDrained {
+				if next != len(edges) {
+					t.Fatalf("run drained before edge %d at %v", next, edges[next].at)
+				}
+				return st.Finalize(), perturbedSteps
+			}
+		}
+	}
+	fast, fastSteps := run(FastPathOn)
+	ref, refSteps := run(FastPathOff)
+	if !reflect.DeepEqual(fast, ref) {
+		t.Fatalf("perturbation edges: fast path diverged from reference:\nfast %+v\nref  %+v", fast, ref)
+	}
+	if fastSteps >= refSteps {
+		t.Fatalf("perturbed stretches took %d fast-path Steps, %d single Steps: no macro-stepping", fastSteps, refSteps)
 	}
 }
 

@@ -114,7 +114,7 @@ type Stepper struct {
 
 	// perturb is the fault injector's latency perturbation (see
 	// SetPerturbation); perturbed caches whether it is active, because the
-	// check sits on the per-iteration hot path and disables macro-stepping.
+	// check sits on the per-iteration hot path.
 	perturb   Perturbation
 	perturbed bool
 	// failed marks a crashed replica's stepper: Fail was called, every
@@ -191,9 +191,6 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The scheduler's own event trace duplicates Result's RLPTrace/IterStats
-	// and is unreachable through the stepper — don't pay for it per iteration.
-	scheduler.SetTraceCap(0)
 	s.scheduler = scheduler
 	return s, nil
 }
@@ -609,9 +606,6 @@ func (s *Stepper) admit() error {
 	if s.scheduler == nil {
 		var err error
 		s.scheduler, err = sched.NewScheduler(s.eng.Sys.Policy, admitted, s.eng.Opt.TLP)
-		if s.scheduler != nil {
-			s.scheduler.SetTraceCap(0)
-		}
 		return err
 	}
 	return s.scheduler.AdmitRequests(admitted)
@@ -707,8 +701,8 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 // call with SetHorizon(t) — t being the earliest instant it might push — or
 // build the engine with FastPathOff; otherwise a window can overshoot the
 // instant the caller meant to inject at, admitting the request later than
-// single-stepping would. internal/cluster does exactly this with its
-// event-kernel horizon.
+// single-stepping would. internal/cluster does exactly this: each replica's
+// horizon is the fleet driver's next barrier.
 func (s *Stepper) Step() (StepInfo, error) {
 	if s.failed {
 		return StepInfo{Kind: StepDrained}, nil
@@ -759,14 +753,14 @@ func (s *Stepper) Step() (StepInfo, error) {
 	// bounded by macroArrivalBound: the earliest instant an admission or
 	// preemption could change the active batch — queue-head arrival for a
 	// single class, the earliest class-boundary event for tiered streams.
+	// A perturbed window prices its stretch per iteration, and the caller
+	// fences perturbation changes with SetHorizon (see SetPerturbation).
 	// Everything else runs one-iteration windows: the reference path, whose
 	// fresh pricing reads per-request lengths that a TLP = 1 window updates
-	// only at its end; perturbed steppers (straggler/brownout windows), whose
-	// stretch is priced per iteration and whose window edge may land on any
-	// iteration boundary; and the one regime with no sound bound (see
+	// only at its end, and the one regime with no sound bound (see
 	// macroArrivalBound's ok = false).
 	bound, limit := units.Seconds(math.Inf(1)), 1
-	if s.eng.fastPath && !s.perturbed {
+	if s.eng.fastPath {
 		if b, ok := s.macroArrivalBound(); ok {
 			bound, limit = b, math.MaxInt
 		}
