@@ -7,7 +7,6 @@
 //	papibench -list-designs        # the named hardware designs
 //	papibench -design PAPI         # inspect one design (name or spec .json)
 //	papibench -faults plan.json    # validate and summarise a fault plan
-//	papibench -fastpath=off        # force the reference decode path
 //	papibench -cpuprofile cpu.out  # write a pprof CPU profile
 //	papibench -memprofile mem.out  # write a pprof heap profile
 package main
@@ -22,7 +21,6 @@ import (
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/experiments"
 	"github.com/papi-sim/papi/internal/faults"
-	"github.com/papi-sim/papi/internal/serving"
 )
 
 func main() {
@@ -30,14 +28,13 @@ func main() {
 	designArg := flag.String("design", "", "inspect one hardware design (registry name or spec .json file): validate, print its spec and derived capacities, then exit")
 	listDesigns := flag.Bool("list-designs", false, "list the named hardware designs in the registry and exit")
 	faultsArg := flag.String("faults", "", "inspect one fault plan .json: validate, print its schedule, then exit (see docs/RESILIENCE.md)")
-	fastpath := flag.String("fastpath", "on", "decode-loop fast path: on (memoized cost tables + macro-stepping) or off (reference path); both produce byte-identical output")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()
 
 	// run's defers terminate the CPU profile before the process exits on
 	// any error path, so a failed run never leaves a truncated profile.
-	if err := run(*which, *designArg, *faultsArg, *listDesigns, *fastpath, *cpuprofile, *memprofile); err != nil {
+	if err := run(*which, *designArg, *faultsArg, *listDesigns, *cpuprofile, *memprofile); err != nil {
 		fmt.Fprintf(os.Stderr, "papibench: %v\n", err)
 		os.Exit(1)
 	}
@@ -104,18 +101,7 @@ func inspectFaults(path string) error {
 	return nil
 }
 
-func run(which, designArg, faultsArg string, listDesigns bool, fastpath, cpuprofile, memprofile string) error {
-	// Validated up front so a typo never goes silently unused, whichever
-	// mode runs.
-	switch fastpath {
-	case "on", "true", "1":
-		serving.SetDefaultFastPath(true)
-	case "off", "false", "0":
-		serving.SetDefaultFastPath(false)
-	default:
-		return fmt.Errorf("-fastpath must be on or off, got %q", fastpath)
-	}
-
+func run(which, designArg, faultsArg string, listDesigns bool, cpuprofile, memprofile string) error {
 	if listDesigns || designArg != "" || faultsArg != "" {
 		// Inspection modes run no figures; any combined request they would
 		// silently drop is rejected instead.

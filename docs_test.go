@@ -162,7 +162,7 @@ var commandFlags = map[string]map[string]bool{
 		"target", "sweep", "scenario", "trace", "save-trace", "autoscale",
 		"classes", "kv-blocks", "kv-cold", "faults", "retries", "timeout",
 		"shards", "checkpoint", "retain-requests", "cpuprofile", "memprofile"),
-	"papibench": set("figure", "design", "list-designs", "fastpath",
+	"papibench": set("figure", "design", "list-designs",
 		"cpuprofile", "memprofile", "faults"),
 	"papivet": set("waivers"),
 }

@@ -22,7 +22,7 @@ import (
 // All decisions read only simulated state at control-tick instants, so an
 // autoscaled run is exactly as deterministic as a static one: a fixed seed
 // reproduces the same scale events, the same request placements, and the
-// same energy ledger, on both the fast and the reference decode path.
+// same energy ledger, however its decode windows are split.
 type AutoscaleOptions struct {
 	// Min and Max bound the powered-on fleet (1 ≤ Min ≤ Max).
 	Min, Max int
@@ -66,13 +66,28 @@ func (o AutoscaleOptions) validate() error {
 	if o.Min < 1 || o.Max < o.Min {
 		return fmt.Errorf("cluster: autoscale bounds [%d, %d] need 1 ≤ min ≤ max", o.Min, o.Max)
 	}
-	if o.Interval < 0 || o.WarmUp < 0 || o.CoolDown < 0 {
-		return fmt.Errorf("cluster: autoscale latencies (interval %v, warm-up %v, cool-down %v) must be ≥ 0",
-			o.Interval, o.WarmUp, o.CoolDown)
+	for _, d := range [...]struct {
+		name string
+		v    units.Seconds
+	}{
+		{"Interval", o.Interval}, {"WarmUp", o.WarmUp}, {"CoolDown", o.CoolDown},
+		{"SLO.TokenLatency", o.SLO.TokenLatency},
+	} {
+		if !finiteNonNeg(d.v) {
+			return fmt.Errorf("cluster: autoscale %s %v must be finite and ≥ 0", d.name, d.v)
+		}
 	}
-	if o.UpTPOTFactor < 0 || o.DownTPOTFactor < 0 || o.UpQueue < 0 ||
-		o.DownQueue < 0 || o.KVPressure < 0 || o.UpArrivalRate < 0 {
-		return fmt.Errorf("cluster: autoscale thresholds must be ≥ 0")
+	for _, x := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"UpTPOTFactor", o.UpTPOTFactor}, {"DownTPOTFactor", o.DownTPOTFactor},
+		{"UpQueue", o.UpQueue}, {"DownQueue", o.DownQueue},
+		{"KVPressure", o.KVPressure}, {"UpArrivalRate", o.UpArrivalRate},
+	} {
+		if !finiteNonNeg(x.v) {
+			return fmt.Errorf("cluster: autoscale %s %v must be finite and ≥ 0", x.name, x.v)
+		}
 	}
 	return nil
 }

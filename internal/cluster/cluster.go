@@ -150,10 +150,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// finiteNonNeg reports whether d is a finite, non-negative duration; NaN
-// fails every comparison, so it is rejected too.
-func finiteNonNeg(d units.Seconds) bool {
-	return d >= 0 && !math.IsInf(d.Seconds(), 1)
+// finiteNonNeg reports whether x, a duration or a threshold, is finite and
+// non-negative; NaN fails every comparison, so it is rejected too.
+func finiteNonNeg[T ~float64](x T) bool {
+	return x >= 0 && !math.IsInf(float64(x), 1)
 }
 
 // resilienceActive reports whether the run needs the failure machinery at

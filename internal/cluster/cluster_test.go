@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/design"
@@ -167,6 +169,37 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if _, err := NewByName("no-such-design", cfg, testOptions(2, nil)); err == nil {
 		t.Error("unknown design should fail")
+	}
+	// Every autoscale duration and threshold must be finite and ≥ 0: a NaN
+	// interval used to hang Run, and the rest were accepted silently. Each
+	// error names its field, at construction.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		edit  func(*AutoscaleOptions)
+	}{
+		{"Interval", func(a *AutoscaleOptions) { a.Interval = units.Seconds(nan) }},
+		{"Interval", func(a *AutoscaleOptions) { a.Interval = units.Seconds(inf) }},
+		{"WarmUp", func(a *AutoscaleOptions) { a.WarmUp = units.Seconds(nan) }},
+		{"WarmUp", func(a *AutoscaleOptions) { a.WarmUp = units.Seconds(inf) }},
+		{"CoolDown", func(a *AutoscaleOptions) { a.CoolDown = units.Seconds(nan) }},
+		{"CoolDown", func(a *AutoscaleOptions) { a.CoolDown = -1 }},
+		{"SLO.TokenLatency", func(a *AutoscaleOptions) { a.SLO.TokenLatency = units.Seconds(nan) }},
+		{"SLO.TokenLatency", func(a *AutoscaleOptions) { a.SLO.TokenLatency = units.Seconds(inf) }},
+		{"UpTPOTFactor", func(a *AutoscaleOptions) { a.UpTPOTFactor = nan }},
+		{"DownTPOTFactor", func(a *AutoscaleOptions) { a.DownTPOTFactor = inf }},
+		{"UpQueue", func(a *AutoscaleOptions) { a.UpQueue = nan }},
+		{"DownQueue", func(a *AutoscaleOptions) { a.DownQueue = -1 }},
+		{"KVPressure", func(a *AutoscaleOptions) { a.KVPressure = nan }},
+		{"UpArrivalRate", func(a *AutoscaleOptions) { a.UpArrivalRate = inf }},
+	} {
+		opt := testOptions(2, nil)
+		opt.Autoscale = DefaultAutoscale(1, 4, workload.SLO{TokenLatency: units.Milliseconds(8)})
+		tc.edit(opt.Autoscale)
+		_, err := New(sys, cfg, opt)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("autoscale %s %+v: got error %v, want one naming %s", tc.field, *opt.Autoscale, err, tc.field)
+		}
 	}
 
 	c, err := New(sys, cfg, testOptions(2, nil))

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/model"
@@ -9,70 +9,53 @@ import (
 	"github.com/papi-sim/papi/internal/workload"
 )
 
-// Fleet-level fast-path equivalence: macro-stepping under the event-kernel
-// horizon, the shared cost table, and the O(1) router signals must leave the
-// whole FleetResult — every replica's Result, the realised stream, the
-// latency digests — deep-equal to the reference decode path.
+// Fleet-level fast-path equivalence: replicas free-running their decode
+// windows under the barrier driver — bounded by the event-kernel horizon,
+// priced from the shared cost table, routed on the O(1) router signals —
+// must leave the whole FleetResult deep-equal to the time-order reference
+// driver, which steps every replica one iteration at a time, inline and on
+// two and four shards.
 
-func runFleet(t *testing.T, mode serving.FastPathMode, tlp int, drive func(*Cluster) (*FleetResult, error)) *FleetResult {
-	t.Helper()
-	opt := serving.DefaultOptions(tlp)
-	opt.FastPath = mode
-	cl, err := NewByName("PAPI", model.OPT30B(), Options{
-		Replicas: 3,
-		MaxBatch: 6,
-		Router:   LeastOutstanding(),
-		Serving:  opt,
-	})
-	if err != nil {
-		t.Fatal(err)
+// fastPathFleet returns a build function for the three-replica PAPI fleet
+// the fast-path pins share.
+func fastPathFleet(t *testing.T, tlp int) func(shards int) *Cluster {
+	return func(shards int) *Cluster {
+		cl, err := NewByName("PAPI", model.OPT30B(), Options{
+			Replicas:       3,
+			MaxBatch:       6,
+			Router:         LeastOutstanding(),
+			Serving:        serving.DefaultOptions(tlp),
+			Shards:         shards,
+			RetainRequests: true,
+			RetainStream:   true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
 	}
-	f, err := drive(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
 }
 
 func TestFastPathEquivalenceFleetOpenLoop(t *testing.T) {
 	reqs := workload.GeneralQA().Poisson(40, 60, 23)
 	for _, tlp := range []int{1, 4} {
-		fast := runFleet(t, serving.FastPathOn, tlp, func(cl *Cluster) (*FleetResult, error) { return cl.Run(reqs) })
-		ref := runFleet(t, serving.FastPathOff, tlp, func(cl *Cluster) (*FleetResult, error) { return cl.Run(reqs) })
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("open-loop fleet TLP=%d diverged:\n fast: %+v\n  ref: %+v", tlp, fast, ref)
-		}
+		matchDrivers(t, fmt.Sprintf("open-loop fleet TLP=%d", tlp), fastPathFleet(t, tlp), reqs, nil, 2, 4)
 	}
 }
 
-// TestFastPathEquivalenceFleetTiered runs the flagship tiered-diurnal stream
-// — the regime PR 10's priority-aware macro windows un-fallbacked — through
-// a fleet on both decode paths and both TLP regimes.
+// TestFastPathEquivalenceFleetTiered runs the flagship tiered-diurnal
+// stream, whose class-boundary events bound the priority-aware windows,
+// through the fleet in both TLP regimes.
 func TestFastPathEquivalenceFleetTiered(t *testing.T) {
 	reqs := tieredStream(t, 72, 37)
 	for _, tlp := range []int{1, 4} {
-		fast := runFleet(t, serving.FastPathOn, tlp, func(cl *Cluster) (*FleetResult, error) { return cl.Run(reqs) })
-		ref := runFleet(t, serving.FastPathOff, tlp, func(cl *Cluster) (*FleetResult, error) { return cl.Run(reqs) })
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("tiered fleet TLP=%d diverged:\n fast: %+v\n  ref: %+v", tlp, fast, ref)
-		}
+		matchDrivers(t, fmt.Sprintf("tiered fleet TLP=%d", tlp), fastPathFleet(t, tlp), reqs, nil, 2, 4)
 	}
 }
 
 func TestFastPathEquivalenceFleetClosedLoop(t *testing.T) {
-	sc, err := workload.ScenarioByName("chat-multiturn")
-	if err != nil {
-		t.Skipf("no multi-turn scenario registered: %v", err)
-	}
-	plan, err := sc.Plan(12, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := chatPlan(t, 12, 29)
 	for _, tlp := range []int{1, 4} {
-		fast := runFleet(t, serving.FastPathOn, tlp, func(cl *Cluster) (*FleetResult, error) { return cl.RunPlan(plan) })
-		ref := runFleet(t, serving.FastPathOff, tlp, func(cl *Cluster) (*FleetResult, error) { return cl.RunPlan(plan) })
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("closed-loop fleet TLP=%d diverged:\n fast: %+v\n  ref: %+v", tlp, fast, ref)
-		}
+		matchDrivers(t, fmt.Sprintf("closed-loop fleet TLP=%d", tlp), fastPathFleet(t, tlp), nil, plan, 2, 4)
 	}
 }

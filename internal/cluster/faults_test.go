@@ -8,7 +8,6 @@ import (
 
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/model"
-	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -51,24 +50,21 @@ func auditLedger(t *testing.T, f *FleetResult, want int) {
 
 // A nil plan, an empty plan, and a plan whose every fault misses the fleet
 // must all be invisible: the FleetResult is deeply equal to the fault-free
-// run on both decode paths.
+// run.
 func TestFaultOffEquivalence(t *testing.T) {
 	reqs := workload.GeneralQA().Poisson(32, 60, 5)
-	for _, mode := range []serving.FastPathMode{serving.FastPathOn, serving.FastPathOff} {
-		run := func(plan *faults.Plan) *FleetResult {
-			opt := testOptions(2, LeastOutstanding())
-			opt.Serving.FastPath = mode
-			opt.Faults = plan
-			return mustRunOpts(t, opt, reqs)
-		}
-		base := run(nil)
-		for name, plan := range map[string]*faults.Plan{
-			"empty": {Name: "quiet"},
-			"miss":  {Name: "miss", Faults: []faults.Fault{{Kind: faults.KindStraggler, Replica: 99, At: 0.1, Duration: 1, Factor: 3}}},
-		} {
-			if got := run(plan); !reflect.DeepEqual(base, got) {
-				t.Fatalf("fastpath %v: %s plan perturbed the fault-free result", mode, name)
-			}
+	run := func(plan *faults.Plan) *FleetResult {
+		opt := testOptions(2, LeastOutstanding())
+		opt.Faults = plan
+		return mustRunOpts(t, opt, reqs)
+	}
+	base := run(nil)
+	for name, plan := range map[string]*faults.Plan{
+		"empty": {Name: "quiet"},
+		"miss":  {Name: "miss", Faults: []faults.Fault{{Kind: faults.KindStraggler, Replica: 99, At: 0.1, Duration: 1, Factor: 3}}},
+	} {
+		if got := run(plan); !reflect.DeepEqual(base, got) {
+			t.Fatalf("%s plan perturbed the fault-free result", name)
 		}
 	}
 }
@@ -113,26 +109,30 @@ func TestCrashFailover(t *testing.T) {
 	}
 }
 
-// The same faulted run must be bit-identical across the fast and reference
-// decode paths: fault edges are kernel events, and macro-stepping never
-// crosses a kernel event.
+// The same faulted run must be bit-identical between free-running decode
+// windows and the time-order reference driver's one-iteration steps: fault
+// edges are kernel events, and no window crosses a kernel event. The
+// straggler window still covers the survivor when the crash's casualties
+// fail over to it.
 func TestCrashFailoverFastMatchesReference(t *testing.T) {
-	reqs := workload.GeneralQA().Poisson(32, 60, 5)
-	run := func(mode serving.FastPathMode) *FleetResult {
+	build := func(shards int) *Cluster {
 		opt := testOptions(2, LeastOutstanding())
-		opt.Serving.FastPath = mode
 		opt.Faults = &faults.Plan{Name: "mix", Faults: []faults.Fault{
 			{Kind: faults.KindStraggler, Replica: 1, At: 0.2, Duration: 0.5, Factor: 2.5},
 			{Kind: faults.KindCrash, Replica: 0, At: 0.8},
 		}}
 		opt.Retries = 2
 		opt.RetryBackoff = units.Milliseconds(50)
-		return mustRunOpts(t, opt, reqs)
+		opt.Shards = shards
+		c, err := New(newPAPI, model.LLaMA65B(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	fast := run(serving.FastPathOn)
-	ref := run(serving.FastPathOff)
-	if !reflect.DeepEqual(fast, ref) {
-		t.Fatal("faulted fleet run diverged between fast and reference decode paths")
+	ref := matchDrivers(t, "straggler+crash", build, workload.GeneralQA().Poisson(32, 60, 5), nil, 2)
+	if ref.Faults == 0 || ref.Retries == 0 {
+		t.Fatalf("faults %d, retries %d: the crash never failed over — the pin is vacuous", ref.Faults, ref.Retries)
 	}
 }
 

@@ -134,38 +134,40 @@ func zeroThink(convs []workload.Conversation) []workload.Conversation {
 
 // TestShardedMatchesSerial pins the driver equivalence claim: the barrier
 // driver, inline and on several shards, is bit-identical to the time-order
-// reference — every exported field, per-request record, realised stream,
-// and energy ledger — for static and elastic fleets on both decode paths,
-// open-loop and closed-loop.
+// reference, which runs every replica one iteration per step — every
+// exported field, per-request record, realised stream, and energy ledger —
+// for static and elastic fleets, open-loop and closed-loop. The open-loop
+// rows run the tiered-diurnal stream. A fastpath-on row runs at TLP 1, its
+// replicas free-running their decode windows between barriers, and a tlp4
+// row runs the speculative regime; fastpath_test.go puts more open-loop and
+// closed-loop fleets at TLP 1 and 4 through the same comparison.
 func TestShardedMatchesSerial(t *testing.T) {
 	slo := workload.SLO{TokenLatency: units.Milliseconds(8)}
 	for _, tc := range []struct {
 		name      string
-		mode      serving.FastPathMode
+		tlp       int
 		autoscale *AutoscaleOptions
 		convs     func(t *testing.T) []workload.Conversation
 	}{
-		{"static/fastpath-on", serving.FastPathOn, nil, nil},
-		{"static/fastpath-off", serving.FastPathOff, nil, nil},
-		{"autoscaled/fastpath-on", serving.FastPathOn, DefaultAutoscale(1, 4, slo), nil},
-		{"autoscaled/fastpath-off", serving.FastPathOff, DefaultAutoscale(1, 4, slo), nil},
-		{"plan/static", serving.FastPathOn, nil,
+		{"static/fastpath-on", 1, nil, nil},
+		{"autoscaled/fastpath-on", 1, DefaultAutoscale(1, 4, slo), nil},
+		{"autoscaled/tlp4", 4, DefaultAutoscale(1, 4, slo), nil},
+		{"plan/static", 1, nil,
 			func(t *testing.T) []workload.Conversation { return chatPlan(t, 16, 23) }},
-		{"plan/fastpath-off", serving.FastPathOff, nil,
-			func(t *testing.T) []workload.Conversation { return chatPlan(t, 12, 29) }},
-		{"plan/autoscaled", serving.FastPathOn, DefaultAutoscale(1, 4, slo),
+		{"plan/autoscaled", 1, DefaultAutoscale(1, 4, slo),
 			func(t *testing.T) []workload.Conversation { return chatPlan(t, 16, 23) }},
-		{"plan/zero-think", serving.FastPathOn, nil,
+		{"plan/autoscaled/tlp4", 4, DefaultAutoscale(1, 3, slo),
+			func(t *testing.T) []workload.Conversation { return chatPlan(t, 16, 31) }},
+		{"plan/zero-think", 1, nil,
 			func(t *testing.T) []workload.Conversation { return zeroThink(chatPlan(t, 16, 31)) }},
-		{"plan/same-instant", serving.FastPathOn, nil,
+		{"plan/same-instant", 1, nil,
 			func(t *testing.T) []workload.Conversation { return samePlan(t, 6) }},
-		{"plan/same-instant-zero-think", serving.FastPathOn, nil,
+		{"plan/same-instant-zero-think", 1, nil,
 			func(t *testing.T) []workload.Conversation { return zeroThink(samePlan(t, 6)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func(shards int) *Cluster {
-				opt := serving.DefaultOptions(1)
-				opt.FastPath = tc.mode
+				opt := serving.DefaultOptions(tc.tlp)
 				replicas := 3
 				if tc.autoscale != nil {
 					replicas = tc.autoscale.Min
@@ -238,35 +240,40 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 	}}
 	for _, tc := range []struct {
 		name    string
+		tlp     int
 		plan    *faults.Plan
 		timeout units.Seconds
 		stream  func(t *testing.T) []workload.Request
 		convs   func(t *testing.T) []workload.Conversation
 	}{
 		// Crash + bounded retries on a single-class stream.
-		{"crash-retry", crashPlan, 0,
+		{"crash-retry", 1, crashPlan, 0,
 			func(t *testing.T) []workload.Request { return workload.GeneralQA().Poisson(48, 60, 31) }, nil},
 		// Straggler and brownout windows plus a crash on the tiered stream
 		// (brownouts shed batch-class arrivals), with per-attempt timeouts
 		// arming deadline events between arrivals.
-		{"windows-tiered", windowPlan, units.Seconds(2),
+		{"windows-tiered", 1, windowPlan, units.Seconds(2),
+			func(t *testing.T) []workload.Request { return tieredStream(t, 64, 31) }, nil},
+		{"windows-tiered/tlp4", 4, windowPlan, units.Seconds(2),
 			func(t *testing.T) []workload.Request { return tieredStream(t, 64, 31) }, nil},
 		// A crash with pinned conversations: casualties retry on survivors
 		// and their conversations re-pin.
-		{"plan/crash-retry", crashPlan, 0, nil,
+		{"plan/crash-retry", 1, crashPlan, 0, nil,
 			func(t *testing.T) []workload.Conversation { return chatPlan(t, 12, 31) }},
 		// Windows, a crash and tight timeouts on a plan: turns time out,
 		// retry, and — out of retries — abandon their conversations.
-		{"plan/windows-timeout", planWindows, units.Seconds(0.6), nil,
+		{"plan/windows-timeout", 1, planWindows, units.Seconds(0.6), nil,
+			func(t *testing.T) []workload.Conversation { return chatPlan(t, 12, 37) }},
+		{"plan/windows-timeout/tlp4", 4, planWindows, units.Seconds(0.6), nil,
 			func(t *testing.T) []workload.Conversation { return chatPlan(t, 12, 37) }},
 		// Zero think time and tied replicas under the same windows.
-		{"plan/same-instant-timeout", planWindows, units.Seconds(0.8), nil,
+		{"plan/same-instant-timeout", 1, planWindows, units.Seconds(0.8), nil,
 			func(t *testing.T) []workload.Conversation { return zeroThink(samePlan(t, 6)) }},
 		// Two conversations on two replicas tie through their first turns,
 		// so their different second turns arrive, time out and retry at the
 		// same instants, and where each retry lands depends on the order
 		// the follow-ups went on the kernel.
-		{"plan/tied-timeouts", nil, units.Seconds(0.5), nil,
+		{"plan/tied-timeouts", 1, nil, units.Seconds(0.5), nil,
 			func(t *testing.T) []workload.Conversation {
 				return []workload.Conversation{
 					{ID: 0, Arrival: 0.1, Turns: []workload.Turn{{Input: 32, Output: 8}, {Input: 16, Output: 400, Think: 0.5}}},
@@ -280,7 +287,7 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 					Replicas:       3,
 					MaxBatch:       8,
 					Router:         LeastOutstanding(),
-					Serving:        serving.DefaultOptions(1),
+					Serving:        serving.DefaultOptions(tc.tlp),
 					Faults:         tc.plan,
 					Retries:        1,
 					Timeout:        tc.timeout,

@@ -160,51 +160,45 @@ func TestRegistryBitIdenticalToLegacyConstructors(t *testing.T) {
 
 // Full figure-level pin: run the serving engine — static batch with
 // speculation, and mixed continuous batching — on every registry design and
-// its legacy twin, on both decode paths, and require deeply identical
-// Results (every latency, every ledger entry, every trace element).
+// its legacy twin, and require deeply identical Results (every latency,
+// every ledger entry, every trace element).
 func TestServingResultsBitIdenticalToLegacy(t *testing.T) {
 	cfg := model.LLaMA65B()
-	for _, fastpath := range []serving.FastPathMode{serving.FastPathOn, serving.FastPathOff} {
-		for name, legacy := range legacyPairs() {
-			spec, err := design.ByName(name)
+	for name, legacy := range legacyPairs() {
+		spec, err := design.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(sys *design.System) (serving.Result, serving.Result) {
+			eng, err := serving.New(sys, cfg, serving.DefaultOptions(4))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			built, err := spec.Build()
+			batch, err := eng.RunBatch(workload.GeneralQA().Generate(8, 7))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			run := func(sys *design.System) (serving.Result, serving.Result) {
-				opt := serving.DefaultOptions(4)
-				opt.FastPath = fastpath
-				eng, err := serving.New(sys, cfg, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				batch, err := eng.RunBatch(workload.GeneralQA().Generate(8, 7))
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				opt = serving.DefaultOptions(1)
-				opt.FastPath = fastpath
-				eng2, err := serving.New(sys, cfg, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				cont, err := eng2.RunContinuous(workload.GeneralQA().Poisson(12, 30, 11), 4)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				return batch, cont
+			eng2, err := serving.New(sys, cfg, serving.DefaultOptions(1))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			gotBatch, gotCont := run(built)
-			wantBatch, wantCont := run(legacy())
-			if !reflect.DeepEqual(gotBatch, wantBatch) {
-				t.Errorf("%s (fastpath=%v): static-batch result differs from legacy", name, fastpath)
+			cont, err := eng2.RunContinuous(workload.GeneralQA().Poisson(12, 30, 11), 4)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if !reflect.DeepEqual(gotCont, wantCont) {
-				t.Errorf("%s (fastpath=%v): continuous-batching result differs from legacy", name, fastpath)
-			}
+			return batch, cont
+		}
+		gotBatch, gotCont := run(built)
+		wantBatch, wantCont := run(legacy())
+		if !reflect.DeepEqual(gotBatch, wantBatch) {
+			t.Errorf("%s: static-batch result differs from legacy", name)
+		}
+		if !reflect.DeepEqual(gotCont, wantCont) {
+			t.Errorf("%s: continuous-batching result differs from legacy", name)
 		}
 	}
 }

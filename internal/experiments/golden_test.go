@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-
-	"github.com/papi-sim/papi/internal/serving"
 )
 
 // The golden suite pins the full numeric output of the grown fleet figures
@@ -104,33 +102,6 @@ func goldenDiff(want, got []byte) string {
 	}
 	return fmt.Sprintf("fixture is %d lines, regenerated output %d lines (one is a prefix of the other)",
 		len(wantLines), len(gotLines))
-}
-
-// The same fixtures must hold on the reference decode path: the golden
-// bytes pin figure *semantics*, and the fast path claims bit-identical
-// results, so `-fastpath=off` must regenerate the identical fixtures.
-func TestGoldenFiguresReferencePath(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden fixtures are pinned on amd64, running on %s", runtime.GOARCH)
-	}
-	if !serving.DefaultFastPath() {
-		t.Fatal("unexpected package default: fast path already off")
-	}
-	serving.SetDefaultFastPath(false)
-	defer serving.SetDefaultFastPath(true)
-	for name, gen := range goldenFigures() {
-		t.Run(name, func(t *testing.T) {
-			got := marshalGolden(t, gen())
-			want, err := os.ReadFile(goldenPath(name))
-			if err != nil {
-				t.Fatalf("missing fixture (generate with -update): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s on the reference path drifted from its golden fixture:\n%s",
-					name, goldenDiff(want, got))
-			}
-		})
-	}
 }
 
 // The regenerated figure must also be stable run-to-run within one process

@@ -258,7 +258,7 @@ func (c Config) AttentionKernel(tlp int, kvLens []int) Kernel {
 
 // AttentionKernelSum is the incremental form of AttentionKernel: the kernel
 // depends on the batch's KV lengths only through their sum, so a caller that
-// maintains ΣkvLen incrementally (the serving fast path) can derive the
+// maintains ΣkvLen incrementally (the serving stepper) can derive the
 // kernel in O(1) instead of walking the batch. All per-request terms are
 // integer-valued and far below 2⁵³, so the closed form is bit-identical to
 // the per-request summation; a test pins this against AttentionKernel.

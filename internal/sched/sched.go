@@ -130,7 +130,7 @@ func (s *Scheduler) TLP() int { return s.tlp }
 func (s *Scheduler) Reschedules() int { return s.reschedules }
 
 // Repeat advances the scheduler over k further iterations whose scheduling
-// inputs are unchanged — the serving fast path's macro-stepping, where RLP
+// inputs are unchanged — the serving stepper's decode windows, where RLP
 // and TLP are frozen between scheduling events, so every interior iteration
 // would Decide the same placement with no reschedule. It must follow a
 // Decide call; the iteration counter and reschedule count end up exactly as

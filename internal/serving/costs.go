@@ -4,60 +4,12 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/pim"
 	"github.com/papi-sim/papi/internal/units"
 )
-
-// FastPathMode selects between the memoized fast path through the decode
-// loop (incremental KV accounting, kernel-cost memoization, macro-stepping)
-// and the reference path that re-derives and re-prices every kernel each
-// iteration. Both paths produce bit-identical Results — the fast path's
-// invariant, pinned by the equivalence tests in fastpath_test.go — so the
-// reference path exists as the oracle (`papibench -fastpath=off`).
-type FastPathMode int
-
-// Fast-path modes.
-const (
-	// FastPathAuto follows the package default (on, unless
-	// SetDefaultFastPath flipped it).
-	FastPathAuto FastPathMode = iota
-	// FastPathOn forces the fast path for this engine.
-	FastPathOn
-	// FastPathOff forces the reference path for this engine.
-	FastPathOff
-)
-
-// fastPathDefault holds the package-wide default: 0 = on, 1 = off. Atomic so
-// parallel sweep workers constructing engines never race with a flag parse.
-var fastPathDefault atomic.Int32
-
-// SetDefaultFastPath sets the package-wide default fast-path switch, which
-// engines built with FastPathAuto follow (cmd/papibench's -fastpath flag).
-func SetDefaultFastPath(on bool) {
-	if on {
-		fastPathDefault.Store(0)
-	} else {
-		fastPathDefault.Store(1)
-	}
-}
-
-// DefaultFastPath reports the package-wide default fast-path switch.
-func DefaultFastPath() bool { return fastPathDefault.Load() == 0 }
-
-// enabled resolves the mode against the package default.
-func (m FastPathMode) enabled() bool {
-	switch m {
-	case FastPathOn:
-		return true
-	case FastPathOff:
-		return false
-	}
-	return DefaultFastPath()
-}
 
 // fcCost is one memoized FC-phase pricing: the full phase time (kernel
 // execution, per-layer launch overheads and — for the FC-PIM placement —
@@ -91,7 +43,7 @@ type draftPrice struct {
 // (including per-layer kernel overheads), its energy, the throttle flag, and
 // the per-iteration Q/K/V + context traffic on the attention fabric. It is a
 // pure function of (TLP, ΣkvLen, RLP) — the incremental key of
-// model.AttentionKernelSum — which is what lets the fast path price it in
+// model.AttentionKernelSum — which is what lets Engine.price compute it in
 // closed form from the stepper's running ΣkvLen.
 type attnCost struct {
 	time       units.Seconds
@@ -244,10 +196,10 @@ func (t *CostTable) draftCost(compute func() draftPrice) draftPrice {
 
 // Pricing primitives ---------------------------------------------------------
 //
-// These compute the FC-phase and draft costs from scratch with exactly the
-// arithmetic the reference decode loop has always used. The reference path
-// calls them fresh every iteration; the fast path serves their results from
-// the cost tables. Purity makes the two bit-identical.
+// These compute the FC-phase and draft costs from scratch. The decode loop
+// never calls them directly: it serves their results from the cost tables,
+// filling a slot on first demand, and purity makes a memoized price
+// bit-identical to a fresh one.
 
 // fcPricePU prices the FC phase of one decoding iteration with n tokens in
 // flight on the GPU pool: one roofline execution plus the remaining launch
@@ -280,47 +232,6 @@ func (e *Engine) fcPricePIM(n int) fcCost {
 	c.time += tr.Time.Scale(layers)
 	c.linkEnergy = tr.Energy.Scale(layers)
 	return c
-}
-
-// priceFresh is the reference path's pricing: it rebuilds the attention
-// kernel from a freshly allocated per-request KV-length slice and re-prices
-// the FC and draft kernels from scratch on every call. Attention runs on the
-// disaggregated pool with one PIM device per head per request (up to the
-// pool), plus, per layer, the Q/K/V vectors to the attention devices and the
-// context back (§6.3's byte-level traffic).
-func (e *Engine) priceFresh(active []*request, onPU bool) (fcCost, attnCost, draftPrice) {
-	rlp := len(active)
-	kvLens := make([]int, rlp)
-	for i, r := range active {
-		kvLens[i] = r.contextLen()
-	}
-	attnLayer := e.Cfg.AttentionKernel(e.Opt.TLP, kvLens)
-	layers := float64(e.Cfg.Layers)
-	a := e.Sys.AttnPIM.Execute(pim.Kernel{
-		Name:        "attention",
-		Class:       pim.ClassAttention,
-		Flops:       attnLayer.Flops.Scale(layers),
-		UniqueBytes: attnLayer.KVBytes.Scale(layers),
-	}, min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
-	tr := e.Sys.AttnLink.Send(attnLayer.ActivationBytes)
-	attn := attnCost{
-		time:       a.Time + e.Sys.AttnPIM.KernelOverhead.Scale(layers-1),
-		energy:     a.Energy.Total(),
-		throttled:  a.Throttled,
-		commTime:   tr.Time.Scale(layers),
-		commEnergy: tr.Energy.Scale(layers),
-	}
-	var fc fcCost
-	if n := rlp * e.Opt.TLP; onPU {
-		fc = e.fcPricePU(n)
-	} else {
-		fc = e.fcPricePIM(n)
-	}
-	var draft draftPrice
-	if e.Opt.TLP > 1 {
-		draft = e.draftPriceFresh()
-	}
-	return fc, attn, draft
 }
 
 // draftPriceFresh prices one draft-model FC iteration (§2.2.2) on whichever
@@ -357,4 +268,57 @@ func (e *Engine) draftMemoized() draftPrice {
 		e.draftCache = e.costs.draftCost(e.draftPriceFresh)
 	}
 	return e.draftCache
+}
+
+// iterPrice is one decoding iteration's pricing: the FC phase, the
+// attention phase and, with speculation, the draft model.
+type iterPrice struct {
+	fc    fcCost
+	attn  attnCost
+	draft draftPrice
+}
+
+// price fills p with the pricing of one decoding iteration at rlp active
+// requests holding kvSum = ΣkvLen tokens of KV state, with the FC phase on
+// the GPU pool (onPU) or on the FC-PIM pool; p must start zeroed. Every
+// input is memoized or closed-form: the FC and draft kernels come from the
+// cost tables, and the attention kernel is model.AttentionKernelSum's
+// closed form in ΣkvLen against the engine-hoisted coefficients, priced
+// through pim.ExecuteAttention on one PIM device per head per request (up
+// to the pool), plus, per layer, the Q/K/V vectors to the attention devices
+// and the context back (§6.3's byte-level traffic). The result is
+// bit-identical to re-deriving every kernel from the per-request KV lengths
+// — memoized pricing is pure, and the folded coefficients are exact-integer
+// products — which the pricing property tests pin per design, model, TLP
+// and placement.
+//
+// p is an out-parameter rather than a result, and its attention fields are
+// stored one by one, because this runs once per iteration: a struct result
+// or composite literal makes the compiler assemble the struct in a stack
+// temporary and copy it with wide loads that cannot be forwarded from the
+// narrow field stores, a stall that cost the fleet benchmarks 5–10 % of
+// their CPU time on a 2-vCPU x86-64 VM.
+//
+//papivet:noalloc
+func (e *Engine) price(p *iterPrice, rlp, kvSum int, onPU bool) {
+	if n := rlp * e.Opt.TLP; onPU {
+		p.fc = e.fcCostPU(n)
+	} else {
+		p.fc = e.fcCostPIM(n)
+	}
+	h := float64(e.Cfg.Hidden)
+	l := float64(kvSum)
+	attnFlops := e.attnFlopsCoef * l * h
+	attnKV := 4 * l * h
+	a := &p.attn
+	a.time, a.energy, a.throttled = e.Sys.AttnPIM.ExecuteAttention(
+		units.FLOPs(attnFlops*e.layersF), units.Bytes(attnKV*e.layersF),
+		min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
+	a.time += e.attnOvh
+	tr := e.Sys.AttnLink.Send(units.Bytes(float64(rlp) * e.attnActTerm))
+	a.commTime = tr.Time.Scale(e.layersF)
+	a.commEnergy = tr.Energy.Scale(e.layersF)
+	if e.Opt.TLP > 1 {
+		p.draft = e.draftMemoized()
+	}
 }

@@ -48,29 +48,32 @@ func TestPerturbationInertIsNoOp(t *testing.T) {
 	}
 }
 
-// An active perturbation must price identically on both decode paths — the
-// stretch is computed from per-iteration deltas that are themselves
-// bit-identical across paths — and must actually slow the run down.
+// An active perturbation must price identically free running and one
+// iteration per Step — the stretch is computed from per-iteration deltas,
+// and a window prices it per iteration — and must actually slow the run
+// down.
 func TestPerturbationFastMatchesReference(t *testing.T) {
 	reqs := workload.GeneralQA().Poisson(12, 30, 5)
-	run := func(mode FastPathMode, p Perturbation) Result {
-		opt := DefaultOptions(1)
-		opt.FastPath = mode
-		e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
+	run := func(oneIteration bool, p Perturbation) Result {
+		e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 		st, err := e.NewStreamStepper(reqs, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.SetPerturbation(p)
-		return driveToDrain(t, st)
+		res, _, err := drive(t, st, oneIteration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	p := Perturbation{Slow: 2, Attn: 1.5}
-	fast := run(FastPathOn, p)
-	ref := run(FastPathOff, p)
+	fast := run(false, p)
+	ref := run(true, p)
 	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("perturbed fast path diverged from reference:\nfast %+v\nref  %+v", fast, ref)
+		t.Fatalf("perturbed windows diverged from one-iteration stepping:\nfree %+v\none  %+v", fast, ref)
 	}
-	base := run(FastPathOn, Perturbation{})
+	base := run(false, Perturbation{})
 	if fast.DecodeTime <= base.DecodeTime {
 		t.Fatalf("perturbed decode %v not slower than baseline %v", fast.DecodeTime, base.DecodeTime)
 	}
@@ -84,10 +87,10 @@ func TestPerturbationFastMatchesReference(t *testing.T) {
 
 // A perturbation that changes mid-run, at instants the caller fences with
 // SetHorizon (as the cluster's fault edges are barriers), prices
-// identically on both decode paths: a macro window ends at the first
-// iteration boundary at or after each edge, the iteration single-stepping
-// prices under the old factors. And the perturbed stretches macro-step:
-// they take fewer Step calls than single-stepping.
+// identically free running and one iteration per Step: a macro window ends
+// at the first iteration boundary at or after each edge, the iteration
+// single-stepping prices under the old factors. And the perturbed stretches
+// macro-step: they take fewer Step calls than single-stepping.
 func TestPerturbationChangeFastMatchesReference(t *testing.T) {
 	reqs := workload.GeneralQA().Poisson(16, 30, 9)
 	edges := []struct {
@@ -99,10 +102,8 @@ func TestPerturbationChangeFastMatchesReference(t *testing.T) {
 		{1.1, Perturbation{Attn: 2.5}},
 		{1.6, Perturbation{}},
 	}
-	run := func(mode FastPathMode) (Result, int) {
-		opt := DefaultOptions(1)
-		opt.FastPath = mode
-		e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
+	run := func(oneIteration bool) (Result, int) {
+		e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 		st, err := e.NewStreamStepper(reqs, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -116,6 +117,9 @@ func TestPerturbationChangeFastMatchesReference(t *testing.T) {
 			horizon := units.Seconds(math.Inf(1))
 			if next < len(edges) {
 				horizon = edges[next].at
+			}
+			if oneIteration {
+				horizon = st.Now()
 			}
 			st.SetHorizon(horizon)
 			if next > 0 && next < len(edges) {
@@ -133,13 +137,13 @@ func TestPerturbationChangeFastMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	fast, fastSteps := run(FastPathOn)
-	ref, refSteps := run(FastPathOff)
+	fast, fastSteps := run(false)
+	ref, refSteps := run(true)
 	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("perturbation edges: fast path diverged from reference:\nfast %+v\nref  %+v", fast, ref)
+		t.Fatalf("perturbation edges: windows diverged from one-iteration stepping:\nfree %+v\none  %+v", fast, ref)
 	}
 	if fastSteps >= refSteps {
-		t.Fatalf("perturbed stretches took %d fast-path Steps, %d single Steps: no macro-stepping", fastSteps, refSteps)
+		t.Fatalf("perturbed stretches took %d free-running Steps, %d single Steps: no macro-stepping", fastSteps, refSteps)
 	}
 }
 
@@ -204,11 +208,7 @@ func TestFailSurrendersOutstanding(t *testing.T) {
 // Cancel withdraws exactly one request — pending or active — and the rest of
 // the run completes untouched.
 func TestCancelPendingAndActive(t *testing.T) {
-	// Reference path: one iteration per Step, so requests are still active
-	// (not macro-stepped to completion) at the cancel instants.
-	opt := DefaultOptions(1)
-	opt.FastPath = FastPathOff
-	e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	st, err := e.NewStreamStepper(nil, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,10 @@ func TestCancelPendingAndActive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Admit the first two (maxBatch 2); 3 and 4 stay pending.
+	// Admit the first two (maxBatch 2); 3 and 4 stay pending. The horizon
+	// at the clock holds the window to one iteration, so both are still
+	// active (not run to completion) at the cancel instants.
+	st.SetHorizon(st.Now())
 	if _, err := st.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -247,9 +250,7 @@ func TestCancelPendingAndActive(t *testing.T) {
 // A timeout-retry can land back on the replica that timed it out: the same
 // ID enters the stepper twice. Finalize must report it once.
 func TestFinalizeDedupesRetriedID(t *testing.T) {
-	opt := DefaultOptions(1)
-	opt.FastPath = FastPathOff
-	e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	st, err := e.NewStreamStepper(nil, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -257,6 +258,8 @@ func TestFinalizeDedupesRetriedID(t *testing.T) {
 	if err := st.Push(workload.Request{ID: 1, InputLen: 64, OutputLen: 16}); err != nil {
 		t.Fatal(err)
 	}
+	// One iteration, so the request is still active at the cancel.
+	st.SetHorizon(st.Now())
 	if _, err := st.Step(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@ import (
 	"github.com/papi-sim/papi/internal/workload"
 )
 
-// This file is the property harness the fast path made cheap to run: across
-// randomized configurations and seeds, every Step of a run — on both the
-// fast and the reference decode path — must preserve the conservation laws
-// the incremental accounting claims to maintain:
+// This file is the property harness the decode windows made cheap to run:
+// across randomized configurations and seeds, every Step of a run — free
+// running and driven one iteration per Step — must preserve the
+// conservation laws the incremental accounting claims to maintain:
 //
 //   - generated tokens ≡ Σ per-iteration committed tokens ≡ Σ per-request
 //     output tokens;
@@ -25,7 +25,7 @@ import (
 //   - no request finishes before its arrival, produces a token before its
 //     TTFT, or reports a negative latency;
 //
-// and the two decode paths must agree bit-for-bit on the whole Result.
+// and the two drives must agree bit-for-bit on the whole Result.
 // FuzzStepperInvariants drives the same harness from fuzzed inputs.
 
 // invariantCase is one randomized scenario drawn from a seed.
@@ -86,12 +86,20 @@ func (c invariantCase) buildStream() []workload.Request {
 // introduced it.
 func checkStepInvariants(t *testing.T, s *Stepper) {
 	t.Helper()
+	// A request's cached footprint is its whole-sequence KV bytes, less
+	// (under a block store) the prefix that was resident when it arrived.
+	footprint := func(r *request) units.Bytes {
+		if s.kvStore == nil && r.kvBytes != s.eng.Cfg.KVBytes(r.SeqLen()) {
+			t.Fatalf("request %d caches footprint %v, want %v", r.ID, r.kvBytes, s.eng.Cfg.KVBytes(r.SeqLen()))
+		}
+		return r.kvBytes
+	}
 	kvSum := 0
 	var kvActive units.Bytes
 	actInt, actBat := 0, 0
 	for _, r := range s.active {
 		kvSum += r.InputLen + r.generated
-		kvActive += s.eng.Cfg.KVBytes(r.SeqLen())
+		kvActive += footprint(r)
 		if r.Class == workload.ClassBatch {
 			actBat++
 		} else {
@@ -101,7 +109,7 @@ func checkStepInvariants(t *testing.T, s *Stepper) {
 	kvAll := kvActive
 	pendInt, pendBat := 0, 0
 	for _, r := range s.pending {
-		kvAll += s.eng.Cfg.KVBytes(r.SeqLen())
+		kvAll += footprint(r)
 		if r.Class == workload.ClassBatch {
 			pendBat++
 		} else {
@@ -189,13 +197,12 @@ func checkResultInvariants(t *testing.T, reqs []workload.Request, res Result) {
 	}
 }
 
-// runCase drives one configuration to completion on the given decode path,
-// checking the step-level invariants throughout.
-func runCase(t *testing.T, c invariantCase, mode FastPathMode) Result {
+// runCase drives one configuration to completion, free running or one
+// iteration per Step, checking the step-level invariants throughout.
+func runCase(t *testing.T, c invariantCase, oneIteration bool) Result {
 	t.Helper()
 	opt := DefaultOptions(c.tlp)
 	opt.Seed = c.seed
-	opt.FastPath = mode
 	eng, err := New(invariantSystems()[c.sysIdx](), invariantModels()[c.modelIdx], opt)
 	if err != nil {
 		t.Fatalf("case %+v: %v", c, err)
@@ -210,28 +217,21 @@ func runCase(t *testing.T, c invariantCase, mode FastPathMode) Result {
 	if err != nil {
 		t.Fatalf("case %+v: %v", c, err)
 	}
-	for {
-		info, err := st.Step()
-		if err != nil {
-			t.Fatalf("case %+v: %v", c, err)
-		}
-		checkStepInvariants(t, st)
-		if info.Kind == StepDrained {
-			break
-		}
+	res, _, err := drive(t, st, oneIteration)
+	if err != nil {
+		t.Fatalf("case %+v: %v", c, err)
 	}
-	res := st.Finalize()
 	checkResultInvariants(t, reqs, res)
 	return res
 }
 
-// exerciseCase runs a configuration on both decode paths and pins their
-// bit-identical agreement.
+// exerciseCase runs a configuration free running and one iteration per
+// Step and pins their bit-identical agreement.
 func exerciseCase(t *testing.T, c invariantCase) {
-	fast := runCase(t, c, FastPathOn)
-	ref := runCase(t, c, FastPathOff)
-	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("case %+v: fast and reference paths diverged:\n fast: %+v\n  ref: %+v", c, fast, ref)
+	free := runCase(t, c, false)
+	one := runCase(t, c, true)
+	if !reflect.DeepEqual(free, one) {
+		t.Fatalf("case %+v: free-running windows and one-iteration stepping diverged:\n free: %+v\n  one: %+v", c, free, one)
 	}
 }
 
@@ -250,8 +250,8 @@ func TestStepperInvariantsRandomized(t *testing.T) {
 // TestStepperInvariantsUnderPreemption pins the preemption machinery: a KV
 // pool saturated with batch-class long-context work must evict for
 // interactive arrivals, every evicted request must still complete, and the
-// conservation laws must survive the evict-and-requeue churn — on both
-// decode paths.
+// conservation laws must survive the evict-and-requeue churn — free running
+// and one iteration per Step.
 func TestStepperInvariantsUnderPreemption(t *testing.T) {
 	// GPT-3 175B holds ~53 grown 4096-token requests in its 1.03 TB pool;
 	// 60 batch-class requests of that size oversubscribe it, so the later
@@ -268,10 +268,8 @@ func TestStepperInvariantsUnderPreemption(t *testing.T) {
 		}
 		return reqs
 	}
-	run := func(mode FastPathMode) Result {
-		opt := DefaultOptions(1)
-		opt.FastPath = mode
-		eng, err := New(newPAPI(), model.GPT3_175B(), opt)
+	run := func(oneIteration bool) Result {
+		eng, err := New(newPAPI(), model.GPT3_175B(), DefaultOptions(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,26 +278,19 @@ func TestStepperInvariantsUnderPreemption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			info, err := st.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkStepInvariants(t, st)
-			if info.Kind == StepDrained {
-				break
-			}
+		res, _, err := drive(t, st, oneIteration)
+		if err != nil {
+			t.Fatal(err)
 		}
-		res := st.Finalize()
 		checkResultInvariants(t, reqs, res)
 		return res
 	}
-	fast := run(FastPathOn)
-	if fast.Preemptions == 0 {
+	free := run(false)
+	if free.Preemptions == 0 {
 		t.Fatal("KV-saturated tiered stream triggered no preemptions")
 	}
 	preempted := 0
-	for _, rm := range fast.Requests {
+	for _, rm := range free.Requests {
 		if rm.Preemptions > 0 {
 			preempted++
 			if rm.Class != workload.ClassBatch {
@@ -310,14 +301,15 @@ func TestStepperInvariantsUnderPreemption(t *testing.T) {
 	if preempted == 0 {
 		t.Fatal("preemptions recorded on the run but on no request")
 	}
-	ref := run(FastPathOff)
-	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("preemptive run diverged between decode paths:\n fast: %+v\n  ref: %+v", fast, ref)
+	one := run(true)
+	if !reflect.DeepEqual(free, one) {
+		t.Fatalf("preemptive run diverged from one-iteration stepping:\n free: %+v\n  one: %+v", free, one)
 	}
 }
 
 // FuzzStepperInvariants lets the fuzzer search the configuration space for
-// a seed that breaks a conservation law or splits the decode paths. The
+// a seed that breaks a conservation law or splits free-running windows from
+// one-iteration stepping. The
 // corpus seeds cover each system, both modes, speculation, and every
 // class-mix weight.
 func FuzzStepperInvariants(f *testing.F) {

@@ -15,10 +15,11 @@ import (
 // This file pins the block-level KV cache's serving contract from both
 // sides. With sharing off the engine builds no store: every Result must be
 // bit-identical to the engine run with KV = nil, for every evaluated system,
-// both batching modes, both TLP regimes and both decode paths — so turning
-// the feature off really is the byte-ledger engine. With sharing on the fast
-// path must still agree bit-for-bit with the reference path, and the prefix
-// index must measurably convert re-prefill work into block adoption.
+// both batching modes and both TLP regimes — so turning the feature off
+// really is the byte-ledger engine. With sharing on, the prefix index must
+// measurably convert re-prefill work into block adoption
+// (TestKVSharingFastPathEquivalence pins that sharing runs split into
+// windows exactly as the byte ledger's do).
 
 // kvWorkload draws a stream whose members share prefixes: half the requests
 // are dealt across four prefix groups, the rest are private.
@@ -34,11 +35,10 @@ func kvWorkload(n int, rate float64, seed int64) []workload.Request {
 }
 
 // runKV drives one full run with the given KV options (nil = no store).
-func runKV(t *testing.T, newSys func() *design.System, tlp int, mode FastPathMode,
+func runKV(t *testing.T, newSys func() *design.System, tlp int,
 	kvo *kv.Options, static bool, reqs []workload.Request) Result {
 	t.Helper()
 	opt := DefaultOptions(tlp)
-	opt.FastPath = mode
 	opt.KV = kvo
 	eng, err := New(newSys(), model.OPT30B(), opt)
 	if err != nil {
@@ -58,26 +58,25 @@ func runKV(t *testing.T, newSys func() *design.System, tlp int, mode FastPathMod
 
 // TestKVSharingOffEquivalence is the sharing-off pin: KV options with
 // sharing off must not move a single bit of the Result relative to KV = nil,
-// across every system, mode, TLP and decode path — including on
-// prefix-tagged streams, whose tags the byte ledger must ignore.
+// across every system, mode and TLP — including on prefix-tagged streams,
+// whose tags the byte ledger must ignore.
 func TestKVSharingOffEquivalence(t *testing.T) {
 	static := kvWorkload(10, 0, 7)
 	stream := kvWorkload(12, 25, 11)
 	off := &kv.Options{BlockTokens: 32, Sharing: false}
-	for name, newSys := range fastpathSystems() {
+	for _, spec := range design.Registry() {
+		newSys := func() *design.System { return design.MustBuild(spec) }
 		for _, tlp := range []int{1, 4} {
-			for _, mode := range []FastPathMode{FastPathOn, FastPathOff} {
-				for _, isStatic := range []bool{true, false} {
-					reqs := stream
-					if isStatic {
-						reqs = static
-					}
-					bare := runKV(t, newSys, tlp, mode, nil, isStatic, reqs)
-					unshared := runKV(t, newSys, tlp, mode, off, isStatic, reqs)
-					if !reflect.DeepEqual(bare, unshared) {
-						t.Errorf("%s tlp=%d fastpath=%v static=%v: sharing-off KV options changed the Result\n bare: %+v\n  off: %+v",
-							name, tlp, mode, isStatic, bare, unshared)
-					}
+			for _, isStatic := range []bool{true, false} {
+				reqs := stream
+				if isStatic {
+					reqs = static
+				}
+				bare := runKV(t, newSys, tlp, nil, isStatic, reqs)
+				unshared := runKV(t, newSys, tlp, off, isStatic, reqs)
+				if !reflect.DeepEqual(bare, unshared) {
+					t.Errorf("%s tlp=%d static=%v: sharing-off KV options changed the Result\n bare: %+v\n  off: %+v",
+						spec.Name, tlp, isStatic, bare, unshared)
 				}
 			}
 		}
@@ -109,35 +108,6 @@ func TestKVOptionsValidatedWithoutSharing(t *testing.T) {
 	}
 }
 
-// TestKVSharingFastPathEquivalence extends the fast-path contract to
-// sharing-on runs: block adoption, tier transfers and re-prefill accounting
-// must price identically on the macro-stepped and the reference decode loop.
-func TestKVSharingFastPathEquivalence(t *testing.T) {
-	static := kvWorkload(10, 0, 3)
-	stream := kvWorkload(14, 30, 5)
-	share := &kv.Options{BlockTokens: 32, Sharing: true}
-	for _, newSys := range []func() *design.System{
-		newPAPI,
-		newA100AttAcc,
-	} {
-		for _, tlp := range []int{1, 4} {
-			for _, isStatic := range []bool{true, false} {
-				reqs := stream
-				if isStatic {
-					reqs = static
-				}
-				fast := runKV(t, newSys, tlp, FastPathOn, share, isStatic, reqs)
-				ref := runKV(t, newSys, tlp, FastPathOff, share, isStatic, reqs)
-				if !reflect.DeepEqual(fast, ref) {
-					sys := newSys()
-					t.Errorf("%s tlp=%d static=%v: sharing run diverged between decode paths\n fast: %+v\n  ref: %+v",
-						sys.Name, tlp, isStatic, fast, ref)
-				}
-			}
-		}
-	}
-}
-
 // TestKVSharingReducesPrefill is the headline property: on a prefix-heavy
 // stream, sharing must adopt blocks (index hits) and strictly cut both the
 // prefilled and the re-prefilled token counts versus the same stream with
@@ -145,8 +115,8 @@ func TestKVSharingFastPathEquivalence(t *testing.T) {
 func TestKVSharingReducesPrefill(t *testing.T) {
 	reqs := kvWorkload(24, 30, 13)
 	sys := newPAPI
-	off := runKV(t, sys, 1, FastPathOn, &kv.Options{BlockTokens: 32, Sharing: false}, false, reqs)
-	on := runKV(t, sys, 1, FastPathOn, &kv.Options{BlockTokens: 32, Sharing: true}, false, reqs)
+	off := runKV(t, sys, 1, &kv.Options{BlockTokens: 32, Sharing: false}, false, reqs)
+	on := runKV(t, sys, 1, &kv.Options{BlockTokens: 32, Sharing: true}, false, reqs)
 
 	if off.KV != nil {
 		t.Fatal("sharing-off Result carries KV stats")
@@ -260,8 +230,9 @@ func TestKVParkResume(t *testing.T) {
 
 // TestKVStepperInvariants drives sharing-on streams step by step and audits
 // the store's full invariant suite — refcount conservation, tier occupancy,
-// queue integrity, commitment bounds — after every Step, then checks the
-// drained store released everything.
+// queue integrity, commitment bounds — after every Step, free running and
+// one iteration per Step, then checks the drained store released
+// everything.
 func TestKVStepperInvariants(t *testing.T) {
 	scenarios := []struct {
 		name  string
@@ -284,9 +255,8 @@ func TestKVStepperInvariants(t *testing.T) {
 		}(), model.GPT3_175B(), 96},
 	}
 	for _, sc := range scenarios {
-		for _, mode := range []FastPathMode{FastPathOn, FastPathOff} {
+		for _, oneIteration := range []bool{false, true} {
 			opt := DefaultOptions(1)
-			opt.FastPath = mode
 			opt.KV = &kv.Options{BlockTokens: 32, Sharing: true, ColdFactor: 2}
 			eng, err := New(newPAPI(), sc.model, opt)
 			if err != nil {
@@ -302,14 +272,17 @@ func TestKVStepperInvariants(t *testing.T) {
 					leases = append(leases, r.lease)
 				}
 				if err := st.kvStore.CheckInvariants(leases); err != nil {
-					t.Fatalf("%s fastpath=%v: %v", sc.name, mode, err)
+					t.Fatalf("%s one-iteration=%v: %v", sc.name, oneIteration, err)
 				}
 			}
 			audit()
 			for {
+				if oneIteration {
+					st.SetHorizon(st.Now())
+				}
 				info, err := st.Step()
 				if err != nil {
-					t.Fatalf("%s fastpath=%v: %v", sc.name, mode, err)
+					t.Fatalf("%s one-iteration=%v: %v", sc.name, oneIteration, err)
 				}
 				audit()
 				if info.Kind == StepDrained {
@@ -318,7 +291,7 @@ func TestKVStepperInvariants(t *testing.T) {
 			}
 			st.Finalize()
 			if got := st.kvStore.CommittedBlocks(); got != 0 {
-				t.Fatalf("%s fastpath=%v: drained store still commits %d blocks", sc.name, mode, got)
+				t.Fatalf("%s one-iteration=%v: drained store still commits %d blocks", sc.name, oneIteration, got)
 			}
 		}
 	}

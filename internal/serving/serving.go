@@ -17,6 +17,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/papi-sim/papi/internal/design"
@@ -49,10 +50,6 @@ type Options struct {
 	OtherPerIteration units.Seconds
 	// Seed drives the acceptance sampling.
 	Seed int64
-	// FastPath selects the memoized fast path or the reference decode loop;
-	// the zero value follows the package default (on). Both produce
-	// bit-identical Results.
-	FastPath FastPathMode
 	// Costs optionally shares a kernel-pricing table with other engines of
 	// the same (system design, model, draft) combination — cluster replicas,
 	// sweep cells. Nil gives the engine a private table.
@@ -91,11 +88,16 @@ func (o Options) validate() error {
 	if o.TLP < 1 {
 		return fmt.Errorf("serving: TLP %d must be ≥ 1", o.TLP)
 	}
-	if o.AcceptanceRate < 0 || o.AcceptanceRate > 1 {
-		return fmt.Errorf("serving: acceptance rate %v outside [0,1]", o.AcceptanceRate)
+	// The ranges are negated so that NaN, which fails every comparison, is
+	// rejected with them.
+	if !(o.AcceptanceRate >= 0 && o.AcceptanceRate <= 1) {
+		return fmt.Errorf("serving: AcceptanceRate %v outside [0,1]", o.AcceptanceRate)
 	}
-	if o.DraftOverlap < 0 || o.DraftOverlap > 1 {
-		return fmt.Errorf("serving: draft overlap %v outside [0,1]", o.DraftOverlap)
+	if !(o.DraftOverlap >= 0 && o.DraftOverlap <= 1) {
+		return fmt.Errorf("serving: DraftOverlap %v outside [0,1]", o.DraftOverlap)
+	}
+	if !(o.OtherPerIteration >= 0) || math.IsInf(o.OtherPerIteration.Seconds(), 1) {
+		return fmt.Errorf("serving: OtherPerIteration %v must be finite and ≥ 0", o.OtherPerIteration)
 	}
 	return nil
 }
@@ -191,8 +193,6 @@ type Engine struct {
 	draft model.Config
 	rng   *rand.Rand
 
-	// fastPath selects the memoized decode loop (see costs.go).
-	fastPath bool
 	// costs is the (possibly shared) kernel-pricing table; puCache/pimCache/
 	// draftCache are this engine's lock-free first-level caches over it.
 	costs      *CostTable
@@ -205,11 +205,11 @@ type Engine struct {
 	// assertion per iteration; both are constants of the engine).
 	otherBase units.Seconds
 
-	// Constants of the fused iteration (runIteration), hoisted at
+	// Constants of the fused iteration (price and runIteration), hoisted at
 	// construction. Every one is a product of integer-valued floats far
 	// below 2⁵³, so folding them does not change any result bit: layersF is
 	// the layer count, attnOvh the per-iteration attention kernel overheads,
-	// attnFlopsCoef/attnActTerm the fast path's per-ΣkvLen / per-request
+	// attnFlopsCoef/attnActTerm the per-ΣkvLen / per-request
 	// attention-kernel coefficients, and *W the idle/standby power products.
 	layersF       float64
 	attnOvh       units.Seconds
@@ -264,7 +264,6 @@ func New(sys *design.System, cfg model.Config, opt Options) (*Engine, error) {
 		e.fcStandbyW = sys.FCPIM.Energy.StaticW.Scale(float64(sys.FCPIM.Count))
 	}
 	e.attnStandbyW = sys.AttnPIM.Energy.StaticW.Scale(float64(sys.AttnPIM.Count))
-	e.fastPath = opt.FastPath.enabled()
 	e.costs = opt.Costs
 	if e.costs == nil {
 		e.costs = NewCostTable()
@@ -361,55 +360,19 @@ func (e *Engine) runPrefill(inputs []int, res *Result) units.Seconds {
 	return p.Time
 }
 
-// runIteration prices and charges one decoding iteration of the active batch
-// and returns its trace entry; the caller fills Tokens from the committed
-// count. Iteration structure (per layer, serialised): FC(QKV) → link to
-// Attn-PIM → attention → link back → FC(projection+FFN); all-layer work is
-// aggregated into closed forms since layers are identical.
-//
-// The fast path prices from memoized inputs: the FC and draft kernels from
-// the cost tables, and the attention kernel in closed form from the
-// incremental ΣkvLen the stepper maintains (model.AttentionKernelSum against
-// the engine-hoisted coefficients), priced through pim.ExecuteAttention. The
-// reference path re-derives all three from scratch (priceFresh). Every
-// floating-point value agrees — memoized pricing is pure, and the folded
-// coefficients are exact-integer products — which the equivalence tests pin
-// per system, mode and TLP. The charging below is shared by both.
+// runIteration prices (see price) and charges one decoding iteration of rlp
+// active requests holding kvSum = ΣkvLen tokens of KV state, and returns its
+// trace entry; the caller fills Tokens from the committed count. Iteration
+// structure (per layer, serialised): FC(QKV) → link to Attn-PIM → attention
+// → link back → FC(projection+FFN); all-layer work is aggregated into closed
+// forms since layers are identical.
 //
 //papivet:noalloc
-func (e *Engine) runIteration(active []*request, kvSum int, ev sched.Event, res *Result) IterationStat {
-	rlp := len(active)
+func (e *Engine) runIteration(rlp, kvSum int, ev sched.Event, res *Result) IterationStat {
 	onPU := ev.Placement == sched.PlacePU && e.Sys.HasGPU()
-	var fc fcCost
-	var attn attnCost
-	var draft draftPrice
-	if e.fastPath {
-		if n := rlp * e.Opt.TLP; onPU {
-			fc = e.fcCostPU(n)
-		} else {
-			fc = e.fcCostPIM(n)
-		}
-		h := float64(e.Cfg.Hidden)
-		l := float64(kvSum)
-		attnFlops := e.attnFlopsCoef * l * h
-		attnKV := 4 * l * h
-		at, aEnergy, aThrottled := e.Sys.AttnPIM.ExecuteAttention(
-			units.FLOPs(attnFlops*e.layersF), units.Bytes(attnKV*e.layersF),
-			min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
-		tr := e.Sys.AttnLink.Send(units.Bytes(float64(rlp) * e.attnActTerm))
-		attn = attnCost{
-			time:       at + e.attnOvh,
-			energy:     aEnergy,
-			throttled:  aThrottled,
-			commTime:   tr.Time.Scale(e.layersF),
-			commEnergy: tr.Energy.Scale(e.layersF),
-		}
-		if e.Opt.TLP > 1 {
-			draft = e.draftMemoized()
-		}
-	} else {
-		fc, attn, draft = e.priceFresh(active, onPU)
-	}
+	var p iterPrice
+	e.price(&p, rlp, kvSum, onPU)
+	fc, attn := &p.fc, &p.attn
 
 	// --- FC phase (QKV + projection + FFN over all layers).
 	gpuBusy := units.Seconds(0)
@@ -434,7 +397,7 @@ func (e *Engine) runIteration(active []*request, kvSum int, ev sched.Event, res 
 	// policy's decision latency (otherBase).
 	otherTime := e.otherBase
 	if e.Opt.TLP > 1 {
-		otherTime += e.chargeDraft(draft, res)
+		otherTime += e.chargeDraft(p.draft, res)
 	}
 
 	iterTime := fc.time + attn.time + attn.commTime + otherTime

@@ -10,6 +10,7 @@ import (
 	"github.com/papi-sim/papi/internal/energy"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/sched"
+	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
 
@@ -47,6 +48,30 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(newPAPI(), model.LLaMA65B(), Options{TLP: 1, DraftOverlap: 2}); err == nil {
 		t.Error("overlap > 1 should fail")
+	}
+	// NaN passes a plain range test, and a NaN, infinite or negative
+	// per-iteration charge poisons DecodeTime (or the energy ledger); each
+	// error must name its field.
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		edit  func(*Options)
+	}{
+		{"AcceptanceRate", func(o *Options) { o.AcceptanceRate = nan }},
+		{"AcceptanceRate", func(o *Options) { o.AcceptanceRate = -0.1 }},
+		{"DraftOverlap", func(o *Options) { o.DraftOverlap = nan }},
+		{"DraftOverlap", func(o *Options) { o.DraftOverlap = math.Inf(1) }},
+		{"OtherPerIteration", func(o *Options) { o.OtherPerIteration = units.Seconds(nan) }},
+		{"OtherPerIteration", func(o *Options) { o.OtherPerIteration = units.Seconds(math.Inf(1)) }},
+		{"OtherPerIteration", func(o *Options) { o.OtherPerIteration = -1 }},
+		{"OtherPerIteration", func(o *Options) { o.OtherPerIteration = units.Milliseconds(-1) }},
+	} {
+		opt := DefaultOptions(4)
+		tc.edit(&opt)
+		_, err := New(newPAPI(), model.OPT30B(), opt)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s %+v: got error %v, want one naming %s", tc.field, opt, err, tc.field)
+		}
 	}
 	bad := newPAPI()
 	bad.Policy = nil

@@ -42,11 +42,12 @@ type StepInfo struct {
 
 // Stepper is the resumable core of the serving engine: the iteration loop
 // shared by RunBatch and RunContinuous, exposed as an
-// admit → decide → iterate → commit cycle that advances by exactly one
-// iteration per Step call on a caller-owned clock. This lets a caller — the
-// multi-replica simulator in internal/cluster — interleave many engines
-// deterministically on one event kernel instead of each run owning its own
-// timeline.
+// admit → decide → iterate → commit cycle that advances by one decode
+// window — a run of iterations at a fixed RLP, see window — per Step call on
+// a caller-owned clock. This lets a caller — the multi-replica simulator in
+// internal/cluster — interleave many engines deterministically on one event
+// timeline instead of each run owning its own, bounding every window with
+// SetHorizon.
 //
 // Two modes exist:
 //
@@ -72,7 +73,7 @@ type Stepper struct {
 	clock     units.Seconds
 
 	// Incremental accounting. kvSum is Σ(InputLen+generated) over the active
-	// batch — the attention kernel's only KV-length input (fast path).
+	// batch — the attention kernel's only KV-length input (see Engine.price).
 	// kvDemandAll / kvDemandActive are the worst-case KV footprints of all
 	// outstanding / admitted requests, maintained on push, admit, evict and
 	// finish so KVDemand and admission checks are O(1). All terms are
@@ -103,8 +104,8 @@ type Stepper struct {
 	// parks leases instead of discarding their state.
 	kvStore *kv.Store
 
-	// horizon bounds fast-path macro-stepping (see SetHorizon); +Inf when the
-	// stepper owns its whole timeline.
+	// horizon bounds decode windows (see SetHorizon); +Inf when the stepper
+	// owns its whole timeline.
 	horizon units.Seconds
 	// traceHint sizes the Result traces on first use: exact for static
 	// batches (a TLP = 1 batch runs exactly max-output iterations, and
@@ -317,8 +318,8 @@ func (s *Stepper) countClass(c workload.Class, interactive, batch *int, delta in
 
 // tiered reports whether both priority classes are outstanding — the regime
 // in which admission is priority-aware: interactive jumps blocked batch
-// traffic and may preempt it. Fast-path macro windows must then be bounded
-// by the earliest class-boundary event instead of the queue head (see
+// traffic and may preempt it. Decode windows must then be bounded by the
+// earliest class-boundary event instead of the queue head (see
 // macroArrivalBound), so no interior iteration boundary can admit or evict a
 // request the window bound does not see.
 func (s *Stepper) tiered() bool {
@@ -327,8 +328,8 @@ func (s *Stepper) tiered() bool {
 
 // Push injects one more request into a stream stepper's pending queue. The
 // cluster router calls this at the request's arrival instant. Callers that
-// interleave Push with Step on the fast path must also bound Step with
-// SetHorizon (see Step's contract).
+// interleave Push with Step must bound Step with SetHorizon (see Step's
+// contract).
 func (s *Stepper) Push(r workload.Request) error {
 	if s.static {
 		return fmt.Errorf("serving: cannot push into a static batch stepper")
@@ -405,13 +406,14 @@ func (s *Stepper) Outstanding() int { return len(s.active) + len(s.pending) }
 //papivet:noalloc
 func (s *Stepper) KVDemand() units.Bytes { return s.kvDemandAll }
 
-// SetHorizon bounds fast-path macro-stepping: a macro-stepped Step call
-// stops fast-forwarding once its clock reaches t, so a caller interleaving
-// many steppers on one event timeline (internal/cluster) can guarantee no
-// other event — an arrival, a closed-loop follow-up — should have been
-// observed first. It does not affect reference-path stepping, which always
-// advances one iteration per call. The bound is sticky; steppers start with
-// +Inf (they own their whole timeline).
+// SetHorizon bounds decode windows: a Step call stops running iterations
+// once its clock reaches t, so a caller interleaving many steppers on one
+// event timeline (internal/cluster) can guarantee no other event — an
+// arrival, a closed-loop follow-up — should have been observed first. A
+// horizon at or before the clock still lets Step run one iteration, so
+// SetHorizon(Now()) before every Step drives the stepper one iteration at a
+// time. The bound is sticky; steppers start with +Inf (they own their whole
+// timeline).
 func (s *Stepper) SetHorizon(t units.Seconds) { s.horizon = t }
 
 // StartAt moves a fresh stream stepper's clock to t without accruing idle
@@ -694,15 +696,14 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 // iterate → commit, see window), jump the clock to the next arrival if
 // nothing is runnable, or report the stepper drained.
 //
-// On the fast path one Step may run a whole window of iterations; the
-// stepper accounts for every arrival already in its pending queue, so
-// RunBatch/RunContinuous-style drivers are unaffected. A caller that instead
-// injects arrivals incrementally with Push between Step calls must bound each
-// call with SetHorizon(t) — t being the earliest instant it might push — or
-// build the engine with FastPathOff; otherwise a window can overshoot the
-// instant the caller meant to inject at, admitting the request later than
-// single-stepping would. internal/cluster does exactly this: each replica's
-// horizon is the fleet driver's next barrier.
+// One Step may run a whole window of iterations; the stepper accounts for
+// every arrival already in its pending queue, so RunBatch/RunContinuous-style
+// drivers are unaffected. A caller that instead injects arrivals
+// incrementally with Push between Step calls must bound each call with
+// SetHorizon(t), t being the earliest instant it might push; otherwise a
+// window can overshoot the instant the caller meant to inject at, admitting
+// the request later than single-stepping would. internal/cluster does
+// exactly this: each replica's horizon is the fleet driver's next barrier.
 func (s *Stepper) Step() (StepInfo, error) {
 	if s.failed {
 		return StepInfo{Kind: StepDrained}, nil
@@ -749,29 +750,20 @@ func (s *Stepper) Step() (StepInfo, error) {
 
 	s.ensureTraces()
 
-	// The fast path fast-forwards whole runs of identical-RLP iterations,
-	// bounded by macroArrivalBound: the earliest instant an admission or
-	// preemption could change the active batch — queue-head arrival for a
-	// single class, the earliest class-boundary event for tiered streams.
-	// A perturbed window prices its stretch per iteration, and the caller
+	// A window fast-forwards a whole run of identical-RLP iterations, bounded
+	// by macroArrivalBound: the earliest instant an admission or preemption
+	// could change the active batch — queue-head arrival for a single class,
+	// the earliest class-boundary event for tiered streams, the clock itself
+	// (a one-iteration window) in the one regime with no sound bound. A
+	// perturbed window prices its stretch per iteration, and the caller
 	// fences perturbation changes with SetHorizon (see SetPerturbation).
-	// Everything else runs one-iteration windows: the reference path, whose
-	// fresh pricing reads per-request lengths that a TLP = 1 window updates
-	// only at its end, and the one regime with no sound bound (see
-	// macroArrivalBound's ok = false).
-	bound, limit := units.Seconds(math.Inf(1)), 1
-	if s.eng.fastPath {
-		if b, ok := s.macroArrivalBound(); ok {
-			bound, limit = b, math.MaxInt
-		}
-	}
-	return s.window(bound, limit)
+	return s.window(s.macroArrivalBound())
 }
 
-// window runs up to limit decoding iterations at the current RLP inside one
-// Step call. It ends early at the first finish (the iterations after it run
-// at a smaller RLP), once the clock reaches the admission bound, and at the
-// horizon. RLP and TLP are frozen inside a window, so every interior Decide
+// window runs decoding iterations at the current RLP inside one Step call.
+// It ends at the first finish (the iterations after it run at a smaller
+// RLP), once the clock reaches the admission bound, and at the horizon; it
+// always runs at least one iteration. RLP and TLP are frozen inside a window, so every interior Decide
 // would reach the same placement with no reschedule: one Decide covers the
 // window and the scheduler is advanced in bulk (Repeat) at its end. Every
 // trace entry, energy charge and clock value is bit-identical to running
@@ -785,9 +777,10 @@ func (s *Stepper) Step() (StepInfo, error) {
 // ΣkvLen. With speculation (TLP > 1) commits are stochastic: every iteration
 // replays the per-request acceptance sampling walk in active order, because
 // the RNG draw order is part of the bit-identical contract.
-func (s *Stepper) window(bound units.Seconds, limit int) (StepInfo, error) {
+func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 	rlp := len(s.active)
 	spec := s.eng.Opt.TLP > 1
+	limit := math.MaxInt
 	if !spec {
 		for _, r := range s.active {
 			if rem := r.OutputLen - r.generated; rem < limit {
@@ -804,7 +797,7 @@ func (s *Stepper) window(bound units.Seconds, limit int) (StepInfo, error) {
 		if s.perturbed {
 			pre = s.res.Breakdown
 		}
-		it := s.eng.runIteration(s.active, s.kvSum, ev, &s.res)
+		it := s.eng.runIteration(rlp, s.kvSum, ev, &s.res)
 		if s.perturbed {
 			s.stretch(&it, pre)
 		}
@@ -931,7 +924,8 @@ func (s *Stepper) finish(r *request) {
 // ensureTraces pre-sizes the per-iteration traces — the decode loop's only
 // growing allocations — so steady-state stepping never reallocates them.
 // Lazy (on the first iteration) so runs that never iterate keep nil traces;
-// capacity is invisible in the Result, so both decode paths stay deep-equal.
+// capacity is invisible in the Result, so Results stay deep-equal however
+// their iterations were split into windows.
 func (s *Stepper) ensureTraces() {
 	if s.res.RLPTrace != nil {
 		return
@@ -955,9 +949,10 @@ func (s *Stepper) ensureTraces() {
 // active batch, +Inf when only a finish can (finishes already end every
 // window). Ending a window early is always safe — the next Step re-runs
 // admit for real — so every bound here may be conservative; the invariant
-// is only that the window never fast-forwards past a boundary the
-// reference path would have acted on. ok = false means no sound bound
-// exists and the caller must run a one-iteration window.
+// is only that the window never fast-forwards past an iteration boundary
+// at which one-iteration stepping would have admitted or evicted. Where no
+// sound bound exists the bound is the clock itself, which ends the window
+// after one iteration.
 //
 // Single-class streams keep PR 3's head-of-line rule: the window pauses
 // once the queue head is admissible (from its arrival onward every
@@ -970,31 +965,31 @@ func (s *Stepper) ensureTraces() {
 // preemption stays infeasible. Under block sharing that argument fails for
 // tiered streams (interior lease growth moves CommittedBlocks and
 // ParkGain, so a preemption trigger can arm mid-window) — that is the one
-// ok = false regime.
+// regime bounded by the clock.
 //
 //papivet:noalloc
-func (s *Stepper) macroArrivalBound() (units.Seconds, bool) {
+func (s *Stepper) macroArrivalBound() units.Seconds {
 	inf := units.Seconds(math.Inf(1))
 	// Static batches never admit; streams with an empty queue have nothing
 	// to admit before the horizon (Push is fenced by SetHorizon).
 	if s.static || len(s.pending) == 0 {
-		return inf, true
+		return inf
 	}
 	if !s.tiered() {
 		head := s.pending[0]
 		if len(s.active) < s.maxBatch && s.kvFits(head) {
-			return head.readyAt, true
+			return head.readyAt
 		}
-		return inf, true
+		return inf
 	}
 	if s.kvStore != nil {
-		return 0, false
+		return s.clock
 	}
 	// Tiered, byte ledger. With the batch full, neither admission phase nor
 	// preemption (which only runs while placing an interactive into a free
 	// slot) can act before a finish.
 	if len(s.active) >= s.maxBatch {
-		return inf, true
+		return inf
 	}
 	// An admissible batch head bounds the window at its arrival (which may
 	// already have passed — admit's prefill can advance the clock over it;
@@ -1004,7 +999,7 @@ func (s *Stepper) macroArrivalBound() (units.Seconds, bool) {
 	// and the head cannot change inside a window — but an interactive
 	// behind it still can, so keep looking.
 	if head := s.pending[0]; head.Class == workload.ClassBatch && s.kvFits(head) {
-		return head.readyAt, true
+		return head.readyAt
 	}
 	// The earliest pending interactive decides the rest: the queue is
 	// readyAt-ordered and phase-one admission is FIFO within the tier, so
@@ -1016,12 +1011,12 @@ func (s *Stepper) macroArrivalBound() (units.Seconds, bool) {
 		if i := s.firstInteractive(); i < len(s.pending) {
 			r := s.pending[i]
 			if s.kvFits(r) || s.preemptFeasible(r) {
-				return r.readyAt, true
+				return r.readyAt
 			}
-			return inf, true
+			return inf
 		}
 	}
-	return inf, true
+	return inf
 }
 
 // preemptFeasible reports whether evicting every active batch-class request
