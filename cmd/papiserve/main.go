@@ -54,37 +54,36 @@ import (
 )
 
 func main() {
-	var (
-		designArg = flag.String("design", "PAPI", `fleet design(s): registry names ("PAPI", "A100+AttAcc", "A100+HBM-PIM", "AttAcc-only", "PIM-only PAPI") or spec .json files; a comma-separated list runs a mixed fleet`)
-		listDes   = flag.Bool("list-designs", false, "list the named designs in the registry and exit")
-		modelName = flag.String("model", "LLaMA-65B", `model: "OPT-30B", "LLaMA-65B", "GPT-3 66B", "GPT-3 175B"`)
-		dataset   = flag.String("dataset", "general-qa", `workload: "creative-writing", "general-qa", "long-context"`)
-		replicas  = flag.Int("replicas", 2, "replica engine count")
-		router    = flag.String("router", "least-outstanding", `routing policy: "round-robin", "least-outstanding", "kv-headroom"`)
-		rate      = flag.Float64("rate", 20, "offered arrival rate (requests/s)")
-		requests  = flag.Int("requests", 64, "request count in the stream (conversation count for closed-loop scenarios)")
-		maxBatch  = flag.Int("maxbatch", 16, "per-replica continuous-batching admission cap")
-		spec      = flag.Int("spec", 1, "speculation length (TLP); 1 disables speculative decoding")
-		seed      = flag.Int64("seed", 42, "workload and acceptance seed")
-		sloMS     = flag.Float64("slo", 12, "TPOT SLO in milliseconds (0 = unbounded)")
-		target    = flag.Float64("target", 0.9, "attainment target for -sweep capacity headlines")
-		sweep     = flag.String("sweep", "", "comma-separated QPS ladder: run the capacity sweep over all designs instead of one fleet")
-		scenario  = flag.String("scenario", "", "named workload scenario (see docs/SCENARIOS.md); overrides -dataset/-rate")
-		traceIn   = flag.String("trace", "", "replay a saved trace file instead of generating arrivals")
-		traceOut  = flag.String("save-trace", "", "export the run's realised arrival stream as a trace file")
-		autoscale = flag.String("autoscale", "", `elastic fleet bounds "min:max": scale replicas with load instead of static provisioning (-replicas is the initial size)`)
-		classes   = flag.Float64("classes", 0, "fraction of generated requests tagged batch-class (preemptible); scenarios and traces carry their own classes")
-		kvBlocks  = flag.Int("kv-blocks", 0, "block-level KV cache: tokens per block, prefix sharing on (0 = plain byte-ledger accounting)")
-		kvCold    = flag.Float64("kv-cold", 4, "with -kv-blocks: cold-tier capacity as a multiple of the hot attention pool (negative disables the tier)")
-		faultsIn  = flag.String("faults", "", "inject a fault plan .json (crashes, stragglers, brownouts; see docs/RESILIENCE.md)")
-		retries   = flag.Int("retries", 2, "bounded failover: retry a request lost to a crash or timeout at most this many times")
-		timeoutS  = flag.Float64("timeout", 0, "per-attempt request timeout in seconds (0 = none); timed-out attempts cancel and retry under -retries")
-		shards    = flag.Int("shards", 1, "drive the replicas on up to this many goroutines between fleet sync points; results are bit-identical at every count (see docs/SCALE.md)")
-		checkpt   = flag.String("checkpoint", "", "merge this run's mergeable fleet snapshot into the named .json (created if absent), so long runs split across invocations")
-		retain    = flag.Bool("retain-requests", false, "keep every per-request metrics record (FleetResult.Requests); off by default so large runs stay constant-memory")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProf   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	)
+	o := defaultOptions()
+	flag.StringVar(&o.design, "design", o.design, `fleet design(s): registry names ("PAPI", "A100+AttAcc", "A100+HBM-PIM", "AttAcc-only", "PIM-only PAPI") or spec .json files; a comma-separated list runs a mixed fleet`)
+	listDes := flag.Bool("list-designs", false, "list the named designs in the registry and exit")
+	flag.StringVar(&o.modelName, "model", o.modelName, `model: "OPT-30B", "LLaMA-65B", "GPT-3 66B", "GPT-3 175B"`)
+	flag.StringVar(&o.dataset, "dataset", o.dataset, `workload: "creative-writing", "general-qa", "long-context"`)
+	flag.IntVar(&o.replicas, "replicas", o.replicas, "replica engine count")
+	flag.StringVar(&o.routerName, "router", o.routerName, `routing policy: "round-robin", "least-outstanding", "kv-headroom"`)
+	flag.Float64Var(&o.rate, "rate", o.rate, "offered arrival rate (requests/s)")
+	flag.IntVar(&o.requests, "requests", o.requests, "request count in the stream (conversation count for closed-loop scenarios)")
+	flag.IntVar(&o.maxBatch, "maxbatch", o.maxBatch, "per-replica continuous-batching admission cap")
+	flag.IntVar(&o.spec, "spec", o.spec, "speculation length (TLP); 1 disables speculative decoding")
+	flag.Int64Var(&o.seed, "seed", o.seed, "workload and acceptance seed")
+	flag.Float64Var(&o.sloMS, "slo", o.sloMS, "TPOT SLO in milliseconds (0 = unbounded)")
+	flag.Float64Var(&o.target, "target", o.target, "attainment target in [0, 1] for -sweep capacity headlines")
+	flag.StringVar(&o.sweep, "sweep", "", "comma-separated QPS ladder: run the capacity sweep over all designs instead of one fleet")
+	flag.StringVar(&o.scenario, "scenario", "", "named workload scenario (see docs/SCENARIOS.md); overrides -dataset/-rate")
+	flag.StringVar(&o.traceIn, "trace", "", "replay a saved trace file instead of generating arrivals")
+	flag.StringVar(&o.traceOut, "save-trace", "", "export the run's realised arrival stream as a trace file")
+	flag.StringVar(&o.autoscale, "autoscale", "", `elastic fleet bounds "min:max": scale replicas with load instead of static provisioning (-replicas is the initial size)`)
+	flag.Float64Var(&o.classes, "classes", 0, "fraction of generated requests tagged batch-class (preemptible); scenarios and traces carry their own classes")
+	flag.IntVar(&o.kvBlocks, "kv-blocks", 0, "block-level KV cache: tokens per block, prefix sharing on (0 = plain byte-ledger accounting)")
+	flag.Float64Var(&o.kvCold, "kv-cold", o.kvCold, "with -kv-blocks: cold-tier capacity as a multiple of the hot attention pool (negative disables the tier)")
+	flag.StringVar(&o.faults, "faults", "", "inject a fault plan .json (crashes, stragglers, brownouts; see docs/RESILIENCE.md)")
+	flag.IntVar(&o.retries, "retries", o.retries, "bounded failover: retry a request lost to a crash or timeout at most this many times")
+	flag.Float64Var(&o.timeoutS, "timeout", 0, "per-attempt request timeout in seconds (0 = none); timed-out attempts cancel and retry under -retries")
+	flag.IntVar(&o.shards, "shards", o.shards, "drive the replicas on up to this many goroutines between fleet sync points; results are bit-identical at every count (see docs/SCALE.md)")
+	flag.StringVar(&o.checkpoint, "checkpoint", "", "merge this run's mergeable fleet snapshot into the named .json (created if absent), so long runs split across invocations")
+	flag.BoolVar(&o.retainRequests, "retain-requests", false, "keep every per-request metrics record (FleetResult.Requests); off by default so large runs stay constant-memory")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile taken after the run to this file")
 	flag.Parse()
 
 	if *listDes {
@@ -94,17 +93,7 @@ func main() {
 		return
 	}
 
-	if err := run(options{
-		design: *designArg, modelName: *modelName, dataset: *dataset,
-		routerName: *router, sweep: *sweep, scenario: *scenario,
-		traceIn: *traceIn, traceOut: *traceOut, autoscale: *autoscale,
-		replicas: *replicas, requests: *requests, maxBatch: *maxBatch,
-		spec: *spec, seed: *seed, rate: *rate, sloMS: *sloMS, target: *target,
-		classes: *classes, kvBlocks: *kvBlocks, kvCold: *kvCold,
-		faults: *faultsIn, retries: *retries, timeoutS: *timeoutS,
-		shards: *shards, checkpoint: *checkpt, retainRequests: *retain,
-		cpuProfile: *cpuProf, memProfile: *memProf,
-	}); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "papiserve:", err)
 		os.Exit(1)
 	}
@@ -118,6 +107,17 @@ type options struct {
 	seed                                                          int64
 	rate, sloMS, target, classes, kvCold, timeoutS                float64
 	retainRequests                                                bool
+}
+
+// defaultOptions holds the flag defaults; every flag left out of it
+// defaults to its zero value.
+func defaultOptions() options {
+	return options{
+		design: "PAPI", modelName: "LLaMA-65B", dataset: "general-qa",
+		routerName: "least-outstanding", replicas: 2, requests: 64, maxBatch: 16,
+		spec: 1, seed: 42, rate: 20, sloMS: 12, target: 0.9, kvCold: 4,
+		retries: 2, shards: 1,
+	}
 }
 
 // run brackets the simulation with the optional pprof captures so the
@@ -169,18 +169,13 @@ func serve(o options) error {
 	if !(o.classes >= 0 && o.classes <= 1) {
 		return fmt.Errorf("-classes %g outside [0, 1]", o.classes)
 	}
+	if !(o.target >= 0 && o.target <= 1) {
+		return fmt.Errorf("-target %g outside [0, 1]", o.target)
+	}
 
 	if o.sweep != "" {
-		if o.scenario != "" || o.traceIn != "" || o.traceOut != "" || o.autoscale != "" || o.classes != 0 {
-			return fmt.Errorf("-sweep cannot be combined with -scenario, -trace, -save-trace, -autoscale, or -classes")
-		}
-		if o.faults != "" || o.timeoutS != 0 {
-			return fmt.Errorf("-sweep evaluates fault-free capacity and cannot be combined with -faults or -timeout")
-		}
-		// The capacity sweep evaluates the fixed comparison set; silently
-		// ignoring a requested design would misattribute its results.
-		if o.design != "PAPI" {
-			return fmt.Errorf("-sweep evaluates the fixed design comparison set and cannot be combined with -design")
+		if err := sweepConflicts(o); err != nil {
+			return err
 		}
 		ds, err := workload.ByName(o.dataset)
 		if err != nil {
@@ -361,6 +356,47 @@ func serve(o options) error {
 		if err := mergeCheckpoint(o.checkpoint, f); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// sweepConflicts rejects every flag a -sweep run would otherwise ignore.
+// The capacity sweep runs its own fixed fleet: the comparison design set
+// on a generated Poisson ladder, least-outstanding routing, TLP 1, seed
+// experiments.Seed, the byte ledger, no faults, no sharding, streaming
+// metrics and no checkpoint. Accepting a flag that asks for anything else
+// would attribute the table to a configuration it never ran.
+func sweepConflicts(o options) error {
+	d := defaultOptions()
+	var bad []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-design", o.design != d.design},
+		{"-router", o.routerName != d.routerName},
+		{"-rate", o.rate != d.rate},
+		{"-spec", o.spec != d.spec},
+		{"-seed", o.seed != experiments.Seed},
+		{"-scenario", o.scenario != ""},
+		{"-trace", o.traceIn != ""},
+		{"-save-trace", o.traceOut != ""},
+		{"-autoscale", o.autoscale != ""},
+		{"-classes", o.classes != 0},
+		{"-kv-blocks", o.kvBlocks != 0},
+		{"-faults", o.faults != ""},
+		{"-timeout", o.timeoutS != 0},
+		{"-shards", o.shards != d.shards},
+		{"-checkpoint", o.checkpoint != ""},
+		{"-retain-requests", o.retainRequests},
+	} {
+		if f.set {
+			bad = append(bad, f.name)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("-sweep runs the fixed capacity comparison and cannot be combined with %s",
+			strings.Join(bad, ", "))
 	}
 	return nil
 }

@@ -32,6 +32,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"kv-cold minus infinity", func(o *options) { o.kvBlocks, o.kvCold = 16, -inf }, "-kv-cold"},
 		{"kv-cold huge", func(o *options) { o.kvBlocks, o.kvCold = 16, 1e30 }, "cold-tier factor"},
 		{"sweep NaN", func(o *options) { o.sweep = "5,nan" }, "sweep rate"},
+		{"target above one", func(o *options) { o.sweep, o.target = "5", 7 }, "-target"},
+		{"target NaN", func(o *options) { o.sweep, o.target = "5", nan }, "-target"},
+		{"target negative", func(o *options) { o.sweep, o.target = "5", -0.5 }, "-target"},
+		{"sweep with spec", func(o *options) { o.sweep, o.spec = "5", 4 }, "-spec"},
+		{"sweep with router", func(o *options) { o.sweep, o.routerName = "5", "round-robin" }, "-router"},
+		{"sweep with seed", func(o *options) { o.sweep, o.seed = "5", 7 }, "-seed"},
+		{"sweep with rate", func(o *options) { o.sweep, o.rate = "5", 30 }, "-rate"},
+		{"sweep with kv-blocks", func(o *options) { o.sweep, o.kvBlocks = "5", 16 }, "-kv-blocks"},
+		{"sweep with retain-requests", func(o *options) { o.sweep, o.retainRequests = "5", true }, "-retain-requests"},
+		{"sweep with shards", func(o *options) { o.sweep, o.shards = "5", 2 }, "-shards"},
+		{"sweep with checkpoint", func(o *options) { o.sweep, o.checkpoint = "5", "sweep.json" }, "-checkpoint"},
+		{"sweep names every conflict", func(o *options) { o.sweep, o.spec, o.shards = "5", 4, 2 }, "-spec, -shards"},
 	} {
 		o := testOptions()
 		tc.set(&o)
@@ -47,6 +59,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(testOptions()); err != nil {
 		t.Fatalf("good options rejected: %v", err)
 	}
+	// The sweep accepts the flag defaults, which include its own seed.
+	sweep := testOptions()
+	sweep.sweep = "5"
+	if err := run(sweep); err != nil {
+		t.Fatalf("default sweep rejected: %v", err)
+	}
 	// Closed-loop plans run under the same barrier driver as open-loop
 	// streams, so they shard too.
 	plan := testOptions()
@@ -56,12 +74,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// testOptions mirrors the flag defaults on a small fleet and stream.
+// testOptions is the flag defaults on a small fleet and stream.
 func testOptions() options {
-	return options{
-		design: "PAPI", modelName: "LLaMA-65B", dataset: "general-qa",
-		routerName: "least-outstanding", replicas: 1, requests: 8, maxBatch: 16,
-		spec: 1, seed: 42, rate: 20, sloMS: 12, target: 0.9, kvCold: 4,
-		retries: 2, shards: 1,
-	}
+	o := defaultOptions()
+	o.replicas, o.requests = 1, 8
+	return o
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"github.com/papi-sim/papi/internal/design"
@@ -45,6 +46,18 @@ func main() {
 
 func run(designName, modelName, dataset string, batch, spec int, seed int64, alpha float64,
 	continuous bool, rate float64, requests, maxBatch int, trace bool) error {
+	if batch < 1 {
+		return fmt.Errorf("-batch %d must be ≥ 1", batch)
+	}
+	if continuous && (!(rate > 0) || math.IsInf(rate, 1)) {
+		return fmt.Errorf("-rate %g must be a finite arrival rate > 0", rate)
+	}
+	if requests < 0 {
+		return fmt.Errorf("-requests %d is negative (0 = 4×batch)", requests)
+	}
+	if maxBatch < 0 {
+		return fmt.Errorf("-maxbatch %d is negative (0 = batch)", maxBatch)
+	}
 	sysSpec, err := design.ByName(designName)
 	if err != nil {
 		return err
@@ -74,11 +87,11 @@ func run(designName, modelName, dataset string, batch, spec int, seed int64, alp
 	var res serving.Result
 	if continuous {
 		n := requests
-		if n <= 0 {
+		if n == 0 {
 			n = 4 * batch
 		}
 		mb := maxBatch
-		if mb <= 0 {
+		if mb == 0 {
 			mb = batch
 		}
 		res, err = eng.RunContinuous(ds.Poisson(n, rate, seed), mb)

@@ -35,3 +35,53 @@ func TestRunRejectsBadAlpha(t *testing.T) {
 		t.Fatalf("good α rejected: %v", err)
 	}
 }
+
+// TestRunRejectsBadNumbers: a batch size, arrival rate or count no run can
+// mean returns an error naming its flag — never a panic, never a silently
+// substituted default.
+func TestRunRejectsBadNumbers(t *testing.T) {
+	type args struct {
+		batch              int
+		continuous         bool
+		rate               float64
+		requests, maxBatch int
+	}
+	good := args{batch: 2, continuous: true, rate: 10}
+	runArgs := func(a args) error {
+		return run("PAPI", "LLaMA-65B", "general-qa", a.batch, 1, 42, 0,
+			a.continuous, a.rate, a.requests, a.maxBatch, false)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(a *args)
+		want string
+	}{
+		{"batch negative", func(a *args) { a.batch = -5 }, "-batch"},
+		{"batch zero", func(a *args) { a.batch = 0 }, "-batch"},
+		{"static batch zero", func(a *args) { a.batch, a.continuous = 0, false }, "-batch"},
+		{"rate zero", func(a *args) { a.rate = 0 }, "-rate"},
+		{"rate negative", func(a *args) { a.rate = -3 }, "-rate"},
+		{"rate NaN", func(a *args) { a.rate = math.NaN() }, "-rate"},
+		{"rate infinite", func(a *args) { a.rate = math.Inf(1) }, "-rate"},
+		{"requests negative", func(a *args) { a.requests = -1 }, "-requests"},
+		{"maxbatch negative", func(a *args) { a.maxBatch = -1 }, "-maxbatch"},
+	} {
+		a := good
+		tc.set(&a)
+		err := runArgs(a)
+		if err == nil {
+			t.Errorf("%s: run accepted the bad value", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
+		}
+	}
+	if err := runArgs(good); err != nil {
+		t.Fatalf("good options rejected: %v", err)
+	}
+	// -rate only drives -continuous; a static batch ignores it.
+	if err := runArgs(args{batch: 2, rate: 0}); err != nil {
+		t.Fatalf("static batch rejected an unused -rate: %v", err)
+	}
+}

@@ -136,9 +136,11 @@ func TestDocsPresentAndLinked(t *testing.T) {
 	}
 }
 
-// commandDocs are the documents whose quoted papibench/papiserve commands
-// are validated against the real flag sets and registries: a doc quoting a
-// figure, scenario, or flag that no longer exists must fail the suite.
+// commandDocs are the documents whose quoted papibench/papiserve/papisim
+// commands are validated against the real flag sets and registries: a doc
+// quoting a figure, scenario, or flag that no longer exists must fail the
+// suite. The verify skill is a build-and-run recipe quoting the same
+// commands, so it drifts the same way.
 var commandDocs = []string{
 	"README.md",
 	"docs/ARCHITECTURE.md",
@@ -150,12 +152,13 @@ var commandDocs = []string{
 	"docs/SCALE.md",
 	"docs/TESTING.md",
 	"docs/ANALYSIS.md",
+	".claude/skills/verify/SKILL.md",
 }
 
 // Known flags per command, mirroring the flag definitions in
-// cmd/papiserve/main.go and cmd/papibench/main.go. Adding a flag to a
-// command means adding it here; removing one fails this test for every doc
-// still quoting it — which is the point.
+// cmd/papiserve/main.go, cmd/papibench/main.go and cmd/papisim/main.go.
+// Adding a flag to a command means adding it here; removing one fails this
+// test for every doc still quoting it — which is the point.
 var commandFlags = map[string]map[string]bool{
 	"papiserve": set("design", "list-designs", "model", "dataset", "replicas",
 		"router", "rate", "requests", "maxbatch", "spec", "seed", "slo",
@@ -164,6 +167,8 @@ var commandFlags = map[string]map[string]bool{
 		"shards", "checkpoint", "retain-requests", "cpuprofile", "memprofile"),
 	"papibench": set("figure", "design", "list-designs",
 		"cpuprofile", "memprofile", "faults"),
+	"papisim": set("design", "model", "dataset", "batch", "spec", "seed",
+		"alpha", "continuous", "rate", "requests", "maxbatch", "trace"),
 	"papivet": set("waivers"),
 }
 

@@ -27,10 +27,10 @@
 // Fleets need not be homogeneous: NewFromSpecs takes a list of declarative
 // design specs and provisions replicas toward the list's design ratio (a
 // repeated entry weights its design), so a PAPI+baseline mixed fleet is one
-// argument away and elastic fleets keep the mix as they grow. Each distinct
-// design keeps its own kernel-pricing cost table (pricing is
-// hardware-specific), and FleetResult splits the fleet metrics per design
-// in PerDesign.
+// argument away and elastic fleets keep the mix as they grow. Every replica
+// prices its own kernels on its own engine, so the replicas share no
+// mutable state, and FleetResult splits the fleet metrics per design in
+// PerDesign.
 package cluster
 
 import (
@@ -285,14 +285,10 @@ func (r *Replica) Design() string { return r.design }
 func (r *Replica) Routed() int { return r.routed }
 
 // blueprint is one replica design the fleet cycles through: the design's
-// display name, a fresh-system factory (each replica owns its instance),
-// and the kernel-pricing table its replicas share. Pricing is
-// hardware-specific, so a mixed fleet keeps one table per design rather
-// than one per fleet.
+// display name and a fresh-system factory (each replica owns its instance).
 type blueprint struct {
 	name   string
 	newSys func() (*design.System, error)
-	costs  *serving.CostTable
 }
 
 // Cluster is a single-use fleet simulation: build, Run once, read the
@@ -325,11 +321,9 @@ func New(newSys func() *design.System, cfg model.Config, opt Options) (*Cluster,
 // one spec provisions a homogeneous fleet, several a mixed one whose
 // replicas target the list's design ratio (a repeated entry weights its
 // design — see nextBlueprint; elastic fleets restore the ratio as they
-// grow after drains). Each distinct design keeps its own kernel-pricing
-// table, so Serving.Costs must be nil when more than one spec is given.
-// The *initial* fleet must provision every listed spec (Replicas ≥
-// len(specs)); otherwise a design could silently never run while still
-// appearing zero-filled in the per-design metrics.
+// grow after drains). The *initial* fleet must provision every listed spec
+// (Replicas ≥ len(specs)); otherwise a design could silently never run
+// while still appearing zero-filled in the per-design metrics.
 func NewFromSpecs(specs []design.Spec, cfg model.Config, opt Options) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: no design specs")
@@ -367,14 +361,13 @@ func NewByName(name string, cfg model.Config, opt Options) (*Cluster, error) {
 	return NewFromSpecs([]design.Spec{spec}, cfg, opt)
 }
 
-// newCluster probes every blueprint factory once (building a throwaway
-// engine validates each distinct design/model/options combination up
-// front) and assigns one cost table per distinct design: replicas of the
-// same design share their table even when the design appears several times
-// in the blueprint list (a "PAPI,PAPI,A100+AttAcc" ratio list keeps one
-// PAPI table). The per-design metrics split keys on the display name, so
-// two *different* designs sharing a name are rejected here rather than
-// silently merged.
+// newCluster probes every blueprint factory once and builds a throwaway
+// engine per distinct design, validating each design/model/options
+// combination up front rather than at the first replica boot, which an
+// elastic fleet may reach only mid-run. A design repeated in the blueprint
+// list (a "PAPI,PAPI,A100+AttAcc" ratio list) is probed once. The
+// per-design metrics split keys on the display name, so two *different*
+// designs sharing a name are rejected here rather than silently merged.
 func newCluster(factories []func() (*design.System, error), cfg model.Config, opt Options) (*Cluster, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -403,26 +396,14 @@ func newCluster(factories []func() (*design.System, error), cfg model.Config, op
 		}
 		probes[i] = probe
 	}
-	if opt.Serving.Costs != nil && len(names) > 1 {
-		return nil, fmt.Errorf("cluster: a caller-shared cost table cannot price a mixed-design fleet; leave Serving.Costs nil")
-	}
-	tables := map[string]*serving.CostTable{}
 	for _, name := range names {
-		costs := opt.Serving.Costs
-		if costs == nil {
-			costs = serving.NewCostTable()
-		}
-		bopt := opt.Serving
-		bopt.Costs = costs
-		if _, err := serving.New(firstByName[name], cfg, bopt); err != nil {
+		if _, err := serving.New(firstByName[name], cfg, opt.Serving); err != nil {
 			return nil, err
 		}
-		tables[name] = costs
 	}
 	c := &Cluster{cfg: cfg, opt: opt, sysName: strings.Join(names, " + ")}
 	for i, factory := range factories {
-		c.blueprints = append(c.blueprints, blueprint{
-			name: probes[i].Name, newSys: factory, costs: tables[probes[i].Name]})
+		c.blueprints = append(c.blueprints, blueprint{name: probes[i].Name, newSys: factory})
 	}
 	return c, nil
 }
@@ -472,10 +453,7 @@ type fleetRun struct {
 	barrier units.Seconds
 }
 
-// newFleetRun builds the replica engines and the event kernel. Replicas of
-// the same design share one kernel-pricing cost table (each (placement,
-// parallelism) kernel is priced once for the whole fleet); a mixed fleet
-// prices per design.
+// newFleetRun builds the replica engines and the event kernel.
 func (c *Cluster) newFleetRun() (*fleetRun, error) {
 	r := &fleetRun{c: c, kernel: sim.New()}
 	for i := 0; i < c.opt.Replicas; i++ {
@@ -538,16 +516,15 @@ func (r *fleetRun) nextBlueprint() blueprint {
 	return best
 }
 
-// addReplica builds one more replica engine on its blueprint's cost table
-// (blueprint choice: see nextBlueprint). A warming replica powers on at
-// bootAt (its clock starts there, so busy/idle accounting — and host
-// energy — covers only its powered-on span) and takes traffic from liveAt;
-// the caller schedules the activation event.
+// addReplica builds one more replica engine from the next blueprint (see
+// nextBlueprint). A warming replica powers on at bootAt (its clock starts
+// there, so busy/idle accounting — and host energy — covers only its
+// powered-on span) and takes traffic from liveAt; the caller schedules the
+// activation event.
 func (r *fleetRun) addReplica(bootAt, liveAt units.Seconds, state replicaState) (*Replica, error) {
 	bp := r.nextBlueprint()
 	opt := r.c.opt.Serving
 	opt.Seed += int64(len(r.reps))
-	opt.Costs = bp.costs
 	// Without fleet-level retention each completion's metrics are read
 	// exactly once, at harvest, so the engine drops its per-request records
 	// as they finish — the constant-memory path. (The failure machinery
@@ -695,15 +672,25 @@ func (r *fleetRun) route(req workload.Request, now units.Seconds) *Replica {
 		r.resil.strand(req, now)
 		return nil
 	}
+	rep := r.choose(req)
+	if rep != nil {
+		r.inject(rep, req, now)
+	}
+	return rep
+}
+
+// choose asks the router for one of the eligible replicas. An out-of-range
+// choice is a router bug: it stops the run with an error naming the router
+// and returns nil. Fresh arrivals (route) and failover retries
+// (resilience.dispatch) both choose here.
+func (r *fleetRun) choose(req workload.Request) *Replica {
 	idx := r.c.opt.Router.Route(req, r.eligible)
 	if idx < 0 || idx >= len(r.eligible) {
 		r.err = fmt.Errorf("cluster: router %s chose invalid replica %d of %d",
 			r.c.opt.Router.Name(), idx, len(r.eligible))
 		return nil
 	}
-	rep := r.eligible[idx]
-	r.inject(rep, req, now)
-	return rep
+	return r.eligible[idx]
 }
 
 // drain is the fleet driver: it runs the simulation to completion, the

@@ -11,10 +11,10 @@ import (
 
 // Fleet-level fast-path equivalence: replicas free-running their decode
 // windows under the barrier driver — bounded by the event-kernel horizon,
-// priced from the shared cost table, routed on the O(1) router signals —
-// must leave the whole FleetResult deep-equal to the time-order reference
-// driver, which steps every replica one iteration at a time, inline and on
-// two and four shards.
+// priced from each engine's own kernel memo, routed on the O(1) router
+// signals — must leave the whole FleetResult deep-equal to the time-order
+// reference driver, which steps every replica one iteration at a time,
+// inline and on two and four shards.
 
 // fastPathFleet returns a build function for the three-replica PAPI fleet
 // the fast-path pins share.

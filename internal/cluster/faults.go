@@ -10,8 +10,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/units"
@@ -216,6 +214,8 @@ func (z *resilience) shedArrival(req workload.Request) bool {
 }
 
 // flushParked releases the brownout-parked arrivals once no window remains.
+// They route like fresh arrivals: with no brownout left none is shed again,
+// and with no live replica each strands.
 func (z *resilience) flushParked(now units.Seconds) {
 	if z.brownoutDepth > 0 || len(z.parked) == 0 {
 		return
@@ -223,18 +223,15 @@ func (z *resilience) flushParked(now units.Seconds) {
 	parked := z.parked
 	z.parked = nil
 	for _, req := range parked {
-		if len(z.run.eligible) > 0 {
-			z.run.route(req, now)
-			continue
-		}
-		z.strand(req, now)
+		z.run.route(req, now)
 	}
 }
 
 // strand tracks a request that found no live replica to land on: parked for
 // the autoscaler's replacement boot when one may come, terminally failed
-// otherwise (a static fleet has no replacement coming). Shared by brownout
-// flushes and arrivals routed into a fully crashed fleet.
+// otherwise (a static fleet has no replacement coming). Arrivals (route,
+// brownout flushes included) and failover retries (dispatch) that find the
+// fleet fully crashed both land here.
 func (z *resilience) strand(req workload.Request, now units.Seconds) {
 	t := z.track[req.ID]
 	if t == nil {
@@ -346,25 +343,17 @@ func (z *resilience) launchRetry(id, attempt int, now units.Seconds) {
 }
 
 // dispatch routes a tracked request onto a live replica, or — with none
-// available — either parks it for the autoscaler's replacement boot or
-// terminally fails it (a static fleet has no replacement coming).
+// available — strands it (see strand).
 func (z *resilience) dispatch(t *reqTrack, now units.Seconds) {
 	r := z.run
 	if len(r.eligible) == 0 {
-		if r.scaler == nil {
-			z.fail(t, t.cur, "no-replicas", now)
-			return
-		}
-		z.waiting = append(z.waiting, t.cur)
+		z.strand(t.cur, now)
 		return
 	}
-	idx := r.c.opt.Router.Route(t.cur, r.eligible)
-	if idx < 0 || idx >= len(r.eligible) {
-		r.err = fmt.Errorf("cluster: router %s chose invalid replica %d of %d",
-			r.c.opt.Router.Name(), idx, len(r.eligible))
+	rep := r.choose(t.cur)
+	if rep == nil {
 		return
 	}
-	rep := r.eligible[idx]
 	if t.attempts == 0 {
 		// A parked arrival that never ran: this is its realised arrival.
 		r.inject(rep, t.cur, now)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/faults"
@@ -502,6 +503,65 @@ func TestResilienceOptionsValidation(t *testing.T) {
 		mutate(&opt)
 		if _, err := New(newPAPI, model.LLaMA65B(), opt); err == nil {
 			t.Errorf("%s: want validation error", name)
+		}
+	}
+}
+
+// outOfRangeRouter chooses one past the last replica: always, or — with
+// onRetry — only for a request it has already routed once, so its first bad
+// choice is a failover retry's.
+type outOfRangeRouter struct {
+	onRetry bool
+	seen    map[int]bool
+}
+
+func (r *outOfRangeRouter) Name() string { return "out-of-range" }
+
+func (r *outOfRangeRouter) Route(req workload.Request, reps []*Replica) int {
+	if r.onRetry && !r.seen[req.ID] {
+		r.seen[req.ID] = true
+		return req.ID % len(reps)
+	}
+	return len(reps)
+}
+
+// A router choosing outside the eligible replicas stops the run with an
+// error naming it, whether the bad choice places a fresh arrival or a
+// failover retry after a crash.
+func TestRunRejectsOutOfRangeRoute(t *testing.T) {
+	reqs := workload.GeneralQA().Poisson(32, 60, 5)
+	crash := &faults.Plan{Name: "crash", Faults: []faults.Fault{
+		{Kind: faults.KindCrash, Replica: 0, At: 0.8},
+	}}
+	for _, tc := range []struct {
+		name    string
+		onRetry bool
+		plan    *faults.Plan
+		wantErr bool
+	}{
+		{"fresh arrival", false, nil, true},
+		{"retry after crash", true, crash, true},
+		// The retry-only router places every fresh arrival validly, so the
+		// crash case fails on its retries alone.
+		{"no crash, no retry", true, nil, false},
+	} {
+		opt := testOptions(2, &outOfRangeRouter{onRetry: tc.onRetry, seen: map[int]bool{}})
+		opt.Faults = tc.plan
+		opt.Retries = 2
+		opt.RetryBackoff = units.Milliseconds(50)
+		c, err := New(newPAPI, model.LLaMA65B(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Run(reqs)
+		if !tc.wantErr {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "router out-of-range") {
+			t.Errorf("%s: Run returned %v, want the out-of-range router named", tc.name, err)
 		}
 	}
 }

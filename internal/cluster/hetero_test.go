@@ -6,7 +6,6 @@ import (
 
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
-	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -187,34 +186,9 @@ func TestNextBlueprintRestoresDrainedDesign(t *testing.T) {
 	}
 }
 
-// A caller-shared cost table cannot price two different hardware designs;
-// the constructor must reject the combination rather than let the table's
-// bind() fail later (or worse, serve wrong prices).
-func TestMixedFleetRejectsSharedCostTable(t *testing.T) {
-	opt := testOptions(2, nil)
-	opt.Serving.Costs = serving.NewCostTable()
-	if _, err := NewFromSpecs(mixedSpecs(t), model.LLaMA65B(), opt); err == nil {
-		t.Fatal("mixed fleet with a caller-shared cost table should be rejected")
-	}
-	// A homogeneous fleet keeps the sharing path — including one spelled as
-	// a repeated spec list.
-	spec, err := design.ByName(design.DesignPAPI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFromSpecs([]design.Spec{spec}, model.LLaMA65B(), opt); err != nil {
-		t.Fatalf("homogeneous fleet with a shared cost table should build: %v", err)
-	}
-	opt.Serving.Costs = serving.NewCostTable()
-	if _, err := NewFromSpecs([]design.Spec{spec, spec}, model.LLaMA65B(), opt); err != nil {
-		t.Fatalf("repeated-spec homogeneous fleet with a shared cost table should build: %v", err)
-	}
-}
-
 // Repeating a design in the blueprint list (a ratio list) keeps the fleet
-// homogeneous per design: one shared cost table per distinct design, no
-// per-design split for a single distinct name, and results identical to
-// the single-spec spelling.
+// homogeneous: no per-design split for a single distinct name, and results
+// identical to the single-spec spelling.
 func TestRepeatedSpecSharesDesign(t *testing.T) {
 	spec, err := design.ByName(design.DesignPAPI)
 	if err != nil {
@@ -225,11 +199,6 @@ func TestRepeatedSpecSharesDesign(t *testing.T) {
 		c, err := NewFromSpecs(specs, model.LLaMA65B(), testOptions(2, LeastOutstanding()))
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, bp := range c.blueprints[1:] {
-			if bp.costs != c.blueprints[0].costs {
-				t.Fatal("same-design blueprints do not share a cost table")
-			}
 		}
 		f, err := c.Run(reqs)
 		if err != nil {

@@ -99,39 +99,28 @@ func CapacitySweepWorkers(systems []CapacitySystem, cfg model.Config, ds workloa
 
 	// Every system faces identical traffic at a given rate, so each rate's
 	// seeded Poisson stream is drawn once and shared across the systems'
-	// cells (cluster.Run copies before sorting, so sharing is safe). Each
-	// system likewise shares one kernel-pricing cost table across its rate
-	// cells: a 64-cell sweep prices each (system, model, n) kernel once
-	// instead of once per iteration per cell.
+	// cells (cluster.Run copies before sorting, so sharing is safe).
 	streams := make(map[float64][]workload.Request, len(rates))
 	for _, rate := range rates {
 		streams[rate] = ds.Poisson(requests, rate, Seed)
 	}
-	tables := make([]*serving.CostTable, len(systems))
-	for i := range tables {
-		tables[i] = serving.NewCostTable()
-	}
-
 	type cell struct {
-		sys   CapacitySystem
-		costs *serving.CostTable
-		rate  float64
+		sys  CapacitySystem
+		rate float64
 	}
 	var cells []cell
-	for si, sys := range systems {
+	for _, sys := range systems {
 		for _, rate := range rates {
-			cells = append(cells, cell{sys: sys, costs: tables[si], rate: rate})
+			cells = append(cells, cell{sys: sys, rate: rate})
 		}
 	}
 	points := parallelMap(cells, workers, func(c cell) CapacityPoint {
 		reqs := streams[c.rate]
-		opt := serving.DefaultOptions(1)
-		opt.Costs = c.costs
 		cl, err := cluster.New(c.sys.New, cfg, cluster.Options{
 			Replicas: replicas,
 			MaxBatch: maxBatch,
 			Router:   cluster.LeastOutstanding(),
-			Serving:  opt,
+			Serving:  serving.DefaultOptions(1),
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: capacity %s @ %g qps: %v", c.sys.Name, c.rate, err))

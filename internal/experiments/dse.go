@@ -125,10 +125,7 @@ func dseSpec(alpha float64, stack AttnStackAxis, devices int, linkGBps float64) 
 // stream on a worker pool of the given size (≤ 1 runs serially; both paths
 // produce identical results — every cell is independent). Each cell's spec
 // is round-tripped through its JSON encoding before building, so the sweep
-// exercises exactly the path a hand-written design file takes. All grid
-// cells share PAPI's FC side (GPU pool, FC-PIM pool, PU fabric), so one
-// kernel-pricing cost table serves the whole grid: the α and attention axes
-// change placement and attention pricing, not the memoized FC pricings.
+// exercises exactly the path a hand-written design file takes.
 func DSESweep(axes DSEAxes, cfg model.Config, ds workload.Dataset,
 	replicas, requests, maxBatch int, rate float64, slo workload.SLO, target float64,
 	workers int) DSEResult {
@@ -145,7 +142,6 @@ func DSESweep(axes DSEAxes, cfg model.Config, ds workload.Dataset,
 	// Every design faces byte-identical traffic (cluster.Run copies before
 	// sorting, so sharing the slice is safe).
 	stream := ds.Poisson(requests, rate, Seed)
-	costs := serving.NewCostTable()
 
 	type cell struct {
 		alpha    float64
@@ -174,13 +170,11 @@ func DSESweep(axes DSEAxes, cfg model.Config, ds workload.Dataset,
 		if err != nil {
 			panic(fmt.Sprintf("experiments: dse %s: %v", spec.Name, err))
 		}
-		opt := serving.DefaultOptions(1)
-		opt.Costs = costs
 		cl, err := cluster.NewFromSpecs([]design.Spec{imported}, cfg, cluster.Options{
 			Replicas: replicas,
 			MaxBatch: maxBatch,
 			Router:   cluster.LeastOutstanding(),
-			Serving:  opt,
+			Serving:  serving.DefaultOptions(1),
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: dse %s: %v", spec.Name, err))

@@ -29,8 +29,7 @@ func smallDSESweep(workers int) DSEResult {
 }
 
 // The acceptance bar shared by every sweep: the parallel runner must return
-// results identical to the serial path — cell for cell, bit for bit — even
-// though all cells share one kernel-pricing cost table.
+// results identical to the serial path — cell for cell, bit for bit.
 func TestDSEParallelMatchesSerial(t *testing.T) {
 	serial := smallDSESweep(1)
 	parallel := smallDSESweep(4)

@@ -73,8 +73,7 @@ func Elasticity() ElasticityResult {
 // static fleets of 1 … maxReplicas replicas, then the autoscaled fleet
 // bounded by [1, maxReplicas]. Cells run on a worker pool (≤ 1 is serial;
 // both orders produce identical results — every cell is independently
-// seeded) and share one kernel-pricing cost table, since every fleet is the
-// same PAPI design.
+// seeded).
 func ElasticitySweep(cfg model.Config, maxReplicas, requests, maxBatch int,
 	slo workload.SLO, workers int) ElasticityResult {
 	sc, err := workload.ScenarioByName(workload.ScenarioTieredDiurnal)
@@ -93,7 +92,6 @@ func ElasticitySweep(cfg model.Config, maxReplicas, requests, maxBatch int,
 		SLO:      slo,
 	}
 
-	costs := serving.NewCostTable()
 	type cell struct {
 		name      string
 		replicas  int
@@ -139,8 +137,6 @@ func ElasticitySweep(cfg model.Config, maxReplicas, requests, maxBatch int,
 	})
 
 	out.Cells = parallelMap(cells, workers, func(c cell) ElasticityCell {
-		opt := serving.DefaultOptions(1)
-		opt.Costs = costs
 		initial := c.replicas
 		if c.autoscale != nil {
 			// Boot the elastic fleet sized for the day curve's base rate
@@ -155,7 +151,7 @@ func ElasticitySweep(cfg model.Config, maxReplicas, requests, maxBatch int,
 			Replicas:  initial,
 			MaxBatch:  maxBatch,
 			Router:    cluster.LeastOutstanding(),
-			Serving:   opt,
+			Serving:   serving.DefaultOptions(1),
 			Autoscale: c.autoscale,
 		})
 		if err != nil {

@@ -135,9 +135,8 @@ func kvcacheScenario(name string) workload.Scenario {
 // KVCacheSweep evaluates every cache configuration over one shared pair of
 // seeded workloads on a worker pool of the given size (≤ 1 runs serially;
 // identical results either way — cells are independent). All cells share
-// one hardware design, so a single kernel-pricing cost table serves the
-// sweep: kv.Options changes admission and the prefill ledger, never kernel
-// pricing.
+// one hardware design: kv.Options changes admission and the prefill ledger,
+// never kernel pricing.
 func KVCacheSweep(configs []KVCacheConfig, cfg model.Config,
 	replicas, maxBatch, conversations, requests, workers int) KVCacheResult {
 	out := KVCacheResult{
@@ -163,7 +162,6 @@ func KVCacheSweep(configs []KVCacheConfig, cfg model.Config,
 	// stream, document lengths in the prompt's own regime.
 	longctx = workload.AssignPrefixGroups(longctx, 6,
 		workload.LengthDist{Median: 1024, Sigma: 0.4, Min: 256, Max: 2048}, 0.6, Seed)
-	costs := serving.NewCostTable()
 
 	type cellKey struct {
 		scenario string
@@ -179,7 +177,6 @@ func KVCacheSweep(configs []KVCacheConfig, cfg model.Config,
 	out.Cells = parallelMap(cells, workers, func(k cellKey) KVCacheCell {
 		kvOpt := k.config.KV
 		opt := serving.DefaultOptions(1)
-		opt.Costs = costs
 		opt.KV = &kvOpt
 		cl, err := cluster.NewFromSpecs([]design.Spec{kvcacheSpec()}, cfg, cluster.Options{
 			Replicas: replicas,

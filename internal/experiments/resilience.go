@@ -93,8 +93,7 @@ func Resilience() ResilienceResult {
 
 // ResilienceSweep measures every (policy × plan) pair on identical traffic.
 // Cells run on a worker pool (≤ 1 is serial; both orders produce identical
-// results — every cell is independently seeded) and share one
-// kernel-pricing cost table, since every fleet is the same PAPI design.
+// results — every cell is independently seeded).
 func ResilienceSweep(cfg model.Config, maxReplicas, requests, maxBatch int,
 	slo workload.SLO, workers int) ResilienceResult {
 	sc, err := workload.ScenarioByName(workload.ScenarioTieredDiurnal)
@@ -137,7 +136,6 @@ func ResilienceSweep(cfg model.Config, maxReplicas, requests, maxBatch int,
 		}}},
 	}
 
-	costs := serving.NewCostTable()
 	type cell struct {
 		config    string
 		planName  string
@@ -176,8 +174,6 @@ func ResilienceSweep(cfg model.Config, maxReplicas, requests, maxBatch int,
 	}
 
 	out.Cells = parallelMap(cells, workers, func(c cell) ResilienceCell {
-		opt := serving.DefaultOptions(1)
-		opt.Costs = costs
 		initial := c.replicas
 		if c.autoscale != nil {
 			if initial = (c.autoscale.Min + c.autoscale.Max) / 2; initial < c.autoscale.Min {
@@ -188,7 +184,7 @@ func ResilienceSweep(cfg model.Config, maxReplicas, requests, maxBatch int,
 			Replicas:  initial,
 			MaxBatch:  maxBatch,
 			Router:    cluster.LeastOutstanding(),
-			Serving:   opt,
+			Serving:   serving.DefaultOptions(1),
 			Autoscale: c.autoscale,
 			// The post-fault digest replays the realised stream against the
 			// fault window, so this figure keeps per-request retention on.

@@ -74,8 +74,7 @@ func Scale() ScaleResult {
 
 // ScaleSweep measures every execution strategy on the identical stream. All
 // cells run with retention off — the constant-memory path is the machinery
-// under test — and share one kernel-pricing cost table, since every fleet is
-// the same PAPI design.
+// under test.
 func ScaleSweep(cfg model.Config, replicas, requests, maxBatch int, slo workload.SLO) ScaleResult {
 	sc, err := workload.ScenarioByName(workload.ScenarioTieredDiurnal)
 	if err != nil {
@@ -94,15 +93,12 @@ func ScaleSweep(cfg model.Config, replicas, requests, maxBatch int, slo workload
 		SLO:      slo,
 	}
 
-	costs := serving.NewCostTable()
 	newFleet := func(shards int) *cluster.Cluster {
-		opt := serving.DefaultOptions(1)
-		opt.Costs = costs
 		cl, err := cluster.NewByName("PAPI", cfg, cluster.Options{
 			Replicas: replicas,
 			MaxBatch: maxBatch,
 			Router:   cluster.LeastOutstanding(),
-			Serving:  opt,
+			Serving:  serving.DefaultOptions(1),
 			Shards:   shards,
 		})
 		if err != nil {

@@ -67,26 +67,18 @@ func ScenariosSweep(scenarios []workload.Scenario, systems []CapacitySystem, cfg
 		SLO:      slo,
 	}
 
-	// Each system shares one kernel-pricing cost table across its scenario
-	// cells (see CapacitySweepWorkers).
-	tables := make([]*serving.CostTable, len(systems))
-	for i := range tables {
-		tables[i] = serving.NewCostTable()
-	}
-
 	type cell struct {
-		sc    workload.Scenario
-		sys   CapacitySystem
-		costs *serving.CostTable
+		sc  workload.Scenario
+		sys CapacitySystem
 	}
 	var cells []cell
 	for _, sc := range scenarios {
-		for si, sys := range systems {
-			cells = append(cells, cell{sc: sc, sys: sys, costs: tables[si]})
+		for _, sys := range systems {
+			cells = append(cells, cell{sc: sc, sys: sys})
 		}
 	}
 	out.Cells = parallelMap(cells, workers, func(c cell) ScenarioCell {
-		f := runScenarioCell(c.sc, c.sys, cfg, replicas, count, maxBatch, c.costs)
+		f := runScenarioCell(c.sc, c.sys, cfg, replicas, count, maxBatch)
 		return ScenarioCell{
 			Scenario:     c.sc.Name,
 			System:       c.sys.Name,
@@ -104,14 +96,12 @@ func ScenariosSweep(scenarios []workload.Scenario, systems []CapacitySystem, cfg
 
 // runScenarioCell drives one fleet through one scenario's traffic.
 func runScenarioCell(sc workload.Scenario, sys CapacitySystem, cfg model.Config,
-	replicas, count, maxBatch int, costs *serving.CostTable) *cluster.FleetResult {
-	opt := serving.DefaultOptions(1)
-	opt.Costs = costs
+	replicas, count, maxBatch int) *cluster.FleetResult {
 	cl, err := cluster.New(sys.New, cfg, cluster.Options{
 		Replicas: replicas,
 		MaxBatch: maxBatch,
 		Router:   cluster.LeastOutstanding(),
-		Serving:  opt,
+		Serving:  serving.DefaultOptions(1),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: scenario %s on %s: %v", sc.Name, sys.Name, err))

@@ -9,10 +9,12 @@ import (
 // RunContinuous executes mixed continuous batching (§2.2.1, [16,17]): new
 // requests join the running batch at iteration boundaries — token-level
 // scheduling — without waiting for the current batch to drain. Admission is
-// bounded by maxBatch and by the attention pool's KV capacity; runtime RLP
-// therefore both grows (admissions) and shrinks (completions), the §3.2
-// dynamics that motivate PAPI's runtime scheduler. It is a convenience
-// wrapper over NewStreamStepper that drives the stepper to completion.
+// bounded by maxBatch and by the attention pool's KV capacity (checked in
+// Stepper.admit against a running total of the admitted requests' demand,
+// not a walk over the batch per candidate); runtime RLP therefore both
+// grows (admissions) and shrinks (completions), the §3.2 dynamics that
+// motivate PAPI's runtime scheduler. It is a convenience wrapper over
+// NewStreamStepper that drives the stepper to completion.
 func (e *Engine) RunContinuous(reqs []workload.Request, maxBatch int) (Result, error) {
 	if len(reqs) == 0 {
 		return Result{}, fmt.Errorf("serving: empty request stream")
@@ -23,8 +25,3 @@ func (e *Engine) RunContinuous(reqs []workload.Request, maxBatch int) (Result, e
 	}
 	return st.run()
 }
-
-// Admission's KV-capacity check — whether a candidate's worst-case KV cache
-// fits alongside the admitted requests — lives in Stepper.admit, against the
-// incrementally-maintained active-demand total (O(1) instead of a walk over
-// the batch per candidate).

@@ -1,12 +1,6 @@
 package serving
 
 import (
-	"fmt"
-	"strconv"
-	"sync"
-
-	"github.com/papi-sim/papi/internal/design"
-	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/pim"
 	"github.com/papi-sim/papi/internal/units"
 )
@@ -53,109 +47,12 @@ type attnCost struct {
 	commEnergy units.Joules
 }
 
-// CostTable memoizes kernel pricings for one (system design, model, draft
-// model) combination. Sharing one table across engines — the replicas of a
-// cluster, the rate cells of a capacity sweep — prices each (placement, n)
-// kernel once per process instead of once per iteration per cell. The table
-// is safe for concurrent use; binding it to a second distinct combination is
-// an error, caught at engine construction.
-type CostTable struct {
-	mu    sync.Mutex
-	bound string
-	pu    []fcCost
-	pim   []fcCost
-	draft draftPrice
-}
-
-// NewCostTable returns an empty, unbound cost table.
-func NewCostTable() *CostTable { return &CostTable{} }
-
-// bind ties the table to its pricing domain on first use and rejects reuse
-// across a different combination, which would serve wrong prices silently.
-// The key fingerprints every value the memoized prices depend on — the GPU
-// pool, the FC-PIM pool, the PU fabric, and the target and draft model
-// shapes — so two same-named systems with different hardware parameters are
-// still told apart.
-func (t *CostTable) bind(key string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.bound == "" {
-		t.bound = key
-		return nil
-	}
-	if t.bound != key {
-		return fmt.Errorf("serving: cost table already bound to a different system/model combination")
-	}
-	return nil
-}
-
-// costFingerprint renders the pricing-relevant configuration — the exact
-// fields fcPricePU, fcPricePIM and draftPriceFresh read: the target and
-// draft kernel shapes, the GPU pool, the FC-PIM pool's rates, datapath
-// flags, energy model and governor, and the PU fabric. Hand-rolled with
-// strconv (no fmt varargs boxing) because it runs once per engine and
-// sweeps build engines by the dozen.
-//
-//papivet:allow unitsafety — the fingerprint serializes raw base-unit coefficients for cache identity; strconv.AppendFloat needs the bare float64s
-func costFingerprint(sys *design.System, cfg, draft model.Config) string {
-	b := make([]byte, 0, 256)
-	num := func(f float64) {
-		b = strconv.AppendFloat(b, f, 'g', -1, 64)
-		b = append(b, '/')
-	}
-	txt := func(s string) {
-		b = append(b, s...)
-		b = append(b, '/')
-	}
-	shape := func(c model.Config) {
-		txt(c.Name)
-		num(float64(c.Hidden))
-		num(float64(c.Layers))
-		num(float64(c.FFNDim))
-		num(float64(c.FFNMatrices))
-	}
-	shape(cfg)
-	shape(draft)
-	if sys.GPU != nil {
-		s := sys.GPU.Spec
-		txt("gpu")
-		num(float64(sys.GPU.Count))
-		num(float64(s.PeakCompute))
-		num(float64(s.PeakMemBW))
-		num(s.ComputeEff)
-		num(s.MemoryEff)
-		num(float64(s.ActivePower))
-		num(float64(s.LaunchLatency))
-	}
-	if sys.FCPIM != nil {
-		d := sys.FCPIM
-		txt("fcpim")
-		num(float64(d.Count))
-		num(float64(d.Stack.ComputeRate()))
-		num(float64(d.Stack.StreamBW()))
-		num(d.FCComputeEff)
-		b = strconv.AppendBool(b, d.FCWeightReuse)
-		b = strconv.AppendBool(b, d.Governor)
-		num(d.BudgetW)
-		num(d.Energy.DRAMAccessPJB)
-		num(d.Energy.TransferPJB)
-		num(d.Energy.ComputePJB)
-		num(float64(d.Energy.StaticW))
-		num(float64(d.KernelOverhead))
-	}
-	l := sys.PULink
-	txt(l.Name)
-	num(float64(l.Latency))
-	num(float64(l.BW))
-	num(l.PJB)
-	return string(b)
-}
-
-// memoFC returns slot n of an fcCost slice, growing the slice and filling
-// the slot from miss on first demand. It serves both cache levels: the
-// shared table (under its lock — pricing is pure and cheap, and holding the
-// lock means concurrent engines never price the same n twice) and each
-// engine's lock-free first-level cache.
+// memoFC returns slot n of an engine's fcCost memo, growing the slice and
+// filling the slot from miss on first demand. The memo belongs to one engine
+// and is read and written only by the goroutine stepping it, so it needs no
+// lock; a fresh pricing costs well under a microsecond, so each engine
+// pricing its own (placement, n) kernels once is cheaper than sharing a
+// locked table across engines.
 func memoFC(costs *[]fcCost, n int, miss func(int) fcCost) fcCost {
 	if n < len(*costs) && (*costs)[n].valid {
 		return (*costs)[n]
@@ -170,35 +67,11 @@ func memoFC(costs *[]fcCost, n int, miss func(int) fcCost) fcCost {
 	return c
 }
 
-// fcPU returns the memoized GPU pricing for n tokens in flight.
-func (t *CostTable) fcPU(n int, compute func(int) fcCost) fcCost {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return memoFC(&t.pu, n, compute)
-}
-
-// fcPIM returns the memoized FC-PIM pricing for n tokens in flight.
-func (t *CostTable) fcPIM(n int, compute func(int) fcCost) fcCost {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return memoFC(&t.pim, n, compute)
-}
-
-// draftCost returns the memoized draft-model pricing.
-func (t *CostTable) draftCost(compute func() draftPrice) draftPrice {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.draft.valid {
-		t.draft = compute()
-	}
-	return t.draft
-}
-
 // Pricing primitives ---------------------------------------------------------
 //
 // These compute the FC-phase and draft costs from scratch. The decode loop
-// never calls them directly: it serves their results from the cost tables,
-// filling a slot on first demand, and purity makes a memoized price
+// never calls them directly: it serves their results from the engine's
+// memo, filling a slot on first demand, and purity makes a memoized price
 // bit-identical to a fresh one.
 
 // fcPricePU prices the FC phase of one decoding iteration with n tokens in
@@ -246,26 +119,20 @@ func (e *Engine) draftPriceFresh() draftPrice {
 	return draftPrice{valid: true, per: p.Time, energy: p.Energy.Total()}
 }
 
-// Engine-local caches --------------------------------------------------------
-//
-// Each engine keeps an unlocked first-level cache in front of the shared
-// table: steady-state iterations hit it without synchronisation, and only a
-// new parallelism level reaches the locked table.
-
 // fcCostPU returns the (memoized) GPU FC pricing for n.
 func (e *Engine) fcCostPU(n int) fcCost {
-	return memoFC(&e.puCache, n, func(n int) fcCost { return e.costs.fcPU(n, e.fcPricePU) })
+	return memoFC(&e.puCache, n, e.fcPricePU)
 }
 
 // fcCostPIM returns the (memoized) FC-PIM pricing for n.
 func (e *Engine) fcCostPIM(n int) fcCost {
-	return memoFC(&e.pimCache, n, func(n int) fcCost { return e.costs.fcPIM(n, e.fcPricePIM) })
+	return memoFC(&e.pimCache, n, e.fcPricePIM)
 }
 
 // draftMemoized returns the (memoized) draft-model pricing.
 func (e *Engine) draftMemoized() draftPrice {
 	if !e.draftCache.valid {
-		e.draftCache = e.costs.draftCost(e.draftPriceFresh)
+		e.draftCache = e.draftPriceFresh()
 	}
 	return e.draftCache
 }
@@ -282,7 +149,7 @@ type iterPrice struct {
 // requests holding kvSum = ΣkvLen tokens of KV state, with the FC phase on
 // the GPU pool (onPU) or on the FC-PIM pool; p must start zeroed. Every
 // input is memoized or closed-form: the FC and draft kernels come from the
-// cost tables, and the attention kernel is model.AttentionKernelSum's
+// engine's memo, and the attention kernel is model.AttentionKernelSum's
 // closed form in ΣkvLen against the engine-hoisted coefficients, priced
 // through pim.ExecuteAttention on one PIM device per head per request (up
 // to the pool), plus, per layer, the Q/K/V vectors to the attention devices

@@ -154,7 +154,7 @@ func checkPricing(t *testing.T, c pricingCase, active []*request, kvSum int) {
 
 // TestPricingMatchesFresh pins the pricing property on random active sets
 // for every design, model, TLP and placement. Each engine prices twice per
-// RLP draw, so both the cold (table miss) and the warm (cache hit) slot are
+// RLP draw, so both the cold (memo miss) and the warm (memo hit) slot are
 // compared.
 func TestPricingMatchesFresh(t *testing.T) {
 	cases := pricingCases(t)

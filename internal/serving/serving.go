@@ -8,9 +8,10 @@
 // The engine runs in two batching modes — RunBatch (static) and
 // RunContinuous (mixed continuous batching) — both thin wrappers around
 // Stepper, the resumable admit → decide → iterate → commit core that
-// advances one iteration per Step on a caller-owned clock. External arrival
-// owners (the fleet simulator in internal/cluster, closed-loop multi-turn
-// scenarios) inject requests mid-run with Push and observe completions via
+// advances a window of same-RLP iterations per Step, on a caller-owned
+// clock and up to a caller-set horizon. External arrival owners (the fleet
+// simulator in internal/cluster, closed-loop multi-turn scenarios) inject
+// requests mid-run with Push and observe completions via
 // StepInfo.Finished. Per-request latency metrics (TTFT, TPOT, completion)
 // and SLO attainment live in metrics.go.
 package serving
@@ -50,10 +51,6 @@ type Options struct {
 	OtherPerIteration units.Seconds
 	// Seed drives the acceptance sampling.
 	Seed int64
-	// Costs optionally shares a kernel-pricing table with other engines of
-	// the same (system design, model, draft) combination — cluster replicas,
-	// sweep cells. Nil gives the engine a private table.
-	Costs *CostTable
 	// DiscardCompleted drops per-request records as requests finish instead
 	// of retaining them for Finalize: Result.Requests comes back empty and a
 	// completed request's metrics are readable exactly once, through
@@ -193,9 +190,8 @@ type Engine struct {
 	draft model.Config
 	rng   *rand.Rand
 
-	// costs is the (possibly shared) kernel-pricing table; puCache/pimCache/
-	// draftCache are this engine's lock-free first-level caches over it.
-	costs      *CostTable
+	// puCache/pimCache/draftCache memoize the engine's kernel pricings (see
+	// memoFC), filled on first demand per (placement, n).
 	puCache    []fcCost
 	pimCache   []fcCost
 	draftCache draftPrice
@@ -264,13 +260,6 @@ func New(sys *design.System, cfg model.Config, opt Options) (*Engine, error) {
 		e.fcStandbyW = sys.FCPIM.Energy.StaticW.Scale(float64(sys.FCPIM.Count))
 	}
 	e.attnStandbyW = sys.AttnPIM.Energy.StaticW.Scale(float64(sys.AttnPIM.Count))
-	e.costs = opt.Costs
-	if e.costs == nil {
-		e.costs = NewCostTable()
-	}
-	if err := e.costs.bind(costFingerprint(sys, cfg, e.draft)); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 

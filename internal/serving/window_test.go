@@ -290,47 +290,6 @@ func FuzzMacroEquivalence(f *testing.F) {
 	})
 }
 
-// TestFastPathEquivalenceSharedTable runs an engine twice against one
-// shared CostTable (warming it on the first run) and pins that a warm table
-// changes nothing — the memoized prices equal the freshly computed ones.
-func TestFastPathEquivalenceSharedTable(t *testing.T) {
-	reqs := workload.CreativeWriting().Poisson(12, 40, 3)
-	table := NewCostTable()
-	var runs [2]Result
-	for i := range runs {
-		opt := DefaultOptions(1)
-		opt.Costs = table
-		eng, err := New(newPAPI(), model.OPT30B(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i], err = eng.RunContinuous(reqs, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Fatal("warm cost table changed the result")
-	}
-}
-
-// TestCostTableRejectsRebinding pins the guard against silently serving one
-// system's prices to another.
-func TestCostTableRejectsRebinding(t *testing.T) {
-	table := NewCostTable()
-	opt := DefaultOptions(1)
-	opt.Costs = table
-	if _, err := New(newPAPI(), model.OPT30B(), opt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(newA100AttAcc(), model.OPT30B(), opt); err == nil {
-		t.Fatal("cost table accepted a second system design")
-	}
-	if _, err := New(newPAPI(), model.LLaMA65B(), opt); err == nil {
-		t.Fatal("cost table accepted a second model")
-	}
-}
-
 // TestStepAllocations is the allocation regression test on Stepper.Step: a
 // static drain — thousands of iterations in a handful of windows — must
 // stay within a fixed allocation budget.
