@@ -275,7 +275,7 @@ func BenchmarkTieredMacroStep(b *testing.B) {
 // BenchmarkMillionRequest is the scale gate: one million tiered-diurnal
 // requests served by a 100-replica PAPI fleet through the constant-memory
 // streaming path — the lazy RunSeq iterator with retention off and the
-// sharded barrier driver on every core. The custom metrics pin the two
+// inline barrier driver. The custom metrics pin the two
 // scale claims: wall-clock throughput (req/s) and the heap retained across
 // the run, which must stay flat in the request count. A single iteration is
 // a full simulated day, so the bench gate runs this at -benchtime 1x.
@@ -299,7 +299,6 @@ func BenchmarkMillionRequest(b *testing.B) {
 			MaxBatch: 8,
 			Router:   LeastOutstanding(),
 			Serving:  DefaultOptions(1),
-			Shards:   runtime.GOMAXPROCS(0),
 		})
 		if err != nil {
 			b.Fatal(err)

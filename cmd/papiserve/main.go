@@ -26,7 +26,7 @@
 //	papiserve -scenario chat-multiturn -kv-blocks 32 -kv-cold 4 -requests 48
 //	papiserve -faults examples/resilience/crash-peak.json -autoscale 1:4 -retries 2
 //	papiserve -timeout 5 -retries 1 -rate 40 -requests 96
-//	papiserve -scenario tiered-diurnal -requests 100000 -shards 8
+//	papiserve -scenario tiered-diurnal -requests 100000
 //	papiserve -rate 50 -requests 5000 -checkpoint day.json
 //	papiserve -scenario tiered-diurnal -requests 100000 -cpuprofile cpu.out
 //	papiserve -rate 40 -requests 10000 -memprofile mem.out
@@ -79,7 +79,6 @@ func main() {
 	flag.StringVar(&o.faults, "faults", "", "inject a fault plan .json (crashes, stragglers, brownouts; see docs/RESILIENCE.md)")
 	flag.IntVar(&o.retries, "retries", o.retries, "bounded failover: retry a request lost to a crash or timeout at most this many times")
 	flag.Float64Var(&o.timeoutS, "timeout", 0, "per-attempt request timeout in seconds (0 = none); timed-out attempts cancel and retry under -retries")
-	flag.IntVar(&o.shards, "shards", o.shards, "drive the replicas on up to this many goroutines between fleet sync points; results are bit-identical at every count (see docs/SCALE.md)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "merge this run's mergeable fleet snapshot into the named .json (created if absent), so long runs split across invocations")
 	flag.BoolVar(&o.retainRequests, "retain-requests", false, "keep every per-request metrics record (FleetResult.Requests); off by default so large runs stay constant-memory")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -103,10 +102,10 @@ type options struct {
 	design, modelName, dataset, routerName, sweep, scenario, traceIn, traceOut string
 	autoscale, faults, checkpoint, cpuProfile, memProfile                      string
 
-	replicas, requests, maxBatch, spec, kvBlocks, retries, shards int
-	seed                                                          int64
-	rate, sloMS, target, classes, kvCold, timeoutS                float64
-	retainRequests                                                bool
+	replicas, requests, maxBatch, spec, kvBlocks, retries int
+	seed                                                  int64
+	rate, sloMS, target, classes, kvCold, timeoutS        float64
+	retainRequests                                        bool
 }
 
 // defaultOptions holds the flag defaults; every flag left out of it
@@ -116,12 +115,12 @@ func defaultOptions() options {
 		design: "PAPI", modelName: "LLaMA-65B", dataset: "general-qa",
 		routerName: "least-outstanding", replicas: 2, requests: 64, maxBatch: 16,
 		spec: 1, seed: 42, rate: 20, sloMS: 12, target: 0.9, kvCold: 4,
-		retries: 2, shards: 1,
+		retries: 2,
 	}
 }
 
 // run brackets the simulation with the optional pprof captures so the
-// fleet-scale hot path (macro-stepping, sharded barriers, the routing
+// fleet-scale hot path (decode windows, barrier phases, the routing
 // signals) can be profiled exactly as papibench profiles a single engine.
 func run(o options) error {
 	if o.cpuProfile != "" {
@@ -227,9 +226,6 @@ func serve(o options) error {
 			return fmt.Errorf("-kv-cold: %w", err)
 		}
 	}
-	if o.shards < 1 {
-		return fmt.Errorf("-shards %d must be ≥ 1", o.shards)
-	}
 	if !(o.timeoutS >= 0) || math.IsInf(o.timeoutS, 1) {
 		return fmt.Errorf("-timeout %g must be finite and ≥ 0 (0 = none)", o.timeoutS)
 	}
@@ -241,7 +237,6 @@ func serve(o options) error {
 		Autoscale: auto,
 		Retries:   o.retries,
 		Timeout:   units.Seconds(o.timeoutS),
-		Shards:    o.shards,
 		// Per-request records and the realised stream are opt-in: the
 		// streaming aggregate already carries the digests, so by default a
 		// run's memory stays constant in stream length.
@@ -363,8 +358,8 @@ func serve(o options) error {
 // sweepConflicts rejects every flag a -sweep run would otherwise ignore.
 // The capacity sweep runs its own fixed fleet: the comparison design set
 // on a generated Poisson ladder, least-outstanding routing, TLP 1, seed
-// experiments.Seed, the byte ledger, no faults, no sharding, streaming
-// metrics and no checkpoint. Accepting a flag that asks for anything else
+// experiments.Seed, the byte ledger, no faults, streaming metrics and no
+// checkpoint. Accepting a flag that asks for anything else
 // would attribute the table to a configuration it never ran.
 func sweepConflicts(o options) error {
 	d := defaultOptions()
@@ -386,7 +381,6 @@ func sweepConflicts(o options) error {
 		{"-kv-blocks", o.kvBlocks != 0},
 		{"-faults", o.faults != ""},
 		{"-timeout", o.timeoutS != 0},
-		{"-shards", o.shards != d.shards},
 		{"-checkpoint", o.checkpoint != ""},
 		{"-retain-requests", o.retainRequests},
 	} {

@@ -41,9 +41,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"sweep with rate", func(o *options) { o.sweep, o.rate = "5", 30 }, "-rate"},
 		{"sweep with kv-blocks", func(o *options) { o.sweep, o.kvBlocks = "5", 16 }, "-kv-blocks"},
 		{"sweep with retain-requests", func(o *options) { o.sweep, o.retainRequests = "5", true }, "-retain-requests"},
-		{"sweep with shards", func(o *options) { o.sweep, o.shards = "5", 2 }, "-shards"},
 		{"sweep with checkpoint", func(o *options) { o.sweep, o.checkpoint = "5", "sweep.json" }, "-checkpoint"},
-		{"sweep names every conflict", func(o *options) { o.sweep, o.spec, o.shards = "5", 4, 2 }, "-spec, -shards"},
+		{"sweep names every conflict", func(o *options) { o.sweep, o.spec, o.checkpoint = "5", 4, "sweep.json" }, "-spec, -checkpoint"},
 	} {
 		o := testOptions()
 		tc.set(&o)
@@ -66,11 +65,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Fatalf("default sweep rejected: %v", err)
 	}
 	// Closed-loop plans run under the same barrier driver as open-loop
-	// streams, so they shard too.
+	// streams.
 	plan := testOptions()
-	plan.scenario, plan.replicas, plan.shards = "chat-multiturn", 2, 2
+	plan.scenario, plan.replicas = "chat-multiturn", 2
 	if err := run(plan); err != nil {
-		t.Fatalf("sharded plan scenario rejected: %v", err)
+		t.Fatalf("plan scenario rejected: %v", err)
+	}
+	// papiserve -requests 4 -kv-blocks 16 -kv-cold 1e4: a 10⁴× cold tier
+	// of 16-token blocks spans about 2.5 × 10⁸ block IDs, which the store
+	// must mint on demand rather than allocate up front.
+	cold := defaultOptions()
+	cold.requests, cold.kvBlocks, cold.kvCold = 4, 16, 1e4
+	if err := run(cold); err != nil {
+		t.Fatalf("large cold tier rejected: %v", err)
 	}
 }
 

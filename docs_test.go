@@ -164,7 +164,7 @@ var commandFlags = map[string]map[string]bool{
 		"router", "rate", "requests", "maxbatch", "spec", "seed", "slo",
 		"target", "sweep", "scenario", "trace", "save-trace", "autoscale",
 		"classes", "kv-blocks", "kv-cold", "faults", "retries", "timeout",
-		"shards", "checkpoint", "retain-requests", "cpuprofile", "memprofile"),
+		"checkpoint", "retain-requests", "cpuprofile", "memprofile"),
 	"papibench": set("figure", "design", "list-designs",
 		"cpuprofile", "memprofile", "faults"),
 	"papisim": set("design", "model", "dataset", "batch", "spec", "seed",

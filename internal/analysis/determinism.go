@@ -25,10 +25,12 @@ var DeterministicPackages = []string{
 	"/internal/stats",
 }
 
-// BlessedGoroutineFuncs are the functions allowed to launch goroutines in
-// deterministic packages: the order-restoring sweep runner only. Everything
-// else must go through it.
-var BlessedGoroutineFuncs = map[string]bool{"parallelMap": true}
+// BlessedGoroutineFuncs maps the import-path suffix of a deterministic
+// package to the one function in it allowed to launch goroutines: the
+// order-restoring sweep runner of internal/experiments only. Everything else
+// must go through it; a function of the same name in any other package —
+// the fleet driver's internal/cluster above all — gets no blessing.
+var BlessedGoroutineFuncs = map[string]string{"/internal/experiments": "parallelMap"}
 
 // allowedRandFuncs are the math/rand package-level functions that do not
 // touch the global, non-deterministically-seeded stream.
@@ -43,7 +45,7 @@ func NewDeterminism(appliesTo func(string) bool) *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
 		Doc: "forbid wall-clock reads, the global math/rand stream, goroutines outside the " +
-			"blessed parallelMap runner, and order-sensitive map iteration in the deterministic " +
+			"blessed internal/experiments parallelMap runner, and order-sensitive map iteration in the deterministic " +
 			"simulation packages; waive map ranges with //papivet:ordered — justification",
 		AppliesTo: appliesTo,
 		Run:       runDeterminism,
@@ -76,9 +78,9 @@ func checkDeterminismFunc(pass *Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			if !BlessedGoroutineFuncs[fn.Name.Name] {
+			if !blessedGoroutineFunc(pass.Pkg.Path(), fn.Name.Name) {
 				pass.Reportf(n.Pos(), "goroutine",
-					"goroutine launched outside the blessed parallelMap runner; deterministic packages must funnel concurrency through it")
+					"goroutine launched outside the blessed parallelMap runner of internal/experiments; deterministic packages must funnel concurrency through it")
 			}
 		case *ast.CallExpr:
 			checkForbiddenCall(pass, n)
@@ -87,6 +89,17 @@ func checkDeterminismFunc(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// blessedGoroutineFunc reports whether the function named fn in the package
+// at path may launch goroutines (see BlessedGoroutineFuncs).
+func blessedGoroutineFunc(path, fn string) bool {
+	for suffix, name := range BlessedGoroutineFuncs {
+		if name == fn && strings.HasSuffix(path, suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkForbiddenCall flags wall-clock reads and global math/rand draws.

@@ -8,8 +8,10 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	a := analysis.NewDeterminism(func(path string) bool { return path == "determ" })
-	analysistest.Run(t, "testdata", a, "determ")
+	for _, path := range []string{"determ", "determ/internal/experiments"} {
+		a := analysis.NewDeterminism(func(p string) bool { return p == path })
+		analysistest.Run(t, "testdata", a, path)
+	}
 }
 
 func TestDeterminismWaivers(t *testing.T) {

@@ -26,9 +26,8 @@ func tieredStream(t *testing.T, n int, seed int64) []workload.Request {
 	return reqs
 }
 
-// autoscaledFleet builds the elastic PAPI fleet the autoscaler tests share,
-// on the given number of shards.
-func autoscaledFleet(t *testing.T, shards int) *Cluster {
+// autoscaledFleet builds the elastic PAPI fleet the autoscaler tests share.
+func autoscaledFleet(t *testing.T) *Cluster {
 	t.Helper()
 	cl, err := NewByName("PAPI", model.OPT30B(), Options{
 		Replicas:  1,
@@ -36,7 +35,6 @@ func autoscaledFleet(t *testing.T, shards int) *Cluster {
 		Router:    LeastOutstanding(),
 		Serving:   serving.DefaultOptions(1),
 		Autoscale: DefaultAutoscale(1, 4, workload.SLO{TokenLatency: units.Milliseconds(8)}),
-		Shards:    shards,
 
 		RetainRequests: true,
 		RetainStream:   true,
@@ -49,7 +47,7 @@ func autoscaledFleet(t *testing.T, shards int) *Cluster {
 
 func runAutoscaled(t *testing.T, reqs []workload.Request) *FleetResult {
 	t.Helper()
-	f, err := autoscaledFleet(t, 1).Run(reqs)
+	f, err := autoscaledFleet(t).Run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +108,8 @@ func TestAutoscaleDeterministic(t *testing.T) {
 // leave an autoscaled tiered fleet bit-identical to the time-order
 // reference driver, which steps every replica one iteration at a time.
 func TestAutoscaleFastPathEquivalence(t *testing.T) {
-	build := func(shards int) *Cluster { return autoscaledFleet(t, shards) }
-	ref := matchDrivers(t, "autoscaled fleet", build, tieredStream(t, 120, 13), nil, 2)
+	build := func() *Cluster { return autoscaledFleet(t) }
+	ref := matchDrivers(t, "autoscaled fleet", build, tieredStream(t, 120, 13), nil)
 	if len(ref.ScaleEvents) == 0 {
 		t.Fatal("the fleet never scaled: the equivalence pin is vacuous")
 	}

@@ -10,10 +10,10 @@
 // internal/sim event kernel holds only fleet events — arrivals, follow-up
 // turns, autoscaler ticks, activations, fault edges, timeout deadlines and
 // retries — and each one is a barrier: before it fires, every replica with
-// work steps on its own up to the barrier instant, on up to Options.Shards
-// goroutines. Same-instant kernel events fire FIFO and before any replica
-// step at that instant, so a fixed seed reproduces the same fleet trace
-// run-to-run and at every shard count.
+// work steps on its own up to the barrier instant, inline on the driver
+// goroutine in replica order. Same-instant kernel events fire FIFO and
+// before any replica step at that instant, so a fixed seed reproduces the
+// same fleet trace run-to-run.
 //
 // One arrival feed drives a fleet behind three entry points: Run consumes a
 // pre-generated open-loop request stream (Poisson, bursty, diurnal, or a
@@ -39,7 +39,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/faults"
@@ -102,15 +101,12 @@ type Options struct {
 	// replayable trace. Off by default for the same memory reason.
 	RetainStream bool
 
-	// Shards > 1 lets the replicas advance in parallel between fleet-level
-	// synchronization points (the kernel events listed in the package
-	// comment), on up to Shards goroutines; 0 or 1 drives them inline, in
-	// replica order. Run, RunSeq and RunPlan share the one barrier driver,
-	// so results are bit-identical at every shard count — replica steps
-	// never interact between barriers, and everything cross-replica fires
-	// in kernel order — which the equivalence tests pin against a
-	// time-order reference, with and without faults, for open-loop streams
-	// and conversation plans.
+	// Shards is ignored: the barrier driver runs every phase inline, in
+	// replica order. A negative value is still rejected.
+	//
+	// Deprecated: a phase holds too little stepping to pay for handing it
+	// to another goroutine, so the shard worker pool is gone and this field
+	// no longer changes anything.
 	Shards int
 }
 
@@ -224,9 +220,10 @@ type Replica struct {
 	// fleetRun.harvest); fleet and per-design aggregates merge these in
 	// replica order.
 	agg *FleetAggregate
-	// A step writes only replica-local state, so distinct replicas step
-	// concurrently; what it has to say to the fleet waits here until the
-	// driver settles the replica (see fleetRun.settle).
+	// A step writes only replica-local state; what it has to say to the
+	// fleet waits here until the driver settles the replica (see
+	// fleetRun.settle), which hands it over in the order a
+	// one-step-at-a-time walk would have produced it.
 	//
 	// winTPOT buffers the autoscaler window's interactive TPOT samples; the
 	// control tick merges the buffers in replica order.
@@ -441,16 +438,6 @@ type fleetRun struct {
 	// retries, degradation windows); nil unless Options arm it, so
 	// fault-free runs take exactly the pre-fault code paths.
 	resil *resilience
-	// due is the barrier driver's scratch list of armed replicas, reused
-	// across barriers so the hot loop does not allocate.
-	due []*Replica
-	// pool is the driver's persistent worker pool, started lazily on the
-	// first multi-replica phase of a run with Shards > 1 and retired when
-	// the drain finishes. barrier carries the phase's synchronization
-	// instant to the workers; it is written before the phase's job sends,
-	// which happen-before the reads.
-	pool    *shardPool
-	barrier units.Seconds
 }
 
 // newFleetRun builds the replica engines and the event kernel.
@@ -575,8 +562,8 @@ func (r *fleetRun) rebuildEligible() {
 // window bounded by horizon: it absorbs any idle gap, steps the engine,
 // feeds the observers and the streaming aggregate, and re-arms the next
 // step while work remains. It writes only replica-local state, buffering
-// everything the fleet must hear on the replica (see fleetRun.settle), so
-// distinct replicas step concurrently.
+// everything the fleet must hear on the replica until fleetRun.settle hands
+// it over.
 func (r *fleetRun) stepReplica(rep *Replica, horizon units.Seconds) {
 	// A step armed before a crash must not touch the dead engine: its
 	// clock is frozen at the failure instant.
@@ -695,11 +682,10 @@ func (r *fleetRun) choose(req workload.Request) *Replica {
 
 // drain is the fleet driver: it runs the simulation to completion, the
 // same way for Run, RunSeq and RunPlan. Every kernel event is a barrier.
-// Before it fires, every armed replica advances alone up to the barrier
-// instant (steps strictly below it: events at the barrier instant belong
-// to the kernel and fire first), inline in replica order or, with
-// Shards > 1, on the worker pool. The replicas are then settled in replica
-// order, and the event fires.
+// Before it fires, every armed replica, in replica order, advances alone up
+// to the barrier instant (steps strictly below it: events at the barrier
+// instant belong to the kernel and fire first) and is settled; then the
+// event fires.
 //
 // Two arguments make the phase sound, so that the result equals a
 // one-step-at-a-time walk in time order:
@@ -721,12 +707,6 @@ func (r *fleetRun) choose(req workload.Request) *Replica {
 //     than it was injected, so the follow-up's deadline, and any retry the
 //     follow-up causes, land at or after the barrier too.
 func (r *fleetRun) drain() {
-	defer func() {
-		if r.pool != nil {
-			r.pool.close()
-			r.pool = nil
-		}
-	}()
 	for r.err == nil {
 		barrier, ok := r.kernel.NextAt()
 		if !ok {
@@ -745,33 +725,23 @@ func (r *fleetRun) drain() {
 	}
 }
 
-// advance drives every armed replica below the barrier, then settles them
-// in replica order and replays the phase's power-off decisions.
+// advance drives and settles every replica armed below the barrier, one
+// after another in replica order, then replays the phase's power-off
+// decisions. Settling a replica before the next one drives changes nothing
+// the next one reads: a drive touches only its own replica and the
+// conversations pinned to it, and settling writes only the run error, the
+// ledger entries of the replica's own requests and the kernel, none of
+// which a drive reads.
 func (r *fleetRun) advance(barrier units.Seconds) {
-	r.due = r.due[:0]
+	drove := false
 	for _, rep := range r.reps {
 		if rep.scheduled && rep.nextStep < barrier {
-			r.due = append(r.due, rep)
-		}
-	}
-	if len(r.due) == 0 {
-		return
-	}
-	if len(r.due) == 1 || r.c.opt.Shards <= 1 {
-		for _, rep := range r.due {
 			r.driveReplica(rep, barrier)
+			r.settle(rep)
+			drove = true
 		}
-	} else {
-		r.barrier = barrier
-		if r.pool == nil {
-			r.pool = newShardPool(r.c.opt.Shards, func(rep *Replica) { r.driveReplica(rep, r.barrier) })
-		}
-		r.pool.dispatch(r.due)
 	}
-	for _, rep := range r.due {
-		r.settle(rep)
-	}
-	if r.scaler != nil {
+	if drove && r.scaler != nil {
 		r.scaler.flushStops()
 	}
 }
@@ -829,80 +799,6 @@ func (r *fleetRun) stepsPending() bool {
 	}
 	return false
 }
-
-// shardPool is the barrier driver's persistent worker pool: barriers arrive
-// at arrival cadence (a million times per million-request run), so the
-// workers outlive the barriers instead of being spawned per phase. fn must
-// write only replica-local state, so the outcome is independent of goroutine
-// scheduling and the parallel drive is indistinguishable from the serial
-// loop.
-type shardPool struct {
-	jobs chan *Replica
-	wg   sync.WaitGroup
-	// panics holds the first worker panic of a dispatch; dispatch re-raises
-	// it on the caller.
-	panics chan any
-	fn     func(*Replica)
-}
-
-// newShardPool starts `workers` persistent workers running fn.
-func newShardPool(workers int, fn func(*Replica)) *shardPool {
-	if workers < 2 {
-		workers = 2
-	}
-	p := &shardPool{jobs: make(chan *Replica, 4*workers), panics: make(chan any, 1), fn: fn}
-	parallelMap(p, workers)
-	return p
-}
-
-// parallelMap launches the pool's workers — the one construct the
-// deterministic packages may spawn goroutines in (papivet pins this).
-func parallelMap(p *shardPool, workers int) {
-	for w := 0; w < workers; w++ {
-		go p.worker()
-	}
-}
-
-// worker drains jobs until the pool closes. Every job signals the dispatch
-// WaitGroup exactly once, panic or not — a stuck dispatch would deadlock the
-// whole run.
-func (p *shardPool) worker() {
-	for rep := range p.jobs {
-		p.run(rep)
-	}
-}
-
-func (p *shardPool) run(rep *Replica) {
-	defer p.wg.Done()
-	defer func() {
-		if v := recover(); v != nil {
-			// Keep only the first panic; a worker must never block here.
-			select {
-			case p.panics <- v:
-			default:
-			}
-		}
-	}()
-	p.fn(rep)
-}
-
-// dispatch runs fn over the batch and returns once every item finished,
-// re-raising the first worker panic on the caller.
-func (p *shardPool) dispatch(reps []*Replica) {
-	p.wg.Add(len(reps))
-	for _, rep := range reps {
-		p.jobs <- rep
-	}
-	p.wg.Wait()
-	select {
-	case v := <-p.panics:
-		panic(v)
-	default:
-	}
-}
-
-// close retires the workers (idempotent is not needed: drain calls it once).
-func (p *shardPool) close() { close(p.jobs) }
 
 // Run consumes the request stream to completion and returns fleet metrics:
 // it is RunSeq over a copy stably sorted by arrival, so simultaneous

@@ -170,6 +170,12 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewByName("no-such-design", cfg, testOptions(2, nil)); err == nil {
 		t.Error("unknown design should fail")
 	}
+	// Shards is ignored, but a negative count is still a caller bug.
+	negShards := testOptions(2, nil)
+	negShards.Shards = -1
+	if _, err := New(sys, cfg, negShards); err == nil {
+		t.Error("negative shard count should fail")
+	}
 	// Every autoscale duration and threshold must be finite and ≥ 0: a NaN
 	// interval used to hang Run, and the rest were accepted silently. Each
 	// error names its field, at construction.

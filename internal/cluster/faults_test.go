@@ -116,7 +116,7 @@ func TestCrashFailover(t *testing.T) {
 // straggler window still covers the survivor when the crash's casualties
 // fail over to it.
 func TestCrashFailoverFastMatchesReference(t *testing.T) {
-	build := func(shards int) *Cluster {
+	build := func() *Cluster {
 		opt := testOptions(2, LeastOutstanding())
 		opt.Faults = &faults.Plan{Name: "mix", Faults: []faults.Fault{
 			{Kind: faults.KindStraggler, Replica: 1, At: 0.2, Duration: 0.5, Factor: 2.5},
@@ -124,14 +124,13 @@ func TestCrashFailoverFastMatchesReference(t *testing.T) {
 		}}
 		opt.Retries = 2
 		opt.RetryBackoff = units.Milliseconds(50)
-		opt.Shards = shards
 		c, err := New(newPAPI, model.LLaMA65B(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	ref := matchDrivers(t, "straggler+crash", build, workload.GeneralQA().Poisson(32, 60, 5), nil, 2)
+	ref := matchDrivers(t, "straggler+crash", build, workload.GeneralQA().Poisson(32, 60, 5), nil)
 	if ref.Faults == 0 || ref.Retries == 0 {
 		t.Fatalf("faults %d, retries %d: the crash never failed over — the pin is vacuous", ref.Faults, ref.Retries)
 	}
@@ -443,13 +442,12 @@ func TestCrashDuringDrainAndReplacement(t *testing.T) {
 // Crash-during-warm-up: a replica booted by ScaleUp crashes before its
 // live instant. It must stay dead — its activation event is skipped, so it
 // never rejoins the eligible set and no arrival is routed into its failed
-// stepper — and the ledger stays exact, serial and sharded alike.
+// stepper — and the ledger stays exact, and a rerun replays it.
 func TestCrashDuringWarmUp(t *testing.T) {
 	reqs := workload.GeneralQA().Poisson(400, 80, 9)
 	slo := workload.SLO{TokenLatency: units.Milliseconds(12)}
-	run := func(shards int) *FleetResult {
+	run := func() *FleetResult {
 		opt := testOptions(1, LeastOutstanding())
-		opt.Shards = shards
 		opt.Autoscale = &AutoscaleOptions{
 			Min: 1, Max: 4, Interval: units.Seconds(0.25),
 			WarmUp: units.Seconds(0.5), CoolDown: units.Seconds(0.25),
@@ -462,7 +460,7 @@ func TestCrashDuringWarmUp(t *testing.T) {
 		opt.Retries = 2
 		return mustRunOpts(t, opt, reqs)
 	}
-	f := run(1)
+	f := run()
 	auditLedger(t, f, len(reqs))
 	if f.Faults != 1 {
 		t.Fatalf("Faults = %d, want 1", f.Faults)
@@ -482,7 +480,7 @@ func TestCrashDuringWarmUp(t *testing.T) {
 	if !booted {
 		t.Fatal("replica 1 was not booted before the crash — the pin is vacuous")
 	}
-	diffFleet(t, "warm-up crash", f, run(2))
+	diffFleet(t, "warm-up crash", f, run())
 }
 
 // Options validation rejects malformed resilience settings.

@@ -55,29 +55,26 @@ func runDriven(c *Cluster, reqs []workload.Request, convs []workload.Conversatio
 }
 
 // matchDrivers runs one fleet under the time-order reference and under the
-// barrier driver — through Run or RunPlan — at Shards 1 and at each of
-// shards, and fails unless every result deep-equals the reference. build
-// must return a fresh cluster, with a fresh router, on every call: routers
-// keep per-run state. It returns the reference result.
-func matchDrivers(t *testing.T, label string, build func(shards int) *Cluster,
-	reqs []workload.Request, convs []workload.Conversation, shards ...int) *FleetResult {
+// barrier driver — through Run or RunPlan — and fails unless the results
+// deep-equal. build must return a fresh cluster, with a fresh router, on
+// every call: routers keep per-run state. It returns the reference result.
+func matchDrivers(t *testing.T, label string, build func() *Cluster,
+	reqs []workload.Request, convs []workload.Conversation) *FleetResult {
 	t.Helper()
-	want, err := runDriven(build(1), reqs, convs, referenceDrive)
+	want, err := runDriven(build(), reqs, convs, referenceDrive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range append([]int{1}, shards...) {
-		var got *FleetResult
-		if convs != nil {
-			got, err = build(n).RunPlan(convs)
-		} else {
-			got, err = build(n).Run(reqs)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffFleet(t, fmt.Sprintf("%s shards=%d", label, n), want, got)
+	var got *FleetResult
+	if convs != nil {
+		got, err = build().RunPlan(convs)
+	} else {
+		got, err = build().Run(reqs)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffFleet(t, label, want, got)
 	return want
 }
 
@@ -133,8 +130,7 @@ func zeroThink(convs []workload.Conversation) []workload.Conversation {
 }
 
 // TestShardedMatchesSerial pins the driver equivalence claim: the barrier
-// driver, inline and on several shards, is bit-identical to the time-order
-// reference, which runs every replica one iteration per step — every
+// driver is bit-identical to the time-order reference, which runs every replica one iteration per step — every
 // exported field, per-request record, realised stream, and energy ledger —
 // for static and elastic fleets, open-loop and closed-loop. The open-loop
 // rows run the tiered-diurnal stream. A fastpath-on row runs at TLP 1, its
@@ -166,7 +162,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 			func(t *testing.T) []workload.Conversation { return zeroThink(samePlan(t, 6)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func(shards int) *Cluster {
+			build := func() *Cluster {
 				opt := serving.DefaultOptions(tc.tlp)
 				replicas := 3
 				if tc.autoscale != nil {
@@ -178,7 +174,6 @@ func TestShardedMatchesSerial(t *testing.T) {
 					Router:         LeastOutstanding(),
 					Serving:        opt,
 					Autoscale:      tc.autoscale,
-					Shards:         shards,
 					RetainRequests: true,
 					RetainStream:   true,
 				})
@@ -188,10 +183,10 @@ func TestShardedMatchesSerial(t *testing.T) {
 				return cl
 			}
 			if tc.convs != nil {
-				matchDrivers(t, tc.name, build, nil, tc.convs(t), 2, 4)
+				matchDrivers(t, tc.name, build, nil, tc.convs(t))
 				return
 			}
-			matchDrivers(t, tc.name, build, tieredStream(t, 96, 23), nil, 2, 4)
+			matchDrivers(t, tc.name, build, tieredStream(t, 96, 23), nil)
 		})
 	}
 }
@@ -199,13 +194,12 @@ func TestShardedMatchesSerial(t *testing.T) {
 // TestShardedMixedFleetMatchesSerial extends the equivalence pin to a mixed
 // PAPI+baseline fleet, whose per-design split merges the replica aggregates.
 func TestShardedMixedFleetMatchesSerial(t *testing.T) {
-	build := func(shards int) *Cluster {
+	build := func() *Cluster {
 		cl, err := NewFromSpecs(mixedSpecs(t), model.OPT30B(), Options{
 			Replicas:       4,
 			MaxBatch:       6,
 			Router:         LeastOutstanding(),
 			Serving:        serving.DefaultOptions(1),
-			Shards:         shards,
 			RetainRequests: true,
 			RetainStream:   true,
 		})
@@ -214,8 +208,8 @@ func TestShardedMixedFleetMatchesSerial(t *testing.T) {
 		}
 		return cl
 	}
-	matchDrivers(t, "mixed", build, tieredStream(t, 64, 41), nil, 4)
-	matchDrivers(t, "mixed plan", build, nil, chatPlan(t, 16, 41), 4)
+	matchDrivers(t, "mixed", build, tieredStream(t, 64, 41), nil)
+	matchDrivers(t, "mixed plan", build, nil, chatPlan(t, 16, 41))
 }
 
 // TestShardedFaultsMatchSerial extends the equivalence pin to fault-injected
@@ -282,7 +276,7 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func(shards int) *Cluster {
+			build := func() *Cluster {
 				cl, err := New(newPAPI, model.LLaMA65B(), Options{
 					Replicas:       3,
 					MaxBatch:       8,
@@ -292,7 +286,6 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 					Retries:        1,
 					Timeout:        tc.timeout,
 					RetryBackoff:   units.Seconds(0.05),
-					Shards:         shards,
 					RetainRequests: true,
 					RetainStream:   true,
 				})
@@ -308,7 +301,7 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 			} else {
 				reqs = tc.stream(t)
 			}
-			ref := matchDrivers(t, tc.name, build, reqs, convs, 2, 4)
+			ref := matchDrivers(t, tc.name, build, reqs, convs)
 			if tc.plan != nil && ref.Faults == 0 {
 				t.Fatalf("fault plan never fired: the equivalence pin is vacuous")
 			}
@@ -335,8 +328,7 @@ func rotate(t *testing.T, reqs []workload.Request) []workload.Request {
 }
 
 // TestRunSeqMatchesRun: the lazy driver over an ordered stream reproduces
-// Run over a rotated copy of it bit for bit, serial and sharded, which pins
-// Run's stable sort. The burst stream packs six arrivals onto each of three
+// Run over a rotated copy of it bit for bit, which pins Run's stable sort. The burst stream packs six arrivals onto each of three
 // instants: every arrival of a burst must route before any replica step at
 // that instant, and in stream order, under both routers. The tail-burst
 // stream ends on a burst, after which the source must not be pulled again.
@@ -353,33 +345,28 @@ func TestRunSeqMatchesRun(t *testing.T) {
 		name   string
 		reqs   []workload.Request
 		router func() Router
-		shards []int
 	}{
-		{"tiered", tieredStream(t, 96, 29), LeastOutstanding, []int{1, 4}},
-		{"burst/round-robin", burst, RoundRobin, []int{1, 2}},
-		{"burst/least-outstanding", burst, LeastOutstanding, []int{1, 2}},
-		{"tail-burst", tail, RoundRobin, []int{1, 2}},
+		{"tiered", tieredStream(t, 96, 29), LeastOutstanding},
+		{"burst/round-robin", burst, RoundRobin},
+		{"burst/least-outstanding", burst, LeastOutstanding},
+		{"tail-burst", tail, RoundRobin},
 	} {
-		build := func(shards int) *Cluster {
-			opt := testOptions(3, tc.router())
-			opt.Shards = shards
-			c, err := New(newPAPI, model.LLaMA65B(), opt)
+		build := func() *Cluster {
+			c, err := New(newPAPI, model.LLaMA65B(), testOptions(3, tc.router()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}
-		want, err := build(1).Run(rotate(t, tc.reqs))
+		want, err := build().Run(rotate(t, tc.reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range tc.shards {
-			got, err := build(shards).RunSeq(seqOf(t, tc.reqs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffFleet(t, fmt.Sprintf("%s runseq shards=%d", tc.name, shards), want, got)
+		got, err := build().RunSeq(seqOf(t, tc.reqs))
+		if err != nil {
+			t.Fatal(err)
 		}
+		diffFleet(t, tc.name+" runseq", want, got)
 	}
 }
 
@@ -547,28 +534,27 @@ func TestVacuousScores(t *testing.T) {
 }
 
 // FuzzShardedEquivalence drives random small fleets through the time-order
-// reference and the barrier driver at Shards 1 and N — the CI fuzz target
+// reference and the barrier driver — the CI fuzz target
 // backing the driver equivalence pin with adversarial shapes, open-loop
 // streams and conversation plans alike, including fault-injected ones: a
 // randomized crash (replica and instant), a degradation window, and
 // per-attempt timeouts, so barrier-scheduled failure events are fuzzed
 // against the reference failure trace.
 func FuzzShardedEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(2), uint8(2), false, uint8(0), uint8(0), false, false)
-	f.Add(int64(7), uint8(40), uint8(3), uint8(4), true, uint8(0), uint8(0), false, false)
-	f.Add(int64(23), uint8(8), uint8(1), uint8(3), false, uint8(0), uint8(0), false, false)
-	f.Add(int64(31), uint8(48), uint8(3), uint8(4), false, uint8(3), uint8(40), true, false)
-	f.Add(int64(11), uint8(32), uint8(2), uint8(2), true, uint8(7), uint8(90), false, false)
-	f.Add(int64(5), uint8(24), uint8(2), uint8(2), false, uint8(0), uint8(0), false, true)
-	f.Add(int64(13), uint8(40), uint8(3), uint8(3), true, uint8(1), uint8(60), false, true)
-	f.Add(int64(17), uint8(32), uint8(3), uint8(4), false, uint8(6), uint8(20), true, true)
-	f.Add(int64(19), uint8(20), uint8(2), uint8(2), true, uint8(3), uint8(75), true, true)
-	f.Fuzz(func(t *testing.T, seed int64, n, replicas, shards uint8, elastic bool,
+	f.Add(int64(1), uint8(16), uint8(2), false, uint8(0), uint8(0), false, false)
+	f.Add(int64(7), uint8(40), uint8(3), true, uint8(0), uint8(0), false, false)
+	f.Add(int64(23), uint8(8), uint8(1), false, uint8(0), uint8(0), false, false)
+	f.Add(int64(31), uint8(48), uint8(3), false, uint8(3), uint8(40), true, false)
+	f.Add(int64(11), uint8(32), uint8(2), true, uint8(7), uint8(90), false, false)
+	f.Add(int64(5), uint8(24), uint8(2), false, uint8(0), uint8(0), false, true)
+	f.Add(int64(13), uint8(40), uint8(3), true, uint8(1), uint8(60), false, true)
+	f.Add(int64(17), uint8(32), uint8(3), false, uint8(6), uint8(20), true, true)
+	f.Add(int64(19), uint8(20), uint8(2), true, uint8(3), uint8(75), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, n, replicas uint8, elastic bool,
 		fault, faultAt uint8, timeout, plan bool) {
 
 		nreq := int(n%64) + 1
 		reps := int(replicas%4) + 1
-		nshards := int(shards%6) + 2
 		// fault%4 selects the plan shape: 0 none, 1 crash, 2 crash+straggler,
 		// 3 crash+brownout. faultAt places the crash inside the stream's
 		// ~[0, 2s] arrival span so it can land before, between, or after
@@ -599,14 +585,13 @@ func FuzzShardedEquivalence(f *testing.F) {
 		} else {
 			reqs = workload.GeneralQA().Poisson(nreq, 50, seed)
 		}
-		build := func(s int) *Cluster {
+		build := func() *Cluster {
 			opt := Options{
 				Replicas:       reps,
 				MaxBatch:       4,
 				Router:         LeastOutstanding(),
 				Serving:        serving.DefaultOptions(1),
 				Faults:         faultPlan,
-				Shards:         s,
 				RetainRequests: true,
 				RetainStream:   true,
 			}
@@ -626,7 +611,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 			}
 			return c
 		}
-		matchDrivers(t, fmt.Sprintf("fuzz (seed=%d n=%d replicas=%d shards=%d elastic=%v fault=%d at=%v timeout=%v plan=%v)",
-			seed, nreq, reps, nshards, elastic, fault%4, at, timeout, plan), build, reqs, convs, nshards)
+		matchDrivers(t, fmt.Sprintf("fuzz (seed=%d n=%d replicas=%d elastic=%v fault=%d at=%v timeout=%v plan=%v)",
+			seed, nreq, reps, elastic, fault%4, at, timeout, plan), build, reqs, convs)
 	})
 }

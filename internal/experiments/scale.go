@@ -13,14 +13,13 @@ import (
 )
 
 // ScaleCell is one execution strategy's run over the identical tiered-diurnal
-// stream: the barrier driver inline or on parallel shards, or a checkpointed
-// split across segments — the scaling machinery measured on the same traffic.
+// stream: one unsplit run, or a checkpointed split across segments — the
+// scaling machinery measured on the same traffic.
 type ScaleCell struct {
-	// Config names the strategy: "serial", "shards-N", or "segments-N".
+	// Config names the strategy: "serial" or "segments-N".
 	Config string
-	// Shards is the parallel-drive width (1 = inline); Segments how
-	// many checkpointed sub-runs the stream was split into (1 = unsplit).
-	Shards   int
+	// Segments is how many checkpointed sub-runs the stream was split into
+	// (1 = unsplit).
 	Segments int
 	// Requests is the stream size, Completed how many the fleet finished —
 	// counted by the streaming aggregate, with no per-request retention.
@@ -40,17 +39,17 @@ type ScaleCell struct {
 	// InteractiveAttainment scores the interactive tier against the SLO,
 	// evaluated on the streaming aggregate.
 	InteractiveAttainment float64
-	// MatchesSerial reports bit-identity with the serial cell's result —
-	// the sharded driver's equivalence claim, re-proven inside the figure.
-	// Segment cells report false: a split run restarts from an empty fleet
-	// at each boundary, so it is a different (still deterministic) schedule.
+	// MatchesSerial reports bit-identity with the serial cell's result,
+	// which the serial cell matches by definition. Segment cells report
+	// false: a split run restarts from an empty fleet at each boundary, so
+	// it is a different (still deterministic) schedule.
 	MatchesSerial bool
 }
 
 // ScaleResult is the scale sweep: one tiered-diurnal stream served by each
-// execution strategy of the million-request machinery — the inline drive as
-// the oracle, the parallel drive on shards that must match it bit-for-bit,
-// and a checkpointed split whose merged ledger must conserve every request.
+// execution strategy of the million-request machinery — the unsplit run as
+// the oracle, and a checkpointed split whose merged ledger must conserve
+// every request.
 // The stream deliberately exceeds the sketches' exact regime, so the figure
 // also pins the approximate-regime digests deterministically.
 type ScaleResult struct {
@@ -65,8 +64,8 @@ type ScaleResult struct {
 
 // Scale runs the default sweep: a 2,400-request tiered-diurnal stream — past
 // the 2,048-sample exact regime of the fleet sketches — on 4-replica OPT-30B
-// PAPI fleets, serial versus 4-way sharded versus a two-segment checkpointed
-// split, under the 12 ms interactive TPOT SLO.
+// PAPI fleets, unsplit versus a two-segment checkpointed split, under the
+// 12 ms interactive TPOT SLO.
 func Scale() ScaleResult {
 	return ScaleSweep(model.OPT30B(), 4, 2400, 8,
 		workload.SLO{TokenLatency: units.Milliseconds(12)})
@@ -93,13 +92,12 @@ func ScaleSweep(cfg model.Config, replicas, requests, maxBatch int, slo workload
 		SLO:      slo,
 	}
 
-	newFleet := func(shards int) *cluster.Cluster {
+	newFleet := func() *cluster.Cluster {
 		cl, err := cluster.NewByName("PAPI", cfg, cluster.Options{
 			Replicas: replicas,
 			MaxBatch: maxBatch,
 			Router:   cluster.LeastOutstanding(),
 			Serving:  serving.DefaultOptions(1),
-			Shards:   shards,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: scale: %v", err))
@@ -107,25 +105,10 @@ func ScaleSweep(cfg model.Config, replicas, requests, maxBatch int, slo workload
 		return cl
 	}
 
-	// The inline drive is the oracle every other strategy is judged against.
-	serial, err := newFleet(1).Run(stream)
+	// The unsplit run is the oracle the split is judged against.
+	serial, err := newFleet().Run(stream)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: scale serial: %v", err))
-	}
-
-	// The sharded driver consumes the stream lazily through RunSeq — the
-	// constant-memory pairing a million-request run uses — and must still be
-	// bit-identical to the serial slice run.
-	i := 0
-	sharded, err := newFleet(4).RunSeq(func() (workload.Request, bool) {
-		if i >= len(stream) {
-			return workload.Request{}, false
-		}
-		i++
-		return stream[i-1], true
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: scale sharded: %v", err))
 	}
 
 	// The checkpointed split serves the stream as two independent segments
@@ -137,11 +120,11 @@ func ScaleSweep(cfg model.Config, replicas, requests, maxBatch int, slo workload
 	for j := range second {
 		second[j].Arrival -= base
 	}
-	segA, err := newFleet(4).Run(stream[:half])
+	segA, err := newFleet().Run(stream[:half])
 	if err != nil {
 		panic(fmt.Sprintf("experiments: scale segment A: %v", err))
 	}
-	segB, err := newFleet(4).Run(second)
+	segB, err := newFleet().Run(second)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: scale segment B: %v", err))
 	}
@@ -156,29 +139,23 @@ func ScaleSweep(cfg model.Config, replicas, requests, maxBatch int, slo workload
 		panic(fmt.Sprintf("experiments: scale merge: %v", err))
 	}
 
-	fleetCell := func(config string, shards int, f *cluster.FleetResult) ScaleCell {
-		return ScaleCell{
-			Config:                config,
-			Shards:                shards,
+	out.Cells = []ScaleCell{
+		{
+			Config:                "serial",
 			Segments:              1,
 			Requests:              requests,
-			Completed:             f.Completed,
-			Tokens:                f.Tokens,
-			Makespan:              f.Makespan,
-			TokensPerSec:          f.TokensPerSecond(),
-			RequestsPerSec:        f.RequestsPerSecond(),
-			TTFT:                  f.TTFT,
-			TPOT:                  f.TPOT,
-			InteractiveAttainment: f.AttainmentClass(slo, workload.ClassInteractive),
-			MatchesSerial:         sameFleetDigest(serial, f),
-		}
-	}
-	out.Cells = []ScaleCell{
-		fleetCell("serial", 1, serial),
-		fleetCell("shards-4", 4, sharded),
+			Completed:             serial.Completed,
+			Tokens:                serial.Tokens,
+			Makespan:              serial.Makespan,
+			TokensPerSec:          serial.TokensPerSecond(),
+			RequestsPerSec:        serial.RequestsPerSecond(),
+			TTFT:                  serial.TTFT,
+			TPOT:                  serial.TPOT,
+			InteractiveAttainment: serial.AttainmentClass(slo, workload.ClassInteractive),
+			MatchesSerial:         true,
+		},
 		{
 			Config:    "segments-2",
-			Shards:    4,
 			Segments:  2,
 			Requests:  requests,
 			Completed: merged.Completed,
@@ -205,14 +182,6 @@ func ScaleSweep(cfg model.Config, replicas, requests, maxBatch int, slo workload
 	return out
 }
 
-// sameFleetDigest compares the fleet-level quantities the figure reports —
-// the bit-identity witness between two drives of the same stream.
-func sameFleetDigest(a, b *cluster.FleetResult) bool {
-	return a.Completed == b.Completed && a.Tokens == b.Tokens &&
-		a.Makespan == b.Makespan && a.TTFT == b.TTFT && a.TPOT == b.TPOT &&
-		a.Energy.Total() == b.Energy.Total()
-}
-
 // interactiveAttainment scores a merged checkpoint's interactive tier, the
 // way FleetResult.AttainmentClass scores a single run's.
 func interactiveAttainment(c *cluster.Checkpoint, slo workload.SLO) float64 {
@@ -233,12 +202,11 @@ func (r ScaleResult) String() string {
 	fmt.Fprintf(&b, "Scale: %d-request %s on %d× PAPI (%s, max batch %d, interactive TPOT ≤ %v)\n",
 		r.Requests, r.Scenario, r.Replicas, r.Model, r.MaxBatch, r.SLO.TokenLatency)
 	tb := stats.NewTable("execution strategies on identical traffic",
-		"config", "shards", "segments", "completed", "tok/s", "req/s",
+		"config", "segments", "completed", "tok/s", "req/s",
 		"TTFT p99", "TPOT p99", "int attain", "≡ serial")
 	for _, c := range r.Cells {
 		tb.AddRow(
 			c.Config,
-			fmt.Sprintf("%d", c.Shards),
 			fmt.Sprintf("%d", c.Segments),
 			fmt.Sprintf("%d", c.Completed),
 			fmt.Sprintf("%.0f", c.TokensPerSec),

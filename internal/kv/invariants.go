@@ -8,7 +8,8 @@ import "fmt"
 // invariant fuzzer calls it at every step boundary. It is deliberately
 // implemented by slab walk plus per-key index lookups — never by ranging
 // over the index map — so the determinism analyzer's map-iteration ban holds
-// without waivers.
+// without waivers. The census covers the minted slab: IDs are minted on
+// demand, so an ID past it has never held a block.
 //
 // The laws checked:
 //

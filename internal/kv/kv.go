@@ -241,8 +241,11 @@ type Store struct {
 	refHot   int // hot blocks with refs > 0
 	reserve  int // hot slots reserved for active leases' decode growth
 
+	// blocks is the slab of minted blocks; IDs are minted on demand (see
+	// allocBlock), so its length is the most blocks ever resident at once,
+	// never more than hotCap + coldCap.
 	blocks []block
-	free   []int32 // allocation stack over the slab
+	free   []int32 // stack of freed slab IDs, reused before minting anew
 	index  map[uint64]int32
 
 	// Idle queues: resident ref-0 blocks by (tier, ever-shared). The
@@ -279,19 +282,16 @@ func NewStore(opt Options, hotBlocks int, blockBytes units.Bytes) (*Store, error
 			hotBlocks, opt.ColdFactor)
 	}
 	coldCap := int(cold)
-	total := hotBlocks + coldCap
+	// The slab and the index start at the hot tier's size and grow as the
+	// tiers fill, so a large cold tier costs memory only once it is used.
 	s := &Store{
 		opt:        opt,
 		blockBytes: blockBytes,
 		hotCap:     hotBlocks,
 		coldCap:    coldCap,
-		blocks:     make([]block, total),
-		free:       make([]int32, total),
-		index:      make(map[uint64]int32, total),
-	}
-	// Fill the stack so pops hand out ascending IDs.
-	for i := range s.free {
-		s.free[i] = int32(total - 1 - i)
+		blocks:     make([]block, 0, hotBlocks),
+		free:       make([]int32, 0, hotBlocks),
+		index:      make(map[uint64]int32, hotBlocks),
 	}
 	s.hotIdle = [2]list{{nilRef, nilRef}, {nilRef, nilRef}}
 	s.coldIdle = [2]list{{nilRef, nilRef}, {nilRef, nilRef}}
@@ -424,8 +424,7 @@ func (s *Store) freeBlock(id int32) {
 		s.coldUsed--
 	}
 	*b = block{tier: tierFree, prev: nilRef, next: nilRef}
-	s.free = s.free[:len(s.free)+1]
-	s.free[len(s.free)-1] = id
+	s.free = append(s.free, id)
 }
 
 // dropColdIdle evicts one cold block (state lost) to open a cold slot.
@@ -470,8 +469,11 @@ func (s *Store) evictHotIdle(demote bool, c *Cost) bool {
 	return true
 }
 
-// allocBlock claims a hot slot for a brand-new block and returns its ID:
-// the free stack first, then an idle-hot eviction. refs starts at 1.
+// allocBlock claims a hot slot for a brand-new block and returns its ID,
+// evicting an idle hot block first when the tier is full. The ID is the
+// most recently freed one, or else the next never-used one: the order a
+// stack pre-filled with every ID in ascending order would hand them out.
+// refs starts at 1.
 //
 //papivet:noalloc
 func (s *Store) allocBlock(demote bool, c *Cost) (int32, error) {
@@ -480,14 +482,27 @@ func (s *Store) allocBlock(demote bool, c *Cost) (int32, error) {
 			return nilRef, errHotFull
 		}
 	}
-	id := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
+	var id int32
+	if n := len(s.free); n > 0 {
+		id = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		id = s.mint()
+	}
 	b := &s.blocks[id]
 	b.tier = tierHot
 	b.refs = 1
 	s.hotUsed++
 	s.refHot++
 	return id, nil
+}
+
+// mint grows the slab by one never-used block and returns its ID. Every
+// minted block is resident or on the free stack, so the slab never exceeds
+// hotCap + coldCap blocks.
+func (s *Store) mint() int32 {
+	s.blocks = append(s.blocks, block{})
+	return int32(len(s.blocks) - 1)
 }
 
 // promote moves a cold resident block into the hot tier (paying the uplink

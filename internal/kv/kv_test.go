@@ -2,6 +2,7 @@ package kv
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/units"
@@ -346,4 +347,22 @@ func TestFitsAlone(t *testing.T) {
 	if s.FitsAlone(65) {
 		t.Fatal("65 tokens (9 blocks) cannot fit an 8-block tier")
 	}
+}
+
+// TestNewStoreMintsOnDemand: a store's up-front memory follows its hot tier,
+// not its cold tier's capacity. 100 hot blocks under a 10⁴× cold tier span
+// about 10⁶ block IDs, which a slab, free stack and index sized for every ID
+// would spend tens of MB on before the first request.
+func TestNewStoreMintsOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewStore(Options{BlockTokens: 16, Sharing: true, ColdFactor: 1e4}, 100, blockMiB)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("NewStore allocated %d bytes up front, want < 1 MB", got)
+	}
+	runtime.KeepAlive(s)
 }

@@ -37,8 +37,8 @@ type draftPrice struct {
 // (including per-layer kernel overheads), its energy, the throttle flag, and
 // the per-iteration Q/K/V + context traffic on the attention fabric. It is a
 // pure function of (TLP, ΣkvLen, RLP) — the incremental key of
-// model.AttentionKernelSum — which is what lets Engine.price compute it in
-// closed form from the stepper's running ΣkvLen.
+// model.AttentionKernelSum — which is what lets Engine.priceAttn compute
+// it in closed form from the stepper's running ΣkvLen.
 type attnCost struct {
 	time       units.Seconds
 	energy     units.Joules
@@ -137,55 +137,67 @@ func (e *Engine) draftMemoized() draftPrice {
 	return e.draftCache
 }
 
-// iterPrice is one decoding iteration's pricing: the FC phase, the
-// attention phase and, with speculation, the draft model.
+// iterPrice is one decoding iteration's pricing: the FC phase on its
+// placement, the attention phase and, with speculation, the draft model.
 type iterPrice struct {
 	fc    fcCost
+	onPU  bool // the FC phase runs on the GPU pool, not on FC-PIM
 	attn  attnCost
 	draft draftPrice
 }
 
-// price fills p with the pricing of one decoding iteration at rlp active
-// requests holding kvSum = ΣkvLen tokens of KV state, with the FC phase on
-// the GPU pool (onPU) or on the FC-PIM pool; p must start zeroed. Every
-// input is memoized or closed-form: the FC and draft kernels come from the
-// engine's memo, and the attention kernel is model.AttentionKernelSum's
-// closed form in ΣkvLen against the engine-hoisted coefficients, priced
-// through pim.ExecuteAttention on one PIM device per head per request (up
-// to the pool), plus, per layer, the Q/K/V vectors to the attention devices
-// and the context back (§6.3's byte-level traffic). The result is
-// bit-identical to re-deriving every kernel from the per-request KV lengths
-// — memoized pricing is pure, and the folded coefficients are exact-integer
-// products — which the pricing property tests pin per design, model, TLP
-// and placement.
+// A decode window prices its iterations in two parts, the split that lets
+// it hoist everything RLP, TLP and placement fix out of its loop:
+// priceWindow fills the FC phase, the attention link transfer and the draft
+// model once per window, and priceAttn the attention kernel, the one term
+// that moves with ΣkvLen, once per iteration. Every input is memoized or
+// closed-form: the FC and draft kernels come from the engine's memo, and the
+// attention kernel is model.AttentionKernelSum's closed form in ΣkvLen
+// against the engine-hoisted coefficients, priced through
+// pim.ExecuteAttention on one PIM device per head per request (up to the
+// pool), plus, per layer, the Q/K/V vectors to the attention devices and the
+// context back (§6.3's byte-level traffic). The result is bit-identical to
+// re-deriving every kernel from the per-request KV lengths on every
+// iteration — memoized pricing is pure, and the folded coefficients are
+// exact-integer products — which the pricing property tests pin per design,
+// model, TLP and placement, over windows of several iterations.
 //
-// p is an out-parameter rather than a result, and its attention fields are
-// stored one by one, because this runs once per iteration: a struct result
-// or composite literal makes the compiler assemble the struct in a stack
-// temporary and copy it with wide loads that cannot be forwarded from the
-// narrow field stores, a stall that cost the fleet benchmarks 5–10 % of
-// their CPU time on a 2-vCPU x86-64 VM.
+// Both write through a pointer, field by field, rather than return a
+// struct: a struct result or composite literal makes the compiler assemble
+// the struct in a stack temporary and copy it with wide loads that cannot be
+// forwarded from the narrow field stores, a stall that cost the fleet
+// benchmarks 5–10 % of their CPU time on a 2-vCPU x86-64 VM.
+
+// priceWindow fills p's fixed terms for a window at rlp active requests
+// with the FC phase on the GPU pool (onPU) or on the FC-PIM pool.
 //
 //papivet:noalloc
-func (e *Engine) price(p *iterPrice, rlp, kvSum int, onPU bool) {
+func (e *Engine) priceWindow(p *iterPrice, rlp int, onPU bool) {
 	if n := rlp * e.Opt.TLP; onPU {
 		p.fc = e.fcCostPU(n)
 	} else {
 		p.fc = e.fcCostPIM(n)
 	}
+	p.onPU = onPU
+	tr := e.Sys.AttnLink.Send(units.Bytes(float64(rlp) * e.attnActTerm))
+	p.attn.commTime = tr.Time.Scale(e.layersF)
+	p.attn.commEnergy = tr.Energy.Scale(e.layersF)
+	if e.Opt.TLP > 1 {
+		p.draft = e.draftMemoized()
+	}
+}
+
+// priceAttn fills a's attention-kernel execution for one iteration at rlp
+// active requests holding kvSum = ΣkvLen tokens of KV state.
+//
+//papivet:noalloc
+func (e *Engine) priceAttn(a *attnCost, rlp, kvSum int) {
 	h := float64(e.Cfg.Hidden)
 	l := float64(kvSum)
 	attnFlops := e.attnFlopsCoef * l * h
 	attnKV := 4 * l * h
-	a := &p.attn
 	a.time, a.energy, a.throttled = e.Sys.AttnPIM.ExecuteAttention(
 		units.FLOPs(attnFlops*e.layersF), units.Bytes(attnKV*e.layersF),
 		min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
 	a.time += e.attnOvh
-	tr := e.Sys.AttnLink.Send(units.Bytes(float64(rlp) * e.attnActTerm))
-	a.commTime = tr.Time.Scale(e.layersF)
-	a.commEnergy = tr.Energy.Scale(e.layersF)
-	if e.Opt.TLP > 1 {
-		p.draft = e.draftMemoized()
-	}
 }

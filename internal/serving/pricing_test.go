@@ -11,12 +11,14 @@ import (
 )
 
 // The pricing property is one half of the decode path's contract (the
-// window matrix in window_test.go is the other): Engine.price, which works
-// from memoized FC and draft kernels and the attention kernel's closed form
-// in ΣkvLen, must be bit-identical to priceFresh, which re-derives every
-// kernel from the per-request KV lengths on every call. Together the two
-// imply that a free-running Stepper equals one that re-prices every
-// iteration from scratch.
+// window matrix in window_test.go is the other): a window priced the way the
+// decode loop prices it — Engine.priceWindow once, from memoized FC and
+// draft kernels, then Engine.priceAttn per iteration, from the attention
+// kernel's closed form in ΣkvLen — must be bit-identical, iteration by
+// iteration, to priceFresh, which re-derives every kernel from the
+// per-request KV lengths on every call. Together the two imply that a
+// free-running Stepper equals one that re-prices every iteration from
+// scratch.
 
 // priceFresh is the reference pricing: it rebuilds the attention kernel
 // from a freshly allocated per-request KV-length slice and re-prices the FC
@@ -46,7 +48,7 @@ func priceFresh(e *Engine, active []*request, onPU bool) iterPrice {
 		commTime:   tr.Time.Scale(layers),
 		commEnergy: tr.Energy.Scale(layers),
 	}
-	p := iterPrice{attn: attn}
+	p := iterPrice{attn: attn, onPU: onPU}
 	if n := rlp * e.Opt.TLP; onPU {
 		p.fc = e.fcPricePU(n)
 	} else {
@@ -127,35 +129,45 @@ func pricingCases(t testing.TB) []pricingCase {
 }
 
 // randomActive draws an active set of rlp requests whose KV lengths span
-// fresh prompts through long-grown contexts, and returns it with its ΣkvLen.
-func randomActive(rng *rand.Rand, rlp int) ([]*request, int) {
+// fresh prompts through long-grown contexts.
+func randomActive(rng *rand.Rand, rlp int) []*request {
 	active := make([]*request, rlp)
-	kvSum := 0
 	for i := range active {
 		r := &request{}
 		r.InputLen = 1 + rng.Intn(2048)
 		r.generated = rng.Intn(2048)
 		active[i] = r
-		kvSum += r.contextLen()
 	}
-	return active, kvSum
+	return active
 }
 
-// checkPricing compares Engine.price against priceFresh on one active set.
-func checkPricing(t *testing.T, c pricingCase, active []*request, kvSum int) {
+// checkPricing prices one window the way the decode loop does — its fixed
+// terms once, then the attention kernel per iteration into the same
+// iterPrice — over one iteration per active set (all of one RLP), and
+// compares every iteration's price against priceFresh.
+func checkPricing(t *testing.T, c pricingCase, iters ...[]*request) {
 	t.Helper()
+	rlp := len(iters[0])
 	var got iterPrice
-	c.eng.price(&got, len(active), kvSum, c.onPU)
-	if want := priceFresh(c.eng, active, c.onPU); got != want {
-		t.Fatalf("%s RLP=%d ΣkvLen=%d: memoized pricing diverged from fresh\n got  %+v\n want %+v",
-			c.name, len(active), kvSum, got, want)
+	c.eng.priceWindow(&got, rlp, c.onPU)
+	for _, active := range iters {
+		kvSum := 0
+		for _, r := range active {
+			kvSum += r.contextLen()
+		}
+		c.eng.priceAttn(&got.attn, rlp, kvSum)
+		if want := priceFresh(c.eng, active, c.onPU); got != want {
+			t.Fatalf("%s RLP=%d ΣkvLen=%d: memoized pricing diverged from fresh\n got  %+v\n want %+v",
+				c.name, rlp, kvSum, got, want)
+		}
 	}
 }
 
 // TestPricingMatchesFresh pins the pricing property on random active sets
-// for every design, model, TLP and placement. Each engine prices twice per
-// RLP draw, so both the cold (memo miss) and the warm (memo hit) slot are
-// compared.
+// for every design, model, TLP and placement. Each engine prices two
+// two-iteration windows per RLP draw, so both the cold (memo miss) and the
+// warm (memo hit) slot are compared, and so is an attention price written
+// over the previous iteration's.
 func TestPricingMatchesFresh(t *testing.T) {
 	cases := pricingCases(t)
 	rng := rand.New(rand.NewSource(5))
@@ -163,15 +175,15 @@ func TestPricingMatchesFresh(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			rlp := 1 + rng.Intn(128)
 			for k := 0; k < 2; k++ {
-				active, kvSum := randomActive(rng, rlp)
-				checkPricing(t, c, active, kvSum)
+				checkPricing(t, c, randomActive(rng, rlp), randomActive(rng, rlp))
 			}
 		}
 	}
 }
 
 // FuzzPricing searches the pricing property's input space beyond the
-// table: any case, any RLP up to 512, and any KV-length draw.
+// table: any case, any RLP up to 512, and any KV-length draws for a
+// two-iteration window.
 func FuzzPricing(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint16(1))
 	f.Add(int64(7), uint16(41), uint16(96))
@@ -180,7 +192,7 @@ func FuzzPricing(f *testing.F) {
 	cases := pricingCases(f)
 	f.Fuzz(func(t *testing.T, seed int64, casePick, rlpPick uint16) {
 		c := cases[int(casePick)%len(cases)]
-		active, kvSum := randomActive(rand.New(rand.NewSource(seed)), 1+int(rlpPick)%512)
-		checkPricing(t, c, active, kvSum)
+		rng, rlp := rand.New(rand.NewSource(seed)), 1+int(rlpPick)%512
+		checkPricing(t, c, randomActive(rng, rlp), randomActive(rng, rlp))
 	})
 }

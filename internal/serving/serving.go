@@ -201,12 +201,13 @@ type Engine struct {
 	// assertion per iteration; both are constants of the engine).
 	otherBase units.Seconds
 
-	// Constants of the fused iteration (price and runIteration), hoisted at
-	// construction. Every one is a product of integer-valued floats far
-	// below 2⁵³, so folding them does not change any result bit: layersF is
-	// the layer count, attnOvh the per-iteration attention kernel overheads,
-	// attnFlopsCoef/attnActTerm the per-ΣkvLen / per-request
-	// attention-kernel coefficients, and *W the idle/standby power products.
+	// Constants of the fused iteration (priceWindow, priceAttn and
+	// runIteration), hoisted at construction. Every one is a product of
+	// integer-valued floats far below 2⁵³, so folding them does not change
+	// any result bit: layersF is the layer count, attnOvh the per-iteration
+	// attention kernel overheads, attnFlopsCoef/attnActTerm the per-ΣkvLen /
+	// per-request attention-kernel coefficients, and *W the idle/standby
+	// power products.
 	layersF       float64
 	attnOvh       units.Seconds
 	attnFlopsCoef float64
@@ -349,23 +350,22 @@ func (e *Engine) runPrefill(inputs []int, res *Result) units.Seconds {
 	return p.Time
 }
 
-// runIteration prices (see price) and charges one decoding iteration of rlp
-// active requests holding kvSum = ΣkvLen tokens of KV state, and returns its
-// trace entry; the caller fills Tokens from the committed count. Iteration
-// structure (per layer, serialised): FC(QKV) → link to Attn-PIM → attention
-// → link back → FC(projection+FFN); all-layer work is aggregated into closed
-// forms since layers are identical.
+// runIteration prices the attention kernel of one decoding iteration of rlp
+// active requests holding kvSum = ΣkvLen tokens of KV state into p, whose
+// window terms the caller priced (see priceWindow), charges the iteration,
+// and returns its trace entry; the caller fills Tokens from the committed
+// count. Iteration structure (per layer, serialised): FC(QKV) → link to
+// Attn-PIM → attention → link back → FC(projection+FFN); all-layer work is
+// aggregated into closed forms since layers are identical.
 //
 //papivet:noalloc
-func (e *Engine) runIteration(rlp, kvSum int, ev sched.Event, res *Result) IterationStat {
-	onPU := ev.Placement == sched.PlacePU && e.Sys.HasGPU()
-	var p iterPrice
-	e.price(&p, rlp, kvSum, onPU)
+func (e *Engine) runIteration(p *iterPrice, rlp, kvSum int, ev sched.Event, res *Result) IterationStat {
+	e.priceAttn(&p.attn, rlp, kvSum)
 	fc, attn := &p.fc, &p.attn
 
 	// --- FC phase (QKV + projection + FFN over all layers).
 	gpuBusy := units.Seconds(0)
-	if onPU {
+	if p.onPU {
 		gpuBusy = fc.time
 		res.Energy.AddSlot(energy.SlotGPUActive, fc.energy)
 	} else {

@@ -73,12 +73,12 @@ type Stepper struct {
 	clock     units.Seconds
 
 	// Incremental accounting. kvSum is Σ(InputLen+generated) over the active
-	// batch — the attention kernel's only KV-length input (see Engine.price).
-	// kvDemandAll / kvDemandActive are the worst-case KV footprints of all
-	// outstanding / admitted requests, maintained on push, admit, evict and
-	// finish so KVDemand and admission checks are O(1). All terms are
-	// integer-valued floats far below 2⁵³, so the running sums equal a fresh
-	// walk exactly.
+	// batch — the attention kernel's only KV-length input (see
+	// Engine.priceAttn). kvDemandAll / kvDemandActive are the worst-case KV
+	// footprints of all outstanding / admitted requests, maintained on push,
+	// admit, evict and finish so KVDemand and admission checks are O(1). All
+	// terms are integer-valued floats far below 2⁵³, so the running sums
+	// equal a fresh walk exactly.
 	kvSum          int
 	kvDemandAll    units.Bytes
 	kvDemandActive units.Bytes
@@ -789,6 +789,8 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 		}
 	}
 	ev := s.scheduler.Decide()
+	var p iterPrice
+	s.eng.priceWindow(&p, rlp, ev.Placement == sched.PlacePU && s.eng.Sys.HasGPU())
 	info := StepInfo{Kind: StepIteration}
 	run, eos := 0, 0
 	var first units.Seconds
@@ -797,7 +799,7 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 		if s.perturbed {
 			pre = s.res.Breakdown
 		}
-		it := s.eng.runIteration(rlp, s.kvSum, ev, &s.res)
+		it := s.eng.runIteration(&p, rlp, s.kvSum, ev, &s.res)
 		if s.perturbed {
 			s.stretch(&it, pre)
 		}

@@ -20,7 +20,7 @@ const DefaultSketchK = 2048
 // (alternating parity, so no systematic rank bias), promoting the kept half
 // with doubled weight. There is no randomness anywhere, so the same Add /
 // Merge sequence reproduces the same sketch bit-for-bit — the property the
-// serial ≡ sharded fleet equivalence pins.
+// fleet driver ≡ time-order reference equivalence pins.
 //
 // Exactness and error bound (pinned by the package tests):
 //

@@ -26,14 +26,32 @@ type PoissonProcess struct {
 	Rate float64 // mean arrivals per second (> 0)
 }
 
-// NewPoisson returns a stationary Poisson process at ratePerSec. A
-// non-positive rate is a programming error and panics: it would generate
-// infinite inter-arrival gaps.
-func NewPoisson(ratePerSec float64) *PoissonProcess {
-	if ratePerSec <= 0 {
-		panic(fmt.Sprintf("workload: poisson rate %g must be positive", ratePerSec))
+// NewPoisson returns a stationary Poisson process at ratePerSec, which must
+// be finite and positive: a zero rate would generate infinite inter-arrival
+// gaps, an infinite one put every arrival at t = 0, and NaN poison every
+// instant.
+func NewPoisson(ratePerSec float64) (*PoissonProcess, error) {
+	if !finitePositive(ratePerSec) {
+		return nil, fmt.Errorf("workload: poisson rate %g must be finite and positive", ratePerSec)
 	}
-	return &PoissonProcess{Rate: ratePerSec}
+	return &PoissonProcess{Rate: ratePerSec}, nil
+}
+
+// finitePositive reports whether x is a usable rate, dwell or period; NaN
+// fails every comparison, so it is rejected too.
+func finitePositive[T ~float64](x T) bool {
+	return x > 0 && !math.IsInf(float64(x), 1)
+}
+
+// mustArrivals unwraps a process the program builds from its own constant
+// parameters — a scenario registry entry — whose rejection is a programming
+// error, not bad input. Parameters from a caller go through the
+// constructors' error return.
+func mustArrivals(p ArrivalProcess, err error) ArrivalProcess {
+	if err != nil {
+		panic(fmt.Sprintf("workload: program-written arrival process rejected: %v", err))
+	}
+	return p
 }
 
 // Name identifies the process and its rate.
@@ -65,21 +83,21 @@ type OnOffProcess struct {
 }
 
 // NewOnOff returns a bursty on-off process that starts in a lull. All four
-// parameters must be positive; violations are programming errors and panic
-// (a zero rate or dwell would hang or degenerate the sampler).
-func NewOnOff(burstRate, baseRate float64, meanBurst, meanLull units.Seconds) *OnOffProcess {
-	if burstRate <= 0 || baseRate <= 0 {
-		panic(fmt.Sprintf("workload: on-off rates (%g, %g) must be positive", burstRate, baseRate))
+// parameters must be finite and positive: a zero rate or dwell would hang
+// or degenerate the sampler.
+func NewOnOff(burstRate, baseRate float64, meanBurst, meanLull units.Seconds) (*OnOffProcess, error) {
+	if !finitePositive(burstRate) || !finitePositive(baseRate) {
+		return nil, fmt.Errorf("workload: on-off rates (%g, %g) must be finite and positive", burstRate, baseRate)
 	}
-	if meanBurst <= 0 || meanLull <= 0 {
-		panic(fmt.Sprintf("workload: on-off dwells (%v, %v) must be positive", meanBurst, meanLull))
+	if !finitePositive(meanBurst) || !finitePositive(meanLull) {
+		return nil, fmt.Errorf("workload: on-off dwells (%v, %v) must be finite and positive", meanBurst, meanLull)
 	}
 	return &OnOffProcess{
 		BurstRate: burstRate,
 		BaseRate:  baseRate,
 		MeanBurst: meanBurst,
 		MeanLull:  meanLull,
-	}
+	}, nil
 }
 
 // Name identifies the process and both phase rates.
@@ -127,20 +145,19 @@ type DiurnalProcess struct {
 }
 
 // NewDiurnal returns a sinusoidal-rate process. Base and period must be
-// positive and the amplitude must sit in [0, 1); violations are programming
-// errors and panic (a non-positive peak rate would make the thinning
-// sampler loop forever).
-func NewDiurnal(base, amplitude float64, period units.Seconds) *DiurnalProcess {
-	if base <= 0 {
-		panic(fmt.Sprintf("workload: diurnal base rate %g must be positive", base))
+// finite and positive and the amplitude must sit in [0, 1): a non-positive
+// peak rate would make the thinning sampler loop forever.
+func NewDiurnal(base, amplitude float64, period units.Seconds) (*DiurnalProcess, error) {
+	if !finitePositive(base) {
+		return nil, fmt.Errorf("workload: diurnal base rate %g must be finite and positive", base)
 	}
-	if amplitude < 0 || amplitude >= 1 {
-		panic(fmt.Sprintf("workload: diurnal amplitude %g outside [0, 1)", amplitude))
+	if !(amplitude >= 0 && amplitude < 1) {
+		return nil, fmt.Errorf("workload: diurnal amplitude %g outside [0, 1)", amplitude)
 	}
-	if period <= 0 {
-		panic(fmt.Sprintf("workload: diurnal period %v must be positive", period))
+	if !finitePositive(period) {
+		return nil, fmt.Errorf("workload: diurnal period %v must be finite and positive", period)
 	}
-	return &DiurnalProcess{Base: base, Amplitude: amplitude, Period: period}
+	return &DiurnalProcess{Base: base, Amplitude: amplitude, Period: period}, nil
 }
 
 // Name identifies the process, its swing, and its period.

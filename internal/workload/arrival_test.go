@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/units"
@@ -10,9 +11,9 @@ import (
 
 func processes() []func() ArrivalProcess {
 	return []func() ArrivalProcess{
-		func() ArrivalProcess { return NewPoisson(20) },
-		func() ArrivalProcess { return NewOnOff(40, 2, units.Seconds(1.5), units.Seconds(4)) },
-		func() ArrivalProcess { return NewDiurnal(12, 0.8, units.Seconds(20)) },
+		func() ArrivalProcess { return mustArrivals(NewPoisson(20)) },
+		func() ArrivalProcess { return mustArrivals(NewOnOff(40, 2, units.Seconds(1.5), units.Seconds(4))) },
+		func() ArrivalProcess { return mustArrivals(NewDiurnal(12, 0.8, units.Seconds(20))) },
 	}
 }
 
@@ -55,17 +56,17 @@ func TestArrivalProcessMeanRates(t *testing.T) {
 		return n / float64(times[n-1])
 	}
 
-	if r := rate(NewPoisson(20)); math.Abs(r-20) > 2 {
+	if r := rate(mustArrivals(NewPoisson(20))); math.Abs(r-20) > 2 {
 		t.Errorf("poisson empirical rate %.1f, want ≈ 20", r)
 	}
-	if r := rate(NewDiurnal(12, 0.8, units.Seconds(20))); math.Abs(r-12) > 2 {
+	if r := rate(mustArrivals(NewDiurnal(12, 0.8, units.Seconds(20)))); math.Abs(r-12) > 2 {
 		t.Errorf("diurnal empirical rate %.1f, want ≈ 12", r)
 	}
 	// On-off: expected long-run rate is the dwell-weighted phase mix.
 	burst, lull := 40.0, 2.0
 	mb, ml := 1.5, 4.0
 	want := (burst*mb + lull*ml) / (mb + ml)
-	if r := rate(NewOnOff(burst, lull, units.Seconds(mb), units.Seconds(ml))); math.Abs(r-want)/want > 0.2 {
+	if r := rate(mustArrivals(NewOnOff(burst, lull, units.Seconds(mb), units.Seconds(ml)))); math.Abs(r-want)/want > 0.2 {
 		t.Errorf("on-off empirical rate %.1f, want ≈ %.1f", r, want)
 	}
 }
@@ -90,8 +91,8 @@ func TestOnOffIsBurstier(t *testing.T) {
 		}
 		return math.Sqrt(varsum/float64(n-1)) / mean
 	}
-	onoff := cv(NewOnOff(40, 2, units.Seconds(1.5), units.Seconds(4)))
-	poisson := cv(NewPoisson(20))
+	onoff := cv(mustArrivals(NewOnOff(40, 2, units.Seconds(1.5), units.Seconds(4))))
+	poisson := cv(mustArrivals(NewPoisson(20)))
 	if onoff < 1.3*poisson {
 		t.Errorf("on-off CV %.2f not clearly burstier than poisson CV %.2f", onoff, poisson)
 	}
@@ -101,7 +102,10 @@ func TestOnOffIsBurstier(t *testing.T) {
 // thinning sampler must track it: arrivals should be denser near the peak
 // quarter-period than near the trough.
 func TestDiurnalRateEnvelope(t *testing.T) {
-	p := NewDiurnal(10, 0.5, units.Seconds(40))
+	p, err := NewDiurnal(10, 0.5, units.Seconds(40))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tt := range []units.Seconds{0, 5, 10, 15, 20, 25, 30, 35} {
 		r := p.Rate(tt)
 		if r < 10*(1-0.5)-1e-9 || r > 10*(1+0.5)+1e-9 {
@@ -110,7 +114,7 @@ func TestDiurnalRateEnvelope(t *testing.T) {
 	}
 	// Count arrivals in the peak window [5,15) vs the trough window [25,35)
 	// of the first period, over many periods worth of arrivals.
-	times := ArrivalTimes(NewDiurnal(10, 0.9, units.Seconds(40)), 8000, rand.New(rand.NewSource(9)))
+	times := ArrivalTimes(mustArrivals(NewDiurnal(10, 0.9, units.Seconds(40))), 8000, rand.New(rand.NewSource(9)))
 	peak, trough := 0, 0
 	for _, at := range times {
 		phase := math.Mod(float64(at), 40)
@@ -126,20 +130,45 @@ func TestDiurnalRateEnvelope(t *testing.T) {
 	}
 }
 
+// TestArrivalConstructorsRejectDegenerateParams: every rate, dwell,
+// amplitude or period no process can mean — zero, out of range, NaN or
+// infinite — is an error naming the parameter, never a panic and never a
+// process that yields NaN or collapsed arrivals.
 func TestArrivalConstructorsRejectDegenerateParams(t *testing.T) {
-	mustPanic := func(label string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: degenerate parameters accepted", label)
-			}
-		}()
-		fn()
+	nan, inf := math.NaN(), math.Inf(1)
+	sec := func(x float64) units.Seconds { return units.Seconds(x) }
+	for _, tc := range []struct {
+		label, want string
+		build       func() error
+	}{
+		{"poisson zero rate", "rate", func() error { _, err := NewPoisson(0); return err }},
+		{"poisson NaN rate", "rate", func() error { _, err := NewPoisson(nan); return err }},
+		{"poisson +Inf rate", "rate", func() error { _, err := NewPoisson(inf); return err }},
+		{"poisson -Inf rate", "rate", func() error { _, err := NewPoisson(-inf); return err }},
+		{"on-off zero lull rate", "rates", func() error { _, err := NewOnOff(40, 0, 1, 1); return err }},
+		{"on-off NaN burst rate", "rates", func() error { _, err := NewOnOff(nan, 2, 1, 1); return err }},
+		{"on-off +Inf burst rate", "rates", func() error { _, err := NewOnOff(inf, 2, 1, 1); return err }},
+		{"on-off -Inf lull rate", "rates", func() error { _, err := NewOnOff(40, -inf, 1, 1); return err }},
+		{"on-off zero dwell", "dwells", func() error { _, err := NewOnOff(40, 2, 0, 1); return err }},
+		{"on-off NaN dwell", "dwells", func() error { _, err := NewOnOff(40, 2, 1, sec(nan)); return err }},
+		{"on-off +Inf dwell", "dwells", func() error { _, err := NewOnOff(40, 2, sec(inf), 1); return err }},
+		{"diurnal zero base", "base", func() error { _, err := NewDiurnal(0, 0.5, 10); return err }},
+		{"diurnal NaN base", "base", func() error { _, err := NewDiurnal(nan, 0.5, 10); return err }},
+		{"diurnal +Inf base", "base", func() error { _, err := NewDiurnal(inf, 0.5, 10); return err }},
+		{"diurnal amplitude 1", "amplitude", func() error { _, err := NewDiurnal(10, 1, 10); return err }},
+		{"diurnal NaN amplitude", "amplitude", func() error { _, err := NewDiurnal(10, nan, 10); return err }},
+		{"diurnal -Inf amplitude", "amplitude", func() error { _, err := NewDiurnal(10, -inf, 10); return err }},
+		{"diurnal zero period", "period", func() error { _, err := NewDiurnal(10, 0.5, 0); return err }},
+		{"diurnal NaN period", "period", func() error { _, err := NewDiurnal(10, 0.5, sec(nan)); return err }},
+		{"diurnal +Inf period", "period", func() error { _, err := NewDiurnal(10, 0.5, sec(inf)); return err }},
+	} {
+		err := tc.build()
+		if err == nil {
+			t.Errorf("%s: degenerate parameters accepted", tc.label)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name the %s", tc.label, err, tc.want)
+		}
 	}
-	mustPanic("poisson zero rate", func() { NewPoisson(0) })
-	mustPanic("on-off zero lull rate", func() { NewOnOff(40, 0, units.Seconds(1), units.Seconds(1)) })
-	mustPanic("on-off zero dwell", func() { NewOnOff(40, 2, 0, units.Seconds(1)) })
-	mustPanic("diurnal zero base", func() { NewDiurnal(0, 0.5, units.Seconds(10)) })
-	mustPanic("diurnal amplitude 1", func() { NewDiurnal(10, 1, units.Seconds(10)) })
-	mustPanic("diurnal zero period", func() { NewDiurnal(10, 0.5, 0) })
 }

@@ -58,7 +58,7 @@ func TestScenarioEach(t *testing.T) {
 		}
 	}
 
-	if err := (Scenario{Name: "x", NewArrivals: func() ArrivalProcess { return NewPoisson(1) },
+	if err := (Scenario{Name: "x", NewArrivals: func() ArrivalProcess { return mustArrivals(NewPoisson(1)) },
 		Mix: []WeightedDataset{{Dataset: GeneralQA(), Weight: 1}}}).Each(0, 1, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}

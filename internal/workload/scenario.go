@@ -272,14 +272,14 @@ func Scenarios() []Scenario {
 			Name:        ScenarioSteadyQA,
 			Description: "stationary Poisson general-qa traffic — the baseline regime every pre-scenario experiment assumed",
 			Mix:         []WeightedDataset{{Dataset: GeneralQA(), Weight: 1}},
-			NewArrivals: func() ArrivalProcess { return NewPoisson(20) },
+			NewArrivals: func() ArrivalProcess { return mustArrivals(NewPoisson(20)) },
 		},
 		{
 			Name:        ScenarioBurstCreative,
 			Description: "on-off flash crowds of long creative-writing requests — RLP piles up in bursts, then decays through the lull",
 			Mix:         []WeightedDataset{{Dataset: CreativeWriting(), Weight: 1}},
 			NewArrivals: func() ArrivalProcess {
-				return NewOnOff(40, 2, units.Seconds(1.5), units.Seconds(4))
+				return mustArrivals(NewOnOff(40, 2, units.Seconds(1.5), units.Seconds(4)))
 			},
 		},
 		{
@@ -290,14 +290,14 @@ func Scenarios() []Scenario {
 				{Dataset: CreativeWriting(), Weight: 0.3},
 			},
 			NewArrivals: func() ArrivalProcess {
-				return NewDiurnal(12, 0.8, units.Seconds(20))
+				return mustArrivals(NewDiurnal(12, 0.8, units.Seconds(20)))
 			},
 		},
 		{
 			Name:        ScenarioChatMultiTurn,
 			Description: "closed-loop conversations: follow-ups arrive after the previous answer completes and re-use the grown context",
 			Mix:         []WeightedDataset{{Dataset: GeneralQA(), Weight: 1}},
-			NewArrivals: func() ArrivalProcess { return NewPoisson(6) },
+			NewArrivals: func() ArrivalProcess { return mustArrivals(NewPoisson(6)) },
 			MultiTurn: &MultiTurnSpec{
 				MinTurns: 2,
 				MaxTurns: 5,
@@ -314,7 +314,7 @@ func Scenarios() []Scenario {
 			Name:        ScenarioLongCtxHeavy,
 			Description: "low-rate stream of multi-thousand-token-context requests — KV footprint and attention bandwidth dominate",
 			Mix:         []WeightedDataset{{Dataset: LongContext(), Weight: 1}},
-			NewArrivals: func() ArrivalProcess { return NewPoisson(4) },
+			NewArrivals: func() ArrivalProcess { return mustArrivals(NewPoisson(4)) },
 		},
 		{
 			Name:        ScenarioTieredDiurnal,
@@ -324,7 +324,7 @@ func Scenarios() []Scenario {
 				{Dataset: CreativeWriting(), Weight: 0.35, Class: ClassBatch},
 			},
 			NewArrivals: func() ArrivalProcess {
-				return NewDiurnal(12, 0.8, units.Seconds(20))
+				return mustArrivals(NewDiurnal(12, 0.8, units.Seconds(20)))
 			},
 		},
 	}

@@ -223,17 +223,31 @@ func ScenarioNames() []string { return workload.ScenarioNames() }
 // ScenarioByName resolves a registered scenario.
 func ScenarioByName(name string) (Scenario, error) { return workload.ScenarioByName(name) }
 
-// NewPoisson returns a stationary Poisson arrival process.
-func NewPoisson(ratePerSec float64) ArrivalProcess { return workload.NewPoisson(ratePerSec) }
-
-// NewOnOff returns a bursty Markov-modulated on-off arrival process.
-func NewOnOff(burstRate, baseRate float64, meanBurst, meanLull Seconds) ArrivalProcess {
-	return workload.NewOnOff(burstRate, baseRate, meanBurst, meanLull)
+// NewPoisson returns a stationary Poisson arrival process; the rate must be
+// finite and positive.
+func NewPoisson(ratePerSec float64) (ArrivalProcess, error) {
+	return arrivals(workload.NewPoisson(ratePerSec))
 }
 
-// NewDiurnal returns a sinusoidal-rate arrival process.
-func NewDiurnal(base, amplitude float64, period Seconds) ArrivalProcess {
-	return workload.NewDiurnal(base, amplitude, period)
+// NewOnOff returns a bursty Markov-modulated on-off arrival process; rates
+// and dwells must be finite and positive.
+func NewOnOff(burstRate, baseRate float64, meanBurst, meanLull Seconds) (ArrivalProcess, error) {
+	return arrivals(workload.NewOnOff(burstRate, baseRate, meanBurst, meanLull))
+}
+
+// NewDiurnal returns a sinusoidal-rate arrival process; base and period must
+// be finite and positive, and the amplitude in [0, 1).
+func NewDiurnal(base, amplitude float64, period Seconds) (ArrivalProcess, error) {
+	return arrivals(workload.NewDiurnal(base, amplitude, period))
+}
+
+// arrivals hands a constructor's result through as an ArrivalProcess, nil
+// on error rather than a nil pointer boxed in the interface.
+func arrivals[P ArrivalProcess](p P, err error) (ArrivalProcess, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // NewTrace records a request stream as a replayable trace.

@@ -3,6 +3,7 @@ package papi
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -74,6 +75,20 @@ func TestFacadeConstructors(t *testing.T) {
 	}
 	if _, err := DatasetByName("general-qa"); err != nil {
 		t.Error(err)
+	}
+	// The arrival constructors hand their errors through; a rejected one
+	// returns a nil process, not a nil pointer boxed in the interface.
+	if p, err := NewPoisson(20); err != nil || p == nil {
+		t.Errorf("NewPoisson(20) = %v, %v", p, err)
+	}
+	if p, err := NewPoisson(math.NaN()); err == nil || p != nil {
+		t.Errorf("NewPoisson(NaN) = %v, %v; want nil and an error", p, err)
+	}
+	if p, err := NewOnOff(math.Inf(1), 2, 1, 1); err == nil || p != nil {
+		t.Errorf("NewOnOff(+Inf burst rate) = %v, %v; want nil and an error", p, err)
+	}
+	if p, err := NewDiurnal(12, 0.8, Seconds(math.Inf(1))); err == nil || p != nil {
+		t.Errorf("NewDiurnal(+Inf period) = %v, %v; want nil and an error", p, err)
 	}
 }
 
