@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/stats"
@@ -171,6 +172,9 @@ type scaler struct {
 	// Window accumulators, reset at each tick.
 	arrivals int
 	tpots    []float64
+	// stops lists the replicas whose power-off a phase deferred, in the
+	// order their steps ran (see flushStops).
+	stops []*Replica
 
 	lastAction units.Seconds
 	events     []ScaleEvent
@@ -193,6 +197,9 @@ func (s *scaler) observeStep(rep *Replica, info serving.StepInfo) {
 		}
 	}
 	if rep.state == repDraining && info.Completed > 0 && rep.stepper.Outstanding() == 0 {
+		if !rep.pendingStop {
+			s.stops = append(s.stops, rep)
+		}
 		rep.pendingStop = true
 		rep.pendStopAt = rep.stepper.Now()
 	}
@@ -206,23 +213,20 @@ func (s *scaler) stop(rep *Replica, at units.Seconds) {
 }
 
 // flushStops replays the power-off decisions a phase deferred, ordered by
-// power-off instant (ties by replica ID) — the time order of the steps
-// that made them.
+// power-off instant — the time order of the steps that made them. A phase
+// drives its replicas in ID order, so the stable sort breaks ties by
+// replica ID.
 func (s *scaler) flushStops() {
-	var due []*Replica
-	for _, rep := range s.run.reps {
-		if rep.pendingStop {
-			due = append(due, rep)
-		}
-	}
-	if len(due) == 0 {
+	if len(s.stops) == 0 {
 		return
 	}
-	sort.SliceStable(due, func(i, j int) bool { return due[i].pendStopAt < due[j].pendStopAt })
-	for _, rep := range due {
+	slices.SortStableFunc(s.stops, func(a, b *Replica) int { return cmp.Compare(a.pendStopAt, b.pendStopAt) })
+	for _, rep := range s.stops {
 		rep.pendingStop = false
 		s.stop(rep, rep.pendStopAt)
 	}
+	clear(s.stops)
+	s.stops = s.stops[:0]
 }
 
 func (s *scaler) record(ev ScaleEvent) { s.events = append(s.events, ev) }
@@ -252,6 +256,8 @@ func (s *scaler) tick(now units.Seconds) {
 	if r.err != nil {
 		return
 	}
+	// The tick reads every replica's clock and whether any is still armed.
+	r.syncAll()
 
 	// Windowed signals over the active set.
 	act, warming := 0, 0
@@ -322,6 +328,7 @@ func (s *scaler) tick(now units.Seconds) {
 			if r.err != nil || rep.state != repWarming {
 				return
 			}
+			r.syncAll()
 			rep.state = repActive
 			r.rebuildEligible()
 			s.record(ScaleEvent{At: liveNow, Action: ScaleLive, Replica: rep.ID, Active: len(r.eligible)})

@@ -9,9 +9,11 @@
 // Replicas advance through serving.Stepper under one barrier driver. The
 // internal/sim event kernel holds only fleet events — arrivals, follow-up
 // turns, autoscaler ticks, activations, fault edges, timeout deadlines and
-// retries — and each one is a barrier: before it fires, every replica with
-// work steps on its own up to the barrier instant, inline on the driver
-// goroutine in replica order. Same-instant kernel events fire FIFO and
+// retries — and each one is a barrier: before it fires, every replica that
+// could finish a request before the barrier instant steps on its own up to
+// it, inline on the driver goroutine in replica order, and an event that
+// reads more of a replica than its load signals first steps that replica
+// up to its instant (see wake.go). Same-instant kernel events fire FIFO and
 // before any replica step at that instant, so a fixed seed reproduces the
 // same fleet trace run-to-run.
 //
@@ -37,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -211,9 +214,13 @@ type Replica struct {
 
 	// scheduled says the replica has work and its next step is armed at
 	// nextStep. Steps never go on the kernel: the barrier driver advances
-	// every armed replica up to each barrier instead.
+	// each armed replica up to the barriers it could be observed at instead,
+	// filed at index slot of the run's wake heap (see wake.go).
 	scheduled bool
 	nextStep  units.Seconds
+	slot      int
+	// run is the fleet run the replica serves in; Now syncs through it.
+	run *fleetRun
 	// routed counts requests this replica received.
 	routed int
 	// agg streams this replica's completion latencies (fed by
@@ -272,8 +279,15 @@ func (r *Replica) KVHeadroom() units.Bytes {
 	return room
 }
 
-// Now reports the replica's engine-local clock.
-func (r *Replica) Now() units.Seconds { return r.stepper.Now() }
+// Now reports the replica's engine-local clock. A router or other caller
+// reading it mid-run gets the clock as of the current event: the replica is
+// first stepped up to the event instant if the driver had left it behind.
+func (r *Replica) Now() units.Seconds {
+	if r.run != nil {
+		r.run.sync(r)
+	}
+	return r.stepper.Now()
+}
 
 // Design names the hardware design this replica runs.
 func (r *Replica) Design() string { return r.design }
@@ -438,6 +452,10 @@ type fleetRun struct {
 	// retries, degradation windows); nil unless Options arm it, so
 	// fault-free runs take exactly the pre-fault code paths.
 	resil *resilience
+	// wakes holds the armed replicas by wake instant; due is advance's and
+	// syncAll's scratch list of the replicas they drive.
+	wakes wakeHeap
+	due   []*Replica
 }
 
 // newFleetRun builds the replica engines and the event kernel.
@@ -536,9 +554,12 @@ func (r *fleetRun) addReplica(bootAt, liveAt units.Seconds, state replicaState) 
 			return nil, err
 		}
 	}
-	rep := &Replica{ID: len(r.reps), design: bp.name, engine: eng, stepper: st,
+	rep := &Replica{ID: len(r.reps), design: bp.name, engine: eng, stepper: st, slot: -1, run: r,
 		state: state, bootAt: bootAt, liveAt: liveAt, agg: newFleetAggregate()}
 	r.reps = append(r.reps, rep)
+	if n := len(r.reps); cap(r.wakes) < n {
+		r.wakes = slices.Grow(r.wakes, n-len(r.wakes))
+	}
 	if r.resil != nil {
 		// A replica born inside a degradation window serves at the
 		// window's reduced bandwidth from its first iteration.
@@ -613,6 +634,13 @@ func (r *fleetRun) harvest(rep *Replica, info serving.StepInfo) {
 // recording a stream arrival — the failover path's re-injection, where the
 // request's original arrival is already on record.
 func (r *fleetRun) push(rep *Replica, req workload.Request, now units.Seconds) bool {
+	// Under a block store Push prices the resident prefix, which the
+	// replica's own steps change; and a request that arrived before now — a
+	// retry keeps its first arrival — is admissible at once, so the replica
+	// must not take it at a boundary it had left behind.
+	if kv := r.c.opt.Serving.KV; kv != nil && kv.Sharing || req.Arrival < now {
+		r.sync(rep)
+	}
 	if err := rep.stepper.Push(req); err != nil {
 		r.err = err
 		return false
@@ -628,8 +656,9 @@ func (r *fleetRun) push(rep *Replica, req workload.Request, now units.Seconds) b
 		// An idle replica's clock may lead the fleet clock (it committed
 		// its last iteration past this arrival); it can only take new work
 		// at its own boundary.
-		rep.scheduled, rep.nextStep = true, max(now, rep.Now())
+		rep.scheduled, rep.nextStep = true, max(now, rep.stepper.Now())
 	}
+	r.rearm(rep)
 	return true
 }
 
@@ -682,10 +711,11 @@ func (r *fleetRun) choose(req workload.Request) *Replica {
 
 // drain is the fleet driver: it runs the simulation to completion, the
 // same way for Run, RunSeq and RunPlan. Every kernel event is a barrier.
-// Before it fires, every armed replica, in replica order, advances alone up
-// to the barrier instant (steps strictly below it: events at the barrier
-// instant belong to the kernel and fire first) and is settled; then the
-// event fires.
+// Before it fires, every armed replica that could finish a request before
+// the barrier instant, in replica order, advances alone up to it (steps
+// strictly below it: events at the barrier instant belong to the kernel and
+// fire first) and is settled; then the event fires, syncing any replica it
+// reads more of (see wake.go).
 //
 // Two arguments make the phase sound, so that the result equals a
 // one-step-at-a-time walk in time order:
@@ -725,23 +755,33 @@ func (r *fleetRun) drain() {
 	}
 }
 
-// advance drives and settles every replica armed below the barrier, one
-// after another in replica order, then replays the phase's power-off
-// decisions. Settling a replica before the next one drives changes nothing
-// the next one reads: a drive touches only its own replica and the
-// conversations pinned to it, and settling writes only the run error, the
-// ledger entries of the replica's own requests and the kernel, none of
-// which a drive reads.
+// advance drives and settles every replica whose wake falls below the
+// barrier, one after another in replica order, then replays the phase's
+// power-off decisions. A replica armed below the barrier whose quiet bound
+// reaches it stays behind: nothing at the barrier can tell (see wake.go),
+// and a barrier of +Inf still runs every replica dry. Settling a replica
+// before the next one drives changes nothing the next one reads: a drive
+// touches only its own replica and the conversations pinned to it, and
+// settling writes only the run error, the ledger entries of the replica's
+// own requests and the kernel, none of which a drive reads.
 func (r *fleetRun) advance(barrier units.Seconds) {
-	drove := false
-	for _, rep := range r.reps {
-		if rep.scheduled && rep.nextStep < barrier {
-			r.driveReplica(rep, barrier)
-			r.settle(rep)
-			drove = true
-		}
+	due := r.due[:0]
+	for len(r.wakes) > 0 && r.wakes[0].wake < barrier {
+		rep := r.wakes[0].rep
+		r.wakes.remove(rep)
+		due = append(due, rep)
 	}
-	if drove && r.scaler != nil {
+	if len(due) == 0 {
+		return
+	}
+	slices.SortFunc(due, byID)
+	for _, rep := range due {
+		r.driveReplica(rep, barrier)
+		r.settle(rep)
+		r.rearm(rep)
+	}
+	r.due = due[:0]
+	if r.scaler != nil {
 		r.scaler.flushStops()
 	}
 }
@@ -790,15 +830,8 @@ func (r *fleetRun) settle(rep *Replica) {
 
 // stepsPending reports whether any replica still has an armed step. Steps
 // live outside the kernel, so the drain loop and the autoscaler's re-arm
-// check must ask here as well as kernel.Pending.
-func (r *fleetRun) stepsPending() bool {
-	for _, rep := range r.reps {
-		if rep.scheduled {
-			return true
-		}
-	}
-	return false
-}
+// check (which syncs first) must ask here as well as kernel.Pending.
+func (r *fleetRun) stepsPending() bool { return len(r.wakes) > 0 }
 
 // Run consumes the request stream to completion and returns fleet metrics:
 // it is RunSeq over a copy stably sorted by arrival, so simultaneous

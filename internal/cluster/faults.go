@@ -123,6 +123,7 @@ func (z *resilience) crash(idx int, now units.Seconds) {
 	if rep.state == repStopped || rep.state == repFailed {
 		return
 	}
+	r.sync(rep)
 	z.faults++
 	rep.state = repFailed
 	rep.stopAt = now
@@ -135,6 +136,9 @@ func (z *resilience) crash(idx int, now units.Seconds) {
 	for _, c := range rep.stepper.Fail() {
 		z.handleCasualty(c, now, "crash")
 	}
+	// With its work gone the stepper's bound falls to its clock: re-key it,
+	// so it drains at its next step, as armed.
+	r.rearm(rep)
 	if r.plan != nil {
 		r.plan.crashed(rep)
 	}
@@ -147,6 +151,7 @@ func (z *resilience) stragglerBegin(idx int, factor float64, now units.Seconds) 
 		return
 	}
 	z.faults++
+	r.sync(r.reps[idx])
 	z.slow[idx] = append(z.slow[idx], factor)
 	z.applyPerturb(r.reps[idx])
 }
@@ -156,6 +161,7 @@ func (z *resilience) stragglerEnd(idx int, factor float64, now units.Seconds) {
 	if r.err != nil || idx < 0 || idx >= len(r.reps) {
 		return
 	}
+	r.sync(r.reps[idx])
 	z.slow[idx] = removeFactor(z.slow[idx], factor)
 	z.applyPerturb(r.reps[idx])
 }
@@ -167,6 +173,7 @@ func (z *resilience) brownoutBegin(factor float64, now units.Seconds) {
 	if z.run.err != nil {
 		return
 	}
+	z.run.syncAll()
 	z.faults++
 	z.brownoutDepth++
 	z.attn = append(z.attn, factor)
@@ -177,6 +184,7 @@ func (z *resilience) brownoutEnd(factor float64, now units.Seconds) {
 	if z.run.err != nil {
 		return
 	}
+	z.run.syncAll()
 	z.brownoutDepth--
 	z.attn = removeFactor(z.attn, factor)
 	z.applyAll()
@@ -276,11 +284,14 @@ func (z *resilience) checkTimeout(id, attempt int, now units.Seconds) {
 	if t == nil || t.done || t.failed || t.attempts != attempt || t.rep == nil {
 		return
 	}
+	z.run.sync(t.rep)
 	c, ok, err := t.rep.stepper.Cancel(id)
 	if err != nil {
 		z.run.err = err
 		return
 	}
+	// A cancelled active request frees a slot the pending head may take.
+	z.run.rearm(t.rep)
 	if !ok {
 		return
 	}

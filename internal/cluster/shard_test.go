@@ -38,6 +38,9 @@ func referenceDrive(r *fleetRun) {
 		// A horizon at the step instant ends the window after one iteration.
 		r.stepReplica(rep, rep.nextStep)
 		r.settle(rep)
+		// Bookkeeping only: the wake heap tracks the armed set, which the
+		// autoscaler's re-arm check reads.
+		r.rearm(rep)
 		if r.scaler != nil {
 			r.scaler.flushStops()
 		}
@@ -210,6 +213,135 @@ func TestShardedMixedFleetMatchesSerial(t *testing.T) {
 	}
 	matchDrivers(t, "mixed", build, tieredStream(t, 64, 41), nil)
 	matchDrivers(t, "mixed plan", build, nil, chatPlan(t, 16, 41))
+}
+
+// clockRouter is a custom router that reads Replica.Now: each request goes
+// to the least-outstanding replica, ties to the earliest engine clock, then
+// to the lowest ID. It reads every eligible replica's clock on every call,
+// so the barrier driver must step each replica it left behind up to the
+// arrival before the router sees it.
+type clockRouter struct{}
+
+func (clockRouter) Name() string { return "clock" }
+
+func (clockRouter) Route(_ workload.Request, reps []*Replica) int {
+	best, bestNow := 0, reps[0].Now()
+	for i, rep := range reps[1:] {
+		now := rep.Now()
+		if o, bo := rep.Outstanding(), reps[best].Outstanding(); o < bo || o == bo && now < bestNow {
+			best, bestNow = i+1, now
+		}
+	}
+	return best
+}
+
+// TestShardedClockRouterMatchesSerial pins the driver equivalence claim for
+// a router outside the built-in set that reads the replicas' clocks, on
+// static and elastic fleets, open-loop and closed-loop, at TLP 1 and 4, and
+// under a fault plan with timeouts.
+func TestShardedClockRouterMatchesSerial(t *testing.T) {
+	slo := workload.SLO{TokenLatency: units.Milliseconds(8)}
+	windowPlan := &faults.Plan{Name: "windows", Faults: []faults.Fault{
+		{Kind: faults.KindStraggler, Replica: 1, At: 0.3, Factor: 2.5, Duration: 0.6},
+		{Kind: faults.KindBrownout, At: 0.7, Factor: 1.8, Duration: 0.4},
+		{Kind: faults.KindCrash, Replica: 2, At: 1.1},
+	}}
+	for _, tc := range []struct {
+		name      string
+		tlp       int
+		autoscale *AutoscaleOptions
+		plan      *faults.Plan
+		convs     bool
+	}{
+		{"static", 1, nil, nil, false},
+		{"autoscaled/tlp4", 4, DefaultAutoscale(1, 4, slo), nil, false},
+		{"plan", 1, nil, nil, true},
+		{"faults-timeout", 1, nil, windowPlan, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Cluster {
+				opt := Options{
+					Replicas:       3,
+					MaxBatch:       6,
+					Router:         clockRouter{},
+					Serving:        serving.DefaultOptions(tc.tlp),
+					Autoscale:      tc.autoscale,
+					RetainRequests: true,
+					RetainStream:   true,
+				}
+				if tc.autoscale != nil {
+					opt.Replicas = tc.autoscale.Min
+				}
+				if tc.plan != nil {
+					opt.Faults, opt.Retries, opt.Timeout = tc.plan, 1, units.Seconds(2)
+					opt.RetryBackoff = units.Seconds(0.05)
+				}
+				cl, err := NewByName("PAPI", model.OPT30B(), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cl
+			}
+			if tc.convs {
+				matchDrivers(t, tc.name, build, nil, chatPlan(t, 16, 23))
+				return
+			}
+			ref := matchDrivers(t, tc.name, build, tieredStream(t, 96, 23), nil)
+			if tc.plan != nil && ref.Faults == 0 {
+				t.Fatal("fault plan never fired: the equivalence pin is vacuous")
+			}
+		})
+	}
+}
+
+// pinRouter sends the requests it names to fixed replicas and routes the
+// rest least-outstanding.
+type pinRouter map[int]int
+
+func (pinRouter) Name() string { return "pin" }
+
+func (p pinRouter) Route(req workload.Request, reps []*Replica) int {
+	if i, ok := p[req.ID]; ok {
+		return i
+	}
+	return LeastOutstanding().Route(req, reps)
+}
+
+// TestShardedCancelFreesSlotMatchesSerial pins the one way a stepper's
+// quiet bound can move earlier without a push: a timeout cancels an active
+// request of a full batch, the queued request that takes its slot finishes
+// in its first iteration, and a later arrival must see that completion in
+// the replica's outstanding count, which decides where it is routed. The
+// driver must re-key the replica after the cancellation.
+func TestShardedCancelFreesSlotMatchesSerial(t *testing.T) {
+	reqs := []workload.Request{
+		{ID: 0, InputLen: 64, OutputLen: 500, Arrival: 0},    // times out at 0.1
+		{ID: 1, InputLen: 64, OutputLen: 500, Arrival: 0.05}, // fills the batch
+		{ID: 2, InputLen: 64, OutputLen: 1, Arrival: 0.06},   // queued; takes the freed slot
+		{ID: 3, InputLen: 64, OutputLen: 500, Arrival: 0.09}, // replica 1's load
+		{ID: 4, InputLen: 64, OutputLen: 8, Arrival: 0.12},   // routed on the two loads
+	}
+	build := func() *Cluster {
+		cl, err := NewByName("PAPI", model.OPT30B(), Options{
+			Replicas:       2,
+			MaxBatch:       2,
+			Router:         pinRouter{0: 0, 1: 0, 2: 0, 3: 1},
+			Serving:        serving.DefaultOptions(1),
+			Timeout:        units.Seconds(0.1),
+			RetainRequests: true,
+			RetainStream:   true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	ref := matchDrivers(t, "cancel-frees-slot", build, reqs, nil)
+	// Request 2's completion ties the loads, so request 4 goes to replica 0;
+	// otherwise the scenario does not exercise the re-key.
+	if want := []int{4, 1}; !reflect.DeepEqual(ref.Routed, want) {
+		t.Fatalf("reference routed %v, want %v: the freed slot no longer decides the routing", ref.Routed, want)
+	}
 }
 
 // TestShardedFaultsMatchSerial extends the equivalence pin to fault-injected
@@ -541,17 +673,20 @@ func TestVacuousScores(t *testing.T) {
 // per-attempt timeouts, so barrier-scheduled failure events are fuzzed
 // against the reference failure trace.
 func FuzzShardedEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(2), false, uint8(0), uint8(0), false, false)
-	f.Add(int64(7), uint8(40), uint8(3), true, uint8(0), uint8(0), false, false)
-	f.Add(int64(23), uint8(8), uint8(1), false, uint8(0), uint8(0), false, false)
-	f.Add(int64(31), uint8(48), uint8(3), false, uint8(3), uint8(40), true, false)
-	f.Add(int64(11), uint8(32), uint8(2), true, uint8(7), uint8(90), false, false)
-	f.Add(int64(5), uint8(24), uint8(2), false, uint8(0), uint8(0), false, true)
-	f.Add(int64(13), uint8(40), uint8(3), true, uint8(1), uint8(60), false, true)
-	f.Add(int64(17), uint8(32), uint8(3), false, uint8(6), uint8(20), true, true)
-	f.Add(int64(19), uint8(20), uint8(2), true, uint8(3), uint8(75), true, true)
+	f.Add(int64(1), uint8(16), uint8(2), false, uint8(0), uint8(0), false, false, false)
+	f.Add(int64(7), uint8(40), uint8(3), true, uint8(0), uint8(0), false, false, false)
+	f.Add(int64(23), uint8(8), uint8(1), false, uint8(0), uint8(0), false, false, false)
+	f.Add(int64(31), uint8(48), uint8(3), false, uint8(3), uint8(40), true, false, false)
+	f.Add(int64(11), uint8(32), uint8(2), true, uint8(7), uint8(90), false, false, false)
+	f.Add(int64(5), uint8(24), uint8(2), false, uint8(0), uint8(0), false, true, false)
+	f.Add(int64(13), uint8(40), uint8(3), true, uint8(1), uint8(60), false, true, false)
+	f.Add(int64(17), uint8(32), uint8(3), false, uint8(6), uint8(20), true, true, false)
+	f.Add(int64(19), uint8(20), uint8(2), true, uint8(3), uint8(75), true, true, false)
+	f.Add(int64(29), uint8(40), uint8(3), false, uint8(0), uint8(0), false, false, true)
+	f.Add(int64(37), uint8(48), uint8(3), true, uint8(3), uint8(40), true, false, true)
+	f.Add(int64(41), uint8(32), uint8(2), false, uint8(2), uint8(30), true, true, true)
 	f.Fuzz(func(t *testing.T, seed int64, n, replicas uint8, elastic bool,
-		fault, faultAt uint8, timeout, plan bool) {
+		fault, faultAt uint8, timeout, plan, clock bool) {
 
 		nreq := int(n%64) + 1
 		reps := int(replicas%4) + 1
@@ -594,6 +729,9 @@ func FuzzShardedEquivalence(f *testing.F) {
 				Faults:         faultPlan,
 				RetainRequests: true,
 				RetainStream:   true,
+			}
+			if clock {
+				opt.Router = clockRouter{}
 			}
 			if faultPlan != nil {
 				opt.Retries = 1

@@ -107,6 +107,30 @@ func (l *Ledger) AddSlot(s Slot, j units.Joules) {
 	l.charged[s] = true
 }
 
+// Slot returns a standard component's accumulated energy by its slot.
+func (l *Ledger) Slot(s Slot) units.Joules { return l.std[s] }
+
+// SetSlot stores a running total that a caller built from Slot with Charge
+// — the serving engine keeps a decode window's totals in locals — and marks
+// the slot charged, as the AddSlot calls it replaces would have. Only a
+// slot that took at least one charge may be stored back.
+func (l *Ledger) SetSlot(s Slot, total units.Joules) {
+	l.std[s] = total
+	l.charged[s] = true
+}
+
+// Charge returns total + j: one AddSlot charge applied to a running total
+// kept outside the ledger (see SetSlot). As with AddSlot, a negative charge
+// panics.
+//
+//papivet:noalloc
+func Charge(total, j units.Joules) units.Joules {
+	if j < 0 {
+		panic("energy: negative charge")
+	}
+	return total + j
+}
+
 // addSlow handles the non-standard-component and negative-charge cases.
 func (l *Ledger) addSlow(c Component, j units.Joules) {
 	if j < 0 {

@@ -10,7 +10,6 @@ package gpu
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/papi-sim/papi/internal/units"
 )
@@ -106,7 +105,7 @@ type Result struct {
 func (n *Node) Execute(flops units.FLOPs, bytes units.Bytes) Result {
 	ct := float64(flops) / float64(n.ComputeRate())
 	mt := float64(bytes) / float64(n.MemBW())
-	t := math.Max(ct, mt) + float64(n.Spec.LaunchLatency)
+	t := max(ct, mt) + float64(n.Spec.LaunchLatency)
 	return Result{
 		Time:         units.Seconds(t),
 		Energy:       units.Joules(float64(n.Spec.ActivePower) * float64(n.Count) * t),

@@ -248,7 +248,7 @@ func (d *Device) Execute(k Kernel, active int) Result {
 	// (post-reuse) traffic.
 	computeTime := float64(k.Flops) / computeRate
 	dramTime := unique / supplyBW
-	t := math.Max(computeTime, dramTime)
+	t := max(computeTime, dramTime)
 
 	// Dynamic power at the achieved rates.
 	dramPJ := unique * d.Energy.DRAMAccessPJB
@@ -283,47 +283,85 @@ func (d *Device) Execute(k Kernel, active int) Result {
 }
 
 // ExecuteAttention prices an attention-class kernel with the exact
-// arithmetic of Execute, specialised to the observables the serving fast
-// path consumes per decoding iteration: time, total energy and the throttle
-// flag. Attention kernels take neither the FC compute derate nor the
-// weight-re-streaming penalty, so both branches constant-fold away; skipping
-// the full Breakdown construction matters on a path called once per
-// simulated iteration. A test pins bit-identical agreement with Execute.
+// arithmetic of Execute, specialised to the observables the serving engine
+// consumes per decoding iteration: time, total energy and the throttle
+// flag. It folds an AttentionPricer and prices one kernel on it; a test pins
+// bit-identical agreement with Execute.
+func (d *Device) ExecuteAttention(flops units.FLOPs, unique units.Bytes, active int) (units.Seconds, units.Joules, bool) {
+	var p AttentionPricer
+	p.Fold(d, active)
+	return p.Price(flops, unique)
+}
+
+// AttentionPricer is ExecuteAttention with the active-device count folded
+// in: the pool's compute rate and stream bandwidth, the governor's budget
+// and the static draw for that many devices, and the per-byte energy sum.
+// Attention kernels take neither the FC compute derate nor the
+// weight-re-streaming penalty, so both branches constant-fold away. A
+// serving decode window fixes the count (its RLP sets the devices in use),
+// so it folds one pricer per window and pays only the roofline itself per
+// iteration. Every folded term is a product Execute also forms, in the same
+// order, so prices stay bit-identical to Execute.
+type AttentionPricer struct {
+	computeRate float64 // FLOP/s over the active devices; 1 B consumed per FLOP
+	supplyBW    float64 // B/s from DRAM over the active devices
+	dramPJB     float64
+	transferPJB float64
+	computePJB  float64
+	flowPJB     float64 // transferPJB + computePJB
+	governor    bool
+	budget      float64 // W over the active devices
+	overhead    float64 // s per kernel invocation
+	staticW     float64 // standby W over the active devices
+}
+
+// Fold sets p to price attention kernels on up to active devices of d (0 or
+// >Count means all). It writes p in place, field by field: the serving
+// engine folds one per decode window, and returning the struct would copy
+// it through memory.
 //
 //papivet:noalloc
-func (d *Device) ExecuteAttention(flops units.FLOPs, unique units.Bytes, active int) (units.Seconds, units.Joules, bool) {
+func (p *AttentionPricer) Fold(d *Device, active int) {
 	if active <= 0 || active > d.Count {
 		active = d.Count
 	}
 	n := float64(active)
-	computeRate := n * float64(d.Stack.ComputeRate())
-	supplyBW := n * float64(d.Stack.StreamBW())
-	u := float64(unique)
+	p.computeRate = n * float64(d.Stack.ComputeRate())
+	p.supplyBW = n * float64(d.Stack.StreamBW())
+	p.dramPJB = d.Energy.DRAMAccessPJB
+	p.transferPJB = d.Energy.TransferPJB
+	p.computePJB = d.Energy.ComputePJB
+	p.flowPJB = d.Energy.TransferPJB + d.Energy.ComputePJB
+	p.governor = d.Governor
+	p.budget = d.BudgetW * n
+	p.overhead = float64(d.KernelOverhead)
+	p.staticW = float64(d.Energy.StaticW) * n
+}
 
-	computeTime := float64(flops) / computeRate
-	dramTime := u / supplyBW
-	t := math.Max(computeTime, dramTime)
+// Price returns one attention kernel's time, total energy and throttle
+// flag.
+//
+//papivet:noalloc
+func (p *AttentionPricer) Price(flops units.FLOPs, unique units.Bytes) (units.Seconds, units.Joules, bool) {
+	f, u := float64(flops), float64(unique)
+	t := max(f/p.computeRate, u/p.supplyBW)
 
-	dramPJ := u * d.Energy.DRAMAccessPJB
-	flowPJ := float64(flops) * (d.Energy.TransferPJB + d.Energy.ComputePJB)
-	power := (dramPJ + flowPJ) * 1e-12 / t
+	dramPJ := u * p.dramPJB
+	power := (dramPJ + f*p.flowPJB) * 1e-12 / t
 
 	throttled := false
-	if d.Governor {
-		budget := d.BudgetW * n
-		if power > budget {
-			t *= power / budget
-			throttled = true
-		}
+	if p.governor && power > p.budget {
+		t *= power / p.budget
+		throttled = true
 	}
 
-	t += float64(d.KernelOverhead)
+	t += p.overhead
 	// Summed in Breakdown.Total's order: DRAM access, transfer, compute,
 	// static.
 	total := units.Joules(dramPJ*1e-12) +
-		units.Joules(float64(flops)*d.Energy.TransferPJB*1e-12) +
-		units.Joules(float64(flops)*d.Energy.ComputePJB*1e-12) +
-		units.Joules(float64(d.Energy.StaticW)*n*t)
+		units.Joules(f*p.transferPJB*1e-12) +
+		units.Joules(f*p.computePJB*1e-12) +
+		units.Joules(p.staticW*t)
 	return units.Seconds(t), total, throttled
 }
 

@@ -33,29 +33,18 @@ type draftPrice struct {
 	onGPU  bool
 }
 
-// attnCost is one priced attention phase: the attention-pool execution time
-// (including per-layer kernel overheads), its energy, the throttle flag, and
-// the per-iteration Q/K/V + context traffic on the attention fabric. It is a
-// pure function of (TLP, ΣkvLen, RLP) — the incremental key of
-// model.AttentionKernelSum — which is what lets Engine.priceAttn compute
-// it in closed form from the stepper's running ΣkvLen.
-type attnCost struct {
-	time       units.Seconds
-	energy     units.Joules
-	throttled  bool
-	commTime   units.Seconds
-	commEnergy units.Joules
-}
-
-// memoFC returns slot n of an engine's fcCost memo, growing the slice and
-// filling the slot from miss on first demand. The memo belongs to one engine
+// memoFC returns a pointer to slot n of an engine's fcCost memo, growing
+// the slice and filling the slot from miss on first demand. The pointer is
+// valid only until the memo next grows, so callers copy the fields they need
+// at once; reading them through the slot also spares the wide struct copy a
+// by-value return makes (see priceWindow). The memo belongs to one engine
 // and is read and written only by the goroutine stepping it, so it needs no
 // lock; a fresh pricing costs well under a microsecond, so each engine
 // pricing its own (placement, n) kernels once is cheaper than sharing a
 // locked table across engines.
-func memoFC(costs *[]fcCost, n int, miss func(int) fcCost) fcCost {
+func memoFC(costs *[]fcCost, n int, miss func(int) fcCost) *fcCost {
 	if n < len(*costs) && (*costs)[n].valid {
-		return (*costs)[n]
+		return &(*costs)[n]
 	}
 	c := miss(n)
 	if n >= len(*costs) {
@@ -64,7 +53,7 @@ func memoFC(costs *[]fcCost, n int, miss func(int) fcCost) fcCost {
 		*costs = grown
 	}
 	(*costs)[n] = c
-	return c
+	return &(*costs)[n]
 }
 
 // Pricing primitives ---------------------------------------------------------
@@ -120,12 +109,12 @@ func (e *Engine) draftPriceFresh() draftPrice {
 }
 
 // fcCostPU returns the (memoized) GPU FC pricing for n.
-func (e *Engine) fcCostPU(n int) fcCost {
+func (e *Engine) fcCostPU(n int) *fcCost {
 	return memoFC(&e.puCache, n, e.fcPricePU)
 }
 
 // fcCostPIM returns the (memoized) FC-PIM pricing for n.
-func (e *Engine) fcCostPIM(n int) fcCost {
+func (e *Engine) fcCostPIM(n int) *fcCost {
 	return memoFC(&e.pimCache, n, e.fcPricePIM)
 }
 
@@ -137,67 +126,84 @@ func (e *Engine) draftMemoized() draftPrice {
 	return e.draftCache
 }
 
-// iterPrice is one decoding iteration's pricing: the FC phase on its
-// placement, the attention phase and, with speculation, the draft model.
-type iterPrice struct {
-	fc    fcCost
-	onPU  bool // the FC phase runs on the GPU pool, not on FC-PIM
-	attn  attnCost
-	draft draftPrice
+// windowPrice is a decode window's pricing: every term RLP, TLP and the FC
+// placement fix, priced once per window by priceWindow, plus the attention
+// roofline for the window's device count, which attnAt completes per
+// iteration from ΣkvLen, the one input that moves inside a window. Every
+// input is memoized or closed-form: the FC and draft kernels come from the
+// engine's memo, and the attention kernel is model.AttentionKernelSum's
+// closed form in ΣkvLen against the engine-hoisted coefficients, priced on
+// one PIM device per head per request (up to the pool), plus, per layer, the
+// Q/K/V vectors to the attention devices and the context back (§6.3's
+// byte-level traffic). The result is bit-identical to re-deriving every
+// kernel from the per-request KV lengths on every iteration — memoized
+// pricing is pure, and the folded coefficients are exact-integer products —
+// which the pricing property tests pin per design, model, TLP and
+// placement, over windows of several iterations.
+type windowPrice struct {
+	// onPU reports that the FC phase runs on the GPU pool, not on FC-PIM.
+	onPU bool
+	// The FC phase: its critical-path time, the executing pool's energy,
+	// the PU-fabric transfer energy (FC-PIM placement only) and whether the
+	// PIM power governor stretched it.
+	fcTime      units.Seconds
+	fcEnergy    units.Joules
+	fcLink      units.Joules
+	fcThrottled bool
+	// attn prices the attention kernel on the window's devices; commTime and
+	// commEnergy are its per-iteration attention-fabric traffic.
+	attn       pim.AttentionPricer
+	commTime   units.Seconds
+	commEnergy units.Joules
+	// otherTime is the fixed per-iteration overhead plus, with speculation,
+	// the visible draft time; draftEnergy is charged to the GPU pool when
+	// draftOnGPU, else to FC-PIM.
+	otherTime   units.Seconds
+	draftEnergy units.Joules
+	draftOnGPU  bool
 }
 
-// A decode window prices its iterations in two parts, the split that lets
-// it hoist everything RLP, TLP and placement fix out of its loop:
-// priceWindow fills the FC phase, the attention link transfer and the draft
-// model once per window, and priceAttn the attention kernel, the one term
-// that moves with ΣkvLen, once per iteration. Every input is memoized or
-// closed-form: the FC and draft kernels come from the engine's memo, and the
-// attention kernel is model.AttentionKernelSum's closed form in ΣkvLen
-// against the engine-hoisted coefficients, priced through
-// pim.ExecuteAttention on one PIM device per head per request (up to the
-// pool), plus, per layer, the Q/K/V vectors to the attention devices and the
-// context back (§6.3's byte-level traffic). The result is bit-identical to
-// re-deriving every kernel from the per-request KV lengths on every
-// iteration — memoized pricing is pure, and the folded coefficients are
-// exact-integer products — which the pricing property tests pin per design,
-// model, TLP and placement, over windows of several iterations.
-//
-// Both write through a pointer, field by field, rather than return a
-// struct: a struct result or composite literal makes the compiler assemble
-// the struct in a stack temporary and copy it with wide loads that cannot be
-// forwarded from the narrow field stores, a stall that cost the fleet
-// benchmarks 5–10 % of their CPU time on a 2-vCPU x86-64 VM.
-
-// priceWindow fills p's fixed terms for a window at rlp active requests
-// with the FC phase on the GPU pool (onPU) or on the FC-PIM pool.
+// priceWindow fills p for a window at rlp active requests with the FC phase
+// on the GPU pool (onPU) or on the FC-PIM pool. It writes through a pointer,
+// field by field, rather than return a struct: a struct result or composite
+// literal makes the compiler assemble the struct in a stack temporary and
+// copy it with wide loads that cannot be forwarded from the narrow field
+// stores, a stall that cost the fleet benchmarks 5–10 % of their CPU time on
+// a 2-vCPU x86-64 VM.
 //
 //papivet:noalloc
-func (e *Engine) priceWindow(p *iterPrice, rlp int, onPU bool) {
+func (e *Engine) priceWindow(p *windowPrice, rlp int, onPU bool) {
+	var fc *fcCost
 	if n := rlp * e.Opt.TLP; onPU {
-		p.fc = e.fcCostPU(n)
+		fc = e.fcCostPU(n)
 	} else {
-		p.fc = e.fcCostPIM(n)
+		fc = e.fcCostPIM(n)
 	}
 	p.onPU = onPU
+	p.fcTime, p.fcEnergy, p.fcLink, p.fcThrottled = fc.time, fc.energy, fc.linkEnergy, fc.throttled
+	p.attn.Fold(e.Sys.AttnPIM, min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
 	tr := e.Sys.AttnLink.Send(units.Bytes(float64(rlp) * e.attnActTerm))
-	p.attn.commTime = tr.Time.Scale(e.layersF)
-	p.attn.commEnergy = tr.Energy.Scale(e.layersF)
+	p.commTime = tr.Time.Scale(e.layersF)
+	p.commEnergy = tr.Energy.Scale(e.layersF)
+	p.otherTime = e.otherBase
 	if e.Opt.TLP > 1 {
-		p.draft = e.draftMemoized()
+		// Drafting (§2.2.2): the part of the serial draft time not hidden
+		// under the previous iteration's verification.
+		d := e.draftMemoized()
+		serial := d.per.Seconds() * float64(e.Opt.TLP)
+		p.otherTime += units.Seconds(serial * (1 - e.Opt.DraftOverlap))
+		p.draftEnergy, p.draftOnGPU = d.energy, d.onGPU
 	}
 }
 
-// priceAttn fills a's attention-kernel execution for one iteration at rlp
-// active requests holding kvSum = ΣkvLen tokens of KV state.
+// attnAt prices one iteration's attention kernel, at kvSum = ΣkvLen tokens
+// of KV state, on the window's devices: its time, including the remaining
+// per-layer kernel overheads, its energy and the throttle flag.
 //
 //papivet:noalloc
-func (e *Engine) priceAttn(a *attnCost, rlp, kvSum int) {
+func (e *Engine) attnAt(p *windowPrice, kvSum int) (units.Seconds, units.Joules, bool) {
 	h := float64(e.Cfg.Hidden)
 	l := float64(kvSum)
-	attnFlops := e.attnFlopsCoef * l * h
-	attnKV := 4 * l * h
-	a.time, a.energy, a.throttled = e.Sys.AttnPIM.ExecuteAttention(
-		units.FLOPs(attnFlops*e.layersF), units.Bytes(attnKV*e.layersF),
-		min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
-	a.time += e.attnOvh
+	t, j, throttled := p.attn.Price(units.FLOPs(e.attnFlopsCoef*l*h*e.layersF), units.Bytes(4*l*h*e.layersF))
+	return t + e.attnOvh, j, throttled
 }

@@ -3,7 +3,6 @@ package serving
 import (
 	"fmt"
 
-	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
 
@@ -31,31 +30,6 @@ func (p Perturbation) active() bool { return p.Slow > 1 || p.Attn > 1 }
 func (s *Stepper) SetPerturbation(p Perturbation) {
 	s.perturb = p
 	s.perturbed = p.active()
-}
-
-// stretch prices the active perturbation onto one just-priced iteration:
-// the attention and communication deltas of this iteration scale by Attn,
-// then the whole stretched iteration scales by Slow, with the straggler
-// surcharge booked under Other (it is node slowness, not a kernel). pre is
-// the Result breakdown snapshotted before the iteration ran. First-order
-// model: the surcharge is time only — no extra device energy is charged for
-// it, though host energy grows with the longer makespan.
-func (s *Stepper) stretch(it *IterationStat, pre TimeBreakdown) {
-	var extra units.Seconds
-	if f := s.perturb.Attn; f > 1 {
-		ea := (s.res.Breakdown.Attention - pre.Attention).Scale(f - 1)
-		ec := (s.res.Breakdown.Communication - pre.Communication).Scale(f - 1)
-		s.res.Breakdown.Attention += ea
-		s.res.Breakdown.Communication += ec
-		extra += ea + ec
-	}
-	if f := s.perturb.Slow; f > 1 {
-		es := (it.Time + extra).Scale(f - 1)
-		s.res.Breakdown.Other += es
-		extra += es
-	}
-	it.Time += extra
-	s.res.DecodeTime += extra
 }
 
 // Casualty is one request lost from a stepper by a crash (Fail) or a

@@ -8,25 +8,36 @@ import (
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/pim"
+	"github.com/papi-sim/papi/internal/units"
 )
 
 // The pricing property is one half of the decode path's contract (the
 // window matrix in window_test.go is the other): a window priced the way the
-// decode loop prices it — Engine.priceWindow once, from memoized FC and
-// draft kernels, then Engine.priceAttn per iteration, from the attention
-// kernel's closed form in ΣkvLen — must be bit-identical, iteration by
-// iteration, to priceFresh, which re-derives every kernel from the
-// per-request KV lengths on every call. Together the two imply that a
-// free-running Stepper equals one that re-prices every iteration from
-// scratch.
+// charging kernel (Stepper.charge) prices it — Engine.priceWindow once, from
+// memoized FC and draft kernels, then Engine.attnAt per iteration, from the
+// attention kernel's closed form in ΣkvLen on the window's hoisted
+// roofline — must be bit-identical, iteration by iteration, to priceFresh,
+// which re-derives every kernel from the per-request KV lengths on every
+// call. Together the two imply that a free-running Stepper equals one that
+// re-prices every iteration from scratch.
+
+// freshPrice is one iteration's price as the kernel consumes it: the
+// window's fixed terms (window, with its attention pricer left zero) and the
+// attention kernel's time, energy and throttle flag.
+type freshPrice struct {
+	window        windowPrice
+	attnTime      units.Seconds
+	attnEnergy    units.Joules
+	attnThrottled bool
+}
 
 // priceFresh is the reference pricing: it rebuilds the attention kernel
-// from a freshly allocated per-request KV-length slice and re-prices the FC
-// and draft kernels from scratch. Attention runs on the disaggregated pool
-// with one PIM device per head per request (up to the pool), plus, per
-// layer, the Q/K/V vectors to the attention devices and the context back
-// (§6.3's byte-level traffic).
-func priceFresh(e *Engine, active []*request, onPU bool) iterPrice {
+// from a freshly allocated per-request KV-length slice and prices it with
+// the pool's full Execute, and re-prices the FC and draft kernels from
+// scratch. Attention runs on the disaggregated pool with one PIM device per
+// head per request (up to the pool), plus, per layer, the Q/K/V vectors to
+// the attention devices and the context back (§6.3's byte-level traffic).
+func priceFresh(e *Engine, active []*request, onPU bool) freshPrice {
 	rlp := len(active)
 	kvLens := make([]int, rlp)
 	for i, r := range active {
@@ -41,21 +52,27 @@ func priceFresh(e *Engine, active []*request, onPU bool) iterPrice {
 		UniqueBytes: attnLayer.KVBytes.Scale(layers),
 	}, min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
 	tr := e.Sys.AttnLink.Send(attnLayer.ActivationBytes)
-	attn := attnCost{
-		time:       a.Time + e.Sys.AttnPIM.KernelOverhead.Scale(layers-1),
-		energy:     a.Energy.Total(),
-		throttled:  a.Throttled,
-		commTime:   tr.Time.Scale(layers),
-		commEnergy: tr.Energy.Scale(layers),
+	p := freshPrice{
+		attnTime:      a.Time + e.Sys.AttnPIM.KernelOverhead.Scale(layers-1),
+		attnEnergy:    a.Energy.Total(),
+		attnThrottled: a.Throttled,
 	}
-	p := iterPrice{attn: attn, onPU: onPU}
+	w := &p.window
+	var fc fcCost
 	if n := rlp * e.Opt.TLP; onPU {
-		p.fc = e.fcPricePU(n)
+		fc = e.fcPricePU(n)
 	} else {
-		p.fc = e.fcPricePIM(n)
+		fc = e.fcPricePIM(n)
 	}
+	w.onPU = onPU
+	w.fcTime, w.fcEnergy, w.fcLink, w.fcThrottled = fc.time, fc.energy, fc.linkEnergy, fc.throttled
+	w.commTime = tr.Time.Scale(layers)
+	w.commEnergy = tr.Energy.Scale(layers)
+	w.otherTime = e.otherBase
 	if e.Opt.TLP > 1 {
-		p.draft = e.draftPriceFresh()
+		d := e.draftPriceFresh()
+		w.otherTime += units.Seconds(d.per.Seconds() * float64(e.Opt.TLP) * (1 - e.Opt.DraftOverlap))
+		w.draftEnergy, w.draftOnGPU = d.energy, d.onGPU
 	}
 	return p
 }
@@ -141,21 +158,23 @@ func randomActive(rng *rand.Rand, rlp int) []*request {
 	return active
 }
 
-// checkPricing prices one window the way the decode loop does — its fixed
-// terms once, then the attention kernel per iteration into the same
-// iterPrice — over one iteration per active set (all of one RLP), and
-// compares every iteration's price against priceFresh.
+// checkPricing prices one window the way the charging kernel does — its
+// fixed terms once, then the attention kernel per iteration against the
+// same window price — over one iteration per active set (all of one RLP),
+// and compares every iteration's price against priceFresh.
 func checkPricing(t *testing.T, c pricingCase, iters ...[]*request) {
 	t.Helper()
 	rlp := len(iters[0])
-	var got iterPrice
-	c.eng.priceWindow(&got, rlp, c.onPU)
+	var p windowPrice
+	c.eng.priceWindow(&p, rlp, c.onPU)
 	for _, active := range iters {
 		kvSum := 0
 		for _, r := range active {
 			kvSum += r.contextLen()
 		}
-		c.eng.priceAttn(&got.attn, rlp, kvSum)
+		got := freshPrice{window: p}
+		got.window.attn = pim.AttentionPricer{}
+		got.attnTime, got.attnEnergy, got.attnThrottled = c.eng.attnAt(&p, kvSum)
 		if want := priceFresh(c.eng, active, c.onPU); got != want {
 			t.Fatalf("%s RLP=%d ΣkvLen=%d: memoized pricing diverged from fresh\n got  %+v\n want %+v",
 				c.name, rlp, kvSum, got, want)
@@ -166,8 +185,8 @@ func checkPricing(t *testing.T, c pricingCase, iters ...[]*request) {
 // TestPricingMatchesFresh pins the pricing property on random active sets
 // for every design, model, TLP and placement. Each engine prices two
 // two-iteration windows per RLP draw, so both the cold (memo miss) and the
-// warm (memo hit) slot are compared, and so is an attention price written
-// over the previous iteration's.
+// warm (memo hit) slot are compared, and so is a second iteration priced on
+// the same window's roofline.
 func TestPricingMatchesFresh(t *testing.T) {
 	cases := pricingCases(t)
 	rng := rand.New(rand.NewSource(5))

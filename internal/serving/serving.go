@@ -201,13 +201,13 @@ type Engine struct {
 	// assertion per iteration; both are constants of the engine).
 	otherBase units.Seconds
 
-	// Constants of the fused iteration (priceWindow, priceAttn and
-	// runIteration), hoisted at construction. Every one is a product of
-	// integer-valued floats far below 2⁵³, so folding them does not change
-	// any result bit: layersF is the layer count, attnOvh the per-iteration
-	// attention kernel overheads, attnFlopsCoef/attnActTerm the per-ΣkvLen /
-	// per-request attention-kernel coefficients, and *W the idle/standby
-	// power products.
+	// Constants of the decode window's pricing and charging (priceWindow,
+	// attnAt and Stepper.charge), hoisted at construction. Every one is a
+	// product of integer-valued floats far below 2⁵³, so folding them does
+	// not change any result bit: layersF is the layer count, attnOvh the
+	// per-iteration attention kernel overheads, attnFlopsCoef/attnActTerm
+	// the per-ΣkvLen / per-request attention-kernel coefficients, and *W
+	// the idle/standby power products.
 	layersF       float64
 	attnOvh       units.Seconds
 	attnFlopsCoef float64
@@ -348,91 +348,6 @@ func (e *Engine) runPrefill(inputs []int, res *Result) units.Seconds {
 	res.Throttled = res.Throttled || p.Throttled
 	res.Energy.Add(energy.FCPIM, p.Energy.Total())
 	return p.Time
-}
-
-// runIteration prices the attention kernel of one decoding iteration of rlp
-// active requests holding kvSum = ΣkvLen tokens of KV state into p, whose
-// window terms the caller priced (see priceWindow), charges the iteration,
-// and returns its trace entry; the caller fills Tokens from the committed
-// count. Iteration structure (per layer, serialised): FC(QKV) → link to
-// Attn-PIM → attention → link back → FC(projection+FFN); all-layer work is
-// aggregated into closed forms since layers are identical.
-//
-//papivet:noalloc
-func (e *Engine) runIteration(p *iterPrice, rlp, kvSum int, ev sched.Event, res *Result) IterationStat {
-	e.priceAttn(&p.attn, rlp, kvSum)
-	fc, attn := &p.fc, &p.attn
-
-	// --- FC phase (QKV + projection + FFN over all layers).
-	gpuBusy := units.Seconds(0)
-	if p.onPU {
-		gpuBusy = fc.time
-		res.Energy.AddSlot(energy.SlotGPUActive, fc.energy)
-	} else {
-		res.Throttled = res.Throttled || fc.throttled
-		res.Energy.AddSlot(energy.SlotFCPIM, fc.energy)
-		// Activations cross the PU fabric to reach the FC-PIM stacks.
-		res.Energy.AddSlot(energy.SlotInterconnect, fc.linkEnergy)
-	}
-
-	// --- Attention phase on the attention PIM pool (always), then the
-	// communication: per layer, Q/K/V vectors to the disaggregated attention
-	// devices and the context back (§6.3's byte-level traffic).
-	res.Throttled = res.Throttled || attn.throttled
-	res.Energy.AddSlot(energy.SlotAttnPIM, attn.energy)
-	res.Energy.AddSlot(energy.SlotInterconnect, attn.commEnergy)
-
-	// --- Other: draft-model drafting (§2.2.2) plus sampling/gather and the
-	// policy's decision latency (otherBase).
-	otherTime := e.otherBase
-	if e.Opt.TLP > 1 {
-		otherTime += e.chargeDraft(p.draft, res)
-	}
-
-	iterTime := fc.time + attn.time + attn.commTime + otherTime
-
-	// Idle energy: GPUs idle whenever they are not running FC; PIM pools
-	// draw standby power across the whole iteration outside their busy window.
-	if e.Sys.HasGPU() {
-		if idle := iterTime - gpuBusy; idle > 0 {
-			res.Energy.AddSlot(energy.SlotGPUIdle, e.gpuIdleW.Energy(idle))
-		}
-	}
-	if e.Sys.FCPIM != nil {
-		if idle := iterTime - fc.time; idle > 0 {
-			res.Energy.AddSlot(energy.SlotFCPIM, e.fcStandbyW.Energy(idle))
-		}
-	}
-	if idle := iterTime - attn.time; idle > 0 {
-		res.Energy.AddSlot(energy.SlotAttnPIM, e.attnStandbyW.Energy(idle))
-	}
-
-	res.DecodeTime += iterTime
-	res.Breakdown.FC += fc.time
-	res.Breakdown.Attention += attn.time
-	res.Breakdown.Communication += attn.commTime
-	res.Breakdown.Other += otherTime
-
-	return IterationStat{
-		Index:     ev.Iteration,
-		RLP:       rlp,
-		TLP:       e.Opt.TLP,
-		Placement: ev.Placement,
-		Time:      iterTime,
-	}
-}
-
-// chargeDraft converts a draft-model pricing into the visible
-// (non-overlapped) per-iteration time and charges its energy to whichever
-// pool runs it.
-func (e *Engine) chargeDraft(d draftPrice, res *Result) units.Seconds {
-	if d.onGPU {
-		res.Energy.AddSlot(energy.SlotGPUActive, d.energy)
-	} else {
-		res.Energy.AddSlot(energy.SlotFCPIM, d.energy)
-	}
-	serial := d.per.Seconds() * float64(e.Opt.TLP)
-	return units.Seconds(serial * (1 - e.Opt.DraftOverlap))
 }
 
 // chargePIMIdle charges standby power on all PIM pools for span (used during

@@ -123,6 +123,17 @@ type Stepper struct {
 	// StepDrained from here on.
 	failed bool
 
+	// floor is the shortest decoding iteration the stepper can run (see
+	// iterationFloor), priced on first use when floorSet is false.
+	floor    units.Seconds
+	floorSet bool
+	// owed is at most the fewest output tokens any active request still
+	// owes: exact at the end of every window, which follows every
+	// admission, and only lower once a cancellation or a failure removes
+	// work; zero before the first window. QuietUntil reads it instead of
+	// walking the batch.
+	owed int
+
 	finalized bool
 }
 
@@ -405,6 +416,83 @@ func (s *Stepper) Outstanding() int { return len(s.active) + len(s.pending) }
 //
 //papivet:noalloc
 func (s *Stepper) KVDemand() units.Bytes { return s.kvDemandAll }
+
+// QuietUntil returns a lower bound on the start of the first decoding
+// iteration that can finish a request. Until then Outstanding and KVDemand
+// cannot change unless the caller pushes, cancels or fails work, so a
+// caller that reads only those signals — the fleet driver routing on them —
+// need not step the stepper before that instant. A request with r tokens
+// left needs at least ⌈r/TLP⌉ more iterations, so the active batch finishes
+// nothing before the clock plus one iteration floor per iteration the
+// nearest finisher must first run. With a free slot the pending head also
+// counts: it can be admitted at its ready instant, or now, and finish in its
+// first iteration. A full batch admits and preempts nothing before a
+// finish, so the rest of the queue never matters. A stepper with no work
+// returns its clock: its next Step drains it.
+//
+// A perturbation only stretches iterations, and a cancellation or a failure
+// only removes work, so a pushless stepper's bound stays valid until its
+// next Step; one that frees a slot may pull the bound in, so a caller that
+// keys on it recomputes it after a Push, a Cancel or a Fail.
+//
+//papivet:noalloc
+func (s *Stepper) QuietUntil() units.Seconds {
+	if !s.HasWork() {
+		return s.clock
+	}
+	q := units.Seconds(math.Inf(1))
+	if len(s.active) > 0 {
+		// ⌈r/TLP⌉ is monotone in r, so the nearest finisher owes the fewest
+		// tokens.
+		tlp := s.eng.Opt.TLP
+		q = s.clock
+		if k := float64((s.owed+tlp-1)/tlp - 1); k > 0 {
+			// The clock gets there by k rounded additions of iterations no
+			// shorter than the floor; each may round down by half an ulp of a
+			// value no larger than end, and this bound's own two roundings
+			// may round up by as much. Shaving 2⁻⁵⁰ of end + floor off every
+			// iteration covers them all.
+			f := s.iterationFloor()
+			end := s.clock + f.Scale(k)
+			if f -= (end + f).Scale(0x1p-50); f > 0 {
+				q = s.clock + f.Scale(k)
+			}
+		}
+	}
+	if len(s.active) < s.maxBatch && len(s.pending) > 0 {
+		q = min(q, max(s.pending[0].readyAt, s.clock))
+	}
+	return q
+}
+
+// iterationFloor is the shortest decoding iteration the stepper can run:
+// the least, over every RLP up to the admission cap and every FC placement
+// the design has, of the window's fixed terms plus the attention kernel's
+// fixed overheads alone. The charging kernel sums the same terms in the same
+// order, with an attention time no shorter, and rounded addition is
+// monotone, so no iteration it charges is shorter; a perturbation only
+// stretches. Priced lazily, from the engine's memo, on first use, from the
+// largest RLP down, so each memo grows once.
+func (s *Stepper) iterationFloor() units.Seconds {
+	if s.floorSet {
+		return s.floor
+	}
+	e := s.eng
+	attn := e.Sys.AttnPIM.KernelOverhead + e.attnOvh
+	floor := units.Seconds(math.Inf(1))
+	var p windowPrice
+	for rlp := s.maxBatch; rlp >= 1; rlp-- {
+		for _, onPU := range [...]bool{true, false} {
+			if onPU && !e.Sys.HasGPU() || !onPU && e.Sys.FCPIM == nil {
+				continue
+			}
+			e.priceWindow(&p, rlp, onPU)
+			floor = min(floor, p.fcTime+attn+p.commTime+p.otherTime)
+		}
+	}
+	s.floor, s.floorSet = floor, true
+	return floor
+}
 
 // SetHorizon bounds decode windows: a Step call stops running iterations
 // once its clock reaches t, so a caller interleaving many steppers on one
@@ -748,8 +836,6 @@ func (s *Stepper) Step() (StepInfo, error) {
 		return StepInfo{Kind: StepIdle}, nil
 	}
 
-	s.ensureTraces()
-
 	// A window fast-forwards a whole run of identical-RLP iterations, bounded
 	// by macroArrivalBound: the earliest instant an admission or preemption
 	// could change the active batch — queue-head arrival for a single class,
@@ -763,70 +849,53 @@ func (s *Stepper) Step() (StepInfo, error) {
 // window runs decoding iterations at the current RLP inside one Step call.
 // It ends at the first finish (the iterations after it run at a smaller
 // RLP), once the clock reaches the admission bound, and at the horizon; it
-// always runs at least one iteration. RLP and TLP are frozen inside a window, so every interior Decide
-// would reach the same placement with no reschedule: one Decide covers the
-// window and the scheduler is advanced in bulk (Repeat) at its end. Every
-// trace entry, energy charge and clock value is bit-identical to running
-// the window's iterations one Step at a time, and to the caller — the
-// cluster driver above all — the window is one event.
+// always runs at least one iteration. RLP and TLP are frozen inside a
+// window, so every interior Decide would reach the same placement with no
+// reschedule: one Decide covers the window and the scheduler is advanced in
+// bulk (Repeat) at its end. Every trace entry, energy charge and clock value
+// is bit-identical to running the window's iterations one Step at a time,
+// and to the caller — the cluster driver above all — the window is one
+// event.
 //
 // Commits depend on the regime. With TLP = 1 every live request commits one
 // deterministic token per iteration, so the window is cut at the earliest
-// finish and its per-request bookkeeping is applied once, in bulk, at the
-// end; the interior only walks the attention term's arithmetic series in
-// ΣkvLen. With speculation (TLP > 1) commits are stochastic: every iteration
-// replays the per-request acceptance sampling walk in active order, because
-// the RNG draw order is part of the bit-identical contract.
+// finish, one charge call runs it whole, and its per-request bookkeeping is
+// applied once, in bulk, at the end. With speculation (TLP > 1) commits are
+// stochastic: every iteration is charged on its own and then replays the
+// per-request acceptance sampling walk in active order, because the RNG
+// draw order is part of the bit-identical contract.
 func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 	rlp := len(s.active)
 	spec := s.eng.Opt.TLP > 1
+	// Every iteration commits at least one token per live request, so no
+	// window runs longer than the fewest tokens any of them still owes; with
+	// TLP = 1 it commits exactly one, and that is where the window ends.
 	limit := math.MaxInt
-	if !spec {
-		for _, r := range s.active {
-			if rem := r.OutputLen - r.generated; rem < limit {
-				limit = rem
-			}
-		}
+	for _, r := range s.active {
+		limit = min(limit, r.OutputLen-r.generated)
 	}
 	ev := s.scheduler.Decide()
-	var p iterPrice
+	var p windowPrice
 	s.eng.priceWindow(&p, rlp, ev.Placement == sched.PlacePU && s.eng.Sys.HasGPU())
+	s.reserveTraces(limit)
 	info := StepInfo{Kind: StepIteration}
-	run, eos := 0, 0
-	var first units.Seconds
-	for {
-		var pre TimeBreakdown
-		if s.perturbed {
-			pre = s.res.Breakdown
-		}
-		it := s.eng.runIteration(&p, rlp, s.kvSum, ev, &s.res)
-		if s.perturbed {
-			s.stretch(&it, pre)
-		}
-		s.res.Iterations++
-		if len(s.res.RLPTrace) < traceCap {
-			s.res.RLPTrace = append(s.res.RLPTrace, rlp)
-		}
-		if s.static {
-			// Recompute rather than accumulate so the clock matches the
-			// summed phase times bit-for-bit.
-			s.clock = s.res.PrefillTime + s.res.DecodeTime
-		} else {
-			s.clock += it.Time
-		}
-		run++
-		if run == 1 {
-			first = s.clock
-		}
-		if !spec {
-			it.Tokens = rlp
-			s.kvSum += rlp // every live request grew by its committed token
-		} else {
+	run, eos, tokens := 0, 0, rlp
+	var first, last units.Seconds
+	if !spec {
+		run, first, last = s.charge(&p, rlp, rlp, ev, bound, limit)
+	} else {
+		for {
+			traced := len(s.res.IterStats) < traceCap
+			at := ev
+			at.Iteration += run
+			_, _, last = s.charge(&p, rlp, 0, at, bound, 1)
+			run++
 			// Commit tokens and count <|eos|> (§5.2.2 steps 1–2).
+			tokens = 0
 			for _, r := range s.active {
 				committed := s.eng.commitTokens(r)
 				s.res.Tokens += committed
-				it.Tokens += committed
+				tokens += committed
 				s.kvSum += committed
 				if s.kvStore != nil {
 					if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
@@ -844,17 +913,17 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 					s.finish(r)
 				}
 			}
+			if traced {
+				s.res.IterStats[len(s.res.IterStats)-1].Tokens = tokens
+			}
+			if eos > 0 || bound <= s.clock || s.clock >= s.horizon {
+				break
+			}
 		}
-		if len(s.res.IterStats) < traceCap {
-			s.res.IterStats = append(s.res.IterStats, it)
-		}
-		info.Iteration = it
-		if run == limit || eos > 0 || bound <= s.clock || s.clock >= s.horizon {
-			break
-		}
-		ev.Iteration++
 	}
 	s.scheduler.Repeat(run - 1)
+	info.Iteration = IterationStat{Index: ev.Iteration + run - 1, RLP: rlp, TLP: s.eng.Opt.TLP,
+		Placement: ev.Placement, Time: last, Tokens: tokens}
 
 	if !spec {
 		// Bulk-commit the window: each request gained one token per
@@ -907,7 +976,164 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 	if eos > 0 {
 		s.active = live(s.active)
 	}
+	s.owed = math.MaxInt
+	for _, r := range s.active {
+		s.owed = min(s.owed, r.OutputLen-r.generated)
+	}
 	return info, nil
+}
+
+// charge is the decode window's charging kernel: it runs up to n decoding
+// iterations of the window priced in p, stopping early once the clock
+// reaches bound or the horizon, and returns how many ran, the clock at the
+// end of the first, and the last one's time. Each iteration charges, in
+// order (per layer, serialised: FC(QKV) → link to Attn-PIM → attention →
+// link back → FC(projection+FFN), with all-layer work aggregated into closed
+// forms since layers are identical):
+//
+//   - the FC phase on its pool, with the PU-fabric hop for FC-PIM;
+//   - the attention kernel at the current ΣkvLen and its fabric traffic;
+//   - drafting, sampling/gather and the policy's decision latency;
+//   - idle and standby energy for every pool outside its busy window;
+//   - the fault injector's perturbation: the attention and communication
+//     terms scale by Attn, then the whole stretched iteration by Slow, with
+//     the straggler surcharge booked under Other (node slowness, not a
+//     kernel) and charging time only — host energy grows with the longer
+//     makespan.
+//
+// The running totals — every energy slot, DecodeTime, the four breakdown
+// terms, the clock and ΣkvLen, which grows by grow tokens per iteration —
+// live in locals and are stored back once: the float operations and their
+// per-total order are exactly those of charging the Result directly, so
+// every bit is unchanged. Trace entries are recorded, below traceCap, into
+// the room reserveTraces made; their Tokens is grow.
+//
+//papivet:noalloc
+func (s *Stepper) charge(p *windowPrice, rlp, grow int, ev sched.Event, bound units.Seconds, n int) (run int, first, last units.Seconds) {
+	e, res := s.eng, &s.res
+	hasGPU, hasFCPIM, spec := e.Sys.HasGPU(), e.Sys.FCPIM != nil, e.Opt.TLP > 1
+	static, perturbed, horizon, prefill := s.static, s.perturbed, s.horizon, res.PrefillTime
+	slowF, attnF := s.perturb.Slow, s.perturb.Attn
+	fcTime, commTime, otherTime := p.fcTime, p.commTime, p.otherTime
+
+	decode := res.DecodeTime
+	bFC, bAttn, bComm, bOther := res.Breakdown.FC, res.Breakdown.Attention, res.Breakdown.Communication, res.Breakdown.Other
+	gpuActive := res.Energy.Slot(energy.SlotGPUActive)
+	gpuIdle := res.Energy.Slot(energy.SlotGPUIdle)
+	fcPIM := res.Energy.Slot(energy.SlotFCPIM)
+	attnPIM := res.Energy.Slot(energy.SlotAttnPIM)
+	link := res.Energy.Slot(energy.SlotInterconnect)
+	gpuIdled, fcIdled := false, false
+	throttled := res.Throttled
+	clock, kvSum := s.clock, s.kvSum
+	rlpTrace, iterStats := res.RLPTrace, res.IterStats
+	for {
+		aTime, aEnergy, aThrottled := e.attnAt(p, kvSum)
+		var gpuBusy units.Seconds
+		if p.onPU {
+			gpuBusy = fcTime
+			gpuActive = energy.Charge(gpuActive, p.fcEnergy)
+		} else {
+			throttled = throttled || p.fcThrottled
+			fcPIM = energy.Charge(fcPIM, p.fcEnergy)
+			link = energy.Charge(link, p.fcLink)
+		}
+		throttled = throttled || aThrottled
+		attnPIM = energy.Charge(attnPIM, aEnergy)
+		link = energy.Charge(link, p.commEnergy)
+		if spec {
+			if p.draftOnGPU {
+				gpuActive = energy.Charge(gpuActive, p.draftEnergy)
+			} else {
+				fcPIM = energy.Charge(fcPIM, p.draftEnergy)
+			}
+		}
+		t := fcTime + aTime + commTime + otherTime
+		if hasGPU {
+			if idle := t - gpuBusy; idle > 0 {
+				gpuIdle = energy.Charge(gpuIdle, e.gpuIdleW.Energy(idle))
+				gpuIdled = true
+			}
+		}
+		if hasFCPIM {
+			if idle := t - fcTime; idle > 0 {
+				fcPIM = energy.Charge(fcPIM, e.fcStandbyW.Energy(idle))
+				fcIdled = true
+			}
+		}
+		if idle := t - aTime; idle > 0 {
+			attnPIM = energy.Charge(attnPIM, e.attnStandbyW.Energy(idle))
+		}
+		preAttn, preComm := bAttn, bComm
+		decode += t
+		bFC += fcTime
+		bAttn += aTime
+		bComm += commTime
+		bOther += otherTime
+		if perturbed {
+			var extra units.Seconds
+			if attnF > 1 {
+				ea := (bAttn - preAttn).Scale(attnF - 1)
+				ec := (bComm - preComm).Scale(attnF - 1)
+				bAttn += ea
+				bComm += ec
+				extra += ea + ec
+			}
+			if slowF > 1 {
+				es := (t + extra).Scale(slowF - 1)
+				bOther += es
+				extra += es
+			}
+			t += extra
+			decode += extra
+		}
+		run++
+		if i := len(rlpTrace); i < traceCap {
+			rlpTrace = rlpTrace[:i+1]
+			rlpTrace[i] = rlp
+		}
+		if static {
+			// Recompute rather than accumulate so the clock matches the
+			// summed phase times bit-for-bit.
+			clock = prefill + decode
+		} else {
+			clock += t
+		}
+		if run == 1 {
+			first = clock
+		}
+		kvSum += grow
+		if i := len(iterStats); i < traceCap {
+			iterStats = iterStats[:i+1]
+			iterStats[i] = IterationStat{Index: ev.Iteration, RLP: rlp, TLP: e.Opt.TLP,
+				Placement: ev.Placement, Time: t, Tokens: grow}
+		}
+		if run == n || bound <= clock || clock >= horizon {
+			last = t
+			break
+		}
+		ev.Iteration++
+	}
+
+	res.Iterations += run
+	res.DecodeTime = decode
+	res.Breakdown.FC, res.Breakdown.Attention = bFC, bAttn
+	res.Breakdown.Communication, res.Breakdown.Other = bComm, bOther
+	if p.onPU || spec && p.draftOnGPU {
+		res.Energy.SetSlot(energy.SlotGPUActive, gpuActive)
+	}
+	if gpuIdled {
+		res.Energy.SetSlot(energy.SlotGPUIdle, gpuIdle)
+	}
+	if !p.onPU || spec && !p.draftOnGPU || fcIdled {
+		res.Energy.SetSlot(energy.SlotFCPIM, fcPIM)
+	}
+	res.Energy.SetSlot(energy.SlotAttnPIM, attnPIM)
+	res.Energy.SetSlot(energy.SlotInterconnect, link)
+	res.Throttled = throttled
+	s.clock, s.kvSum = clock, kvSum
+	res.RLPTrace, res.IterStats = rlpTrace, iterStats
+	return run, first, last
 }
 
 // finish releases a request that reached <|eos|>: its share of the running
@@ -923,27 +1149,41 @@ func (s *Stepper) finish(r *request) {
 	}
 }
 
-// ensureTraces pre-sizes the per-iteration traces — the decode loop's only
-// growing allocations — so steady-state stepping never reallocates them.
-// Lazy (on the first iteration) so runs that never iterate keep nil traces;
-// capacity is invisible in the Result, so Results stay deep-equal however
-// their iterations were split into windows.
-func (s *Stepper) ensureTraces() {
-	if s.res.RLPTrace != nil {
-		return
+// reserveTraces makes room in the per-iteration traces — the decode loop's
+// only growing allocations — for n more entries, up to traceCap, so the
+// charging kernel records them without growing a slice. The first call
+// sizes them from traceHint, lazily, so runs that never iterate keep nil
+// traces; capacity is invisible in the Result, so Results stay deep-equal
+// however their iterations were split into windows.
+func (s *Stepper) reserveTraces(n int) {
+	if s.res.RLPTrace == nil {
+		hint := s.traceHint
+		if hint == 0 {
+			// Stream mode: run length is unknowable up front. 2048 entries
+			// (~110 KiB) covers typical continuous-batching cells in one
+			// allocation; worst case one doubling reaches the cap.
+			hint = 2048
+		}
+		hint = min(hint, traceCap)
+		s.res.RLPTrace = make([]int, 0, hint)
+		s.res.IterStats = make([]IterationStat, 0, hint)
 	}
-	hint := s.traceHint
-	if hint == 0 {
-		// Stream mode: run length is unknowable up front. 2048 entries
-		// (~110 KiB) covers typical continuous-batching cells in one
-		// allocation; worst case one doubling reaches the cap.
-		hint = 2048
+	n = min(n, traceCap)
+	s.res.RLPTrace = growTrace(s.res.RLPTrace, n)
+	s.res.IterStats = growTrace(s.res.IterStats, n)
+}
+
+// growTrace returns t with room for n more entries, up to traceCap: grown
+// by at least half, never past the cap, so a trace that fills reaches it in
+// two copies from the stream hint and holds no slack beyond it.
+func growTrace[T any](t []T, n int) []T {
+	need := min(len(t)+n, traceCap)
+	if need <= cap(t) {
+		return t
 	}
-	if hint > traceCap {
-		hint = traceCap
-	}
-	s.res.RLPTrace = make([]int, 0, hint)
-	s.res.IterStats = make([]IterationStat, 0, hint)
+	grown := make([]T, len(t), min(max(cap(t)+cap(t)/2, need), traceCap))
+	copy(grown, t)
+	return grown
 }
 
 // macroArrivalBound computes the macro window's admission bound: the

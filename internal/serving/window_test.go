@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -202,6 +203,82 @@ func windowRow(t *testing.T, row string, spec design.Spec, cfg model.Config, tlp
 		t.Errorf("%s: tiered stream triggered no preemptions — the preemption bound is untested", row)
 	}
 	return results[0], true
+}
+
+// TestQuietUntilSound pins QuietUntil's contract — no iteration that starts
+// before the bound finishes a request — over the window matrix's stream
+// configurations: design × model × TLP {1, 4} × {stream, tiered} × KV
+// {byte ledger, block store} × {unperturbed, perturbed}. Every row runs one
+// iteration per Step and keeps the latest bound taken since the last finish
+// (bounds hold until a finish, absent pushes); a finishing iteration of time
+// t that ends at e started at or after that bound q only if q + t ≤ e,
+// which rounded addition's monotonicity makes exact. A row whose bounds
+// never reach past the clock would pin nothing, so the test also requires
+// the bound to skip ahead.
+func TestQuietUntilSound(t *testing.T) {
+	rows, ahead := 0, 0
+	for _, spec := range windowDesigns() {
+		for _, cfg := range model.All() {
+			for _, tlp := range []int{1, 4} {
+				for _, w := range []windowKind{windowStream, windowTiered} {
+					for _, block := range []bool{false, true} {
+						for _, perturbed := range []bool{false, true} {
+							row := fmt.Sprintf("%s/%s/tlp%d/%s/block=%v/perturbed=%v",
+								spec.Name, cfg.Name, tlp, w, block, perturbed)
+							opt := DefaultOptions(tlp)
+							if block {
+								opt.KV = &kv.Options{BlockTokens: 32, Sharing: true}
+							}
+							sys := design.MustBuild(spec)
+							eng, err := New(sys, cfg, opt)
+							if err != nil {
+								t.Fatalf("%s: %v", row, err)
+							}
+							reqs, maxBatch := windowWorkload(w, sys, cfg)
+							st, err := eng.NewStreamStepper(reqs, maxBatch)
+							if err != nil {
+								t.Fatalf("%s: %v", row, err)
+							}
+							if perturbed {
+								st.SetPerturbation(Perturbation{Slow: 1.6, Attn: 1.8})
+							}
+							rows++
+							quiet := units.Seconds(math.Inf(-1))
+							for {
+								q := st.QuietUntil()
+								if q > st.Now() {
+									ahead++
+								}
+								quiet = max(quiet, q)
+								st.SetHorizon(st.Now())
+								info, err := st.Step()
+								if err != nil {
+									t.Fatalf("%s: %v", row, err)
+								}
+								if info.Kind == StepDrained {
+									break
+								}
+								if info.Completed == 0 {
+									continue
+								}
+								if end := st.Now(); quiet+info.Iteration.Time > end {
+									t.Fatalf("%s: a request finished in an iteration of %v ending at %v, before the quiet bound %v",
+										row, info.Iteration.Time, end, quiet)
+								}
+								quiet = units.Seconds(math.Inf(-1))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if want := len(windowDesigns()) * len(model.All()) * 2 * 2 * 2 * 2; rows != want {
+		t.Fatalf("ran %d rows, want %d", rows, want)
+	}
+	if ahead == 0 {
+		t.Fatal("no quiet bound ever reached past the clock: the property is vacuous")
+	}
 }
 
 // FuzzMacroEquivalence searches the window configuration space — TLP 1–4,
