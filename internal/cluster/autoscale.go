@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/stats"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
@@ -184,19 +183,20 @@ type scaler struct {
 // observeStep harvests completion signals from one replica step: interactive
 // TPOT samples for the latency window, and the moment a draining replica
 // runs empty (it powers off at that instant, not at the next tick). It runs
-// mid-phase, so nothing shared is written here: window samples buffer on
-// the replica (the control tick merges them in replica order), and the
-// power-off decision parks on it until the barrier replays it.
-func (s *scaler) observeStep(rep *Replica, info serving.StepInfo) {
-	for _, req := range info.Finished {
+// mid-phase. The samples go straight into the window: the tick reads them
+// only as a sorted multiset, so the order in which replicas add them does
+// not matter. The power-off decision parks on the replica until the
+// barrier replays it in time order (see flushStops).
+func (s *scaler) observeStep(rep *Replica, finished []workload.Request) {
+	for _, req := range finished {
 		if req.Class != workload.ClassInteractive {
 			continue
 		}
 		if pm, ok := rep.stepper.PeekMetrics(req.ID); ok && pm.OutputTokens > 1 {
-			rep.winTPOT = append(rep.winTPOT, pm.TPOT.Seconds())
+			s.tpots = append(s.tpots, pm.TPOT.Seconds())
 		}
 	}
-	if rep.state == repDraining && info.Completed > 0 && rep.stepper.Outstanding() == 0 {
+	if rep.state == repDraining && len(finished) > 0 && rep.stepper.Outstanding() == 0 {
 		if !rep.pendingStop {
 			s.stops = append(s.stops, rep)
 		}
@@ -285,13 +285,8 @@ func (s *scaler) tick(now units.Seconds) {
 		queuePer = float64(queue) / float64(act)
 		ratePer = float64(s.arrivals) / s.opt.Interval.Seconds() / float64(act)
 	}
-	// Merge the per-replica window buffers in replica order, then take the
-	// percentile in place: same multiset every run, no copy, no re-sort of
-	// anything but this window's samples.
-	for _, rep := range r.reps {
-		s.tpots = append(s.tpots, rep.winTPOT...)
-		rep.winTPOT = rep.winTPOT[:0]
-	}
+	// Take the percentile in place: same multiset every run, no copy, no
+	// re-sort of anything but this window's samples.
 	tpot95 := 0.0
 	if len(s.tpots) > 0 {
 		tpot95 = stats.PercentileInPlace(s.tpots, 95)

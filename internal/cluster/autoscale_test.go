@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -112,6 +113,53 @@ func TestAutoscaleFastPathEquivalence(t *testing.T) {
 	ref := matchDrivers(t, "autoscaled fleet", build, tieredStream(t, 120, 13), nil)
 	if len(ref.ScaleEvents) == 0 {
 		t.Fatal("the fleet never scaled: the equivalence pin is vacuous")
+	}
+}
+
+// TestAutoscaleEndOfRunScaleEvents pins the scale events at the end of a
+// run, where the control tick re-arms only while a replica is still armed.
+// A replica that finished its last request stays armed for one more,
+// drained step, so the ticks at 540, 541 and 542 ms each drain one idle
+// replica, which powers off at its own clock. Arming only replicas with
+// work would retire the tick after the first drain. Both drivers share the
+// arming, so matchDrivers cannot see such a change; this test can.
+func TestAutoscaleEndOfRunScaleEvents(t *testing.T) {
+	reqs := make([]workload.Request, 24)
+	for i := range reqs {
+		reqs[i] = workload.Request{ID: i, InputLen: 64, OutputLen: 200}
+	}
+	cl, err := NewByName("PAPI", model.OPT30B(), Options{
+		Replicas:  4,
+		MaxBatch:  6,
+		Serving:   serving.DefaultOptions(1),
+		Autoscale: &AutoscaleOptions{Min: 1, Max: 4, Interval: units.Milliseconds(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := cl.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stopAt = 0.5424705298745588 // the replicas' clock after the last iteration
+	want := []struct {
+		action  ScaleAction
+		replica int
+		at      float64
+	}{
+		{ScaleDrain, 3, 0.540}, {ScaleStop, 3, stopAt},
+		{ScaleDrain, 2, 0.541}, {ScaleStop, 2, stopAt},
+		{ScaleDrain, 1, 0.542}, {ScaleStop, 1, stopAt},
+	}
+	if len(f.ScaleEvents) != len(want) {
+		t.Fatalf("%d scale events, want %d: %+v", len(f.ScaleEvents), len(want), f.ScaleEvents)
+	}
+	for i, w := range want {
+		ev := f.ScaleEvents[i]
+		if ev.Action != w.action || ev.Replica != w.replica || math.Abs(ev.At.Seconds()-w.at) > 1e-9 {
+			t.Errorf("event %d = %s replica %d at %v, want %s replica %d at %vs",
+				i, ev.Action, ev.Replica, ev.At, w.action, w.replica, w.at)
+		}
 	}
 }
 

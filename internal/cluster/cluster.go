@@ -227,29 +227,10 @@ type Replica struct {
 	// fleetRun.harvest); fleet and per-design aggregates merge these in
 	// replica order.
 	agg *FleetAggregate
-	// A step writes only replica-local state; what it has to say to the
-	// fleet waits here until the driver settles the replica (see
-	// fleetRun.settle), which hands it over in the order a
-	// one-step-at-a-time walk would have produced it.
-	//
-	// winTPOT buffers the autoscaler window's interactive TPOT samples; the
-	// control tick merges the buffers in replica order.
-	winTPOT []float64
-	// err holds a step failure until it is folded into the run error.
-	err error
 	// pendingStop defers a draining replica's power-off decision to the
 	// scaler (pendStopAt is the drained instant).
 	pendingStop bool
 	pendStopAt  units.Seconds
-	// finishedIDs buffers completions for the failure ledger: the ledger is
-	// shared, but distinct requests' entries are independent and a request
-	// is outstanding on at most one replica, so the order in which
-	// replicas flush cannot change any entry.
-	finishedIDs []int
-	// followUps buffers the closed-loop follow-up turns this replica's
-	// completions launched; the replica does not step at or past the
-	// earliest of them until they are on the kernel (see horizon).
-	followUps []followUp
 
 	// Elastic lifecycle (see replicaState). bootAt is the instant the
 	// replica powered on (0 for the initial fleet), liveAt when it started
@@ -581,49 +562,56 @@ func (r *fleetRun) rebuildEligible() {
 
 // stepReplica advances one replica by one Step at its armed instant, its
 // window bounded by horizon: it absorbs any idle gap, steps the engine,
-// feeds the observers and the streaming aggregate, and re-arms the next
-// step while work remains. It writes only replica-local state, buffering
-// everything the fleet must hear on the replica until fleetRun.settle hands
-// it over.
-func (r *fleetRun) stepReplica(rep *Replica, horizon units.Seconds) {
+// hands each completion to the failure ledger, the autoscaler window, the
+// conversation plan and the streaming aggregate, and re-arms the next step
+// unless the replica had no work left. A step writes the fleet in place: a
+// step error stops the run, and a closed-loop follow-up goes on the kernel
+// at once. It returns the horizon capped by the follow-ups it launched: the
+// replica must not step at or past one before it fires.
+//
+//papivet:noalloc
+func (r *fleetRun) stepReplica(rep *Replica, horizon units.Seconds) units.Seconds {
 	// A step armed before a crash must not touch the dead engine: its
 	// clock is frozen at the failure instant.
 	if rep.state == repFailed {
-		return
+		return horizon
 	}
 	rep.stepper.AdvanceTo(rep.nextStep)
 	rep.stepper.SetHorizon(horizon)
-	info, err := rep.stepper.Step()
+	drained := !rep.stepper.HasWork()
+	finished, err := rep.stepper.Step()
 	if err != nil {
-		rep.err = err
-		return
+		r.err = err
+		return horizon
 	}
 	if r.scaler != nil {
-		r.scaler.observeStep(rep, info)
+		r.scaler.observeStep(rep, finished)
 	}
 	if r.resil != nil {
-		for _, req := range info.Finished {
-			rep.finishedIDs = append(rep.finishedIDs, req.ID)
+		for _, req := range finished {
+			r.resil.finished(req.ID)
 		}
 	}
 	if r.plan != nil {
-		for _, req := range info.Finished {
-			r.plan.finished(r, rep, req)
+		for _, req := range finished {
+			horizon = min(horizon, r.plan.finished(r, rep, req))
 		}
 	}
-	r.harvest(rep, info)
-	if info.Kind == serving.StepDrained {
-		return
+	r.harvest(rep, finished)
+	if !drained {
+		rep.scheduled, rep.nextStep = true, rep.stepper.Now()
 	}
-	rep.scheduled, rep.nextStep = true, rep.stepper.Now()
+	return horizon
 }
 
 // harvest folds the step's completions into the replica's streaming
 // aggregate — the always-on constant-memory metrics path. It runs after the
 // observers, whose window signals peek at the same records: without
 // retention the engine forgets a record once taken.
-func (r *fleetRun) harvest(rep *Replica, info serving.StepInfo) {
-	for _, req := range info.Finished {
+//
+//papivet:noalloc
+func (r *fleetRun) harvest(rep *Replica, finished []workload.Request) {
+	for _, req := range finished {
 		if rm, ok := rep.stepper.TakeMetrics(req.ID); ok {
 			rep.agg.observe(rm)
 		}
@@ -714,8 +702,8 @@ func (r *fleetRun) choose(req workload.Request) *Replica {
 // Before it fires, every armed replica that could finish a request before
 // the barrier instant, in replica order, advances alone up to it (steps
 // strictly below it: events at the barrier instant belong to the kernel and
-// fire first) and is settled; then the event fires, syncing any replica it
-// reads more of (see wake.go).
+// fire first); then the event fires, syncing any replica it reads more of
+// (see wake.go).
 //
 // Two arguments make the phase sound, so that the result equals a
 // one-step-at-a-time walk in time order:
@@ -726,11 +714,13 @@ func (r *fleetRun) choose(req workload.Request) *Replica {
 //     event a step itself creates is a closed-loop follow-up turn, and it
 //     can touch only the replica its conversation is pinned to — the one
 //     that finished the previous turn (nothing can unpin it before the
-//     barrier, and a replica holding a conversation is never drained). So
-//     that replica alone stops at its earliest buffered follow-up (see
-//     horizon), the follow-ups go on the kernel when the replica settles,
-//     and the next pass takes any that land before the barrier first; the
-//     other replicas, already past them, cannot tell.
+//     barrier, and a replica holding a conversation is never drained). The
+//     follow-up goes on the kernel at once, that replica alone stops at
+//     its earliest follow-up (stepReplica caps its horizon), and the next
+//     pass takes any that land before the barrier first; the other
+//     replicas, already past them, cannot tell. Nothing else a step writes
+//     — the run error, the ledger entries of its own requests, the
+//     autoscaler window's samples — is read by another replica's drive.
 //   - Deadline. With Timeout > 0, a request that finishes inside a phase
 //     was outstanding when the phase began, so its own deadline was still
 //     pending: at or after the barrier. Its follow-up arrives no earlier
@@ -747,7 +737,7 @@ func (r *fleetRun) drain() {
 			barrier = units.Seconds(math.Inf(1))
 		}
 		r.advance(barrier)
-		// Settling may have put follow-ups on the kernel before the
+		// The drives may have put follow-ups on the kernel before the
 		// barrier; then the next pass takes them first.
 		if t, ok := r.kernel.NextAt(); ok && t == barrier && r.err == nil {
 			r.kernel.Step()
@@ -755,15 +745,13 @@ func (r *fleetRun) drain() {
 	}
 }
 
-// advance drives and settles every replica whose wake falls below the
-// barrier, one after another in replica order, then replays the phase's
-// power-off decisions. A replica armed below the barrier whose quiet bound
-// reaches it stays behind: nothing at the barrier can tell (see wake.go),
-// and a barrier of +Inf still runs every replica dry. Settling a replica
-// before the next one drives changes nothing the next one reads: a drive
-// touches only its own replica and the conversations pinned to it, and
-// settling writes only the run error, the ledger entries of the replica's
-// own requests and the kernel, none of which a drive reads.
+// advance drives every replica whose wake falls below the barrier, one
+// after another in replica order, re-keying each in the wake heap, then
+// replays the phase's power-off decisions in time order. A replica armed
+// below the barrier whose quiet bound reaches it stays behind: nothing at
+// the barrier can tell (see wake.go), and a barrier of +Inf still runs every
+// replica dry. A step error stops the phase: the replicas after it do not
+// drive.
 func (r *fleetRun) advance(barrier units.Seconds) {
 	due := r.due[:0]
 	for len(r.wakes) > 0 && r.wakes[0].wake < barrier {
@@ -777,7 +765,6 @@ func (r *fleetRun) advance(barrier units.Seconds) {
 	slices.SortFunc(due, byID)
 	for _, rep := range due {
 		r.driveReplica(rep, barrier)
-		r.settle(rep)
 		r.rearm(rep)
 	}
 	r.due = due[:0]
@@ -786,46 +773,17 @@ func (r *fleetRun) advance(barrier units.Seconds) {
 	}
 }
 
-// driveReplica advances one replica's armed steps, in order, up to its
-// horizon. The replica parks drained, errored, or re-armed at or after it.
+// driveReplica advances one replica's armed steps, in order, up to the
+// barrier, capped by the earliest follow-up turn its own steps launched.
+// The replica parks drained or re-armed at or after that horizon, or stops
+// at a step error.
+//
+//papivet:noalloc
 func (r *fleetRun) driveReplica(rep *Replica, barrier units.Seconds) {
-	for rep.err == nil && rep.scheduled {
-		h := rep.horizon(barrier)
-		if rep.nextStep >= h {
-			return
-		}
+	for h := barrier; r.err == nil && rep.scheduled && rep.nextStep < h; {
 		rep.scheduled = false
-		r.stepReplica(rep, h)
+		h = r.stepReplica(rep, h)
 	}
-}
-
-// horizon is the instant the replica must not step at or past before the
-// barrier fires: the barrier, capped by its own earliest buffered
-// follow-up, which is not on the kernel yet.
-func (rep *Replica) horizon(barrier units.Seconds) units.Seconds {
-	for _, fu := range rep.followUps {
-		barrier = min(barrier, fu.at)
-	}
-	return barrier
-}
-
-// settle hands the fleet what the replica's steps buffered, in the order a
-// one-step-at-a-time walk would have produced it: the step error, the
-// ledger completions (before the barrier event, so a stale timeout at the
-// barrier sees the request done), and the follow-up turns, one kernel
-// event each.
-func (r *fleetRun) settle(rep *Replica) {
-	if rep.err != nil && r.err == nil {
-		r.err = rep.err
-	}
-	for _, id := range rep.finishedIDs {
-		r.resil.finished(id)
-	}
-	rep.finishedIDs = rep.finishedIDs[:0]
-	for _, fu := range rep.followUps {
-		r.kernel.At(fu.at, fu.fire)
-	}
-	rep.followUps = rep.followUps[:0]
 }
 
 // stepsPending reports whether any replica still has an armed step. Steps
@@ -1059,13 +1017,6 @@ type convState struct {
 	rep    *Replica
 }
 
-// followUp is a closed-loop follow-up turn buffered on the replica that
-// launched it, with the kernel event that injects it at `at`.
-type followUp struct {
-	at   units.Seconds
-	fire sim.Event
-}
-
 func newConvPlan(convs []workload.Conversation) *convPlan {
 	p := &convPlan{states: make([]*convState, len(convs)), byBase: make(map[int]*convState, len(convs))}
 	for i, conv := range convs {
@@ -1153,14 +1104,15 @@ func (p *convPlan) failed(z *resilience, req workload.Request, at units.Seconds)
 }
 
 // finished runs on the replica that completed a turn, mid-phase, so it
-// writes only that replica and the conversation pinned to it. It buffers
-// the conversation's next turn on the replica, think-time after the
-// completion; a finished conversation releases its hold instead.
-func (p *convPlan) finished(r *fleetRun, rep *Replica, req workload.Request) {
+// writes only that replica, the conversation pinned to it and the kernel.
+// It puts the conversation's next turn on the kernel, think-time after the
+// completion, and returns its instant; a finished conversation releases its
+// hold instead and returns +Inf.
+func (p *convPlan) finished(r *fleetRun, rep *Replica, req workload.Request) units.Seconds {
 	st := p.of(req)
 	if st.next >= len(st.conv.Turns) {
 		rep.holds--
-		return
+		return units.Seconds(math.Inf(1))
 	}
 	turn := st.conv.Turns[st.next]
 	follow := workload.Request{
@@ -1176,9 +1128,10 @@ func (p *convPlan) finished(r *fleetRun, rep *Replica, req workload.Request) {
 		PrefixLen:    req.SeqLen(),
 	}
 	st.next++
-	rep.followUps = append(rep.followUps, followUp{at: follow.Arrival, fire: func(now units.Seconds) {
+	r.kernel.At(follow.Arrival, func(now units.Seconds) {
 		p.launch(r, st, follow, now)
-	}})
+	})
+	return follow.Arrival
 }
 
 // launch injects a follow-up turn on its conversation's replica. When the

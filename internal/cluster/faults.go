@@ -298,8 +298,9 @@ func (z *resilience) checkTimeout(id, attempt int, now units.Seconds) {
 	z.handleCasualty(c, now, "timeout")
 }
 
-// finished marks a request's ledger entry complete. The driver calls it
-// when it settles the finishing replica, before the next kernel event.
+// finished marks a request's ledger entry complete. The step that finished
+// the request calls it, before the next kernel event, so a stale timeout at
+// the barrier sees the request done.
 func (z *resilience) finished(id int) {
 	if t := z.track[id]; t != nil {
 		t.done = true

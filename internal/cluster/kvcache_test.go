@@ -35,13 +35,9 @@ func TestFollowUpHeadroomDiscount(t *testing.T) {
 	if err := st.Push(first); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		info, err := st.Step()
-		if err != nil {
+	for st.HasWork() {
+		if _, err := st.Step(); err != nil {
 			t.Fatal(err)
-		}
-		if info.Kind == serving.StepDrained {
-			break
 		}
 	}
 
@@ -107,13 +103,7 @@ func TestRunPlanSharingCutsReprefill(t *testing.T) {
 	if got, want := workload.TotalTurns(chatPlan(t, 10, 42)), len(on.Requests); want != got {
 		t.Fatalf("sharing run served %d of %d turns", want, got)
 	}
-	shared := 0
-	for _, r := range on.Replicas {
-		if r.KV != nil {
-			shared += r.KV.SharedTokens
-		}
-	}
-	if shared == 0 {
+	if sharedTokens(on) == 0 {
 		t.Fatal("sharing run adopted no blocks across the fleet")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/papi-sim/papi/internal/faults"
+	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/units"
@@ -16,9 +17,9 @@ import (
 // referenceDrive is the time-order oracle the barrier driver is pinned
 // against, reached through the drive parameter of the run body: it steps
 // one replica at a time, one iteration per step, in (instant, replica ID)
-// order; kernel events fire first at equal instants; and each step's
-// deferred writes — the step error, ledger completions, power-off decisions
-// and follow-up turns — apply right after it.
+// order; kernel events fire first at equal instants; each step writes the
+// fleet in place, and its deferred power-off decision applies right after
+// it.
 func referenceDrive(r *fleetRun) {
 	for r.err == nil {
 		var rep *Replica
@@ -37,7 +38,6 @@ func referenceDrive(r *fleetRun) {
 		rep.scheduled = false
 		// A horizon at the step instant ends the window after one iteration.
 		r.stepReplica(rep, rep.nextStep)
-		r.settle(rep)
 		// Bookkeeping only: the wake heap tracks the armed set, which the
 		// autoscaler's re-arm check reads.
 		r.rearm(rep)
@@ -294,6 +294,64 @@ func TestShardedClockRouterMatchesSerial(t *testing.T) {
 	}
 }
 
+// clockLog routes request i to replica i mod n and records every eligible
+// replica's clock as each call sees it.
+type clockLog struct{ seen [][]units.Seconds }
+
+func (*clockLog) Name() string { return "clock-log" }
+
+func (l *clockLog) Route(req workload.Request, reps []*Replica) int {
+	row := make([]units.Seconds, len(reps))
+	for i, rep := range reps {
+		row[i] = rep.Now()
+	}
+	l.seen = append(l.seen, row)
+	return req.ID % len(reps)
+}
+
+// TestBurstRouterSeesPrePushClock pins what a router reading Replica.Now
+// sees inside a same-instant burst: a push arms an idle replica at the
+// burst instant but leaves its clock where its last step put it, so the
+// next call still reads the pre-push clock. Both drivers share the push, so
+// matchDrivers cannot see a change here; this test can.
+func TestBurstRouterSeesPrePushClock(t *testing.T) {
+	reqs := []workload.Request{
+		{ID: 0, InputLen: 64, OutputLen: 4, Arrival: 0},
+		{ID: 2, InputLen: 64, OutputLen: 4, Arrival: 0.5},
+		{ID: 3, InputLen: 64, OutputLen: 4, Arrival: 0.5},
+		{ID: 4, InputLen: 64, OutputLen: 4, Arrival: 0.5},
+	}
+	log := &clockLog{}
+	cl, err := NewByName("PAPI", model.OPT30B(), Options{
+		Replicas: 2,
+		MaxBatch: 6,
+		Router:   log,
+		Serving:  serving.DefaultOptions(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.seen) != len(reqs) {
+		t.Fatalf("router called %d times, want %d", len(log.seen), len(reqs))
+	}
+	// Replica 0 served request 0 and idles at its clock until the burst.
+	idle := log.seen[1][0]
+	if idle <= 0 || idle >= 0.5 {
+		t.Fatalf("replica 0 reads %v at the burst, want its idle clock in (0, 0.5)", idle)
+	}
+	// Request 2 went to replica 0 and request 3 to replica 1; neither push
+	// moved the clock the next call reads.
+	if got := log.seen[2][0]; got != idle {
+		t.Errorf("after a push replica 0 reads %v, want its pre-push clock %v", got, idle)
+	}
+	if got := log.seen[3]; got[0] != idle || got[1] != 0 {
+		t.Errorf("after two pushes the replicas read %v, want [%v 0]", got, idle)
+	}
+}
+
 // pinRouter sends the requests it names to fixed replicas and routes the
 // rest least-outstanding.
 type pinRouter map[int]int
@@ -439,6 +497,95 @@ func TestShardedFaultsMatchSerial(t *testing.T) {
 			}
 			if ref.Faults+ref.Retries == 0 {
 				t.Fatalf("no fault fired and nothing retried: the equivalence pin is vacuous")
+			}
+		})
+	}
+}
+
+// sharingKV is the block-KV sharing configuration the chat-kv regime
+// runs: 16-token blocks, prefix sharing on.
+func sharingKV() *kv.Options { return &kv.Options{BlockTokens: 16, Sharing: true} }
+
+// sharePrefixes deals half of an open-loop stream, in place, into three
+// groups that share a document prefix, and returns the stream.
+func sharePrefixes(reqs []workload.Request, seed int64) []workload.Request {
+	doc := workload.LengthDist{Median: 96, Sigma: 0.4, Min: 32, Max: 256}
+	return workload.AssignPrefixGroups(reqs, 3, doc, 0.5, seed)
+}
+
+// sharedTokens sums the prefix tokens the fleet's replicas adopted.
+func sharedTokens(f *FleetResult) int {
+	n := 0
+	for _, rep := range f.Replicas {
+		if rep.KV != nil {
+			n += rep.KV.SharedTokens
+		}
+	}
+	return n
+}
+
+// TestShardedSharingMatchesSerial extends the equivalence pin to block-KV
+// sharing fleets, where a push into a block-store replica syncs it first
+// and closed-loop follow-ups adopt their carried context.
+// Open-loop streams with shared prefixes and conversation plans run under
+// every built-in router at TLP 1 and 4, and one plan row adds a crash and
+// timeouts. A row whose replicas adopt no prefix tokens would pin nothing,
+// so it fails.
+func TestShardedSharingMatchesSerial(t *testing.T) {
+	crash := &faults.Plan{Name: "crash", Faults: []faults.Fault{
+		{Kind: faults.KindCrash, Replica: 1, At: 2},
+	}}
+	type row struct {
+		name    string
+		router  func() Router
+		tlp     int
+		plan    bool
+		faults  *faults.Plan
+		timeout units.Seconds
+	}
+	var rows []row
+	for _, rt := range []struct {
+		name string
+		new  func() Router
+	}{{"round-robin", RoundRobin}, {"least-outstanding", LeastOutstanding}, {"kv-headroom", KVHeadroom}} {
+		for _, tlp := range []int{1, 4} {
+			for _, plan := range []bool{false, true} {
+				kind := "open"
+				if plan {
+					kind = "plan"
+				}
+				rows = append(rows, row{fmt.Sprintf("%s/%s/tlp%d", kind, rt.name, tlp), rt.new, tlp, plan, nil, 0})
+			}
+		}
+	}
+	rows = append(rows, row{"plan/crash-timeout", LeastOutstanding, 1, true, crash, units.Seconds(1.5)})
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Cluster {
+				opt := testOptions(3, tc.router())
+				opt.Serving = serving.DefaultOptions(tc.tlp)
+				opt.Serving.KV = sharingKV()
+				if tc.faults != nil {
+					opt.Faults, opt.Retries, opt.RetryBackoff = tc.faults, 1, units.Seconds(0.05)
+				}
+				opt.Timeout = tc.timeout
+				cl, err := New(newPAPI, model.LLaMA65B(), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cl
+			}
+			var ref *FleetResult
+			if tc.plan {
+				ref = matchDrivers(t, tc.name, build, nil, chatPlan(t, 12, 43))
+			} else {
+				ref = matchDrivers(t, tc.name, build, sharePrefixes(workload.GeneralQA().Poisson(48, 40, 43), 44), nil)
+			}
+			if sharedTokens(ref) == 0 {
+				t.Fatal("no replica adopted a shared prefix: the sharing pin is vacuous")
+			}
+			if tc.faults != nil && (ref.Faults == 0 || ref.Retries == 0) {
+				t.Fatalf("%d faults, %d retries: the crash row is vacuous", ref.Faults, ref.Retries)
 			}
 		})
 	}
@@ -671,22 +818,28 @@ func TestVacuousScores(t *testing.T) {
 // streams and conversation plans alike, including fault-injected ones: a
 // randomized crash (replica and instant), a degradation window, and
 // per-attempt timeouts, so barrier-scheduled failure events are fuzzed
-// against the reference failure trace.
+// against the reference failure trace. The sharing axis turns on block-KV
+// prefix sharing and, for open-loop streams, deals half the requests into
+// shared-prefix groups.
 func FuzzShardedEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(2), false, uint8(0), uint8(0), false, false, false)
-	f.Add(int64(7), uint8(40), uint8(3), true, uint8(0), uint8(0), false, false, false)
-	f.Add(int64(23), uint8(8), uint8(1), false, uint8(0), uint8(0), false, false, false)
-	f.Add(int64(31), uint8(48), uint8(3), false, uint8(3), uint8(40), true, false, false)
-	f.Add(int64(11), uint8(32), uint8(2), true, uint8(7), uint8(90), false, false, false)
-	f.Add(int64(5), uint8(24), uint8(2), false, uint8(0), uint8(0), false, true, false)
-	f.Add(int64(13), uint8(40), uint8(3), true, uint8(1), uint8(60), false, true, false)
-	f.Add(int64(17), uint8(32), uint8(3), false, uint8(6), uint8(20), true, true, false)
-	f.Add(int64(19), uint8(20), uint8(2), true, uint8(3), uint8(75), true, true, false)
-	f.Add(int64(29), uint8(40), uint8(3), false, uint8(0), uint8(0), false, false, true)
-	f.Add(int64(37), uint8(48), uint8(3), true, uint8(3), uint8(40), true, false, true)
-	f.Add(int64(41), uint8(32), uint8(2), false, uint8(2), uint8(30), true, true, true)
+	f.Add(int64(1), uint8(16), uint8(2), false, uint8(0), uint8(0), false, false, false, false)
+	f.Add(int64(7), uint8(40), uint8(3), true, uint8(0), uint8(0), false, false, false, false)
+	f.Add(int64(23), uint8(8), uint8(1), false, uint8(0), uint8(0), false, false, false, false)
+	f.Add(int64(31), uint8(48), uint8(3), false, uint8(3), uint8(40), true, false, false, false)
+	f.Add(int64(11), uint8(32), uint8(2), true, uint8(7), uint8(90), false, false, false, false)
+	f.Add(int64(5), uint8(24), uint8(2), false, uint8(0), uint8(0), false, true, false, false)
+	f.Add(int64(13), uint8(40), uint8(3), true, uint8(1), uint8(60), false, true, false, false)
+	f.Add(int64(17), uint8(32), uint8(3), false, uint8(6), uint8(20), true, true, false, false)
+	f.Add(int64(19), uint8(20), uint8(2), true, uint8(3), uint8(75), true, true, false, false)
+	f.Add(int64(29), uint8(40), uint8(3), false, uint8(0), uint8(0), false, false, true, false)
+	f.Add(int64(37), uint8(48), uint8(3), true, uint8(3), uint8(40), true, false, true, false)
+	f.Add(int64(41), uint8(32), uint8(2), false, uint8(2), uint8(30), true, true, true, false)
+	f.Add(int64(43), uint8(48), uint8(3), false, uint8(0), uint8(0), false, false, false, true)
+	f.Add(int64(47), uint8(40), uint8(3), true, uint8(0), uint8(0), false, true, false, true)
+	f.Add(int64(53), uint8(32), uint8(3), false, uint8(1), uint8(50), true, true, false, true)
+	f.Add(int64(59), uint8(40), uint8(2), true, uint8(3), uint8(40), true, false, true, true)
 	f.Fuzz(func(t *testing.T, seed int64, n, replicas uint8, elastic bool,
-		fault, faultAt uint8, timeout, plan, clock bool) {
+		fault, faultAt uint8, timeout, plan, clock, sharing bool) {
 
 		nreq := int(n%64) + 1
 		reps := int(replicas%4) + 1
@@ -719,6 +872,9 @@ func FuzzShardedEquivalence(f *testing.F) {
 			convs = chatPlan(t, nreq/4+1, seed)
 		} else {
 			reqs = workload.GeneralQA().Poisson(nreq, 50, seed)
+			if sharing {
+				reqs = sharePrefixes(reqs, seed+1)
+			}
 		}
 		build := func() *Cluster {
 			opt := Options{
@@ -732,6 +888,9 @@ func FuzzShardedEquivalence(f *testing.F) {
 			}
 			if clock {
 				opt.Router = clockRouter{}
+			}
+			if sharing {
+				opt.Serving.KV = sharingKV()
 			}
 			if faultPlan != nil {
 				opt.Retries = 1
@@ -749,7 +908,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 			}
 			return c
 		}
-		matchDrivers(t, fmt.Sprintf("fuzz (seed=%d n=%d replicas=%d elastic=%v fault=%d at=%v timeout=%v plan=%v)",
-			seed, nreq, reps, elastic, fault%4, at, timeout, plan), build, reqs, convs)
+		matchDrivers(t, fmt.Sprintf("fuzz (seed=%d n=%d replicas=%d elastic=%v fault=%d at=%v timeout=%v plan=%v clock=%v sharing=%v)",
+			seed, nreq, reps, elastic, fault%4, at, timeout, plan, clock, sharing), build, reqs, convs)
 	})
 }

@@ -25,7 +25,7 @@ import (
 // that arrived before it (a retry, admissible at once), a deadline, a crash
 // or a straggler edge on the replica it names, and every armed replica for
 // ticks, activations and brownout edges. A replica left behind has its wake
-// at or after the instant, so a sync finishes no request, buffers no
+// at or after the instant, so a sync finishes no request, launches no
 // follow-up and writes no ledger entry; a finish there would mean a wrong
 // bound, and it stops the run with an error rather than diverge silently.
 
@@ -123,6 +123,8 @@ func (h *wakeHeap) remove(rep *Replica) {
 // cancellation or a crash changed its stepper: an armed replica's wake is
 // the later of its armed instant and its quiet bound, and a disarmed one
 // leaves the heap.
+//
+//papivet:noalloc
 func (r *fleetRun) rearm(rep *Replica) {
 	if !rep.scheduled {
 		if rep.slot >= 0 {
@@ -133,8 +135,7 @@ func (r *fleetRun) rearm(rep *Replica) {
 	r.wakes.set(rep, max(rep.nextStep, rep.stepper.QuietUntil()))
 }
 
-// byID orders replicas by ID, the order the driver drives and settles
-// them in.
+// byID orders replicas by ID, the order the driver drives them in.
 func byID(a, b *Replica) int { return cmp.Compare(a.ID, b.ID) }
 
 // sync drives one replica left behind up to the current event instant (see
@@ -147,7 +148,6 @@ func (r *fleetRun) sync(rep *Replica) {
 	r.wakes.remove(rep)
 	left := rep.stepper.Outstanding()
 	r.driveReplica(rep, now)
-	r.settle(rep)
 	if rep.stepper.Outstanding() != left && r.err == nil {
 		r.err = fmt.Errorf("cluster: replica %d finished a request catching up to %v, before its quiet bound",
 			rep.ID, now)

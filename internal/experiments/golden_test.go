@@ -8,14 +8,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// The golden suite pins the full numeric output of the grown fleet figures
-// (`papibench -figure capacity|scenarios|elasticity`) as byte-stable JSON
-// fixtures under testdata/golden/. Any change to the serving engine, the
-// cluster layer, the scenario generators, or the sweeps that shifts a single
-// float shows up as a fixture diff — the regression net under every
+// The golden suite pins the full numeric output of every figure
+// (`papibench -figure <id>`, one fixture per Figures() ID) as byte-stable
+// JSON fixtures under testdata/golden/. Any change to the serving engine,
+// the cluster layer, the scenario generators, or the sweeps that shifts a
+// single float shows up as a fixture diff — the regression net under every
 // refactor. After an intentional behaviour change, refresh with:
 //
 //	go test ./internal/experiments -run TestGolden -update
@@ -23,19 +24,22 @@ import (
 // and review the fixture diff like any other code change (docs/TESTING.md).
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure fixtures under testdata/golden/")
 
-// goldenFigures maps fixture names to result generators. Results marshal
-// deterministically: struct fields in declaration order, float64s in Go's
-// shortest round-tripping form.
-func goldenFigures() map[string]func() any {
-	return map[string]func() any{
-		"capacity":   func() any { return Capacity() },
-		"scenarios":  func() any { return Scenarios() },
-		"elasticity": func() any { return Elasticity() },
-		"dse":        func() any { return DSE() },
-		"kvcache":    func() any { return KVCache() },
-		"resilience": func() any { return Resilience() },
-		"scale":      func() any { return Scale() },
+// goldenFigures maps fixture names — the figure IDs — to result
+// generators. Results marshal deterministically: struct fields in
+// declaration order, float64s in Go's shortest round-tripping form.
+func goldenFigures() map[string]func(t *testing.T) any {
+	gens := map[string]func(t *testing.T) any{}
+	for _, fig := range Figures() {
+		gens[fig.ID] = func(t *testing.T) any {
+			t.Helper()
+			res, err := fig.Run()
+			if err != nil {
+				t.Fatalf("figure %s: %v", fig.ID, err)
+			}
+			return res
+		}
 	}
+	return gens
 }
 
 func goldenPath(name string) string {
@@ -60,7 +64,7 @@ func TestGoldenFigures(t *testing.T) {
 	}
 	for name, gen := range goldenFigures() {
 		t.Run(name, func(t *testing.T) {
-			got := marshalGolden(t, gen())
+			got := marshalGolden(t, gen(t))
 			path := goldenPath(name)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -110,11 +114,34 @@ func goldenDiff(want, got []byte) string {
 func TestGoldenFiguresRunToRunStable(t *testing.T) {
 	for name, gen := range goldenFigures() {
 		t.Run(name, func(t *testing.T) {
-			a := marshalGolden(t, gen())
-			b := marshalGolden(t, gen())
+			a := marshalGolden(t, gen(t))
+			b := marshalGolden(t, gen(t))
 			if !bytes.Equal(a, b) {
 				t.Fatalf("%s is not run-to-run stable:\n%s", name, goldenDiff(a, b))
 			}
 		})
+	}
+}
+
+// TestGoldenCoversEveryFigure: every registered figure has a fixture, and
+// every fixture names a registered figure, so a new figure cannot ship
+// unpinned and a retired one leaves no stale fixture behind.
+func TestGoldenCoversEveryFigure(t *testing.T) {
+	files, err := filepath.Glob(goldenPath("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, f := range files {
+		have[strings.TrimSuffix(filepath.Base(f), ".json")] = true
+	}
+	for _, id := range FigureIDs() {
+		if !have[id] {
+			t.Errorf("figure %s has no golden fixture %s (generate with -update)", id, goldenPath(id))
+		}
+		delete(have, id)
+	}
+	for name := range have {
+		t.Errorf("fixture %s names no registered figure", goldenPath(name))
 	}
 }

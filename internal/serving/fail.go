@@ -48,10 +48,10 @@ type Casualty struct {
 // Fail crashes the stepper: every outstanding request — active batch and
 // pending queue — is surrendered (KV leases dropped, metrics entries
 // withdrawn) and returned as casualties in admission-then-queue order. A
-// failed stepper reports StepDrained forever and refuses further pushes; its
-// Result keeps the work it already did (tokens, energy, time), which is how
-// the fleet accounts a dead replica's sunk cost. Fail on a static stepper or
-// a second Fail returns nil.
+// failed stepper has no work from then on — its Step is a no-op — and
+// refuses further pushes; its Result keeps the work it already did (tokens,
+// energy, time), which is how the fleet accounts a dead replica's sunk
+// cost. Fail on a static stepper or a second Fail returns nil.
 func (s *Stepper) Fail() []Casualty {
 	if s.static || s.failed {
 		return nil

@@ -13,15 +13,12 @@ import (
 
 func driveToDrain(t *testing.T, s *Stepper) Result {
 	t.Helper()
-	for {
-		info, err := s.Step()
-		if err != nil {
+	for s.HasWork() {
+		if _, err := s.Step(); err != nil {
 			t.Fatalf("step: %v", err)
 		}
-		if info.Kind == StepDrained {
-			return s.Finalize()
-		}
 	}
+	return s.Finalize()
 }
 
 // An inert perturbation (factors at or below 1, or the zero value) must be
@@ -114,6 +111,12 @@ func TestPerturbationChangeFastMatchesReference(t *testing.T) {
 				st.SetPerturbation(edges[next].p)
 				next++
 			}
+			if !st.HasWork() {
+				if next != len(edges) {
+					t.Fatalf("run drained before edge %d at %v", next, edges[next].at)
+				}
+				return st.Finalize(), perturbedSteps
+			}
 			horizon := units.Seconds(math.Inf(1))
 			if next < len(edges) {
 				horizon = edges[next].at
@@ -125,15 +128,8 @@ func TestPerturbationChangeFastMatchesReference(t *testing.T) {
 			if next > 0 && next < len(edges) {
 				perturbedSteps++
 			}
-			info, err := st.Step()
-			if err != nil {
+			if _, err := st.Step(); err != nil {
 				t.Fatalf("step: %v", err)
-			}
-			if info.Kind == StepDrained {
-				if next != len(edges) {
-					t.Fatalf("run drained before edge %d at %v", next, edges[next].at)
-				}
-				return st.Finalize(), perturbedSteps
 			}
 		}
 	}
@@ -148,7 +144,8 @@ func TestPerturbationChangeFastMatchesReference(t *testing.T) {
 }
 
 // Fail surrenders every outstanding request exactly once, keeps the sunk
-// work in the Result, and leaves the stepper permanently drained.
+// work in the Result, and leaves the stepper permanently without work: a
+// Step is a no-op.
 func TestFailSurrendersOutstanding(t *testing.T) {
 	opt := DefaultOptions(1)
 	opt.KV = &kv.Options{BlockTokens: 32, Sharing: true}
@@ -184,9 +181,9 @@ func TestFailSurrendersOutstanding(t *testing.T) {
 	if st.KVDemand() != 0 {
 		t.Fatalf("failed stepper still reports KV demand %v", st.KVDemand())
 	}
-	info, err := st.Step()
-	if err != nil || info.Kind != StepDrained {
-		t.Fatalf("failed stepper Step = (%v, %v), want drained", info.Kind, err)
+	now := st.Now()
+	if finished, err := st.Step(); finished != nil || err != nil || st.Now() != now {
+		t.Fatalf("failed stepper Step = (%v, %v) moved its clock %v → %v, want a no-op", finished, err, now, st.Now())
 	}
 	if err := st.Push(workload.Request{ID: 999, InputLen: 8, OutputLen: 2}); err == nil {
 		t.Fatal("push into a failed stepper should error")

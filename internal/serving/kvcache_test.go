@@ -276,18 +276,14 @@ func TestKVStepperInvariants(t *testing.T) {
 				}
 			}
 			audit()
-			for {
+			for st.HasWork() {
 				if oneIteration {
 					st.SetHorizon(st.Now())
 				}
-				info, err := st.Step()
-				if err != nil {
+				if _, err := st.Step(); err != nil {
 					t.Fatalf("%s one-iteration=%v: %v", sc.name, oneIteration, err)
 				}
 				audit()
-				if info.Kind == StepDrained {
-					break
-				}
 			}
 			st.Finalize()
 			if got := st.kvStore.CommittedBlocks(); got != 0 {
@@ -312,13 +308,9 @@ func TestKVDemandDiscount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		info, err := st.Step()
-		if err != nil {
+	for st.HasWork() {
+		if _, err := st.Step(); err != nil {
 			t.Fatal(err)
-		}
-		if info.Kind == StepDrained {
-			break
 		}
 	}
 	carried := first.SeqLen()

@@ -11,8 +11,8 @@
 // advances a window of same-RLP iterations per Step, on a caller-owned
 // clock and up to a caller-set horizon. External arrival owners (the fleet
 // simulator in internal/cluster, closed-loop multi-turn scenarios) inject
-// requests mid-run with Push and observe completions via
-// StepInfo.Finished. Per-request latency metrics (TTFT, TPOT, completion)
+// requests mid-run with Push and observe completions in the requests each
+// Step returns. Per-request latency metrics (TTFT, TPOT, completion)
 // and SLO attainment live in metrics.go.
 package serving
 

@@ -12,34 +12,6 @@ import (
 	"github.com/papi-sim/papi/internal/workload"
 )
 
-// StepKind says what a single Step advanced.
-type StepKind int
-
-const (
-	// StepDrained means nothing is left to do: no live requests and no
-	// pending arrivals. The stepper is finished.
-	StepDrained StepKind = iota
-	// StepIdle means no request was runnable, so the clock jumped to the
-	// next pending arrival (idle time, continuous batching only).
-	StepIdle
-	// StepIteration means one decoding iteration ran and committed tokens.
-	StepIteration
-)
-
-// StepInfo reports the outcome of one Step call.
-type StepInfo struct {
-	Kind StepKind
-	// Iteration is the iteration's trace entry (valid for StepIteration),
-	// with Tokens filled from the committed count.
-	Iteration IterationStat
-	// Completed is how many requests reached <|eos|> this step.
-	Completed int
-	// Finished lists the requests that reached <|eos|> this step, in active
-	// order — the hook closed-loop arrival owners (multi-turn conversations
-	// in internal/cluster) use to couple a follow-up Push to a completion.
-	Finished []workload.Request
-}
-
 // Stepper is the resumable core of the serving engine: the iteration loop
 // shared by RunBatch and RunContinuous, exposed as an
 // admit → decide → iterate → commit cycle that advances by one decode
@@ -119,8 +91,8 @@ type Stepper struct {
 	perturb   Perturbation
 	perturbed bool
 	// failed marks a crashed replica's stepper: Fail was called, every
-	// outstanding request was surrendered, and the stepper only reports
-	// StepDrained from here on.
+	// outstanding request was surrendered, and the stepper has no work from
+	// here on.
 	failed bool
 
 	// floor is the shortest decoding iteration the stepper can run (see
@@ -428,7 +400,7 @@ func (s *Stepper) KVDemand() units.Bytes { return s.kvDemandAll }
 // counts: it can be admitted at its ready instant, or now, and finish in its
 // first iteration. A full batch admits and preempts nothing before a
 // finish, so the rest of the queue never matters. A stepper with no work
-// returns its clock: its next Step drains it.
+// returns its clock: its next Step does nothing.
 //
 // A perturbation only stretches iterations, and a cancellation or a failure
 // only removes work, so a pushless stepper's bound stays valid until its
@@ -781,8 +753,11 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 
 // Step advances the engine by one unit of progress: admit any arrived
 // requests, then either run a window of decoding iterations (decide →
-// iterate → commit, see window), jump the clock to the next arrival if
-// nothing is runnable, or report the stepper drained.
+// iterate → commit, see window) or jump the clock to the next arrival if
+// nothing is runnable; a stepper without work (see HasWork) is left as it
+// is. It returns the requests that reached <|eos|> in the window, in active
+// order — the hook closed-loop arrival owners (multi-turn conversations in
+// internal/cluster) use to couple a follow-up Push to a completion.
 //
 // One Step may run a whole window of iterations; the stepper accounts for
 // every arrival already in its pending queue, so RunBatch/RunContinuous-style
@@ -792,18 +767,15 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 // window can overshoot the instant the caller meant to inject at, admitting
 // the request later than single-stepping would. internal/cluster does
 // exactly this: each replica's horizon is the fleet driver's next barrier.
-func (s *Stepper) Step() (StepInfo, error) {
-	if s.failed {
-		return StepInfo{Kind: StepDrained}, nil
-	}
+func (s *Stepper) Step() ([]workload.Request, error) {
 	if !s.static {
 		if err := s.admit(); err != nil {
-			return StepInfo{}, err
+			return nil, err
 		}
 	}
 	if len(s.active) == 0 {
 		if len(s.pending) == 0 {
-			return StepInfo{Kind: StepDrained}, nil
+			return nil, nil
 		}
 		gap := s.pending[0].readyAt - s.clock
 		if gap <= 0 {
@@ -828,12 +800,12 @@ func (s *Stepper) Step() (StepInfo, error) {
 					break
 				}
 			}
-			return StepInfo{}, fmt.Errorf("serving: request %d KV footprint exceeds attention pool capacity",
+			return nil, fmt.Errorf("serving: request %d KV footprint exceeds attention pool capacity",
 				blocked.ID)
 		}
 		s.res.IdleTime += gap
 		s.clock = s.pending[0].readyAt
-		return StepInfo{Kind: StepIdle}, nil
+		return nil, nil
 	}
 
 	// A window fast-forwards a whole run of identical-RLP iterations, bounded
@@ -864,7 +836,7 @@ func (s *Stepper) Step() (StepInfo, error) {
 // stochastic: every iteration is charged on its own and then replays the
 // per-request acceptance sampling walk in active order, because the RNG
 // draw order is part of the bit-identical contract.
-func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
+func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 	rlp := len(s.active)
 	spec := s.eng.Opt.TLP > 1
 	// Every iteration commits at least one token per live request, so no
@@ -878,20 +850,20 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 	var p windowPrice
 	s.eng.priceWindow(&p, rlp, ev.Placement == sched.PlacePU && s.eng.Sys.HasGPU())
 	s.reserveTraces(limit)
-	info := StepInfo{Kind: StepIteration}
-	run, eos, tokens := 0, 0, rlp
-	var first, last units.Seconds
+	run, eos := 0, 0
+	var first units.Seconds
+	var finished []workload.Request
 	if !spec {
-		run, first, last = s.charge(&p, rlp, rlp, ev, bound, limit)
+		run, first = s.charge(&p, rlp, rlp, ev, bound, limit)
 	} else {
 		for {
 			traced := len(s.res.IterStats) < traceCap
 			at := ev
 			at.Iteration += run
-			_, _, last = s.charge(&p, rlp, 0, at, bound, 1)
+			s.charge(&p, rlp, 0, at, bound, 1)
 			run++
 			// Commit tokens and count <|eos|> (§5.2.2 steps 1–2).
-			tokens = 0
+			tokens := 0
 			for _, r := range s.active {
 				committed := s.eng.commitTokens(r)
 				s.res.Tokens += committed
@@ -899,7 +871,7 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 				s.kvSum += committed
 				if s.kvStore != nil {
 					if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-						return StepInfo{}, err
+						return nil, err
 					}
 				}
 				epoch := r.Arrival
@@ -909,7 +881,7 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 				s.tracker.observe(r, committed, s.clock, s.clock, epoch)
 				if r.done {
 					eos++
-					info.Finished = append(info.Finished, r.Request)
+					finished = append(finished, r.Request)
 					s.finish(r)
 				}
 			}
@@ -922,8 +894,6 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 		}
 	}
 	s.scheduler.Repeat(run - 1)
-	info.Iteration = IterationStat{Index: ev.Iteration + run - 1, RLP: rlp, TLP: s.eng.Opt.TLP,
-		Placement: ev.Placement, Time: last, Tokens: tokens}
 
 	if !spec {
 		// Bulk-commit the window: each request gained one token per
@@ -941,7 +911,7 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 		if s.kvStore != nil && run > 1 {
 			for _, r := range s.active {
 				if err := s.kvStore.Extend(r.lease, r.contextLen()+run-1); err != nil {
-					return StepInfo{}, err
+					return nil, err
 				}
 			}
 		}
@@ -950,7 +920,7 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 			r.generated += run
 			if s.kvStore != nil {
 				if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-					return StepInfo{}, err
+					return nil, err
 				}
 			}
 			epoch := r.Arrival
@@ -961,7 +931,7 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 			if r.generated >= r.OutputLen {
 				r.done = true
 				eos++
-				info.Finished = append(info.Finished, r.Request)
+				finished = append(finished, r.Request)
 				s.finish(r)
 			}
 		}
@@ -969,9 +939,8 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 	// Interior iterations had no completions, so one ObserveEOS at the
 	// window's end is equivalent to one per iteration.
 	if err := s.scheduler.ObserveEOS(eos); err != nil {
-		return StepInfo{}, err
+		return nil, err
 	}
-	info.Completed = eos
 	// Drop finished requests from the active set to release KV capacity.
 	if eos > 0 {
 		s.active = live(s.active)
@@ -980,13 +949,13 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 	for _, r := range s.active {
 		s.owed = min(s.owed, r.OutputLen-r.generated)
 	}
-	return info, nil
+	return finished, nil
 }
 
 // charge is the decode window's charging kernel: it runs up to n decoding
 // iterations of the window priced in p, stopping early once the clock
-// reaches bound or the horizon, and returns how many ran, the clock at the
-// end of the first, and the last one's time. Each iteration charges, in
+// reaches bound or the horizon, and returns how many ran and the clock at
+// the end of the first. Each iteration charges, in
 // order (per layer, serialised: FC(QKV) → link to Attn-PIM → attention →
 // link back → FC(projection+FFN), with all-layer work aggregated into closed
 // forms since layers are identical):
@@ -1009,7 +978,7 @@ func (s *Stepper) window(bound units.Seconds) (StepInfo, error) {
 // the room reserveTraces made; their Tokens is grow.
 //
 //papivet:noalloc
-func (s *Stepper) charge(p *windowPrice, rlp, grow int, ev sched.Event, bound units.Seconds, n int) (run int, first, last units.Seconds) {
+func (s *Stepper) charge(p *windowPrice, rlp, grow int, ev sched.Event, bound units.Seconds, n int) (run int, first units.Seconds) {
 	e, res := s.eng, &s.res
 	hasGPU, hasFCPIM, spec := e.Sys.HasGPU(), e.Sys.FCPIM != nil, e.Opt.TLP > 1
 	static, perturbed, horizon, prefill := s.static, s.perturbed, s.horizon, res.PrefillTime
@@ -1109,7 +1078,6 @@ func (s *Stepper) charge(p *windowPrice, rlp, grow int, ev sched.Event, bound un
 				Placement: ev.Placement, Time: t, Tokens: grow}
 		}
 		if run == n || bound <= clock || clock >= horizon {
-			last = t
 			break
 		}
 		ev.Iteration++
@@ -1133,7 +1101,7 @@ func (s *Stepper) charge(p *windowPrice, rlp, grow int, ev sched.Event, bound un
 	res.Throttled = throttled
 	s.clock, s.kvSum = clock, kvSum
 	res.RLPTrace, res.IterStats = rlpTrace, iterStats
-	return run, first, last
+	return run, first
 }
 
 // finish releases a request that reached <|eos|>: its share of the running
@@ -1313,13 +1281,10 @@ func (s *Stepper) Finalize() Result {
 // run drives a stepper to completion — the shared tail of RunBatch and
 // RunContinuous.
 func (s *Stepper) run() (Result, error) {
-	for {
-		info, err := s.Step()
-		if err != nil {
+	for s.HasWork() {
+		if _, err := s.Step(); err != nil {
 			return Result{}, err
 		}
-		if info.Kind == StepDrained {
-			return s.Finalize(), nil
-		}
 	}
+	return s.Finalize(), nil
 }

@@ -62,16 +62,13 @@ func TestBatchStepperMatchesRunBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := 0
-	for {
-		info, err := st.Step()
-		if err != nil {
+	for st.HasWork() {
+		iters := st.res.Iterations
+		if _, err := st.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if info.Kind == StepDrained {
-			break
-		}
-		if info.Kind != StepIteration {
-			t.Fatalf("static stepper produced step kind %v", info.Kind)
+		if st.res.Iterations == iters {
+			t.Fatalf("static stepper step %d ran no iteration", steps)
 		}
 		steps++
 	}
@@ -108,13 +105,9 @@ func TestStreamStepperMatchesRunContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		info, err := st.Step()
-		if err != nil {
+	for st.HasWork() {
+		if _, err := st.Step(); err != nil {
 			t.Fatal(err)
-		}
-		if info.Kind == StepDrained {
-			break
 		}
 	}
 	got := st.Finalize()
@@ -195,9 +188,9 @@ func TestStepperMisuse(t *testing.T) {
 }
 
 func TestStepInfoFinishedReportsCompletions(t *testing.T) {
-	// StepInfo.Finished is the completion hook closed-loop arrival owners
-	// build on: every request must appear exactly once, in the step whose
-	// Completed count it contributes to.
+	// The requests Step returns are the completion hook closed-loop arrival
+	// owners build on: every request must appear exactly once, in the step
+	// that took it off the replica's outstanding count.
 	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
 	reqs := workload.GeneralQA().Poisson(12, 50, 5)
 	s, err := e.NewStreamStepper(reqs, 8)
@@ -205,18 +198,16 @@ func TestStepInfoFinishedReportsCompletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
-	for {
-		info, err := s.Step()
+	for s.HasWork() {
+		before := s.Outstanding()
+		finished, err := s.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Kind == StepDrained {
-			break
+		if done := before - s.Outstanding(); len(finished) != done {
+			t.Fatalf("step finished %d requests but lists %d", done, len(finished))
 		}
-		if len(info.Finished) != info.Completed {
-			t.Fatalf("step reports %d completed but lists %d finished", info.Completed, len(info.Finished))
-		}
-		for _, r := range info.Finished {
+		for _, r := range finished {
 			if seen[r.ID] {
 				t.Fatalf("request %d finished twice", r.ID)
 			}

@@ -29,19 +29,18 @@ import (
 // from scratch after every Step.
 func drive(t *testing.T, st *Stepper, oneIteration bool) (Result, int, error) {
 	t.Helper()
-	for steps := 1; ; steps++ {
+	steps := 0
+	for st.HasWork() {
 		if oneIteration {
 			st.SetHorizon(st.Now())
 		}
-		info, err := st.Step()
-		if err != nil {
+		steps++
+		if _, err := st.Step(); err != nil {
 			return Result{}, steps, err
 		}
 		checkStepInvariants(t, st)
-		if info.Kind == StepDrained {
-			return st.Finalize(), steps, nil
-		}
 	}
+	return st.Finalize(), steps, nil
 }
 
 // windowKind is the matrix's batching axis.
@@ -244,26 +243,28 @@ func TestQuietUntilSound(t *testing.T) {
 							}
 							rows++
 							quiet := units.Seconds(math.Inf(-1))
-							for {
+							for st.HasWork() {
 								q := st.QuietUntil()
 								if q > st.Now() {
 									ahead++
 								}
 								quiet = max(quiet, q)
 								st.SetHorizon(st.Now())
-								info, err := st.Step()
+								finished, err := st.Step()
 								if err != nil {
 									t.Fatalf("%s: %v", row, err)
 								}
-								if info.Kind == StepDrained {
-									break
-								}
-								if info.Completed == 0 {
+								if len(finished) == 0 {
 									continue
 								}
-								if end := st.Now(); quiet+info.Iteration.Time > end {
+								// The Step ran one iteration, the trace's last entry.
+								if n := len(st.res.IterStats); n != st.res.Iterations {
+									t.Fatalf("%s: %d iterations overflow the %d-entry trace", row, st.res.Iterations, n)
+								}
+								iter := st.res.IterStats[len(st.res.IterStats)-1].Time
+								if end := st.Now(); quiet+iter > end {
 									t.Fatalf("%s: a request finished in an iteration of %v ending at %v, before the quiet bound %v",
-										row, info.Iteration.Time, end, quiet)
+										row, iter, end, quiet)
 								}
 								quiet = units.Seconds(math.Inf(-1))
 							}
@@ -339,7 +340,7 @@ func FuzzMacroEquivalence(f *testing.F) {
 				st.SetPerturbation(Perturbation{Slow: 2})
 			}
 			horizon := delta
-			for {
+			for st.HasWork() {
 				switch {
 				case oneIteration:
 					st.SetHorizon(st.Now())
@@ -349,12 +350,8 @@ func FuzzMacroEquivalence(f *testing.F) {
 					}
 					st.SetHorizon(horizon)
 				}
-				info, err := st.Step()
-				if err != nil {
+				if _, err := st.Step(); err != nil {
 					t.Fatal(err)
-				}
-				if info.Kind == StepDrained {
-					break
 				}
 			}
 			return st.Finalize()
@@ -381,13 +378,9 @@ func TestStepAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			info, err := st.Step()
-			if err != nil {
+		for st.HasWork() {
+			if _, err := st.Step(); err != nil {
 				t.Fatal(err)
-			}
-			if info.Kind == StepDrained {
-				break
 			}
 		}
 		st.Finalize()
@@ -424,16 +417,12 @@ func TestKVDemandIncremental(t *testing.T) {
 		}
 		return need
 	}
-	for i := 0; ; i++ {
+	for i := 0; st.HasWork(); i++ {
 		if got, want := float64(st.KVDemand()), walk(); got != want {
 			t.Fatalf("step %d: KVDemand = %v, walk = %v", i, got, want)
 		}
-		info, err := st.Step()
-		if err != nil {
+		if _, err := st.Step(); err != nil {
 			t.Fatal(err)
-		}
-		if info.Kind == StepDrained {
-			break
 		}
 	}
 	if st.KVDemand() != 0 {

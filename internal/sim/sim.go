@@ -89,7 +89,6 @@ type Engine struct {
 	now    units.Seconds
 	seq    uint64
 	events eventHeap
-	fired  uint64
 }
 
 // New returns an empty engine with the clock at zero.
@@ -97,9 +96,6 @@ func New() *Engine { return &Engine{} }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() units.Seconds { return e.now }
-
-// Fired reports how many events have executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting.
 func (e *Engine) Pending() int { return len(e.events) }
@@ -126,14 +122,6 @@ func (e *Engine) At(t units.Seconds, fn Event) {
 	e.events.push(item{at: t, seq: e.seq, fn: fn})
 }
 
-// After schedules fn to run d after the current instant.
-func (e *Engine) After(d units.Seconds, fn Event) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.At(e.now+d, fn)
-}
-
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
@@ -142,7 +130,6 @@ func (e *Engine) Step() bool {
 	}
 	it := e.events.pop()
 	e.now = it.at
-	e.fired++
 	it.fn(e.now)
 	return true
 }
@@ -152,25 +139,4 @@ func (e *Engine) Run() units.Seconds {
 	for e.Step() {
 	}
 	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (even if the queue still holds later events).
-func (e *Engine) RunUntil(deadline units.Seconds) units.Seconds {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
-	if deadline > e.now {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// RunSteps executes at most n events; it returns the number executed.
-func (e *Engine) RunSteps(n int) int {
-	done := 0
-	for done < n && e.Step() {
-		done++
-	}
-	return done
 }

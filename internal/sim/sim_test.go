@@ -12,7 +12,7 @@ import (
 func TestZeroValueUsable(t *testing.T) {
 	var e Engine
 	ran := false
-	e.After(units.Seconds(1), func(units.Seconds) { ran = true })
+	e.At(units.Seconds(1), func(units.Seconds) { ran = true })
 	e.Run()
 	if !ran {
 		t.Fatal("event did not fire")
@@ -59,10 +59,10 @@ func TestNestedScheduling(t *testing.T) {
 	chain = func(now units.Seconds) {
 		hits++
 		if hits < 5 {
-			e.After(units.Seconds(1), chain)
+			e.At(now+1, chain)
 		}
 	}
-	e.After(units.Seconds(1), chain)
+	e.At(units.Seconds(1), chain)
 	end := e.Run()
 	if hits != 5 {
 		t.Fatalf("chain fired %d times, want 5", hits)
@@ -82,56 +82,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}
 	}()
 	e.At(units.Seconds(1), func(units.Seconds) {})
-}
-
-func TestNegativeDelayPanics(t *testing.T) {
-	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay should panic")
-		}
-	}()
-	e.After(units.Seconds(-1), func(units.Seconds) {})
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 4, 5} {
-		at := at
-		e.At(units.Seconds(at), func(units.Seconds) { fired = append(fired, at) })
-	}
-	e.RunUntil(units.Seconds(3))
-	if len(fired) != 3 {
-		t.Fatalf("fired %v, want events at 1,2,3", fired)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("clock = %v, want 3", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", e.Pending())
-	}
-	// RunUntil past the queue advances the clock to the deadline.
-	e.RunUntil(units.Seconds(10))
-	if e.Now() != 10 || e.Pending() != 0 {
-		t.Fatalf("clock %v pending %d, want 10 / 0", e.Now(), e.Pending())
-	}
-}
-
-func TestRunSteps(t *testing.T) {
-	e := New()
-	for i := 0; i < 5; i++ {
-		e.At(units.Seconds(float64(i)), func(units.Seconds) {})
-	}
-	if n := e.RunSteps(3); n != 3 {
-		t.Fatalf("RunSteps = %d, want 3", n)
-	}
-	if n := e.RunSteps(10); n != 2 {
-		t.Fatalf("RunSteps = %d, want remaining 2", n)
-	}
-	if e.Fired() != 5 {
-		t.Fatalf("Fired = %d, want 5", e.Fired())
-	}
 }
 
 // Property: for any set of timestamps, the engine fires events in
