@@ -161,6 +161,12 @@ func serve(o options) error {
 	if o.requests < 1 {
 		return fmt.Errorf("-requests %d must be ≥ 1", o.requests)
 	}
+	if o.replicas < 1 {
+		return fmt.Errorf("-replicas %d must be ≥ 1", o.replicas)
+	}
+	if o.maxBatch < 1 {
+		return fmt.Errorf("-maxbatch %d must be ≥ 1", o.maxBatch)
+	}
 	if !(o.sloMS >= 0) || math.IsInf(o.sloMS, 1) {
 		return fmt.Errorf("-slo %g must be finite and ≥ 0 (0 = unbounded)", o.sloMS)
 	}

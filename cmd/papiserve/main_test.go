@@ -32,6 +32,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"kv-cold minus infinity", func(o *options) { o.kvBlocks, o.kvCold = 16, -inf }, "-kv-cold"},
 		{"kv-cold huge", func(o *options) { o.kvBlocks, o.kvCold = 16, 1e30 }, "cold-tier factor"},
 		{"sweep NaN", func(o *options) { o.sweep = "5,nan" }, "sweep rate"},
+		{"sweep with zero replicas", func(o *options) { o.sweep, o.replicas = "5", 0 }, "-replicas"},
+		{"sweep with negative replicas", func(o *options) { o.sweep, o.replicas = "5", -3 }, "-replicas"},
+		{"sweep with zero maxbatch", func(o *options) { o.sweep, o.maxBatch = "5", 0 }, "-maxbatch"},
+		{"sweep with negative maxbatch", func(o *options) { o.sweep, o.maxBatch = "5", -2 }, "-maxbatch"},
+		{"replicas zero", func(o *options) { o.replicas = 0 }, "-replicas"},
+		{"maxbatch zero", func(o *options) { o.maxBatch = 0 }, "-maxbatch"},
 		{"target above one", func(o *options) { o.sweep, o.target = "5", 7 }, "-target"},
 		{"target NaN", func(o *options) { o.sweep, o.target = "5", nan }, "-target"},
 		{"target negative", func(o *options) { o.sweep, o.target = "5", -0.5 }, "-target"},

@@ -256,8 +256,11 @@ func (s *scaler) tick(now units.Seconds) {
 	if r.err != nil {
 		return
 	}
-	// The tick reads every replica's clock and whether any is still armed.
-	r.syncAll()
+	// No replica is synced: one the driver left behind finishes nothing
+	// before now, so everything the tick reads of it (state, Outstanding,
+	// KVDemand, whether it is armed, its TPOT samples) is already what a
+	// sync would show. The one clock read is an idle victim's, and an idle
+	// replica is never left behind.
 
 	// Windowed signals over the active set.
 	act, warming := 0, 0
@@ -323,7 +326,6 @@ func (s *scaler) tick(now units.Seconds) {
 			if r.err != nil || rep.state != repWarming {
 				return
 			}
-			r.syncAll()
 			rep.state = repActive
 			r.rebuildEligible()
 			s.record(ScaleEvent{At: liveNow, Action: ScaleLive, Replica: rep.ID, Active: len(r.eligible)})

@@ -788,7 +788,8 @@ func (r *fleetRun) driveReplica(rep *Replica, barrier units.Seconds) {
 
 // stepsPending reports whether any replica still has an armed step. Steps
 // live outside the kernel, so the drain loop and the autoscaler's re-arm
-// check (which syncs first) must ask here as well as kernel.Pending.
+// check must ask here as well as kernel.Pending. A replica the driver left
+// behind has work, so it is armed whether or not it was synced.
 func (r *fleetRun) stepsPending() bool { return len(r.wakes) > 0 }
 
 // Run consumes the request stream to completion and returns fleet metrics:

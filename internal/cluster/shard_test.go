@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
@@ -57,27 +58,72 @@ func runDriven(c *Cluster, reqs []workload.Request, convs []workload.Conversatio
 	return c.run(sortedSource(reqs), nil, drive)
 }
 
+// routeView is what a Route call shows of one eligible replica: the two
+// signals the built-in routers read. Neither syncs a replica the barrier
+// driver left behind, so a view taken there is the one a router gets.
+type routeView struct {
+	ID, Outstanding int
+	Headroom        units.Bytes
+}
+
+// routeLog wraps a cluster's router and records the view of every eligible
+// replica at each Route call.
+type routeLog struct {
+	Router
+	seen [][]routeView
+}
+
+func (l *routeLog) Route(req workload.Request, reps []*Replica) int {
+	row := make([]routeView, len(reps))
+	for i, rep := range reps {
+		row[i] = routeView{rep.ID, rep.Outstanding(), rep.KVHeadroom()}
+	}
+	l.seen = append(l.seen, row)
+	return l.Router.Route(req, reps)
+}
+
 // matchDrivers runs one fleet under the time-order reference and under the
 // barrier driver — through Run or RunPlan — and fails unless the results
-// deep-equal. build must return a fresh cluster, with a fresh router, on
-// every call: routers keep per-run state. It returns the reference result.
+// deep-equal and every Route call showed the router the same replicas with
+// the same signals. build must return a fresh cluster, with a fresh router,
+// on every call: routers keep per-run state. It returns the reference
+// result.
 func matchDrivers(t *testing.T, label string, build func() *Cluster,
 	reqs []workload.Request, convs []workload.Conversation) *FleetResult {
 	t.Helper()
-	want, err := runDriven(build(), reqs, convs, referenceDrive)
+	logged := func() (*Cluster, *routeLog) {
+		c := build()
+		log := &routeLog{Router: c.opt.Router}
+		c.opt.Router = log
+		return c, log
+	}
+	ref, wantLog := logged()
+	want, err := runDriven(ref, reqs, convs, referenceDrive)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, gotLog := logged()
 	var got *FleetResult
 	if convs != nil {
-		got, err = build().RunPlan(convs)
+		got, err = c.RunPlan(convs)
 	} else {
-		got, err = build().Run(reqs)
+		got, err = c.Run(reqs)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	diffFleet(t, label, want, got)
+	w, g := wantLog.seen, gotLog.seen
+	for i := range max(len(w), len(g)) {
+		if i == len(w) || i == len(g) {
+			t.Errorf("%s: the router was called %d times, %d under the reference", label, len(g), len(w))
+			break
+		}
+		if !reflect.DeepEqual(w[i], g[i]) {
+			t.Errorf("%s: Route call %d diverged:\n want: %+v\n got:  %+v", label, i, w[i], g[i])
+			break
+		}
+	}
 	return want
 }
 
@@ -531,6 +577,14 @@ func sharedTokens(f *FleetResult) int {
 // every built-in router at TLP 1 and 4, and one plan row adds a crash and
 // timeouts. A row whose replicas adopt no prefix tokens would pin nothing,
 // so it fails.
+//
+// The two full-tier rows show why the push syncs. GPT-3 175B on one
+// attention device (the kvcache figure's PAPI-1stack) with no cold tier
+// keeps the hot tier full, so a decode-time Extend drops idle cached
+// blocks. A replica left behind still counts those blocks as resident, and
+// a push priced against them would discount the request's KV demand by
+// prefix the synced replica no longer holds: the KV-headroom router then
+// sees the wrong headroom.
 func TestShardedSharingMatchesSerial(t *testing.T) {
 	crash := &faults.Plan{Name: "crash", Faults: []faults.Fault{
 		{Kind: faults.KindCrash, Replica: 1, At: 2},
@@ -542,6 +596,9 @@ func TestShardedSharingMatchesSerial(t *testing.T) {
 		plan    bool
 		faults  *faults.Plan
 		timeout units.Seconds
+		// fullTier, when non-zero, is the seed of a 120-conversation plan
+		// run on the full-tier fleet.
+		fullTier int64
 	}
 	var rows []row
 	for _, rt := range []struct {
@@ -554,11 +611,18 @@ func TestShardedSharingMatchesSerial(t *testing.T) {
 				if plan {
 					kind = "plan"
 				}
-				rows = append(rows, row{fmt.Sprintf("%s/%s/tlp%d", kind, rt.name, tlp), rt.new, tlp, plan, nil, 0})
+				rows = append(rows, row{name: fmt.Sprintf("%s/%s/tlp%d", kind, rt.name, tlp), router: rt.new, tlp: tlp, plan: plan})
 			}
 		}
 	}
-	rows = append(rows, row{"plan/crash-timeout", LeastOutstanding, 1, true, crash, units.Seconds(1.5)})
+	rows = append(rows, row{name: "plan/crash-timeout", router: LeastOutstanding, tlp: 1, plan: true,
+		faults: crash, timeout: units.Seconds(1.5)})
+	for _, seed := range []int64{1, 3} {
+		rows = append(rows, row{name: fmt.Sprintf("plan/full-tier/seed%d", seed), router: KVHeadroom, tlp: 1,
+			plan: true, fullTier: seed})
+	}
+	oneStack := design.PAPI(0)
+	oneStack.AttnPIM = design.HBMPIMPool(1)
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() *Cluster {
@@ -569,16 +633,26 @@ func TestShardedSharingMatchesSerial(t *testing.T) {
 					opt.Faults, opt.Retries, opt.RetryBackoff = tc.faults, 1, units.Seconds(0.05)
 				}
 				opt.Timeout = tc.timeout
-				cl, err := New(newPAPI, model.LLaMA65B(), opt)
+				newSys, cfg := newPAPI, model.LLaMA65B()
+				if tc.fullTier != 0 {
+					opt.MaxBatch = 4
+					opt.Serving.KV = &kv.Options{BlockTokens: 8, Sharing: true, ColdFactor: -1}
+					newSys = func() *design.System { return design.MustBuild(oneStack) }
+					cfg = model.GPT3_175B()
+				}
+				cl, err := New(newSys, cfg, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return cl
 			}
 			var ref *FleetResult
-			if tc.plan {
+			switch {
+			case tc.fullTier != 0:
+				ref = matchDrivers(t, tc.name, build, nil, chatPlan(t, 120, tc.fullTier))
+			case tc.plan:
 				ref = matchDrivers(t, tc.name, build, nil, chatPlan(t, 12, 43))
-			} else {
+			default:
 				ref = matchDrivers(t, tc.name, build, sharePrefixes(workload.GeneralQA().Poisson(48, 40, 43), 44), nil)
 			}
 			if sharedTokens(ref) == 0 {
@@ -587,8 +661,23 @@ func TestShardedSharingMatchesSerial(t *testing.T) {
 			if tc.faults != nil && (ref.Faults == 0 || ref.Retries == 0) {
 				t.Fatalf("%d faults, %d retries: the crash row is vacuous", ref.Faults, ref.Retries)
 			}
+			if tc.fullTier != 0 && evictedBlocks(ref) == 0 {
+				t.Fatal("no replica evicted a block: the hot tier never filled")
+			}
 		})
 	}
+}
+
+// evictedBlocks sums the blocks the fleet's replicas dropped from their
+// block stores.
+func evictedBlocks(f *FleetResult) int {
+	n := 0
+	for _, rep := range f.Replicas {
+		if rep.KV != nil {
+			n += rep.KV.EvictedBlocks
+		}
+	}
+	return n
 }
 
 // rotate cuts reqs at the first instant boundary from the middle and swaps

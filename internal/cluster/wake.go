@@ -24,10 +24,13 @@ import (
 // push that prices the block store's resident prefix, a push of a request
 // that arrived before it (a retry, admissible at once), a deadline, a crash
 // or a straggler edge on the replica it names, and every armed replica for
-// ticks, activations and brownout edges. A replica left behind has its wake
-// at or after the instant, so a sync finishes no request, launches no
-// follow-up and writes no ledger entry; a finish there would mean a wrong
-// bound, and it stops the run with an error rather than diverge silently.
+// a brownout edge, which changes every replica's pricing. Autoscaler ticks
+// and activations sync nothing: they read only replica states and those
+// signals, and an activation hands stranded requests to the router and
+// push, which sync what they read. A replica left behind has its wake at or
+// after the instant, so a sync finishes no request, launches no follow-up
+// and writes no ledger entry; a finish there would mean a wrong bound, and
+// it stops the run with an error rather than diverge silently.
 
 // wakeHeap holds the run's armed replicas in a binary min-heap on (wake,
 // ID). Each entry carries its replica's wake, so a comparison reads the

@@ -45,31 +45,3 @@ func TestCalibrateCrossoverMonotone(t *testing.T) {
 		}
 	}
 }
-
-// TestSchedulerRepeat pins Repeat against the equivalent run of Decide
-// calls: same iteration counter, same reschedule count.
-func TestSchedulerRepeat(t *testing.T) {
-	mk := func() *Scheduler {
-		s, err := NewScheduler(Dynamic{Alpha: 28}, 8, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	a := mk()
-	for i := 0; i < 5; i++ {
-		a.Decide()
-	}
-
-	b := mk()
-	b.Decide()
-	b.Repeat(4)
-
-	if a.iteration != b.iteration {
-		t.Fatalf("iteration counter: Decide×5 = %d, Decide+Repeat(4) = %d", a.iteration, b.iteration)
-	}
-	if a.Reschedules() != b.Reschedules() {
-		t.Fatalf("reschedules: %d vs %d", a.Reschedules(), b.Reschedules())
-	}
-}

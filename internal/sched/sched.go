@@ -1,16 +1,17 @@
 // Package sched implements PAPI's dynamic parallelism-aware task scheduling
 // (§5): the RLP×TLP arithmetic-intensity estimator, the memory-boundedness
-// threshold α, initial and runtime token-level scheduling with <|eos|>
-// counting, and the offline α calibration procedure.
+// threshold α, the offline α calibration procedure and the decision cost of
+// search-based schedulers.
 //
 // It also provides the static placement policies of the baselines
 // (A100+AttAcc, A100+HBM-PIM, AttAcc-only), so the serving engine is
-// parameterised over a single Policy interface.
+// parameterised over a single Policy interface. The runtime half of §5.2 —
+// counting <|eos|> to track RLP and re-placing FC every iteration — is the
+// serving stepper's decode window (internal/serving), whose active batch is
+// the RLP.
 package sched
 
 import (
-	"fmt"
-
 	"github.com/papi-sim/papi/internal/gpu"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/pim"
@@ -81,123 +82,6 @@ func (d Dynamic) PlaceFC(rlp, tlp int) Placement {
 		return PlacePU
 	}
 	return PlaceFCPIM
-}
-
-// Runtime scheduler ------------------------------------------------------------
-
-// Event records one scheduling decision, the unit of traces like Fig. 5(d).
-type Event struct {
-	Iteration   int
-	RLP, TLP    int
-	EstimatedAI float64
-	Placement   Placement
-	Rescheduled bool // placement changed versus the previous iteration
-}
-
-// Scheduler is the runtime incarnation of §5.2: it owns the RLP counter
-// (updated by counting <|eos|> tokens after each decoding) and the TLP (the
-// system speculation length, fixed for the run), and emits a placement per
-// iteration.
-type Scheduler struct {
-	policy Policy
-
-	rlp int
-	tlp int
-
-	iteration   int
-	last        Placement
-	hasLast     bool
-	reschedules int
-}
-
-// NewScheduler builds a runtime scheduler around a policy with the initial
-// parallelism configuration (the "initial scheduling" step of §5.2.1:
-// RLP = batch size, TLP = system speculation length).
-func NewScheduler(p Policy, rlp, tlp int) (*Scheduler, error) {
-	if rlp <= 0 || tlp <= 0 {
-		return nil, fmt.Errorf("sched: initial RLP %d / TLP %d must be positive", rlp, tlp)
-	}
-	return &Scheduler{policy: p, rlp: rlp, tlp: tlp}, nil
-}
-
-// RLP returns the current request-level parallelism.
-func (s *Scheduler) RLP() int { return s.rlp }
-
-// TLP returns the current token-level parallelism.
-func (s *Scheduler) TLP() int { return s.tlp }
-
-// Reschedules returns how many placement changes have occurred.
-func (s *Scheduler) Reschedules() int { return s.reschedules }
-
-// Repeat advances the scheduler over k further iterations whose scheduling
-// inputs are unchanged — the serving stepper's decode windows, where RLP
-// and TLP are frozen between scheduling events, so every interior iteration
-// would Decide the same placement with no reschedule. It must follow a
-// Decide call; the iteration counter and reschedule count end up exactly as
-// k Decide calls would leave them.
-func (s *Scheduler) Repeat(k int) {
-	if k > 0 {
-		s.iteration += k
-	}
-}
-
-// ObserveEOS counts <|eos|> tokens in the gathered output vector of the last
-// decoding iteration and releases the corresponding RLP (§5.2.2 steps 1–2).
-func (s *Scheduler) ObserveEOS(count int) error {
-	if count < 0 {
-		return fmt.Errorf("sched: negative eos count %d", count)
-	}
-	if count > s.rlp {
-		return fmt.Errorf("sched: eos count %d exceeds RLP %d", count, s.rlp)
-	}
-	s.rlp -= count
-	return nil
-}
-
-// Evict releases RLP for requests preempted out of the running batch — the
-// admission layer's evict-and-requeue under KV pressure. Unlike ObserveEOS,
-// the evicted requests are not finished: they re-enter the pending queue and
-// will raise RLP again through AdmitRequests when re-admitted.
-func (s *Scheduler) Evict(count int) error {
-	if count < 0 {
-		return fmt.Errorf("sched: negative evict count %d", count)
-	}
-	if count > s.rlp {
-		return fmt.Errorf("sched: evict count %d exceeds RLP %d", count, s.rlp)
-	}
-	s.rlp -= count
-	return nil
-}
-
-// AdmitRequests raises RLP when new requests join the running batch (mixed
-// continuous batching).
-func (s *Scheduler) AdmitRequests(count int) error {
-	if count < 0 {
-		return fmt.Errorf("sched: negative admit count %d", count)
-	}
-	s.rlp += count
-	return nil
-}
-
-// Decide performs §5.2.2 steps 3–4: predict the next iteration's arithmetic
-// intensity from RLP×TLP and choose the FC placement, recording whether this
-// is a reschedule.
-func (s *Scheduler) Decide() Event {
-	p := s.policy.PlaceFC(s.rlp, s.tlp)
-	ev := Event{
-		Iteration:   s.iteration,
-		RLP:         s.rlp,
-		TLP:         s.tlp,
-		EstimatedAI: model.EstimatedAI(s.rlp, s.tlp),
-		Placement:   p,
-	}
-	if s.hasLast && p != s.last {
-		ev.Rescheduled = true
-		s.reschedules++
-	}
-	s.last, s.hasLast = p, true
-	s.iteration++
-	return ev
 }
 
 // Offline α calibration --------------------------------------------------------

@@ -80,8 +80,8 @@ func (s *Stepper) Fail() []Casualty {
 
 // Cancel withdraws one outstanding request by ID — the per-request timeout
 // path. A pending request is spliced from the queue; an active one is
-// evicted from the batch (the scheduler observes the eviction) and its KV
-// lease surrendered. The second return is false when the ID is not
+// evicted from the batch, which the next window's placement sees as a
+// smaller RLP, and its KV lease surrendered. The second return is false when the ID is not
 // outstanding here (already finished, or never routed here), which a stale
 // timeout treats as "nothing to do".
 func (s *Stepper) Cancel(id int) (Casualty, bool, error) {
@@ -113,9 +113,6 @@ func (s *Stepper) Cancel(id int) (Casualty, bool, error) {
 		s.kvDemandAll -= r.kvBytes
 		c := Casualty{Request: r.Request, Generated: r.generated, Admitted: true}
 		s.surrender(r)
-		if err := s.scheduler.Evict(1); err != nil {
-			return Casualty{}, false, err
-		}
 		return c, true, nil
 	}
 	return Casualty{}, false, nil

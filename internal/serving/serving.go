@@ -359,31 +359,20 @@ func (e *Engine) chargePIMIdle(span units.Seconds, res *Result) {
 	res.Energy.AddSlot(energy.SlotAttnPIM, e.attnStandbyW.Energy(span))
 }
 
-// commitTokens applies one iteration's outcome to a request: with TLP = 1 a
-// single token; with speculation, a prefix of the TLP drafted tokens whose
-// length follows the per-token acceptance chain (§2.2.2). Returns the number
-// of output tokens committed.
-func (e *Engine) commitTokens(r *request) int {
-	r.iterations++
-	committed := 1
-	if e.Opt.TLP > 1 {
-		if e.rng == nil {
-			// Seeded lazily: TLP = 1 engines never sample, and seeding the
-			// legacy source is expensive enough to show up when a sweep
-			// builds hundreds of replicas.
-			e.rng = rand.New(rand.NewSource(e.Opt.Seed))
-		}
-		for committed < e.Opt.TLP && e.rng.Float64() < e.Opt.AcceptanceRate {
-			committed++
-		}
+// accepted draws one speculative iteration's outcome for one request: the
+// accepted prefix of the TLP drafted tokens, whose length follows the
+// per-token acceptance chain (§2.2.2), before the request's remaining output
+// caps it.
+func (e *Engine) accepted() int {
+	if e.rng == nil {
+		// Seeded lazily: TLP = 1 engines never sample, and seeding the
+		// legacy source is expensive enough to show up when a sweep builds
+		// hundreds of replicas.
+		e.rng = rand.New(rand.NewSource(e.Opt.Seed))
 	}
-	remaining := r.OutputLen - r.generated
-	if committed > remaining {
-		committed = remaining
+	n := 1
+	for n < e.Opt.TLP && e.rng.Float64() < e.Opt.AcceptanceRate {
+		n++
 	}
-	r.generated += committed
-	if r.generated >= r.OutputLen {
-		r.done = true
-	}
-	return committed
+	return n
 }

@@ -38,11 +38,13 @@ type Stepper struct {
 	pending []*request // arrival-ordered, not yet admitted (stream mode)
 	active  []*request // admitted and unfinished
 
-	scheduler *sched.Scheduler
-	tracker   *metricsTracker
-	maxBatch  int
-	static    bool
-	clock     units.Seconds
+	tracker  *metricsTracker
+	maxBatch int
+	static   bool
+	clock    units.Seconds
+	// lastPlace is the FC placement of the last window, once one has run
+	// (Result.Iterations > 0): a window placed differently is a reschedule.
+	lastPlace sched.Placement
 
 	// Incremental accounting. kvSum is Σ(InputLen+generated) over the active
 	// batch — the attention kernel's only KV-length input (see
@@ -170,12 +172,6 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 		s.res.PrefillTime = e.runPrefill(inputs, &s.res)
 	}
 	s.clock = s.res.PrefillTime
-
-	scheduler, err := sched.NewScheduler(e.Sys.Policy, len(reqs), e.Opt.TLP)
-	if err != nil {
-		return nil, err
-	}
-	s.scheduler = scheduler
 	return s, nil
 }
 
@@ -605,15 +601,9 @@ func (s *Stepper) admit() error {
 			if cand.readyAt > s.clock {
 				break
 			}
-			if !s.kvFits(cand) {
-				ok, err := s.preemptFor(cand, &xferTime, &xferEnergy)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					interactiveBlocked = true
-					break
-				}
+			if !s.kvFits(cand) && !s.preemptFor(cand, &xferTime, &xferEnergy) {
+				interactiveBlocked = true
+				break
 			}
 			// Removing at i == intHint leaves the all-batch prefix intact.
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
@@ -665,12 +655,7 @@ func (s *Stepper) admit() error {
 	if xferEnergy > 0 {
 		s.res.Energy.Add(energy.Interconnect, xferEnergy)
 	}
-	if s.scheduler == nil {
-		var err error
-		s.scheduler, err = sched.NewScheduler(s.eng.Sys.Policy, admitted, s.eng.Opt.TLP)
-		return err
-	}
-	return s.scheduler.AdmitRequests(admitted)
+	return nil
 }
 
 // kvFits reports whether cand can be admitted right now under the KV
@@ -702,7 +687,7 @@ func (s *Stepper) kvFits(cand *request) bool {
 // could not make room — judged conservatively under sharing, assuming none
 // of the candidate's blocks are adoptable — nothing is evicted. Reports
 // whether the candidate now fits.
-func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules) (bool, error) {
+func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules) bool {
 	if s.kvStore != nil {
 		b := s.kvStore.BlockTokens()
 		worst := (cand.SeqLen() + b - 1) / b
@@ -713,12 +698,11 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 			}
 		}
 		if s.kvStore.CommittedBlocks()-gain+worst > s.kvStore.HotBlocks() {
-			return false, nil
+			return false
 		}
 	} else if !s.preemptFeasible(cand) {
-		return false, nil
+		return false
 	}
-	evicted := 0
 	for i := len(s.active) - 1; i >= 0 && !s.kvFits(cand); i-- {
 		r := s.active[i]
 		if r.Class != workload.ClassBatch {
@@ -741,14 +725,8 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 		}
 		s.enqueue(r)
 		s.res.Preemptions++
-		evicted++
 	}
-	if evicted > 0 {
-		if err := s.scheduler.Evict(evicted); err != nil {
-			return false, err
-		}
-	}
-	return s.kvFits(cand), nil
+	return s.kvFits(cand)
 }
 
 // Step advances the engine by one unit of progress: admit any arrived
@@ -822,23 +800,21 @@ func (s *Stepper) Step() ([]workload.Request, error) {
 // It ends at the first finish (the iterations after it run at a smaller
 // RLP), once the clock reaches the admission bound, and at the horizon; it
 // always runs at least one iteration. RLP and TLP are frozen inside a
-// window, so every interior Decide would reach the same placement with no
-// reschedule: one Decide covers the window and the scheduler is advanced in
-// bulk (Repeat) at its end. Every trace entry, energy charge and clock value
-// is bit-identical to running the window's iterations one Step at a time,
-// and to the caller — the cluster driver above all — the window is one
-// event.
+// window, so the policy places its FC phase once, from RLP×TLP (§5.2.2
+// steps 3–4), and a window placed unlike the one before it counts as a
+// reschedule. Every trace entry, energy charge and clock value is
+// bit-identical to running the window's iterations one Step at a time, and
+// to the caller — the cluster driver above all — the window is one event.
 //
-// Commits depend on the regime. With TLP = 1 every live request commits one
-// deterministic token per iteration, so the window is cut at the earliest
-// finish, one charge call runs it whole, and its per-request bookkeeping is
-// applied once, in bulk, at the end. With speculation (TLP > 1) commits are
-// stochastic: every iteration is charged on its own and then replays the
-// per-request acceptance sampling walk in active order, because the RNG
-// draw order is part of the bit-identical contract.
+// One loop commits both regimes: each pass charges n iterations, then
+// commits every live request's tokens in active order and counts <|eos|>
+// (§5.2.2 steps 1–2). With TLP = 1 every request commits one deterministic
+// token per iteration, so n is the window's limit and the first pass ends
+// the window. With speculation (TLP > 1) commits are stochastic: n is 1,
+// and every pass replays the per-request acceptance draws in active order,
+// because the RNG draw order is part of the bit-identical contract.
 func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
-	rlp := len(s.active)
-	spec := s.eng.Opt.TLP > 1
+	rlp, tlp := len(s.active), s.eng.Opt.TLP
 	// Every iteration commits at least one token per live request, so no
 	// window runs longer than the fewest tokens any of them still owes; with
 	// TLP = 1 it commits exactly one, and that is where the window ends.
@@ -846,60 +822,22 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 	for _, r := range s.active {
 		limit = min(limit, r.OutputLen-r.generated)
 	}
-	ev := s.scheduler.Decide()
-	var p windowPrice
-	s.eng.priceWindow(&p, rlp, ev.Placement == sched.PlacePU && s.eng.Sys.HasGPU())
-	s.reserveTraces(limit)
-	run, eos := 0, 0
-	var first units.Seconds
-	var finished []workload.Request
-	if !spec {
-		run, first = s.charge(&p, rlp, rlp, ev, bound, limit)
-	} else {
-		for {
-			traced := len(s.res.IterStats) < traceCap
-			at := ev
-			at.Iteration += run
-			s.charge(&p, rlp, 0, at, bound, 1)
-			run++
-			// Commit tokens and count <|eos|> (§5.2.2 steps 1–2).
-			tokens := 0
-			for _, r := range s.active {
-				committed := s.eng.commitTokens(r)
-				s.res.Tokens += committed
-				tokens += committed
-				s.kvSum += committed
-				if s.kvStore != nil {
-					if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-						return nil, err
-					}
-				}
-				epoch := r.Arrival
-				if s.static {
-					epoch = 0
-				}
-				s.tracker.observe(r, committed, s.clock, s.clock, epoch)
-				if r.done {
-					eos++
-					finished = append(finished, r.Request)
-					s.finish(r)
-				}
-			}
-			if traced {
-				s.res.IterStats[len(s.res.IterStats)-1].Tokens = tokens
-			}
-			if eos > 0 || bound <= s.clock || s.clock >= s.horizon {
-				break
-			}
-		}
+	place := s.eng.Sys.Policy.PlaceFC(rlp, tlp)
+	if s.res.Iterations > 0 && place != s.lastPlace {
+		s.res.Reschedules++
 	}
-	s.scheduler.Repeat(run - 1)
-
-	if !spec {
-		// Bulk-commit the window: each request gained one token per
-		// iteration; only the final iteration can have finished requests
-		// (those whose remaining output equalled the window length).
-		s.res.Tokens += run * rlp
+	s.lastPlace = place
+	var p windowPrice
+	s.eng.priceWindow(&p, rlp, place == sched.PlacePU && s.eng.Sys.HasGPU())
+	s.reserveTraces(limit)
+	n, grow := 1, 0
+	if tlp == 1 {
+		n, grow = limit, rlp
+	}
+	var finished []workload.Request
+	for {
+		traced := len(s.res.IterStats) < traceCap
+		run, first := s.charge(&p, rlp, grow, place, bound, n)
 		// Lease growth replays the per-iteration allocator schedule in two
 		// phases. Interior iterations free nothing, so their per-lease block
 		// allocations all draw on the same monotonically shrinking hot tier
@@ -915,9 +853,15 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 				}
 			}
 		}
+		tokens := 0
 		for _, r := range s.active {
+			committed := run
+			if tlp > 1 {
+				committed = min(s.eng.accepted(), r.OutputLen-r.generated)
+			}
 			r.iterations += run
-			r.generated += run
+			r.generated += committed
+			tokens += committed
 			if s.kvStore != nil {
 				if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
 					return nil, err
@@ -927,22 +871,28 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 			if s.static {
 				epoch = 0
 			}
-			s.tracker.observe(r, run, first, s.clock, epoch)
+			s.tracker.observe(r, committed, first, s.clock, epoch)
 			if r.generated >= r.OutputLen {
 				r.done = true
-				eos++
 				finished = append(finished, r.Request)
 				s.finish(r)
 			}
 		}
-	}
-	// Interior iterations had no completions, so one ObserveEOS at the
-	// window's end is equivalent to one per iteration.
-	if err := s.scheduler.ObserveEOS(eos); err != nil {
-		return nil, err
+		s.res.Tokens += tokens
+		if tlp > 1 {
+			// The kernel charged the iteration before its draws: ΣkvLen and
+			// the iteration's trace entry take its commits now.
+			s.kvSum += tokens
+			if traced {
+				s.res.IterStats[len(s.res.IterStats)-1].Tokens = tokens
+			}
+		}
+		if len(finished) > 0 || bound <= s.clock || s.clock >= s.horizon {
+			break
+		}
 	}
 	// Drop finished requests from the active set to release KV capacity.
-	if eos > 0 {
+	if len(finished) > 0 {
 		s.active = live(s.active)
 	}
 	s.owed = math.MaxInt
@@ -975,10 +925,11 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 // live in locals and are stored back once: the float operations and their
 // per-total order are exactly those of charging the Result directly, so
 // every bit is unchanged. Trace entries are recorded, below traceCap, into
-// the room reserveTraces made; their Tokens is grow.
+// the room reserveTraces made, under the FC placement place and indexed by
+// Result.Iterations; their Tokens is grow.
 //
 //papivet:noalloc
-func (s *Stepper) charge(p *windowPrice, rlp, grow int, ev sched.Event, bound units.Seconds, n int) (run int, first units.Seconds) {
+func (s *Stepper) charge(p *windowPrice, rlp, grow int, place sched.Placement, bound units.Seconds, n int) (run int, first units.Seconds) {
 	e, res := s.eng, &s.res
 	hasGPU, hasFCPIM, spec := e.Sys.HasGPU(), e.Sys.FCPIM != nil, e.Opt.TLP > 1
 	static, perturbed, horizon, prefill := s.static, s.perturbed, s.horizon, res.PrefillTime
@@ -1074,13 +1025,12 @@ func (s *Stepper) charge(p *windowPrice, rlp, grow int, ev sched.Event, bound un
 		kvSum += grow
 		if i := len(iterStats); i < traceCap {
 			iterStats = iterStats[:i+1]
-			iterStats[i] = IterationStat{Index: ev.Iteration, RLP: rlp, TLP: e.Opt.TLP,
-				Placement: ev.Placement, Time: t, Tokens: grow}
+			iterStats[i] = IterationStat{Index: res.Iterations + run - 1, RLP: rlp, TLP: e.Opt.TLP,
+				Placement: place, Time: t, Tokens: grow}
 		}
 		if run == n || bound <= clock || clock >= horizon {
 			break
 		}
-		ev.Iteration++
 	}
 
 	res.Iterations += run
@@ -1245,9 +1195,9 @@ func (s *Stepper) preemptFeasible(cand *request) bool {
 	return s.kvDemandActive-evictable+cand.kvBytes <= s.eng.Sys.KVCapacity()
 }
 
-// Finalize closes the run and returns the accumulated Result: per-request
-// metrics in input order, scheduler activity, and host-CPU energy over the
-// makespan. Further Finalize calls return the same Result.
+// Finalize closes the run and returns the accumulated Result, adding the
+// per-request metrics in input order and host-CPU energy over the makespan.
+// Further Finalize calls return the same Result.
 func (s *Stepper) Finalize() Result {
 	if s.finalized {
 		return s.res
@@ -1258,9 +1208,6 @@ func (s *Stepper) Finalize() Result {
 		order[i] = r.Request
 	}
 	s.res.Requests = s.tracker.finalize(order)
-	if s.scheduler != nil {
-		s.res.Reschedules = s.scheduler.Reschedules()
-	}
 	if s.static {
 		s.res.PerRequestIterations = make([]int, len(s.all))
 		for i, r := range s.all {
