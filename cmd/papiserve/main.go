@@ -80,7 +80,7 @@ func main() {
 	flag.IntVar(&o.retries, "retries", o.retries, "bounded failover: retry a request lost to a crash or timeout at most this many times")
 	flag.Float64Var(&o.timeoutS, "timeout", 0, "per-attempt request timeout in seconds (0 = none); timed-out attempts cancel and retry under -retries")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "merge this run's mergeable fleet snapshot into the named .json (created if absent), so long runs split across invocations")
-	flag.BoolVar(&o.retainRequests, "retain-requests", false, "keep every per-request metrics record (FleetResult.Requests); off by default so large runs stay constant-memory")
+	flag.BoolVar(&o.retainRequests, "retain-requests", false, "keep every per-request metrics record (FleetResult.Requests) and each replica's per-iteration trace; off by default so large runs stay constant-memory")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile taken after the run to this file")
 	flag.Parse()

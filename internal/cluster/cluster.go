@@ -93,11 +93,14 @@ type Options struct {
 	Timeout units.Seconds
 
 	// RetainRequests keeps every per-request metrics record for
-	// FleetResult.Requests. Off by default: at million-request scale the
-	// record slice is the run's memory bound, and the streaming
-	// FleetResult.Agg already carries the latency distributions — each
-	// completion's record is harvested into it once and then dropped, so a
-	// run's per-request state is O(outstanding), not O(total).
+	// FleetResult.Requests, and each replica's per-iteration trace
+	// (RLPTrace and IterStats in FleetResult.Replicas). Off by default: at
+	// million-request scale the record slice is the run's memory bound, and
+	// the streaming FleetResult.Agg already carries the latency
+	// distributions — each completion's record is harvested into it once
+	// and then dropped, so a run's per-request state is O(outstanding), not
+	// O(total). No fleet code reads the traces, and an elastic fleet would
+	// keep one for every replica it ever booted.
 	RetainRequests bool
 	// RetainStream keeps the realised arrival stream for
 	// FleetResult.Stream — needed only when the run will be exported as a
@@ -793,17 +796,24 @@ func (r *fleetRun) driveReplica(rep *Replica, barrier units.Seconds) {
 func (r *fleetRun) stepsPending() bool { return len(r.wakes) > 0 }
 
 // Run consumes the request stream to completion and returns fleet metrics:
-// it is RunSeq over a copy stably sorted by arrival, so simultaneous
-// arrivals route in stream order. It may be called once per Cluster.
+// it is RunSeq over reqs stably sorted by arrival, so simultaneous arrivals
+// route in stream order. A slice already in arrival order is read in place;
+// any other is copied and sorted first. Run never writes reqs. It may be
+// called once per Cluster.
 func (c *Cluster) Run(reqs []workload.Request) (*FleetResult, error) {
 	return c.RunSeq(sortedSource(reqs))
 }
 
-// sortedSource is Run's request source: a copy of reqs stably sorted by
-// arrival, handed out in order.
+// sortedSource is Run's request source: reqs stably sorted by arrival,
+// handed out in order. Generated streams arrive in order, so reqs itself is
+// the stream unless some request arrives before its predecessor (a NaN tail
+// counts as ordered: arrivesBefore puts NaN last); only then is it copied.
 func sortedSource(reqs []workload.Request) func() (workload.Request, bool) {
-	stream := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(stream, func(i, j int) bool { return arrivesBefore(stream[i].Arrival, stream[j].Arrival) })
+	stream := reqs
+	if !sort.SliceIsSorted(reqs, func(i, j int) bool { return arrivesBefore(reqs[i].Arrival, reqs[j].Arrival) }) {
+		stream = append([]workload.Request(nil), reqs...)
+		sort.SliceStable(stream, func(i, j int) bool { return arrivesBefore(stream[i].Arrival, stream[j].Arrival) })
+	}
 	i := 0
 	return func() (workload.Request, bool) {
 		if i == len(stream) {

@@ -19,7 +19,10 @@ type FleetResult struct {
 	Model  string
 	Router string
 
-	// Replicas holds each replica's full serving result, in replica order.
+	// Replicas holds each replica's serving result, in replica order. Its
+	// per-request records (Requests) and per-iteration traces (RLPTrace,
+	// IterStats) are kept only with Options.RetainRequests; every other
+	// field is the same either way.
 	Replicas []serving.Result
 	// Routed is how many requests each replica received.
 	Routed []int

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/papi-sim/papi/internal/design"
@@ -696,10 +697,13 @@ func rotate(t *testing.T, reqs []workload.Request) []workload.Request {
 }
 
 // TestRunSeqMatchesRun: the lazy driver over an ordered stream reproduces
-// Run over a rotated copy of it bit for bit, which pins Run's stable sort. The burst stream packs six arrivals onto each of three
-// instants: every arrival of a burst must route before any replica step at
-// that instant, and in stream order, under both routers. The tail-burst
-// stream ends on a burst, after which the source must not be pulled again.
+// Run over a rotated copy of it bit for bit, which pins Run's stable sort,
+// and Run over the ordered stream itself, which Run reads in place. Run
+// must leave its argument unchanged either way. The burst stream packs six
+// arrivals onto each of three instants: every arrival of a burst must route
+// before any replica step at that instant, and in stream order, under both
+// routers. The tail-burst stream ends on a burst, after which the source
+// must not be pulled again.
 func TestRunSeqMatchesRun(t *testing.T) {
 	burst := workload.GeneralQA().Poisson(48, 40, 3)
 	for i := 0; i < 18; i++ {
@@ -709,15 +713,20 @@ func TestRunSeqMatchesRun(t *testing.T) {
 	for i := 12; i < len(tail); i++ {
 		tail[i].Arrival = tail[11].Arrival
 	}
+	tiered := tieredStream(t, 96, 29)
 	for _, tc := range []struct {
-		name   string
-		reqs   []workload.Request
-		router func() Router
+		name    string
+		reqs    []workload.Request
+		router  func() Router
+		ordered bool // Run gets reqs itself, not a rotated copy
 	}{
-		{"tiered", tieredStream(t, 96, 29), LeastOutstanding},
-		{"burst/round-robin", burst, RoundRobin},
-		{"burst/least-outstanding", burst, LeastOutstanding},
-		{"tail-burst", tail, RoundRobin},
+		{"tiered", tiered, LeastOutstanding, false},
+		{"tiered/ordered", tiered, LeastOutstanding, true},
+		{"burst/round-robin", burst, RoundRobin, false},
+		{"burst/least-outstanding", burst, LeastOutstanding, false},
+		{"burst/ordered", burst, LeastOutstanding, true},
+		{"tail-burst", tail, RoundRobin, false},
+		{"tail-burst/ordered", tail, RoundRobin, true},
 	} {
 		build := func() *Cluster {
 			c, err := New(newPAPI, model.LLaMA65B(), testOptions(3, tc.router()))
@@ -726,9 +735,17 @@ func TestRunSeqMatchesRun(t *testing.T) {
 			}
 			return c
 		}
-		want, err := build().Run(rotate(t, tc.reqs))
+		in := tc.reqs
+		if !tc.ordered {
+			in = rotate(t, tc.reqs)
+		}
+		before := slices.Clone(in)
+		want, err := build().Run(in)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !slices.Equal(in, before) {
+			t.Errorf("%s: Run wrote its argument", tc.name)
 		}
 		got, err := build().RunSeq(seqOf(t, tc.reqs))
 		if err != nil {
@@ -795,6 +812,7 @@ func TestRunSeqValidation(t *testing.T) {
 		val  float64
 	}{
 		{"NaN", 5, math.NaN()},
+		{"NaN tail", 11, math.NaN()},
 		{"+Inf", 11, math.Inf(1)},
 		{"-Inf", 0, math.Inf(-1)},
 	} {
@@ -814,51 +832,107 @@ func TestRunSeqValidation(t *testing.T) {
 	}
 }
 
-// TestConstantMemoryDefaults pins the new retention contract: without opting
-// in, a run keeps no per-request records and no realised stream, yet the
-// completion count, latency digests, and attainment all still populate from
-// the streaming aggregate — bit-identical to the retained run's.
+// TestConstantMemoryDefaults pins the retention contract: without opting
+// in, a run keeps no per-request records, no realised stream and no
+// per-iteration trace on any replica, yet the completion count, latency
+// digests, attainment, every other field of every replica's Result and the
+// printed fleet table all match the retained run's bit for bit. The churn
+// row runs an autoscaled fleet under a crash, retries and per-attempt
+// timeouts, so replicas booted mid-run and failed over are covered too.
 func TestConstantMemoryDefaults(t *testing.T) {
-	reqs := tieredStream(t, 64, 17)
-	run := func(retain bool) *FleetResult {
-		c, err := New(newPAPI, model.LLaMA65B(), Options{
-			Replicas:       2,
-			MaxBatch:       8,
-			Router:         LeastOutstanding(),
-			Serving:        serving.DefaultOptions(1),
-			RetainRequests: retain,
-			RetainStream:   retain,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := c.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	lean, full := run(false), run(true)
-	if len(lean.Requests) != 0 || len(lean.Stream) != 0 {
-		t.Fatalf("default run retained %d records, %d stream entries", len(lean.Requests), len(lean.Stream))
-	}
-	if len(full.Requests) != len(reqs) || len(full.Stream) != len(reqs) {
-		t.Fatalf("opt-in run retained %d records, %d stream entries, want %d", len(full.Requests), len(full.Stream), len(reqs))
-	}
-	if lean.Completed != len(reqs) || full.Completed != len(reqs) {
-		t.Fatalf("completed %d / %d, want %d", lean.Completed, full.Completed, len(reqs))
-	}
-	if lean.TTFT != full.TTFT || lean.TPOT != full.TPOT {
-		t.Errorf("digests diverged across retention:\n lean %+v %+v\n full %+v %+v", lean.TTFT, lean.TPOT, full.TTFT, full.TPOT)
-	}
 	slo := workload.SLO{TokenLatency: units.Milliseconds(10)}
-	if a, b := lean.Attainment(slo), full.Attainment(slo); a != b {
-		t.Errorf("attainment diverged across retention: %v vs %v", a, b)
-	}
-	for _, class := range []workload.Class{workload.ClassInteractive, workload.ClassBatch} {
-		if a, b := lean.AttainmentClass(slo, class), full.AttainmentClass(slo, class); a != b {
-			t.Errorf("%v attainment diverged across retention: %v vs %v", class, a, b)
-		}
+	crash := &faults.Plan{Name: "crash", Faults: []faults.Fault{
+		{Kind: faults.KindCrash, Replica: 1, At: 1.5},
+	}}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		reqs []workload.Request
+	}{
+		{"static", Options{Replicas: 2, MaxBatch: 8}, tieredStream(t, 64, 17)},
+		{"churn", Options{Replicas: 2, MaxBatch: 6,
+			Autoscale: DefaultAutoscale(2, 5, slo),
+			Faults:    crash, Retries: 1, RetryBackoff: units.Seconds(0.05), Timeout: units.Seconds(2),
+		}, tieredStream(t, 96, 23)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(retain bool) *FleetResult {
+				opt := tc.opt
+				opt.Router, opt.Serving = LeastOutstanding(), serving.DefaultOptions(1)
+				opt.RetainRequests, opt.RetainStream = retain, retain
+				c, err := New(newPAPI, model.LLaMA65B(), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := c.Run(tc.reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			lean, full := run(false), run(true)
+			if len(lean.Requests) != 0 || len(lean.Stream) != 0 {
+				t.Fatalf("default run retained %d records, %d stream entries", len(lean.Requests), len(lean.Stream))
+			}
+			// The realised stream holds every arrival at least once; a retry
+			// re-enters it, so only the static row pins it exactly (below).
+			if lean.Completed != full.Completed || len(full.Requests) != full.Completed || len(full.Stream) < len(tc.reqs) {
+				t.Fatalf("completed %d / %d, opt-in run retained %d records and %d stream entries for %d arrivals",
+					lean.Completed, full.Completed, len(full.Requests), len(full.Stream), len(tc.reqs))
+			}
+			if lean.TTFT != full.TTFT || lean.TPOT != full.TPOT {
+				t.Errorf("digests diverged across retention:\n lean %+v %+v\n full %+v %+v", lean.TTFT, lean.TPOT, full.TTFT, full.TPOT)
+			}
+			if a, b := lean.Attainment(slo), full.Attainment(slo); a != b {
+				t.Errorf("attainment diverged across retention: %v vs %v", a, b)
+			}
+			for _, class := range []workload.Class{workload.ClassInteractive, workload.ClassBatch} {
+				if a, b := lean.AttainmentClass(slo, class), full.AttainmentClass(slo, class); a != b {
+					t.Errorf("%v attainment diverged across retention: %v vs %v", class, a, b)
+				}
+			}
+			if len(lean.Replicas) != len(full.Replicas) {
+				t.Fatalf("%d replicas without retention, %d with", len(lean.Replicas), len(full.Replicas))
+			}
+			for k := range full.Replicas {
+				l, f := lean.Replicas[k], full.Replicas[k]
+				if cap(l.RLPTrace) != 0 || cap(l.IterStats) != 0 {
+					t.Errorf("replica %d holds traces of capacity %d and %d without retention",
+						k, cap(l.RLPTrace), cap(l.IterStats))
+				}
+				if len(f.RLPTrace) == 0 || len(f.IterStats) == 0 {
+					t.Errorf("replica %d recorded no trace with retention", k)
+				}
+				for _, res := range []*serving.Result{&l, &f} {
+					res.Requests, res.RLPTrace, res.IterStats = nil, nil, nil
+				}
+				if !reflect.DeepEqual(l, f) {
+					t.Errorf("replica %d diverged across retention beyond records and traces:\n lean %+v\n full %+v", k, l, f)
+				}
+			}
+			if a, b := lean.String(), full.String(); a != b {
+				t.Errorf("fleet table diverged across retention:\n lean:\n%s\n full:\n%s", a, b)
+			}
+			if tc.opt.Autoscale == nil {
+				if full.Completed != len(tc.reqs) || len(full.Stream) != len(tc.reqs) {
+					t.Fatalf("completed %d, retained %d stream entries, want %d of each",
+						full.Completed, len(full.Stream), len(tc.reqs))
+				}
+				return
+			}
+			// The churn row must churn: a crash, timeouts, and replicas
+			// booted mid-run.
+			timeouts := 0
+			for _, fr := range full.FailedRequests {
+				if fr.Reason == "timeout" {
+					timeouts++
+				}
+			}
+			if full.Faults == 0 || timeouts == 0 || len(full.Replicas) <= tc.opt.Replicas {
+				t.Fatalf("%d faults, %d timeouts, %d replicas from %d: the churn row does not churn",
+					full.Faults, timeouts, len(full.Replicas), tc.opt.Replicas)
+			}
+		})
 	}
 }
 

@@ -99,7 +99,7 @@ func CapacitySweepWorkers(systems []CapacitySystem, cfg model.Config, ds workloa
 
 	// Every system faces identical traffic at a given rate, so each rate's
 	// seeded Poisson stream is drawn once and shared across the systems'
-	// cells (cluster.Run copies before sorting, so sharing is safe).
+	// cells (cluster.Run never writes its argument, so sharing is safe).
 	streams := make(map[float64][]workload.Request, len(rates))
 	for _, rate := range rates {
 		streams[rate] = ds.Poisson(requests, rate, Seed)

@@ -139,8 +139,8 @@ func DSESweep(axes DSEAxes, cfg model.Config, ds workload.Dataset,
 		Target:   target,
 	}
 
-	// Every design faces byte-identical traffic (cluster.Run copies before
-	// sorting, so sharing the slice is safe).
+	// Every design faces byte-identical traffic (cluster.Run never writes
+	// its argument, so sharing the slice is safe).
 	stream := ds.Poisson(requests, rate, Seed)
 
 	type cell struct {

@@ -54,11 +54,14 @@ type Options struct {
 	// DiscardCompleted drops per-request records as requests finish instead
 	// of retaining them for Finalize: Result.Requests comes back empty and a
 	// completed request's metrics are readable exactly once, through
-	// Stepper.TakeMetrics at its completion. This is the constant-memory
-	// mode the cluster layer selects for streaming fleet runs (it harvests
-	// every completion into mergeable sketches); the zero value retains
-	// everything, so every existing caller is unaffected. Static batch
-	// steppers ignore it: RunBatch's contract is the retained Result.
+	// Stepper.TakeMetrics at its completion. The stepper also records no
+	// per-iteration trace (Result.RLPTrace and IterStats stay nil). This is
+	// the constant-memory mode the cluster layer selects for streaming
+	// fleet runs (it harvests every completion into mergeable sketches and
+	// reads no trace); every other Result field is unchanged. The zero
+	// value retains everything, so every existing caller is unaffected.
+	// Static batch steppers ignore it: RunBatch's contract is the retained
+	// Result.
 	DiscardCompleted bool
 	// KV selects block-level KV-cache management (internal/kv): fixed-size
 	// refcounted blocks, a prefix index that lets requests adopt committed
@@ -155,12 +158,14 @@ type Result struct {
 	Throttled   bool
 
 	// RLPTrace is the request-level parallelism at each iteration (Fig. 3's
-	// decay); capped in length for very long runs.
+	// decay); capped in length for very long runs, and nil when
+	// Options.DiscardCompleted drops the per-request records.
 	RLPTrace []int
 	// PerRequestIterations is, per request, the number of decoding
 	// iterations it stayed active (Fig. 3's per-request view).
 	PerRequestIterations []int
-	// IterStats capture a capped per-iteration trace (Fig. 5(d) style).
+	// IterStats capture a capped per-iteration trace (Fig. 5(d) style);
+	// like RLPTrace, only a stepper that retains its records keeps one.
 	IterStats []IterationStat
 	// Requests carries per-request latency metrics (TTFT, TPOT, completion).
 	Requests []RequestMetrics

@@ -836,7 +836,7 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 	}
 	var finished []workload.Request
 	for {
-		traced := len(s.res.IterStats) < traceCap
+		traced := len(s.res.IterStats) < cap(s.res.IterStats)
 		run, first := s.charge(&p, rlp, grow, place, bound, n)
 		// Lease growth replays the per-iteration allocator schedule in two
 		// phases. Interior iterations free nothing, so their per-lease block
@@ -924,9 +924,10 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 // terms, the clock and ΣkvLen, which grows by grow tokens per iteration —
 // live in locals and are stored back once: the float operations and their
 // per-total order are exactly those of charging the Result directly, so
-// every bit is unchanged. Trace entries are recorded, below traceCap, into
-// the room reserveTraces made, under the FC placement place and indexed by
-// Result.Iterations; their Tokens is grow.
+// every bit is unchanged. Trace entries are recorded only into the room
+// reserveTraces made — none in the constant-memory mode, and never past
+// traceCap — under the FC placement place and indexed by Result.Iterations;
+// their Tokens is grow.
 //
 //papivet:noalloc
 func (s *Stepper) charge(p *windowPrice, rlp, grow int, place sched.Placement, bound units.Seconds, n int) (run int, first units.Seconds) {
@@ -1008,7 +1009,7 @@ func (s *Stepper) charge(p *windowPrice, rlp, grow int, place sched.Placement, b
 			decode += extra
 		}
 		run++
-		if i := len(rlpTrace); i < traceCap {
+		if i := len(rlpTrace); i < cap(rlpTrace) {
 			rlpTrace = rlpTrace[:i+1]
 			rlpTrace[i] = rlp
 		}
@@ -1023,7 +1024,7 @@ func (s *Stepper) charge(p *windowPrice, rlp, grow int, place sched.Placement, b
 			first = clock
 		}
 		kvSum += grow
-		if i := len(iterStats); i < traceCap {
+		if i := len(iterStats); i < cap(iterStats) {
 			iterStats = iterStats[:i+1]
 			iterStats[i] = IterationStat{Index: res.Iterations + run - 1, RLP: rlp, TLP: e.Opt.TLP,
 				Placement: place, Time: t, Tokens: grow}
@@ -1069,11 +1070,17 @@ func (s *Stepper) finish(r *request) {
 
 // reserveTraces makes room in the per-iteration traces — the decode loop's
 // only growing allocations — for n more entries, up to traceCap, so the
-// charging kernel records them without growing a slice. The first call
-// sizes them from traceHint, lazily, so runs that never iterate keep nil
-// traces; capacity is invisible in the Result, so Results stay deep-equal
-// however their iterations were split into windows.
+// charging kernel records them without growing a slice: it records exactly
+// while a trace has room, and a window runs at most n iterations. The first
+// call sizes them from traceHint, lazily, so runs that never iterate keep
+// nil traces; capacity is invisible in the Result, so Results stay
+// deep-equal however their iterations were split into windows. A discarding
+// stepper (Options.DiscardCompleted) makes no room and so records no trace;
+// its caller, the fleet, reads none.
 func (s *Stepper) reserveTraces(n int) {
+	if s.discarding() {
+		return
+	}
 	if s.res.RLPTrace == nil {
 		hint := s.traceHint
 		if hint == 0 {

@@ -1,8 +1,12 @@
 package serving
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"github.com/papi-sim/papi/internal/design"
+	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
@@ -219,5 +223,93 @@ func TestStepInfoFinishedReportsCompletions(t *testing.T) {
 	}
 	if len(seen) != len(reqs) {
 		t.Fatalf("finished %d of %d requests", len(seen), len(reqs))
+	}
+}
+
+// TestDiscardCompletedDrops pins what the constant-memory mode
+// (Options.DiscardCompleted) drops, and that it drops nothing else, over the
+// window matrix's stream rows the fleet workloads run: PAPI and PAPI-1stack
+// × TLP {1, 4} × {stream, tiered} × KV {byte ledger, block store}. A
+// discarding stepper hands out through TakeMetrics, once, at each
+// completion, exactly the records a retaining one returns in
+// Result.Requests; it records no per-iteration trace; and its Result
+// deep-equals the retaining one's once those three fields are cleared.
+func TestDiscardCompletedDrops(t *testing.T) {
+	cfg := model.OPT30B()
+	rows := 0
+	for _, spec := range windowDesigns() {
+		if spec.Name != design.DesignPAPI && spec.Name != "PAPI-1stack" {
+			continue
+		}
+		for _, tlp := range []int{1, 4} {
+			for _, w := range []windowKind{windowStream, windowTiered} {
+				for _, block := range []bool{false, true} {
+					row := fmt.Sprintf("%s/tlp%d/%s/block=%v", spec.Name, tlp, w, block)
+					run := func(discard bool) (Result, map[int]RequestMetrics) {
+						opt := DefaultOptions(tlp)
+						opt.DiscardCompleted = discard
+						if block {
+							opt.KV = &kv.Options{BlockTokens: 32, Sharing: true}
+						}
+						sys := design.MustBuild(spec)
+						eng := mustEngine(t, sys, cfg, opt)
+						reqs, maxBatch := windowWorkload(w, sys, cfg)
+						st, err := eng.NewStreamStepper(reqs, maxBatch)
+						if err != nil {
+							t.Fatalf("%s: %v", row, err)
+						}
+						taken := map[int]RequestMetrics{}
+						for st.HasWork() {
+							finished, err := st.Step()
+							if err != nil {
+								t.Fatalf("%s: %v", row, err)
+							}
+							if !discard {
+								continue
+							}
+							for _, r := range finished {
+								rm, ok := st.TakeMetrics(r.ID)
+								if !ok {
+									t.Fatalf("%s: no record for finished request %d", row, r.ID)
+								}
+								if _, again := st.TakeMetrics(r.ID); again {
+									t.Errorf("%s: request %d's record readable twice", row, r.ID)
+								}
+								taken[r.ID] = rm
+							}
+						}
+						return st.Finalize(), taken
+					}
+					full, _ := run(false)
+					lean, taken := run(true)
+					rows++
+					if len(taken) != len(full.Requests) {
+						t.Errorf("%s: took %d records, the retaining run kept %d", row, len(taken), len(full.Requests))
+					}
+					for _, want := range full.Requests {
+						if got := taken[want.ID]; got != want {
+							t.Errorf("%s: request %d took %+v, retained %+v", row, want.ID, got, want)
+						}
+					}
+					if len(full.IterStats) == 0 || len(full.RLPTrace) == 0 {
+						t.Errorf("%s: the retaining run recorded no trace", row)
+					}
+					if cap(lean.RLPTrace) != 0 || cap(lean.IterStats) != 0 {
+						t.Errorf("%s: discarding run holds traces of capacity %d and %d",
+							row, cap(lean.RLPTrace), cap(lean.IterStats))
+					}
+					for _, res := range []*Result{&full, &lean} {
+						res.Requests, res.RLPTrace, res.IterStats = nil, nil, nil
+					}
+					if !reflect.DeepEqual(full, lean) {
+						t.Errorf("%s: discarding changed more than the records and traces\n retain: %+v\ndiscard: %+v",
+							row, full, lean)
+					}
+				}
+			}
+		}
+	}
+	if rows != 16 {
+		t.Fatalf("ran %d rows, want 16", rows)
 	}
 }
