@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/stats"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
@@ -180,23 +181,20 @@ type scaler struct {
 	peak       int // most replicas ever powered on concurrently
 }
 
-// observeStep harvests completion signals from one replica step: interactive
+// observeStep reads completion signals off one replica step: interactive
 // TPOT samples for the latency window, and the moment a draining replica
 // runs empty (it powers off at that instant, not at the next tick). It runs
 // mid-phase. The samples go straight into the window: the tick reads them
 // only as a sorted multiset, so the order in which replicas add them does
 // not matter. The power-off decision parks on the replica until the
 // barrier replays it in time order (see flushStops).
-func (s *scaler) observeStep(rep *Replica, finished []workload.Request) {
-	for _, req := range finished {
-		if req.Class != workload.ClassInteractive {
-			continue
-		}
-		if pm, ok := rep.stepper.PeekMetrics(req.ID); ok && pm.OutputTokens > 1 {
-			s.tpots = append(s.tpots, pm.TPOT.Seconds())
+func (s *scaler) observeStep(rep *Replica, done []serving.Completion) {
+	for _, c := range done {
+		if c.Request.Class == workload.ClassInteractive && c.Metrics.OutputTokens > 1 {
+			s.tpots = append(s.tpots, c.Metrics.TPOT.Seconds())
 		}
 	}
-	if rep.state == repDraining && len(finished) > 0 && rep.stepper.Outstanding() == 0 {
+	if rep.state == repDraining && len(done) > 0 && rep.stepper.Outstanding() == 0 {
 		if !rep.pendingStop {
 			s.stops = append(s.stops, rep)
 		}

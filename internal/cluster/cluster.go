@@ -97,10 +97,12 @@ type Options struct {
 	// (RLPTrace and IterStats in FleetResult.Replicas). Off by default: at
 	// million-request scale the record slice is the run's memory bound, and
 	// the streaming FleetResult.Agg already carries the latency
-	// distributions — each completion's record is harvested into it once
-	// and then dropped, so a run's per-request state is O(outstanding), not
-	// O(total). No fleet code reads the traces, and an elastic fleet would
-	// keep one for every replica it ever booted.
+	// distributions — each completion's record is folded into it as the
+	// step that finished the request hands it out, and the replica keeps
+	// nothing of a finished request, nor does the failover ledger, so a
+	// run's per-request state is O(outstanding), not O(total). No fleet
+	// code reads the traces, and an elastic fleet would keep one for every
+	// replica it ever booted.
 	RetainRequests bool
 	// RetainStream keeps the realised arrival stream for
 	// FleetResult.Stream — needed only when the run will be exported as a
@@ -227,7 +229,7 @@ type Replica struct {
 	// routed counts requests this replica received.
 	routed int
 	// agg streams this replica's completion latencies (fed by
-	// fleetRun.harvest); fleet and per-design aggregates merge these in
+	// fleetRun.stepReplica); fleet and per-design aggregates merge these in
 	// replica order.
 	agg *FleetAggregate
 	// pendingStop defers a draining replica's power-off decision to the
@@ -514,12 +516,12 @@ func (r *fleetRun) addReplica(bootAt, liveAt units.Seconds, state replicaState) 
 	bp := r.nextBlueprint()
 	opt := r.c.opt.Serving
 	opt.Seed += int64(len(r.reps))
-	// Without fleet-level retention each completion's metrics are read
-	// exactly once, at harvest, so the engine drops its per-request records
-	// as they finish — the constant-memory path. (The failure machinery
-	// only ever touches records of outstanding requests, so it is
-	// indifferent; keying on RetainRequests alone also keeps an armed
-	// no-op fault plan bit-identical to a fault-free run.)
+	// Without fleet-level retention each completion's record is read
+	// exactly once, off the step that finished it, so the engine drops its
+	// finished requests — the constant-memory path. (The failure machinery
+	// only ever touches outstanding requests, so it is indifferent; keying
+	// on RetainRequests alone also keeps an armed no-op fault plan
+	// bit-identical to a fault-free run.)
 	opt.DiscardCompleted = !r.c.opt.RetainRequests
 	sys, err := bp.newSys()
 	if err != nil {
@@ -565,12 +567,14 @@ func (r *fleetRun) rebuildEligible() {
 
 // stepReplica advances one replica by one Step at its armed instant, its
 // window bounded by horizon: it absorbs any idle gap, steps the engine,
-// hands each completion to the failure ledger, the autoscaler window, the
-// conversation plan and the streaming aggregate, and re-arms the next step
-// unless the replica had no work left. A step writes the fleet in place: a
-// step error stops the run, and a closed-loop follow-up goes on the kernel
-// at once. It returns the horizon capped by the follow-ups it launched: the
-// replica must not step at or past one before it fires.
+// hands each completion to the autoscaler window, the failure ledger, the
+// conversation plan and the replica's streaming aggregate — the always-on
+// constant-memory metrics path, which reads each record straight off the
+// step that finished it — and re-arms the next step unless the replica had
+// no work left. A step writes the fleet in place: a step error stops the
+// run, and a closed-loop follow-up goes on the kernel at once. It returns
+// the horizon capped by the follow-ups it launched: the replica must not
+// step at or past one before it fires.
 //
 //papivet:noalloc
 func (r *fleetRun) stepReplica(rep *Replica, horizon units.Seconds) units.Seconds {
@@ -582,43 +586,27 @@ func (r *fleetRun) stepReplica(rep *Replica, horizon units.Seconds) units.Second
 	rep.stepper.AdvanceTo(rep.nextStep)
 	rep.stepper.SetHorizon(horizon)
 	drained := !rep.stepper.HasWork()
-	finished, err := rep.stepper.Step()
+	done, err := rep.stepper.Step()
 	if err != nil {
 		r.err = err
 		return horizon
 	}
 	if r.scaler != nil {
-		r.scaler.observeStep(rep, finished)
+		r.scaler.observeStep(rep, done)
 	}
-	if r.resil != nil {
-		for _, req := range finished {
-			r.resil.finished(req.ID)
+	for _, c := range done {
+		if r.resil != nil {
+			r.resil.finished(c.Request.ID)
 		}
-	}
-	if r.plan != nil {
-		for _, req := range finished {
-			horizon = min(horizon, r.plan.finished(r, rep, req))
+		if r.plan != nil {
+			horizon = min(horizon, r.plan.finished(r, rep, c.Request))
 		}
+		rep.agg.observe(c.Metrics)
 	}
-	r.harvest(rep, finished)
 	if !drained {
 		rep.scheduled, rep.nextStep = true, rep.stepper.Now()
 	}
 	return horizon
-}
-
-// harvest folds the step's completions into the replica's streaming
-// aggregate — the always-on constant-memory metrics path. It runs after the
-// observers, whose window signals peek at the same records: without
-// retention the engine forgets a record once taken.
-//
-//papivet:noalloc
-func (r *fleetRun) harvest(rep *Replica, finished []workload.Request) {
-	for _, req := range finished {
-		if rm, ok := rep.stepper.TakeMetrics(req.ID); ok {
-			rep.agg.observe(rm)
-		}
-	}
 }
 
 // push delivers a request to a replica and re-arms its steps, without

@@ -16,22 +16,20 @@ import (
 	"github.com/papi-sim/papi/internal/workload"
 )
 
-// reqTrack is one request's failover ledger entry. Every injected request
-// gets one, and the run's accounting invariant — each request terminates
-// exactly once, as completed or failed — is enforced against it at
-// aggregation.
+// reqTrack is one request's failover ledger entry. Every injected or
+// stranded request gets one, and loses it once it terminates, as completed
+// or failed, so the ledger holds only unresolved requests and an event that
+// finds no entry for its request is stale.
 type reqTrack struct {
 	// attempts counts injections so far (1 on first injection); the retry
 	// bound compares against it.
 	attempts int
-	// rep is the replica currently serving the attempt; nil once the
-	// request completed, failed, or is between attempts.
+	// rep is the replica currently serving the attempt; nil while the
+	// request is between attempts.
 	rep *Replica
 	// cur is the request as last injected — its InputLen grows with each
 	// failover, absorbing the generated tokens that must be re-prefilled.
-	cur    workload.Request
-	done   bool
-	failed bool
+	cur workload.Request
 }
 
 // resilience owns the fault plan's runtime state for one fleet run.
@@ -42,6 +40,7 @@ type resilience struct {
 	retries int
 	backoff units.Seconds
 
+	// track holds the ledger entry of every unresolved request by ID.
 	track map[int]*reqTrack
 	// waiting holds casualties with no live replica to land on; they flush
 	// (in arrival order) when the autoscaler activates a replacement.
@@ -255,7 +254,8 @@ func (z *resilience) strand(req workload.Request, now units.Seconds) {
 
 // noteInject records an attempt and, with a timeout configured, arms its
 // deadline. The deadline captures the attempt number so a stale event —
-// the attempt completed, failed, or was already retried — is a no-op.
+// the request completed or failed, or the attempt was already retried — is
+// a no-op.
 func (z *resilience) noteInject(rep *Replica, req workload.Request, now units.Seconds) {
 	t := z.track[req.ID]
 	if t == nil {
@@ -265,7 +265,6 @@ func (z *resilience) noteInject(rep *Replica, req workload.Request, now units.Se
 	t.attempts++
 	t.rep = rep
 	t.cur = req
-	t.done = false
 	if z.timeout > 0 {
 		attempt := t.attempts
 		z.run.kernel.At(now+z.timeout, func(tnow units.Seconds) {
@@ -281,7 +280,7 @@ func (z *resilience) checkTimeout(id, attempt int, now units.Seconds) {
 		return
 	}
 	t := z.track[id]
-	if t == nil || t.done || t.failed || t.attempts != attempt || t.rep == nil {
+	if t == nil || t.attempts != attempt || t.rep == nil {
 		return
 	}
 	z.run.sync(t.rep)
@@ -298,14 +297,11 @@ func (z *resilience) checkTimeout(id, attempt int, now units.Seconds) {
 	z.handleCasualty(c, now, "timeout")
 }
 
-// finished marks a request's ledger entry complete. The step that finished
-// the request calls it, before the next kernel event, so a stale timeout at
-// the barrier sees the request done.
+// finished closes a completed request's ledger entry. The step that
+// finished the request calls it, before the next kernel event, so a stale
+// timeout at the barrier finds no entry.
 func (z *resilience) finished(id int) {
-	if t := z.track[id]; t != nil {
-		t.done = true
-		t.rep = nil
-	}
+	delete(z.track, id)
 }
 
 // handleCasualty applies the bounded-retry policy to one lost attempt: the
@@ -348,7 +344,7 @@ func (z *resilience) launchRetry(id, attempt int, now units.Seconds) {
 		return
 	}
 	t := z.track[id]
-	if t == nil || t.done || t.failed || t.attempts != attempt {
+	if t == nil || t.attempts != attempt {
 		return
 	}
 	z.dispatch(t, now)
@@ -387,7 +383,7 @@ func (z *resilience) flushWaiting(now units.Seconds) {
 	z.waiting = nil
 	for _, req := range waiting {
 		t := z.track[req.ID]
-		if t == nil || t.done || t.failed {
+		if t == nil {
 			continue
 		}
 		z.dispatch(t, now)
@@ -397,8 +393,7 @@ func (z *resilience) flushWaiting(now units.Seconds) {
 // fail closes a request's ledger entry as terminally failed; a failed
 // conversation turn abandons the rest of its conversation.
 func (z *resilience) fail(t *reqTrack, req workload.Request, reason string, at units.Seconds) {
-	t.failed = true
-	t.rep = nil
+	delete(z.track, req.ID)
 	z.failures = append(z.failures, FailedRequest{
 		ID: req.ID, Class: req.Class, Attempts: t.attempts, Reason: reason, At: at,
 	})
@@ -413,7 +408,7 @@ func (z *resilience) fail(t *reqTrack, req workload.Request, reason string, at u
 func (z *resilience) closeLedger(at units.Seconds) {
 	for _, req := range z.waiting {
 		t := z.track[req.ID]
-		if t == nil || t.done || t.failed {
+		if t == nil {
 			continue
 		}
 		z.fail(t, req, "unserved", at)

@@ -9,6 +9,7 @@ import (
 
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/model"
+	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -561,5 +562,41 @@ func TestRunRejectsOutOfRangeRoute(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "router out-of-range") {
 			t.Errorf("%s: Run returned %v, want the out-of-range router named", tc.name, err)
 		}
+	}
+}
+
+// TestLedgerReleasesResolvedRequests pins the failover ledger's memory: a
+// request's entry leaves it once the request completes or terminally fails,
+// so a run with timeouts and faults ends with an empty ledger instead of
+// one entry per request it served. The fleet is TestConstantMemoryDefaults'
+// churn row: autoscaled, with a crash, retries, timeouts and failures.
+func TestLedgerReleasesResolvedRequests(t *testing.T) {
+	slo := workload.SLO{TokenLatency: units.Milliseconds(10)}
+	c, err := New(newPAPI, model.LLaMA65B(), Options{Replicas: 2, MaxBatch: 6,
+		Router: LeastOutstanding(), Serving: serving.DefaultOptions(1),
+		Autoscale: DefaultAutoscale(2, 5, slo),
+		Faults: &faults.Plan{Name: "crash", Faults: []faults.Fault{
+			{Kind: faults.KindCrash, Replica: 1, At: 1.5},
+		}},
+		Retries: 1, RetryBackoff: units.Seconds(0.05), Timeout: units.Seconds(2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := tieredStream(t, 96, 23)
+	var run *fleetRun
+	f, err := c.run(sortedSource(reqs), nil, func(r *fleetRun) {
+		run = r
+		r.drain()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Completed == 0 || len(f.FailedRequests) == 0 || f.Retries == 0 {
+		t.Fatalf("the run completed %d, failed %d and retried %d requests: it must do all three",
+			f.Completed, len(f.FailedRequests), f.Retries)
+	}
+	if n := len(run.resil.track); n != 0 {
+		t.Fatalf("the failover ledger holds %d entries after the run, want 0", n)
 	}
 }

@@ -167,7 +167,7 @@ func (d DesignMetrics) Attainment(slo workload.SLO) float64 {
 // exact regime (≤ stats.DefaultSketchK samples each, which covers every
 // figure reproduction) the derived summaries are bit-identical to the
 // retained-slice oracle; beyond it they carry the sketch's documented rank
-// error. The scores are serving.SLOMetCount's quantity: a request's score is
+// error. The scores are serving.RequestMetrics.Score: a request's score is
 // its TPOT, or its total completion latency when it generated at most one
 // token (a single token has no inter-token cadence).
 type FleetAggregate struct {
@@ -202,9 +202,7 @@ func newFleetAggregate() *FleetAggregate {
 func (a *FleetAggregate) observe(rm serving.RequestMetrics) {
 	a.Completed++
 	a.TTFT.Add(rm.TTFT.Seconds())
-	score := rm.Completion
 	if rm.OutputTokens > 1 {
-		score = rm.TPOT
 		a.TPOT.Add(rm.TPOT.Seconds())
 		if rm.Class == workload.ClassBatch {
 			a.BatchTPOT.Add(rm.TPOT.Seconds())
@@ -212,11 +210,7 @@ func (a *FleetAggregate) observe(rm serving.RequestMetrics) {
 			a.InteractiveTPOT.Add(rm.TPOT.Seconds())
 		}
 	}
-	if rm.Class == workload.ClassBatch {
-		a.BatchScore.Add(score.Seconds())
-	} else {
-		a.InteractiveScore.Add(score.Seconds())
-	}
+	a.scoreSketch(rm.Class).Add(rm.Score().Seconds())
 }
 
 // merge folds o into a (o is unchanged). Order-sensitive once the sketches
@@ -231,8 +225,8 @@ func (a *FleetAggregate) merge(o *FleetAggregate) {
 	a.BatchScore.Merge(o.BatchScore)
 }
 
-// metCount is the number of completed requests meeting the per-token SLO —
-// serving.SLOMetCount evaluated against the score sketches.
+// metCount is the number of completed requests whose score meets the
+// per-token SLO, counted on the score sketches.
 func (a *FleetAggregate) metCount(slo workload.SLO) int64 {
 	if slo.TokenLatency <= 0 {
 		return a.Completed
@@ -318,9 +312,10 @@ func aggregate(r *fleetRun, want int) (*FleetResult, error) {
 	}
 
 	// The latency distributions were folded into each replica's streaming
-	// aggregate at completion time (fleetRun.harvest); here they only merge,
-	// in replica order, so the fleet digest is identical however the run was
-	// driven. The per-request records are re-collected only on request.
+	// aggregate at completion time (fleetRun.stepReplica); here they only
+	// merge, in replica order, so the fleet digest is identical however the
+	// run was driven. The per-request records are re-collected only on
+	// request.
 	f.Agg = newFleetAggregate()
 	for _, rep := range r.reps {
 		res := rep.stepper.Finalize()
@@ -357,7 +352,7 @@ func aggregate(r *fleetRun, want int) (*FleetResult, error) {
 		f.PerDesign = append(f.PerDesign, acc.dm)
 	}
 	// Every injected request must be terminally accounted exactly once:
-	// completed (harvested into the aggregate) or failed (FailedRequests),
+	// completed (folded into the aggregate) or failed (FailedRequests),
 	// never both, never neither.
 	if f.Completed+len(f.FailedRequests) != want {
 		return nil, fmt.Errorf("cluster: %d of %d requests terminally accounted (%d completed + %d failed)",

@@ -46,7 +46,7 @@ type Casualty struct {
 }
 
 // Fail crashes the stepper: every outstanding request — active batch and
-// pending queue — is surrendered (KV leases dropped, metrics entries
+// pending queue — is surrendered (KV leases dropped, latency records
 // withdrawn) and returned as casualties in admission-then-queue order. A
 // failed stepper has no work from then on — its Step is a no-op — and
 // refuses further pushes; its Result keeps the work it already did (tokens,
@@ -119,14 +119,13 @@ func (s *Stepper) Cancel(id int) (Casualty, bool, error) {
 }
 
 // surrender drops one lost request's engine-side state: its KV lease (the
-// blocks are gone with the replica, not parked for revival) and its metrics
-// record, so a half-served casualty cannot masquerade as a completion in
-// Finalize. The retry that replaces it starts a fresh record wherever it
-// lands.
+// blocks are gone with the replica, not parked for revival) and its
+// committed tokens, whose count the casualty already carries, so a
+// half-served request has no record in Finalize. The retry that replaces it
+// is a fresh request with a record of its own wherever it lands.
 func (s *Stepper) surrender(r *request) {
 	if s.kvStore != nil {
 		s.kvStore.Surrender(r.lease)
 	}
-	delete(s.tracker.byID, r.ID)
-	r.rm = nil
+	r.generated = 0
 }

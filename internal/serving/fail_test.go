@@ -275,3 +275,97 @@ func TestFinalizeDedupesRetriedID(t *testing.T) {
 		t.Fatalf("unexpected retry record %+v", res.Requests[0])
 	}
 }
+
+// The failover shape at the stepper: a request cancelled mid-run and pushed
+// again under the same ID — a timeout retry landing back on the replica
+// that lost it — is a fresh request with its own record. Finalize lists
+// exactly one record for the ID, the one Step handed out when the retry
+// finished. A stepper that crashes mid-run lists only the requests that
+// completed before the crash, with the records their Steps handed out.
+func TestCompletionRecordsAcrossFailover(t *testing.T) {
+	e := mustEngine(t, newPAPI(), model.LLaMA65B(), DefaultOptions(1))
+	st, err := e.NewStreamStepper(nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []workload.Request{
+		{ID: 1, InputLen: 64, OutputLen: 16},
+		{ID: 2, InputLen: 48, OutputLen: 6},
+		{ID: 3, InputLen: 80, OutputLen: 24},
+	} {
+		if err := st.Push(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two one-iteration windows, so request 1 is active with tokens at the
+	// cancel.
+	for i := 0; i < 2; i++ {
+		st.SetHorizon(st.Now())
+		if _, err := st.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, ok, err := st.Cancel(1)
+	if err != nil || !ok || !c.Admitted || c.Generated == 0 {
+		t.Fatalf("cancel active 1 = (%+v, %v, %v), want an admitted casualty with tokens", c, ok, err)
+	}
+	retry := c.Request
+	retry.InputLen += c.Generated
+	retry.OutputLen -= c.Generated
+	if err := st.Push(retry); err != nil {
+		t.Fatal(err)
+	}
+	st.SetHorizon(units.Seconds(math.Inf(1)))
+	handed := drainHanded(t, st)
+	res := st.Finalize()
+	if len(res.Requests) != 3 || len(handed) != 3 {
+		t.Fatalf("Finalize listed %d records and Step handed out %d, want 3 each", len(res.Requests), len(handed))
+	}
+	ones := 0
+	for _, rm := range res.Requests {
+		if rm != handed[rm.ID] {
+			t.Errorf("Finalize lists request %d as %+v, Step handed out %+v", rm.ID, rm, handed[rm.ID])
+		}
+		if rm.ID == 1 {
+			ones++
+			if rm.OutputTokens != retry.OutputLen {
+				t.Errorf("retried request 1 records %d tokens, want the retry's %d", rm.OutputTokens, retry.OutputLen)
+			}
+		}
+	}
+	if ones != 1 {
+		t.Fatalf("Finalize listed request 1 %d times, want once", ones)
+	}
+
+	reqs := workload.GeneralQA().Poisson(12, 50, 5)
+	crashed, err := e.NewStreamStepper(reqs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[int]RequestMetrics{}
+	for crashed.HasWork() && len(before) < 3 {
+		done, err := crashed.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range done {
+			before[c.Request.ID] = c.Metrics
+		}
+	}
+	if !crashed.HasWork() {
+		t.Fatal("test needs outstanding requests at the crash instant")
+	}
+	cas := crashed.Fail()
+	if len(before)+len(cas) != len(reqs) {
+		t.Fatalf("%d completed + %d casualties, want %d requests", len(before), len(cas), len(reqs))
+	}
+	res = crashed.Finalize()
+	if len(res.Requests) != len(before) {
+		t.Fatalf("the crashed stepper lists %d records, %d requests completed before the crash", len(res.Requests), len(before))
+	}
+	for _, rm := range res.Requests {
+		if got, ok := before[rm.ID]; !ok || got != rm {
+			t.Errorf("the crashed stepper lists request %d as %+v, its Step handed out %+v", rm.ID, rm, got)
+		}
+	}
+}

@@ -11,9 +11,9 @@
 // advances a window of same-RLP iterations per Step, on a caller-owned
 // clock and up to a caller-set horizon. External arrival owners (the fleet
 // simulator in internal/cluster, closed-loop multi-turn scenarios) inject
-// requests mid-run with Push and observe completions in the requests each
-// Step returns. Per-request latency metrics (TTFT, TPOT, completion)
-// and SLO attainment live in metrics.go.
+// requests mid-run with Push and observe completions, with their latency
+// records, in what each Step returns. Per-request latency metrics (TTFT,
+// TPOT, completion) and SLO attainment live in metrics.go.
 package serving
 
 import (
@@ -51,17 +51,16 @@ type Options struct {
 	OtherPerIteration units.Seconds
 	// Seed drives the acceptance sampling.
 	Seed int64
-	// DiscardCompleted drops per-request records as requests finish instead
-	// of retaining them for Finalize: Result.Requests comes back empty and a
-	// completed request's metrics are readable exactly once, through
-	// Stepper.TakeMetrics at its completion. The stepper also records no
-	// per-iteration trace (Result.RLPTrace and IterStats stay nil). This is
-	// the constant-memory mode the cluster layer selects for streaming
-	// fleet runs (it harvests every completion into mergeable sketches and
-	// reads no trace); every other Result field is unchanged. The zero
-	// value retains everything, so every existing caller is unaffected.
-	// Static batch steppers ignore it: RunBatch's contract is the retained
-	// Result.
+	// DiscardCompleted drops finished requests instead of retaining them
+	// for Finalize: Result.Requests comes back empty, and a completed
+	// request's metrics are readable only in the Completion that Step
+	// hands out as it finishes. The stepper also records no per-iteration
+	// trace (Result.RLPTrace and IterStats stay nil). This is the
+	// constant-memory mode the cluster layer selects for streaming fleet
+	// runs (it folds every completion into mergeable sketches and reads no
+	// trace); every other Result field is unchanged. The zero value
+	// retains everything, so every existing caller is unaffected. Static
+	// batch steppers ignore it: RunBatch's contract is the retained Result.
 	DiscardCompleted bool
 	// KV selects block-level KV-cache management (internal/kv): fixed-size
 	// refcounted blocks, a prefix index that lets requests adopt committed
@@ -269,7 +268,8 @@ func New(sys *design.System, cfg model.Config, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// request tracks one in-flight request's decode progress.
+// request tracks one in-flight request's decode progress, and owns its
+// latency record (see observe and metrics).
 type request struct {
 	workload.Request
 	generated  int
@@ -282,9 +282,10 @@ type request struct {
 	// preempted counts how many times the request was evicted from the
 	// active batch (batch-class requests only).
 	preempted int
-	// rm caches this request's metrics entry so the per-iteration observe
-	// path skips the tracker's by-ID map (see metricsTracker.entry).
-	rm *RequestMetrics
+	// ttft and completion are the ends of the iterations that committed the
+	// request's first and latest tokens, measured from its epoch: run start
+	// for a static batch, its arrival in a stream.
+	ttft, completion units.Seconds
 	// lease is the request's hold on the block store (nil without one);
 	// kvBytes is its cached worst-case KV footprint — the demand-signal
 	// contribution, fixed at creation (with the resident shared prefix

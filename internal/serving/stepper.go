@@ -38,10 +38,11 @@ type Stepper struct {
 	pending []*request // arrival-ordered, not yet admitted (stream mode)
 	active  []*request // admitted and unfinished
 
-	tracker  *metricsTracker
-	maxBatch int
-	static   bool
-	clock    units.Seconds
+	// completed is Step's completion buffer, reused by every window.
+	completed []Completion
+	maxBatch  int
+	static    bool
+	clock     units.Seconds
 	// lastPlace is the FC placement of the last window, once one has run
 	// (Result.Iterations > 0): a window placed differently is a reschedule.
 	lastPlace sched.Placement
@@ -125,7 +126,6 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 		res:      Result{System: e.Sys.Name, Model: e.Cfg.Name},
 		maxBatch: len(reqs),
 		static:   true,
-		tracker:  newMetricsTracker(),
 		horizon:  units.Seconds(math.Inf(1)),
 	}
 	if err := s.initKV(len(reqs)); err != nil {
@@ -187,7 +187,6 @@ func (e *Engine) NewStreamStepper(reqs []workload.Request, maxBatch int) (*Stepp
 		eng:      e,
 		res:      Result{System: e.Sys.Name, Model: e.Cfg.Name},
 		maxBatch: maxBatch,
-		tracker:  newMetricsTracker(),
 		horizon:  units.Seconds(math.Inf(1)),
 	}
 	if err := s.initKV(0); err != nil {
@@ -492,35 +491,6 @@ func (s *Stepper) StartAt(t units.Seconds) error {
 	return nil
 }
 
-// PeekMetrics returns a snapshot of one request's latency metrics mid-run,
-// with TPOT computed from the tokens observed so far — the signal the
-// cluster autoscaler reads per completion without waiting for Finalize. The
-// second return is false when the request has produced no tokens yet.
-func (s *Stepper) PeekMetrics(id int) (RequestMetrics, bool) {
-	rm, ok := s.tracker.byID[id]
-	if !ok {
-		return RequestMetrics{}, false
-	}
-	out := *rm
-	if out.OutputTokens > 1 {
-		out.TPOT = (out.Completion - out.TTFT) / units.Seconds(out.OutputTokens-1)
-	}
-	return out, true
-}
-
-// TakeMetrics reads a request's latency snapshot like PeekMetrics and, in
-// DiscardCompleted mode, releases the record — the read-once harvest the
-// cluster layer performs at each completion so a streaming run's per-request
-// state is O(outstanding), not O(total). Outside DiscardCompleted mode it is
-// exactly PeekMetrics: records stay for Finalize.
-func (s *Stepper) TakeMetrics(id int) (RequestMetrics, bool) {
-	out, ok := s.PeekMetrics(id)
-	if ok && s.discarding() {
-		delete(s.tracker.byID, id)
-	}
-	return out, ok
-}
-
 // discarding reports whether completed-request records are dropped rather
 // than retained for Finalize (see Options.DiscardCompleted). Static batch
 // steppers always retain: RunBatch's contract is the full Result.
@@ -720,9 +690,6 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 		s.countClass(r.Class, &s.pendInteractive, &s.pendBatch, +1)
 		r.readyAt = s.clock
 		r.preempted++
-		if r.rm != nil {
-			r.rm.Preemptions++
-		}
 		s.enqueue(r)
 		s.res.Preemptions++
 	}
@@ -734,8 +701,11 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 // iterate → commit, see window) or jump the clock to the next arrival if
 // nothing is runnable; a stepper without work (see HasWork) is left as it
 // is. It returns the requests that reached <|eos|> in the window, in active
-// order — the hook closed-loop arrival owners (multi-turn conversations in
-// internal/cluster) use to couple a follow-up Push to a completion.
+// order, each with its latency record — the hook closed-loop arrival owners
+// (multi-turn conversations in internal/cluster) use to couple a follow-up
+// Push to a completion, and the only place a discarding stepper (see
+// Options.DiscardCompleted) hands a record out. The slice is the stepper's
+// own buffer, valid until its next Step.
 //
 // One Step may run a whole window of iterations; the stepper accounts for
 // every arrival already in its pending queue, so RunBatch/RunContinuous-style
@@ -745,7 +715,7 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 // window can overshoot the instant the caller meant to inject at, admitting
 // the request later than single-stepping would. internal/cluster does
 // exactly this: each replica's horizon is the fleet driver's next barrier.
-func (s *Stepper) Step() ([]workload.Request, error) {
+func (s *Stepper) Step() ([]Completion, error) {
 	if !s.static {
 		if err := s.admit(); err != nil {
 			return nil, err
@@ -813,7 +783,7 @@ func (s *Stepper) Step() ([]workload.Request, error) {
 // the window. With speculation (TLP > 1) commits are stochastic: n is 1,
 // and every pass replays the per-request acceptance draws in active order,
 // because the RNG draw order is part of the bit-identical contract.
-func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
+func (s *Stepper) window(bound units.Seconds) ([]Completion, error) {
 	rlp, tlp := len(s.active), s.eng.Opt.TLP
 	// Every iteration commits at least one token per live request, so no
 	// window runs longer than the fewest tokens any of them still owes; with
@@ -834,7 +804,7 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 	if tlp == 1 {
 		n, grow = limit, rlp
 	}
-	var finished []workload.Request
+	s.completed = s.completed[:0]
 	for {
 		traced := len(s.res.IterStats) < cap(s.res.IterStats)
 		run, first := s.charge(&p, rlp, grow, place, bound, n)
@@ -859,22 +829,21 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 			if tlp > 1 {
 				committed = min(s.eng.accepted(), r.OutputLen-r.generated)
 			}
+			epoch := r.Arrival
+			if s.static {
+				epoch = 0
+			}
 			r.iterations += run
-			r.generated += committed
+			r.observe(committed, first, s.clock, epoch)
 			tokens += committed
 			if s.kvStore != nil {
 				if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
 					return nil, err
 				}
 			}
-			epoch := r.Arrival
-			if s.static {
-				epoch = 0
-			}
-			s.tracker.observe(r, committed, first, s.clock, epoch)
 			if r.generated >= r.OutputLen {
 				r.done = true
-				finished = append(finished, r.Request)
+				s.completed = append(s.completed, Completion{Request: r.Request, Metrics: r.metrics()})
 				s.finish(r)
 			}
 		}
@@ -887,19 +856,19 @@ func (s *Stepper) window(bound units.Seconds) ([]workload.Request, error) {
 				s.res.IterStats[len(s.res.IterStats)-1].Tokens = tokens
 			}
 		}
-		if len(finished) > 0 || bound <= s.clock || s.clock >= s.horizon {
+		if len(s.completed) > 0 || bound <= s.clock || s.clock >= s.horizon {
 			break
 		}
 	}
 	// Drop finished requests from the active set to release KV capacity.
-	if len(finished) > 0 {
+	if len(s.completed) > 0 {
 		s.active = live(s.active)
 	}
 	s.owed = math.MaxInt
 	for _, r := range s.active {
 		s.owed = min(s.owed, r.OutputLen-r.generated)
 	}
-	return finished, nil
+	return s.completed, nil
 }
 
 // charge is the decode window's charging kernel: it runs up to n decoding
@@ -1203,18 +1172,22 @@ func (s *Stepper) preemptFeasible(cand *request) bool {
 }
 
 // Finalize closes the run and returns the accumulated Result, adding the
-// per-request metrics in input order and host-CPU energy over the makespan.
-// Further Finalize calls return the same Result.
+// latency record of every retained request that committed a token, in input
+// order, and host-CPU energy over the makespan. A surrendered request (see
+// Fail and Cancel) committed nothing that survives, so it has no record; its
+// retry, pushed here again, has its own. Further Finalize calls return the
+// same Result.
 func (s *Stepper) Finalize() Result {
 	if s.finalized {
 		return s.res
 	}
 	s.finalized = true
-	order := make([]workload.Request, len(s.all))
-	for i, r := range s.all {
-		order[i] = r.Request
+	s.res.Requests = make([]RequestMetrics, 0, len(s.all))
+	for _, r := range s.all {
+		if r.generated > 0 {
+			s.res.Requests = append(s.res.Requests, r.metrics())
+		}
 	}
-	s.res.Requests = s.tracker.finalize(order)
 	if s.static {
 		s.res.PerRequestIterations = make([]int, len(s.all))
 		for i, r := range s.all {

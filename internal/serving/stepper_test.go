@@ -211,13 +211,17 @@ func TestStepInfoFinishedReportsCompletions(t *testing.T) {
 		if done := before - s.Outstanding(); len(finished) != done {
 			t.Fatalf("step finished %d requests but lists %d", done, len(finished))
 		}
-		for _, r := range finished {
+		for _, c := range finished {
+			r := c.Request
 			if seen[r.ID] {
 				t.Fatalf("request %d finished twice", r.ID)
 			}
 			seen[r.ID] = true
 			if r.InputLen <= 0 || r.OutputLen <= 0 {
 				t.Fatalf("finished request %d lost its lengths: %+v", r.ID, r)
+			}
+			if c.Metrics.ID != r.ID || c.Metrics.OutputTokens != r.OutputLen {
+				t.Fatalf("request %d finished with the record %+v", r.ID, c.Metrics)
 			}
 		}
 	}
@@ -228,12 +232,14 @@ func TestStepInfoFinishedReportsCompletions(t *testing.T) {
 
 // TestDiscardCompletedDrops pins what the constant-memory mode
 // (Options.DiscardCompleted) drops, and that it drops nothing else, over the
-// window matrix's stream rows the fleet workloads run: PAPI and PAPI-1stack
-// × TLP {1, 4} × {stream, tiered} × KV {byte ledger, block store}. A
-// discarding stepper hands out through TakeMetrics, once, at each
-// completion, exactly the records a retaining one returns in
-// Result.Requests; it records no per-iteration trace; and its Result
-// deep-equals the retaining one's once those three fields are cleared.
+// window matrix's rows the fleet and figure workloads run: PAPI and
+// PAPI-1stack × TLP {1, 4} × {static, stream, tiered} × KV {byte ledger,
+// block store}. Retaining or not, a stepper hands out every request once,
+// in the Step that finished it, with the record a retaining one lists in
+// Result.Requests — for a static batch, RunBatch's. A discarding stream
+// stepper records no per-iteration trace, and its Result deep-equals the
+// retaining one's once those three fields are cleared; a static stepper
+// ignores the option.
 func TestDiscardCompletedDrops(t *testing.T) {
 	cfg := model.OPT30B()
 	rows := 0
@@ -242,54 +248,65 @@ func TestDiscardCompletedDrops(t *testing.T) {
 			continue
 		}
 		for _, tlp := range []int{1, 4} {
-			for _, w := range []windowKind{windowStream, windowTiered} {
+			for _, w := range []windowKind{windowStatic, windowStream, windowTiered} {
 				for _, block := range []bool{false, true} {
 					row := fmt.Sprintf("%s/tlp%d/%s/block=%v", spec.Name, tlp, w, block)
-					run := func(discard bool) (Result, map[int]RequestMetrics) {
+					engine := func(discard bool) (*Engine, []workload.Request, int) {
 						opt := DefaultOptions(tlp)
 						opt.DiscardCompleted = discard
 						if block {
 							opt.KV = &kv.Options{BlockTokens: 32, Sharing: true}
 						}
 						sys := design.MustBuild(spec)
-						eng := mustEngine(t, sys, cfg, opt)
 						reqs, maxBatch := windowWorkload(w, sys, cfg)
-						st, err := eng.NewStreamStepper(reqs, maxBatch)
+						return mustEngine(t, sys, cfg, opt), reqs, maxBatch
+					}
+					run := func(discard bool) (Result, map[int]RequestMetrics) {
+						eng, reqs, maxBatch := engine(discard)
+						var st *Stepper
+						var err error
+						if w == windowStatic {
+							st, err = eng.NewBatchStepper(reqs)
+						} else {
+							st, err = eng.NewStreamStepper(reqs, maxBatch)
+						}
 						if err != nil {
 							t.Fatalf("%s: %v", row, err)
 						}
-						taken := map[int]RequestMetrics{}
-						for st.HasWork() {
-							finished, err := st.Step()
-							if err != nil {
-								t.Fatalf("%s: %v", row, err)
-							}
-							if !discard {
-								continue
-							}
-							for _, r := range finished {
-								rm, ok := st.TakeMetrics(r.ID)
-								if !ok {
-									t.Fatalf("%s: no record for finished request %d", row, r.ID)
-								}
-								if _, again := st.TakeMetrics(r.ID); again {
-									t.Errorf("%s: request %d's record readable twice", row, r.ID)
-								}
-								taken[r.ID] = rm
-							}
-						}
-						return st.Finalize(), taken
+						handed := drainHanded(t, st)
+						return st.Finalize(), handed
 					}
-					full, _ := run(false)
-					lean, taken := run(true)
+					full, fullHanded := run(false)
+					lean, leanHanded := run(true)
 					rows++
-					if len(taken) != len(full.Requests) {
-						t.Errorf("%s: took %d records, the retaining run kept %d", row, len(taken), len(full.Requests))
-					}
-					for _, want := range full.Requests {
-						if got := taken[want.ID]; got != want {
-							t.Errorf("%s: request %d took %+v, retained %+v", row, want.ID, got, want)
+					eng, reqs, _ := engine(false)
+					want := full.Requests
+					if w == windowStatic {
+						ref, err := eng.RunBatch(reqs)
+						if err != nil {
+							t.Fatalf("%s: %v", row, err)
 						}
+						want = ref.Requests
+					}
+					if len(want) != len(reqs) {
+						t.Errorf("%s: %d records for %d requests", row, len(want), len(reqs))
+					}
+					for mode, handed := range map[string]map[int]RequestMetrics{"retaining": fullHanded, "discarding": leanHanded} {
+						if len(handed) != len(want) {
+							t.Errorf("%s: the %s stepper handed out %d records, want %d", row, mode, len(handed), len(want))
+						}
+						for _, rm := range want {
+							if got, ok := handed[rm.ID]; !ok || got != rm {
+								t.Errorf("%s: the %s stepper handed request %d out as %+v, want %+v", row, mode, rm.ID, got, rm)
+							}
+						}
+					}
+					if w == windowStatic {
+						if !reflect.DeepEqual(full, lean) {
+							t.Errorf("%s: a static stepper changed under DiscardCompleted\n retain: %+v\ndiscard: %+v",
+								row, full, lean)
+						}
+						continue
 					}
 					if len(full.IterStats) == 0 || len(full.RLPTrace) == 0 {
 						t.Errorf("%s: the retaining run recorded no trace", row)
@@ -309,7 +326,27 @@ func TestDiscardCompletedDrops(t *testing.T) {
 			}
 		}
 	}
-	if rows != 16 {
-		t.Fatalf("ran %d rows, want 16", rows)
+	if rows != 24 {
+		t.Fatalf("ran %d rows, want 24", rows)
 	}
+}
+
+// drainHanded drives st to drain and collects every record Step hands out,
+// by ID, failing on a repeat.
+func drainHanded(t *testing.T, st *Stepper) map[int]RequestMetrics {
+	t.Helper()
+	handed := map[int]RequestMetrics{}
+	for st.HasWork() {
+		done, err := st.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range done {
+			if _, again := handed[c.Request.ID]; again {
+				t.Fatalf("request %d handed out twice", c.Request.ID)
+			}
+			handed[c.Request.ID] = c.Metrics
+		}
+	}
+	return handed
 }

@@ -364,31 +364,53 @@ func FuzzMacroEquivalence(f *testing.F) {
 	})
 }
 
-// TestStepAllocations is the allocation regression test on Stepper.Step: a
-// static drain — thousands of iterations in a handful of windows — must
-// stay within a fixed allocation budget.
+// TestStepAllocations is the allocation regression test on Stepper.Step.
+// A static drain — thousands of iterations in a handful of windows — must
+// stay within a fixed allocation budget, and a constant-memory stream
+// within a budget per request: a request's record lives on the request, and
+// Step hands completions out in a buffer it reuses.
 func TestStepAllocations(t *testing.T) {
+	drain := func(newStepper func() (*Stepper, error)) float64 {
+		return testing.AllocsPerRun(5, func() {
+			st, err := newStepper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for st.HasWork() {
+				if _, err := st.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st.Finalize()
+		})
+	}
+
 	reqs := workload.CreativeWriting().Generate(16, 1)
 	eng, err := New(newPAPI(), model.OPT30B(), DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		st, err := eng.NewBatchStepper(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for st.HasWork() {
-			if _, err := st.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st.Finalize()
-	})
-	// Traces, tracker entries and stepper setup, nothing per iteration.
-	const budget = 120
-	if allocs > budget {
+	// Traces, records and stepper setup, nothing per iteration: 33 at the
+	// time of writing.
+	const budget = 40
+	if allocs := drain(func() (*Stepper, error) { return eng.NewBatchStepper(reqs) }); allocs > budget {
 		t.Errorf("static drain allocated %.0f times, want ≤ %d", allocs, budget)
+	}
+
+	stream := workload.GeneralQA().Poisson(64, 50, 5)
+	opt := DefaultOptions(1)
+	opt.DiscardCompleted = true
+	lean, err := New(newPAPI(), model.OPT30B(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One per request, plus admission's prefill lists and the stepper's
+	// slices: 144 at the time of writing, 2.25 per request.
+	const perRequest = 2.5
+	allocs := drain(func() (*Stepper, error) { return lean.NewStreamStepper(stream, 8) })
+	if budget := perRequest * float64(len(stream)); allocs > budget {
+		t.Errorf("constant-memory stream of %d requests allocated %.0f times, want ≤ %.0f",
+			len(stream), allocs, budget)
 	}
 }
 
