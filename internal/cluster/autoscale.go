@@ -15,10 +15,12 @@ import (
 // controller on the fleet's event clock that watches windowed load signals —
 // arrival rate, queue depth per replica, p95 TPOT of the interactive tier
 // against the SLO, and KV-pool pressure — and scales the replica set between
-// Min and Max. Scaling up provisions a replica that warms for WarmUp before
-// taking traffic (drawing host power from the moment it is provisioned);
-// scaling down drains a replica: it finishes its in-flight requests, accepts
-// no new ones, and powers off (stops accruing energy) once empty.
+// Min and Max. Requests stranded by a fleet that crashed to zero boot a
+// replacement themselves, since every per-replica signal reads 0 then.
+// Scaling up provisions a replica that warms for WarmUp before taking
+// traffic (drawing host power from the moment it is provisioned); scaling
+// down drains a replica: it finishes its in-flight requests, accepts no new
+// ones, and powers off (stops accruing energy) once empty.
 //
 // All decisions read only simulated state at control-tick instants, so an
 // autoscaled run is exactly as deterministic as a static one: a fixed seed
@@ -246,9 +248,9 @@ func (s *scaler) poweredOn() int {
 // tick is the control loop body, fired every Interval on the fleet's event
 // kernel. It reads the windowed signals, applies the scale-up triggers (any
 // one suffices) or the scale-down guards (all must hold), resets the window,
-// and re-arms itself while the fleet still has pending events — when the
-// queue is empty the run is over and the loop retires, which is what lets
-// the kernel drain.
+// and re-arms itself while the fleet still has pending events or stranded
+// requests — when neither is left the run is over and the loop retires,
+// which is what lets the kernel drain.
 func (s *scaler) tick(now units.Seconds) {
 	r := s.run
 	if r.err != nil {
@@ -297,11 +299,17 @@ func (s *scaler) tick(now units.Seconds) {
 
 	slo := s.opt.SLO.TokenLatency.Seconds()
 	cooled := now-s.lastAction >= s.opt.CoolDown
+	// Requests stranded with no replica active or warming (the fleet
+	// crashed to zero) wait for a replacement that every per-replica signal,
+	// reading 0 with none active, would never call: the strand itself is
+	// the trigger.
+	stranded := r.resil != nil && len(r.resil.waiting) > 0
 
 	// Max bounds the powered-on fleet, so a still-draining replica counts
 	// against headroom exactly like an active one.
 	up := cooled && s.poweredOn() < s.opt.Max &&
-		((slo > 0 && tpot95 > s.opt.UpTPOTFactor*slo) ||
+		((stranded && act == 0 && warming == 0) ||
+			(slo > 0 && tpot95 > s.opt.UpTPOTFactor*slo) ||
 			queuePer > s.opt.UpQueue ||
 			kvMax > s.opt.KVPressure ||
 			(s.opt.UpArrivalRate > 0 && ratePer > s.opt.UpArrivalRate))
@@ -371,10 +379,11 @@ func (s *scaler) tick(now units.Seconds) {
 	}
 
 	// Reset the window and re-arm. Replica steps live outside the kernel,
-	// so the liveness check must count them too.
+	// so the liveness check must count them too, and a stranded request
+	// keeps the loop alive until a replacement boots for it.
 	s.arrivals = 0
 	s.tpots = s.tpots[:0]
-	if r.kernel.Pending() > 0 || r.stepsPending() {
+	if r.kernel.Pending() > 0 || r.stepsPending() || stranded {
 		r.kernel.At(now+s.opt.Interval, s.tick)
 	}
 }

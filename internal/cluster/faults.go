@@ -403,8 +403,9 @@ func (z *resilience) fail(t *reqTrack, req workload.Request, reason string, at u
 }
 
 // closeLedger terminally fails anything still stranded when the kernel
-// drains (the autoscaler never booted the replacement the waiting requests
-// were parked for), so every request is accounted exactly once.
+// drains, so every request is accounted exactly once. It is a backstop: the
+// autoscaler stays armed while a request is stranded and boots a
+// replacement for it.
 func (z *resilience) closeLedger(at units.Seconds) {
 	for _, req := range z.waiting {
 		t := z.track[req.ID]

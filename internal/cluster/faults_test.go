@@ -484,6 +484,48 @@ func TestCrashDuringWarmUp(t *testing.T) {
 	diffFleet(t, "warm-up crash", f, run())
 }
 
+// Crash to zero: an autoscaled fleet's only replica crashes. Every
+// per-replica scale-up signal reads 0 with no replica active, so the
+// stranded casualties and the arrivals after them must boot the
+// replacement themselves, and it serves every request. The fleet run
+// matches the time-order reference through the whole episode.
+func TestCrashToZeroBootsReplacement(t *testing.T) {
+	reqs := workload.GeneralQA().Poisson(40, 20, 9)
+	build := func() *Cluster {
+		opt := testOptions(1, LeastOutstanding())
+		opt.Autoscale = DefaultAutoscale(1, 2, workload.SLO{TokenLatency: units.Milliseconds(12)})
+		opt.Faults = &faults.Plan{Name: "crash to zero", Faults: []faults.Fault{
+			{Kind: faults.KindCrash, Replica: 0, At: 0.5},
+		}}
+		opt.Retries = 2
+		c, err := New(newPAPI, model.LLaMA65B(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	f := matchDrivers(t, "crash to zero", build, reqs, nil)
+	auditLedger(t, f, len(reqs))
+	if f.Faults != 1 {
+		t.Fatalf("Faults = %d, want 1", f.Faults)
+	}
+	for _, fr := range f.FailedRequests {
+		t.Errorf("request %d failed (%s at %v); the replacement should serve it", fr.ID, fr.Reason, fr.At)
+	}
+	var up, live *ScaleEvent
+	for i, ev := range f.ScaleEvents {
+		switch {
+		case ev.Action == ScaleUp && up == nil:
+			up = &f.ScaleEvents[i]
+		case ev.Action == ScaleLive && live == nil:
+			live = &f.ScaleEvents[i]
+		}
+	}
+	if up == nil || up.At <= 0.5 || live == nil || live.Replica != up.Replica {
+		t.Fatalf("scale events %+v: want a replacement booted after the crash and live", f.ScaleEvents)
+	}
+}
+
 // Options validation rejects malformed resilience settings.
 func TestResilienceOptionsValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Options){

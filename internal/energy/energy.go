@@ -5,123 +5,80 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/papi-sim/papi/internal/units"
 )
 
-// Component names the system parts that consume energy.
-type Component string
+// Component names the system parts that consume energy. It is a closed
+// enum: each component indexes the ledger's array directly, so a charge is
+// two stores.
+type Component int8
 
-// Standard components of the PAPI system and its baselines.
+// Components of the PAPI system and its baselines, in the lexicographic
+// order of their names: a ledger lists and sums them in this order.
 const (
-	GPUActive    Component = "gpu-active"
-	GPUIdle      Component = "gpu-idle"
-	FCPIM        Component = "fc-pim"
-	AttnPIM      Component = "attn-pim"
-	Interconnect Component = "interconnect"
-	HostCPU      Component = "host-cpu"
-	Other        Component = "other"
+	AttnPIM Component = iota
+	FCPIM
+	GPUActive
+	GPUIdle
+	HostCPU
+	Interconnect
+	Other
+	numComponents
 )
 
-// stdComponents lists the standard components in their deterministic
-// (lexicographic) order; stdIndex maps a component to its slot.
-var stdComponents = [...]Component{AttnPIM, FCPIM, GPUActive, GPUIdle, HostCPU, Interconnect, Other}
+var componentNames = [numComponents]string{
+	AttnPIM:      "attn-pim",
+	FCPIM:        "fc-pim",
+	GPUActive:    "gpu-active",
+	GPUIdle:      "gpu-idle",
+	HostCPU:      "host-cpu",
+	Interconnect: "interconnect",
+	Other:        "other",
+}
 
-// Slot is a precomputed ledger index for a standard component. The serving
-// engine charges several components per simulated decoding iteration; going
-// through a Slot makes each charge an inlinable two-store operation instead
-// of a string-switch dispatch. Values mirror stdComponents order.
-type Slot int8
-
-// Slots of the standard components.
-const (
-	SlotAttnPIM Slot = iota
-	SlotFCPIM
-	SlotGPUActive
-	SlotGPUIdle
-	SlotHostCPU
-	SlotInterconnect
-	SlotOther
-)
-
-// stdIndex returns the array slot of a standard component, or -1.
-func stdIndex(c Component) int {
-	switch c {
-	case AttnPIM:
-		return 0
-	case FCPIM:
-		return 1
-	case GPUActive:
-		return 2
-	case GPUIdle:
-		return 3
-	case HostCPU:
-		return 4
-	case Interconnect:
-		return 5
-	case Other:
-		return 6
+// String names the component.
+func (c Component) String() string {
+	if c < 0 || c >= numComponents {
+		return fmt.Sprintf("Component(%d)", int8(c))
 	}
-	return -1
+	return componentNames[c]
 }
 
 // Ledger accumulates energy per component. The zero value is ready to use.
-//
-// The standard components live in a fixed array so the serving engine's
-// per-iteration charges (several per decoding step) are plain indexed adds
-// rather than string-keyed map operations; non-standard components spill
-// into a map. Per-component accumulation order is unchanged either way, so
-// totals are bit-identical to the map-only representation.
 type Ledger struct {
-	std     [len(stdComponents)]units.Joules
-	charged [len(stdComponents)]bool
-	extra   map[Component]units.Joules
+	joules  [numComponents]units.Joules
+	charged [numComponents]bool
 }
 
 // Add charges j joules to component c. Negative charges are a programming
-// error and panic (energy only accumulates). The body is kept small enough
-// to inline: with a constant component — every call in the serving engine —
-// the compiler folds stdIndex away and the charge compiles to two stores.
-func (l *Ledger) Add(c Component, j units.Joules) {
-	if i := stdIndex(c); i >= 0 && j >= 0 {
-		l.std[i] += j
-		l.charged[i] = true
-		return
-	}
-	l.addSlow(c, j)
-}
-
-// AddSlot charges j joules to a standard component by its precomputed slot
-// — the hot-path equivalent of Add, small enough to inline to two stores.
-// As with Add, negative charges panic (without the formatted detail, to stay
-// inside the inlining budget); an out-of-range slot panics via the index.
+// error and panic (energy only accumulates); so does a component outside
+// the enum, via the index.
 //
 //papivet:noalloc
-func (l *Ledger) AddSlot(s Slot, j units.Joules) {
+func (l *Ledger) Add(c Component, j units.Joules) {
 	if j < 0 {
 		panic("energy: negative charge")
 	}
-	l.std[s] += j
-	l.charged[s] = true
+	l.joules[c] += j
+	l.charged[c] = true
 }
 
-// Slot returns a standard component's accumulated energy by its slot.
-func (l *Ledger) Slot(s Slot) units.Joules { return l.std[s] }
+// Get returns a component's accumulated energy.
+func (l *Ledger) Get(c Component) units.Joules { return l.joules[c] }
 
-// SetSlot stores a running total that a caller built from Slot with Charge
-// — the serving engine keeps a decode window's totals in locals — and marks
-// the slot charged, as the AddSlot calls it replaces would have. Only a
-// slot that took at least one charge may be stored back.
-func (l *Ledger) SetSlot(s Slot, total units.Joules) {
-	l.std[s] = total
-	l.charged[s] = true
+// Set stores a running total that a caller built from Get with Charge — the
+// serving engine keeps a decode window's totals in locals — and marks the
+// component charged, as the Add calls it replaces would have. Only a
+// component that took at least one charge may be stored back.
+func (l *Ledger) Set(c Component, total units.Joules) {
+	l.joules[c] = total
+	l.charged[c] = true
 }
 
-// Charge returns total + j: one AddSlot charge applied to a running total
-// kept outside the ledger (see SetSlot). As with AddSlot, a negative charge
-// panics.
+// Charge returns total + j: one Add charge applied to a running total kept
+// outside the ledger (see Set). As with Add, a negative charge panics.
 //
 //papivet:noalloc
 func Charge(total, j units.Joules) units.Joules {
@@ -131,37 +88,13 @@ func Charge(total, j units.Joules) units.Joules {
 	return total + j
 }
 
-// addSlow handles the non-standard-component and negative-charge cases.
-func (l *Ledger) addSlow(c Component, j units.Joules) {
-	if j < 0 {
-		panic(fmt.Sprintf("energy: negative charge %v to %s", j, c))
-	}
-	if i := stdIndex(c); i >= 0 {
-		l.std[i] += j
-		l.charged[i] = true
-		return
-	}
-	if l.extra == nil {
-		l.extra = make(map[Component]units.Joules)
-	}
-	l.extra[c] += j
-}
-
-// Get returns a component's accumulated energy.
-func (l *Ledger) Get(c Component) units.Joules {
-	if i := stdIndex(c); i >= 0 {
-		return l.std[i]
-	}
-	return l.extra[c]
-}
-
-// Total sums every component. Summation follows the deterministic
-// Components order: float addition is order-sensitive, and an unordered
-// traversal would otherwise make totals differ by an ulp run-to-run.
+// Total sums every component in Component order: float addition is
+// order-sensitive, and a fixed order keeps totals bit-stable run to run.
+// An uncharged component holds +0 and adds nothing.
 func (l *Ledger) Total() units.Joules {
 	var t units.Joules
-	for _, c := range l.Components() {
-		t += l.Get(c)
+	for _, j := range l.joules {
+		t += j
 	}
 	return t
 }
@@ -175,25 +108,23 @@ func (l *Ledger) Share(c Component) float64 {
 	return float64(l.Get(c)) / float64(t)
 }
 
-// Components returns the charged components in deterministic order.
+// Components returns the charged components in Component order.
 func (l *Ledger) Components() []Component {
-	cs := make([]Component, 0, len(stdComponents)+len(l.extra))
-	for i, c := range stdComponents {
-		if l.charged[i] {
+	var cs []Component
+	for c := range numComponents {
+		if l.charged[c] {
 			cs = append(cs, c)
 		}
 	}
-	for c := range l.extra {
-		cs = append(cs, c)
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 	return cs
 }
 
-// Merge adds every entry of other into l.
+// Merge adds every charged entry of other into l.
 func (l *Ledger) Merge(other *Ledger) {
-	for _, c := range other.Components() {
-		l.Add(c, other.Get(c))
+	for c := range numComponents {
+		if other.charged[c] {
+			l.Add(c, other.joules[c])
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package energy
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -41,6 +43,34 @@ func TestNegativeChargePanics(t *testing.T) {
 	}()
 	var l Ledger
 	l.Add(Other, -1)
+}
+
+// TestAddSlotNegativePanics pins the negative-charge guard of the hot-path
+// charges that took over from the slot-indexed AddSlot: Add, which indexes
+// the ledger's array by the Component itself, on every component, and
+// Charge, which the serving window applies to running totals it stores back
+// with Set. A refused charge leaves the ledger untouched.
+func TestAddSlotNegativePanics(t *testing.T) {
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: negative charge did not panic", name)
+			}
+		}()
+		f()
+	}
+	for c := range numComponents {
+		var l Ledger
+		panics(c.String(), func() { l.Add(c, -1) })
+		if l.Get(c) != 0 || l.Components() != nil {
+			t.Fatalf("%s: refused charge left %v, components %v", c, l.Get(c), l.Components())
+		}
+	}
+	panics("Charge", func() { Charge(1, -1) })
+	if got := Charge(1, 2); got != 3 {
+		t.Fatalf("Charge(1, 2) = %v, want 3", got)
+	}
 }
 
 func TestComponentsOrdered(t *testing.T) {
@@ -124,53 +154,28 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-func TestAddSlotMatchesAdd(t *testing.T) {
-	pairs := []struct {
-		c Component
-		s Slot
-	}{
-		{AttnPIM, SlotAttnPIM}, {FCPIM, SlotFCPIM}, {GPUActive, SlotGPUActive},
-		{GPUIdle, SlotGPUIdle}, {HostCPU, SlotHostCPU}, {Interconnect, SlotInterconnect},
-		{Other, SlotOther},
-	}
-	var byName, bySlot Ledger
-	for i, p := range pairs {
-		j := units.Joules(float64(i) + 0.25)
-		byName.Add(p.c, j)
-		bySlot.AddSlot(p.s, j)
-	}
-	for _, p := range pairs {
-		if byName.Get(p.c) != bySlot.Get(p.c) {
-			t.Fatalf("%s: Add %v != AddSlot %v", p.c, byName.Get(p.c), bySlot.Get(p.c))
-		}
-	}
-	if byName.Total() != bySlot.Total() {
-		t.Fatalf("totals differ: %v vs %v", byName.Total(), bySlot.Total())
-	}
-}
-
-func TestAddSlotNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative AddSlot did not panic")
-		}
-	}()
+// TestComponentNames pins each component's rendered name: ledgers print
+// and digest their components by these names, and Components lists them in
+// the names' lexicographic order.
+func TestComponentNames(t *testing.T) {
+	want := []string{"attn-pim", "fc-pim", "gpu-active", "gpu-idle", "host-cpu", "interconnect", "other"}
 	var l Ledger
-	l.AddSlot(SlotOther, -1)
-}
-
-func TestNonStandardComponentSpills(t *testing.T) {
-	var l Ledger
-	l.Add(Component("dram-refresh"), 2)
-	l.Add(GPUActive, 3)
-	if l.Get(Component("dram-refresh")) != 2 {
-		t.Fatal("non-standard component lost")
+	for c := range numComponents {
+		l.Add(c, 1)
 	}
 	cs := l.Components()
-	if len(cs) != 2 || cs[0] != Component("dram-refresh") || cs[1] != GPUActive {
-		t.Fatalf("Components() = %v, want sorted [dram-refresh gpu-active]", cs)
+	if len(cs) != len(want) {
+		t.Fatalf("Components() = %v, want %d components", cs, len(want))
 	}
-	if l.Total() != 5 {
-		t.Fatalf("Total = %v, want 5", l.Total())
+	for i, c := range cs {
+		if c.String() != want[i] || fmt.Sprintf("%v", c) != want[i] || fmt.Sprintf("%s", c) != want[i] {
+			t.Fatalf("component %d renders as %q / %v / %s, want %q", i, c.String(), c, c, want[i])
+		}
+	}
+	if got := Component(numComponents).String(); got != "Component(7)" {
+		t.Fatalf("out-of-range component renders as %q", got)
+	}
+	if b, err := json.Marshal(&l); err != nil || string(b) != "{}" {
+		t.Fatalf("ledger marshals as %s (%v), want {}", b, err)
 	}
 }

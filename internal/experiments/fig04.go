@@ -8,7 +8,7 @@ import (
 	"github.com/papi-sim/papi/internal/gpu"
 	"github.com/papi-sim/papi/internal/hbm"
 	"github.com/papi-sim/papi/internal/model"
-	"github.com/papi-sim/papi/internal/pim"
+	"github.com/papi-sim/papi/internal/sched"
 	"github.com/papi-sim/papi/internal/stats"
 	"github.com/papi-sim/papi/internal/units"
 )
@@ -38,30 +38,22 @@ func Fig4() Fig4Result {
 	hbmpim := design.AttentionSpecializedPool(hbm.HBMPIMStack(), design.WeightDevices)
 	attacc := design.AttentionSpecializedPool(hbm.AttAccStack(), design.WeightDevices)
 
-	fc := func(d *pim.Device, p int) units.Seconds {
-		k := cfg.FCIterationKernel(p)
-		return d.Execute(pim.Kernel{Name: "fc", Class: pim.ClassFC, Flops: k.Flops, UniqueBytes: k.WeightBytes}, 0).Time
-	}
-	gpuT := func(p int) units.Seconds {
-		k := cfg.FCIterationKernel(p)
-		return node.Execute(k.Flops, k.WeightBytes+k.ActivationBytes).Time
-	}
-
 	var out Fig4Result
 	for _, spec := range []int{2, 8} {
 		for _, batch := range []int{1, 4, 16, 64} {
-			p := batch * spec
-			a := gpuT(p)
+			k := cfg.FCIterationKernel(batch * spec)
+			a, h := sched.MeasureFC(node, hbmpim, k)
+			_, t := sched.MeasureFC(node, attacc, k)
 			out.Rows = append(out.Rows, Fig4Row{
 				Config: Config{Batch: batch, Spec: spec},
 				A100:   a,
-				HBMPIM: units.Ratio(fc(hbmpim, p), a),
-				AttAcc: units.Ratio(fc(attacc, p), a),
+				HBMPIM: units.Ratio(h, a),
+				AttAcc: units.Ratio(t, a),
 			})
 		}
 	}
 	for batch := 1; batch <= 256; batch *= 2 {
-		if gpuT(batch*2) < fc(attacc, batch*2) {
+		if a, t := sched.MeasureFC(node, attacc, cfg.FCIterationKernel(batch*2)); a < t {
 			out.CrossoverBatch = batch
 			break
 		}

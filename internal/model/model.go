@@ -256,25 +256,6 @@ func (c Config) AttentionKernel(tlp int, kvLens []int) Kernel {
 	}
 }
 
-// AttentionKernelSum is the incremental form of AttentionKernel: the kernel
-// depends on the batch's KV lengths only through their sum, so a caller that
-// maintains ΣkvLen incrementally (the serving stepper) can derive the
-// kernel in O(1) instead of walking the batch. All per-request terms are
-// integer-valued and far below 2⁵³, so the closed form is bit-identical to
-// the per-request summation; a test pins this against AttentionKernel.
-//
-//papivet:noalloc
-func (c Config) AttentionKernelSum(tlp, sumKV, rlp int) Kernel {
-	h := float64(c.Hidden)
-	l := float64(sumKV)
-	return Kernel{
-		Kind:            KindAttention,
-		Flops:           units.FLOPs(4 * float64(tlp) * l * h),
-		KVBytes:         units.Bytes(4 * l * h),
-		ActivationBytes: units.Bytes(float64(rlp) * (float64(tlp) * 4 * h * BytesPerElement)),
-	}
-}
-
 // LayerKernels returns the four kernels of one decoder layer for a decoding
 // iteration with rlp requests (KV lengths given) and tlp speculative tokens.
 func (c Config) LayerKernels(tlp int, kvLens []int) []Kernel {
@@ -301,21 +282,28 @@ func (c Config) FCIterationKernel(n int) Kernel {
 	}
 }
 
-// PrefillWork returns the aggregate prefill-phase work for a batch of input
-// lengths: FC over every input token plus causal attention (~L²h per request).
-func (c Config) PrefillWork(inputLens []int) Kernel {
-	var tokens float64
-	var attnFlops float64
-	h := float64(c.Hidden)
-	for _, L := range inputLens {
-		l := float64(L)
-		tokens += l
-		attnFlops += 2 * l * l * h * float64(c.Layers)
-	}
+// Prefill is a batch's prefill-phase work summed one prompt at a time by
+// Add: its input tokens and its causal attention FLOPs (~L²h per prompt).
+// The zero value is an empty batch.
+type Prefill struct {
+	Tokens    float64
+	AttnFlops float64
+}
+
+// Add adds one prompt of inputLen tokens under model c.
+func (p *Prefill) Add(c *Config, inputLen int) {
+	l := float64(inputLen)
+	p.Tokens += l
+	p.AttnFlops += 2 * l * l * float64(c.Hidden) * float64(c.Layers)
+}
+
+// PrefillWork returns the aggregate prefill-phase kernel of a batch: FC
+// over every input token plus its causal attention.
+func (c Config) PrefillWork(p Prefill) Kernel {
 	w := float64(c.FCWeightBytesPerLayer()) * float64(c.Layers)
 	return Kernel{
 		Kind:        KindQKV,
-		Flops:       units.FLOPs(tokens*w + attnFlops),
+		Flops:       units.FLOPs(p.Tokens*w + p.AttnFlops),
 		WeightBytes: units.Bytes(w),
 	}
 }

@@ -184,16 +184,25 @@ func TestEstimateOvershootsAtHighParallelism(t *testing.T) {
 
 func TestPrefillWork(t *testing.T) {
 	c := LLaMA65B()
-	k := c.PrefillWork([]int{128, 128})
+	var p Prefill
+	p.Add(&c, 128)
+	p.Add(&c, 128)
+	k := c.PrefillWork(p)
 	// FC part: 256 tokens × per-layer weights × layers (1 FLOP/B).
 	fcFlops := 256 * float64(c.FCWeightBytesPerLayer()) * float64(c.Layers)
 	if float64(k.Flops) <= fcFlops {
 		t.Fatalf("prefill flops %v should exceed FC-only %v (attention term)", k.Flops, fcFlops)
 	}
+	// Causal attention adds 2·L²·h per layer per prompt; every term is an
+	// integer far below 2⁵³, so the running sum is exact.
+	attn := 2 * 128 * 128 * float64(c.Hidden) * float64(c.Layers)
+	if want := units.FLOPs(fcFlops + 2*attn); k.Flops != want {
+		t.Fatalf("prefill flops = %v, want %v", k.Flops, want)
+	}
 	if k.WeightBytes != units.Bytes(float64(c.FCWeightBytesPerLayer())*float64(c.Layers)) {
 		t.Fatalf("prefill weights = %v", k.WeightBytes)
 	}
-	empty := c.PrefillWork(nil)
+	empty := c.PrefillWork(Prefill{})
 	if empty.Flops != 0 {
 		t.Fatalf("empty prefill flops = %v", empty.Flops)
 	}

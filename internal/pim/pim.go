@@ -5,8 +5,9 @@
 //
 // Two execution paths exist:
 //
-//   - the analytic path (Execute), a closed-form roofline over the stack's
-//     stream supply and FPU demand rates, used by the serving engine;
+//   - the analytic path (Execute, or a folded Pricer), a closed-form
+//     roofline over the stack's stream supply and FPU demand rates, used by
+//     the serving engine;
 //   - the detailed path (ExecuteDetailed), which drives the command-level
 //     DRAM simulator (internal/dram) for the memory side.
 //
@@ -180,30 +181,6 @@ func New(stack hbm.Stack, count int) *Device {
 	}
 }
 
-// kernelComputeRate returns the pool compute rate applicable to the kernel.
-func (d *Device) kernelComputeRate(k Kernel, n float64) float64 {
-	rate := n * float64(d.Stack.ComputeRate())
-	if k.Class == ClassFC {
-		eff := d.FCComputeEff
-		if eff <= 0 || eff > 1 {
-			eff = 1
-		}
-		rate *= eff
-	}
-	return rate
-}
-
-// effectiveUnique returns the DRAM traffic the kernel actually generates on
-// this device: FC kernels without weight-reuse support re-stream their
-// weights once per consuming token.
-func (d *Device) effectiveUnique(k Kernel) float64 {
-	unique := float64(k.UniqueBytes)
-	if k.Class == ClassFC && !d.FCWeightReuse && float64(k.Flops) > unique {
-		return float64(k.Flops)
-	}
-	return unique
-}
-
 // Validate checks the pool invariants.
 func (d *Device) Validate() error {
 	if d.Count <= 0 {
@@ -234,77 +211,36 @@ func (d *Device) Capacity() units.Bytes {
 }
 
 // Execute runs the kernel on up to active devices (0 or >Count means all)
-// using the analytic model and returns timing, energy and power.
+// using the analytic model and returns timing, energy and power: it folds a
+// Pricer for the kernel's class and prices the kernel on it.
 func (d *Device) Execute(k Kernel, active int) Result {
-	if active <= 0 || active > d.Count {
-		active = d.Count
-	}
-	n := float64(active)
-	computeRate := d.kernelComputeRate(k, n)    // FLOP/s; 1 B consumed per FLOP
-	supplyBW := n * float64(d.Stack.StreamBW()) // B/s from DRAM
-	unique := d.effectiveUnique(k)
-
-	// Roofline: the FPUs consume Flops bytes; DRAM must supply the unique
-	// (post-reuse) traffic.
-	computeTime := float64(k.Flops) / computeRate
-	dramTime := unique / supplyBW
-	t := max(computeTime, dramTime)
-
-	// Dynamic power at the achieved rates.
-	dramPJ := unique * d.Energy.DRAMAccessPJB
-	flowPJ := float64(k.Flops) * (d.Energy.TransferPJB + d.Energy.ComputePJB)
-	power := (dramPJ + flowPJ) * 1e-12 / t
-
-	throttled := false
-	if d.Governor {
-		budget := d.BudgetW * n
-		if power > budget {
-			// Stretch execution until average power meets the budget.
-			t *= power / budget
-			power = budget
-			throttled = true
-		}
-	}
-
-	t += float64(d.KernelOverhead)
-	res := Result{
+	var p Pricer
+	p.Fold(d, active, k.Class)
+	f := float64(k.Flops)
+	u := p.traffic(f, float64(k.UniqueBytes))
+	t, power, throttled := p.roofline(f, u)
+	return Result{
 		Time:      units.Seconds(t),
+		Energy:    p.breakdown(f, u, t),
 		Power:     units.Watts(power),
 		Throttled: throttled,
-		Devices:   active,
-		Energy: Breakdown{
-			DRAMAccess: units.Joules(dramPJ * 1e-12),
-			Transfer:   units.Joules(float64(k.Flops) * d.Energy.TransferPJB * 1e-12),
-			Compute:    units.Joules(float64(k.Flops) * d.Energy.ComputePJB * 1e-12),
-			Static:     units.Joules(float64(d.Energy.StaticW) * n * t),
-		},
+		Devices:   p.devices,
 	}
-	return res
 }
 
-// ExecuteAttention prices an attention-class kernel with the exact
-// arithmetic of Execute, specialised to the observables the serving engine
-// consumes per decoding iteration: time, total energy and the throttle
-// flag. It folds an AttentionPricer and prices one kernel on it; a test pins
-// bit-identical agreement with Execute.
-func (d *Device) ExecuteAttention(flops units.FLOPs, unique units.Bytes, active int) (units.Seconds, units.Joules, bool) {
-	var p AttentionPricer
-	p.Fold(d, active)
-	return p.Price(flops, unique)
-}
-
-// AttentionPricer is ExecuteAttention with the active-device count folded
-// in: the pool's compute rate and stream bandwidth, the governor's budget
-// and the static draw for that many devices, and the per-byte energy sum.
-// Attention kernels take neither the FC compute derate nor the
-// weight-re-streaming penalty, so both branches constant-fold away. A
-// serving decode window fixes the count (its RLP sets the devices in use),
-// so it folds one pricer per window and pays only the roofline itself per
-// iteration. Every folded term is a product Execute also forms, in the same
-// order, so prices stay bit-identical to Execute.
-type AttentionPricer struct {
+// Pricer is the analytic roofline with a pool, an active-device count and a
+// kernel class folded in: the pool's compute rate (derated for FC kernels on
+// attention-specialised datapaths) and stream bandwidth, whether FC weights
+// re-stream per token, the governor's budget and the static draw for that
+// many devices, and the per-byte energy terms. Execute folds one per kernel.
+// A serving decode window fixes the attention device count (its RLP sets the
+// devices in use), so it folds one pricer per window and pays only the
+// roofline itself per iteration.
+type Pricer struct {
+	devices     int     // active devices
 	computeRate float64 // FLOP/s over the active devices; 1 B consumed per FLOP
 	supplyBW    float64 // B/s from DRAM over the active devices
+	restream    bool    // FC weights re-stream once per consuming token
 	dramPJB     float64
 	transferPJB float64
 	computePJB  float64
@@ -315,18 +251,27 @@ type AttentionPricer struct {
 	staticW     float64 // standby W over the active devices
 }
 
-// Fold sets p to price attention kernels on up to active devices of d (0 or
+// Fold sets p to price class kernels on up to active devices of d (0 or
 // >Count means all). It writes p in place, field by field: the serving
 // engine folds one per decode window, and returning the struct would copy
 // it through memory.
 //
 //papivet:noalloc
-func (p *AttentionPricer) Fold(d *Device, active int) {
+func (p *Pricer) Fold(d *Device, active int, class Class) {
 	if active <= 0 || active > d.Count {
 		active = d.Count
 	}
 	n := float64(active)
+	p.devices = active
 	p.computeRate = n * float64(d.Stack.ComputeRate())
+	if class == ClassFC {
+		eff := d.FCComputeEff
+		if eff <= 0 || eff > 1 {
+			eff = 1
+		}
+		p.computeRate *= eff
+	}
+	p.restream = class == ClassFC && !d.FCWeightReuse
 	p.supplyBW = n * float64(d.Stack.StreamBW())
 	p.dramPJB = d.Energy.DRAMAccessPJB
 	p.transferPJB = d.Energy.TransferPJB
@@ -338,31 +283,51 @@ func (p *AttentionPricer) Fold(d *Device, active int) {
 	p.staticW = float64(d.Energy.StaticW) * n
 }
 
-// Price returns one attention kernel's time, total energy and throttle
-// flag.
+// Price returns one kernel's time, total energy and throttle flag.
 //
 //papivet:noalloc
-func (p *AttentionPricer) Price(flops units.FLOPs, unique units.Bytes) (units.Seconds, units.Joules, bool) {
-	f, u := float64(flops), float64(unique)
-	t := max(f/p.computeRate, u/p.supplyBW)
+func (p *Pricer) Price(flops units.FLOPs, unique units.Bytes) (units.Seconds, units.Joules, bool) {
+	f := float64(flops)
+	u := p.traffic(f, float64(unique))
+	t, _, throttled := p.roofline(f, u)
+	return units.Seconds(t), p.breakdown(f, u, t).Total(), throttled
+}
 
-	dramPJ := u * p.dramPJB
-	power := (dramPJ + f*p.flowPJB) * 1e-12 / t
+// traffic returns the DRAM bytes a kernel of f FLOPs over u unique bytes
+// actually streams: FC weights re-stream once per consuming token on a
+// device without weight reuse.
+func (p *Pricer) traffic(f, u float64) float64 {
+	if p.restream && f > u {
+		return f
+	}
+	return u
+}
 
-	throttled := false
+// roofline returns the time of a kernel of f FLOPs streaming u bytes from
+// DRAM, the per-kernel overhead included, its average dynamic power and
+// whether the governor stretched it. The FPUs consume f bytes; DRAM must
+// supply the u post-reuse bytes.
+func (p *Pricer) roofline(f, u float64) (t, power float64, throttled bool) {
+	t = max(f/p.computeRate, u/p.supplyBW)
+	power = (u*p.dramPJB + f*p.flowPJB) * 1e-12 / t
 	if p.governor && power > p.budget {
+		// Stretch execution until average power meets the budget.
 		t *= power / p.budget
+		power = p.budget
 		throttled = true
 	}
+	return t + p.overhead, power, throttled
+}
 
-	t += p.overhead
-	// Summed in Breakdown.Total's order: DRAM access, transfer, compute,
-	// static.
-	total := units.Joules(dramPJ*1e-12) +
-		units.Joules(f*p.transferPJB*1e-12) +
-		units.Joules(f*p.computePJB*1e-12) +
-		units.Joules(p.staticW*t)
-	return units.Seconds(t), total, throttled
+// breakdown splits the energy of a kernel of f FLOPs that streamed u bytes
+// from DRAM and ran t seconds.
+func (p *Pricer) breakdown(f, u, t float64) Breakdown {
+	return Breakdown{
+		DRAMAccess: units.Joules(u * p.dramPJB * 1e-12),
+		Transfer:   units.Joules(f * p.transferPJB * 1e-12),
+		Compute:    units.Joules(f * p.computePJB * 1e-12),
+		Static:     units.Joules(p.staticW * t),
+	}
 }
 
 // DemandPower returns the pool-per-stack dynamic power if the FPUs ran at
@@ -399,14 +364,14 @@ func MinReuseWithinBudget(stack hbm.Stack, m EnergyModel) float64 {
 // share of the stream is simulated and scaled; this path is used for
 // calibration and the Fig. 7 microbenchmarks.
 func (d *Device) ExecuteDetailed(k Kernel, active int) Result {
-	if active <= 0 || active > d.Count {
-		active = d.Count
-	}
+	var p Pricer
+	p.Fold(d, active, k.Class)
+	f := float64(k.Flops)
+	unique := p.traffic(f, float64(k.UniqueBytes))
 	// Bytes one channel must stream.
 	g := dram.PIMChannelGeometry()
 	channelsPerStack := float64(d.Stack.Banks()) / float64(g.Banks())
-	unique := d.effectiveUnique(k)
-	perChannel := unique / (float64(active) * channelsPerStack)
+	perChannel := unique / (float64(p.devices) * channelsPerStack)
 	rows := int(math.Ceil(perChannel / (float64(g.RowBytes) * float64(g.Banks()))))
 	if rows < 1 {
 		rows = 1
@@ -418,20 +383,16 @@ func (d *Device) ExecuteDetailed(k Kernel, active int) Result {
 	// Scale the measured channel time to the requested bytes (the stream ran
 	// whole rows; the kernel may need a fraction of the last row).
 	dramTime := float64(res.Elapsed) * perChannel / float64(res.Bytes)
-	computeTime := float64(k.Flops) / d.kernelComputeRate(k, float64(active))
-	t := math.Max(computeTime, dramTime) + float64(d.KernelOverhead)
+	t := math.Max(f/p.computeRate, dramTime) + p.overhead
 
+	// The measured per-byte DRAM energy replaces the analytic constant.
 	dramPJ := unique * float64(res.EnergyPerByte)
-	flowPJ := float64(k.Flops) * (d.Energy.TransferPJB + d.Energy.ComputePJB)
+	e := p.breakdown(f, unique, t)
+	e.DRAMAccess = units.Joules(dramPJ * 1e-12)
 	return Result{
 		Time:    units.Seconds(t),
-		Power:   units.Watts((dramPJ + flowPJ) * 1e-12 / t),
-		Devices: active,
-		Energy: Breakdown{
-			DRAMAccess: units.Joules(dramPJ * 1e-12),
-			Transfer:   units.Joules(float64(k.Flops) * d.Energy.TransferPJB * 1e-12),
-			Compute:    units.Joules(float64(k.Flops) * d.Energy.ComputePJB * 1e-12),
-			Static:     units.Joules(float64(d.Energy.StaticW) * float64(active) * t),
-		},
+		Power:   units.Watts((dramPJ + f*p.flowPJB) * 1e-12 / t),
+		Devices: p.devices,
+		Energy:  e,
 	}
 }

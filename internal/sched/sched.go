@@ -90,16 +90,21 @@ func (d Dynamic) PlaceFC(rlp, tlp int) Placement {
 // considers.
 const calibrationMax = 4096
 
+// MeasureFC executes one FC kernel on the PUs (node) and on the FC-PIM
+// devices and returns both times: the measurement behind the offline α
+// calibration (§5.2.1). The PUs stream the weights and activations; the
+// FC-PIM devices stream the weights only, reusing them across the tokens
+// in flight where their datapath can.
+func MeasureFC(node *gpu.Node, fcpim *pim.Device, k model.Kernel) (puT, pimT units.Seconds) {
+	puT = node.Execute(k.Flops, k.WeightBytes+k.ActivationBytes).Time
+	pimT = fcpim.Execute(pim.Kernel{Name: "fc", Class: pim.ClassFC, Flops: k.Flops, UniqueBytes: k.WeightBytes}, 0).Time
+	return puT, pimT
+}
+
 // gpuWinsAt reports whether the PUs beat the FC-PIM units on the FC kernel
 // of one decoding iteration at parallelism p.
 func gpuWinsAt(cfg model.Config, node *gpu.Node, fcpim *pim.Device, p int) bool {
-	k := cfg.FCIterationKernel(p)
-	gpuT := node.Execute(k.Flops, k.WeightBytes+k.ActivationBytes).Time
-	pimT := fcpim.Execute(pim.Kernel{
-		Name:        "fc",
-		Flops:       k.Flops,
-		UniqueBytes: k.WeightBytes,
-	}, 0).Time
+	gpuT, pimT := MeasureFC(node, fcpim, cfg.FCIterationKernel(p))
 	return gpuT < pimT
 }
 
@@ -158,9 +163,7 @@ type CalibrationRow struct {
 func CalibrationSweep(cfg model.Config, node *gpu.Node, fcpim *pim.Device, levels []int) []CalibrationRow {
 	rows := make([]CalibrationRow, 0, len(levels))
 	for _, p := range levels {
-		k := cfg.FCIterationKernel(p)
-		gpuT := node.Execute(k.Flops, k.WeightBytes+k.ActivationBytes).Time
-		pimT := fcpim.Execute(pim.Kernel{Name: "fc", Flops: k.Flops, UniqueBytes: k.WeightBytes}, 0).Time
+		gpuT, pimT := MeasureFC(node, fcpim, cfg.FCIterationKernel(p))
 		w := PlaceFCPIM
 		if gpuT < pimT {
 			w = PlacePU

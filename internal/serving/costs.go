@@ -131,15 +131,16 @@ func (e *Engine) draftMemoized() draftPrice {
 // roofline for the window's device count, which attnAt completes per
 // iteration from ΣkvLen, the one input that moves inside a window. Every
 // input is memoized or closed-form: the FC and draft kernels come from the
-// engine's memo, and the attention kernel is model.AttentionKernelSum's
-// closed form in ΣkvLen against the engine-hoisted coefficients, priced on
-// one PIM device per head per request (up to the pool), plus, per layer, the
-// Q/K/V vectors to the attention devices and the context back (§6.3's
-// byte-level traffic). The result is bit-identical to re-deriving every
-// kernel from the per-request KV lengths on every iteration — memoized
-// pricing is pure, and the folded coefficients are exact-integer products —
-// which the pricing property tests pin per design, model, TLP and
-// placement, over windows of several iterations.
+// engine's memo, and the attention kernel is model.AttentionKernel's closed
+// form in ΣkvLen (the kernel depends on the KV lengths only through their
+// sum) against the engine-hoisted coefficients, priced on one PIM device per
+// head per request (up to the pool), plus, per layer, the Q/K/V vectors to
+// the attention devices and the context back (§6.3's byte-level traffic).
+// The result is bit-identical to re-deriving every kernel from the
+// per-request KV lengths on every iteration — memoized pricing is pure, and
+// the folded coefficients and every per-request term are integer-valued
+// floats far below 2⁵³ — which the pricing property tests pin per design,
+// model, TLP and placement, over windows of several iterations.
 type windowPrice struct {
 	// onPU reports that the FC phase runs on the GPU pool, not on FC-PIM.
 	onPU bool
@@ -152,7 +153,7 @@ type windowPrice struct {
 	fcThrottled bool
 	// attn prices the attention kernel on the window's devices; commTime and
 	// commEnergy are its per-iteration attention-fabric traffic.
-	attn       pim.AttentionPricer
+	attn       pim.Pricer
 	commTime   units.Seconds
 	commEnergy units.Joules
 	// otherTime is the fixed per-iteration overhead plus, with speculation,
@@ -181,7 +182,7 @@ func (e *Engine) priceWindow(p *windowPrice, rlp int, onPU bool) {
 	}
 	p.onPU = onPU
 	p.fcTime, p.fcEnergy, p.fcLink, p.fcThrottled = fc.time, fc.energy, fc.linkEnergy, fc.throttled
-	p.attn.Fold(e.Sys.AttnPIM, min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count))
+	p.attn.Fold(e.Sys.AttnPIM, min(rlp*e.Cfg.Heads, e.Sys.AttnPIM.Count), pim.ClassAttention)
 	tr := e.Sys.AttnLink.Send(units.Bytes(float64(rlp) * e.attnActTerm))
 	p.commTime = tr.Time.Scale(e.layersF)
 	p.commEnergy = tr.Energy.Scale(e.layersF)

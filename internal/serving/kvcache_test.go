@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/papi-sim/papi/internal/design"
+	"github.com/papi-sim/papi/internal/energy"
 	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/units"
@@ -223,7 +224,7 @@ func TestKVParkResume(t *testing.T) {
 		t.Fatalf("parking did not beat discard: on=%d off=%d re-prefilled tokens",
 			on.ReprefillTokens, off.ReprefillTokens)
 	}
-	if e := on.Energy.Get("interconnect"); e <= 0 {
+	if e := on.Energy.Get(energy.Interconnect); e <= 0 {
 		t.Fatalf("tier transfers charged no interconnect energy: %v", e)
 	}
 }

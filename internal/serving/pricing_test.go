@@ -173,7 +173,7 @@ func checkPricing(t *testing.T, c pricingCase, iters ...[]*request) {
 			kvSum += r.contextLen()
 		}
 		got := freshPrice{window: p}
-		got.window.attn = pim.AttentionPricer{}
+		got.window.attn = pim.Pricer{}
 		got.attnTime, got.attnEnergy, got.attnThrottled = c.eng.attnAt(&p, kvSum)
 		if want := priceFresh(c.eng, active, c.onPU); got != want {
 			t.Fatalf("%s RLP=%d ΣkvLen=%d: memoized pricing diverged from fresh\n got  %+v\n want %+v",

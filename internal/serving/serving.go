@@ -342,8 +342,8 @@ func (e *Engine) checkKVCapacity(reqs []workload.Request) error {
 }
 
 // runPrefill executes the prefill phase and charges its energy.
-func (e *Engine) runPrefill(inputs []int, res *Result) units.Seconds {
-	k := e.Cfg.PrefillWork(inputs)
+func (e *Engine) runPrefill(prefill model.Prefill, res *Result) units.Seconds {
+	k := e.Cfg.PrefillWork(prefill)
 	if e.Sys.PrefillOnGPU {
 		g := e.Sys.GPU.Execute(k.Flops, k.WeightBytes)
 		res.Energy.Add(energy.GPUActive, g.Energy)
@@ -360,9 +360,9 @@ func (e *Engine) runPrefill(inputs []int, res *Result) units.Seconds {
 // prefill, when PIM is idle).
 func (e *Engine) chargePIMIdle(span units.Seconds, res *Result) {
 	if e.Sys.FCPIM != nil {
-		res.Energy.AddSlot(energy.SlotFCPIM, e.fcStandbyW.Energy(span))
+		res.Energy.Add(energy.FCPIM, e.fcStandbyW.Energy(span))
 	}
-	res.Energy.AddSlot(energy.SlotAttnPIM, e.attnStandbyW.Energy(span))
+	res.Energy.Add(energy.AttnPIM, e.attnStandbyW.Energy(span))
 }
 
 // accepted draws one speculative iteration's outcome for one request: the

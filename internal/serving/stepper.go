@@ -7,6 +7,7 @@ import (
 
 	"github.com/papi-sim/papi/internal/energy"
 	"github.com/papi-sim/papi/internal/kv"
+	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/sched"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
@@ -131,7 +132,7 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 	if err := s.initKV(len(reqs)); err != nil {
 		return nil, err
 	}
-	inputs := make([]int, 0, len(reqs))
+	var prefill model.Prefill
 	for _, r := range reqs {
 		if r.InputLen <= 0 || r.OutputLen <= 0 {
 			return nil, fmt.Errorf("serving: request %d has non-positive lengths", r.ID)
@@ -157,7 +158,7 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 			shared = c.SharedTokens
 		}
 		if in := r.InputLen - shared; in > 0 {
-			inputs = append(inputs, in)
+			prefill.Add(&e.Cfg, in)
 		}
 		s.notePrefill(rr, r.InputLen, shared)
 		if r.OutputLen > s.traceHint {
@@ -168,8 +169,8 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 	// Prefill (§2.1): all input tokens processed at once. Compute-bound, so
 	// it runs on the GPU where one exists; PIM-only designs pay for it on
 	// their PIM units (§7.4).
-	if len(inputs) > 0 {
-		s.res.PrefillTime = e.runPrefill(inputs, &s.res)
+	if prefill.Tokens > 0 {
+		s.res.PrefillTime = e.runPrefill(prefill, &s.res)
 	}
 	s.clock = s.res.PrefillTime
 	return s, nil
@@ -523,7 +524,7 @@ func (s *Stepper) AdvanceTo(t units.Seconds) {
 // head-of-line admission.
 func (s *Stepper) admit() error {
 	admitted := 0
-	var inputs []int
+	var prefill model.Prefill
 	var xferTime units.Seconds
 	var xferEnergy units.Joules
 
@@ -542,7 +543,7 @@ func (s *Stepper) admit() error {
 		s.active = append(s.active, cand)
 		admitted++
 		if in := ctx - shared; in > 0 {
-			inputs = append(inputs, in)
+			prefill.Add(&s.eng.Cfg, in)
 		}
 		s.notePrefill(cand, ctx, shared)
 		s.countClass(cand.Class, &s.pendInteractive, &s.pendBatch, -1)
@@ -606,13 +607,13 @@ func (s *Stepper) admit() error {
 	if admitted == 0 {
 		return nil
 	}
-	// A fully shared admission (inputs empty) still pays its demand
+	// A fully shared admission (nothing to prefill) still pays its demand
 	// transfers: promotion rides the prefill phase of the timeline, like
 	// prefill itself. Demotion write-backs charge energy only — idle state
 	// drains over the host link while the stacks keep computing.
 	var pt units.Seconds
-	if len(inputs) > 0 {
-		pt = s.eng.runPrefill(inputs, &s.res)
+	if prefill.Tokens > 0 {
+		pt = s.eng.runPrefill(prefill, &s.res)
 		// A straggling replica prefills slower too; brownout (Attn) is a
 		// decode-side attention-fabric effect and leaves prefill alone.
 		if f := s.perturb.Slow; s.perturbed && f > 1 {
@@ -908,11 +909,11 @@ func (s *Stepper) charge(p *windowPrice, rlp, grow int, place sched.Placement, b
 
 	decode := res.DecodeTime
 	bFC, bAttn, bComm, bOther := res.Breakdown.FC, res.Breakdown.Attention, res.Breakdown.Communication, res.Breakdown.Other
-	gpuActive := res.Energy.Slot(energy.SlotGPUActive)
-	gpuIdle := res.Energy.Slot(energy.SlotGPUIdle)
-	fcPIM := res.Energy.Slot(energy.SlotFCPIM)
-	attnPIM := res.Energy.Slot(energy.SlotAttnPIM)
-	link := res.Energy.Slot(energy.SlotInterconnect)
+	gpuActive := res.Energy.Get(energy.GPUActive)
+	gpuIdle := res.Energy.Get(energy.GPUIdle)
+	fcPIM := res.Energy.Get(energy.FCPIM)
+	attnPIM := res.Energy.Get(energy.AttnPIM)
+	link := res.Energy.Get(energy.Interconnect)
 	gpuIdled, fcIdled := false, false
 	throttled := res.Throttled
 	clock, kvSum := s.clock, s.kvSum
@@ -1008,16 +1009,16 @@ func (s *Stepper) charge(p *windowPrice, rlp, grow int, place sched.Placement, b
 	res.Breakdown.FC, res.Breakdown.Attention = bFC, bAttn
 	res.Breakdown.Communication, res.Breakdown.Other = bComm, bOther
 	if p.onPU || spec && p.draftOnGPU {
-		res.Energy.SetSlot(energy.SlotGPUActive, gpuActive)
+		res.Energy.Set(energy.GPUActive, gpuActive)
 	}
 	if gpuIdled {
-		res.Energy.SetSlot(energy.SlotGPUIdle, gpuIdle)
+		res.Energy.Set(energy.GPUIdle, gpuIdle)
 	}
 	if !p.onPU || spec && !p.draftOnGPU || fcIdled {
-		res.Energy.SetSlot(energy.SlotFCPIM, fcPIM)
+		res.Energy.Set(energy.FCPIM, fcPIM)
 	}
-	res.Energy.SetSlot(energy.SlotAttnPIM, attnPIM)
-	res.Energy.SetSlot(energy.SlotInterconnect, link)
+	res.Energy.Set(energy.AttnPIM, attnPIM)
+	res.Energy.Set(energy.Interconnect, link)
 	res.Throttled = throttled
 	s.clock, s.kvSum = clock, kvSum
 	res.RLPTrace, res.IterStats = rlpTrace, iterStats

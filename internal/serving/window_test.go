@@ -390,9 +390,9 @@ func TestStepAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Traces, records and stepper setup, nothing per iteration: 33 at the
+	// Traces, records and stepper setup, nothing per iteration: 32 at the
 	// time of writing.
-	const budget = 40
+	const budget = 36
 	if allocs := drain(func() (*Stepper, error) { return eng.NewBatchStepper(reqs) }); allocs > budget {
 		t.Errorf("static drain allocated %.0f times, want ≤ %d", allocs, budget)
 	}
@@ -404,9 +404,9 @@ func TestStepAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One per request, plus admission's prefill lists and the stepper's
-	// slices: 144 at the time of writing, 2.25 per request.
-	const perRequest = 2.5
+	// One per request plus the stepper's slices, and nothing per admission:
+	// 80 at the time of writing, 1.25 per request.
+	const perRequest = 1.5
 	allocs := drain(func() (*Stepper, error) { return lean.NewStreamStepper(stream, 8) })
 	if budget := perRequest * float64(len(stream)); allocs > budget {
 		t.Errorf("constant-memory stream of %d requests allocated %.0f times, want ≤ %.0f",

@@ -1,10 +1,10 @@
 // Package sim provides a small discrete-event simulation kernel: a clock and
 // an event queue with deterministic ordering.
 //
-// The command-level DRAM simulator (internal/dram) is built on this kernel.
-// Events scheduled for the same instant fire in the order they were
-// scheduled, which makes simulations reproducible run-to-run — a property the
-// test suite relies on.
+// The command-level DRAM simulator (internal/dram) and the fleet layer
+// (internal/cluster) both run on this kernel. Events scheduled for the same
+// instant fire in the order they were scheduled, which makes simulations
+// reproducible run-to-run — a property the test suite relies on.
 package sim
 
 import (
@@ -103,8 +103,8 @@ func (e *Engine) Pending() int { return len(e.events) }
 // NextAt reports the timestamp of the earliest pending event. The second
 // return is false when the queue is empty. Called from inside an event
 // callback, it sees the true next event (the running event has already been
-// popped) — the property the cluster layer's macro-stepping horizon relies
-// on: no future event can be scheduled earlier than this instant.
+// popped) — the property the cluster layer's barrier relies on: no future
+// event can be scheduled earlier than this instant.
 func (e *Engine) NextAt() (units.Seconds, bool) {
 	if len(e.events) == 0 {
 		return 0, false

@@ -42,7 +42,6 @@ import (
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
-	"github.com/papi-sim/papi/internal/pim"
 	"github.com/papi-sim/papi/internal/sched"
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/stats"
@@ -503,13 +502,7 @@ func CompareFCPlacement(sys *System, k Kernel) (pu, fcpim Seconds, err error) {
 	if sys.FCPIM == nil {
 		return 0, 0, fmt.Errorf("papi: %s has no FC-PIM devices", sys.Name)
 	}
-	pu = sys.GPU.Execute(k.Flops, k.WeightBytes+k.ActivationBytes).Time
-	fcpim = sys.FCPIM.Execute(pim.Kernel{
-		Name:        "fc",
-		Class:       pim.ClassFC,
-		Flops:       k.Flops,
-		UniqueBytes: k.WeightBytes,
-	}, 0).Time
+	pu, fcpim = sched.MeasureFC(sys.GPU, sys.FCPIM, k)
 	return pu, fcpim, nil
 }
 
