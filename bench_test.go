@@ -6,8 +6,9 @@ package papi
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the entire evaluation. Paper-vs-measured values are recorded in
-// EXPERIMENTS.md.
+// reproduces the entire evaluation. The measured values are pinned in the
+// golden fixtures under internal/experiments/testdata/golden/, and the
+// shape tests in internal/experiments check them against the paper's.
 
 import (
 	"runtime"

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"github.com/papi-sim/papi/internal/dram"
 )
@@ -20,19 +21,34 @@ func main() {
 	)
 	flag.Parse()
 
-	spec := dram.StreamSpec{Rows: *rows, Write: *write, Broadcast: *broadcast}
-	if *singleBank {
+	if err := run(*rows, *broadcast, *write, *singleBank); err != nil {
+		fmt.Fprintln(os.Stderr, "dramsim:", err)
+		os.Exit(1)
+	}
+}
+
+func run(rows int, broadcast, write, singleBank bool) error {
+	g, t, e := dram.PIMChannelGeometry(), dram.HBM3Timing(), dram.HBM3Energy()
+	// RunStream submits every request up front, so the bound also caps
+	// what one run allocates.
+	if rows < 1 || rows > g.Rows {
+		return fmt.Errorf("-rows %d outside [1, %d], the rows per bank", rows, g.Rows)
+	}
+	if singleBank && broadcast {
+		return fmt.Errorf("-single-bank and -broadcast cannot be combined: all-bank mode drives every bank")
+	}
+	spec := dram.StreamSpec{Rows: rows, Write: write, Broadcast: broadcast}
+	if singleBank {
 		spec.BankGroups = []int{0}
 		spec.Banks = []int{0}
 	}
-	g, t, e := dram.PIMChannelGeometry(), dram.HBM3Timing(), dram.HBM3Energy()
 	res := dram.RunStream(g, t, e, spec)
 
 	fmt.Printf("geometry        %d bank groups × %d banks, %v rows, %v columns\n",
 		g.BankGroups, g.BanksPerGroup, g.RowBytes, g.ColBytes)
 	fmt.Printf("streamed        %v in %v\n", res.Bytes, res.Elapsed)
 	fmt.Printf("bandwidth       %v", res.Bandwidth)
-	if *singleBank {
+	if singleBank {
 		fmt.Printf("  (analytic model per-bank constant: 2.664 GB/s)")
 	}
 	fmt.Println()
@@ -41,4 +57,5 @@ func main() {
 	fmt.Printf("commands        ACT %d  PRE %d  RD %d  WR %d  REF %d\n", s.Acts, s.Pres, s.Reads, s.Writes, s.Refreshes)
 	fmt.Printf("row buffer      %.1f%% hit rate\n", 100*s.RowHitRate())
 	fmt.Printf("command energy  %v  background %v\n", s.CommandEnergy, s.BackgroundEnergy)
+	return nil
 }

@@ -1,5 +1,6 @@
 // Command papibench regenerates every figure of the paper's evaluation
-// section and prints the tables EXPERIMENTS.md records.
+// section and prints its tables; the golden fixtures under
+// internal/experiments/testdata/golden/ pin their numbers.
 //
 //	papibench                      # all figures and ablations
 //	papibench -figure 8            # one figure

@@ -177,6 +177,10 @@ func serve(o options) error {
 	if !(o.target >= 0 && o.target <= 1) {
 		return fmt.Errorf("-target %g outside [0, 1]", o.target)
 	}
+	d := defaultOptions()
+	if o.kvBlocks == 0 && o.kvCold != d.kvCold {
+		return fmt.Errorf("-kv-cold only applies with -kv-blocks")
+	}
 
 	if o.sweep != "" {
 		if err := sweepConflicts(o); err != nil {
@@ -194,6 +198,9 @@ func serve(o options) error {
 			o.replicas, o.requests, o.maxBatch, rates, slo, o.target)
 		fmt.Print(res)
 		return nil
+	}
+	if o.target != d.target {
+		return fmt.Errorf("-target only applies to -sweep")
 	}
 	if o.scenario != "" && o.traceIn != "" {
 		return fmt.Errorf("-scenario and -trace are mutually exclusive")

@@ -49,6 +49,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"sweep with retain-requests", func(o *options) { o.sweep, o.retainRequests = "5", true }, "-retain-requests"},
 		{"sweep with checkpoint", func(o *options) { o.sweep, o.checkpoint = "5", "sweep.json" }, "-checkpoint"},
 		{"sweep names every conflict", func(o *options) { o.sweep, o.spec, o.checkpoint = "5", 4, "sweep.json" }, "-spec, -checkpoint"},
+		{"target without sweep", func(o *options) { o.target = 0.5 }, "-target"},
+		{"kv-cold without kv-blocks", func(o *options) { o.kvCold = 8 }, "-kv-cold"},
+		{"sweep with kv-cold", func(o *options) { o.sweep, o.kvCold = "5", 8 }, "-kv-cold"},
 	} {
 		o := testOptions()
 		tc.set(&o)

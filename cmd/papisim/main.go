@@ -20,6 +20,9 @@ import (
 	"github.com/papi-sim/papi/internal/workload"
 )
 
+// defaultRate is -rate's default; any other value asks for -continuous.
+const defaultRate = 10
+
 func main() {
 	var (
 		design     = flag.String("design", "PAPI", `system design: "PAPI", "A100+AttAcc", "A100+HBM-PIM", "AttAcc-only", "PIM-only PAPI"`)
@@ -30,7 +33,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "workload and acceptance seed")
 		alpha      = flag.Float64("alpha", 0, "override PAPI's α threshold (0 = calibrated default)")
 		continuous = flag.Bool("continuous", false, "use mixed continuous batching over Poisson arrivals")
-		rate       = flag.Float64("rate", 10, "arrival rate (requests/s) for -continuous")
+		rate       = flag.Float64("rate", defaultRate, "arrival rate (requests/s) for -continuous")
 		requests   = flag.Int("requests", 0, "request count for -continuous (default 4×batch)")
 		maxBatch   = flag.Int("maxbatch", 0, "admission cap for -continuous (default = batch)")
 		trace      = flag.Bool("trace", false, "print the per-iteration scheduling trace")
@@ -58,9 +61,22 @@ func run(designName, modelName, dataset string, batch, spec int, seed int64, alp
 	if maxBatch < 0 {
 		return fmt.Errorf("-maxbatch %d is negative (0 = batch)", maxBatch)
 	}
+	if !continuous {
+		switch {
+		case rate != defaultRate:
+			return fmt.Errorf("-rate only applies with -continuous")
+		case requests != 0:
+			return fmt.Errorf("-requests only applies with -continuous")
+		case maxBatch != 0:
+			return fmt.Errorf("-maxbatch only applies with -continuous")
+		}
+	}
 	sysSpec, err := design.ByName(designName)
 	if err != nil {
 		return err
+	}
+	if alpha != 0 && sysSpec.Policy.Kind != design.PolicyDynamic {
+		return fmt.Errorf("-alpha %v: design %s places FC statically and has no α", alpha, sysSpec.Name)
 	}
 	// Only α can make a registry design fail to build.
 	sysSpec.Policy.Alpha = alpha

@@ -34,11 +34,16 @@ func TestRunRejectsBadAlpha(t *testing.T) {
 	if err := runAlpha(32); err != nil {
 		t.Fatalf("good α rejected: %v", err)
 	}
+	// A static policy has no α for the override to set.
+	err := run("A100+AttAcc", "LLaMA-65B", "general-qa", 2, 1, 42, 5, false, defaultRate, 0, 0, false)
+	if err == nil || !strings.Contains(err.Error(), "-alpha") {
+		t.Fatalf("α on a static design: error %v does not name -alpha", err)
+	}
 }
 
 // TestRunRejectsBadNumbers: a batch size, arrival rate or count no run can
-// mean returns an error naming its flag — never a panic, never a silently
-// substituted default.
+// mean, or one the chosen mode ignores, returns an error naming its flag —
+// never a panic, never a silently substituted default.
 func TestRunRejectsBadNumbers(t *testing.T) {
 	type args struct {
 		batch              int
@@ -46,7 +51,7 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 		rate               float64
 		requests, maxBatch int
 	}
-	good := args{batch: 2, continuous: true, rate: 10}
+	good := args{batch: 2, continuous: true, rate: defaultRate}
 	runArgs := func(a args) error {
 		return run("PAPI", "LLaMA-65B", "general-qa", a.batch, 1, 42, 0,
 			a.continuous, a.rate, a.requests, a.maxBatch, false)
@@ -65,6 +70,10 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 		{"rate infinite", func(a *args) { a.rate = math.Inf(1) }, "-rate"},
 		{"requests negative", func(a *args) { a.requests = -1 }, "-requests"},
 		{"maxbatch negative", func(a *args) { a.maxBatch = -1 }, "-maxbatch"},
+		{"rate without continuous", func(a *args) { a.continuous, a.rate = false, 5 }, "-rate"},
+		{"zero rate without continuous", func(a *args) { a.continuous, a.rate = false, 0 }, "-rate"},
+		{"requests without continuous", func(a *args) { a.continuous, a.requests = false, 8 }, "-requests"},
+		{"maxbatch without continuous", func(a *args) { a.continuous, a.maxBatch = false, 4 }, "-maxbatch"},
 	} {
 		a := good
 		tc.set(&a)
@@ -80,8 +89,7 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 	if err := runArgs(good); err != nil {
 		t.Fatalf("good options rejected: %v", err)
 	}
-	// -rate only drives -continuous; a static batch ignores it.
-	if err := runArgs(args{batch: 2, rate: 0}); err != nil {
-		t.Fatalf("static batch rejected an unused -rate: %v", err)
+	if err := runArgs(args{batch: 2, rate: defaultRate}); err != nil {
+		t.Fatalf("static batch rejected the default -rate: %v", err)
 	}
 }

@@ -8,10 +8,10 @@ import (
 
 // UnitSafePackages are the import-path suffixes where internal/units
 // quantities must stay typed: the consumers of the roofline algebra. The
-// device-physics packages (gpu, pim, hbm, dram, kernels, interconnect,
-// model, energy) implement the algebra itself — dimension crossing is their
-// job — and units is the defining package; all are deliberately outside this
-// set, as docs/ANALYSIS.md records.
+// device-physics packages (gpu, pim, hbm, dram, interconnect, model,
+// energy) implement the algebra itself — dimension crossing is their job —
+// and units is the defining package; all are deliberately outside this set,
+// as docs/ANALYSIS.md records.
 var UnitSafePackages = []string{
 	"/internal/sim",
 	"/internal/sched",

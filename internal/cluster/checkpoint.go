@@ -132,9 +132,24 @@ func ImportCheckpoint(data []byte) (*Checkpoint, error) {
 		c.Agg.BatchTPOT == nil || c.Agg.InteractiveScore == nil || c.Agg.BatchScore == nil {
 		return nil, fmt.Errorf("cluster: checkpoint is missing its latency aggregate")
 	}
-	if c.Completed < 0 || c.Failed < 0 || c.Runs < 1 {
-		return nil, fmt.Errorf("cluster: checkpoint counters out of range (runs %d, completed %d, failed %d)",
-			c.Runs, c.Completed, c.Failed)
+	if c.Runs < 1 {
+		return nil, fmt.Errorf("cluster: checkpoint runs %d must be at least 1", c.Runs)
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"completed", c.Completed}, {"failed", c.Failed}, {"tokens", c.Tokens},
+		{"lost_tokens", c.LostTokens}, {"preemptions", c.Preemptions}, {"faults", c.Faults},
+		{"retries", c.Retries}, {"shed", c.Shed}, {"peak_replicas", c.PeakReplicas},
+	} {
+		if f.n < 0 {
+			return nil, fmt.Errorf("cluster: checkpoint %s %d is negative", f.name, f.n)
+		}
+	}
+	if c.Makespan < 0 || c.ReplicaSeconds < 0 || c.EnergyJoules < 0 {
+		return nil, fmt.Errorf("cluster: checkpoint has a negative total (makespan %v, replica_seconds %v, energy_joules %v)",
+			c.Makespan, c.ReplicaSeconds, c.EnergyJoules)
 	}
 	if int64(c.Completed) != c.Agg.Completed {
 		return nil, fmt.Errorf("cluster: checkpoint ledger mismatch: %d completed vs %d in the aggregate",

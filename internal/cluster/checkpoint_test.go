@@ -160,6 +160,17 @@ func TestImportCheckpointRejectsCorrupt(t *testing.T) {
 		"no-aggregate":  corrupt(func(c *Checkpoint) { c.Agg = nil }),
 		"ledger-drift":  corrupt(func(c *Checkpoint) { c.Completed++ }),
 		"bad-runs":      corrupt(func(c *Checkpoint) { c.Runs = 0 }),
+
+		"negative-tokens":          corrupt(func(c *Checkpoint) { c.Tokens = -1 }),
+		"negative-lost-tokens":     corrupt(func(c *Checkpoint) { c.LostTokens = -1 }),
+		"negative-preemptions":     corrupt(func(c *Checkpoint) { c.Preemptions = -1 }),
+		"negative-faults":          corrupt(func(c *Checkpoint) { c.Faults = -1 }),
+		"negative-retries":         corrupt(func(c *Checkpoint) { c.Retries = -1 }),
+		"negative-shed":            corrupt(func(c *Checkpoint) { c.Shed = -1 }),
+		"negative-peak-replicas":   corrupt(func(c *Checkpoint) { c.PeakReplicas = -1 }),
+		"negative-makespan":        corrupt(func(c *Checkpoint) { c.Makespan = -1 }),
+		"negative-replica-seconds": corrupt(func(c *Checkpoint) { c.ReplicaSeconds = -1 }),
+		"negative-energy":          corrupt(func(c *Checkpoint) { c.EnergyJoules = -1 }),
 	}
 	for name, data := range cases {
 		if _, err := ImportCheckpoint(data); err == nil {

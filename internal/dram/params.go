@@ -63,11 +63,6 @@ func (g Geometry) Banks() int { return g.BankGroups * g.BanksPerGroup }
 // ColsPerRow returns the number of column accesses a full row provides.
 func (g Geometry) ColsPerRow() int { return int(float64(g.RowBytes) / float64(g.ColBytes)) }
 
-// Capacity returns the channel capacity in bytes.
-func (g Geometry) Capacity() units.Bytes {
-	return units.Bytes(float64(g.Banks()) * float64(g.Rows) * float64(g.RowBytes))
-}
-
 // HBM3Timing returns the timing set used throughout the repository: an HBM3
 // device at 5.2 Gb/s/pin with a 333 MHz command clock, per the paper's §7.1.
 // Values are representative JEDEC HBM3 numbers quantised to the command clock.

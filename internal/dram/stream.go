@@ -114,18 +114,10 @@ func MeasureBankStreamBandwidth(rows int) StreamResult {
 }
 
 // MeasureAllBankStreamBandwidth streams rows in all-bank broadcast mode and
-// returns the aggregate bandwidth, which should approach banks × per-bank.
+// returns the aggregate bandwidth, which should approach banks × per-bank,
+// and the aggregate energy per byte — the calibration source for the
+// analytic model's DRAM-access energy constant.
 func MeasureAllBankStreamBandwidth(rows int) StreamResult {
-	return RunStream(PIMChannelGeometry(), HBM3Timing(), HBM3Energy(), StreamSpec{
-		Rows:      rows,
-		Broadcast: true,
-	})
-}
-
-// MeasureStreamEnergyPerByte streams rows across all banks of a channel in
-// all-bank PIM mode and returns the aggregate energy per byte — the
-// calibration source for the analytic model's DRAM-access energy constant.
-func MeasureStreamEnergyPerByte(rows int) StreamResult {
 	return RunStream(PIMChannelGeometry(), HBM3Timing(), HBM3Energy(), StreamSpec{
 		Rows:      rows,
 		Broadcast: true,

@@ -3,8 +3,9 @@
 // Capacity QPS sweep (max sustainable rate under a TPOT SLO) and the
 // Scenarios sweep (every registered workload regime × the comparison
 // designs). Each driver runs the relevant simulation sweep and returns a
-// typed result with a String() rendering; cmd/papibench prints them all and
-// EXPERIMENTS.md records the outcomes next to the paper's numbers.
+// typed result with a String() rendering; cmd/papibench prints them all,
+// the golden fixtures under testdata/golden/ pin every number, and the shape
+// tests check the outcomes against the paper's.
 //
 // The drivers are deterministic (fixed seeds) so regenerated tables are
 // stable across runs and machines — including the sweeps that fan their

@@ -6,12 +6,12 @@ import (
 
 	"github.com/papi-sim/papi/internal/design"
 	"github.com/papi-sim/papi/internal/hbm"
-	"github.com/papi-sim/papi/internal/kernels"
 	"github.com/papi-sim/papi/internal/pim"
 )
 
-// These tests assert the *shape* fidelity contract of EXPERIMENTS.md: who
+// These tests assert the *shape* fidelity contract against the paper: who
 // wins, where crossovers fall, and that factors are in the paper's ballpark.
+// The golden fixtures under testdata/golden/ pin the exact numbers.
 
 func TestFig2Shape(t *testing.T) {
 	r := Fig2()
@@ -19,11 +19,11 @@ func TestFig2Shape(t *testing.T) {
 	// attention memory-bound everywhere.
 	for _, p := range r.SweepA {
 		switch {
-		case p.Kernel == "attention" && p.Bound != kernels.MemoryBound:
+		case p.Kernel == "attention" && p.Bound != MemoryBound:
 			t.Errorf("(a) %s attention should be memory-bound", p.Config)
-		case p.Kernel == "ffn" && p.Batch < 32 && p.Bound != kernels.MemoryBound:
+		case p.Kernel == "ffn" && p.Batch < 32 && p.Bound != MemoryBound:
 			t.Errorf("(a) %s FC should be memory-bound", p.Config)
-		case p.Kernel == "ffn" && p.Batch >= 32 && p.Bound != kernels.ComputeBound:
+		case p.Kernel == "ffn" && p.Batch >= 32 && p.Bound != ComputeBound:
 			t.Errorf("(a) %s FC should be compute-bound", p.Config)
 		}
 	}
@@ -32,14 +32,14 @@ func TestFig2Shape(t *testing.T) {
 		if p.Kernel != "ffn" {
 			continue
 		}
-		if p.Spec <= 4 && p.Bound != kernels.MemoryBound {
+		if p.Spec <= 4 && p.Bound != MemoryBound {
 			t.Errorf("(b) spec %d FC should be memory-bound", p.Spec)
 		}
-		if p.Spec == 8 && p.Bound != kernels.ComputeBound {
+		if p.Spec == 8 && p.Bound != ComputeBound {
 			t.Errorf("(b) spec 8 FC should be compute-bound")
 		}
 	}
-	if !strings.Contains(r.String(), "memory-bound") {
+	if s := r.String(); !strings.Contains(s, "memory-bound") || !strings.Contains(s, "compute-bound") {
 		t.Error("rendering lost content")
 	}
 }

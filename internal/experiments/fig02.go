@@ -4,10 +4,27 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/papi-sim/papi/internal/kernels"
+	"github.com/papi-sim/papi/internal/gpu"
 	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/stats"
 )
+
+// Boundedness classifies a kernel against the Fig. 2 roofline.
+type Boundedness int
+
+// Kernel boundedness classes.
+const (
+	MemoryBound Boundedness = iota
+	ComputeBound
+)
+
+// String names the class.
+func (b Boundedness) String() string {
+	if b == ComputeBound {
+		return "compute-bound"
+	}
+	return "memory-bound"
+}
 
 // Fig2Point is one dot on the Fig. 2 roofline plot.
 type Fig2Point struct {
@@ -15,7 +32,7 @@ type Fig2Point struct {
 	Kernel           string
 	AI               float64
 	AttainableTFLOPS float64
-	Bound            kernels.Boundedness
+	Bound            Boundedness
 }
 
 // Fig2Result reproduces Fig. 2: the OPT-30B roofline study on the A100.
@@ -30,19 +47,10 @@ type Fig2Result struct {
 // Fig2 runs the roofline characterisation.
 func Fig2() Fig2Result {
 	cfg := model.OPT30B()
-	roof := kernels.A100Roofline()
-	res := Fig2Result{RidgeAI: roof.Ridge()}
-
-	point := func(c Config, k model.Kernel) Fig2Point {
-		p := kernels.Characterize(k, roof)
-		return Fig2Point{
-			Config:           c,
-			Kernel:           k.Kind.String(),
-			AI:               p.AI,
-			AttainableTFLOPS: p.Attainable.FLOPSPerSec() / 1e12,
-			Bound:            p.Bound,
-		}
-	}
+	// The published peaks, not efficiency-derated: the figure plots the
+	// theoretical envelope of one A100.
+	a100 := gpu.NewNode(gpu.A100(), 1)
+	res := Fig2Result{RidgeAI: a100.RidgeAI()}
 	kvLens := func(batch int) []int {
 		ls := make([]int, batch)
 		for i := range ls {
@@ -54,16 +62,33 @@ func Fig2() Fig2Result {
 	for _, batch := range []int{4, 8, 16, 32, 64, 128} {
 		c := Config{Batch: batch, Spec: 8}
 		res.SweepA = append(res.SweepA,
-			point(c, cfg.FFNKernel(batch*c.Spec)),
-			point(c, cfg.AttentionKernel(c.Spec, kvLens(batch))))
+			fig2Point(a100, c, cfg.FFNKernel(batch*c.Spec)),
+			fig2Point(a100, c, cfg.AttentionKernel(c.Spec, kvLens(batch))))
 	}
 	for _, spec := range []int{2, 4, 6, 8} {
 		c := Config{Batch: 32, Spec: spec}
 		res.SweepB = append(res.SweepB,
-			point(c, cfg.FFNKernel(c.Batch*spec)),
-			point(c, cfg.AttentionKernel(spec, kvLens(c.Batch))))
+			fig2Point(a100, c, cfg.FFNKernel(c.Batch*spec)),
+			fig2Point(a100, c, cfg.AttentionKernel(spec, kvLens(c.Batch))))
 	}
 	return res
+}
+
+// fig2Point places kernel k, run in configuration c, on the roofline of one
+// device of node: compute-bound at or above the ridge, memory-bound below it.
+func fig2Point(node *gpu.Node, c Config, k model.Kernel) Fig2Point {
+	ai := k.AI()
+	bound := MemoryBound
+	if ai >= node.RidgeAI() {
+		bound = ComputeBound
+	}
+	return Fig2Point{
+		Config:           c,
+		Kernel:           k.Kind.String(),
+		AI:               ai,
+		AttainableTFLOPS: node.AttainableRate(ai).FLOPSPerSec() / 1e12,
+		Bound:            bound,
+	}
 }
 
 // String renders both sweeps.

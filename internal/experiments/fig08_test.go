@@ -23,7 +23,7 @@ func TestFig8Headlines(t *testing.T) {
 	// Headline bands: who wins and by roughly what factor. Paper values:
 	// 1.8× / 1.9× / 11.1× and 3.4× energy. Our substrate reproduces the
 	// first two closely and the AttAcc-only gap within a factor of two
-	// (see EXPERIMENTS.md for the recorded numbers).
+	// (testdata/golden/8.json pins the measured numbers).
 	if r.PAPIvsA100AttAcc < 1.4 || r.PAPIvsA100AttAcc > 2.6 {
 		t.Errorf("PAPI vs A100+AttAcc = %.2f, want ≈1.8", r.PAPIvsA100AttAcc)
 	}
@@ -65,8 +65,8 @@ func TestFig9Headlines(t *testing.T) {
 	// 1.8). Our substrate lands both in the same band but with the ordering
 	// inverted by a similar few percent (shorter general-qa outputs shrink
 	// the attention/communication phases that dilute PAPI's FC advantage);
-	// EXPERIMENTS.md records the divergence. Here we assert the two datasets
-	// stay within a common band of each other.
+	// testdata/golden/8.json and 9.json pin both sides. Here we assert the
+	// two datasets stay within a common band of each other.
 	cw := fig8Like(workload.CreativeWriting(),
 		[]model.Config{model.GPT3_175B()},
 		[]*design.System{design.MustBuild(design.A100AttAcc()), design.MustBuild(design.AttAccOnly()), design.MustBuild(design.PAPI(0))})

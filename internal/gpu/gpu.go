@@ -93,6 +93,17 @@ func (n *Node) RidgeAI() float64 {
 	return float64(n.Spec.PeakCompute) / float64(n.Spec.PeakMemBW)
 }
 
+// AttainableRate returns one device's roofline-attainable compute rate at
+// arithmetic intensity ai on the same published peaks as RidgeAI: ai × peak
+// bandwidth below the ridge, peak compute at and above it (Fig. 2's envelope).
+func (n *Node) AttainableRate(ai float64) units.FLOPSRate {
+	mem := ai * float64(n.Spec.PeakMemBW)
+	if mem < float64(n.Spec.PeakCompute) {
+		return units.FLOPSRate(mem)
+	}
+	return n.Spec.PeakCompute
+}
+
 // Result reports one kernel execution on the node.
 type Result struct {
 	Time         units.Seconds

@@ -31,6 +31,20 @@ func TestRidgePoint(t *testing.T) {
 	}
 }
 
+func TestAttainableRate(t *testing.T) {
+	n := DefaultNode()
+	// Memory side: AI=10 → 10 × 1935 GB/s = 19.35 TFLOP/s per device.
+	if got := float64(n.AttainableRate(10)); math.Abs(got-19.35e12) > 1e6 {
+		t.Fatalf("attainable(10) = %v", n.AttainableRate(10))
+	}
+	// Compute roof, also for a pure-compute kernel (AI = +Inf).
+	for _, ai := range []float64{1000, math.Inf(1)} {
+		if got := n.AttainableRate(ai); got != n.Spec.PeakCompute {
+			t.Fatalf("attainable(%v) = %v, want the peak", ai, got)
+		}
+	}
+}
+
 func TestExecuteRoofline(t *testing.T) {
 	n := DefaultNode()
 	n.Spec.LaunchLatency = 0

@@ -186,10 +186,6 @@ type Kernel struct {
 	ActivationBytes units.Bytes
 }
 
-// UniqueBytes returns the kernel's streamed data volume (the denominator of
-// its arithmetic intensity, excluding activations for the large-h regime).
-func (k Kernel) UniqueBytes() units.Bytes { return k.WeightBytes + k.KVBytes }
-
 // AI returns the kernel's arithmetic intensity in FLOP/byte over all traffic.
 func (k Kernel) AI() float64 {
 	return units.Intensity(k.Flops, k.WeightBytes+k.KVBytes+k.ActivationBytes)

@@ -150,6 +150,23 @@ func TestFCAIGrowsWithBatchAndTLP(t *testing.T) {
 	}
 }
 
+// Property: AI is flops over all traffic, and +Inf for a pure-compute kernel
+// (Fig. 2 plots kernels at this intensity).
+func TestKernelAIProperty(t *testing.T) {
+	cfg := GPT3_66B()
+	f := func(nRaw uint8) bool {
+		k := cfg.QKVKernel(int(nRaw)%128 + 1)
+		want := float64(k.Flops) / float64(k.WeightBytes+k.ActivationBytes)
+		return math.Abs(k.AI()-want) < 1e-9*want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ai := (Kernel{Kind: KindFFN, Flops: 100}).AI(); !math.IsInf(ai, 1) {
+		t.Fatalf("pure-compute kernel AI = %v, want +Inf", ai)
+	}
+}
+
 func TestExactAIMatchesEstimateForLargeH(t *testing.T) {
 	// §5.1: for large h, AI ≈ RLP×TLP. At h=12288 (GPT-3 175B) the estimate
 	// must be within 5 % up to n = 128.

@@ -146,6 +146,9 @@ func (t Trace) validate() error {
 		if r.Arrival < 0 {
 			return fmt.Errorf("workload: trace %q request %d arrives at negative time %g", t.Name, r.ID, r.Arrival)
 		}
+		if r.Turn < 0 {
+			return fmt.Errorf("workload: trace %q request %d has negative turn %d", t.Name, r.ID, r.Turn)
+		}
 		if seen[r.ID] {
 			return fmt.Errorf("workload: trace %q has duplicate request ID %d", t.Name, r.ID)
 		}

@@ -73,6 +73,7 @@ func TestImportTraceRejectsBadTraces(t *testing.T) {
 		"bad lengths":   `{"name":"x","seed":1,"requests":[{"id":0,"input":0,"output":4,"arrival_s":0}]}`,
 		"negative time": `{"name":"x","seed":1,"requests":[{"id":0,"input":4,"output":4,"arrival_s":-2}]}`,
 		"duplicate id":  `{"name":"x","seed":1,"requests":[{"id":0,"input":4,"output":4,"arrival_s":0},{"id":0,"input":4,"output":4,"arrival_s":1}]}`,
+		"negative turn": `{"name":"x","seed":1,"requests":[{"id":0,"input":4,"output":4,"arrival_s":0,"turn":-1}]}`,
 		"unknown field": `{"name":"x","seed":1,"bogus":true,"requests":[{"id":0,"input":4,"output":4,"arrival_s":0}]}`,
 		"not json":      `hello`,
 	}
