@@ -69,15 +69,15 @@ func main() {
 	flag.Float64Var(&o.sloMS, "slo", o.sloMS, "TPOT SLO in milliseconds (0 = unbounded)")
 	flag.Float64Var(&o.target, "target", o.target, "attainment target in [0, 1] for -sweep capacity headlines")
 	flag.StringVar(&o.sweep, "sweep", "", "comma-separated QPS ladder: run the capacity sweep over all designs instead of one fleet")
-	flag.StringVar(&o.scenario, "scenario", "", "named workload scenario (see docs/SCENARIOS.md); overrides -dataset/-rate")
-	flag.StringVar(&o.traceIn, "trace", "", "replay a saved trace file instead of generating arrivals")
+	flag.StringVar(&o.scenario, "scenario", "", "named workload scenario (see docs/SCENARIOS.md); it brings its own arrivals, so -dataset, -rate and -classes do not apply")
+	flag.StringVar(&o.traceIn, "trace", "", "replay a saved trace file instead of generating arrivals; -dataset, -rate, -requests and -classes do not apply")
 	flag.StringVar(&o.traceOut, "save-trace", "", "export the run's realised arrival stream as a trace file")
 	flag.StringVar(&o.autoscale, "autoscale", "", `elastic fleet bounds "min:max": scale replicas with load instead of static provisioning (-replicas is the initial size)`)
 	flag.Float64Var(&o.classes, "classes", 0, "fraction of generated requests tagged batch-class (preemptible); scenarios and traces carry their own classes")
 	flag.IntVar(&o.kvBlocks, "kv-blocks", 0, "block-level KV cache: tokens per block, prefix sharing on (0 = plain byte-ledger accounting)")
 	flag.Float64Var(&o.kvCold, "kv-cold", o.kvCold, "with -kv-blocks: cold-tier capacity as a multiple of the hot attention pool (negative disables the tier)")
 	flag.StringVar(&o.faults, "faults", "", "inject a fault plan .json (crashes, stragglers, brownouts; see docs/RESILIENCE.md)")
-	flag.IntVar(&o.retries, "retries", o.retries, "bounded failover: retry a request lost to a crash or timeout at most this many times")
+	flag.IntVar(&o.retries, "retries", o.retries, "bounded failover with -faults or -timeout: retry a request lost to a crash or timeout at most this many times")
 	flag.Float64Var(&o.timeoutS, "timeout", 0, "per-attempt request timeout in seconds (0 = none); timed-out attempts cancel and retry under -retries")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "merge this run's mergeable fleet snapshot into the named .json (created if absent), so long runs split across invocations")
 	flag.BoolVar(&o.retainRequests, "retain-requests", false, "keep every per-request metrics record (FleetResult.Requests) and each replica's per-iteration trace; off by default so large runs stay constant-memory")
@@ -202,8 +202,14 @@ func serve(o options) error {
 	if o.target != d.target {
 		return fmt.Errorf("-target only applies to -sweep")
 	}
+	if o.retries != d.retries && o.faults == "" && o.timeoutS == 0 {
+		return fmt.Errorf("-retries only applies with -faults or -timeout")
+	}
 	if o.scenario != "" && o.traceIn != "" {
 		return fmt.Errorf("-scenario and -trace are mutually exclusive")
+	}
+	if err := streamConflicts(o); err != nil {
+		return err
 	}
 	if o.scenario == "" && o.traceIn == "" && !(o.rate > 0 && !math.IsInf(o.rate, 1)) {
 		return fmt.Errorf("-rate %g must be a finite arrival rate > 0", o.rate)
@@ -212,9 +218,6 @@ func serve(o options) error {
 	rt, err := cluster.RouterByName(o.routerName)
 	if err != nil {
 		return err
-	}
-	if o.classes > 0 && (o.scenario != "" || o.traceIn != "") {
-		return fmt.Errorf("-classes only applies to generated streams; scenarios and traces carry their own classes")
 	}
 	var auto *cluster.AutoscaleOptions
 	if o.autoscale != "" {
@@ -376,11 +379,7 @@ func serve(o options) error {
 // would attribute the table to a configuration it never ran.
 func sweepConflicts(o options) error {
 	d := defaultOptions()
-	var bad []string
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
+	if bad := setFlags([]flagSet{
 		{"-design", o.design != d.design},
 		{"-router", o.routerName != d.routerName},
 		{"-rate", o.rate != d.rate},
@@ -394,18 +393,55 @@ func sweepConflicts(o options) error {
 		{"-kv-blocks", o.kvBlocks != 0},
 		{"-faults", o.faults != ""},
 		{"-timeout", o.timeoutS != 0},
+		{"-retries", o.retries != d.retries},
 		{"-checkpoint", o.checkpoint != ""},
 		{"-retain-requests", o.retainRequests},
-	} {
-		if f.set {
-			bad = append(bad, f.name)
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("-sweep runs the fixed capacity comparison and cannot be combined with %s",
-			strings.Join(bad, ", "))
+	}); bad != "" {
+		return fmt.Errorf("-sweep runs the fixed capacity comparison and cannot be combined with %s", bad)
 	}
 	return nil
+}
+
+// streamConflicts rejects every flag the chosen stream source would
+// otherwise ignore. A scenario brings its own arrival process, request mix
+// and classes; a trace replays a saved stream whole, its length included.
+// Only a generated Poisson stream reads -dataset, -rate and -classes.
+func streamConflicts(o options) error {
+	d := defaultOptions()
+	generated := []flagSet{
+		{"-dataset", o.dataset != d.dataset},
+		{"-rate", o.rate != d.rate},
+		{"-classes", o.classes != 0},
+	}
+	switch {
+	case o.traceIn != "":
+		if bad := setFlags(append(generated, flagSet{"-requests", o.requests != d.requests})); bad != "" {
+			return fmt.Errorf("-trace replays a saved stream and cannot be combined with %s", bad)
+		}
+	case o.scenario != "":
+		if bad := setFlags(generated); bad != "" {
+			return fmt.Errorf("-scenario generates its own stream and cannot be combined with %s", bad)
+		}
+	}
+	return nil
+}
+
+// flagSet is one flag a run mode would ignore, and whether it was given.
+type flagSet struct {
+	name string
+	set  bool
+}
+
+// setFlags lists the given flags, comma-separated, or returns "" when none
+// was given.
+func setFlags(flags []flagSet) string {
+	var names []string
+	for _, f := range flags {
+		if f.set {
+			names = append(names, f.name)
+		}
+	}
+	return strings.Join(names, ", ")
 }
 
 // mergeCheckpoint folds the run's mergeable snapshot into the named file:

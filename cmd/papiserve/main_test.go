@@ -2,14 +2,22 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/papi-sim/papi/internal/workload"
 )
 
 // TestRunRejectsBadFlags: every numeric flag value no run can mean returns
 // an error naming the flag — never a panic, never a silently accepted run.
 func TestRunRejectsBadFlags(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
+	trace := writeTrace(t)
+	// replay points a run at the saved trace, leaving -requests at its
+	// default as a replay must.
+	replay := func(o *options) { o.traceIn, o.requests = trace, defaultOptions().requests }
 	for _, tc := range []struct {
 		name string
 		set  func(o *options)
@@ -52,6 +60,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"target without sweep", func(o *options) { o.target = 0.5 }, "-target"},
 		{"kv-cold without kv-blocks", func(o *options) { o.kvCold = 8 }, "-kv-cold"},
 		{"sweep with kv-cold", func(o *options) { o.sweep, o.kvCold = "5", 8 }, "-kv-cold"},
+		{"scenario with rate", func(o *options) { o.scenario, o.rate = "chat-multiturn", 5 }, "-rate"},
+		{"scenario with dataset", func(o *options) { o.scenario, o.dataset = "chat-multiturn", "creative-writing" }, "-dataset"},
+		{"scenario names every ignored flag", func(o *options) {
+			o.scenario, o.rate, o.dataset, o.classes = "chat-multiturn", 5, "creative-writing", 0.4
+		}, "-dataset, -rate, -classes"},
+		{"trace with rate", func(o *options) { replay(o); o.rate = 5 }, "-rate"},
+		{"trace with dataset", func(o *options) { replay(o); o.dataset = "creative-writing" }, "-dataset"},
+		{"trace with requests", func(o *options) { replay(o); o.requests = 3 }, "-requests"},
+		{"trace names every ignored flag", func(o *options) {
+			replay(o)
+			o.rate, o.requests, o.classes = 5, 3, 0.4
+		}, "-rate, -classes, -requests"},
+		{"retries without faults or timeout", func(o *options) { o.retries = 7 }, "-retries"},
+		{"sweep with retries", func(o *options) { o.sweep, o.retries = "5", 7 }, "-retries"},
 	} {
 		o := testOptions()
 		tc.set(&o)
@@ -80,6 +102,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(plan); err != nil {
 		t.Fatalf("plan scenario rejected: %v", err)
 	}
+	// A replay at the flag defaults, and -retries with a -timeout to retry,
+	// both run.
+	rep := testOptions()
+	replay(&rep)
+	if err := run(rep); err != nil {
+		t.Fatalf("trace replay rejected: %v", err)
+	}
+	retry := testOptions()
+	retry.retries, retry.timeoutS = 7, 5
+	if err := run(retry); err != nil {
+		t.Fatalf("-retries with -timeout rejected: %v", err)
+	}
 	// papiserve -requests 4 -kv-blocks 16 -kv-cold 1e4: a 10⁴× cold tier
 	// of 16-token blocks spans about 2.5 × 10⁸ block IDs, which the store
 	// must mint on demand rather than allocate up front.
@@ -95,4 +129,18 @@ func testOptions() options {
 	o := defaultOptions()
 	o.replicas, o.requests = 1, 8
 	return o
+}
+
+// writeTrace saves a four-request trace for the replay rows.
+func writeTrace(t *testing.T) string {
+	t.Helper()
+	data, err := workload.NewTrace("test", "", 1, workload.GeneralQA().Poisson(4, 20, 1)).Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

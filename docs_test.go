@@ -136,10 +136,10 @@ func TestDocsPresentAndLinked(t *testing.T) {
 	}
 }
 
-// commandDocs are the documents whose quoted papibench/papiserve/papisim
-// commands are validated against the real flag sets and registries: a doc
-// quoting a figure, scenario, or flag that no longer exists must fail the
-// suite. The verify skill is a build-and-run recipe quoting the same
+// commandDocs are the documents whose quoted papibench/papiserve/papisim/
+// papivet/dramsim commands are validated against the real flag sets and
+// registries: a doc quoting a figure, scenario, or flag that no longer
+// exists must fail the suite. The verify skill is a build-and-run recipe quoting the same
 // commands, so it drifts the same way.
 var commandDocs = []string{
 	"README.md",
@@ -156,7 +156,8 @@ var commandDocs = []string{
 }
 
 // Known flags per command, mirroring the flag definitions in
-// cmd/papiserve/main.go, cmd/papibench/main.go and cmd/papisim/main.go.
+// cmd/papiserve/main.go, cmd/papibench/main.go, cmd/papisim/main.go,
+// cmd/papivet/main.go and cmd/dramsim/main.go.
 // Adding a flag to a command means adding it here; removing one fails this
 // test for every doc still quoting it — which is the point.
 var commandFlags = map[string]map[string]bool{
@@ -170,6 +171,7 @@ var commandFlags = map[string]map[string]bool{
 	"papisim": set("design", "model", "dataset", "batch", "spec", "seed",
 		"alpha", "continuous", "rate", "requests", "maxbatch", "trace"),
 	"papivet": set("waivers"),
+	"dramsim": set("rows", "broadcast", "write", "single-bank"),
 }
 
 func set(names ...string) map[string]bool {
@@ -180,14 +182,14 @@ func set(names ...string) map[string]bool {
 	return m
 }
 
-// TestDocCommandsResolve tokenizes every same-line papiserve/papibench
-// invocation quoted in the docs and validates each `-flag` against the
-// command's flag set, each `-figure` value against the experiments figure
-// registry, each `-scenario` value against the workload scenario registry,
-// and each `-design` value against the design registry (comma-separated
-// lists per entry; spec-file paths are skipped). Placeholder values
-// (`<name>`, globs) are skipped; `a|b`-alternative values are validated per
-// alternative.
+// TestDocCommandsResolve tokenizes every same-line invocation of a command
+// in commandFlags quoted in the docs and validates each `-flag` against the
+// command's flag set (each alternative of a `[-a|-b]` group included), each
+// `-figure` value against the experiments figure registry, each `-scenario`
+// value against the workload scenario registry, and each `-design` value
+// against the design registry (comma-separated lists per entry; spec-file
+// paths are skipped). Placeholder values (`<name>`, globs) are skipped;
+// `a|b`-alternative values are validated per alternative.
 func TestDocCommandsResolve(t *testing.T) {
 	figures := map[string]bool{}
 	for _, id := range experiments.FigureIDs() {
@@ -203,9 +205,20 @@ func TestDocCommandsResolve(t *testing.T) {
 	}
 
 	clean := func(tok string) string {
-		return strings.Trim(tok, "`(),.;:\"'")
+		return strings.Trim(tok, "`(),.;:\"'[]")
 	}
 	plain := regexp.MustCompile(`^[a-z0-9-]+$`)
+	// flagName is the flag a token names, or "" for a token that names none.
+	flagName := func(tok string) string {
+		if !strings.HasPrefix(tok, "-") {
+			return ""
+		}
+		name, _, _ := strings.Cut(strings.TrimLeft(tok, "-"), "=")
+		if !plain.MatchString(name) {
+			return ""
+		}
+		return name
+	}
 	// Design names carry spaces ("PIM-only PAPI"), so a leading-quoted value
 	// is rejoined across tokens before validating; file paths and comma
 	// lists are handled per docs/DESIGNS.md semantics.
@@ -268,11 +281,17 @@ func TestDocCommandsResolve(t *testing.T) {
 					mention := strings.HasSuffix(raw, ",") || strings.HasSuffix(raw, ";") ||
 						strings.HasPrefix(raw, "`")
 					tok := clean(raw)
-					if !strings.HasPrefix(tok, "-") || len(tok) < 2 {
+					if alts := strings.Split(tok, "|"); len(alts) > 1 {
+						// "[-a|-b]" quotes alternative flags.
+						for _, alt := range alts {
+							if name := flagName(alt); name != "" && !flags[name] {
+								t.Errorf("%s quotes `%s -%s`, which is not a %s flag", doc, cmd, name, cmd)
+							}
+						}
 						continue
 					}
-					name, _, _ := strings.Cut(strings.TrimLeft(tok, "-"), "=")
-					if name == "" || !plain.MatchString(name) {
+					name := flagName(tok)
+					if name == "" {
 						continue
 					}
 					if !flags[name] {

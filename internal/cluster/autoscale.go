@@ -46,19 +46,12 @@ type AutoscaleOptions struct {
 	// UpTPOTFactor scales up when the window's interactive p95 TPOT exceeds
 	// UpTPOTFactor × SLO. Zero selects 1.
 	UpTPOTFactor float64
-	// DownTPOTFactor permits scale-down only while the window's interactive
-	// p95 TPOT sits below DownTPOTFactor × SLO. Zero selects 0.5.
-	DownTPOTFactor float64
 	// UpQueue scales up when outstanding requests per active replica exceed
 	// it. Zero selects the replica admission cap (MaxBatch).
 	UpQueue float64
 	// DownQueue permits scale-down only while outstanding requests per
 	// active replica sit below it. Zero selects MaxBatch/4.
 	DownQueue float64
-	// KVPressure scales up when any active replica's outstanding KV demand
-	// exceeds this fraction of its pool (and bars scale-down above it).
-	// Zero selects 0.9.
-	KVPressure float64
 	// UpArrivalRate scales up when windowed arrivals/s per active replica
 	// exceed it. Zero disables the trigger (the rate is still recorded on
 	// every scale event).
@@ -84,9 +77,8 @@ func (o AutoscaleOptions) validate() error {
 		name string
 		v    float64
 	}{
-		{"UpTPOTFactor", o.UpTPOTFactor}, {"DownTPOTFactor", o.DownTPOTFactor},
-		{"UpQueue", o.UpQueue}, {"DownQueue", o.DownQueue},
-		{"KVPressure", o.KVPressure}, {"UpArrivalRate", o.UpArrivalRate},
+		{"UpTPOTFactor", o.UpTPOTFactor}, {"UpQueue", o.UpQueue},
+		{"DownQueue", o.DownQueue}, {"UpArrivalRate", o.UpArrivalRate},
 	} {
 		if !finiteNonNeg(x.v) {
 			return fmt.Errorf("cluster: autoscale %s %v must be finite and ≥ 0", x.name, x.v)
@@ -104,20 +96,23 @@ func (o AutoscaleOptions) withDefaults(maxBatch int) AutoscaleOptions {
 	if o.UpTPOTFactor == 0 {
 		o.UpTPOTFactor = 1
 	}
-	if o.DownTPOTFactor == 0 {
-		o.DownTPOTFactor = 0.5
-	}
 	if o.UpQueue == 0 {
 		o.UpQueue = float64(maxBatch)
 	}
 	if o.DownQueue == 0 {
 		o.DownQueue = float64(maxBatch) / 4
 	}
-	if o.KVPressure == 0 {
-		o.KVPressure = 0.9
-	}
 	return o
 }
+
+// The control loop's fixed thresholds: scale-down needs the window's
+// interactive p95 TPOT below downTPOTFactor × SLO, and an active replica
+// whose outstanding KV demand exceeds kvPressure of its pool scales the
+// fleet up (and bars scale-down).
+const (
+	downTPOTFactor = 0.5
+	kvPressure     = 0.9
+)
 
 // DefaultAutoscale returns a ready-to-use elastic configuration for the
 // given fleet bounds and interactive SLO: 1 s control period, 2 s warm-up,
@@ -311,7 +306,7 @@ func (s *scaler) tick(now units.Seconds) {
 		((stranded && act == 0 && warming == 0) ||
 			(slo > 0 && tpot95 > s.opt.UpTPOTFactor*slo) ||
 			queuePer > s.opt.UpQueue ||
-			kvMax > s.opt.KVPressure ||
+			kvMax > kvPressure ||
 			(s.opt.UpArrivalRate > 0 && ratePer > s.opt.UpArrivalRate))
 	switch {
 	case up:
@@ -343,8 +338,8 @@ func (s *scaler) tick(now units.Seconds) {
 		})
 
 	case cooled && act > s.opt.Min && warming == 0 &&
-		(slo <= 0 || tpot95 < s.opt.DownTPOTFactor*slo) &&
-		queuePer < s.opt.DownQueue && kvMax < s.opt.KVPressure:
+		(slo <= 0 || tpot95 < downTPOTFactor*slo) &&
+		queuePer < s.opt.DownQueue && kvMax < kvPressure:
 		// Drain the least-loaded active replica (ties: the youngest), so
 		// the in-flight work it must finish is minimal. Replicas holding a
 		// live closed-loop conversation are not drainable: the

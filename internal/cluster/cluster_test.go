@@ -193,10 +193,8 @@ func TestClusterValidation(t *testing.T) {
 		{"SLO.TokenLatency", func(a *AutoscaleOptions) { a.SLO.TokenLatency = units.Seconds(nan) }},
 		{"SLO.TokenLatency", func(a *AutoscaleOptions) { a.SLO.TokenLatency = units.Seconds(inf) }},
 		{"UpTPOTFactor", func(a *AutoscaleOptions) { a.UpTPOTFactor = nan }},
-		{"DownTPOTFactor", func(a *AutoscaleOptions) { a.DownTPOTFactor = inf }},
 		{"UpQueue", func(a *AutoscaleOptions) { a.UpQueue = nan }},
 		{"DownQueue", func(a *AutoscaleOptions) { a.DownQueue = -1 }},
-		{"KVPressure", func(a *AutoscaleOptions) { a.KVPressure = nan }},
 		{"UpArrivalRate", func(a *AutoscaleOptions) { a.UpArrivalRate = inf }},
 	} {
 		opt := testOptions(2, nil)

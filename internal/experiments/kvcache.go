@@ -89,7 +89,7 @@ type KVCacheCell struct {
 // scenarios (chat-multiturn's carried contexts, longctx-heavy's shared
 // documents), on a fleet whose attention pool is deliberately too small to
 // hold the working set — the regime where block sharing, tier sizing, and
-// eviction policy become visible in end-to-end latency.
+// eviction become visible in end-to-end latency.
 type KVCacheResult struct {
 	Model         string
 	Design        string

@@ -137,19 +137,19 @@ func (s *Store) CheckInvariants(active []*Lease) error {
 
 	// Idle queues ≡ resident ref-0 blocks, exactly.
 	wantHotIdle := s.hotUsed - s.refHot
-	gotHotIdle, err := s.auditQueues(&s.hotIdle, tierHot)
+	gotHotIdle, err := s.auditQueue(&s.hotIdle, tierHot)
 	if err != nil {
 		return err
 	}
 	if gotHotIdle != wantHotIdle {
-		return fmt.Errorf("kv: hot idle queues hold %d, census says %d", gotHotIdle, wantHotIdle)
+		return fmt.Errorf("kv: hot idle queue holds %d, census says %d", gotHotIdle, wantHotIdle)
 	}
-	gotColdIdle, err := s.auditQueues(&s.coldIdle, tierCold)
+	gotColdIdle, err := s.auditQueue(&s.coldIdle, tierCold)
 	if err != nil {
 		return err
 	}
 	if gotColdIdle != s.coldUsed {
-		return fmt.Errorf("kv: cold idle queues hold %d, census says %d", gotColdIdle, s.coldUsed)
+		return fmt.Errorf("kv: cold idle queue holds %d, census says %d", gotColdIdle, s.coldUsed)
 	}
 
 	// Index bijection closes: every entry was visited via some block's hash.
@@ -159,35 +159,30 @@ func (s *Store) CheckInvariants(active []*Lease) error {
 	return nil
 }
 
-// auditQueues walks one tier's idle queues, validating membership and link
+// auditQueue walks one tier's idle queue, validating membership and link
 // integrity, and returns the member count.
-func (s *Store) auditQueues(q *[2]list, tier int8) (int, error) {
+func (s *Store) auditQueue(q *list, tier int8) (int, error) {
 	n := 0
-	for class := 0; class < 2; class++ {
-		prev := nilRef
-		for id := q[class].head; id != nilRef; id = s.blocks[id].next {
-			b := &s.blocks[id]
-			if b.tier != tier {
-				return 0, fmt.Errorf("kv: idle block %d on tier-%d queue but in tier %d", id, tier, b.tier)
-			}
-			if b.refs != 0 {
-				return 0, fmt.Errorf("kv: block %d on idle queue with %d refs", id, b.refs)
-			}
-			if idleClass(b) != class {
-				return 0, fmt.Errorf("kv: block %d on wrong idle class queue", id)
-			}
-			if b.prev != prev {
-				return 0, fmt.Errorf("kv: idle queue back-link broken at block %d", id)
-			}
-			prev = id
-			n++
-			if n > len(s.blocks) {
-				return 0, fmt.Errorf("kv: idle queue cycle detected")
-			}
+	prev := nilRef
+	for id := q.head; id != nilRef; id = s.blocks[id].next {
+		b := &s.blocks[id]
+		if b.tier != tier {
+			return 0, fmt.Errorf("kv: idle block %d on tier-%d queue but in tier %d", id, tier, b.tier)
 		}
-		if q[class].tail != prev {
-			return 0, fmt.Errorf("kv: idle queue tail pointer stale (have %d, want %d)", q[class].tail, prev)
+		if b.refs != 0 {
+			return 0, fmt.Errorf("kv: block %d on idle queue with %d refs", id, b.refs)
 		}
+		if b.prev != prev {
+			return 0, fmt.Errorf("kv: idle queue back-link broken at block %d", id)
+		}
+		prev = id
+		n++
+		if n > len(s.blocks) {
+			return 0, fmt.Errorf("kv: idle queue cycle detected")
+		}
+	}
+	if q.tail != prev {
+		return 0, fmt.Errorf("kv: idle queue tail pointer stale (have %d, want %d)", q.tail, prev)
 	}
 	return n, nil
 }

@@ -25,7 +25,7 @@
 //     blocks on re-admission.
 //
 //   - Tiers. Hot blocks live in the attention pool (HBM on the PIM stacks);
-//     cold blocks are offloaded across the host link (Options.Link).
+//     cold blocks are offloaded across a CXL-2 host link.
 //     Promotion and demotion each pay an explicit per-block transfer
 //     (bandwidth and link energy; only demand promotions stall the clock —
 //     demotion is an asynchronous write-back, see Cost.StallTime).
@@ -33,11 +33,12 @@
 //     being discarded, so
 //     re-admission re-prefills only blocks that were actually evicted.
 //
-// Eviction is deterministic and pluggable (PolicyLRU, PolicyRefAware) and
-// only ever touches idle blocks — a block with active references is never a
-// candidate. The invariants (refcount conservation, tier occupancy, the
-// free/referenced exclusion) are exported through CheckInvariants and pinned
-// by randomized property tests and FuzzBlockStore.
+// Eviction is deterministic — each tier retires its least recently idled
+// block first — and only ever touches idle blocks: a block with active
+// references is never a candidate. The invariants (refcount conservation,
+// tier occupancy, the free/referenced exclusion) are exported through
+// CheckInvariants and pinned by randomized property tests and
+// FuzzBlockStore.
 //
 // A store always shares: the serving engine builds one only when
 // Options.Sharing is set, and keeps its per-request byte ledger otherwise.
@@ -58,41 +59,6 @@ import (
 // keeps the noalloc-annotated allocation path allocation-free.
 var errHotFull = errors.New("kv: hot tier full with no idle block")
 
-// Policy selects the deterministic eviction order over idle blocks.
-type Policy int
-
-const (
-	// PolicyLRU evicts the idle block that has been idle longest,
-	// regardless of its sharing history.
-	PolicyLRU Policy = iota
-	// PolicyRefAware prefers idle blocks that were never adopted by a
-	// second lease (private history ⇒ unlikely to be reused), falling back
-	// to LRU among previously-shared blocks.
-	PolicyRefAware
-)
-
-// String names the policy as CLIs spell it.
-func (p Policy) String() string {
-	switch p {
-	case PolicyLRU:
-		return "lru"
-	case PolicyRefAware:
-		return "ref-aware"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// PolicyByName resolves an eviction policy by its display name.
-func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "lru":
-		return PolicyLRU, nil
-	case "ref-aware":
-		return PolicyRefAware, nil
-	}
-	return 0, fmt.Errorf("kv: unknown eviction policy %q", name)
-}
-
 // Options configures a block store.
 type Options struct {
 	// BlockTokens is the tokens-per-block granularity; 0 selects 32 (the
@@ -107,11 +73,6 @@ type Options struct {
 	// count; 0 selects 4. Negative disables the cold tier (evictions and
 	// parks then discard). It must be finite.
 	ColdFactor float64
-	// Link prices hot↔cold transfers; the zero value selects the CXL2 host
-	// link (the design-layer LinkSpec preset for host-attached capacity).
-	Link interconnect.Link
-	// Policy is the eviction order over idle blocks.
-	Policy Policy
 }
 
 // DefaultOptions returns the sharing-enabled configuration the kvcache
@@ -134,9 +95,6 @@ func (o Options) withDefaults() Options {
 	if o.ColdFactor < 0 {
 		o.ColdFactor = 0
 	}
-	if o.Link.Name == "" {
-		o.Link = interconnect.CXL2()
-	}
 	return o
 }
 
@@ -147,14 +105,6 @@ func (o Options) Validate() error {
 	}
 	if math.IsNaN(o.ColdFactor) || math.IsInf(o.ColdFactor, 0) {
 		return fmt.Errorf("kv: cold-tier factor %v must be finite", o.ColdFactor)
-	}
-	if o.Policy != PolicyLRU && o.Policy != PolicyRefAware {
-		return fmt.Errorf("kv: unknown eviction policy %d", int(o.Policy))
-	}
-	if o.Link.Name != "" {
-		if err := o.Link.Validate(); err != nil {
-			return fmt.Errorf("kv: tier link: %w", err)
-		}
 	}
 	return nil
 }
@@ -173,18 +123,16 @@ const nilRef = int32(-1)
 // block is one slab entry. Links (prev/next) thread the idle queue the
 // block currently sits on; refs counts the active leases holding it.
 type block struct {
-	refs   int32
-	tier   int8
-	shared bool   // ever adopted by a second lease (PolicyRefAware signal)
-	hash   uint64 // sealed chain identity; 0 for unsealed tails
-	stamp  int64  // logical instant the block last became idle
-	prev   int32
-	next   int32
+	refs int32
+	tier int8
+	hash uint64 // sealed chain identity; 0 for unsealed tails
+	prev int32
+	next int32
 }
 
 // list is an intrusive FIFO over the slab: head is the oldest idle block —
-// the eviction candidate — and new idles push on the tail, so within one
-// class the order is exactly least-recently-idled.
+// the eviction candidate — and new idles push on the tail, so the order is
+// exactly least-recently-idled.
 type list struct{ head, tail int32 }
 
 // Stats is the store's cumulative activity, surfaced through
@@ -248,13 +196,11 @@ type Store struct {
 	free   []int32 // stack of freed slab IDs, reused before minting anew
 	index  map[uint64]int32
 
-	// Idle queues: resident ref-0 blocks by (tier, ever-shared). The
-	// split is what makes PolicyRefAware O(1): never-shared candidates
-	// pop from [0], previously-shared from [1].
-	hotIdle  [2]list
-	coldIdle [2]list
+	// Idle queues: each tier's resident ref-0 blocks, in the order they
+	// went idle.
+	hotIdle  list
+	coldIdle list
 
-	stamp int64 // logical clock for idle ordering
 	stats Stats
 }
 
@@ -293,8 +239,8 @@ func NewStore(opt Options, hotBlocks int, blockBytes units.Bytes) (*Store, error
 		free:       make([]int32, 0, hotBlocks),
 		index:      make(map[uint64]int32, hotBlocks),
 	}
-	s.hotIdle = [2]list{{nilRef, nilRef}, {nilRef, nilRef}}
-	s.coldIdle = [2]list{{nilRef, nilRef}, {nilRef, nilRef}}
+	s.hotIdle = list{nilRef, nilRef}
+	s.coldIdle = list{nilRef, nilRef}
 	s.stats.BlockTokens = opt.BlockTokens
 	s.stats.HotBlocks = hotBlocks
 	s.stats.ColdBlocks = coldCap
@@ -357,49 +303,23 @@ func (s *Store) listRemove(l *list, id int32) {
 	b.prev, b.next = nilRef, nilRef
 }
 
-// idleClass indexes the (never-shared, shared) queue split.
-func idleClass(b *block) int {
-	if b.shared {
-		return 1
-	}
-	return 0
-}
-
 // pushIdle queues a block that just became resident-with-zero-refs.
 func (s *Store) pushIdle(id int32) {
-	b := &s.blocks[id]
-	s.stamp++
-	b.stamp = s.stamp
-	if b.tier == tierHot {
-		s.listPush(&s.hotIdle[idleClass(b)], id)
+	if s.blocks[id].tier == tierHot {
+		s.listPush(&s.hotIdle, id)
 	} else {
-		s.listPush(&s.coldIdle[idleClass(b)], id)
+		s.listPush(&s.coldIdle, id)
 	}
 }
 
-// popIdle removes and returns the eviction candidate from a tier's queues
-// under the configured policy, or nilRef when the tier has no idle block.
-func (s *Store) popIdle(q *[2]list) int32 {
-	pick := nilRef
-	switch s.opt.Policy {
-	case PolicyRefAware:
-		if q[0].head != nilRef {
-			pick = q[0].head
-		} else {
-			pick = q[1].head
-		}
-	default: // PolicyLRU: the older of the two heads.
-		pick = q[0].head
-		if alt := q[1].head; alt != nilRef &&
-			(pick == nilRef || s.blocks[alt].stamp < s.blocks[pick].stamp) {
-			pick = alt
-		}
+// popIdle removes and returns a tier's least recently idled block, or nilRef
+// when the tier has no idle block.
+func (s *Store) popIdle(l *list) int32 {
+	id := l.head
+	if id != nilRef {
+		s.listRemove(l, id)
 	}
-	if pick == nilRef {
-		return nilRef
-	}
-	s.listRemove(&q[idleClass(&s.blocks[pick])], pick)
-	return pick
+	return id
 }
 
 // ---------------------------------------------------------------------------
@@ -527,7 +447,7 @@ func (s *Store) promote(id int32, c *Cost) error {
 // demand transfer (promotion) the caller must wait on; write-backs pass
 // false and only occupy the link (see Cost.StallTime).
 func (s *Store) chargeTransfer(c *Cost, stall bool) {
-	tr := s.opt.Link.Send(s.blockBytes)
+	tr := interconnect.CXL2().Send(s.blockBytes)
 	c.TransferBytes += s.blockBytes
 	c.TransferTime += tr.Time
 	c.TransferEnergy += tr.Energy

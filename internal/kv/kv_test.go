@@ -11,8 +11,8 @@ import (
 // blockMiB is the per-block footprint every test store uses.
 const blockMiB = units.Bytes(units.MiB)
 
-// testStore builds a small sharing-enabled store: 8 hot blocks of 8 tokens,
-// cold tier 2× hot, LRU.
+// testStore builds a small sharing-enabled store of 8 hot blocks; shareOpt
+// gives them 8 tokens each and a cold tier 2× hot.
 func testStore(t *testing.T, opt Options) *Store {
 	t.Helper()
 	s, err := NewStore(opt, 8, blockMiB)
@@ -46,24 +46,9 @@ func checkInv(t *testing.T, s *Store, active ...*Lease) {
 	}
 }
 
-func TestPolicyNames(t *testing.T) {
-	for _, p := range []Policy{PolicyLRU, PolicyRefAware} {
-		got, err := PolicyByName(p.String())
-		if err != nil || got != p {
-			t.Fatalf("PolicyByName(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := PolicyByName("mru"); err == nil {
-		t.Fatal("PolicyByName accepted an unknown policy")
-	}
-}
-
 func TestOptionsValidate(t *testing.T) {
 	if err := (Options{BlockTokens: -1}).Validate(); err == nil {
 		t.Fatal("negative block size accepted")
-	}
-	if err := (Options{Policy: Policy(9)}).Validate(); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := (Options{ColdFactor: f}).Validate(); err == nil {
@@ -231,95 +216,119 @@ func TestNewStoreRequiresSharing(t *testing.T) {
 	}
 }
 
-// TestPolicies: ref-aware eviction retires never-shared idle blocks before
-// previously-shared ones; LRU retires strictly by idle age.
-func TestPolicies(t *testing.T) {
-	for _, pol := range []Policy{PolicyLRU, PolicyRefAware} {
-		opt := shareOpt()
-		opt.Policy = pol
-		opt.ColdFactor = -1 // no cold tier: evictions drop, easy to observe
-		s := testStore(t, opt)
+// TestReadoptionRefreshesIdleAge: a block that is adopted again and goes
+// idle again rejoins the back of the idle queue, so eviction takes the
+// blocks that have sat idle longest, not the ones that went idle first.
+func TestReadoptionRefreshesIdleAge(t *testing.T) {
+	opt := shareOpt()
+	opt.ColdFactor = -1 // no cold tier: evictions drop, easy to observe
+	s := testStore(t, opt)
 
-		// Fill all 8 hot slots with idle canonical blocks: group 1's two
-		// blocks go idle first, then group 2's two, then group 3 holds 4.
-		g1 := s.NewLease(1, 1, 16, 16, false)
-		mustAdmit(t, s, g1, 16)
-		g2 := s.NewLease(2, 2, 16, 16, false)
-		mustAdmit(t, s, g2, 16)
-		s.Commit(g1)
-		s.Commit(g2)
-		// Re-touch group 1 so its blocks are marked ever-shared.
-		r1 := s.NewLease(1, 3, 16, 16, false)
-		mustAdmit(t, s, r1, 16)
-		s.Commit(r1)
-		g3 := s.NewLease(3, 4, 16, 32, false)
-		mustAdmit(t, s, g3, 32)
-		checkInv(t, s, g3)
+	// Fill all 8 hot slots with idle canonical blocks: group 1's two
+	// blocks go idle first, then group 2's two, then group 3 holds 4.
+	g1 := s.NewLease(1, 1, 16, 16, false)
+	mustAdmit(t, s, g1, 16)
+	g2 := s.NewLease(2, 2, 16, 16, false)
+	mustAdmit(t, s, g2, 16)
+	s.Commit(g1)
+	s.Commit(g2)
+	// Re-touch group 1 so its blocks go idle again, after group 2's.
+	r1 := s.NewLease(1, 3, 16, 16, false)
+	mustAdmit(t, s, r1, 16)
+	s.Commit(r1)
+	g3 := s.NewLease(3, 4, 16, 32, false)
+	mustAdmit(t, s, g3, 32)
+	checkInv(t, s, g3)
 
-		// 4 idle blocks remain: group 1 (ever-shared, most recently
-		// idled) and group 2 (never shared, idled earlier). A 2-block
-		// admission must evict two.
-		v := s.NewLease(4, 5, 0, 16, false)
-		mustAdmit(t, s, v, 16)
-		checkInv(t, s, g3, v)
+	// 4 idle blocks remain: group 1 (most recently idled) and group 2
+	// (idled earlier). A 2-block admission must evict two.
+	v := s.NewLease(4, 5, 0, 16, false)
+	mustAdmit(t, s, v, 16)
+	checkInv(t, s, g3, v)
 
-		p1 := s.PlanAdmit(s.NewLease(1, 6, 16, 16, false), 16)
-		p2 := s.PlanAdmit(s.NewLease(2, 7, 16, 16, false), 16)
-		switch pol {
-		case PolicyLRU:
-			// Oldest idles are group 2's: they died, group 1 survives.
-			if p1.Run != 2 || p2.Run != 0 {
-				t.Fatalf("lru: group1 run %d group2 run %d, want 2/0", p1.Run, p2.Run)
-			}
-		case PolicyRefAware:
-			// Never-shared group 2 dies first even though group 1's
-			// blocks went idle more recently.
-			if p1.Run != 2 || p2.Run != 0 {
-				t.Fatalf("ref-aware: group1 run %d group2 run %d, want 2/0", p1.Run, p2.Run)
-			}
-		}
+	// Oldest idles are group 2's: they died, group 1 survives.
+	p1 := s.PlanAdmit(s.NewLease(1, 6, 16, 16, false), 16)
+	p2 := s.PlanAdmit(s.NewLease(2, 7, 16, 16, false), 16)
+	if p1.Run != 2 || p2.Run != 0 {
+		t.Fatalf("group1 run %d group2 run %d, want 2/0", p1.Run, p2.Run)
 	}
 }
 
-// TestLRUEvictsOldest distinguishes LRU from ref-aware: the ever-shared
-// blocks are the OLDER idles, so LRU evicts them while ref-aware spares
-// them and takes the never-shared younger ones.
+// TestLRUEvictsOldest: eviction ignores sharing history. Group 1's blocks
+// were shared by two leases but are the OLDER idles, so they go before
+// group 2's never-shared, younger ones.
 func TestLRUEvictsOldest(t *testing.T) {
-	for _, pol := range []Policy{PolicyLRU, PolicyRefAware} {
-		opt := shareOpt()
-		opt.Policy = pol
-		opt.ColdFactor = -1
-		s := testStore(t, opt)
+	opt := shareOpt()
+	opt.ColdFactor = -1
+	s := testStore(t, opt)
 
-		shared := s.NewLease(1, 1, 16, 16, false)
-		mustAdmit(t, s, shared, 16)
-		re := s.NewLease(1, 2, 16, 16, false)
-		mustAdmit(t, s, re, 16) // marks group 1 ever-shared
-		s.Commit(shared)
-		s.Commit(re) // group 1 idle (ever-shared), stamps 1-2
-		private := s.NewLease(2, 3, 16, 16, false)
-		mustAdmit(t, s, private, 16)
-		s.Commit(private) // group 2 idle (never shared), younger stamps
-		hold := s.NewLease(3, 4, 0, 32, false)
-		mustAdmit(t, s, hold, 32) // pin the other 4 slots
+	shared := s.NewLease(1, 1, 16, 16, false)
+	mustAdmit(t, s, shared, 16)
+	re := s.NewLease(1, 2, 16, 16, false)
+	mustAdmit(t, s, re, 16) // group 1 now held by two leases
+	s.Commit(shared)
+	s.Commit(re) // group 1 idle first
+	private := s.NewLease(2, 3, 16, 16, false)
+	mustAdmit(t, s, private, 16)
+	s.Commit(private) // group 2 idle (never shared), younger
+	hold := s.NewLease(3, 4, 0, 32, false)
+	mustAdmit(t, s, hold, 32) // pin the other 4 slots
 
-		v := s.NewLease(4, 5, 0, 16, false)
-		mustAdmit(t, s, v, 16) // forces two evictions
-		checkInv(t, s, hold, v)
+	v := s.NewLease(4, 5, 0, 16, false)
+	mustAdmit(t, s, v, 16) // forces two evictions
+	checkInv(t, s, hold, v)
 
-		p1 := s.PlanAdmit(s.NewLease(1, 6, 16, 16, false), 16)
-		p2 := s.PlanAdmit(s.NewLease(2, 7, 16, 16, false), 16)
-		switch pol {
-		case PolicyLRU:
-			if p1.Run != 0 || p2.Run != 2 {
-				t.Fatalf("lru: group1 run %d group2 run %d, want 0/2", p1.Run, p2.Run)
-			}
-		case PolicyRefAware:
-			if p1.Run != 2 || p2.Run != 0 {
-				t.Fatalf("ref-aware: group1 run %d group2 run %d, want 2/0", p1.Run, p2.Run)
-			}
-		}
+	p1 := s.PlanAdmit(s.NewLease(1, 6, 16, 16, false), 16)
+	p2 := s.PlanAdmit(s.NewLease(2, 7, 16, 16, false), 16)
+	if p1.Run != 0 || p2.Run != 2 {
+		t.Fatalf("group1 run %d group2 run %d, want 0/2", p1.Run, p2.Run)
 	}
+}
+
+// TestColdTierEvictsOldest: parking into a full cold tier drops the cold
+// block that has been idle longest, and a later admission re-adopts only
+// the blocks that survived.
+func TestColdTierEvictsOldest(t *testing.T) {
+	opt := shareOpt()
+	opt.ColdFactor = 0.5 // 4 cold slots behind the 8 hot ones
+	s := testStore(t, opt)
+
+	// Park two 2-block conversations: the cold tier fills with A's blocks
+	// (position 1 first: Park releases a chain from its tail) and then B's.
+	a := s.NewLease(-1, 1, 0, 16, true)
+	mustAdmit(t, s, a, 16)
+	b := s.NewLease(-2, 2, 0, 16, true)
+	mustAdmit(t, s, b, 16)
+	s.Park(a)
+	s.Park(b)
+	checkInv(t, s)
+	if _, cold := s.TierBytes(); cold != 4*blockMiB {
+		t.Fatalf("cold tier holds %v, want it full at 4 MiB", cold)
+	}
+
+	// A third park needs one cold slot: A's position-1 block goes.
+	c := s.NewLease(-3, 3, 0, 8, true)
+	mustAdmit(t, s, c, 8)
+	s.Park(c)
+	checkInv(t, s)
+	if got := s.Stats().EvictedBlocks; got != 1 {
+		t.Fatalf("evicted %d blocks, want 1", got)
+	}
+	if pa, pb := s.PlanAdmit(a, 16), s.PlanAdmit(b, 16); pa.Run != 1 || pb.Run != 2 {
+		t.Fatalf("A keeps %d blocks, B keeps %d, want 1/2", pa.Run, pb.Run)
+	}
+
+	// Resuming A promotes its surviving block and re-prefills the other.
+	ca := mustAdmit(t, s, a, 16)
+	if ca.PromotedBlocks != 1 || ca.NewBlocks != 1 || ca.SharedTokens != 8 {
+		t.Fatalf("A resumed with %d promoted, %d new, %d shared tokens; want 1/1/8",
+			ca.PromotedBlocks, ca.NewBlocks, ca.SharedTokens)
+	}
+	cb := mustAdmit(t, s, b, 16)
+	if cb.PromotedBlocks != 2 || cb.NewBlocks != 0 {
+		t.Fatalf("B resumed with %d promoted, %d new; want 2/0", cb.PromotedBlocks, cb.NewBlocks)
+	}
+	checkInv(t, s, a, b)
 }
 
 func TestResidentChainTokens(t *testing.T) {

@@ -228,14 +228,14 @@ func (s *Store) Admit(l *Lease, ctx int) (Cost, error) {
 		b := &s.blocks[id]
 		if b.tier == tierCold {
 			// All cold blocks are idle (refs>0 forces hot).
-			s.listRemove(&s.coldIdle[idleClass(b)], id)
+			s.listRemove(&s.coldIdle, id)
 			if err := s.promote(id, &c); err != nil {
 				s.pushIdle(id)
 				return c, err
 			}
 			c.PromotedBlocks++
 		} else if b.refs == 0 {
-			s.listRemove(&s.hotIdle[idleClass(b)], id)
+			s.listRemove(&s.hotIdle, id)
 			c.ReusedBlocks++
 			s.stats.ReusedBlocks++
 		} else {
@@ -246,7 +246,6 @@ func (s *Store) Admit(l *Lease, ctx int) (Cost, error) {
 			s.refHot++
 		}
 		b.refs++
-		b.shared = true
 		s.stats.Hits++
 		l.blocks = l.blocks[:i+1]
 		l.blocks[i] = id
@@ -394,12 +393,12 @@ func (s *Store) Park(l *Lease) Cost {
 
 // Commit retires a finished lease. Canonical sealed blocks stay resident and
 // indexed — they are the prefix cache future group members hit — moving to
-// the idle queues where eviction policy governs their lifetime. Private
-// blocks are freed: no future request can ever re-find them.
+// the idle queues, where eviction retires them least recently idled first.
+// Private blocks are freed: no future request can ever re-find them.
 func (s *Store) Commit(l *Lease) {
 	if !l.active {
 		// A parked lease holds no references; its surviving blocks age
-		// out of the idle queues under the eviction policy.
+		// out of the idle queues.
 		l.blocks = l.blocks[:0]
 		l.parked = false
 		return

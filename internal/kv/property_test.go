@@ -38,15 +38,13 @@ func driveBlockStore(t *testing.T, data []byte) Stats {
 	g1, _ := r.next()
 	g2, _ := r.next()
 	g3, _ := r.next()
-	g4, _ := r.next()
 
 	opt := Options{
 		BlockTokens: 2 + int(g1)%15,
 		Sharing:     true,
 		ColdFactor:  []float64{-1, 0, 1, 2}[int(g2)%4],
-		Policy:      []Policy{PolicyLRU, PolicyRefAware}[int(g3)%2],
 	}
-	hot := 2 + int(g4)%24
+	hot := 2 + int(g3)%24
 	s, err := NewStore(opt, hot, units.Bytes(units.MiB))
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
@@ -189,12 +187,12 @@ func TestBlockStoreProperties(t *testing.T) {
 }
 
 // FuzzBlockStore lets the fuzzer search for operation sequences that break
-// the conservation laws; the seed corpus covers both policies and the
-// park/resume/cancel paths.
+// the conservation laws; the seed corpus covers the park/resume/cancel
+// paths.
 func FuzzBlockStore(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{8, 0, 2, 0, 6, 0, 1, 200, 30, 0, 2, 100, 16, 1, 0, 0, 2, 0, 0, 3, 0, 0, 0})
-	f.Add([]byte{4, 1, 1, 1, 3, 6, 3, 90, 90, 6, 3, 90, 90, 2, 0, 0, 5, 0, 0, 4, 0, 0})
+	f.Add([]byte{8, 0, 0, 6, 0, 1, 200, 30, 0, 2, 100, 16, 1, 0, 0, 2, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{4, 1, 1, 3, 6, 3, 90, 90, 6, 3, 90, 90, 2, 0, 0, 5, 0, 0, 4, 0, 0})
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {
 		data := make([]byte, 24+rng.Intn(200))

@@ -10,7 +10,7 @@ import (
 // with a surviving group member keep their references and their cached
 // state, while exclusive blocks are lost.
 func TestSurrenderSharedBlocksSurvive(t *testing.T) {
-	opt := Options{BlockTokens: 4, Sharing: true, ColdFactor: 1, Policy: PolicyLRU}
+	opt := Options{BlockTokens: 4, Sharing: true, ColdFactor: 1}
 	s, err := NewStore(opt, 16, units.Bytes(units.MiB))
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
@@ -64,10 +64,10 @@ func TestSurrenderSharedBlocksSurvive(t *testing.T) {
 }
 
 // A parked lease holds no references; surrendering it clears the chain and
-// counts the lease, but its previously demoted blocks age out under the
-// eviction policy exactly as a committed parked lease's would.
+// counts the lease, but its previously demoted blocks age out of the idle
+// queue exactly as a committed parked lease's would.
 func TestSurrenderParkedLease(t *testing.T) {
-	opt := Options{BlockTokens: 4, Sharing: true, ColdFactor: 1, Policy: PolicyLRU}
+	opt := Options{BlockTokens: 4, Sharing: true, ColdFactor: 1}
 	s, err := NewStore(opt, 16, units.Bytes(units.MiB))
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)

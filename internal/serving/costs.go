@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"github.com/papi-sim/papi/internal/model"
 	"github.com/papi-sim/papi/internal/pim"
 	"github.com/papi-sim/papi/internal/units"
 )
@@ -25,7 +26,7 @@ type fcCost struct {
 // draftPrice is the memoized draft-model invocation: one unbatched FC
 // iteration of the draft model on whichever pool runs it. The visible
 // (overlap-discounted) time is derived per call — it depends only on this
-// plus the engine's TLP and DraftOverlap.
+// plus the engine's TLP and draftOverlap.
 type draftPrice struct {
 	valid  bool
 	per    units.Seconds
@@ -96,10 +97,15 @@ func (e *Engine) fcPricePIM(n int) fcCost {
 	return c
 }
 
+// draftOverlap is the fraction of draft-model time hidden under the previous
+// iteration's verification (pipelined drafting).
+const draftOverlap = 0.75
+
 // draftPriceFresh prices one draft-model FC iteration (§2.2.2) on whichever
-// pool runs it.
+// pool runs it. The paper does not name its draft model, so every target
+// drafts with OPT-125M, which keeps results comparable across models.
 func (e *Engine) draftPriceFresh() draftPrice {
-	k := e.draft.FCIterationKernel(1)
+	k := model.OPT125M().FCIterationKernel(1)
 	if e.Sys.HasGPU() {
 		g := e.Sys.GPU.Execute(k.Flops, k.WeightBytes)
 		return draftPrice{valid: true, per: g.Time, energy: g.Energy, onGPU: true}
@@ -192,7 +198,7 @@ func (e *Engine) priceWindow(p *windowPrice, rlp int, onPU bool) {
 		// under the previous iteration's verification.
 		d := e.draftMemoized()
 		serial := d.per.Seconds() * float64(e.Opt.TLP)
-		p.otherTime += units.Seconds(serial * (1 - e.Opt.DraftOverlap))
+		p.otherTime += units.Seconds(serial * (1 - draftOverlap))
 		p.draftEnergy, p.draftOnGPU = d.energy, d.onGPU
 	}
 }

@@ -92,7 +92,6 @@ func TestKVOptionsValidatedWithoutSharing(t *testing.T) {
 	for _, kvo := range []kv.Options{
 		{BlockTokens: -1},
 		{ColdFactor: math.NaN()},
-		{Policy: kv.Policy(9)},
 	} {
 		opt := DefaultOptions(1)
 		opt.KV = &kvo

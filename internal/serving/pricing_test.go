@@ -71,7 +71,7 @@ func priceFresh(e *Engine, active []*request, onPU bool) freshPrice {
 	w.otherTime = e.otherBase
 	if e.Opt.TLP > 1 {
 		d := e.draftPriceFresh()
-		w.otherTime += units.Seconds(d.per.Seconds() * float64(e.Opt.TLP) * (1 - e.Opt.DraftOverlap))
+		w.otherTime += units.Seconds(d.per.Seconds() * float64(e.Opt.TLP) * (1 - draftOverlap))
 		w.draftEnergy, w.draftOnGPU = d.energy, d.onGPU
 	}
 	return p

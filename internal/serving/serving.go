@@ -18,7 +18,6 @@ package serving
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/papi-sim/papi/internal/design"
@@ -39,16 +38,6 @@ type Options struct {
 	// AcceptanceRate is the per-token probability that the target model
 	// accepts a draft token (β).
 	AcceptanceRate float64
-	// Draft is the draft model; nil selects a small default when TLP > 1.
-	// The paper does not name its draft model; we default to an OPT-125M
-	// class draft for every target so results are comparable across models.
-	Draft *model.Config
-	// DraftOverlap is the fraction of draft-model time hidden under the
-	// previous iteration's verification (pipelined drafting).
-	DraftOverlap float64
-	// OtherPerIteration charges fixed per-iteration work: sampling, token
-	// gathering, embedding lookups.
-	OtherPerIteration units.Seconds
 	// Seed drives the acceptance sampling.
 	Seed int64
 	// DiscardCompleted drops finished requests instead of retaining them
@@ -75,11 +64,9 @@ type Options struct {
 // DefaultOptions returns the configuration used by the figure reproductions.
 func DefaultOptions(tlp int) Options {
 	return Options{
-		TLP:               tlp,
-		AcceptanceRate:    0.8,
-		DraftOverlap:      0.75,
-		OtherPerIteration: units.Microseconds(120),
-		Seed:              1,
+		TLP:            tlp,
+		AcceptanceRate: 0.8,
+		Seed:           1,
 	}
 }
 
@@ -91,12 +78,6 @@ func (o Options) validate() error {
 	// rejected with them.
 	if !(o.AcceptanceRate >= 0 && o.AcceptanceRate <= 1) {
 		return fmt.Errorf("serving: AcceptanceRate %v outside [0,1]", o.AcceptanceRate)
-	}
-	if !(o.DraftOverlap >= 0 && o.DraftOverlap <= 1) {
-		return fmt.Errorf("serving: DraftOverlap %v outside [0,1]", o.DraftOverlap)
-	}
-	if !(o.OtherPerIteration >= 0) || math.IsInf(o.OtherPerIteration.Seconds(), 1) {
-		return fmt.Errorf("serving: OtherPerIteration %v must be finite and ≥ 0", o.OtherPerIteration)
 	}
 	return nil
 }
@@ -191,8 +172,7 @@ type Engine struct {
 	Cfg model.Config
 	Opt Options
 
-	draft model.Config
-	rng   *rand.Rand
+	rng *rand.Rand
 
 	// puCache/pimCache/draftCache memoize the engine's kernel pricings (see
 	// memoFC), filled on first demand per (placement, n).
@@ -239,17 +219,11 @@ func New(sys *design.System, cfg model.Config, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{Sys: sys, Cfg: cfg, Opt: opt}
-	if opt.Draft != nil {
-		e.draft = *opt.Draft
-	} else {
-		e.draft = model.OPT125M()
-	}
-	if err := e.draft.Validate(); err != nil {
-		return nil, fmt.Errorf("serving: draft model: %w", err)
-	}
-	// Search-based placement policies pay their decision latency on the
-	// critical path (§8's SpecPIM argument); PAPI's predictor is free.
-	e.otherBase = opt.OtherPerIteration
+	// Every iteration pays fixed work (sampling, token gathering, embedding
+	// lookups), and search-based placement policies add their decision
+	// latency on the critical path (§8's SpecPIM argument); PAPI's
+	// predictor is free.
+	e.otherBase = units.Microseconds(120)
 	if cp, ok := sys.Policy.(sched.CostedPolicy); ok {
 		e.otherBase += cp.DecisionCost()
 	}

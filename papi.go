@@ -260,7 +260,7 @@ func ImportTrace(data []byte) (Trace, error) { return workload.ImportTrace(data)
 // Serving.
 
 // Options configures a serving run (speculation length, acceptance rate,
-// draft model, seeds).
+// seeds).
 type Options = serving.Options
 
 // Result reports one serving run: latency, energy ledger, phase breakdown,
@@ -284,28 +284,16 @@ func NewEngine(sys *System, cfg Model, opt Options) (*Engine, error) {
 type Stepper = serving.Stepper
 
 // KVOptions configures the block-level KV cache (block size, prefix
-// sharing, cold-tier sizing, eviction policy); set Options.KV to enable it.
+// sharing, cold-tier sizing); set Options.KV to enable it.
 type KVOptions = kv.Options
 
 // KVStats is a serving run's block-cache ledger: prefix-index hits, adopted
 // tokens, tier motion, and host-link transfer totals.
 type KVStats = kv.Stats
 
-// KVPolicy selects the deterministic eviction order over idle blocks.
-type KVPolicy = kv.Policy
-
-// Eviction policies for KVOptions.Policy.
-const (
-	KVPolicyLRU      = kv.PolicyLRU
-	KVPolicyRefAware = kv.PolicyRefAware
-)
-
 // DefaultKVOptions returns the block-cache defaults (32-token blocks,
 // sharing on, 4× cold tier).
 func DefaultKVOptions() KVOptions { return kv.DefaultOptions() }
-
-// KVPolicyByName resolves an eviction policy by its display name.
-func KVPolicyByName(name string) (KVPolicy, error) { return kv.PolicyByName(name) }
 
 // RequestMetrics is one request's latency experience (TTFT, TPOT,
 // completion).
@@ -405,8 +393,7 @@ func RouterByName(name string) (Router, error) { return cluster.RouterByName(nam
 
 // AutoscaleOptions configures the elastic control loop: replica bounds,
 // control period, warm-up/cool-down latencies, the defended SLO, and the
-// windowed signal thresholds (queue depth, p95 TPOT, KV pressure, arrival
-// rate).
+// windowed signal thresholds (queue depth, p95 TPOT, arrival rate).
 type AutoscaleOptions = cluster.AutoscaleOptions
 
 // ScaleEvent is one elastic transition with the windowed signals that drove
