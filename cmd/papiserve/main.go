@@ -268,6 +268,11 @@ func serve(o options) error {
 		if err != nil {
 			return err
 		}
+		// A plan without a fault arms no failure machinery, so without a
+		// -timeout nothing can fail for -retries to retry.
+		if plan.Empty() && o.timeoutS == 0 && o.retries != d.retries {
+			return fmt.Errorf("-retries only applies with -faults or -timeout: fault plan %q holds no fault", plan.Name)
+		}
 		fmt.Printf("injecting fault plan %q (%d faults)\n", plan.Name, len(plan.Faults))
 		copt.Faults = &plan
 	}

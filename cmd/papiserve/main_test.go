@@ -15,6 +15,10 @@ import (
 func TestRunRejectsBadFlags(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	trace := writeTrace(t)
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := os.WriteFile(empty, []byte(`{"name":"empty","seed":1,"faults":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// replay points a run at the saved trace, leaving -requests at its
 	// default as a replay must.
 	replay := func(o *options) { o.traceIn, o.requests = trace, defaultOptions().requests }
@@ -73,6 +77,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			o.rate, o.requests, o.classes = 5, 3, 0.4
 		}, "-rate, -classes, -requests"},
 		{"retries without faults or timeout", func(o *options) { o.retries = 7 }, "-retries"},
+		{"retries with an empty fault plan", func(o *options) { o.faults, o.retries = empty, 7 }, "-retries"},
 		{"sweep with retries", func(o *options) { o.sweep, o.retries = "5", 7 }, "-retries"},
 	} {
 		o := testOptions()

@@ -852,6 +852,9 @@ func (c *Cluster) run(next func() (workload.Request, bool), plan *convPlan, driv
 		return nil, err
 	}
 	r.plan = plan
+	if plan != nil {
+		plan.launchNext = func(now units.Seconds) { plan.launch(r, now) }
+	}
 	f := r.newFeed(next)
 	f.schedule(first)
 	drive(r)
@@ -1001,6 +1004,13 @@ type convPlan struct {
 	// of), so follow-ups add no entries.
 	byBase map[int]*convState
 	turns  int // turns in the whole plan
+	// armed holds the follow-up turns on the kernel in a min-heap on
+	// (instant, arming order); arming counts them. The kernel holds one item
+	// per follow-up, each with the one event launchNext, and fires them in
+	// that same order, so every firing launches the heap's first turn.
+	armed      followHeap
+	arming     uint64
+	launchNext sim.Event
 }
 
 // convState tracks one closed-loop conversation through a fleet run: which
@@ -1103,10 +1113,10 @@ func (p *convPlan) failed(z *resilience, req workload.Request, at units.Seconds)
 }
 
 // finished runs on the replica that completed a turn, mid-phase, so it
-// writes only that replica, the conversation pinned to it and the kernel.
-// It puts the conversation's next turn on the kernel, think-time after the
-// completion, and returns its instant; a finished conversation releases its
-// hold instead and returns +Inf.
+// writes only that replica, the conversation pinned to it, the plan's armed
+// follow-ups and the kernel. It arms the conversation's next turn,
+// think-time after the completion, and returns its instant; a finished
+// conversation releases its hold instead and returns +Inf.
 func (p *convPlan) finished(r *fleetRun, rep *Replica, req workload.Request) units.Seconds {
 	st := p.of(req)
 	if st.next >= len(st.conv.Turns) {
@@ -1127,19 +1137,21 @@ func (p *convPlan) finished(r *fleetRun, rep *Replica, req workload.Request) uni
 		PrefixLen:    req.SeqLen(),
 	}
 	st.next++
-	r.kernel.At(follow.Arrival, func(now units.Seconds) {
-		p.launch(r, st, follow, now)
-	})
+	p.arming++
+	p.armed.push(followUp{seq: p.arming, st: st, req: follow})
+	r.kernel.At(follow.Arrival, p.launchNext)
 	return follow.Arrival
 }
 
-// launch injects a follow-up turn on its conversation's replica. When the
-// pinned replica died between turns, the turn is routed like a fresh
-// arrival and the conversation re-pins to wherever it lands.
-func (p *convPlan) launch(r *fleetRun, st *convState, follow workload.Request, now units.Seconds) {
+// launch injects the earliest armed follow-up turn on its conversation's
+// replica. When the pinned replica died between turns, the turn is routed
+// like a fresh arrival and the conversation re-pins to wherever it lands.
+func (p *convPlan) launch(r *fleetRun, now units.Seconds) {
+	f := p.armed.pop()
 	if r.err != nil {
 		return
 	}
+	st, follow := f.st, f.req
 	rep := st.rep
 	if rep == nil || rep.state == repFailed || rep.state == repStopped {
 		if nrep := r.route(follow, now); nrep != nil {
@@ -1152,4 +1164,57 @@ func (p *convPlan) launch(r *fleetRun, st *convState, follow workload.Request, n
 		return
 	}
 	r.inject(rep, follow, now)
+}
+
+// followUp is one armed follow-up turn: its conversation and request, and
+// its arming order.
+type followUp struct {
+	seq uint64
+	st  *convState
+	req workload.Request
+}
+
+// followHeap is a binary min-heap of armed follow-up turns on (arrival,
+// seq).
+type followHeap []followUp
+
+func (h followHeap) less(i, j int) bool {
+	a, b := h[i].req.Arrival, h[j].req.Arrival
+	return a < b || a == b && h[i].seq < h[j].seq
+}
+
+func (h *followHeap) push(f followUp) {
+	*h = append(*h, f)
+	for i := len(*h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		i = parent
+	}
+}
+
+func (h *followHeap) pop() followUp {
+	old := *h
+	last := len(old) - 1
+	f := old[0]
+	old[0] = old[last]
+	old[last] = followUp{}
+	*h = old[:last]
+	for i := 0; ; {
+		least := 2*i + 1
+		if least >= last {
+			break
+		}
+		if r := least + 1; r < last && h.less(r, least) {
+			least = r
+		}
+		if !h.less(least, i) {
+			break
+		}
+		(*h)[i], (*h)[least] = (*h)[least], (*h)[i]
+		i = least
+	}
+	return f
 }

@@ -12,6 +12,7 @@ package cluster
 import (
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/serving"
+	"github.com/papi-sim/papi/internal/sim"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -40,8 +41,17 @@ type resilience struct {
 	retries int
 	backoff units.Seconds
 
-	// track holds the ledger entry of every unresolved request by ID.
+	// track holds the ledger entry of every unresolved request by ID, and
+	// spare the resolved entries newTrack reuses.
 	track map[int]*reqTrack
+	spare []*reqTrack
+	// deadlines holds the armed timeouts, oldest first, in
+	// deadlines[dlHead:]. The kernel holds one item per deadline, each with
+	// the one event expire, and fires them in arming order (see
+	// noteInject), so every firing checks the head.
+	deadlines []deadline
+	dlHead    int
+	expire    sim.Event
 	// waiting holds casualties with no live replica to land on; they flush
 	// (in arrival order) when the autoscaler activates a replacement.
 	waiting []workload.Request
@@ -66,9 +76,12 @@ type resilience struct {
 	failures   []FailedRequest
 }
 
+// deadline is one armed timeout: the attempt of a request it expires.
+type deadline struct{ id, attempt int }
+
 func newResilience(r *fleetRun) *resilience {
 	opt := r.c.opt
-	return &resilience{
+	z := &resilience{
 		run:     r,
 		plan:    opt.Faults,
 		timeout: opt.Timeout,
@@ -77,6 +90,27 @@ func newResilience(r *fleetRun) *resilience {
 		track:   make(map[int]*reqTrack),
 		slow:    make(map[int][]float64),
 	}
+	z.expire = z.expireHead
+	return z
+}
+
+// newTrack files a ledger entry for a request, reusing a resolved one.
+func (z *resilience) newTrack(id int) *reqTrack {
+	var t *reqTrack
+	if n := len(z.spare); n > 0 {
+		t, z.spare = z.spare[n-1], z.spare[:n-1]
+		*t = reqTrack{}
+	} else {
+		t = new(reqTrack)
+	}
+	z.track[id] = t
+	return t
+}
+
+// resolve closes a request's ledger entry and keeps it for reuse.
+func (z *resilience) resolve(id int, t *reqTrack) {
+	delete(z.track, id)
+	z.spare = append(z.spare, t)
 }
 
 // schedulePlan arms every fault's kernel events, in plan order (the kernel
@@ -242,8 +276,8 @@ func (z *resilience) flushParked(now units.Seconds) {
 func (z *resilience) strand(req workload.Request, now units.Seconds) {
 	t := z.track[req.ID]
 	if t == nil {
-		t = &reqTrack{cur: req}
-		z.track[req.ID] = t
+		t = z.newTrack(req.ID)
+		t.cur = req
 	}
 	if z.run.scaler == nil {
 		z.fail(t, req, "no-replicas", now)
@@ -253,24 +287,36 @@ func (z *resilience) strand(req workload.Request, now units.Seconds) {
 }
 
 // noteInject records an attempt and, with a timeout configured, arms its
-// deadline. The deadline captures the attempt number so a stale event —
-// the request completed or failed, or the attempt was already retried — is
-// a no-op.
+// deadline. The deadline carries the attempt number so a stale one — the
+// request completed or failed, or the attempt was already retried — is a
+// no-op; it stays on the kernel until its instant all the same. Every
+// injection runs in a kernel event at now, and the kernel's instants never
+// decrease, so deadlines, all one timeout later, are armed in firing order.
 func (z *resilience) noteInject(rep *Replica, req workload.Request, now units.Seconds) {
 	t := z.track[req.ID]
 	if t == nil {
-		t = &reqTrack{}
-		z.track[req.ID] = t
+		t = z.newTrack(req.ID)
 	}
 	t.attempts++
 	t.rep = rep
 	t.cur = req
 	if z.timeout > 0 {
-		attempt := t.attempts
-		z.run.kernel.At(now+z.timeout, func(tnow units.Seconds) {
-			z.checkTimeout(req.ID, attempt, tnow)
-		})
+		// Reclaim the expired prefix once it is half the queue, so the
+		// queue stays within twice the deadlines in flight.
+		if z.dlHead > 0 && 2*z.dlHead >= len(z.deadlines) {
+			n := copy(z.deadlines, z.deadlines[z.dlHead:])
+			z.deadlines, z.dlHead = z.deadlines[:n], 0
+		}
+		z.deadlines = append(z.deadlines, deadline{req.ID, t.attempts})
+		z.run.kernel.At(now+z.timeout, z.expire)
 	}
+}
+
+// expireHead is the deadline event: it checks the oldest armed deadline.
+func (z *resilience) expireHead(now units.Seconds) {
+	d := z.deadlines[z.dlHead]
+	z.dlHead++
+	z.checkTimeout(d.id, d.attempt, now)
 }
 
 // checkTimeout cancels an attempt still outstanding at its deadline and
@@ -301,7 +347,9 @@ func (z *resilience) checkTimeout(id, attempt int, now units.Seconds) {
 // finished the request calls it, before the next kernel event, so a stale
 // timeout at the barrier finds no entry.
 func (z *resilience) finished(id int) {
-	delete(z.track, id)
+	if t := z.track[id]; t != nil {
+		z.resolve(id, t)
+	}
 }
 
 // handleCasualty applies the bounded-retry policy to one lost attempt: the
@@ -313,8 +361,8 @@ func (z *resilience) handleCasualty(c serving.Casualty, now units.Seconds, reaso
 	z.lostTokens += c.Generated
 	t := z.track[c.Request.ID]
 	if t == nil {
-		t = &reqTrack{attempts: 1, cur: c.Request}
-		z.track[c.Request.ID] = t
+		t = z.newTrack(c.Request.ID)
+		t.attempts, t.cur = 1, c.Request
 	}
 	t.rep = nil
 	if t.attempts > z.retries {
@@ -393,10 +441,10 @@ func (z *resilience) flushWaiting(now units.Seconds) {
 // fail closes a request's ledger entry as terminally failed; a failed
 // conversation turn abandons the rest of its conversation.
 func (z *resilience) fail(t *reqTrack, req workload.Request, reason string, at units.Seconds) {
-	delete(z.track, req.ID)
 	z.failures = append(z.failures, FailedRequest{
 		ID: req.ID, Class: req.Class, Attempts: t.attempts, Reason: reason, At: at,
 	})
+	z.resolve(req.ID, t)
 	if z.run.plan != nil {
 		z.run.plan.failed(z, req, at)
 	}

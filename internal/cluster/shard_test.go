@@ -836,103 +836,140 @@ func TestRunSeqValidation(t *testing.T) {
 // in, a run keeps no per-request records, no realised stream and no
 // per-iteration trace on any replica, yet the completion count, latency
 // digests, attainment, every other field of every replica's Result and the
-// printed fleet table all match the retained run's bit for bit. The churn
-// row runs an autoscaled fleet under a crash, retries and per-attempt
-// timeouts, so replicas booted mid-run and failed over are covered too.
+// printed fleet table all match the retained run's bit for bit (see
+// matchRetention). The churn row runs an autoscaled fleet under a crash,
+// retries and per-attempt timeouts, so replicas booted mid-run and failed
+// over are covered too. The chat row runs a conversation plan with block-KV
+// sharing at TLP 4 under timeouts, so the records and leases a
+// constant-memory replica reuses, the follow-up turns and the deadlines all
+// run against their retained twins.
 func TestConstantMemoryDefaults(t *testing.T) {
 	slo := workload.SLO{TokenLatency: units.Milliseconds(10)}
 	crash := &faults.Plan{Name: "crash", Faults: []faults.Fault{
 		{Kind: faults.KindCrash, Replica: 1, At: 1.5},
 	}}
+	chat := serving.DefaultOptions(4)
+	chat.KV = sharingKV()
 	for _, tc := range []struct {
-		name string
-		opt  Options
-		reqs []workload.Request
+		name  string
+		opt   Options
+		reqs  []workload.Request
+		convs []workload.Conversation
 	}{
-		{"static", Options{Replicas: 2, MaxBatch: 8}, tieredStream(t, 64, 17)},
-		{"churn", Options{Replicas: 2, MaxBatch: 6,
+		{"static", Options{Replicas: 2, MaxBatch: 8, Serving: serving.DefaultOptions(1)}, tieredStream(t, 64, 17), nil},
+		{"churn", Options{Replicas: 2, MaxBatch: 6, Serving: serving.DefaultOptions(1),
 			Autoscale: DefaultAutoscale(2, 5, slo),
 			Faults:    crash, Retries: 1, RetryBackoff: units.Seconds(0.05), Timeout: units.Seconds(2),
-		}, tieredStream(t, 96, 23)},
+		}, tieredStream(t, 96, 23), nil},
+		{"chat", Options{Replicas: 2, MaxBatch: 8, Serving: chat,
+			Retries: 1, RetryBackoff: units.Seconds(0.05), Timeout: units.Seconds(0.25),
+		}, nil, chatPlan(t, 24, 5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(retain bool) *FleetResult {
 				opt := tc.opt
-				opt.Router, opt.Serving = LeastOutstanding(), serving.DefaultOptions(1)
+				opt.Router = LeastOutstanding()
 				opt.RetainRequests, opt.RetainStream = retain, retain
 				c, err := New(newPAPI, model.LLaMA65B(), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				f, err := c.Run(tc.reqs)
+				f, err := runDriven(c, tc.reqs, tc.convs, (*fleetRun).drain)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return f
 			}
 			lean, full := run(false), run(true)
-			if len(lean.Requests) != 0 || len(lean.Stream) != 0 {
-				t.Fatalf("default run retained %d records, %d stream entries", len(lean.Requests), len(lean.Stream))
-			}
-			// The realised stream holds every arrival at least once; a retry
-			// re-enters it, so only the static row pins it exactly (below).
-			if lean.Completed != full.Completed || len(full.Requests) != full.Completed || len(full.Stream) < len(tc.reqs) {
-				t.Fatalf("completed %d / %d, opt-in run retained %d records and %d stream entries for %d arrivals",
-					lean.Completed, full.Completed, len(full.Requests), len(full.Stream), len(tc.reqs))
-			}
-			if lean.TTFT != full.TTFT || lean.TPOT != full.TPOT {
-				t.Errorf("digests diverged across retention:\n lean %+v %+v\n full %+v %+v", lean.TTFT, lean.TPOT, full.TTFT, full.TPOT)
-			}
-			if a, b := lean.Attainment(slo), full.Attainment(slo); a != b {
-				t.Errorf("attainment diverged across retention: %v vs %v", a, b)
-			}
-			for _, class := range []workload.Class{workload.ClassInteractive, workload.ClassBatch} {
-				if a, b := lean.AttainmentClass(slo, class), full.AttainmentClass(slo, class); a != b {
-					t.Errorf("%v attainment diverged across retention: %v vs %v", class, a, b)
+			matchRetention(t, tc.name, slo, lean, full)
+			timeouts, abandoned := 0, 0
+			for _, fr := range full.FailedRequests {
+				switch fr.Reason {
+				case "timeout":
+					timeouts++
+				case "abandoned":
+					abandoned++
 				}
 			}
-			if len(lean.Replicas) != len(full.Replicas) {
-				t.Fatalf("%d replicas without retention, %d with", len(lean.Replicas), len(full.Replicas))
+			// The realised stream holds every arrival at least once, but for
+			// the turns a failed turn abandoned; a retry re-enters it, so only
+			// the static row pins it exactly (below).
+			sent := len(tc.reqs) + workload.TotalTurns(tc.convs)
+			if len(full.Stream) < sent-abandoned {
+				t.Fatalf("opt-in run retained %d stream entries for %d arrivals, %d abandoned",
+					len(full.Stream), sent, abandoned)
 			}
-			for k := range full.Replicas {
-				l, f := lean.Replicas[k], full.Replicas[k]
-				if cap(l.RLPTrace) != 0 || cap(l.IterStats) != 0 {
-					t.Errorf("replica %d holds traces of capacity %d and %d without retention",
-						k, cap(l.RLPTrace), cap(l.IterStats))
-				}
+			for k, f := range full.Replicas {
 				if len(f.RLPTrace) == 0 || len(f.IterStats) == 0 {
 					t.Errorf("replica %d recorded no trace with retention", k)
 				}
-				for _, res := range []*serving.Result{&l, &f} {
-					res.Requests, res.RLPTrace, res.IterStats = nil, nil, nil
-				}
-				if !reflect.DeepEqual(l, f) {
-					t.Errorf("replica %d diverged across retention beyond records and traces:\n lean %+v\n full %+v", k, l, f)
-				}
 			}
-			if a, b := lean.String(), full.String(); a != b {
-				t.Errorf("fleet table diverged across retention:\n lean:\n%s\n full:\n%s", a, b)
-			}
-			if tc.opt.Autoscale == nil {
-				if full.Completed != len(tc.reqs) || len(full.Stream) != len(tc.reqs) {
+			switch tc.name {
+			case "static":
+				if full.Completed != sent || len(full.Stream) != sent {
 					t.Fatalf("completed %d, retained %d stream entries, want %d of each",
-						full.Completed, len(full.Stream), len(tc.reqs))
+						full.Completed, len(full.Stream), sent)
 				}
-				return
-			}
-			// The churn row must churn: a crash, timeouts, and replicas
-			// booted mid-run.
-			timeouts := 0
-			for _, fr := range full.FailedRequests {
-				if fr.Reason == "timeout" {
-					timeouts++
+			case "churn":
+				// The churn row must churn: a crash, timeouts, and replicas
+				// booted mid-run.
+				if full.Faults == 0 || timeouts == 0 || len(full.Replicas) <= tc.opt.Replicas {
+					t.Fatalf("%d faults, %d timeouts, %d replicas from %d: the churn row does not churn",
+						full.Faults, timeouts, len(full.Replicas), tc.opt.Replicas)
 				}
-			}
-			if full.Faults == 0 || timeouts == 0 || len(full.Replicas) <= tc.opt.Replicas {
-				t.Fatalf("%d faults, %d timeouts, %d replicas from %d: the churn row does not churn",
-					full.Faults, timeouts, len(full.Replicas), tc.opt.Replicas)
+			case "chat":
+				// Every turn completes or is accounted failed; turns adopt
+				// their carried context, and some attempts time out.
+				if full.Completed+len(full.FailedRequests) != sent || sharedTokens(full) == 0 || timeouts == 0 {
+					t.Fatalf("%d completed and %d failed of %d turns, %d shared tokens, %d timeouts",
+						full.Completed, len(full.FailedRequests), sent, sharedTokens(full), timeouts)
+				}
 			}
 		})
+	}
+}
+
+// matchRetention fails unless a run without retention (lean) matches the
+// same run with it (full) everywhere but the records, the realised stream
+// and the per-iteration traces, which lean must not hold.
+func matchRetention(t *testing.T, label string, slo workload.SLO, lean, full *FleetResult) {
+	t.Helper()
+	if len(lean.Requests) != 0 || len(lean.Stream) != 0 {
+		t.Fatalf("%s: default run retained %d records, %d stream entries", label, len(lean.Requests), len(lean.Stream))
+	}
+	if lean.Completed != full.Completed || len(full.Requests) != full.Completed {
+		t.Fatalf("%s: completed %d / %d, opt-in run retained %d records",
+			label, lean.Completed, full.Completed, len(full.Requests))
+	}
+	if lean.TTFT != full.TTFT || lean.TPOT != full.TPOT {
+		t.Errorf("%s: digests diverged across retention:\n lean %+v %+v\n full %+v %+v", label, lean.TTFT, lean.TPOT, full.TTFT, full.TPOT)
+	}
+	if a, b := lean.Attainment(slo), full.Attainment(slo); a != b {
+		t.Errorf("%s: attainment diverged across retention: %v vs %v", label, a, b)
+	}
+	for _, class := range []workload.Class{workload.ClassInteractive, workload.ClassBatch} {
+		if a, b := lean.AttainmentClass(slo, class), full.AttainmentClass(slo, class); a != b {
+			t.Errorf("%s: %v attainment diverged across retention: %v vs %v", label, class, a, b)
+		}
+	}
+	if len(lean.Replicas) != len(full.Replicas) {
+		t.Fatalf("%s: %d replicas without retention, %d with", label, len(lean.Replicas), len(full.Replicas))
+	}
+	for k := range full.Replicas {
+		l, f := lean.Replicas[k], full.Replicas[k]
+		if cap(l.RLPTrace) != 0 || cap(l.IterStats) != 0 {
+			t.Errorf("%s: replica %d holds traces of capacity %d and %d without retention",
+				label, k, cap(l.RLPTrace), cap(l.IterStats))
+		}
+		for _, res := range []*serving.Result{&l, &f} {
+			res.Requests, res.RLPTrace, res.IterStats = nil, nil, nil
+		}
+		if !reflect.DeepEqual(l, f) {
+			t.Errorf("%s: replica %d diverged across retention beyond records and traces:\n lean %+v\n full %+v", label, k, l, f)
+		}
+	}
+	if a, b := lean.String(), full.String(); a != b {
+		t.Errorf("%s: fleet table diverged across retention:\n lean:\n%s\n full:\n%s", label, a, b)
 	}
 }
 
@@ -983,7 +1020,8 @@ func TestVacuousScores(t *testing.T) {
 // per-attempt timeouts, so barrier-scheduled failure events are fuzzed
 // against the reference failure trace. The sharing axis turns on block-KV
 // prefix sharing and, for open-loop streams, deals half the requests into
-// shared-prefix groups.
+// shared-prefix groups. Every case also runs without retention, and must
+// match the retaining run as TestConstantMemoryDefaults pins it.
 func FuzzShardedEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(2), false, uint8(0), uint8(0), false, false, false, false)
 	f.Add(int64(7), uint8(40), uint8(3), true, uint8(0), uint8(0), false, false, false, false)
@@ -1071,7 +1109,17 @@ func FuzzShardedEquivalence(f *testing.F) {
 			}
 			return c
 		}
-		matchDrivers(t, fmt.Sprintf("fuzz (seed=%d n=%d replicas=%d elastic=%v fault=%d at=%v timeout=%v plan=%v clock=%v sharing=%v)",
-			seed, nreq, reps, elastic, fault%4, at, timeout, plan, clock, sharing), build, reqs, convs)
+		label := fmt.Sprintf("fuzz (seed=%d n=%d replicas=%d elastic=%v fault=%d at=%v timeout=%v plan=%v clock=%v sharing=%v)",
+			seed, nreq, reps, elastic, fault%4, at, timeout, plan, clock, sharing)
+		full := matchDrivers(t, label, build, reqs, convs)
+		// The same fleet in the constant-memory default, which reuses its
+		// completed records and leases, must match the retaining run.
+		c := build()
+		c.opt.RetainRequests, c.opt.RetainStream = false, false
+		lean, err := runDriven(c, reqs, convs, (*fleetRun).drain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchRetention(t, label, workload.SLO{TokenLatency: units.Milliseconds(8)}, lean, full)
 	})
 }

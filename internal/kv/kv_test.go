@@ -39,6 +39,13 @@ func mustAdmit(t *testing.T, s *Store, l *Lease, ctx int) Cost {
 	return c
 }
 
+// newLease initialises a fresh lease.
+func newLease(s *Store, group, salt int64, prefixTokens, maxTokens int, grows bool) *Lease {
+	l := new(Lease)
+	s.InitLease(l, group, salt, prefixTokens, maxTokens, grows)
+	return l
+}
+
 func checkInv(t *testing.T, s *Store, active ...*Lease) {
 	t.Helper()
 	if err := s.CheckInvariants(active); err != nil {
@@ -81,14 +88,14 @@ func TestPrefixAdoption(t *testing.T) {
 	s := testStore(t, shareOpt())
 	// 20 tokens with a 16-token shared prefix: blocks 0,1 canonical
 	// (sealed at 8 and 16), block 2 a private tail.
-	a := s.NewLease(7, 1, 16, 24, false)
+	a := newLease(s, 7, 1, 16, 24, false)
 	ca := mustAdmit(t, s, a, 20)
 	if ca.SharedTokens != 0 || ca.NewBlocks != 3 {
 		t.Fatalf("first admission shared %d new %d, want 0/3", ca.SharedTokens, ca.NewBlocks)
 	}
 	checkInv(t, s, a)
 
-	b := s.NewLease(7, 2, 16, 24, false)
+	b := newLease(s, 7, 2, 16, 24, false)
 	cb := mustAdmit(t, s, b, 20)
 	if cb.SharedTokens != 16 || cb.ReusedBlocks != 2 || cb.NewBlocks != 1 {
 		t.Fatalf("second admission shared %d reused %d new %d, want 16/2/1",
@@ -97,7 +104,7 @@ func TestPrefixAdoption(t *testing.T) {
 	checkInv(t, s, a, b)
 
 	// A lease from another group shares nothing.
-	c := s.NewLease(9, 3, 16, 24, false)
+	c := newLease(s, 9, 3, 16, 24, false)
 	if p := s.PlanAdmit(c, 20); p.Run != 0 {
 		t.Fatalf("cross-group plan found run %d, want 0", p.Run)
 	}
@@ -106,7 +113,7 @@ func TestPrefixAdoption(t *testing.T) {
 	s.Commit(b)
 	checkInv(t, s)
 	// Canonical blocks stay resident: a third group member still hits.
-	d := s.NewLease(7, 4, 16, 24, false)
+	d := newLease(s, 7, 4, 16, 24, false)
 	if p := s.PlanAdmit(d, 20); p.Run != 2 || p.AdoptIdle != 2 {
 		t.Fatalf("post-commit plan run %d adoptIdle %d, want 2/2", p.Run, p.AdoptIdle)
 	}
@@ -116,7 +123,7 @@ func TestPrefixAdoption(t *testing.T) {
 // generated) canonically, so the follow-up turn adopts all full blocks.
 func TestConversationCarry(t *testing.T) {
 	s := testStore(t, shareOpt())
-	turn1 := s.NewLease(-3, 1, 0, 24, true)
+	turn1 := newLease(s, -3, 1, 0, 24, true)
 	mustAdmit(t, s, turn1, 10) // prefill 10
 	if err := s.Extend(turn1, 24); err != nil {
 		t.Fatalf("Extend: %v", err)
@@ -127,7 +134,7 @@ func TestConversationCarry(t *testing.T) {
 
 	// Follow-up carries the 24 tokens and adds 8 of input: 32-token
 	// context, the carried 24 ≡ blocks 0..2 all resident.
-	turn2 := s.NewLease(-3, 2, 24, 40, true)
+	turn2 := newLease(s, -3, 2, 24, 40, true)
 	c2 := mustAdmit(t, s, turn2, 32)
 	if c2.SharedTokens != 24 {
 		t.Fatalf("follow-up shared %d tokens, want 24", c2.SharedTokens)
@@ -139,7 +146,7 @@ func TestConversationCarry(t *testing.T) {
 // resumption promotes back and re-prefills only the dropped tail.
 func TestParkResume(t *testing.T) {
 	s := testStore(t, shareOpt())
-	l := s.NewLease(-1, 1, 0, 24, true)
+	l := newLease(s, -1, 1, 0, 24, true)
 	mustAdmit(t, s, l, 10)
 	if err := s.Extend(l, 20); err != nil {
 		t.Fatalf("Extend: %v", err)
@@ -178,14 +185,14 @@ func TestParkResume(t *testing.T) {
 // refused rather than evicting referenced state.
 func TestEvictionRespectsRefs(t *testing.T) {
 	s := testStore(t, shareOpt())
-	a := s.NewLease(0, 1, 0, 32, false) // 4 blocks held + 0 growth at full
+	a := newLease(s, 0, 1, 0, 32, false) // 4 blocks held + 0 growth at full
 	mustAdmit(t, s, a, 32)
-	b := s.NewLease(0, 2, 0, 32, false)
+	b := newLease(s, 0, 2, 0, 32, false)
 	mustAdmit(t, s, b, 32)
 	if s.CommittedBlocks() != 8 {
 		t.Fatalf("committed %d, want 8", s.CommittedBlocks())
 	}
-	c := s.NewLease(0, 3, 0, 8, false)
+	c := newLease(s, 0, 3, 0, 8, false)
 	if s.CanAdmit(s.PlanAdmit(c, 8)) {
 		t.Fatal("admission accepted with zero free commitment")
 	}
@@ -226,29 +233,29 @@ func TestReadoptionRefreshesIdleAge(t *testing.T) {
 
 	// Fill all 8 hot slots with idle canonical blocks: group 1's two
 	// blocks go idle first, then group 2's two, then group 3 holds 4.
-	g1 := s.NewLease(1, 1, 16, 16, false)
+	g1 := newLease(s, 1, 1, 16, 16, false)
 	mustAdmit(t, s, g1, 16)
-	g2 := s.NewLease(2, 2, 16, 16, false)
+	g2 := newLease(s, 2, 2, 16, 16, false)
 	mustAdmit(t, s, g2, 16)
 	s.Commit(g1)
 	s.Commit(g2)
 	// Re-touch group 1 so its blocks go idle again, after group 2's.
-	r1 := s.NewLease(1, 3, 16, 16, false)
+	r1 := newLease(s, 1, 3, 16, 16, false)
 	mustAdmit(t, s, r1, 16)
 	s.Commit(r1)
-	g3 := s.NewLease(3, 4, 16, 32, false)
+	g3 := newLease(s, 3, 4, 16, 32, false)
 	mustAdmit(t, s, g3, 32)
 	checkInv(t, s, g3)
 
 	// 4 idle blocks remain: group 1 (most recently idled) and group 2
 	// (idled earlier). A 2-block admission must evict two.
-	v := s.NewLease(4, 5, 0, 16, false)
+	v := newLease(s, 4, 5, 0, 16, false)
 	mustAdmit(t, s, v, 16)
 	checkInv(t, s, g3, v)
 
 	// Oldest idles are group 2's: they died, group 1 survives.
-	p1 := s.PlanAdmit(s.NewLease(1, 6, 16, 16, false), 16)
-	p2 := s.PlanAdmit(s.NewLease(2, 7, 16, 16, false), 16)
+	p1 := s.PlanAdmit(newLease(s, 1, 6, 16, 16, false), 16)
+	p2 := s.PlanAdmit(newLease(s, 2, 7, 16, 16, false), 16)
 	if p1.Run != 2 || p2.Run != 0 {
 		t.Fatalf("group1 run %d group2 run %d, want 2/0", p1.Run, p2.Run)
 	}
@@ -262,24 +269,24 @@ func TestLRUEvictsOldest(t *testing.T) {
 	opt.ColdFactor = -1
 	s := testStore(t, opt)
 
-	shared := s.NewLease(1, 1, 16, 16, false)
+	shared := newLease(s, 1, 1, 16, 16, false)
 	mustAdmit(t, s, shared, 16)
-	re := s.NewLease(1, 2, 16, 16, false)
+	re := newLease(s, 1, 2, 16, 16, false)
 	mustAdmit(t, s, re, 16) // group 1 now held by two leases
 	s.Commit(shared)
 	s.Commit(re) // group 1 idle first
-	private := s.NewLease(2, 3, 16, 16, false)
+	private := newLease(s, 2, 3, 16, 16, false)
 	mustAdmit(t, s, private, 16)
 	s.Commit(private) // group 2 idle (never shared), younger
-	hold := s.NewLease(3, 4, 0, 32, false)
+	hold := newLease(s, 3, 4, 0, 32, false)
 	mustAdmit(t, s, hold, 32) // pin the other 4 slots
 
-	v := s.NewLease(4, 5, 0, 16, false)
+	v := newLease(s, 4, 5, 0, 16, false)
 	mustAdmit(t, s, v, 16) // forces two evictions
 	checkInv(t, s, hold, v)
 
-	p1 := s.PlanAdmit(s.NewLease(1, 6, 16, 16, false), 16)
-	p2 := s.PlanAdmit(s.NewLease(2, 7, 16, 16, false), 16)
+	p1 := s.PlanAdmit(newLease(s, 1, 6, 16, 16, false), 16)
+	p2 := s.PlanAdmit(newLease(s, 2, 7, 16, 16, false), 16)
 	if p1.Run != 0 || p2.Run != 2 {
 		t.Fatalf("group1 run %d group2 run %d, want 0/2", p1.Run, p2.Run)
 	}
@@ -295,9 +302,9 @@ func TestColdTierEvictsOldest(t *testing.T) {
 
 	// Park two 2-block conversations: the cold tier fills with A's blocks
 	// (position 1 first: Park releases a chain from its tail) and then B's.
-	a := s.NewLease(-1, 1, 0, 16, true)
+	a := newLease(s, -1, 1, 0, 16, true)
 	mustAdmit(t, s, a, 16)
-	b := s.NewLease(-2, 2, 0, 16, true)
+	b := newLease(s, -2, 2, 0, 16, true)
 	mustAdmit(t, s, b, 16)
 	s.Park(a)
 	s.Park(b)
@@ -307,7 +314,7 @@ func TestColdTierEvictsOldest(t *testing.T) {
 	}
 
 	// A third park needs one cold slot: A's position-1 block goes.
-	c := s.NewLease(-3, 3, 0, 8, true)
+	c := newLease(s, -3, 3, 0, 8, true)
 	mustAdmit(t, s, c, 8)
 	s.Park(c)
 	checkInv(t, s)
@@ -333,7 +340,7 @@ func TestColdTierEvictsOldest(t *testing.T) {
 
 func TestResidentChainTokens(t *testing.T) {
 	s := testStore(t, shareOpt())
-	l := s.NewLease(-5, 1, 0, 24, true)
+	l := newLease(s, -5, 1, 0, 24, true)
 	mustAdmit(t, s, l, 20)
 	if got := s.ResidentChainTokens(-5, 20); got != 16 {
 		t.Fatalf("ResidentChainTokens = %d, want 16 (two sealed blocks)", got)
@@ -374,4 +381,55 @@ func TestNewStoreMintsOnDemand(t *testing.T) {
 		t.Errorf("NewStore allocated %d bytes up front, want < 1 MB", got)
 	}
 	runtime.KeepAlive(s)
+}
+
+// TestInitLeaseReuse: a lease reinitialised after Commit keeps its buffers
+// and behaves exactly like a fresh one — bounded by its own worst case, not
+// by the larger buffers it inherited.
+func TestInitLeaseReuse(t *testing.T) {
+	reused, fresh := testStore(t, shareOpt()), testStore(t, shareOpt())
+	l := newLease(reused, 1, 1, 16, 64, false)
+	mustAdmit(t, reused, l, 40)
+	if err := reused.Extend(l, 64); err != nil {
+		t.Fatal(err)
+	}
+	reused.Commit(l)
+	if allocs := testing.AllocsPerRun(10, func() { reused.InitLease(l, 2, 2, 8, 24, false) }); allocs != 0 {
+		t.Fatalf("reinitialising a lease with room allocated %.0f times", allocs)
+	}
+	// Replay the first lease on the twin store, then run both second leases
+	// through the same operations.
+	f := newLease(fresh, 1, 1, 16, 64, false)
+	mustAdmit(t, fresh, f, 40)
+	if err := fresh.Extend(f, 64); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Commit(f)
+	f = newLease(fresh, 2, 2, 8, 24, false)
+	for _, c := range []struct {
+		s *Store
+		l *Lease
+	}{{reused, l}, {fresh, f}} {
+		if p := c.s.PlanAdmit(c.l, 24); p.Growth != 0 || len(c.l.chain) != 3 {
+			t.Fatalf("plan at the worst case: growth %d, chain %d; want 0 and 3", p.Growth, len(c.l.chain))
+		}
+		mustAdmit(t, c.s, c.l, 16)
+		if err := c.s.Extend(c.l, 24); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.s.Extend(c.l, 25); err == nil {
+			t.Fatal("Extend past the worst case accepted")
+		}
+		checkInv(t, c.s, c.l)
+		if c.l.Blocks() != 3 || c.l.Tokens() != 24 {
+			t.Fatalf("lease holds %d blocks and %d tokens, want 3 and 24", c.l.Blocks(), c.l.Tokens())
+		}
+		c.s.Commit(c.l)
+		if _, err := c.s.Admit(c.l, 32); err == nil {
+			t.Fatal("Admit past the worst case accepted")
+		}
+	}
+	if reused.Stats() != fresh.Stats() {
+		t.Fatalf("reused lease diverged from a fresh one:\n reused %+v\n fresh  %+v", reused.Stats(), fresh.Stats())
+	}
 }

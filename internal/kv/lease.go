@@ -1,6 +1,10 @@
 package kv
 
-import "github.com/papi-sim/papi/internal/units"
+import (
+	"errors"
+
+	"github.com/papi-sim/papi/internal/units"
+)
 
 // splitmix64 constants and the fixed chain start (π digits — nothing up the
 // sleeve; any fixed odd constants work, determinism is what matters).
@@ -31,15 +35,18 @@ func chainNext(prev, content uint64) uint64 {
 func seedCanonical(group int64) uint64 { return mix64(uint64(group)) }
 
 // Lease is one request's hold on a chain of blocks. The serving engine
-// creates it once per request, Admits it (fresh or resuming from a park),
-// Extends it as decode grows the context, Parks it on preemption, and
-// Commits it when the request finishes.
+// initialises it once per request (InitLease), Admits it (fresh or resuming
+// from a park), Extends it as decode grows the context, Parks it on
+// preemption, and Commits it when the request finishes; the lease then
+// serves the engine's next request.
 type Lease struct {
 	group  int64 // prefix group; 0 = no sharing relationship
 	grows  bool  // whole context is group-canonical (conversation carry)
 	prefix int   // declared shared-prefix tokens (ignored when grows)
-	max    int   // worst-case context (reservation bound)
-	tokens int   // current context held
+	// maxBlocks is the worst-case context in blocks: the reservation bound,
+	// and the most blocks the lease ever hashes or holds.
+	maxBlocks int
+	tokens    int // current context held
 
 	parked bool
 	active bool
@@ -50,29 +57,41 @@ type Lease struct {
 
 	reserve int // hot slots reserved for this lease's future growth
 
-	// blocks and chain are pre-sized to the worst-case block count and
-	// re-sliced, never appended, so the hot path stays allocation-free.
+	// blocks and chain hold at most maxBlocks entries. They are re-sliced,
+	// never appended, so the hot path stays allocation-free, and InitLease
+	// keeps them, so a reused lease allocates only to outgrow them.
 	blocks []int32
 	chain  []uint64
 }
 
-// NewLease builds a lease for a request with the given prefix-sharing
-// relationship. group 0 means no sharing (every block private); salt must be
-// unique per request (the request ID) so private chains never collide; grows
-// marks conversation carry-over, where the entire context — not just a fixed
-// prefix — is canonical to the group and future turns may adopt it.
-func (s *Store) NewLease(group, salt int64, prefixTokens, maxTokens int, grows bool) *Lease {
+// errPastReservation is Admit's and Extend's answer to a context past the
+// lease's worst case, which its reservation does not cover; like errHotFull
+// it is a sentinel, so Extend stays allocation-free.
+var errPastReservation = errors.New("kv: context past the lease's worst case")
+
+// InitLease makes l the lease of a request with the given prefix-sharing
+// relationship, reusing the block and chain buffers l already has. group 0
+// means no sharing (every block private); salt must be unique per request
+// (the request ID) so private chains never collide; grows marks
+// conversation carry-over, where the entire context — not just a fixed
+// prefix — is canonical to the group and future turns may adopt it. l must
+// hold no blocks: a zero Lease, or one that was committed or surrendered.
+func (s *Store) InitLease(l *Lease, group, salt int64, prefixTokens, maxTokens int, grows bool) {
 	maxBlocks := ceilDiv(maxTokens, s.opt.BlockTokens)
-	return &Lease{
-		group:  group,
-		grows:  grows,
-		prefix: prefixTokens,
-		max:    maxTokens,
-		seedC:  seedCanonical(group),
-		seedP:  mix64(mix64(uint64(salt)+saltGamma) ^ uint64(group)),
-		b:      s.opt.BlockTokens,
-		blocks: make([]int32, 0, maxBlocks),
-		chain:  make([]uint64, 0, maxBlocks),
+	blocks, chain := l.blocks[:0], l.chain[:0]
+	if cap(blocks) < maxBlocks {
+		blocks, chain = make([]int32, 0, maxBlocks), make([]uint64, 0, maxBlocks)
+	}
+	*l = Lease{
+		group:     group,
+		grows:     grows,
+		prefix:    prefixTokens,
+		maxBlocks: maxBlocks,
+		seedC:     seedCanonical(group),
+		seedP:     mix64(mix64(uint64(salt)+saltGamma) ^ uint64(group)),
+		b:         s.opt.BlockTokens,
+		blocks:    blocks,
+		chain:     chain,
 	}
 }
 
@@ -113,8 +132,8 @@ func (l *Lease) contentID(i int) uint64 {
 //
 //papivet:noalloc
 func (l *Lease) ensureChain(n int) {
-	if n > cap(l.chain) {
-		n = cap(l.chain)
+	if n > l.maxBlocks {
+		n = l.maxBlocks
 	}
 	for len(l.chain) < n {
 		i := len(l.chain)
@@ -156,7 +175,7 @@ func (s *Store) PlanAdmit(l *Lease, ctx int) Plan {
 	var p Plan
 	full := ctx / s.opt.BlockTokens
 	p.Blocks = ceilDiv(ctx, s.opt.BlockTokens)
-	p.Growth = ceilDiv(l.max, s.opt.BlockTokens) - p.Blocks
+	p.Growth = l.maxBlocks - p.Blocks
 	l.ensureChain(full)
 	for i := 0; i < full; i++ {
 		id, ok := s.index[l.chain[i]]
@@ -215,6 +234,9 @@ func (s *Store) Admit(l *Lease, ctx int) (Cost, error) {
 	var c Cost
 	full := ctx / s.opt.BlockTokens
 	need := ceilDiv(ctx, s.opt.BlockTokens)
+	if need > l.maxBlocks {
+		return c, errPastReservation
+	}
 	l.blocks = l.blocks[:0]
 
 	run := 0
@@ -265,7 +287,7 @@ func (s *Store) Admit(l *Lease, ctx int) (Cost, error) {
 		l.blocks[i] = id
 	}
 
-	l.reserve = ceilDiv(l.max, s.opt.BlockTokens) - need
+	l.reserve = l.maxBlocks - need
 	s.reserve += l.reserve
 	l.tokens = ctx
 	l.parked = false
@@ -306,6 +328,9 @@ func (s *Store) Extend(l *Lease, ctx int) error {
 	oldFull := l.tokens / s.opt.BlockTokens
 	newFull := ctx / s.opt.BlockTokens
 	need := ceilDiv(ctx, s.opt.BlockTokens)
+	if need > l.maxBlocks {
+		return errPastReservation
+	}
 
 	// The previous partial tail may have filled: seal it in place.
 	if len(l.blocks) > oldFull && newFull > oldFull {

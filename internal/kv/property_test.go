@@ -24,9 +24,9 @@ func (r *opReader) next() (byte, bool) {
 
 // driveBlockStore interprets data as a store geometry plus an operation
 // sequence — admissions, extends, parks, resumes, commits, cancels,
-// surrenders — and audits every invariant after every single operation. It
-// returns the final cumulative Stats so callers can assert run-to-run
-// determinism.
+// surrenders, with retired leases reused — and audits every invariant after
+// every single operation. It returns the final cumulative Stats so callers
+// can assert run-to-run determinism.
 //
 // This is the satellite-1 harness: refcount conservation, the
 // free/referenced exclusion, tier occupancy ≡ resident bytes, and
@@ -51,7 +51,11 @@ func driveBlockStore(t *testing.T, data []byte) Stats {
 	}
 	maxCtx := opt.BlockTokens * hot // any larger can never admit
 
-	var admitted, parked []*Lease
+	// Retired leases (committed, cancelled or surrendered) go to spare, and
+	// new ones reuse them first, as the serving engine reuses its request
+	// records; maxOf remembers each lease's worst-case context.
+	var admitted, parked, spare []*Lease
+	maxOf := make(map[*Lease]int)
 	salt := int64(0)
 	audit := func(op string) {
 		if err := s.CheckInvariants(admitted); err != nil {
@@ -77,7 +81,12 @@ func driveBlockStore(t *testing.T, data []byte) Stats {
 			if group != 0 {
 				prefix = int(a3) % (max + 1)
 			}
-			l := s.NewLease(group, salt, prefix, max, grows)
+			l := new(Lease)
+			if n := len(spare); n > 0 {
+				l, spare = spare[n-1], spare[:n-1]
+			}
+			s.InitLease(l, group, salt, prefix, max, grows)
+			maxOf[l] = max
 			ctx := 1 + int(a3)%max
 			if p := s.PlanAdmit(l, ctx); s.CanAdmit(p) {
 				if _, err := s.Admit(l, ctx); err != nil {
@@ -91,7 +100,7 @@ func driveBlockStore(t *testing.T, data []byte) Stats {
 				continue
 			}
 			l := admitted[int(a1)%len(admitted)]
-			if room := l.max - l.tokens; room > 0 {
+			if room := maxOf[l] - l.tokens; room > 0 {
 				if err := s.Extend(l, l.tokens+1+int(a2)%room); err != nil {
 					t.Fatalf("Extend: %v", err)
 				}
@@ -127,6 +136,7 @@ func driveBlockStore(t *testing.T, data []byte) Stats {
 			}
 			i := int(a1) % len(admitted)
 			s.Commit(admitted[i])
+			spare = append(spare, admitted[i])
 			admitted = append(admitted[:i], admitted[i+1:]...)
 			audit("commit")
 		case 5: // cancel a parked lease without resuming it
@@ -135,6 +145,7 @@ func driveBlockStore(t *testing.T, data []byte) Stats {
 			}
 			i := int(a1) % len(parked)
 			s.Commit(parked[i])
+			spare = append(spare, parked[i])
 			parked = append(parked[:i], parked[i+1:]...)
 			audit("cancel")
 		case 6: // surrender (crash/timeout loss) an admitted or parked lease
@@ -144,10 +155,12 @@ func driveBlockStore(t *testing.T, data []byte) Stats {
 			i := int(a1) % (len(admitted) + len(parked))
 			if i < len(admitted) {
 				s.Surrender(admitted[i])
+				spare = append(spare, admitted[i])
 				admitted = append(admitted[:i], admitted[i+1:]...)
 			} else {
 				i -= len(admitted)
 				s.Surrender(parked[i])
+				spare = append(spare, parked[i])
 				parked = append(parked[:i], parked[i+1:]...)
 			}
 			audit("surrender")

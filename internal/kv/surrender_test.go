@@ -15,11 +15,11 @@ func TestSurrenderSharedBlocksSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	a := s.NewLease(1, 1, 8, 16, false)
+	a := newLease(s, 1, 1, 8, 16, false)
 	if _, err := s.Admit(a, 8); err != nil {
 		t.Fatalf("admit a: %v", err)
 	}
-	b := s.NewLease(1, 2, 8, 16, false)
+	b := newLease(s, 1, 2, 8, 16, false)
 	c, err := s.Admit(b, 8)
 	if err != nil {
 		t.Fatalf("admit b: %v", err)
@@ -72,7 +72,7 @@ func TestSurrenderParkedLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	l := s.NewLease(-1, 1, 0, 16, true)
+	l := newLease(s, -1, 1, 0, 16, true)
 	if _, err := s.Admit(l, 8); err != nil {
 		t.Fatalf("admit: %v", err)
 	}

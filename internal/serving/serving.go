@@ -35,10 +35,7 @@ type Options struct {
 	// TLP is the speculation length (token-level parallelism); 1 disables
 	// speculative decoding.
 	TLP int
-	// AcceptanceRate is the per-token probability that the target model
-	// accepts a draft token (β).
-	AcceptanceRate float64
-	// Seed drives the acceptance sampling.
+	// Seed drives the acceptance sampling (see acceptanceRate).
 	Seed int64
 	// DiscardCompleted drops finished requests instead of retaining them
 	// for Finalize: Result.Requests comes back empty, and a completed
@@ -64,20 +61,14 @@ type Options struct {
 // DefaultOptions returns the configuration used by the figure reproductions.
 func DefaultOptions(tlp int) Options {
 	return Options{
-		TLP:            tlp,
-		AcceptanceRate: 0.8,
-		Seed:           1,
+		TLP:  tlp,
+		Seed: 1,
 	}
 }
 
 func (o Options) validate() error {
 	if o.TLP < 1 {
 		return fmt.Errorf("serving: TLP %d must be ≥ 1", o.TLP)
-	}
-	// The ranges are negated so that NaN, which fails every comparison, is
-	// rejected with them.
-	if !(o.AcceptanceRate >= 0 && o.AcceptanceRate <= 1) {
-		return fmt.Errorf("serving: AcceptanceRate %v outside [0,1]", o.AcceptanceRate)
 	}
 	return nil
 }
@@ -248,7 +239,6 @@ type request struct {
 	workload.Request
 	generated  int
 	iterations int
-	done       bool
 	// readyAt orders the pending queue: the request's arrival, or — after a
 	// preemption — the instant it was evicted and requeued. Never before
 	// Arrival, so admission eligibility is unchanged for fresh requests.
@@ -260,13 +250,16 @@ type request struct {
 	// request's first and latest tokens, measured from its epoch: run start
 	// for a static batch, its arrival in a stream.
 	ttft, completion units.Seconds
-	// lease is the request's hold on the block store (nil without one);
-	// kvBytes is its cached worst-case KV footprint — the demand-signal
-	// contribution, fixed at creation (with the resident shared prefix
-	// already discounted under a store) so every incremental ± returns the
-	// running sums to zero exactly.
+	// lease is the request's hold on the block store (nil without one),
+	// reused with the record; kvBytes is its cached worst-case KV footprint
+	// — the demand-signal contribution, fixed at creation (with the resident
+	// shared prefix already discounted under a store) so every incremental
+	// ± returns the running sums to zero exactly.
 	lease   *kv.Lease
 	kvBytes units.Bytes
+	// next links a completed record into its stepper's free list (see
+	// Stepper.free).
+	next *request
 }
 
 // contextLen is the KV length the request occupies on (re-)admission: its
@@ -286,14 +279,19 @@ func (e *Engine) RunBatch(reqs []workload.Request) (Result, error) {
 	return st.run()
 }
 
-// live filters unfinished requests in place (the stepper owns the backing
-// array) so the per-step path stays allocation-free; the vacated tail is
-// cleared so finished requests do not stay reachable.
-func live(all []*request) []*request {
+// live filters unfinished requests — those still owing output — in place
+// (the stepper owns the backing array) so the per-step path stays
+// allocation-free; the vacated tail is cleared so finished requests do not
+// stay reachable. A discarding stepper puts each finished record on its
+// free list for newRequest to reuse: the record is committed, and its
+// Completion is already a copy.
+func (s *Stepper) live(all []*request) []*request {
 	out := all[:0]
 	for _, r := range all {
-		if !r.done {
+		if r.generated < r.OutputLen {
 			out = append(out, r)
+		} else if s.discarding() {
+			r.next, s.free = s.free, r
 		}
 	}
 	for i := len(out); i < len(all); i++ {
@@ -339,6 +337,10 @@ func (e *Engine) chargePIMIdle(span units.Seconds, res *Result) {
 	res.Energy.Add(energy.AttnPIM, e.attnStandbyW.Energy(span))
 }
 
+// acceptanceRate is β, the per-token probability that the target model
+// accepts a draft token.
+const acceptanceRate = 0.8
+
 // accepted draws one speculative iteration's outcome for one request: the
 // accepted prefix of the TLP drafted tokens, whose length follows the
 // per-token acceptance chain (§2.2.2), before the request's remaining output
@@ -351,7 +353,7 @@ func (e *Engine) accepted() int {
 		e.rng = rand.New(rand.NewSource(e.Opt.Seed))
 	}
 	n := 1
-	for n < e.Opt.TLP && e.rng.Float64() < e.Opt.AcceptanceRate {
+	for n < e.Opt.TLP && e.rng.Float64() < acceptanceRate {
 		n++
 	}
 	return n

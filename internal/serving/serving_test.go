@@ -42,18 +42,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(newPAPI(), model.LLaMA65B(), Options{TLP: 0}); err == nil {
 		t.Error("TLP 0 should fail")
 	}
-	if _, err := New(newPAPI(), model.LLaMA65B(), Options{TLP: 1, AcceptanceRate: 1.5}); err == nil {
-		t.Error("acceptance > 1 should fail")
-	}
-	// NaN passes a plain range test; the error must name the field.
-	for _, rate := range []float64{math.NaN(), -0.1} {
-		opt := DefaultOptions(4)
-		opt.AcceptanceRate = rate
-		_, err := New(newPAPI(), model.OPT30B(), opt)
-		if err == nil || !strings.Contains(err.Error(), "AcceptanceRate") {
-			t.Errorf("AcceptanceRate %v: got error %v, want one naming AcceptanceRate", rate, err)
-		}
-	}
 	bad := newPAPI()
 	bad.Policy = nil
 	if _, err := New(bad, model.LLaMA65B(), DefaultOptions(1)); err == nil {
@@ -326,13 +314,12 @@ func TestTimePerToken(t *testing.T) {
 }
 
 // Property: total tokens always equals the sum of requested output lengths
-// (commit clamping is exact), for any acceptance rate and TLP.
+// (commit clamping is exact), for any TLP and sampling seed.
 func TestTokenConservationProperty(t *testing.T) {
 	sys := newPAPI()
 	cfg := model.LLaMA65B()
-	f := func(tlpRaw, accRaw, outRaw uint8, seed int64) bool {
+	f := func(tlpRaw, outRaw uint8, seed int64) bool {
 		opt := DefaultOptions(int(tlpRaw)%6 + 1)
-		opt.AcceptanceRate = float64(accRaw) / 255
 		opt.Seed = seed
 		e, err := New(sys, cfg, opt)
 		if err != nil {

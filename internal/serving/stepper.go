@@ -38,6 +38,10 @@ type Stepper struct {
 	seen    int        // count of requests ever pushed (survives DiscardCompleted)
 	pending []*request // arrival-ordered, not yet admitted (stream mode)
 	active  []*request // admitted and unfinished
+	// free heads the list of completed records a discarding stepper keeps
+	// for reuse (linked through request.next), so a steady stream allocates
+	// only its high-water mark of outstanding requests.
+	free *request
 
 	// completed is Step's completion buffer, reused by every window.
 	completed []Completion
@@ -249,16 +253,27 @@ func (s *Stepper) initKV(staticN int) error {
 }
 
 // newRequest wraps an incoming request with its lease and cached KV
-// footprint. The footprint is the worst-case byte demand the request adds
-// to the fleet signal; the part of its declared prefix already resident in
-// the block store is discounted at this instant — those tokens will be
-// adopted, not recomputed, and counting them again would double-bill
-// headroom when routing multi-turn chat.
+// footprint, in a record from the free list when one is there; the record
+// keeps its lease, and the lease its buffers. The footprint is the
+// worst-case byte demand the request adds to the fleet signal; the part of
+// its declared prefix already resident in the block store is discounted at
+// this instant — those tokens will be adopted, not recomputed, and counting
+// them again would double-bill headroom when routing multi-turn chat.
 func (s *Stepper) newRequest(r workload.Request) *request {
-	rr := &request{Request: r, readyAt: r.Arrival}
+	rr := s.free
+	if rr != nil {
+		s.free = rr.next
+		*rr = request{lease: rr.lease}
+	} else {
+		rr = new(request)
+	}
+	rr.Request, rr.readyAt = r, r.Arrival
 	rr.kvBytes = s.eng.Cfg.KVBytes(r.SeqLen())
 	if s.kvStore != nil {
-		rr.lease = s.kvStore.NewLease(r.PrefixGroup, int64(r.ID), r.PrefixLen, r.SeqLen(), r.Turn > 0)
+		if rr.lease == nil {
+			rr.lease = new(kv.Lease)
+		}
+		s.kvStore.InitLease(rr.lease, r.PrefixGroup, int64(r.ID), r.PrefixLen, r.SeqLen(), r.Turn > 0)
 		if r.PrefixGroup != 0 {
 			if resident := s.kvStore.ResidentChainTokens(r.PrefixGroup, r.PrefixLen); resident > 0 {
 				rr.kvBytes -= s.eng.Cfg.KVBytes(resident)
@@ -843,7 +858,6 @@ func (s *Stepper) window(bound units.Seconds) ([]Completion, error) {
 				}
 			}
 			if r.generated >= r.OutputLen {
-				r.done = true
 				s.completed = append(s.completed, Completion{Request: r.Request, Metrics: r.metrics()})
 				s.finish(r)
 			}
@@ -863,7 +877,7 @@ func (s *Stepper) window(bound units.Seconds) ([]Completion, error) {
 	}
 	// Drop finished requests from the active set to release KV capacity.
 	if len(s.completed) > 0 {
-		s.active = live(s.active)
+		s.active = s.live(s.active)
 	}
 	s.owed = math.MaxInt
 	for _, r := range s.active {

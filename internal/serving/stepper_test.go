@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -333,6 +334,92 @@ func TestDiscardCompletedDrops(t *testing.T) {
 
 // drainHanded drives st to drain and collects every record Step hands out,
 // by ID, failing on a repeat.
+// TestReusedRecordsStartClean: a discarding stream stepper serves a later
+// request in the record, and under a block store the lease, of one that
+// finished, preempted ones included. Two waves of a window-matrix stream,
+// the second pushed an hour after the first, must be served exactly as a
+// retaining stepper, which reuses nothing, serves them: the same records
+// handed out, and the same Result but for the records and traces.
+func TestReusedRecordsStartClean(t *testing.T) {
+	cfg := model.OPT30B()
+	sys := design.MustBuild(windowDesigns()[len(windowDesigns())-1])
+	for _, w := range []windowKind{windowStream, windowTiered} {
+		wave, maxBatch := windowWorkload(w, sys, cfg)
+		reqs := append([]workload.Request(nil), wave...)
+		for _, r := range wave {
+			r.ID += 1000
+			r.Arrival += 3600
+			reqs = append(reqs, r)
+		}
+		for _, tlp := range []int{1, 4} {
+			for _, block := range []bool{false, true} {
+				row := fmt.Sprintf("%s/tlp%d/block=%v", w, tlp, block)
+				run := func(discard bool) (Result, map[int]RequestMetrics) {
+					opt := DefaultOptions(tlp)
+					opt.DiscardCompleted = discard
+					if block {
+						opt.KV = &kv.Options{BlockTokens: 32, Sharing: true}
+					}
+					st, err := mustEngine(t, sys, cfg, opt).NewStreamStepper(nil, maxBatch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					handed := map[int]RequestMetrics{}
+					pushAll(t, st, reqs, func(done []Completion) {
+						for _, c := range done {
+							handed[c.Request.ID] = c.Metrics
+						}
+					})
+					res := st.Finalize()
+					res.Requests, res.RLPTrace, res.IterStats = nil, nil, nil
+					return res, handed
+				}
+				full, fullHanded := run(false)
+				lean, leanHanded := run(true)
+				if w == windowTiered && full.Preemptions == 0 {
+					t.Fatalf("%s: the waves preempted nothing", row)
+				}
+				if !reflect.DeepEqual(fullHanded, leanHanded) || len(leanHanded) != len(reqs) {
+					t.Errorf("%s: records diverged across reuse:\n retain: %+v\n reuse:  %+v", row, fullHanded, leanHanded)
+				}
+				if !reflect.DeepEqual(full, lean) {
+					t.Errorf("%s: results diverged across reuse:\n retain: %+v\n reuse:  %+v", row, full, lean)
+				}
+			}
+		}
+	}
+}
+
+// pushAll feeds reqs, in arrival order, to a stream stepper the way a fleet
+// replica is fed: each request is pushed at its arrival, after the stepper
+// stepped up to it, and the stepper then drains. Every Step's completions go
+// to done when it is not nil.
+func pushAll(t *testing.T, st *Stepper, reqs []workload.Request, done func([]Completion)) {
+	t.Helper()
+	step := func() {
+		c, err := st.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done != nil {
+			done(c)
+		}
+	}
+	for _, r := range reqs {
+		st.SetHorizon(r.Arrival)
+		for st.HasWork() && st.Now() < r.Arrival {
+			step()
+		}
+		if err := st.Push(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.SetHorizon(units.Seconds(math.Inf(1)))
+	for st.HasWork() {
+		step()
+	}
+}
+
 func drainHanded(t *testing.T, st *Stepper) map[int]RequestMetrics {
 	t.Helper()
 	handed := map[int]RequestMetrics{}

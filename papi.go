@@ -259,8 +259,8 @@ func ImportTrace(data []byte) (Trace, error) { return workload.ImportTrace(data)
 
 // Serving.
 
-// Options configures a serving run (speculation length, acceptance rate,
-// seeds).
+// Options configures a serving run (speculation length, sampling seed,
+// record retention, KV cache).
 type Options = serving.Options
 
 // Result reports one serving run: latency, energy ledger, phase breakdown,
