@@ -321,21 +321,7 @@ func (s *scaler) tick(now units.Seconds) {
 		sig.Action, sig.Replica, sig.Active = ScaleUp, rep.ID, len(r.eligible)
 		s.record(sig)
 		s.lastAction = now
-		r.kernel.At(rep.liveAt, func(liveNow units.Seconds) {
-			// A replica that crashed while warming stays dead: it never
-			// goes live, so no arrival can reach its failed stepper.
-			if r.err != nil || rep.state != repWarming {
-				return
-			}
-			rep.state = repActive
-			r.rebuildEligible()
-			s.record(ScaleEvent{At: liveNow, Action: ScaleLive, Replica: rep.ID, Active: len(r.eligible)})
-			if r.resil != nil {
-				// Failover casualties stranded with no live replica
-				// land on the replacement the moment it activates.
-				r.resil.flushWaiting(liveNow)
-			}
-		})
+		r.kernel.At(rep.liveAt, event{kind: evLive, a: rep.ID})
 
 	case cooled && act > s.opt.Min && warming == 0 &&
 		(slo <= 0 || tpot95 < downTPOTFactor*slo) &&
@@ -379,6 +365,24 @@ func (s *scaler) tick(now units.Seconds) {
 	s.arrivals = 0
 	s.tpots = s.tpots[:0]
 	if r.kernel.Pending() > 0 || r.stepsPending() || stranded {
-		r.kernel.At(now+s.opt.Interval, s.tick)
+		r.kernel.At(now+s.opt.Interval, event{kind: evTick})
+	}
+}
+
+// live activates a warmed-up replica at the end of its warm-up.
+func (s *scaler) live(rep *Replica, now units.Seconds) {
+	r := s.run
+	// A replica that crashed while warming stays dead: it never goes live,
+	// so no arrival can reach its failed stepper.
+	if r.err != nil || rep.state != repWarming {
+		return
+	}
+	rep.state = repActive
+	r.rebuildEligible()
+	s.record(ScaleEvent{At: now, Action: ScaleLive, Replica: rep.ID, Active: len(r.eligible)})
+	if r.resil != nil {
+		// Failover casualties stranded with no live replica land on the
+		// replacement the moment it activates.
+		r.resil.flushWaiting(now)
 	}
 }

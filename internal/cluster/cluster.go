@@ -9,13 +9,14 @@
 // Replicas advance through serving.Stepper under one barrier driver. The
 // internal/sim event kernel holds only fleet events — arrivals, follow-up
 // turns, autoscaler ticks, activations, fault edges, timeout deadlines and
-// retries — and each one is a barrier: before it fires, every replica that
-// could finish a request before the barrier instant steps on its own up to
-// it, inline on the driver goroutine in replica order, and an event that
-// reads more of a replica than its load signals first steps that replica
-// up to its instant (see wake.go). Same-instant kernel events fire FIFO and
-// before any replica step at that instant, so a fixed seed reproduces the
-// same fleet trace run-to-run.
+// retries, each a small value that fleetRun.fire dispatches — and each one
+// is a barrier: before it fires, every replica that could finish a request
+// before the barrier instant steps on its own up to it, inline on the
+// driver goroutine in replica order, and an event that reads more of a
+// replica than its load signals first steps that replica up to its instant
+// (see wake.go). Same-instant kernel events fire FIFO and before any
+// replica step at that instant, so a fixed seed reproduces the same fleet
+// trace run-to-run.
 //
 // One arrival feed drives a fleet behind three entry points: Run consumes a
 // pre-generated open-loop request stream (Poisson, bursty, diurnal, or a
@@ -422,7 +423,7 @@ func (c *Cluster) mixed() bool {
 type fleetRun struct {
 	c      *Cluster
 	reps   []*Replica
-	kernel *sim.Engine
+	kernel *sim.Engine[event]
 	err    error
 	// eligible caches the replicas currently taking traffic (state active);
 	// rebuilt on the rare lifecycle transitions rather than per arrival.
@@ -432,7 +433,9 @@ type fleetRun struct {
 	// stream records every request actually injected, in injection order —
 	// the realised arrivals a Trace replays.
 	stream []workload.Request
-	// plan is RunPlan's conversation state; nil for open-loop runs.
+	// feed is the run's arrival feed; plan is RunPlan's conversation state,
+	// nil for open-loop runs.
+	feed *arrivalFeed
 	plan *convPlan
 	// resil is the failure machinery (crash failover, timeouts, bounded
 	// retries, degradation windows); nil unless Options arm it, so
@@ -446,7 +449,8 @@ type fleetRun struct {
 
 // newFleetRun builds the replica engines and the event kernel.
 func (c *Cluster) newFleetRun() (*fleetRun, error) {
-	r := &fleetRun{c: c, kernel: sim.New()}
+	r := &fleetRun{c: c}
+	r.kernel = sim.New(r.fire)
 	for i := 0; i < c.opt.Replicas; i++ {
 		if _, err := r.addReplica(0, 0, repActive); err != nil {
 			return nil, err
@@ -461,9 +465,77 @@ func (c *Cluster) newFleetRun() (*fleetRun, error) {
 		opt := c.opt.Autoscale.withDefaults(c.opt.MaxBatch)
 		r.scaler = &scaler{opt: opt, run: r, peak: c.opt.Replicas,
 			lastAction: units.Seconds(math.Inf(-1))}
-		r.kernel.At(opt.Interval, r.scaler.tick)
+		r.kernel.At(opt.Interval, event{kind: evTick})
 	}
 	return r, nil
+}
+
+// eventKind names what a fleet event does when it fires; a and b are the
+// event's operands.
+type eventKind uint8
+
+const (
+	// evArrival routes the arrival feed's earliest request.
+	evArrival eventKind = iota
+	// evFollowUp launches a conversation's next turn: a is the
+	// conversation's index in the plan, b the carried context in tokens.
+	evFollowUp
+	// evTick is an autoscaler control tick.
+	evTick
+	// evLive activates a warmed-up replica: a is its ID.
+	evLive
+	// evDeadline expires an attempt and evRetry launches a casualty's next
+	// one: a is the request ID, b the attempt.
+	evDeadline
+	evRetry
+	// The fault-plan edges: a is the fault's index in the plan.
+	evCrash
+	evStragglerBegin
+	evStragglerEnd
+	evBrownoutBegin
+	evBrownoutEnd
+)
+
+// event is one fleet event on the run's kernel: its kind and two operands
+// whose meaning the kind fixes. Each event carries its own data, so arming
+// one allocates nothing.
+type event struct {
+	kind eventKind
+	a, b int
+}
+
+// fire is the kernel's fire function: it dispatches one fleet event at its
+// instant.
+//
+//papivet:noalloc
+func (r *fleetRun) fire(now units.Seconds, ev event) {
+	z := r.resil
+	switch ev.kind {
+	case evArrival:
+		r.feed.fire(now)
+	case evFollowUp:
+		r.plan.launch(r, ev.a, ev.b, now)
+	case evTick:
+		r.scaler.tick(now)
+	case evLive:
+		r.scaler.live(r.reps[ev.a], now)
+	case evDeadline:
+		z.checkTimeout(ev.a, ev.b, now)
+	case evRetry:
+		z.launchRetry(ev.a, ev.b, now)
+	case evCrash:
+		z.crash(z.plan.Faults[ev.a].Replica, now)
+	case evStragglerBegin:
+		f := z.plan.Faults[ev.a]
+		z.stragglerBegin(f.Replica, f.Factor, now)
+	case evStragglerEnd:
+		f := z.plan.Faults[ev.a]
+		z.stragglerEnd(f.Replica, f.Factor, now)
+	case evBrownoutBegin:
+		z.brownoutBegin(z.plan.Faults[ev.a].Factor, now)
+	case evBrownoutEnd:
+		z.brownoutEnd(z.plan.Faults[ev.a].Factor, now)
+	}
 }
 
 // nextBlueprint picks the design to provision next: the design most
@@ -852,16 +924,13 @@ func (c *Cluster) run(next func() (workload.Request, bool), plan *convPlan, driv
 		return nil, err
 	}
 	r.plan = plan
-	if plan != nil {
-		plan.launchNext = func(now units.Seconds) { plan.launch(r, now) }
-	}
-	f := r.newFeed(next)
-	f.schedule(first)
+	r.feed = &arrivalFeed{r: r, next: next}
+	r.feed.schedule(first)
 	drive(r)
 	if r.err != nil {
 		return nil, r.err
 	}
-	want := f.total
+	want := r.feed.total
 	if plan != nil {
 		want = plan.turns
 	}
@@ -873,7 +942,7 @@ func (c *Cluster) run(next func() (workload.Request, bool), plan *convPlan, driv
 // and puts each on the kernel at its arrival instant. Arrivals are scheduled
 // at non-decreasing instants and fire in (at, seq) order, hence in the order
 // they were scheduled, so the feed keeps them in a FIFO (queue[head:]) and
-// re-posts one reusable kernel event, allocating nothing per request.
+// each arrival event routes the FIFO's head.
 type arrivalFeed struct {
 	r     *fleetRun
 	next  func() (workload.Request, bool)
@@ -884,13 +953,6 @@ type arrivalFeed struct {
 	// clamps to ≥ 0).
 	lastAt units.Seconds
 	total  int // requests scheduled
-	event  sim.Event
-}
-
-func (r *fleetRun) newFeed(next func() (workload.Request, bool)) *arrivalFeed {
-	f := &arrivalFeed{r: r, next: next}
-	f.event = f.fire
-	return f
 }
 
 // schedule puts one request on the kernel at its arrival instant, after
@@ -914,7 +976,7 @@ func (f *arrivalFeed) schedule(req workload.Request) {
 	f.lastAt = at
 	f.total++
 	f.queue = append(f.queue, req)
-	f.r.kernel.At(at, f.event)
+	f.r.kernel.At(at, event{kind: evArrival})
 }
 
 // fire routes the earliest scheduled arrival. When that was the newest one,
@@ -1000,17 +1062,10 @@ type convPlan struct {
 	// fed counts the first turns handed to the arrival feed.
 	states []*convState
 	fed    int
-	// byBase finds a turn's conversation by the ID of its first turn (see
-	// of), so follow-ups add no entries.
-	byBase map[int]*convState
-	turns  int // turns in the whole plan
-	// armed holds the follow-up turns on the kernel in a min-heap on
-	// (instant, arming order); arming counts them. The kernel holds one item
-	// per follow-up, each with the one event launchNext, and fires them in
-	// that same order, so every firing launches the heap's first turn.
-	armed      followHeap
-	arming     uint64
-	launchNext sim.Event
+	// index maps each turn's request ID to its conversation's index in
+	// states (see of); the plan numbers its turns 0 … turns−1.
+	index []int32
+	turns int // turns in the whole plan
 }
 
 // convState tracks one closed-loop conversation through a fleet run: which
@@ -1027,21 +1082,25 @@ type convState struct {
 }
 
 func newConvPlan(convs []workload.Conversation) *convPlan {
-	p := &convPlan{states: make([]*convState, len(convs)), byBase: make(map[int]*convState, len(convs))}
+	p := &convPlan{states: make([]*convState, len(convs))}
 	for i, conv := range convs {
-		st := &convState{conv: conv, baseID: p.turns, next: 1}
-		p.states[i] = st
-		p.byBase[st.baseID] = st
+		p.states[i] = &convState{conv: conv, baseID: p.turns, next: 1}
 		p.turns += len(conv.Turns)
 	}
 	sort.SliceStable(p.states, func(a, b int) bool {
 		return arrivesBefore(p.states[a].conv.Arrival, p.states[b].conv.Arrival)
 	})
+	p.index = make([]int32, p.turns)
+	for i, st := range p.states {
+		for k := range st.conv.Turns {
+			p.index[st.baseID+k] = int32(i)
+		}
+	}
 	return p
 }
 
 // of returns the conversation a turn belongs to.
-func (p *convPlan) of(req workload.Request) *convState { return p.byBase[req.ID-(req.Turn-1)] }
+func (p *convPlan) of(req workload.Request) *convState { return p.states[p.index[req.ID]] }
 
 // nextFirst is the arrival feed's source: the first turns in plan order,
 // stably sorted by arrival.
@@ -1113,45 +1172,53 @@ func (p *convPlan) failed(z *resilience, req workload.Request, at units.Seconds)
 }
 
 // finished runs on the replica that completed a turn, mid-phase, so it
-// writes only that replica, the conversation pinned to it, the plan's armed
-// follow-ups and the kernel. It arms the conversation's next turn,
-// think-time after the completion, and returns its instant; a finished
-// conversation releases its hold instead and returns +Inf.
+// writes only that replica, the conversation pinned to it and the kernel. It
+// arms the conversation's next turn, think-time after the completion, and
+// returns its instant; a finished conversation releases its hold instead and
+// returns +Inf. The follow-up event carries the finished turn's SeqLen, the
+// context the next turn inherits: a retry keeps it, so it is the sum of
+// every earlier turn's input and output.
+//
+//papivet:noalloc
 func (p *convPlan) finished(r *fleetRun, rep *Replica, req workload.Request) units.Seconds {
-	st := p.of(req)
+	i := p.index[req.ID]
+	st := p.states[i]
 	if st.next >= len(st.conv.Turns) {
 		rep.holds--
 		return units.Seconds(math.Inf(1))
 	}
-	turn := st.conv.Turns[st.next]
-	follow := workload.Request{
-		ID: st.baseID + st.next,
-		// The follow-up's prompt is the grown context: everything said so
-		// far plus the newly typed tokens.
-		InputLen:     req.SeqLen() + turn.Input,
-		OutputLen:    turn.Output,
-		Arrival:      rep.stepper.Now() + turn.Think,
-		Conversation: st.conv.ID,
-		Turn:         st.next + 1,
-		PrefixGroup:  -(int64(st.conv.ID) + 1),
-		PrefixLen:    req.SeqLen(),
-	}
+	at := rep.stepper.Now() + st.conv.Turns[st.next].Think
 	st.next++
-	p.arming++
-	p.armed.push(followUp{seq: p.arming, st: st, req: follow})
-	r.kernel.At(follow.Arrival, p.launchNext)
-	return follow.Arrival
+	r.kernel.At(at, event{kind: evFollowUp, a: int(i), b: req.SeqLen()})
+	return at
 }
 
-// launch injects the earliest armed follow-up turn on its conversation's
-// replica. When the pinned replica died between turns, the turn is routed
-// like a fresh arrival and the conversation re-pins to wherever it lands.
-func (p *convPlan) launch(r *fleetRun, now units.Seconds) {
-	f := p.armed.pop()
+// launch injects the follow-up turn that finished armed for conversation i
+// of the plan, with the carried context in tokens as its prefix, on the
+// conversation's replica. The conversation's next index still points just
+// past that turn: nothing moves it in between. When the pinned replica
+// died between turns, the turn is routed like a fresh arrival and the
+// conversation re-pins to wherever it lands.
+//
+//papivet:noalloc
+func (p *convPlan) launch(r *fleetRun, i, carried int, now units.Seconds) {
 	if r.err != nil {
 		return
 	}
-	st, follow := f.st, f.req
+	st := p.states[i]
+	turn := st.conv.Turns[st.next-1]
+	follow := workload.Request{
+		ID: st.baseID + st.next - 1,
+		// The follow-up's prompt is the grown context: everything said so
+		// far plus the newly typed tokens.
+		InputLen:     carried + turn.Input,
+		OutputLen:    turn.Output,
+		Arrival:      now,
+		Conversation: st.conv.ID,
+		Turn:         st.next,
+		PrefixGroup:  -(int64(st.conv.ID) + 1),
+		PrefixLen:    carried,
+	}
 	rep := st.rep
 	if rep == nil || rep.state == repFailed || rep.state == repStopped {
 		if nrep := r.route(follow, now); nrep != nil {
@@ -1164,57 +1231,4 @@ func (p *convPlan) launch(r *fleetRun, now units.Seconds) {
 		return
 	}
 	r.inject(rep, follow, now)
-}
-
-// followUp is one armed follow-up turn: its conversation and request, and
-// its arming order.
-type followUp struct {
-	seq uint64
-	st  *convState
-	req workload.Request
-}
-
-// followHeap is a binary min-heap of armed follow-up turns on (arrival,
-// seq).
-type followHeap []followUp
-
-func (h followHeap) less(i, j int) bool {
-	a, b := h[i].req.Arrival, h[j].req.Arrival
-	return a < b || a == b && h[i].seq < h[j].seq
-}
-
-func (h *followHeap) push(f followUp) {
-	*h = append(*h, f)
-	for i := len(*h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *followHeap) pop() followUp {
-	old := *h
-	last := len(old) - 1
-	f := old[0]
-	old[0] = old[last]
-	old[last] = followUp{}
-	*h = old[:last]
-	for i := 0; ; {
-		least := 2*i + 1
-		if least >= last {
-			break
-		}
-		if r := least + 1; r < last && h.less(r, least) {
-			least = r
-		}
-		if !h.less(least, i) {
-			break
-		}
-		(*h)[i], (*h)[least] = (*h)[least], (*h)[i]
-		i = least
-	}
-	return f
 }

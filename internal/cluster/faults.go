@@ -12,7 +12,6 @@ package cluster
 import (
 	"github.com/papi-sim/papi/internal/faults"
 	"github.com/papi-sim/papi/internal/serving"
-	"github.com/papi-sim/papi/internal/sim"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -45,13 +44,6 @@ type resilience struct {
 	// spare the resolved entries newTrack reuses.
 	track map[int]*reqTrack
 	spare []*reqTrack
-	// deadlines holds the armed timeouts, oldest first, in
-	// deadlines[dlHead:]. The kernel holds one item per deadline, each with
-	// the one event expire, and fires them in arming order (see
-	// noteInject), so every firing checks the head.
-	deadlines []deadline
-	dlHead    int
-	expire    sim.Event
 	// waiting holds casualties with no live replica to land on; they flush
 	// (in arrival order) when the autoscaler activates a replacement.
 	waiting []workload.Request
@@ -76,12 +68,9 @@ type resilience struct {
 	failures   []FailedRequest
 }
 
-// deadline is one armed timeout: the attempt of a request it expires.
-type deadline struct{ id, attempt int }
-
 func newResilience(r *fleetRun) *resilience {
 	opt := r.c.opt
-	z := &resilience{
+	return &resilience{
 		run:     r,
 		plan:    opt.Faults,
 		timeout: opt.Timeout,
@@ -90,8 +79,6 @@ func newResilience(r *fleetRun) *resilience {
 		track:   make(map[int]*reqTrack),
 		slow:    make(map[int][]float64),
 	}
-	z.expire = z.expireHead
-	return z
 }
 
 // newTrack files a ledger entry for a request, reusing a resolved one.
@@ -114,32 +101,23 @@ func (z *resilience) resolve(id int, t *reqTrack) {
 }
 
 // schedulePlan arms every fault's kernel events, in plan order (the kernel
-// breaks same-instant ties FIFO, so plan order is deterministic).
+// breaks same-instant ties FIFO, so plan order is deterministic). Each event
+// names its fault by index; fleetRun.fire reads the fault's replica and
+// factor.
 func (z *resilience) schedulePlan() {
 	if z.plan == nil {
 		return
 	}
-	for i := range z.plan.Faults {
-		f := z.plan.Faults[i]
+	for i, f := range z.plan.Faults {
 		switch f.Kind {
 		case faults.KindCrash:
-			z.run.kernel.At(f.Start(), func(now units.Seconds) {
-				z.crash(f.Replica, now)
-			})
+			z.run.kernel.At(f.Start(), event{kind: evCrash, a: i})
 		case faults.KindStraggler:
-			z.run.kernel.At(f.Start(), func(now units.Seconds) {
-				z.stragglerBegin(f.Replica, f.Factor, now)
-			})
-			z.run.kernel.At(f.End(), func(now units.Seconds) {
-				z.stragglerEnd(f.Replica, f.Factor, now)
-			})
+			z.run.kernel.At(f.Start(), event{kind: evStragglerBegin, a: i})
+			z.run.kernel.At(f.End(), event{kind: evStragglerEnd, a: i})
 		case faults.KindBrownout:
-			z.run.kernel.At(f.Start(), func(now units.Seconds) {
-				z.brownoutBegin(f.Factor, now)
-			})
-			z.run.kernel.At(f.End(), func(now units.Seconds) {
-				z.brownoutEnd(f.Factor, now)
-			})
+			z.run.kernel.At(f.Start(), event{kind: evBrownoutBegin, a: i})
+			z.run.kernel.At(f.End(), event{kind: evBrownoutEnd, a: i})
 		}
 	}
 }
@@ -289,9 +267,7 @@ func (z *resilience) strand(req workload.Request, now units.Seconds) {
 // noteInject records an attempt and, with a timeout configured, arms its
 // deadline. The deadline carries the attempt number so a stale one — the
 // request completed or failed, or the attempt was already retried — is a
-// no-op; it stays on the kernel until its instant all the same. Every
-// injection runs in a kernel event at now, and the kernel's instants never
-// decrease, so deadlines, all one timeout later, are armed in firing order.
+// no-op; it stays on the kernel until its instant all the same.
 func (z *resilience) noteInject(rep *Replica, req workload.Request, now units.Seconds) {
 	t := z.track[req.ID]
 	if t == nil {
@@ -301,22 +277,8 @@ func (z *resilience) noteInject(rep *Replica, req workload.Request, now units.Se
 	t.rep = rep
 	t.cur = req
 	if z.timeout > 0 {
-		// Reclaim the expired prefix once it is half the queue, so the
-		// queue stays within twice the deadlines in flight.
-		if z.dlHead > 0 && 2*z.dlHead >= len(z.deadlines) {
-			n := copy(z.deadlines, z.deadlines[z.dlHead:])
-			z.deadlines, z.dlHead = z.deadlines[:n], 0
-		}
-		z.deadlines = append(z.deadlines, deadline{req.ID, t.attempts})
-		z.run.kernel.At(now+z.timeout, z.expire)
+		z.run.kernel.At(now+z.timeout, event{kind: evDeadline, a: req.ID, b: t.attempts})
 	}
-}
-
-// expireHead is the deadline event: it checks the oldest armed deadline.
-func (z *resilience) expireHead(now units.Seconds) {
-	d := z.deadlines[z.dlHead]
-	z.dlHead++
-	z.checkTimeout(d.id, d.attempt, now)
 }
 
 // checkTimeout cancels an attempt still outstanding at its deadline and
@@ -375,14 +337,11 @@ func (z *resilience) handleCasualty(c serving.Casualty, now units.Seconds, reaso
 	z.reprefill += retry.InputLen
 	z.retried++
 	t.cur = retry
-	attempt := t.attempts
 	delay := z.backoff
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < t.attempts; i++ {
 		delay += delay
 	}
-	z.run.kernel.At(now+delay, func(rnow units.Seconds) {
-		z.launchRetry(c.Request.ID, attempt, rnow)
-	})
+	z.run.kernel.At(now+delay, event{kind: evRetry, a: c.Request.ID, b: t.attempts})
 }
 
 // launchRetry re-routes a casualty's next attempt; stale events (the

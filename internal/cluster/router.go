@@ -84,8 +84,3 @@ func RouterByName(name string) (Router, error) {
 	}
 	return nil, fmt.Errorf("cluster: unknown router %q", name)
 }
-
-// Routers returns one instance of every routing policy.
-func Routers() []Router {
-	return []Router{RoundRobin(), LeastOutstanding(), KVHeadroom()}
-}

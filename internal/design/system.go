@@ -157,15 +157,5 @@ func (s *System) FitsModel(cfg model.Config) error {
 	return nil
 }
 
-// MaxBatchForKV returns the largest batch whose KV caches fit the attention
-// pool when every request reaches seqLen (§3.2(b)'s memory-capacity limit).
-func (s *System) MaxBatchForKV(cfg model.Config, seqLen int) int {
-	per := cfg.KVBytes(seqLen).Bytes()
-	if per <= 0 {
-		return 0
-	}
-	return int(s.KVCapacity().Bytes() / per)
-}
-
 // HasGPU reports whether the design includes processing units.
 func (s *System) HasGPU() bool { return s.GPU != nil }

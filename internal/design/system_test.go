@@ -132,25 +132,6 @@ func TestValidateCatchesBrokenSystems(t *testing.T) {
 	}
 }
 
-func TestMaxBatchForKV(t *testing.T) {
-	// §3.2(b)-style capacity limit: longer sequences allow fewer requests.
-	s := MustBuild(PAPI(0))
-	cfg := model.GPT3_175B()
-	short := s.MaxBatchForKV(cfg, 256)
-	long := s.MaxBatchForKV(cfg, 4096)
-	if short <= long {
-		t.Fatalf("short-seq capacity %d should exceed long-seq %d", short, long)
-	}
-	if long < 18 {
-		// 960 GB / 19.3 GB ≈ 49; the paper's §3.2 example (640 GB, 18 reqs)
-		// used AttAcc's accounting, ours must be at least as permissive.
-		t.Fatalf("long-seq batch = %d, implausibly small", long)
-	}
-	if s.MaxBatchForKV(cfg, 0) != 0 {
-		t.Fatal("zero sequence length should yield zero capacity")
-	}
-}
-
 func TestAttnFabricIsCXL(t *testing.T) {
 	// 60 disaggregated devices exceed PCIe's 32-device limit; §6.3 says CXL
 	// scales to 4096 — the builder must have picked it.

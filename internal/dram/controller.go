@@ -115,7 +115,7 @@ type Controller struct {
 	Timing Timing
 	Energy Energy
 
-	engine *sim.Engine
+	engine *sim.Engine[sim.Event]
 	banks  []bankState
 	queue  []*Request
 	seq    uint64
@@ -140,7 +140,7 @@ type Controller struct {
 }
 
 // NewController builds a channel controller attached to the given engine.
-func NewController(engine *sim.Engine, g Geometry, t Timing, e Energy) *Controller {
+func NewController(engine *sim.Engine[sim.Event], g Geometry, t Timing, e Energy) *Controller {
 	c := &Controller{
 		Geom:         g,
 		Timing:       t,

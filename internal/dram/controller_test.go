@@ -10,8 +10,8 @@ import (
 	"github.com/papi-sim/papi/internal/units"
 )
 
-func testController() (*sim.Engine, *Controller) {
-	e := sim.New()
+func testController() (*sim.Engine[sim.Event], *Controller) {
+	e := sim.New(sim.Call)
 	c := NewController(e, PIMChannelGeometry(), HBM3Timing(), HBM3Energy())
 	return e, c
 }
@@ -265,7 +265,7 @@ func TestTimingInvariantsProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%48 + 1
 		rng := rand.New(rand.NewSource(seed))
-		e := sim.New()
+		e := sim.New(sim.Call)
 		g, tm, en := PIMChannelGeometry(), HBM3Timing(), HBM3Energy()
 		c := NewController(e, g, tm, en)
 		type casEvent struct {

@@ -32,7 +32,7 @@ type StreamResult struct {
 // controller interleaves them subject to timing constraints, exactly like a
 // PIM device streaming weight tiles from every bank concurrently.
 func RunStream(g Geometry, t Timing, e Energy, spec StreamSpec) StreamResult {
-	engine := sim.New()
+	engine := sim.New(sim.Call)
 	ctrl := NewController(engine, g, t, e)
 
 	groups := spec.BankGroups

@@ -137,14 +137,3 @@ func (l *Ledger) String() string {
 	fmt.Fprintf(&b, "total: %v", l.Total())
 	return b.String()
 }
-
-// EfficiencyVersus returns the energy-efficiency improvement of this ledger
-// relative to a baseline performing the same work: baseline total / ours.
-// Values above 1 mean this system is more efficient.
-func (l *Ledger) EfficiencyVersus(baseline *Ledger) float64 {
-	ours := float64(l.Total())
-	if ours <= 0 {
-		return 0
-	}
-	return float64(baseline.Total()) / ours
-}

@@ -97,19 +97,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestEfficiencyVersus(t *testing.T) {
-	var papi, base Ledger
-	papi.Add(FCPIM, 10)
-	base.Add(GPUActive, 34)
-	if got := papi.EfficiencyVersus(&base); math.Abs(got-3.4) > 1e-12 {
-		t.Fatalf("efficiency = %v, want 3.4", got)
-	}
-	var empty Ledger
-	if got := empty.EfficiencyVersus(&base); got != 0 {
-		t.Fatalf("empty efficiency = %v", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	var l Ledger
 	l.Add(Interconnect, units.Joules(1))

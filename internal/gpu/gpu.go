@@ -123,8 +123,3 @@ func (n *Node) Execute(flops units.FLOPs, bytes units.Bytes) Result {
 		ComputeBound: ct >= mt,
 	}
 }
-
-// IdleEnergy returns the pool's energy draw while idle for t.
-func (n *Node) IdleEnergy(t units.Seconds) units.Joules {
-	return units.Joules(float64(n.Spec.IdlePower) * float64(n.Count) * float64(t))
-}

@@ -180,19 +180,6 @@ func (s Stack) StreamBW() units.BytesPerSecond {
 	return units.BytesPerSecond(float64(s.Banks()) * float64(s.BankStreamBW))
 }
 
-// EffectiveBW returns the bandwidth at which the FPUs can consume data: the
-// lesser of DRAM supply and FPU demand. For 1P2B this is FPU-limited (half
-// the banks' supply), which is the source of the paper's ~1.7× attention
-// slowdown of Attn-PIM versus AttAcc (Fig. 12).
-func (s Stack) EffectiveBW() units.BytesPerSecond {
-	demand := float64(s.FPUs()) * float64(s.FPU.StreamDemand())
-	supply := float64(s.StreamBW())
-	if demand < supply {
-		return units.BytesPerSecond(demand)
-	}
-	return units.BytesPerSecond(supply)
-}
-
 // DieArea returns the occupied area of one die in mm².
 func (s Stack) DieArea() float64 {
 	return float64(s.BanksPerDie) * s.Config.AreaPerBankMM2()

@@ -89,15 +89,6 @@ func TestStackRates(t *testing.T) {
 	if got := float64(att.ComputeRate()); math.Abs(got-1024*2.664e9) > 1e6 {
 		t.Fatalf("AttAcc compute = %v", att.ComputeRate())
 	}
-	// 1P1B: effective bandwidth equals supply equals demand.
-	if got, want := float64(att.EffectiveBW()), float64(att.StreamBW()); math.Abs(got-want) > 1 {
-		t.Fatalf("1P1B effective bw %v != supply %v", att.EffectiveBW(), att.StreamBW())
-	}
-	// 1P2B: FPU-limited at exactly half the banks' supply.
-	hp := HBMPIMStack()
-	if got, want := float64(hp.EffectiveBW()), float64(hp.StreamBW())/2; math.Abs(got-want) > 1 {
-		t.Fatalf("1P2B effective bw %v, want half of supply %v", hp.EffectiveBW(), hp.StreamBW())
-	}
 }
 
 func TestDieAreaWithinCap(t *testing.T) {
@@ -157,22 +148,6 @@ func TestSolverProperty(t *testing.T) {
 		}
 		denser := PIMConfig{FPUs: fpus + 1, Banks: banks}
 		return denser.BanksPerDie() <= m
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: effective bandwidth is min(supply, demand) and never exceeds
-// either side.
-func TestEffectiveBWProperty(t *testing.T) {
-	f := func(cfgIdx uint8) bool {
-		cfgs := []PIMConfig{OnePerBank, OnePerTwoBanks, TwoPerBank, FourPerBank}
-		s := NewStack(cfgs[int(cfgIdx)%len(cfgs)])
-		eff := float64(s.EffectiveBW())
-		supply := float64(s.StreamBW())
-		demand := float64(s.FPUs()) * float64(s.FPU.StreamDemand())
-		return eff <= supply+1 && eff <= demand+1 && eff > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -101,9 +101,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// HeadDim returns the per-head dimension.
-func (c Config) HeadDim() int { return c.Hidden / c.Heads }
-
 // Parameter and footprint accounting ---------------------------------------
 
 // FCParamsPerLayer returns the FC parameter count of one decoder layer:
@@ -167,10 +164,6 @@ func (k KernelKind) String() string {
 	}
 	return fmt.Sprintf("KernelKind(%d)", int(k))
 }
-
-// IsFC reports whether the kernel is a fully-connected (weight-streaming)
-// kernel — the kind PAPI schedules dynamically.
-func (k KernelKind) IsFC() bool { return k != KindAttention }
 
 // Kernel is one decoder kernel's shape for one layer of one decoding
 // iteration.
@@ -249,18 +242,6 @@ func (c Config) AttentionKernel(tlp int, kvLens []int) Kernel {
 		Flops:           units.FLOPs(flops),
 		KVBytes:         units.Bytes(kv),
 		ActivationBytes: units.Bytes(act),
-	}
-}
-
-// LayerKernels returns the four kernels of one decoder layer for a decoding
-// iteration with rlp requests (KV lengths given) and tlp speculative tokens.
-func (c Config) LayerKernels(tlp int, kvLens []int) []Kernel {
-	n := len(kvLens) * tlp
-	return []Kernel{
-		c.QKVKernel(n),
-		c.AttentionKernel(tlp, kvLens),
-		c.ProjectionKernel(n),
-		c.FFNKernel(n),
 	}
 }
 

@@ -98,22 +98,15 @@ func TestFCFlopsEqualNTimesWeightBytes(t *testing.T) {
 
 func TestLayerKernelsSumToIteration(t *testing.T) {
 	c := LLaMA65B()
-	tlp := 4
-	kv := []int{100, 200, 300, 400}
-	layer := c.LayerKernels(tlp, kv)
-	if len(layer) != 4 {
-		t.Fatalf("layer kernels = %d, want 4", len(layer))
-	}
+	n := 16
 	var fcW units.Bytes
-	for _, k := range layer {
-		if k.Kind.IsFC() {
-			fcW += k.WeightBytes
-		}
+	for _, k := range []Kernel{c.QKVKernel(n), c.ProjectionKernel(n), c.FFNKernel(n)} {
+		fcW += k.WeightBytes
 	}
 	if fcW != c.FCWeightBytesPerLayer() {
 		t.Fatalf("layer FC weights %v != per-layer total %v", fcW, c.FCWeightBytesPerLayer())
 	}
-	iter := c.FCIterationKernel(len(kv) * tlp)
+	iter := c.FCIterationKernel(n)
 	if got, want := float64(iter.WeightBytes), float64(fcW)*float64(c.Layers); math.Abs(got-want) > 1 {
 		t.Fatalf("iteration weights %v != layers × per-layer %v", iter.WeightBytes, want)
 	}
@@ -232,9 +225,6 @@ func TestKernelKindString(t *testing.T) {
 	}
 	if KernelKind(9).String() != "KernelKind(9)" {
 		t.Fatal("unknown kind formatting wrong")
-	}
-	if KindAttention.IsFC() || !KindQKV.IsFC() || !KindFFN.IsFC() || !KindProjection.IsFC() {
-		t.Fatal("IsFC classification wrong")
 	}
 }
 

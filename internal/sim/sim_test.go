@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,21 +10,40 @@ import (
 	"github.com/papi-sim/papi/internal/units"
 )
 
-func TestZeroValueUsable(t *testing.T) {
-	var e Engine
-	ran := false
-	e.At(units.Seconds(1), func(units.Seconds) { ran = true })
-	e.Run()
-	if !ran {
-		t.Fatal("event did not fire")
+// TestValueEvents runs the kernel on a value event type: every event fires
+// exactly once, with its own payload, in (instant, scheduling order), and
+// with the clock at its instant. An event scheduled while another fires, at
+// an instant that already has events, fires after them.
+func TestValueEvents(t *testing.T) {
+	type ev struct {
+		id int
+		at units.Seconds
 	}
-	if e.Now() != 1 {
-		t.Fatalf("clock = %v, want 1s", e.Now())
+	var e *Engine[ev]
+	var fired []int
+	e = New(func(now units.Seconds, x ev) {
+		if now != x.at || e.Now() != x.at {
+			t.Errorf("event %d fired at %v with the clock at %v, want %v", x.id, now, e.Now(), x.at)
+		}
+		fired = append(fired, x.id)
+		if x.id == 1 {
+			e.At(2, ev{id: 8, at: 2})
+		}
+	})
+	for i, at := range []units.Seconds{3, 1, 2, 1, 3, 0, 2, 1} {
+		e.At(at, ev{id: i, at: at})
+	}
+	if end := e.Run(); end != 3 {
+		t.Fatalf("final time %v, want 3s", end)
+	}
+	want := []int{5, 1, 3, 7, 2, 6, 8, 0, 4}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 
 func TestEventOrdering(t *testing.T) {
-	e := New()
+	e := New(Call)
 	var order []int
 	e.At(units.Seconds(3), func(units.Seconds) { order = append(order, 3) })
 	e.At(units.Seconds(1), func(units.Seconds) { order = append(order, 1) })
@@ -38,7 +58,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestFIFOAmongTies(t *testing.T) {
-	e := New()
+	e := New(Call)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -53,7 +73,7 @@ func TestFIFOAmongTies(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	e := New()
+	e := New(Call)
 	hits := 0
 	var chain func(units.Seconds)
 	chain = func(now units.Seconds) {
@@ -73,7 +93,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	e := New()
+	e := New(Call)
 	e.At(units.Seconds(2), func(units.Seconds) {})
 	e.Run()
 	defer func() {
@@ -88,7 +108,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 // non-decreasing time order and the clock equals the max timestamp at the end.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		e := New()
+		e := New(Call)
 		var fired []units.Seconds
 		for _, r := range raw {
 			at := units.Seconds(float64(r) / 8)
@@ -121,7 +141,7 @@ func TestEventOrderProperty(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	build := func(seed int64) []float64 {
 		rng := rand.New(rand.NewSource(seed))
-		e := New()
+		e := New(Call)
 		var log []float64
 		for i := 0; i < 200; i++ {
 			at := units.Seconds(rng.Float64() * 100)

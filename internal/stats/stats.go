@@ -10,18 +10,6 @@ import (
 	"strings"
 )
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // GeoMean returns the geometric mean of positive values (0 for empty input).
 // Speedup ratios are aggregated geometrically, as in the paper's "average
 // speedup" claims.

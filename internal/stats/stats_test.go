@@ -7,15 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("mean = %v", got)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if GeoMean(nil) != 0 {
 		t.Fatal("empty geomean should be 0")

@@ -59,12 +59,6 @@ func GiBytes(v float64) Bytes { return Bytes(v * GiB) }
 // GBps constructs a bandwidth from GB/s.
 func GBps(v float64) BytesPerSecond { return BytesPerSecond(v * Giga) }
 
-// TBps constructs a bandwidth from TB/s.
-func TBps(v float64) BytesPerSecond { return BytesPerSecond(v * Tera) }
-
-// GFLOPS constructs a compute rate from GFLOP/s.
-func GFLOPS(v float64) FLOPSRate { return FLOPSRate(v * Giga) }
-
 // TFLOPS constructs a compute rate from TFLOP/s.
 func TFLOPS(v float64) FLOPSRate { return FLOPSRate(v * Tera) }
 
