@@ -29,11 +29,6 @@ func main() {
 
 func run(rows int, broadcast, write, singleBank bool) error {
 	g, t, e := dram.PIMChannelGeometry(), dram.HBM3Timing(), dram.HBM3Energy()
-	// RunStream submits every request up front, so the bound also caps
-	// what one run allocates.
-	if rows < 1 || rows > g.Rows {
-		return fmt.Errorf("-rows %d outside [1, %d], the rows per bank", rows, g.Rows)
-	}
 	if singleBank && broadcast {
 		return fmt.Errorf("-single-bank and -broadcast cannot be combined: all-bank mode drives every bank")
 	}
@@ -42,7 +37,10 @@ func run(rows int, broadcast, write, singleBank bool) error {
 		spec.BankGroups = []int{0}
 		spec.Banks = []int{0}
 	}
-	res := dram.RunStream(g, t, e, spec)
+	res, err := dram.RunStream(g, t, e, spec)
+	if err != nil {
+		return fmt.Errorf("-rows: %w", err)
+	}
 
 	fmt.Printf("geometry        %d bank groups × %d banks, %v rows, %v columns\n",
 		g.BankGroups, g.BanksPerGroup, g.RowBytes, g.ColBytes)

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/stats"
@@ -169,9 +167,6 @@ type scaler struct {
 	// Window accumulators, reset at each tick.
 	arrivals int
 	tpots    []float64
-	// stops lists the replicas whose power-off a phase deferred, in the
-	// order their steps ran (see flushStops).
-	stops []*Replica
 
 	lastAction units.Seconds
 	events     []ScaleEvent
@@ -180,11 +175,11 @@ type scaler struct {
 
 // observeStep reads completion signals off one replica step: interactive
 // TPOT samples for the latency window, and the moment a draining replica
-// runs empty (it powers off at that instant, not at the next tick). It runs
-// mid-phase. The samples go straight into the window: the tick reads them
-// only as a sorted multiset, so the order in which replicas add them does
-// not matter. The power-off decision parks on the replica until the
-// barrier replays it in time order (see flushStops).
+// runs empty, when it powers off (not at the next tick). It runs mid-phase.
+// The samples go straight into the window: the tick reads them only as a
+// sorted multiset, so the order in which replicas add them does not matter.
+// The power-off is recorded at once; the barrier puts the phase's events in
+// time order (see fleetRun.advance).
 func (s *scaler) observeStep(rep *Replica, done []serving.Completion) {
 	for _, c := range done {
 		if c.Request.Class == workload.ClassInteractive && c.Metrics.OutputTokens > 1 {
@@ -192,11 +187,7 @@ func (s *scaler) observeStep(rep *Replica, done []serving.Completion) {
 		}
 	}
 	if rep.state == repDraining && len(done) > 0 && rep.stepper.Outstanding() == 0 {
-		if !rep.pendingStop {
-			s.stops = append(s.stops, rep)
-		}
-		rep.pendingStop = true
-		rep.pendStopAt = rep.stepper.Now()
+		s.stop(rep, rep.stepper.Now())
 	}
 }
 
@@ -205,23 +196,6 @@ func (s *scaler) stop(rep *Replica, at units.Seconds) {
 	rep.state = repStopped
 	rep.stopAt = at
 	s.record(ScaleEvent{At: at, Action: ScaleStop, Replica: rep.ID, Active: len(s.run.eligible)})
-}
-
-// flushStops replays the power-off decisions a phase deferred, ordered by
-// power-off instant — the time order of the steps that made them. A phase
-// drives its replicas in ID order, so the stable sort breaks ties by
-// replica ID.
-func (s *scaler) flushStops() {
-	if len(s.stops) == 0 {
-		return
-	}
-	slices.SortStableFunc(s.stops, func(a, b *Replica) int { return cmp.Compare(a.pendStopAt, b.pendStopAt) })
-	for _, rep := range s.stops {
-		rep.pendingStop = false
-		s.stop(rep, rep.pendStopAt)
-	}
-	clear(s.stops)
-	s.stops = s.stops[:0]
 }
 
 func (s *scaler) record(ev ScaleEvent) { s.events = append(s.events, ev) }

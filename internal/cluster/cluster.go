@@ -37,6 +37,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -233,10 +234,6 @@ type Replica struct {
 	// fleetRun.stepReplica); fleet and per-design aggregates merge these in
 	// replica order.
 	agg *FleetAggregate
-	// pendingStop defers a draining replica's power-off decision to the
-	// scaler (pendStopAt is the drained instant).
-	pendingStop bool
-	pendStopAt  units.Seconds
 
 	// Elastic lifecycle (see replicaState). bootAt is the instant the
 	// replica powered on (0 for the initial fleet), liveAt when it started
@@ -810,11 +807,11 @@ func (r *fleetRun) drain() {
 
 // advance drives every replica whose wake falls below the barrier, one
 // after another in replica order, re-keying each in the wake heap, then
-// replays the phase's power-off decisions in time order. A replica armed
-// below the barrier whose quiet bound reaches it stays behind: nothing at
-// the barrier can tell (see wake.go), and a barrier of +Inf still runs every
-// replica dry. A step error stops the phase: the replicas after it do not
-// drive.
+// puts the power-offs the drives recorded in time order (a phase records no
+// other scale event; ties stay in replica order). A replica armed below the
+// barrier whose quiet bound reaches it stays behind: nothing at the barrier
+// can tell (see wake.go), and a barrier of +Inf still runs every replica
+// dry. A step error stops the phase: the replicas after it do not drive.
 func (r *fleetRun) advance(barrier units.Seconds) {
 	due := r.due[:0]
 	for len(r.wakes) > 0 && r.wakes[0].wake < barrier {
@@ -826,13 +823,19 @@ func (r *fleetRun) advance(barrier units.Seconds) {
 		return
 	}
 	slices.SortFunc(due, byID)
+	stops := 0
+	if r.scaler != nil {
+		stops = len(r.scaler.events)
+	}
 	for _, rep := range due {
 		r.driveReplica(rep, barrier)
 		r.rearm(rep)
 	}
 	r.due = due[:0]
 	if r.scaler != nil {
-		r.scaler.flushStops()
+		slices.SortStableFunc(r.scaler.events[stops:], func(a, b ScaleEvent) int {
+			return cmp.Compare(a.At, b.At)
+		})
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 // against, reached through the drive parameter of the run body: it steps
 // one replica at a time, one iteration per step, in (instant, replica ID)
 // order; kernel events fire first at equal instants; each step writes the
-// fleet in place, and its deferred power-off decision applies right after
-// it.
+// fleet in place, its power-off included.
 func referenceDrive(r *fleetRun) {
 	for r.err == nil {
 		var rep *Replica
@@ -43,9 +42,6 @@ func referenceDrive(r *fleetRun) {
 		// Bookkeeping only: the wake heap tracks the armed set, which the
 		// autoscaler's re-arm check reads.
 		r.rearm(rep)
-		if r.scaler != nil {
-			r.scaler.flushStops()
-		}
 	}
 }
 

@@ -143,7 +143,8 @@ func (s *System) WeightCapacity() units.Bytes {
 	if n == 0 {
 		n = WeightDevices
 	}
-	return hbm.PlainStack().Capacity().Scale(float64(n))
+	plain := hbm.PlainStack()
+	return plain.Capacity().Scale(float64(n))
 }
 
 // KVCapacity returns the attention pool's KV-cache capacity.

@@ -142,11 +142,40 @@ func TestSameBankReadsRespectTCCDL(t *testing.T) {
 func TestAllBankModeScalesBandwidth(t *testing.T) {
 	// In HBM-PIM all-bank broadcast mode, one command stream drives all 16
 	// banks, so aggregate bandwidth approaches banks × per-bank.
-	single := MeasureBankStreamBandwidth(8)
-	all := MeasureAllBankStreamBandwidth(8)
+	single := mustStream(t)(MeasureBankStreamBandwidth(8))
+	all := mustStream(t)(MeasureAllBankStreamBandwidth(8))
 	ratio := float64(all.Bandwidth) / float64(single.Bandwidth)
 	if ratio < 14 || ratio > 16.5 {
 		t.Fatalf("all-bank/single-bank bandwidth ratio = %.1f, want ≈16", ratio)
+	}
+}
+
+// mustStream returns a stream measurement's result, failing the test on its
+// error.
+func mustStream(t *testing.T) func(StreamResult, error) StreamResult {
+	return func(res StreamResult, err error) StreamResult {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+}
+
+// TestRunStreamRejectsBadSpecs pins RunStream's input checks: a row count
+// outside [1, rows per bank] and a bank group outside the geometry are
+// errors, not a one-row run, wrapped rows or a panic.
+func TestRunStreamRejectsBadSpecs(t *testing.T) {
+	g := PIMChannelGeometry()
+	for _, spec := range []StreamSpec{
+		{Rows: 0},
+		{Rows: -3},
+		{Rows: g.Rows + 1},
+		{BankGroups: []int{9}, Banks: []int{0}, Rows: 1},
+	} {
+		if _, err := RunStream(g, HBM3Timing(), HBM3Energy(), spec); err == nil {
+			t.Errorf("RunStream(%+v) ran, want an error", spec)
+		}
 	}
 }
 
@@ -214,7 +243,7 @@ func TestRefreshHappens(t *testing.T) {
 func TestBankStreamBandwidthCalibration(t *testing.T) {
 	// The analytic PIM model uses 2.664 GB/s per bank. The command-level
 	// simulator must sustain a single-bank stream within 15% of that value.
-	res := MeasureBankStreamBandwidth(64)
+	res := mustStream(t)(MeasureBankStreamBandwidth(64))
 	got := float64(res.Bandwidth)
 	want := 2.664e9
 	if got < want*0.85 || got > want*1.15 {
@@ -228,7 +257,7 @@ func TestBankStreamBandwidthCalibration(t *testing.T) {
 func TestStreamEnergyCalibration(t *testing.T) {
 	// The analytic model charges 43.9 pJ/B of DRAM-access energy for
 	// non-reused streaming. The command-level measurement must agree within 15%.
-	res := MeasureAllBankStreamBandwidth(16)
+	res := mustStream(t)(MeasureAllBankStreamBandwidth(16))
 	got := float64(res.EnergyPerByte)
 	if got < 43.9*0.85 || got > 43.9*1.15 {
 		t.Fatalf("stream energy = %.1f pJ/B, want within 15%% of 43.9", got)
@@ -324,10 +353,10 @@ func TestTimingInvariantsProperty(t *testing.T) {
 func TestEnergyMonotoneProperty(t *testing.T) {
 	f := func(rowsRaw uint8) bool {
 		rows := int(rowsRaw)%6 + 1
-		small := RunStream(PIMChannelGeometry(), HBM3Timing(), HBM3Energy(),
-			StreamSpec{BankGroups: []int{0}, Banks: []int{0}, Rows: rows})
-		big := RunStream(PIMChannelGeometry(), HBM3Timing(), HBM3Energy(),
-			StreamSpec{BankGroups: []int{0}, Banks: []int{0}, Rows: rows + 1})
+		small := mustStream(t)(RunStream(PIMChannelGeometry(), HBM3Timing(), HBM3Energy(),
+			StreamSpec{BankGroups: []int{0}, Banks: []int{0}, Rows: rows}))
+		big := mustStream(t)(RunStream(PIMChannelGeometry(), HBM3Timing(), HBM3Energy(),
+			StreamSpec{BankGroups: []int{0}, Banks: []int{0}, Rows: rows + 1}))
 		return small.Stats.CommandEnergy > 0 && big.Stats.CommandEnergy > small.Stats.CommandEnergy
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {

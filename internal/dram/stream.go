@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"fmt"
+
 	"github.com/papi-sim/papi/internal/sim"
 	"github.com/papi-sim/papi/internal/units"
 )
@@ -30,8 +32,15 @@ type StreamResult struct {
 // RunStream drives a fresh controller through spec and measures sustained
 // bandwidth and energy. Requests for all banks are submitted up front and the
 // controller interleaves them subject to timing constraints, exactly like a
-// PIM device streaming weight tiles from every bank concurrently.
-func RunStream(g Geometry, t Timing, e Energy, spec StreamSpec) StreamResult {
+// PIM device streaming weight tiles from every bank concurrently. It rejects
+// a spec that streams fewer rows than one or more than a bank holds, or that
+// names a bank group or a bank outside the geometry.
+func RunStream(g Geometry, t Timing, e Energy, spec StreamSpec) (StreamResult, error) {
+	// Every row is submitted up front, so the bound also caps what one run
+	// allocates.
+	if spec.Rows < 1 || spec.Rows > g.Rows {
+		return StreamResult{}, fmt.Errorf("dram: %d rows outside [1, %d], the rows per bank", spec.Rows, g.Rows)
+	}
 	engine := sim.New(sim.Call)
 	ctrl := NewController(engine, g, t, e)
 
@@ -53,20 +62,16 @@ func RunStream(g Geometry, t Timing, e Energy, spec StreamSpec) StreamResult {
 		// One command stream drives all banks.
 		groups, banks = []int{0}, []int{0}
 	}
-	rows := spec.Rows
-	if rows <= 0 {
-		rows = 1
-	}
 	cols := g.ColsPerRow()
 
 	var total units.Bytes
 	var last units.Seconds
-	for r := 0; r < rows; r++ {
+	for r := 0; r < spec.Rows; r++ {
 		for _, bg := range groups {
 			for _, b := range banks {
 				for col := 0; col < cols; col++ {
 					req := &Request{
-						Addr:      Address{BankGroup: bg, Bank: b, Row: r % g.Rows, Col: col},
+						Addr:      Address{BankGroup: bg, Bank: b, Row: r, Col: col},
 						Write:     spec.Write,
 						Broadcast: spec.Broadcast,
 						Done: func(fin units.Seconds) {
@@ -76,9 +81,7 @@ func RunStream(g Geometry, t Timing, e Energy, spec StreamSpec) StreamResult {
 						},
 					}
 					if err := ctrl.Submit(req); err != nil {
-						// Addresses are generated in range; an error here is a
-						// programming bug, surface it loudly.
-						panic(err)
+						return StreamResult{}, err
 					}
 					if spec.Broadcast {
 						total += units.Bytes(float64(g.Banks())) * g.ColBytes
@@ -99,13 +102,13 @@ func RunStream(g Geometry, t Timing, e Energy, spec StreamSpec) StreamResult {
 	if total > 0 {
 		res.EnergyPerByte = units.PicojoulesPerByte(float64(st.TotalEnergy()) * 1e12 / float64(total))
 	}
-	return res
+	return res, nil
 }
 
 // MeasureBankStreamBandwidth streams rows from a single bank and returns the
 // sustained per-bank read bandwidth. This is the calibration source for the
 // analytic PIM model's per-bank streaming rate.
-func MeasureBankStreamBandwidth(rows int) StreamResult {
+func MeasureBankStreamBandwidth(rows int) (StreamResult, error) {
 	return RunStream(PIMChannelGeometry(), HBM3Timing(), HBM3Energy(), StreamSpec{
 		BankGroups: []int{0},
 		Banks:      []int{0},
@@ -117,7 +120,7 @@ func MeasureBankStreamBandwidth(rows int) StreamResult {
 // returns the aggregate bandwidth, which should approach banks × per-bank,
 // and the aggregate energy per byte — the calibration source for the
 // analytic model's DRAM-access energy constant.
-func MeasureAllBankStreamBandwidth(rows int) StreamResult {
+func MeasureAllBankStreamBandwidth(rows int) (StreamResult, error) {
 	return RunStream(PIMChannelGeometry(), HBM3Timing(), HBM3Energy(), StreamSpec{
 		Rows:      rows,
 		Broadcast: true,

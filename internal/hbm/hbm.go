@@ -154,10 +154,10 @@ func NewStack(c PIMConfig) Stack {
 }
 
 // Banks returns the stack's total bank count.
-func (s Stack) Banks() int { return s.BanksPerDie * s.Dies }
+func (s *Stack) Banks() int { return s.BanksPerDie * s.Dies }
 
 // FPUs returns the stack's total FPU count.
-func (s Stack) FPUs() int {
+func (s *Stack) FPUs() int {
 	if s.Config.Banks == 0 {
 		return 0
 	}
@@ -165,30 +165,30 @@ func (s Stack) FPUs() int {
 }
 
 // Capacity returns the stack's memory capacity.
-func (s Stack) Capacity() units.Bytes {
+func (s *Stack) Capacity() units.Bytes {
 	return units.Bytes(float64(s.Banks()) * BankCapacityBytes)
 }
 
 // ComputeRate returns the stack's aggregate FPU throughput.
-func (s Stack) ComputeRate() units.FLOPSRate {
+func (s *Stack) ComputeRate() units.FLOPSRate {
 	return units.FLOPSRate(float64(s.FPUs()) * float64(s.FPU.Rate()))
 }
 
 // StreamBW returns the stack's aggregate bank streaming bandwidth (the DRAM
 // supply side).
-func (s Stack) StreamBW() units.BytesPerSecond {
+func (s *Stack) StreamBW() units.BytesPerSecond {
 	return units.BytesPerSecond(float64(s.Banks()) * float64(s.BankStreamBW))
 }
 
 // DieArea returns the occupied area of one die in mm².
-func (s Stack) DieArea() float64 {
+func (s *Stack) DieArea() float64 {
 	return float64(s.BanksPerDie) * s.Config.AreaPerBankMM2()
 }
 
 // Validate checks the stack against the physical constraints. It reports an
 // error naming the violated constraint, used by failure-injection tests and
 // by the design layer in internal/design.
-func (s Stack) Validate() error {
+func (s *Stack) Validate() error {
 	if s.BanksPerDie <= 0 {
 		return fmt.Errorf("hbm: %s stack has no banks", s.Config)
 	}

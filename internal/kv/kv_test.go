@@ -338,20 +338,26 @@ func TestColdTierEvictsOldest(t *testing.T) {
 	checkInv(t, s, a, b)
 }
 
+// TestResidentChainTokens pins the resident prefix a new request in a group
+// sees: PlanAdmit on its fresh lease, at its declared prefix, walks the
+// group's canonical chain through either tier.
 func TestResidentChainTokens(t *testing.T) {
 	s := testStore(t, shareOpt())
 	l := newLease(s, -5, 1, 0, 24, true)
 	mustAdmit(t, s, l, 20)
-	if got := s.ResidentChainTokens(-5, 20); got != 16 {
-		t.Fatalf("ResidentChainTokens = %d, want 16 (two sealed blocks)", got)
+	resident := func(group int64) int {
+		return s.PlanAdmit(newLease(s, group, 2, 20, 24, true), 20).SharedTokens
 	}
-	if got := s.ResidentChainTokens(-6, 20); got != 0 {
+	if got := resident(-5); got != 16 {
+		t.Fatalf("resident prefix = %d, want 16 (two sealed blocks)", got)
+	}
+	if got := resident(-6); got != 0 {
 		t.Fatalf("foreign group resident %d, want 0", got)
 	}
 	s.Park(l)
 	// Parked state is cold but still resident and indexed.
-	if got := s.ResidentChainTokens(-5, 20); got != 16 {
-		t.Fatalf("post-park ResidentChainTokens = %d, want 16", got)
+	if got := resident(-5); got != 16 {
+		t.Fatalf("post-park resident prefix = %d, want 16", got)
 	}
 }
 

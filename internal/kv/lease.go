@@ -492,26 +492,3 @@ func (s *Store) ParkGain(l *Lease) int {
 	}
 	return gain
 }
-
-// ResidentChainTokens walks a prefix group's canonical chain without a lease
-// and reports how many leading tokens are resident in either tier right now.
-// The cluster layer uses it to discount a follow-up request's carried
-// context from fleet KV-demand signals: those tokens will be adopted, not
-// re-prefilled, so counting their bytes again would double-bill headroom.
-func (s *Store) ResidentChainTokens(group int64, prefixTokens int) int {
-	if group == 0 {
-		return 0
-	}
-	seed := seedCanonical(group)
-	full := prefixTokens / s.opt.BlockTokens
-	prev := uint64(chainStart)
-	run := 0
-	for i := 0; i < full; i++ {
-		prev = chainNext(prev, mix64(seed^uint64(i)*mixGamma))
-		if _, ok := s.index[prev]; !ok {
-			break
-		}
-		run++
-	}
-	return run * s.opt.BlockTokens
-}

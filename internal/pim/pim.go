@@ -372,16 +372,18 @@ func (d *Device) ExecuteDetailed(k Kernel, active int) Result {
 	g := dram.PIMChannelGeometry()
 	channelsPerStack := float64(d.Stack.Banks()) / float64(g.Banks())
 	perChannel := unique / (float64(p.devices) * channelsPerStack)
-	rows := int(math.Ceil(perChannel / (float64(g.RowBytes) * float64(g.Banks()))))
-	if rows < 1 {
-		rows = 1
-	}
-	res := dram.RunStream(g, dram.HBM3Timing(), dram.HBM3Energy(), dram.StreamSpec{
-		Rows:      rows,
+	rows := math.Ceil(perChannel / (float64(g.RowBytes) * float64(g.Banks())))
+	res, err := dram.RunStream(g, dram.HBM3Timing(), dram.HBM3Energy(), dram.StreamSpec{
+		Rows:      int(min(max(rows, 1), float64(g.Rows))),
 		Broadcast: true,
 	})
+	if err != nil {
+		// An all-bank stream of one bank's rows or fewer is always valid.
+		panic(err)
+	}
 	// Scale the measured channel time to the requested bytes (the stream ran
-	// whole rows; the kernel may need a fraction of the last row).
+	// whole rows, at most a bank's; the kernel may need a fraction of the
+	// last row, or more rows than a bank holds).
 	dramTime := float64(res.Elapsed) * perChannel / float64(res.Bytes)
 	t := math.Max(f/p.computeRate, dramTime) + p.overhead
 

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -59,73 +60,56 @@ func (s *Stepper) Fail() []Casualty {
 	s.failed = true
 	var out []Casualty
 	for _, r := range s.active {
-		s.kvSum -= r.contextLen()
-		s.kvDemandActive -= r.kvBytes
-		s.kvDemandAll -= r.kvBytes
-		s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-		out = append(out, Casualty{Request: r.Request, Generated: r.generated, Admitted: true})
-		s.surrender(r)
+		out = append(out, s.lose(r, true))
 	}
 	for _, r := range s.pending {
-		s.kvDemandAll -= r.kvBytes
-		s.countClass(r.Class, &s.pendInteractive, &s.pendBatch, -1)
-		out = append(out, Casualty{Request: r.Request, Generated: r.generated, Admitted: false})
-		s.surrender(r)
+		out = append(out, s.lose(r, false))
 	}
-	s.active = nil
-	s.pending = nil
-	s.intHint = 0
+	s.active, s.pending, s.queueBuf = nil, nil, nil
+	s.queued, s.intHint = [2]int{}, 0
 	return out
 }
 
 // Cancel withdraws one outstanding request by ID — the per-request timeout
-// path. A pending request is spliced from the queue; an active one is
-// evicted from the batch, which the next window's placement sees as a
-// smaller RLP, and its KV lease surrendered. The second return is false when the ID is not
-// outstanding here (already finished, or never routed here), which a stale
-// timeout treats as "nothing to do".
+// path. A pending request is taken off the queue; an active one is evicted
+// from the batch, which the next window's placement sees as a smaller RLP,
+// and its KV lease surrendered. The second return is false when the ID is
+// not outstanding here (already finished, or never routed here), which a
+// stale timeout treats as "nothing to do".
 func (s *Stepper) Cancel(id int) (Casualty, bool, error) {
 	if s.static {
 		return Casualty{}, false, fmt.Errorf("serving: cannot cancel in a static batch stepper")
 	}
 	for i, r := range s.pending {
-		if r.ID != id {
-			continue
+		if r.ID == id {
+			return s.lose(s.dequeue(i), false), true, nil
 		}
-		s.pending = append(s.pending[:i], s.pending[i+1:]...)
-		if i < s.intHint {
-			s.intHint--
-		}
-		s.countClass(r.Class, &s.pendInteractive, &s.pendBatch, -1)
-		s.kvDemandAll -= r.kvBytes
-		c := Casualty{Request: r.Request, Generated: r.generated}
-		s.surrender(r)
-		return c, true, nil
 	}
 	for i, r := range s.active {
-		if r.ID != id {
-			continue
+		if r.ID == id {
+			s.active = slices.Delete(s.active, i, i+1)
+			return s.lose(r, true), true, nil
 		}
-		s.active = append(s.active[:i], s.active[i+1:]...)
-		s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-		s.kvSum -= r.contextLen()
-		s.kvDemandActive -= r.kvBytes
-		s.kvDemandAll -= r.kvBytes
-		c := Casualty{Request: r.Request, Generated: r.generated, Admitted: true}
-		s.surrender(r)
-		return c, true, nil
 	}
 	return Casualty{}, false, nil
 }
 
-// surrender drops one lost request's engine-side state: its KV lease (the
-// blocks are gone with the replica, not parked for revival) and its
-// committed tokens, whose count the casualty already carries, so a
-// half-served request has no record in Finalize. The retry that replaces it
-// is a fresh request with a record of its own wherever it lands.
-func (s *Stepper) surrender(r *request) {
+// lose drops a request lost to a crash or a cancellation, active (admitted)
+// or already off the queue, and returns its casualty. Its KV lease is
+// surrendered — the blocks are gone with the replica, not parked for
+// revival — and its committed tokens, whose count the casualty carries, are
+// dropped, so a half-served request has no record in Finalize. The retry
+// that replaces it is a fresh request with a record of its own wherever it
+// lands. The caller removes an admitted request from active.
+func (s *Stepper) lose(r *request, admitted bool) Casualty {
+	if admitted {
+		s.deactivate(r)
+	}
+	s.kvDemandAll -= r.kvBytes
+	c := Casualty{Request: r.Request, Generated: r.generated, Admitted: admitted}
 	if s.kvStore != nil {
 		s.kvStore.Surrender(r.lease)
 	}
 	r.generated = 0
+	return c
 }

@@ -96,25 +96,16 @@ func checkStepInvariants(t *testing.T, s *Stepper) {
 	}
 	kvSum := 0
 	var kvActive units.Bytes
-	actInt, actBat := 0, 0
+	var queued, admitted [2]int
 	for _, r := range s.active {
 		kvSum += r.InputLen + r.generated
 		kvActive += footprint(r)
-		if r.Class == workload.ClassBatch {
-			actBat++
-		} else {
-			actInt++
-		}
+		admitted[tierOf(r.Class)]++
 	}
 	kvAll := kvActive
-	pendInt, pendBat := 0, 0
 	for _, r := range s.pending {
 		kvAll += footprint(r)
-		if r.Class == workload.ClassBatch {
-			pendBat++
-		} else {
-			pendInt++
-		}
+		queued[tierOf(r.Class)]++
 	}
 	if s.kvSum != kvSum {
 		t.Fatalf("incremental ΣkvLen %d != recomputed %d", s.kvSum, kvSum)
@@ -125,11 +116,28 @@ func checkStepInvariants(t *testing.T, s *Stepper) {
 	if s.kvDemandAll != kvAll {
 		t.Fatalf("incremental outstanding KV demand %v != recomputed %v", s.kvDemandAll, kvAll)
 	}
-	if s.actInteractive != actInt || s.actBatch != actBat ||
-		s.pendInteractive != pendInt || s.pendBatch != pendBat {
-		t.Fatalf("class counters (act %d/%d pend %d/%d) != recomputed (act %d/%d pend %d/%d)",
-			s.actInteractive, s.actBatch, s.pendInteractive, s.pendBatch,
-			actInt, actBat, pendInt, pendBat)
+	if s.admitted != admitted || s.queued != queued {
+		t.Fatalf("tier counts (admitted %v queued %v) != recomputed (admitted %v queued %v)",
+			s.admitted, s.queued, admitted, queued)
+	}
+	if s.intHint > len(s.pending) {
+		t.Fatalf("interactive hint %d past the %d-request queue", s.intHint, len(s.pending))
+	}
+	for i, r := range s.pending[:s.intHint] {
+		if r.Class != workload.ClassBatch {
+			t.Fatalf("pending[%d] is interactive, below the hint %d", i, s.intHint)
+		}
+	}
+	// The queue is the end of its buffer, and no other slot of the buffer
+	// still holds a request.
+	off := cap(s.queueBuf) - cap(s.pending)
+	if len(s.pending) > 0 && &s.queueBuf[off] != &s.pending[0] {
+		t.Fatalf("the %d-request queue is not the end of its buffer", len(s.pending))
+	}
+	for i, r := range s.queueBuf {
+		if r != nil && (i < off || i >= off+len(s.pending)) {
+			t.Fatalf("queue buffer slot %d, outside the queue, holds request %d", i, r.ID)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/papi-sim/papi/internal/energy"
@@ -38,6 +39,9 @@ type Stepper struct {
 	seen    int        // count of requests ever pushed (survives DiscardCompleted)
 	pending []*request // arrival-ordered, not yet admitted (stream mode)
 	active  []*request // admitted and unfinished
+	// queueBuf is pending's whole buffer: dequeue may leave free slots in
+	// front of pending, which enqueue reclaims before it grows the buffer.
+	queueBuf []*request
 	// free heads the list of completed records a discarding stepper keeps
 	// for reuse (linked through request.next), so a steady stream allocates
 	// only its high-water mark of outstanding requests.
@@ -52,29 +56,29 @@ type Stepper struct {
 	// (Result.Iterations > 0): a window placed differently is a reschedule.
 	lastPlace sched.Placement
 
-	// Incremental accounting. kvSum is Σ(InputLen+generated) over the active
-	// batch — the attention kernel's only KV-length input (see
-	// Engine.priceAttn). kvDemandAll / kvDemandActive are the worst-case KV
-	// footprints of all outstanding / admitted requests, maintained on push,
-	// admit, evict and finish so KVDemand and admission checks are O(1). All
-	// terms are integer-valued floats far below 2⁵³, so the running sums
-	// equal a fresh walk exactly.
+	// Incremental accounting, so KVDemand, admission checks and the tier
+	// test are O(1). Only the lifecycle transitions (newRequest, enqueue,
+	// dequeue, place, deactivate, finish, lose) write these, beside the
+	// decode window, which grows kvSum by the tokens it commits, and Fail's
+	// reset. kvSum is Σ(InputLen+generated) over the active batch, the
+	// attention kernel's only KV-length input (see Engine.attnAt).
+	// kvDemandAll / kvDemandActive are the worst-case KV footprints of all
+	// outstanding / admitted requests. All terms are integer-valued floats
+	// far below 2⁵³, so the running sums equal a fresh walk exactly.
 	kvSum          int
 	kvDemandAll    units.Bytes
 	kvDemandActive units.Bytes
 
-	// Outstanding-per-class counters (pending + active), maintained on push,
-	// finish and — pending-only — admit/evict. A stream is "tiered" while
-	// both classes are outstanding: admission is then priority-aware and
-	// windows end at the earliest class-boundary event (see
-	// macroArrivalBound).
-	pendInteractive, pendBatch int
-	actInteractive, actBatch   int
+	// queued and admitted count the pending and active requests of each
+	// tier (see tierOf). A stream is "tiered" while both classes are
+	// outstanding: admission is then priority-aware and windows end at the
+	// earliest class-boundary event (see macroArrivalBound).
+	queued, admitted [2]int
 
 	// intHint is a lower bound on the index of the first interactive-class
 	// pending request: pending[:intHint] is all batch-class. firstInteractive
-	// advances it lazily and every queue edit keeps it a valid bound, so the
-	// priority-admission scan costs amortized O(1) per Step instead of
+	// advances it lazily and enqueue and dequeue keep it a valid bound, so
+	// the priority-admission scan costs amortized O(1) per Step instead of
 	// rescanning a deep ready batch backlog on every iteration boundary.
 	intHint int
 
@@ -136,35 +140,18 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 	if err := s.initKV(len(reqs)); err != nil {
 		return nil, err
 	}
-	var prefill model.Prefill
+	// The byte check above admits a static batch whole and initKV sizes the
+	// store never to refuse it; sharing may still shorten prefill. A fresh
+	// store holds nothing cold, so nothing stalls or transfers.
+	var a admission
 	for _, r := range reqs {
-		if r.InputLen <= 0 || r.OutputLen <= 0 {
-			return nil, fmt.Errorf("serving: request %d has non-positive lengths", r.ID)
+		rr, err := s.newRequest(r)
+		if err != nil {
+			return nil, err
 		}
-		rr := s.newRequest(r)
-		s.seen++
-		s.all = append(s.all, rr)
-		s.active = append(s.active, rr)
-		s.countClass(r.Class, &s.actInteractive, &s.actBatch, +1)
-		s.kvSum += r.InputLen
-		s.kvDemandAll += rr.kvBytes
-		s.kvDemandActive += rr.kvBytes
-		// A static batch is admitted whole under the byte check (already
-		// enforced above), so the store is sized never to refuse it;
-		// sharing may still shorten prefill when batch members share a
-		// prefix.
-		shared := 0
-		if s.kvStore != nil {
-			c, err := s.kvStore.Admit(rr.lease, r.InputLen)
-			if err != nil {
-				return nil, err
-			}
-			shared = c.SharedTokens
+		if err := s.place(rr, &a); err != nil {
+			return nil, err
 		}
-		if in := r.InputLen - shared; in > 0 {
-			prefill.Add(&e.Cfg, in)
-		}
-		s.notePrefill(rr, r.InputLen, shared)
 		if r.OutputLen > s.traceHint {
 			s.traceHint = r.OutputLen
 		}
@@ -173,17 +160,17 @@ func (e *Engine) NewBatchStepper(reqs []workload.Request) (*Stepper, error) {
 	// Prefill (§2.1): all input tokens processed at once. Compute-bound, so
 	// it runs on the GPU where one exists; PIM-only designs pay for it on
 	// their PIM units (§7.4).
-	if prefill.Tokens > 0 {
-		s.res.PrefillTime = e.runPrefill(prefill, &s.res)
+	if a.prefill.Tokens > 0 {
+		s.res.PrefillTime = e.runPrefill(a.prefill, &s.res)
 	}
 	s.clock = s.res.PrefillTime
 	return s, nil
 }
 
-// NewStreamStepper builds a continuous-batching stepper over an
-// arrival-ordered request stream. The stream may be empty: a caller that
-// owns the arrival process (internal/cluster) injects requests with Push as
-// they reach this engine.
+// NewStreamStepper builds a continuous-batching stepper over a request
+// stream, pushing each request as Push would. The stream may be empty: a
+// caller that owns the arrival process (internal/cluster) injects requests
+// with Push as they reach this engine.
 func (e *Engine) NewStreamStepper(reqs []workload.Request, maxBatch int) (*Stepper, error) {
 	if maxBatch <= 0 {
 		return nil, fmt.Errorf("serving: max batch %d must be positive", maxBatch)
@@ -198,21 +185,10 @@ func (e *Engine) NewStreamStepper(reqs []workload.Request, maxBatch int) (*Stepp
 		return nil, err
 	}
 	for _, r := range reqs {
-		if r.InputLen <= 0 || r.OutputLen <= 0 {
-			return nil, fmt.Errorf("serving: request %d has non-positive lengths", r.ID)
+		if err := s.Push(r); err != nil {
+			return nil, err
 		}
-		rr := s.newRequest(r)
-		s.seen++
-		if !s.discarding() {
-			s.all = append(s.all, rr)
-		}
-		s.pending = append(s.pending, rr)
-		s.countClass(r.Class, &s.pendInteractive, &s.pendBatch, +1)
-		s.kvDemandAll += rr.kvBytes
 	}
-	sort.SliceStable(s.pending, func(i, j int) bool {
-		return s.pending[i].readyAt < s.pending[j].readyAt
-	})
 	return s, nil
 }
 
@@ -252,14 +228,30 @@ func (s *Stepper) initKV(staticN int) error {
 	return nil
 }
 
-// newRequest wraps an incoming request with its lease and cached KV
-// footprint, in a record from the free list when one is there; the record
-// keeps its lease, and the lease its buffers. The footprint is the
-// worst-case byte demand the request adds to the fleet signal; the part of
-// its declared prefix already resident in the block store is discounted at
-// this instant — those tokens will be adopted, not recomputed, and counting
-// them again would double-bill headroom when routing multi-turn chat.
-func (s *Stepper) newRequest(r workload.Request) *request {
+// The tiers that index the per-tier counts.
+const interactiveTier, batchTier = 0, 1
+
+// tierOf returns the tier of class c: every class but batch is interactive.
+func tierOf(c workload.Class) int {
+	if c == workload.ClassBatch {
+		return batchTier
+	}
+	return interactiveTier
+}
+
+// newRequest takes a request in, in a record from the free list when one is
+// there (the record keeps its lease, and the lease its buffers). Its cached
+// KV footprint, the worst-case byte demand it adds to the fleet signal,
+// discounts the part of its declared prefix already resident in the block
+// store at this instant: those tokens will be adopted, not recomputed, and
+// counting them again would double-bill headroom when routing multi-turn chat.
+func (s *Stepper) newRequest(r workload.Request) (*request, error) {
+	if r.InputLen <= 0 || r.OutputLen <= 0 {
+		return nil, fmt.Errorf("serving: request %d has non-positive lengths", r.ID)
+	}
+	if r.PrefixLen < 0 || r.PrefixLen > r.InputLen {
+		return nil, fmt.Errorf("serving: request %d has prefix length %d outside [0, %d]", r.ID, r.PrefixLen, r.InputLen)
+	}
 	rr := s.free
 	if rr != nil {
 		s.free = rr.next
@@ -275,12 +267,126 @@ func (s *Stepper) newRequest(r workload.Request) *request {
 		}
 		s.kvStore.InitLease(rr.lease, r.PrefixGroup, int64(r.ID), r.PrefixLen, r.SeqLen(), r.Turn > 0)
 		if r.PrefixGroup != 0 {
-			if resident := s.kvStore.ResidentChainTokens(r.PrefixGroup, r.PrefixLen); resident > 0 {
+			if resident := s.kvStore.PlanAdmit(rr.lease, r.PrefixLen).SharedTokens; resident > 0 {
 				rr.kvBytes -= s.eng.Cfg.KVBytes(resident)
 			}
 		}
 	}
-	return rr
+	s.seen++
+	if !s.discarding() {
+		s.all = append(s.all, rr)
+	}
+	s.kvDemandAll += rr.kvBytes
+	return rr, nil
+}
+
+// enqueue queues a request, inserted into the pending queue by readyAt.
+// Arrivals are pushed in time order in practice; insert stably so an
+// out-of-order push (or an eviction requeue) cannot corrupt the queue.
+func (s *Stepper) enqueue(rr *request) {
+	if n := len(s.pending); n == cap(s.pending) {
+		// The queue reached its buffer's end: move it to the front, of a
+		// buffer twice its length when less than half of this one is free.
+		if 2*n >= cap(s.queueBuf) {
+			s.queueBuf = make([]*request, 2*n+1)
+		}
+		s.pending = s.queueBuf[:copy(s.queueBuf, s.pending)]
+		clear(s.queueBuf[n:])
+	}
+	i := sort.Search(len(s.pending), func(i int) bool {
+		return s.pending[i].readyAt > rr.readyAt
+	})
+	s.pending = append(s.pending, nil)
+	copy(s.pending[i+1:], s.pending[i:])
+	s.pending[i] = rr
+	s.queued[tierOf(rr.Class)]++
+	switch {
+	case rr.Class != workload.ClassBatch:
+		if i < s.intHint {
+			s.intHint = i
+		}
+	case i <= s.intHint:
+		// A batch insert at or below the bound grows the all-batch prefix.
+		s.intHint++
+	}
+}
+
+// dequeue takes pending[i] off the queue and returns it. It shifts the
+// shorter side of i, so a head admission costs O(1) however deep the
+// backlog; a slot freed in front stays in queueBuf for enqueue.
+//
+//papivet:noalloc
+func (s *Stepper) dequeue(i int) *request {
+	r := s.pending[i]
+	if i < len(s.pending)/2 {
+		copy(s.pending[1:i+1], s.pending[:i])
+		s.pending[0] = nil
+		s.pending = s.pending[1:]
+	} else {
+		s.pending = slices.Delete(s.pending, i, i+1)
+	}
+	if i < s.intHint {
+		s.intHint--
+	}
+	s.queued[tierOf(r.Class)]--
+	return r
+}
+
+// admission gathers one round of admissions: how many joined the batch, the
+// prefill they need, and the block store's stalls and transfer energy.
+type admission struct {
+	admitted   int
+	prefill    model.Prefill
+	stall      units.Seconds
+	xferEnergy units.Joules
+}
+
+// place makes r join the active batch: it adopts r's lease for its whole
+// context under a block store, adds what r must prefill to a, and adds r to
+// the batch's running totals.
+func (s *Stepper) place(r *request, a *admission) error {
+	ctx := r.contextLen()
+	shared := 0
+	if s.kvStore != nil {
+		c, err := s.kvStore.Admit(r.lease, ctx)
+		if err != nil {
+			return err
+		}
+		shared = c.SharedTokens
+		a.stall += c.StallTime
+		a.xferEnergy += c.TransferEnergy
+	}
+	if in := ctx - shared; in > 0 {
+		a.prefill.Add(&s.eng.Cfg, in)
+	}
+	s.notePrefill(r, ctx, shared)
+	s.active = append(s.active, r)
+	a.admitted++
+	s.admitted[tierOf(r.Class)]++
+	s.kvSum += ctx
+	s.kvDemandActive += r.kvBytes
+	return nil
+}
+
+// deactivate takes r's share out of the active batch's running totals; the
+// caller removes r from active.
+//
+//papivet:noalloc
+func (s *Stepper) deactivate(r *request) {
+	s.admitted[tierOf(r.Class)]--
+	s.kvSum -= r.contextLen()
+	s.kvDemandActive -= r.kvBytes
+}
+
+// finish releases an active request that reached <|eos|>: its share of the
+// running totals, and its lease (committed blocks stay resident for future
+// prefix hits). The caller removes it from active.
+func (s *Stepper) finish(r *request) {
+	s.deactivate(r)
+	s.kvDemandAll -= r.kvBytes
+	if s.kvStore != nil {
+		s.kvStore.Commit(r.lease)
+	}
 }
 
 // notePrefill accounts one admission's prefill tokens: ctx tokens entered
@@ -301,15 +407,6 @@ func (s *Stepper) notePrefill(r *request, ctx, shared int) {
 	}
 }
 
-// countClass bumps the interactive or batch counter for a class by delta.
-func (s *Stepper) countClass(c workload.Class, interactive, batch *int, delta int) {
-	if c == workload.ClassBatch {
-		*batch += delta
-	} else {
-		*interactive += delta
-	}
-}
-
 // tiered reports whether both priority classes are outstanding — the regime
 // in which admission is priority-aware: interactive jumps blocked batch
 // traffic and may preempt it. Decode windows must then be bounded by the
@@ -317,7 +414,8 @@ func (s *Stepper) countClass(c workload.Class, interactive, batch *int, delta in
 // macroArrivalBound), so no interior iteration boundary can admit or evict a
 // request the window bound does not see.
 func (s *Stepper) tiered() bool {
-	return s.pendBatch+s.actBatch > 0 && s.pendInteractive+s.actInteractive > 0
+	return s.queued[batchTier]+s.admitted[batchTier] > 0 &&
+		s.queued[interactiveTier]+s.admitted[interactiveTier] > 0
 }
 
 // Push injects one more request into a stream stepper's pending queue. The
@@ -331,39 +429,12 @@ func (s *Stepper) Push(r workload.Request) error {
 	if s.failed {
 		return fmt.Errorf("serving: cannot push request %d into a failed stepper", r.ID)
 	}
-	if r.InputLen <= 0 || r.OutputLen <= 0 {
-		return fmt.Errorf("serving: request %d has non-positive lengths", r.ID)
-	}
-	rr := s.newRequest(r)
-	s.seen++
-	if !s.discarding() {
-		s.all = append(s.all, rr)
+	rr, err := s.newRequest(r)
+	if err != nil {
+		return err
 	}
 	s.enqueue(rr)
-	s.countClass(r.Class, &s.pendInteractive, &s.pendBatch, +1)
-	s.kvDemandAll += rr.kvBytes
 	return nil
-}
-
-// enqueue inserts a request into the pending queue ordered by readyAt.
-// Arrivals are pushed in time order in practice; insert stably so an
-// out-of-order push (or an eviction requeue) cannot corrupt the queue.
-func (s *Stepper) enqueue(rr *request) {
-	i := sort.Search(len(s.pending), func(i int) bool {
-		return s.pending[i].readyAt > rr.readyAt
-	})
-	s.pending = append(s.pending, nil)
-	copy(s.pending[i+1:], s.pending[i:])
-	s.pending[i] = rr
-	switch {
-	case rr.Class != workload.ClassBatch:
-		if i < s.intHint {
-			s.intHint = i
-		}
-	case i <= s.intHint:
-		// A batch insert at or below the bound grows the all-batch prefix.
-		s.intHint++
-	}
 }
 
 // firstInteractive returns the index of the first interactive-class pending
@@ -392,10 +463,8 @@ func (s *Stepper) HasWork() bool { return len(s.active) > 0 || len(s.pending) > 
 func (s *Stepper) Outstanding() int { return len(s.active) + len(s.pending) }
 
 // KVDemand returns the worst-case KV-cache footprint of every outstanding
-// request (live and queued), the signal the KV-headroom router balances on.
-// It is O(1): the total is maintained incrementally on push, admission and
-// finish, since this sits on the router hot path (called per replica per
-// arrival).
+// request (live and queued), the signal the KV-headroom router balances on,
+// in O(1): it sits on the router hot path (called per replica per arrival).
 //
 //papivet:noalloc
 func (s *Stepper) KVDemand() units.Bytes { return s.kvDemandAll }
@@ -538,42 +607,14 @@ func (s *Stepper) AdvanceTo(t units.Seconds) {
 // With a single class outstanding both phases reduce to the classic FIFO
 // head-of-line admission.
 func (s *Stepper) admit() error {
-	admitted := 0
-	var prefill model.Prefill
-	var xferTime units.Seconds
-	var xferEnergy units.Joules
-
-	place := func(cand *request) error {
-		ctx := cand.contextLen()
-		shared := 0
-		if s.kvStore != nil {
-			c, err := s.kvStore.Admit(cand.lease, ctx)
-			if err != nil {
-				return err
-			}
-			shared = c.SharedTokens
-			xferTime += c.StallTime
-			xferEnergy += c.TransferEnergy
-		}
-		s.active = append(s.active, cand)
-		admitted++
-		if in := ctx - shared; in > 0 {
-			prefill.Add(&s.eng.Cfg, in)
-		}
-		s.notePrefill(cand, ctx, shared)
-		s.countClass(cand.Class, &s.pendInteractive, &s.pendBatch, -1)
-		s.countClass(cand.Class, &s.actInteractive, &s.actBatch, +1)
-		s.kvSum += ctx
-		s.kvDemandActive += cand.kvBytes
-		return nil
-	}
+	var a admission
 
 	// Phase one: interactive admission (skipped when none is pending). The
 	// first interactive candidate that cannot be placed — even with
 	// preemption — blocks the rest of its class (FIFO fairness within the
 	// tier) and bars batch admission below.
 	interactiveBlocked := false
-	if s.pendInteractive > 0 {
+	if s.queued[interactiveTier] > 0 {
 		// The queue is readyAt-ordered, so every request past a not-yet-ready
 		// one is not ready either: breaking at the first unready interactive
 		// admits exactly what a front-to-back scan would, and firstInteractive
@@ -587,13 +628,13 @@ func (s *Stepper) admit() error {
 			if cand.readyAt > s.clock {
 				break
 			}
-			if !s.kvFits(cand) && !s.preemptFor(cand, &xferTime, &xferEnergy) {
+			// A preemption requeues its victims behind the ready cand, so
+			// pending[i] is still cand.
+			if !s.kvFits(cand) && !s.preemptFor(cand, &a) {
 				interactiveBlocked = true
 				break
 			}
-			// Removing at i == intHint leaves the all-batch prefix intact.
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			if err := place(cand); err != nil {
+			if err := s.place(s.dequeue(i), &a); err != nil {
 				return err
 			}
 		}
@@ -603,23 +644,16 @@ func (s *Stepper) admit() error {
 	if !interactiveBlocked {
 		for len(s.pending) > 0 && len(s.active) < s.maxBatch {
 			cand := s.pending[0]
-			if cand.Class != workload.ClassBatch || cand.readyAt > s.clock {
+			if cand.Class != workload.ClassBatch || cand.readyAt > s.clock || !s.kvFits(cand) {
 				break
 			}
-			if !s.kvFits(cand) {
-				break
-			}
-			s.pending = s.pending[1:]
-			if s.intHint > 0 {
-				s.intHint--
-			}
-			if err := place(cand); err != nil {
+			if err := s.place(s.dequeue(0), &a); err != nil {
 				return err
 			}
 		}
 	}
 
-	if admitted == 0 {
+	if a.admitted == 0 {
 		return nil
 	}
 	// A fully shared admission (nothing to prefill) still pays its demand
@@ -627,19 +661,19 @@ func (s *Stepper) admit() error {
 	// prefill itself. Demotion write-backs charge energy only — idle state
 	// drains over the host link while the stacks keep computing.
 	var pt units.Seconds
-	if prefill.Tokens > 0 {
-		pt = s.eng.runPrefill(prefill, &s.res)
+	if a.prefill.Tokens > 0 {
+		pt = s.eng.runPrefill(a.prefill, &s.res)
 		// A straggling replica prefills slower too; brownout (Attn) is a
 		// decode-side attention-fabric effect and leaves prefill alone.
 		if f := s.perturb.Slow; s.perturbed && f > 1 {
 			pt += pt.Scale(f - 1)
 		}
 	}
-	pt += xferTime
+	pt += a.stall
 	s.res.PrefillTime += pt
 	s.clock += pt
-	if xferEnergy > 0 {
-		s.res.Energy.Add(energy.Interconnect, xferEnergy)
+	if a.xferEnergy > 0 {
+		s.res.Energy.Add(energy.Interconnect, a.xferEnergy)
 	}
 	return nil
 }
@@ -664,16 +698,16 @@ func (s *Stepper) kvFits(cand *request) bool {
 // the full grown context (prompt plus every token already generated) — the
 // paper-world cost of preemption. Under block sharing the victim's lease is
 // parked instead: sealed blocks are demoted to the cold tier (write-back
-// energy accumulated into xe; the drain overlaps compute, so xt only grows
-// by demand stalls), and re-admission promotes them
-// back rather than recomputing, so only what eviction pressure dropped from
-// cold is ever re-prefilled.
+// energy accumulated into a; the drain overlaps compute, so its stall only
+// grows by demand stalls), and re-admission promotes them back rather than
+// recomputing, so only what eviction pressure dropped from cold is ever
+// re-prefilled.
 //
 // Eviction is all-or-nothing: when even evicting every active batch request
 // could not make room — judged conservatively under sharing, assuming none
 // of the candidate's blocks are adoptable — nothing is evicted. Reports
 // whether the candidate now fits.
-func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules) bool {
+func (s *Stepper) preemptFor(cand *request, a *admission) bool {
 	if s.kvStore != nil {
 		b := s.kvStore.BlockTokens()
 		worst := (cand.SeqLen() + b - 1) / b
@@ -696,14 +730,11 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 		}
 		if s.kvStore != nil {
 			c := s.kvStore.Park(r.lease)
-			*xt += c.StallTime
-			*xe += c.TransferEnergy
+			a.stall += c.StallTime
+			a.xferEnergy += c.TransferEnergy
 		}
-		s.active = append(s.active[:i], s.active[i+1:]...)
-		s.kvSum -= r.contextLen()
-		s.kvDemandActive -= r.kvBytes
-		s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-		s.countClass(r.Class, &s.pendInteractive, &s.pendBatch, +1)
+		s.active = slices.Delete(s.active, i, i+1)
+		s.deactivate(r)
 		r.readyAt = s.clock
 		r.preempted++
 		s.enqueue(r)
@@ -732,10 +763,8 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 // the request later than single-stepping would. internal/cluster does
 // exactly this: each replica's horizon is the fleet driver's next barrier.
 func (s *Stepper) Step() ([]Completion, error) {
-	if !s.static {
-		if err := s.admit(); err != nil {
-			return nil, err
-		}
+	if err := s.admit(); err != nil {
+		return nil, err
 	}
 	if len(s.active) == 0 {
 		if len(s.pending) == 0 {
@@ -1039,19 +1068,6 @@ func (s *Stepper) charge(p *windowPrice, rlp, grow int, place sched.Placement, b
 	return run, first
 }
 
-// finish releases a request that reached <|eos|>: its share of the running
-// KV sums and class counters, and its lease (committed blocks stay resident
-// for future prefix hits).
-func (s *Stepper) finish(r *request) {
-	s.kvSum -= r.InputLen + r.generated
-	s.kvDemandAll -= r.kvBytes
-	s.kvDemandActive -= r.kvBytes
-	s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-	if s.kvStore != nil {
-		s.kvStore.Commit(r.lease)
-	}
-}
-
 // reserveTraces makes room in the per-iteration traces — the decode loop's
 // only growing allocations — for n more entries, up to traceCap, so the
 // charging kernel records them without growing a slice: it records exactly
@@ -1121,9 +1137,9 @@ func growTrace[T any](t []T, n int) []T {
 //papivet:noalloc
 func (s *Stepper) macroArrivalBound() units.Seconds {
 	inf := units.Seconds(math.Inf(1))
-	// Static batches never admit; streams with an empty queue have nothing
-	// to admit before the horizon (Push is fenced by SetHorizon).
-	if s.static || len(s.pending) == 0 {
+	// A stream with an empty queue — a static batch's always is — has
+	// nothing to admit before the horizon (Push is fenced by SetHorizon).
+	if len(s.pending) == 0 {
 		return inf
 	}
 	if !s.tiered() {
@@ -1158,7 +1174,7 @@ func (s *Stepper) macroArrivalBound() units.Seconds {
 	// request — it blocks its whole class and bars batch admission from its
 	// arrival until a finish. If it can be placed, its arrival is the
 	// boundary.
-	if s.pendInteractive > 0 {
+	if s.queued[interactiveTier] > 0 {
 		if i := s.firstInteractive(); i < len(s.pending) {
 			r := s.pending[i]
 			if s.kvFits(r) || s.preemptFeasible(r) {

@@ -192,6 +192,82 @@ func TestStepperMisuse(t *testing.T) {
 	}
 }
 
+// TestQueueReclaimsItsFront: requests leaving the queue's head free slots
+// in front of it, which a later push moves the queue back into. Holding
+// five requests queued while pushing two and cancelling the two oldest,
+// over and over, must keep the queue in arrival order and leave no request
+// in a buffer slot outside it.
+func TestQueueReclaimsItsFront(t *testing.T) {
+	e := mustEngine(t, newPAPI(), model.OPT30B(), DefaultOptions(1))
+	st, err := e.NewStreamStepper(nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	push := func() {
+		id := len(want)
+		if err := st.Push(workload.Request{ID: id, Arrival: units.Seconds(id), InputLen: 16, OutputLen: 4}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	for range 5 {
+		push()
+	}
+	head := 0
+	for round := 0; round < 100; round++ {
+		push()
+		push()
+		for range 2 {
+			if _, ok, err := st.Cancel(want[head]); !ok || err != nil {
+				t.Fatalf("round %d: cancelling the head %d: ok %v, err %v", round, want[head], ok, err)
+			}
+			head++
+		}
+		checkStepInvariants(t, st)
+		for i, r := range st.pending {
+			if r.ID != want[head+i] {
+				t.Fatalf("round %d: pending[%d] is request %d, want %d", round, i, r.ID, want[head+i])
+			}
+		}
+	}
+}
+
+// TestStepperRejectsPrefixOutsideInput: a declared shared prefix must lie
+// within the request's input. Push and both constructors refuse one outside
+// [0, InputLen] with an error, on the byte ledger and under a sharing block
+// store, whose prefix walk covers only the sequence's reserved blocks.
+func TestStepperRejectsPrefixOutsideInput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kv   *kv.Options
+	}{
+		{"byte ledger", nil},
+		{"block store", &kv.Options{BlockTokens: 32, Sharing: true}},
+	} {
+		opt := DefaultOptions(1)
+		opt.KV = tc.kv
+		e := mustEngine(t, newPAPI(), model.LLaMA65B(), opt)
+		// Past the input by one token, and past the whole sequence.
+		for _, prefix := range []int{-1, 129, 128 + 16 + 64} {
+			r := workload.Request{ID: 3, InputLen: 128, OutputLen: 16, PrefixGroup: 7, PrefixLen: prefix}
+			ss, err := e.NewStreamStepper(nil, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.Push(r); err == nil {
+				t.Errorf("%s: Push with prefix %d should fail", tc.name, prefix)
+			}
+			if _, err := e.NewStreamStepper([]workload.Request{r}, 2); err == nil {
+				t.Errorf("%s: NewStreamStepper with prefix %d should fail", tc.name, prefix)
+			}
+			if _, err := e.NewBatchStepper([]workload.Request{r}); err == nil {
+				t.Errorf("%s: NewBatchStepper with prefix %d should fail", tc.name, prefix)
+			}
+		}
+	}
+}
+
 func TestStepInfoFinishedReportsCompletions(t *testing.T) {
 	// The requests Step returns are the completion hook closed-loop arrival
 	// owners build on: every request must appear exactly once, in the step
